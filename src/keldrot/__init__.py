@@ -5,7 +5,6 @@ from .grids import (
     Signal,
     TimeGrid,
     TwoPointKernel,
-    pair_kernel_project,
     project_pm,
     project_s,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "TwoPointKernel",
     "project_pm",
     "project_s",
-    "pair_kernel_project",
     "CumulantSet",
     "RotatedCumulants",
     "rotate",

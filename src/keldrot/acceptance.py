@@ -18,6 +18,7 @@ from .grids import (
     Signal,
     TimeGrid,
     TwoPointKernel,
+    heaviside,
     overlap,
     project_pm,
     project_s,
@@ -136,7 +137,7 @@ def criterion_lambda_identities(seed: int = 77) -> CriterionResult:
         eta = Signal(grid, rng.normal(size=grid.n))
         j_s = Signal(grid, rng.normal(size=grid.n))
         eta_p, eta_m = rotation.rotation_substitution(eta, j_s, p, spec.hbar)
-        lhs = oscillator.lambda_form(ctl_osc, eta_p, eta_m)
+        lhs = rotation.lambda2_form(ctl_osc, eta_p, eta_m)
         rhs = oscillator.rotated_lambda_form(spec, state, p, eta, j_s,
                                              periodic=True)
         scale = max(abs(lhs), abs(rhs), 1e-300)
@@ -311,7 +312,7 @@ def criterion_empty_vacuum() -> CriterionResult:
     for i, w in enumerate(om):
         if grid.n % 2 == 0 and i == grid.n // 2:
             continue
-        theta = 1.0 if w > 0 else (0.5 if w == 0 else 0.0)
+        theta = heaviside(w)
         pr = diracsea.Pi_R_reg(abs(w), kvec_sq, spec).scalar_part
         # theta split: Pi_R(-k) is the conjugate at real k^2
         pi_f_bins[i] = theta * pr + (1.0 - theta) * np.conjugate(pr)
@@ -397,9 +398,8 @@ def criterion_dyson_two_route() -> CriterionResult:
     pi_r = TwoPointKernel(grid, (gamma / grid.dt) * np.eye(grid.n))
     dressed = medium.dress_retarded_grid(d_bare, pi_r)
     w_shift = np.sqrt(spec.omega0 ** 2 + gamma * spec.omega0)
-    closed = np.tril((spec.omega0 / w_shift)
-                     * -np.where(tau > 0, 1.0, np.where(tau == 0, 0.5, 0.0))
-                     * np.sin(w_shift * tau))
+    closed = np.tril((spec.omega0 / w_shift) * oscillator.retarded_response(
+        oscillator.OscillatorSpec(omega0=w_shift), tau))
     worst = float(np.abs(dressed.values - closed).max())
     residual = medium.wave_operator_residual(dressed, pi_r, spec.omega0)
     passed = worst < 1e-4 and residual < 1e-4

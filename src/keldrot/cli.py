@@ -22,6 +22,7 @@ from . import serialization as ser
 from .grids import OrderingParam, Signal, TimeGrid, TwoPointKernel, project_pm, project_s
 
 PRECISION_ENV = "KELDROT_PRECISION"
+BOOL_KEYS = {"renormalized", "impose_b0", "check_consistency", "diagnose_gauge"}
 
 
 class ConfigError(ValueError):
@@ -58,6 +59,9 @@ def _load_config(path: str | None, cli_params: dict, allowed: set) -> dict:
     unknown = set(config) - allowed
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    loose = sorted(k for k in BOOL_KEYS & set(config) if not isinstance(config[k], bool))
+    if loose:
+        raise ConfigError(f"config keys must be true or false: {loose}")
     return config
 
 
@@ -132,7 +136,7 @@ def _scheme_from_config(config: dict, need: bool) -> pvreg.PVScheme | None:
         return None
     mu0 = float(config.get("mu0", 1.0))
     m_order = int(config.get("M", 0))
-    impose_b0 = bool(config.get("impose_b0", False))
+    impose_b0 = config.get("impose_b0", False)
     if config.get("masses"):
         masses = [float(x) for x in str(config["masses"]).split(",")]
     elif config.get("geometric"):
@@ -191,7 +195,7 @@ def run_oscillator_lambda_check(config: dict) -> tuple[dict, dict]:
         eta = Signal(grid, rng.normal(size=grid.n))
         j_s = Signal(grid, rng.normal(size=grid.n))
         eta_p, eta_m = rotation.rotation_substitution(eta, j_s, p, spec.hbar)
-        lhs = oscillator.lambda_form(ctl, eta_p, eta_m)
+        lhs = rotation.lambda2_form(ctl, eta_p, eta_m)
         rhs = oscillator.rotated_lambda_form(spec, state, p, eta, j_s, periodic=True)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
     report = {"draws": draws, "max_relative_residual": worst, "s": p.s}
@@ -224,7 +228,7 @@ def run_rotation_verb(verb: str, config: dict) -> tuple[dict, dict]:
         tol = float(config.get("consistency_tol", 1e-8))
         rot = rotation.rotate(ctl, OrderingParam(float(config["s"])),
                               consistency_tol=tol,
-                              check=bool(config.get("check_consistency", True)))
+                              check=config.get("check_consistency", True))
         summary = {"s": rot.p.s, "consistency_residual": ctl.consistency_residual()}
         return {".json": ser.rotated_to_json(rot)}, summary
     rot = ser.rotated_from_json(text)
@@ -259,7 +263,7 @@ def run_vacuum_pol(config: dict) -> tuple[dict, dict]:
     kind = config.get("kind", "R")
     if kind not in ("R", "F", "plus"):
         raise ConfigError("kind must be R, F or plus")
-    renorm = bool(config.get("renormalized", True))
+    renorm = config.get("renormalized", True)
     scheme = _scheme_from_config(config, need=not renorm)
     k2 = _k2_values(config)
     k0_sign = int(config.get("k0_sign", 1))
@@ -317,10 +321,8 @@ def run_dress(config: dict) -> tuple[dict, dict]:
     pi_r = TwoPointKernel(grid, (gamma / grid.dt) * np.eye(grid.n))
     dressed = medium.dress_retarded_grid(d_bare, pi_r)
     w_shift = np.sqrt(spec.omega0 ** 2 + gamma * spec.omega0)
-    tau = t[:, None] - t[None, :]
-    closed = np.tril((spec.omega0 / w_shift)
-                     * -np.where(tau > 0, 1.0, np.where(tau == 0, 0.5, 0.0))
-                     * np.sin(w_shift * tau))
+    closed = np.tril((spec.omega0 / w_shift) * oscillator.retarded_response(
+        oscillator.OscillatorSpec(omega0=w_shift), t[:, None] - t[None, :]))
     two_route = float(np.abs(dressed.values - closed).max())
     summary = {"two_route_residual": two_route,
                "shifted_frequency": float(w_shift)}
@@ -328,19 +330,17 @@ def run_dress(config: dict) -> tuple[dict, dict]:
             ".check.json": ser.dump_json(summary)}, summary
 
 
-def run_noise_spectrum(config: dict, s_order: float | None = None) -> tuple[dict, dict]:
+def run_zero_point(config: dict) -> tuple[dict, dict]:
+    _require(config, "s")
+    factor = 2.0 * OrderingParam(float(config["s"])).s_minus
     spec = diracsea.DiracSeaSpec(mu0=float(config.get("mu0", 1.0)),
                                  alpha=float(config.get("alpha", diracsea.FINE_STRUCTURE)))
     k2 = _k2_values(config)
     density = medium.zero_point_spectrum(k2, spec,
                                          mu_vac=float(config.get("mu_vac", 1.0)),
                                          hbar_c=float(config.get("hbar_c", 1.0)))
-    smooth = density.smooth
-    deltas = density.delta_terms
-    if s_order is not None:
-        factor = 2.0 * OrderingParam(s_order).s_minus
-        smooth = factor * smooth
-        deltas = [(loc, factor * w) for loc, w in deltas]
+    smooth = factor * density.smooth
+    deltas = [(loc, factor * w) for loc, w in density.delta_terms]
     csv = ser.momentum_table_to_csv({"k2": density.k_sq, "smooth": smooth},
                                     header_comment="zero-point spectrum (smooth part)")
     ledger = ser.dump_json([{"location_k2": loc, "weight": w} for loc, w in deltas])
@@ -350,11 +350,6 @@ def run_noise_spectrum(config: dict, s_order: float | None = None) -> tuple[dict
         outputs[".gauge.json"] = ser.dump_json(medium.gauge_projector_diagnosis(spec))
         summary["gauge_consistent"] = False
     return outputs, summary
-
-
-def run_zero_point(config: dict) -> tuple[dict, dict]:
-    _require(config, "s")
-    return run_noise_spectrum(config, s_order=float(config["s"]))
 
 
 def run_mc(config: dict) -> tuple[dict, dict]:
@@ -412,8 +407,6 @@ SCHEMAS = {
                              "geometric", "M", "impose_b0"},
     "pv-solve": _COMMON | {"mu0", "alpha", "M", "masses", "geometric", "impose_b0"},
     "dress": _COMMON | {"bare", "pi_r", "omega0", "coupling", "n", "dt", "t0"},
-    "noise-spectrum": _COMMON | {"mu0", "alpha", "mu_vac", "hbar_c", "k2",
-                                 "k2_min", "k2_max", "n_k2", "diagnose_gauge"},
     "zero-point": _COMMON | {"mu0", "alpha", "mu_vac", "hbar_c", "s", "k2",
                              "k2_min", "k2_max", "n_k2", "diagnose_gauge"},
     "mc": _COMMON | {"omega0", "hbar", "n", "dt", "t0", "samples",
@@ -434,7 +427,6 @@ HANDLERS = {
     "vacuum-pol": run_vacuum_pol,
     "pv-solve": run_pv_solve,
     "dress": run_dress,
-    "noise-spectrum": run_noise_spectrum,
     "zero-point": run_zero_point,
     "mc": run_mc,
     "accept": run_accept,
@@ -531,20 +523,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float)
     _add_common(p)
 
-    for verb in ("noise-spectrum", "zero-point"):
-        p = sub.add_parser(verb, help="zero-point fluctuation spectrum")
-        p.add_argument("--mu0", type=float)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--mu-vac", dest="mu_vac", type=float)
-        p.add_argument("--hbar-c", dest="hbar_c", type=float)
-        if verb == "zero-point":
-            p.add_argument("--s", type=float)
-        p.add_argument("--k2", type=float)
-        p.add_argument("--k2-min", type=float)
-        p.add_argument("--k2-max", type=float)
-        p.add_argument("--n-k2", type=int)
-        p.add_argument("--diagnose-gauge", action="store_true", default=None)
-        _add_common(p)
+    p = sub.add_parser("zero-point", help="zero-point fluctuation spectrum")
+    p.add_argument("--mu0", type=float)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--mu-vac", dest="mu_vac", type=float)
+    p.add_argument("--hbar-c", dest="hbar_c", type=float)
+    p.add_argument("--s", type=float)
+    p.add_argument("--k2", type=float)
+    p.add_argument("--k2-min", type=float)
+    p.add_argument("--k2-max", type=float)
+    p.add_argument("--n-k2", type=int)
+    p.add_argument("--diagnose-gauge", action="store_true", default=None)
+    _add_common(p)
 
     p = sub.add_parser("mc", help="classical stochastic one-mode Monte Carlo")
     p.add_argument("--omega0", type=float)

@@ -7,20 +7,25 @@ observable susceptibility is the once-subtracted dispersion integral over
 the (Pauli-Villars regularized) spectrum; the divergent constant R_0 is a
 signed log combination that the renormalization condition sets to zero.
 
-The i0+ prescription in the dispersion integral is handled exactly as a
-principal value plus i*pi residue; a finite-epsilon mode is kept for
-cross-checks.  4-transversality of the polarization tensors is structural:
-only the scalar coefficient of (k_nu k_nu' - k^2 g_nu nu')/(-mu_vac) is
-stored.
+R_obs is evaluated from Uehling's closed form of that integral, in real
+arithmetic on each side of the pair threshold and by its Taylor series at
+small |k^2|.  Two quadrature routes stay as independent checks on it: the
+finite-epsilon dispersion integral and the Kramers-Kronig reconstruction
+of Re R_obs from Im R_obs.  4-transversality of the polarization tensors
+is structural: only the scalar coefficient of
+(k_nu k_nu' - k^2 g_nu nu')/(-mu_vac) is stored.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy import special
 
+from .grids import heaviside
 from .pvreg import PVScheme, series_coeffs
 
 __all__ = [
@@ -103,16 +108,15 @@ def K_reg(k_sq, scheme: PVScheme):
 # ----- dispersion integral over the bare spectrum -------------------------
 #
 # g(a) = integral_1^inf F(y) / (y (y - a - i0 sgn)) dy with a = k^2/4mu0^2.
-# The substitution y = 1 + u^2 removes the square-root threshold kink:
+# The finite-epsilon route substitutes y = 1 + u^2, which removes the
+# square-root threshold kink:
 # F(1+u^2) = (1 + 1/(2(1+u^2))) * u / sqrt(1+u^2), dy = 2u du.
 
 _QUAD_OPTS = dict(limit=300, epsabs=1e-13, epsrel=1e-12)
 
-
-def _integrand_u(u, a):
-    y = 1.0 + u * u
-    f = (1.0 + 0.5 / y) * u / np.sqrt(y)
-    return 2.0 * u * f / (y * (y - a))
+# Taylor coefficients B(n+2, n+2)/n of R_obs in k^2/mu0^2 (in units of
+# 2 alpha/pi); at |k^2| < mu0^2 the ratio of successive terms is below 1/4
+_SERIES = [float(special.beta(n + 2, n + 2)) / n for n in range(1, 41)]
 
 
 def _tail(a: float, big_y: float, order: int = 8) -> float:
@@ -128,56 +132,41 @@ def _tail(a: float, big_y: float, order: int = 8) -> float:
     return total
 
 
-def _g_below(a: float) -> float:
-    # no pole: y - a > 0 on the whole domain
-    big_y = max(1e6, 1e3 * (1.0 + abs(a)))
-    u_top = np.sqrt(big_y - 1.0)
-    val, _ = quad(_integrand_u, 0.0, u_top, args=(a,), **_QUAD_OPTS)
-    return val + _tail(a, big_y)
-
-
-def _g_above(a: float) -> float:
-    # principal value around the pole at u0 = sqrt(a-1)
-    u0 = np.sqrt(a - 1.0)
-    big_y = max(1e6, 1e3 * (1.0 + abs(a)))
-    u_top = np.sqrt(big_y - 1.0)
-
-    def phi(u):
-        y = 1.0 + u * u
-        f = (1.0 + 0.5 / y) * u / np.sqrt(y)
-        return 2.0 * u * f / (y * (u + u0))
-
-    half = max(1.0, 0.5 * u0)
-    lo = max(0.0, u0 - half)
-    hi = u0 + half
-    pv, _ = quad(phi, lo, hi, weight="cauchy", wvar=u0, **_QUAD_OPTS)
-    left = quad(_integrand_u, 0.0, lo, args=(a,), **_QUAD_OPTS)[0] if lo > 0 else 0.0
-    right, _ = quad(_integrand_u, hi, u_top, args=(a,), **_QUAD_OPTS)
-    return pv + left + right + _tail(a, big_y)
-
-
-def dispersion_g(a: float, k0_sign: int) -> complex:
-    """Exact-prescription dispersion kernel g(a) with Im from the residue."""
-    if a <= 1.0:
-        return complex(_g_below(a))
-    re = _g_above(a)
-    im = np.pi * F_threshold(a) / a * np.sign(k0_sign)
-    return complex(re, im)
-
-
 def R_obs(k_sq: float, spec: DiracSeaSpec, k0_sign: int = 1) -> complex:
     """Observable susceptibility (renormalized, R_0 subtracted).
 
     R_obs(k) = (alpha k^2 / 3 pi) * integral_{4mu0^2}^inf
-               dmu^2 F(mu^2/4mu0^2) / [mu^2 (mu^2 - k^2 - i0+ sign k0)].
+               dmu^2 F(mu^2/4mu0^2) / [mu^2 (mu^2 - k^2 - i0+ sign k0)]
+             = (alpha/3pi) [5/3 + z - (1 + z/2) beta ln((beta+1)/(beta-1))]
 
-    Real for k^2 < 4 mu0^2; above threshold the imaginary part is
-    sign(k0) * (alpha/3) F(k^2/4mu0^2).
+    with z = 4mu0^2/k^2 and beta = sqrt(1 - z) (Uehling).  Real for
+    k^2 <= 4 mu0^2; above threshold the imaginary part is
+    sign(k0) * (alpha/3) F(k^2/4mu0^2).  At |k^2| < mu0^2, where the closed
+    form cancels, the series (2 alpha/pi) sum_n (k^2/mu0^2)^n B(n+2,n+2)/n
+    is summed instead.
     """
-    a = k_sq / (4.0 * spec.mu0 ** 2)
-    if a == 0.0:
-        return 0j
-    return (spec.alpha / (3.0 * np.pi)) * a * dispersion_g(a, k0_sign)
+    x = k_sq / spec.mu0 ** 2
+    if abs(x) < 1.0:
+        total = 0.0
+        for c in reversed(_SERIES):
+            total = x * (total + c)
+        return complex(2.0 * spec.alpha / np.pi * total)
+    s0 = 4.0 * spec.mu0 ** 2
+    z = s0 / k_sq
+    im = 0.0
+    if 0.0 < k_sq <= s0:
+        # beta = i b: beta ln((beta+1)/(beta-1)) = 2 b arctan(1/b)
+        b = math.sqrt((s0 - k_sq) / k_sq)
+        beta_log = 2.0 * b * math.atan2(1.0, b)
+    else:
+        # |(beta+1)/(beta-1)| = (1+beta)^2/|z|; the i pi of the log above
+        # threshold is the imaginary part, set from F directly
+        beta = math.sqrt((k_sq - s0) / k_sq)
+        beta_log = beta * (2.0 * math.log1p(beta) - math.log(abs(z)))
+        if k_sq > s0:
+            im = np.sign(k0_sign) * (spec.alpha / 3.0) * F_threshold(k_sq / s0)
+    re = (spec.alpha / (3.0 * np.pi)) * (5.0 / 3.0 + z - (1.0 + 0.5 * z) * beta_log)
+    return complex(re, im)
 
 
 def R_obs_finite_eps(k_sq: float, spec: DiracSeaSpec, eps: float,
@@ -217,8 +206,6 @@ def R0_from_scheme(scheme: PVScheme, spec: DiracSeaSpec) -> float:
     for l in range(1, len(scheme.masses)):
         total += ((-1) ** l) * scheme.d[l] * np.log(scheme.masses[l] ** 2 / mu0 ** 2)
     return -(spec.alpha / (3.0 * np.pi)) * total
-
-    # equals R0_quadrature for solved schemes; the B(0) row makes it zero
 
 
 def R0_quadrature(scheme: PVScheme, spec: DiracSeaSpec,
@@ -271,16 +258,14 @@ def Pi_plus(k0: float, kvec_sq: float, spec: DiracSeaSpec,
     built from the spectral function alone.
     """
     pi_r = Pi_R_reg(k0, kvec_sq, spec, scheme, renormalized)
-    theta = 1.0 if k0 > 0 else (0.5 if k0 == 0 else 0.0)
-    val = 2j * theta * np.imag(pi_r.scalar_part)
+    val = 2j * heaviside(k0) * np.imag(pi_r.scalar_part)
     return PolarizationTensorValue(k0=k0, kvec_sq=kvec_sq, scalar_part=val, kind="plus")
 
 
 def pi_plus_closed_form(k0: float, kvec_sq: float, spec: DiracSeaSpec) -> complex:
     """(2i alpha / 3) theta(k0) theta(k^2 - 4 mu0^2) F(k^2 / 4 mu0^2)."""
     k_sq = k0 ** 2 - kvec_sq
-    theta = 1.0 if k0 > 0 else (0.5 if k0 == 0 else 0.0)
-    return 2j * spec.alpha / 3.0 * theta * F_threshold(k_sq / (4.0 * spec.mu0 ** 2))
+    return 2j * spec.alpha / 3.0 * heaviside(k0) * F_threshold(k_sq / (4.0 * spec.mu0 ** 2))
 
 
 def _require(scheme: PVScheme | None) -> PVScheme:

@@ -11,54 +11,17 @@ where they matter quantitatively.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .grids import heaviside
+
 __all__ = [
-    "MomentumPoint",
-    "EpsilonPrescription",
     "scalar_kernels",
     "response_transform_check",
     "photon_keldysh_pair",
     "retarded_time_profile",
     "symmetric_k0_grid",
 ]
-
-
-@dataclass(frozen=True)
-class MomentumPoint:
-    """Momentum sample; only k0 and |k|^2 enter the scalar kernels."""
-
-    k0: float
-    kvec_sq: float = 0.0
-
-    def __post_init__(self):
-        if self.kvec_sq < 0:
-            raise ValueError("kvec_sq must be non-negative")
-
-    @property
-    def k_sq(self) -> float:
-        return self.k0 ** 2 - self.kvec_sq
-
-
-@dataclass(frozen=True)
-class EpsilonPrescription:
-    """Finite imaginary shift (mass^2 units) standing in for i0+.
-
-    An approximation parameter: results should be reported at two or more
-    values for extrapolation to the exact limit.
-    """
-
-    eps: float
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-
-
-def _theta(x):
-    return np.where(x > 0, 1.0, np.where(x == 0, 0.5, 0.0))
 
 
 def scalar_kernels(k0, kvec_sq, mu_sq: float, eps: float) -> dict:
@@ -72,7 +35,8 @@ def scalar_kernels(k0, kvec_sq, mu_sq: float, eps: float) -> dict:
     Heaviside split theta(0) = 1/2, so D = D_R - D_A holds exactly
     everywhere including k0 = 0.
     """
-    EpsilonPrescription(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     k0 = np.asarray(k0, dtype=float)
     kvec_sq = np.asarray(kvec_sq, dtype=float)
     if mu_sq < 0:
@@ -83,8 +47,8 @@ def scalar_kernels(k0, kvec_sq, mu_sq: float, eps: float) -> dict:
     d_a = np.conjugate(d_r)
     d_f = 1.0 / (base + 1j * eps)
     comm = d_r - d_a
-    d_plus = _theta(k0) * comm
-    d_minus = _theta(-k0) * comm
+    d_plus = heaviside(k0) * comm
+    d_minus = heaviside(-k0) * comm
     return {
         "D_R": d_r,
         "D_A": d_a,
@@ -118,9 +82,9 @@ def response_transform_check(k0_grid, kvec_sq: float, mu_sq: float, eps: float) 
     ker_flip = scalar_kernels(-k0, kvec_sq, mu_sq, eps)
     # the whole family rebuilt from the retarded kernel alone
     d_a_built = ker_flip["D_R"]
-    d_f_built = _theta(k0) * ker["D_R"] + _theta(-k0) * ker_flip["D_R"]
-    d_plus_built = _theta(k0) * (ker["D_R"] - d_a_built)
-    d_minus_built = _theta(-k0) * (ker["D_R"] - d_a_built)
+    d_f_built = heaviside(k0) * ker["D_R"] + heaviside(-k0) * ker_flip["D_R"]
+    d_plus_built = heaviside(k0) * (ker["D_R"] - d_a_built)
+    d_minus_built = heaviside(-k0) * (ker["D_R"] - d_a_built)
     res_f = np.abs(d_f_built - ker["D_F"])
     res_p = np.abs(d_plus_built - ker["D_plus"])
     interior = k0 != 0
@@ -148,8 +112,8 @@ def photon_keldysh_pair(k0, kvec_sq, eps: float, mu_vac: float = 1.0) -> dict:
     ker = scalar_kernels(k0, kvec_sq, 0.0, eps)
     ker_flip = scalar_kernels(-np.asarray(k0, dtype=float), kvec_sq, 0.0, eps)
     k0 = np.asarray(k0, dtype=float)
-    d_f = _theta(k0) * ker["D_R"] + _theta(-k0) * ker_flip["D_R"]
-    d_plus = _theta(k0) * (ker["D_R"] - ker["D_A"])
+    d_f = heaviside(k0) * ker["D_R"] + heaviside(-k0) * ker_flip["D_R"]
+    d_plus = heaviside(k0) * (ker["D_R"] - ker["D_A"])
     return {"D_F": -mu_vac * d_f, "D_plus": -mu_vac * d_plus}
 
 

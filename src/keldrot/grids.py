@@ -33,12 +33,12 @@ __all__ = [
     "project_pm",
     "project_s",
     "project_kernel_axis",
-    "pair_kernel_project",
     "reflect",
     "integrate",
     "overlap",
     "pair_form",
     "theta_ordering_matrix",
+    "heaviside",
 ]
 
 
@@ -157,6 +157,13 @@ class Signal:
     __rmul__ = __mul__
 
 
+def heaviside(x):
+    """theta(x) with the value 1/2 at x = 0."""
+    x = np.asarray(x, dtype=float)
+    out = np.where(x > 0, 1.0, np.where(x == 0, 0.5, 0.0))
+    return out if out.ndim else float(out)
+
+
 def _check_same_grid(a: TimeGrid, b: TimeGrid):
     if a != b:
         raise ValueError(f"grid mismatch: {a} vs {b}")
@@ -173,10 +180,7 @@ def from_spectrum(grid: TimeGrid, coeffs: np.ndarray) -> Signal:
 
 def sign_weights(grid: TimeGrid, sign) -> np.ndarray:
     """Heaviside weights theta(sign * w_k) with the 1/2 boundary split."""
-    sgn = _sign_value(sign)
-    om = grid.omega
-    w = np.where(sgn * om > 0, 1.0, 0.0)
-    w[om == 0] = 0.5
+    w = heaviside(_sign_value(sign) * grid.omega)
     if grid.n % 2 == 0:
         w[grid.n // 2] = 0.5
     return w
@@ -273,15 +277,6 @@ def project_kernel_axis(K: TwoPointKernel, axis: int, sign, p: OrderingParam | N
     return TwoPointKernel(K.grid, _apply_weights_along(K.values, w, axis))
 
 
-def pair_kernel_project(K: TwoPointKernel, which_arg: str, sign, p: OrderingParam | None = None) -> TwoPointKernel:
-    """Spec-facing wrapper: which_arg is 'first' (t) or 'second' (t')."""
-    try:
-        axis = {"first": 0, "second": 1}[which_arg]
-    except KeyError:
-        raise ValueError("which_arg must be 'first' or 'second'") from None
-    return project_kernel_axis(K, axis, sign, p)
-
-
 def integrate(f: Signal) -> complex:
     """Periodic quadrature dt * sum; exact for band-limited integrands."""
     return complex(f.grid.dt * f.values.sum())
@@ -311,8 +306,7 @@ def theta_ordering_matrix(grid: TimeGrid, periodic: bool = False) -> np.ndarray:
     n = grid.n
     if not periodic:
         return np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n)
-    lag = grid.lags
-    prof = np.where(lag > 0, 1.0, np.where(lag == 0, 0.5, 0.0))
+    prof = heaviside(grid.lags)
     if n % 2 == 0:
         prof[n // 2] = 0.5
     i = np.arange(n)

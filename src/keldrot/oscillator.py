@@ -16,6 +16,7 @@ from .grids import (
     Signal,
     TimeGrid,
     TwoPointKernel,
+    heaviside,
     project_pm,
     reflect,
     theta_ordering_matrix,
@@ -35,7 +36,6 @@ __all__ = [
     "reorder_gap_from_response",
     "recover_retarded_from_gap",
     "keldysh_contractions",
-    "lambda_form",
     "rotated_lambda_form",
     "classical_infield",
     "sample_quasidistribution",
@@ -77,14 +77,10 @@ class GaussianState:
             )
 
 
-def _theta(x):
-    return np.where(x > 0, 1.0, np.where(x == 0, 0.5, 0.0))
-
-
 def retarded_response(spec: OscillatorSpec, tau):
     """Kubo response D_R(tau) = -theta(tau) sin(omega0 tau)."""
     tau = np.asarray(tau, dtype=float)
-    out = -_theta(tau) * np.sin(spec.omega0 * tau)
+    out = -heaviside(tau) * np.sin(spec.omega0 * tau)
     return out if out.ndim else float(out)
 
 
@@ -177,7 +173,7 @@ def recover_retarded_from_gap(Z: Signal, hbar: float = 1.0) -> Signal:
     """D_R(tau) = (2 / i hbar) theta(tau) [Z^+(tau) - Z^-(tau)]."""
     zp = project_pm(Z, "+")
     zm = project_pm(Z, "-")
-    vals = (2.0 / (1j * hbar)) * _theta(Z.grid.lags) * (zp.values - zm.values)
+    vals = (2.0 / (1j * hbar)) * heaviside(Z.grid.lags) * (zp.values - zm.values)
     return Signal(Z.grid, vals)
 
 
@@ -191,13 +187,6 @@ def keldysh_contractions(spec: OscillatorSpec, t, tp) -> dict:
     if np.ndim(tau):
         return {"D_F": d_f, "D_plus": d_plus}
     return {"D_F": complex(d_f), "D_plus": complex(d_plus)}
-
-
-def lambda_form(ctl: CumulantSet, eta_p: Signal, eta_m: Signal) -> complex:
-    """Oscillator bilinear form (zero-mean special case of Lambda_2)."""
-    from .rotation import lambda2_form
-
-    return lambda2_form(ctl, eta_p, eta_m)
 
 
 def rotated_lambda_form(spec: OscillatorSpec, state: GaussianState, p: OrderingParam,

@@ -264,19 +264,20 @@ def _f_antiderivative(y):
     return out if out.ndim else float(out)
 
 
-def moment_integral_exact(scheme: PVScheme, cutoff_sq: float, dps: int = 60):
+def moment_integral_exact(scheme: PVScheme, cutoff_sq: float):
     """Exact n = 0 moment integral via the closed-form antiderivative of F.
 
     integral_{4mu0^2}^{cutoff} K_reg = (1/6pi) sum_l (-1)^l d_l 4mu_l^2 G_l
     with G_l = (y-1)sqrt(1-1/y) at y = cutoff/(4mu_l^2).  Evaluated in
-    mpmath with the extended-precision coefficients, so the cancellation
-    between the signed terms carries no floating-point noise and the decay
-    of the remainder with the cutoff is visible to arbitrary depth.
+    mpmath with the extended-precision coefficients, at the digits they
+    carry plus a guard, so the cancellation between the signed terms
+    carries no floating-point noise and the decay of the remainder with
+    the cutoff is visible to arbitrary depth.
     """
     scheme.require_solved()
     if not scheme.d_mp:
         raise ValueError("scheme lacks extended-precision coefficients")
-    with mp.workdps(dps):
+    with mp.workdps(max(len(d) for d in scheme.d_mp) + 20):
         cut = mp.mpf(cutoff_sq)
         total = mp.mpf(0)
         for l, (d_str, mass) in enumerate(zip(scheme.d_mp, scheme.masses)):

@@ -84,15 +84,15 @@ def kernel_to_csv(K: TwoPointKernel) -> str:
 def kernel_from_csv(text: str) -> TwoPointKernel:
     lines = text.splitlines()
     grid = _parse_grid_header(lines[1])
-    vals = np.zeros(grid.n * grid.n, dtype=complex)
-    idx = 0
+    vals = []
     for line in lines[3:]:
         if not line.strip():
             continue
         _, _, re, im = line.split(",")
-        vals[idx] = float(re) + 1j * float(im)
-        idx += 1
-    return TwoPointKernel(grid, vals.reshape(grid.n, grid.n))
+        vals.append(float(re) + 1j * float(im))
+    if len(vals) != grid.n * grid.n:
+        raise ValueError(f"kernel CSV has {len(vals)} rows, grid n={grid.n} needs {grid.n ** 2}")
+    return TwoPointKernel(grid, np.array(vals).reshape(grid.n, grid.n))
 
 
 def _grid_obj(grid: TimeGrid) -> dict:

@@ -120,9 +120,9 @@ class TestSpectrumVerbs:
         assert ledger[0]["location_k2"] == 0.0
         assert ledger[0]["weight"] == pytest.approx(np.pi)  # 2 s_minus = 1 at s=0
 
-    def test_noise_spectrum_with_gauge_diagnosis(self, outdir):
+    def test_zero_point_with_gauge_diagnosis(self, outdir):
         out = outdir / "ns"
-        assert run(["noise-spectrum", "--k2", 8.0, "--diagnose-gauge",
+        assert run(["zero-point", "--s", 0.0, "--k2", 8.0, "--diagnose-gauge",
                     "--out", out]) == 0
         gauge = json.loads((outdir / "ns.gauge.json").read_text())
         assert gauge["consistent"] is False
@@ -189,6 +189,19 @@ class TestConfigHandling:
         manifest = json.loads((outdir / "k.manifest.json").read_text())
         assert manifest["config"]["omega0"] == 2.0
         assert manifest["config"]["n"] == 8
+
+    @pytest.mark.parametrize("verb,key", [
+        (["vacuum-pol", "--k2", 1.0], "renormalized"),
+        (["pv-solve", "--M", 0, "--geometric", 10.0], "impose_b0"),
+        (["rotate", "--in", "ctl.json", "--s", 0.0], "check_consistency"),
+        (["zero-point", "--s", 0.0, "--k2", 8.0], "diagnose_gauge"),
+    ])
+    def test_string_booleans_rejected(self, outdir, capsys, verb, key):
+        cfg = outdir / "cfg.json"
+        cfg.write_text(json.dumps({key: "false"}))
+        assert run(verb + ["--config", cfg, "--out", outdir / "x"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and key in err["detail"]
 
     def test_computation_error_exit_code(self, outdir, capsys):
         # masses not strictly increasing -> computation-level failure

@@ -28,6 +28,8 @@ def scheme():
 
 
 SPEC = DiracSeaSpec(mu0=1.0)
+KK_BANDS = {"spacelike": (-50.0, -1e-2), "low-k": (-1e-3, 1e-3), "below": (1e-2, 3.9),
+            "threshold": (3.9, 4.1), "above": (4.1, 400.0)}
 
 
 class TestSpectralFunction:
@@ -106,8 +108,27 @@ class TestDispersion:
     @pytest.mark.parametrize("k_sq", [2.0, 4.5, 10.0, -5.0, 19.9])
     def test_kramers_kronig_consistency(self, k_sq):
         kk = kramers_kronig_real_part(k_sq, SPEC)
-        direct = R_obs(k_sq, SPEC).real
-        assert kk == pytest.approx(direct, rel=1e-4)
+        for sign in (1, -1):
+            assert R_obs(k_sq, SPEC, k0_sign=sign).real == pytest.approx(kk, rel=1e-12)
+
+    @pytest.mark.parametrize("band", list(KK_BANDS))
+    def test_kramers_kronig_consistency_over_band(self, band):
+        # the closed form against the quadrature route, across every branch
+        # of R_obs; the bands are in units of mu0^2
+        rng = np.random.default_rng(3)
+        lo, hi = KK_BANDS[band]
+        for spec in (SPEC, DiracSeaSpec(mu0=0.7)):
+            s0 = 4.0 * spec.mu0 ** 2
+            for k_sq in spec.mu0 ** 2 * rng.uniform(lo, hi, 20):
+                kk = kramers_kronig_real_part(k_sq, spec)
+                im_above = spec.alpha / 3.0 * F_threshold(k_sq / s0)
+                for sign in (1, -1):
+                    r = R_obs(k_sq, spec, k0_sign=sign)
+                    assert r.real == pytest.approx(kk, rel=1e-12)
+                    if k_sq <= s0:
+                        assert r.imag == 0.0
+                    else:
+                        assert r.imag == pytest.approx(sign * im_above, rel=1e-14)
 
 
 class TestR0:

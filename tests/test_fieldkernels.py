@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from keldrot.fieldkernels import (
-    EpsilonPrescription,
-    MomentumPoint,
     photon_keldysh_pair,
     response_transform_check,
     retarded_time_profile,
@@ -12,21 +10,10 @@ from keldrot.fieldkernels import (
 )
 
 
-class TestMomentumPoint:
-    def test_invariant_mass(self):
-        k = MomentumPoint(k0=3.0, kvec_sq=4.0)
-        assert k.k_sq == pytest.approx(5.0)
-
-    def test_spacelike_allowed_negative_kvec_not(self):
-        assert MomentumPoint(0.5, 4.0).k_sq < 0
-        with pytest.raises(ValueError):
-            MomentumPoint(1.0, -1.0)
-
-
 class TestEpsilon:
     def test_positive_only(self):
         with pytest.raises(ValueError):
-            EpsilonPrescription(0.0)
+            scalar_kernels(1.0, 0.0, 1.0, eps=0.0)
         with pytest.raises(ValueError):
             scalar_kernels(1.0, 0.0, 1.0, eps=-1e-3)
 

@@ -8,8 +8,8 @@ from keldrot.grids import (
     Signal,
     TimeGrid,
     TwoPointKernel,
+    heaviside,
     overlap,
-    pair_kernel_project,
     project_kernel_axis,
     project_pm,
     project_s,
@@ -150,21 +150,20 @@ class TestKernelProjection:
         out = project_kernel_axis(project_kernel_axis(K, 1, "+"), 0, "+")
         assert np.abs(out.values).max() < 1e-12
 
+    def test_axis_validation(self):
+        K = TwoPointKernel.zero(TimeGrid(16, 0.5))
+        with pytest.raises(ValueError, match="axis"):
+            project_kernel_axis(K, 2, "+")
+
     def test_identity_kernel_rows_become_projector_samples(self):
         g = TimeGrid(32, 0.3)
         eye = TwoPointKernel(g, np.eye(g.n) / g.dt)
-        rows = pair_kernel_project(eye, "first", "+")
+        rows = project_kernel_axis(eye, 0, "+")
         # each column is the projector response to a grid delta
         delta = Signal(g, np.zeros(g.n))
         delta.values[5] = 1.0 / g.dt
         expect = project_pm(delta, "+")
         assert np.abs(rows.values[:, 5] - expect.values).max() < 1e-12
-
-    def test_which_arg_validation(self):
-        g = TimeGrid(16, 0.5)
-        K = TwoPointKernel.zero(g)
-        with pytest.raises(ValueError):
-            pair_kernel_project(K, "third", "+")
 
 
 class TestOrderingMatrix:
@@ -187,6 +186,12 @@ class TestOrderingMatrix:
         for periodic in (False, True):
             th = theta_ordering_matrix(g, periodic=periodic)
             assert np.allclose(th + th.T, np.ones((8, 8)))
+
+
+def test_heaviside_takes_half_at_zero():
+    assert heaviside(-2.0) == 0.0 and heaviside(0.0) == 0.5 and heaviside(3.0) == 1.0
+    assert isinstance(heaviside(1.0), float)
+    assert np.array_equal(heaviside(np.array([-1.0, 0.0, 1.0])), [0.0, 0.5, 1.0])
 
 
 def test_reflect_is_circular_reversal():

@@ -9,7 +9,6 @@ from keldrot.oscillator import (
     classical_infield,
     ctl_cumulants,
     keldysh_contractions,
-    lambda_form,
     mc_quasiaverage,
     recover_retarded_from_gap,
     reorder_gap,
@@ -21,7 +20,7 @@ from keldrot.oscillator import (
     sample_quasidistribution,
     wightman_kernel,
 )
-from keldrot.rotation import rotation_substitution
+from keldrot.rotation import lambda2_form, rotation_substitution
 
 
 GRID = TimeGrid(256, 0.05)
@@ -132,14 +131,14 @@ class TestLambdaForm:
     def test_zero_sources_give_zero(self):
         ctl = ctl_cumulants(SPEC, GaussianState(), GRID)
         zero = Signal.zero(GRID)
-        assert lambda_form(ctl, zero, zero) == 0
+        assert lambda2_form(ctl, zero, zero) == 0
 
     def test_single_branch_reduces_to_feynman_term(self):
         ctl = ctl_cumulants(SPEC, GaussianState(), GRID)
         rng = np.random.default_rng(5)
         eta_p = Signal(GRID, rng.normal(size=GRID.n))
         zero = Signal.zero(GRID)
-        val = lambda_form(ctl, eta_p, zero)
+        val = lambda2_form(ctl, eta_p, zero)
         expect = -0.5 * GRID.dt ** 2 * (eta_p.values @ ctl.K_F.values @ eta_p.values)
         assert val == pytest.approx(expect)
 
@@ -155,7 +154,7 @@ class TestLambdaForm:
             eta = Signal(grid, rng.normal(size=grid.n))
             j_s = Signal(grid, rng.normal(size=grid.n))
             eta_p, eta_m = rotation_substitution(eta, j_s, p, spec.hbar)
-            lhs = lambda_form(ctl, eta_p, eta_m)
+            lhs = lambda2_form(ctl, eta_p, eta_m)
             rhs = rotated_lambda_form(spec, state, p, eta, j_s, periodic=True)
             assert abs(lhs - rhs) < 1e-8 * max(abs(lhs), 1.0)
 

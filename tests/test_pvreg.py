@@ -167,6 +167,22 @@ class TestMoments:
                 for lam in (10.0, 100.0, 1000.0)]
         assert vals[0] > vals[1] > vals[2]
 
+    def test_exact_route_holds_on_hard_scheme(self):
+        # M = 3 at ratio 1e3 needs far more than double or 60 digits; the
+        # remainder sits at the level left by the solve's row residuals and
+        # must neither grow with the cutoff nor move at twice the digits
+        hard = solve_pv(3, geometric_masses(1.0, 1e3, 12), impose_B0=True)
+        top = 4.0 * hard.masses[-1] ** 2
+        vals = [moment_integral_exact(hard, lam * top) for lam in (10.0, 100.0, 1000.0)]
+        assert max(abs(v) for v in vals) <= abs(vals[0]) * (1.0 + 1e-9)
+        with mp.workdps(2 * (max(len(d) for d in hard.d_mp) + 20)):
+            total = mp.mpf(0)
+            for l, (d, mass) in enumerate(zip(hard.d_mp, hard.masses)):
+                y = 1000.0 * top / (4 * mp.mpf(mass) ** 2)
+                total += (-1) ** l * mp.mpf(d) * 4 * mp.mpf(mass) ** 2 * (y - 1) * mp.sqrt(1 - 1 / y)
+            twice = float(total / (6 * mp.pi))
+        assert vals[2] == pytest.approx(twice, rel=1e-12)
+
     def test_exact_route_matches_float_route(self, scheme):
         top = 4.0 * scheme.masses[-1] ** 2
         a = moment_integral_exact(scheme, 20.0 * top)

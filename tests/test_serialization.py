@@ -50,6 +50,11 @@ class TestKernelRoundTrip:
         back = ser.kernel_from_json(ser.kernel_to_json(kernel))
         assert np.array_equal(back.values, kernel.values)
 
+    def test_short_csv_rejected(self, kernel):
+        text = ser.kernel_to_csv(kernel)
+        with pytest.raises(ValueError, match="rows"):
+            ser.kernel_from_csv(text[: text.rindex("\n", 0, -1) + 1])
+
 
 class TestBundles:
     def test_cumulants_round_trip(self, grid):
