@@ -10,7 +10,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import diracsea, medium, oscillator, pvreg, rotation
 from .grids import (
@@ -195,6 +194,8 @@ def criterion_low_k_limit() -> CriterionResult:
     """Renormalized R_obs(k^2)/k^2 -> alpha/(15 pi mu0^2) for
     |k^2| <= 1e-3 mu0^2 at relative tolerance 1e-3; the normalization
     oracle integral of F(y)/y^2 equals 4/5 to 1e-8 by direct quadrature."""
+    from scipy.integrate import quad
+
     spec = diracsea.DiracSeaSpec(mu0=1.0)
     oracle, _ = quad(lambda y: diracsea.F_threshold(y) / y ** 2, 1.0, np.inf, limit=200)
     oracle_err = abs(oracle - 0.8)

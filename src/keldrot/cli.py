@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, acceptance, diracsea, medium, oscillator, pvreg, rotation
+from . import __version__, diracsea, medium, oscillator, pvreg, rotation
 from . import serialization as ser
 from .grids import OrderingParam, Signal, TimeGrid, TwoPointKernel, project_pm, project_s
 
@@ -375,6 +375,8 @@ def run_mc(config: dict) -> tuple[dict, dict]:
 
 
 def run_accept(config: dict) -> tuple[dict, dict]:
+    from . import acceptance
+
     results = acceptance.run_all(only=config.get("only"))
     lines = [r.line() for r in results]
     report = "\n".join(lines) + "\n"

@@ -22,8 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy import special
 
 from .grids import heaviside
 from .pvreg import PVScheme, series_coeffs
@@ -90,7 +88,8 @@ def F_threshold(y):
     out = np.zeros_like(y)
     above = y > 1.0
     ya = y[above]
-    out[above] = (1.0 + 0.5 / ya) * np.sqrt(1.0 - 1.0 / ya)
+    # (y - 1) is exact near threshold, where 1 - 1/y cancels
+    out[above] = (1.0 + 0.5 / ya) * np.sqrt((ya - 1.0) / ya)
     return out if out.ndim else float(out)
 
 
@@ -114,9 +113,11 @@ def K_reg(k_sq, scheme: PVScheme):
 
 _QUAD_OPTS = dict(limit=300, epsabs=1e-13, epsrel=1e-12)
 
-# Taylor coefficients B(n+2, n+2)/n of R_obs in k^2/mu0^2 (in units of
-# 2 alpha/pi); at |k^2| < mu0^2 the ratio of successive terms is below 1/4
-_SERIES = [float(special.beta(n + 2, n + 2)) / n for n in range(1, 41)]
+# Taylor coefficients B(n+2, n+2)/n = ((n+1)!)^2 / (n (2n+3)!) of R_obs in
+# k^2/mu0^2 (in units of 2 alpha/pi), each one correctly rounded integer
+# division; at |k^2| < mu0^2 the ratio of successive terms is below 1/4
+_SERIES = [math.factorial(n + 1) ** 2 / (n * math.factorial(2 * n + 3))
+           for n in range(1, 41)]
 
 
 def _tail(a: float, big_y: float, order: int = 8) -> float:
@@ -172,6 +173,8 @@ def R_obs(k_sq: float, spec: DiracSeaSpec, k0_sign: int = 1) -> complex:
 def R_obs_finite_eps(k_sq: float, spec: DiracSeaSpec, eps: float,
                      k0_sign: int = 1) -> complex:
     """Finite-epsilon cross-check route (eps in mass^2 units)."""
+    from scipy.integrate import quad
+
     if eps <= 0:
         raise ValueError("eps must be positive")
     a = k_sq / (4.0 * spec.mu0 ** 2)
@@ -216,6 +219,8 @@ def R0_quadrature(scheme: PVScheme, spec: DiracSeaSpec,
     constants of the individual log-divergent terms; integrated in the
     log variable with breakpoints at each mass threshold.
     """
+    from scipy.integrate import quad
+
     scheme.require_solved()
     lo = 4.0 * scheme.masses[0] ** 2
     hi = lo * big_y
@@ -279,6 +284,8 @@ def kramers_kronig_real_part(k_sq: float, spec: DiracSeaSpec) -> float:
     quadrature directly in the mass^2 variable (independent route: log
     substitution for the regular pieces, Cauchy-weighted quadrature around
     the pole, no threshold substitution)."""
+    from scipy.integrate import quad
+
     s0 = 4.0 * spec.mu0 ** 2
 
     def im_r(s):
@@ -326,6 +333,7 @@ def K_reg_coordinate(x_sq: float, sign_t: int, scheme: PVScheme,
     schemes with M >= 1 (at M = 0 the uncancelled log moment makes the
     slope grow like ln(1/x^2)).
     """
+    from scipy.integrate import IntegrationWarning, quad
     from scipy.special import j1
 
     scheme.require_solved()

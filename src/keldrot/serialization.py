@@ -62,13 +62,18 @@ def signal_to_csv(f: Signal) -> str:
 def signal_from_csv(text: str) -> Signal:
     lines = text.splitlines()
     grid = _parse_grid_header(lines[1])
-    vals = []
+    ts, vals = [], []
     for line in lines[3:]:
         if not line.strip():
             continue
-        _, re, im = line.split(",")
+        t, re, im = line.split(",")
+        ts.append(float(t))
         vals.append(float(re) + 1j * float(im))
-    return Signal(grid, np.array(vals))
+    sig = Signal(grid, np.array(vals))
+    off = np.abs(np.array(ts) - grid.times).max(initial=0.0)
+    if off > 1e-9 * grid.dt:
+        raise ValueError(f"signal CSV t column is {off:.3g} off the header grid (dt={fmt(grid.dt)})")
+    return sig
 
 
 def kernel_to_csv(K: TwoPointKernel) -> str:

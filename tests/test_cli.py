@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import keldrot
 from keldrot import serialization as ser
 from keldrot.cli import main
 from keldrot.grids import OrderingParam, Signal, TimeGrid, project_pm
@@ -245,3 +250,27 @@ class TestAcceptVerb:
         assert run(["accept", "--only", "02-oscillator", "--out", out]) == 0
         report = json.loads((outdir / "rep.json").read_text())
         assert report["all_passed"] is True
+
+
+class TestStartupImports:
+    def test_verbs_without_quadrature_load_no_heavy_scipy(self, outdir):
+        """`kernels` and `project` run in a fresh interpreter without
+        importing scipy's quadrature, special functions or linear algebra."""
+        sig = outdir / "sig.csv"
+        sig.write_text(ser.signal_to_csv(Signal.zero(TimeGrid(8, 0.5))))
+        script = f"""
+import sys
+from keldrot import cli
+assert cli.main(["kernels", "scalar", "--eps", "1e-3", "--k0-max", "2", "--n-k0", "5",
+                 "--out", {str(outdir / "k")!r}]) == 0
+assert cli.main(["project", "--in", {str(sig)!r}, "--sign", "+",
+                 "--out", {str(outdir / "p")!r}]) == 0
+print("loaded:" + ",".join(m for m in ("scipy.integrate", "scipy.special", "scipy.linalg")
+                           if m in sys.modules))
+"""
+        src = str(Path(keldrot.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert res.stdout.splitlines()[-1] == "loaded:"

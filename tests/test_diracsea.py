@@ -1,9 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from keldrot import diracsea
 from keldrot.diracsea import (
     DiracSeaSpec,
     F_threshold,
@@ -50,6 +52,14 @@ class TestSpectralFunction:
         assert 0.0 <= val < 1.0
         if y <= 1.0:
             assert val == 0.0
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_just_above_threshold(self, k):
+        y = 1.0 + 10.0 ** -k
+        with mpmath.workdps(40):
+            ym = mpmath.mpf(y)
+            ref = (1 + 1 / (2 * ym)) * mpmath.sqrt(1 - 1 / ym)
+            assert abs(F_threshold(y) - ref) <= 4e-16 * ref
 
     def test_normalization_oracle(self):
         val, _ = quad(lambda y: F_threshold(y) / y ** 2, 1, np.inf, limit=200)
@@ -129,6 +139,12 @@ class TestDispersion:
                         assert r.imag == 0.0
                     else:
                         assert r.imag == pytest.approx(sign * im_above, rel=1e-14)
+
+
+def test_series_coefficients_exact():
+    with mpmath.workdps(60):
+        ref = [float(mpmath.beta(n + 2, n + 2) / n) for n in range(1, 41)]
+    assert diracsea._SERIES == ref
 
 
 class TestR0:

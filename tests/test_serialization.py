@@ -36,6 +36,21 @@ class TestSignalRoundTrip:
         assert back.grid == signal.grid
         assert np.array_equal(back.values, signal.values)
 
+    def test_shifted_t_column_rejected(self, signal):
+        grid = signal.grid
+        shifted = Signal(TimeGrid(grid.n, grid.dt, t0=grid.t0 + 1e-6 * grid.dt), signal.values)
+        lines = ser.signal_to_csv(shifted).splitlines(keepends=True)
+        lines[1] = ser.signal_to_csv(signal).splitlines(keepends=True)[1]
+        with pytest.raises(ValueError, match="t column"):
+            ser.signal_from_csv("".join(lines))
+
+    def test_csv_round_trip_on_inexact_grid(self):
+        grid = TimeGrid(1000, 0.1, t0=-37.3)
+        sig = Signal(grid, np.linspace(-1.0, 1.0, grid.n) * (1.0 - 0.5j))
+        back = ser.signal_from_csv(ser.signal_to_csv(sig))
+        assert back.grid == grid
+        assert np.array_equal(back.values, sig.values)
+
     def test_csv_carries_grid_header(self, signal):
         text = ser.signal_to_csv(signal)
         assert text.splitlines()[1] == "# grid n=16 dt=0.25 t0=-1"
