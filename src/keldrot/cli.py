@@ -475,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
         if verb != "unrotate":
             p.add_argument("--s", type=float)
         if verb == "rotate":
-            p.add_argument("--check-consistency", action="store_true", default=None)
+            p.add_argument("--check-consistency", action=argparse.BooleanOptionalAction,
+                           default=None)
             p.add_argument("--consistency-tol", type=float)
         _add_common(p)
 

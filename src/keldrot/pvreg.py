@@ -302,9 +302,9 @@ def check_moments(scheme: PVScheme, n: int, cutoff_sq: float,
     this for m <= M+2); otherwise the tail is marked invalid and the
     reported residual tracks the genuine growth with the cutoff.
     """
-    from scipy.integrate import quad
+    from scipy.integrate import IntegrationWarning, quad
 
-    from .diracsea import K_reg
+    from .diracsea import _k_reg_scalar
 
     scheme.require_solved()
     mu_top_sq = 4.0 * scheme.masses[-1] ** 2
@@ -323,15 +323,14 @@ def check_moments(scheme: PVScheme, n: int, cutoff_sq: float,
         # apart from the square-root kink at its own left edge.  The bands
         # cancel heavily, so quad's relative-tolerance warnings fire even
         # though the summed absolute accuracy is at the float noise floor.
-        from scipy.integrate import IntegrationWarning
-
+        k_reg = _k_reg_scalar(scheme)
         edges = np.concatenate([thresholds, [cutoff_sq]])
         val = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)
             for a, b in zip(edges[:-1], edges[1:]):
                 piece, _ = quad(
-                    lambda v: np.exp(v * (n + 1)) * K_reg(np.exp(v), scheme),
+                    lambda v: np.exp(v * (n + 1)) * k_reg(np.exp(v)),
                     np.log(a), np.log(b), limit=400, epsabs=1e-13, epsrel=1e-12,
                 )
                 val += piece

@@ -10,9 +10,9 @@ import pytest
 import keldrot
 from keldrot import serialization as ser
 from keldrot.cli import main
-from keldrot.grids import OrderingParam, Signal, TimeGrid, project_pm
+from keldrot.grids import OrderingParam, Signal, TimeGrid, TwoPointKernel, project_pm
 from keldrot.oscillator import GaussianState, OscillatorSpec, ctl_cumulants
-from keldrot.rotation import rotate, unrotate
+from keldrot.rotation import CumulantSet, rotate, unrotate
 
 
 @pytest.fixture
@@ -65,6 +65,27 @@ class TestRotationFlow:
                     "--out", back_out]) == 0
         back = ser.cumulants_from_json((outdir / "back.json").read_text())
         assert np.abs(back.K_F.values - ctl.K_F.values).max() < 1e-10
+
+    def test_consistency_check_flag(self, outdir, capsys):
+        grid = TimeGrid(16, 0.2)
+        spec = OscillatorSpec(omega0=grid.resonant_frequency(2))
+        ctl = ctl_cumulants(spec, GaussianState(nbar=0.4), grid)
+        # the same symmetric shift of K_W and K_rev breaks the consistency
+        # identity but keeps the response K_rev - K_W retarded
+        shift = 1e-3 * np.eye(grid.n)
+        bad = CumulantSet(mean=ctl.mean, K_F=ctl.K_F,
+                          K_rev=TwoPointKernel(grid, ctl.K_rev.values + shift),
+                          K_W=TwoPointKernel(grid, ctl.K_W.values + shift))
+        bundle = outdir / "bad.json"
+        bundle.write_text(ser.cumulants_to_json(bad))
+        args = ["rotate", "--in", bundle, "--s", 0.5, "--out", outdir / "rot"]
+        for flag in ([], ["--check-consistency"]):
+            assert run(args + flag) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert "consistency identity" in err["detail"]
+        assert run(args + ["--no-check-consistency"]) == 0
+        manifest = json.loads((outdir / "rot.manifest.json").read_text())
+        assert manifest["config"]["check_consistency"] is False
 
     def test_reorder_verb(self, outdir):
         grid = TimeGrid(24, 0.2)

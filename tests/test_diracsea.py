@@ -1,9 +1,11 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from keldrot import diracsea
 from keldrot.diracsea import (
@@ -27,6 +29,11 @@ from keldrot.pvreg import PVScheme, geometric_masses, solve_pv
 @pytest.fixture(scope="module")
 def scheme():
     return solve_pv(0, [1.0, 2.0, 4.0, 8.0, 16.0], impose_B0=False)
+
+
+@pytest.fixture(scope="module")
+def scheme_m1():
+    return solve_pv(1, geometric_masses(1.0, 2.0, 7), impose_B0=False)
 
 
 SPEC = DiracSeaSpec(mu0=1.0)
@@ -85,6 +92,25 @@ class TestRegularizedSpectrum:
         scheme = PVScheme(M=0, masses=[1.0, 2.0])
         with pytest.raises(ValueError, match="not been solved"):
             K_reg(5.0, scheme)
+
+    @pytest.mark.parametrize("which", ["scheme", "scheme_m1"])
+    def test_scalar_closure_equals_array_route(self, request, which):
+        # the quadrature integrands use the closure; the array K_reg is the
+        # oracle, and the two must agree bit for bit
+        sch = request.getfixturevalue(which)
+        thresholds = [4.0 * m ** 2 for m in sch.masses]
+        k_sqs = [0.0, 3.9, 1e14] + thresholds
+        k_sqs += [float(np.nextafter(t, np.inf)) for t in thresholds]
+        rng = np.random.default_rng(7)
+        k_sqs += list(rng.uniform(-10.0, 2.0 * thresholds[-1], 200))
+        k_sqs += list(np.exp(rng.uniform(np.log(4.0), np.log(1e12), 200)))
+        k_reg = diracsea._k_reg_scalar(sch)
+        for k_sq in k_sqs:
+            assert k_reg(k_sq) == K_reg(k_sq, sch), k_sq
+
+    def test_scalar_closure_rejects_unsolved_scheme(self):
+        with pytest.raises(ValueError, match="not been solved"):
+            diracsea._k_reg_scalar(PVScheme(M=0, masses=[1.0, 2.0]))
 
 
 class TestDispersion:
@@ -245,11 +271,10 @@ class TestCoordinateSpace:
                          for d in deltas])
         assert abs(vals[2]) < abs(vals[1]) < abs(vals[0])
 
-    def test_finite_slope_needs_m1(self):
+    def test_finite_slope_needs_m1(self, scheme_m1):
         # with M = 1 the log moments cancel too and the slope stays bounded
-        scheme = solve_pv(1, geometric_masses(1.0, 2.0, 7), impose_B0=False)
         deltas = np.array([1.6e-4, 8e-5, 4e-5, 2e-5])
-        vals = np.array([K_reg_coordinate(d, 1, scheme,
+        vals = np.array([K_reg_coordinate(d, 1, scheme_m1,
                                           with_cone_coefficient=False)["smooth"]
                          for d in deltas])
         slopes = np.abs(vals / deltas)
@@ -264,6 +289,36 @@ class TestCoordinateSpace:
     def test_small_cutoff_rejected(self, scheme):
         with pytest.raises(ValueError, match="cutoff too small"):
             K_reg_coordinate(0.5, 1, scheme, cutoff_sq=100.0)
+
+    @pytest.mark.parametrize("which,x_sq,ref,rel", [
+        # 25-digit mpmath Bessel quadrature with the extended-precision
+        # coefficients d_mp, at the default cutoff; the M = 1 scheme keeps
+        # more of the float rounding of d (see the K_reg_coordinate docstring)
+        ("scheme", 4e-5, 0.000636485660692489, 1e-4),
+        ("scheme", 1e-5, 0.00021313798457323725, 1e-4),
+        ("scheme", 2.5e-6, 9.606854586866372e-05, 1e-4),
+        ("scheme_m1", 2e-5, -1.6276678016789023e-06, 1e-2),
+        ("scheme_m1", 1e-5, -4.797763805145668e-07, 1e-2),
+    ])
+    def test_near_cone_values(self, request, which, x_sq, ref, rel):
+        sch = request.getfixturevalue(which)
+        out = K_reg_coordinate(x_sq, 1, sch, with_cone_coefficient=False)
+        assert out["smooth"] == pytest.approx(ref, rel=rel)
+
+    def test_segments_and_warnings_reported(self, scheme):
+        out = K_reg_coordinate(-1.0, 1, scheme)
+        assert out["segments"] == 0
+        assert out["integration_warnings"] == 0
+        # half Bessel periods from 2 mu_0 to the cutoff, plus the thresholds
+        mu_hi = np.sqrt(400.0 * 4.0 * 16.0 ** 2)
+        edges = set(np.arange(2.0, mu_hi, np.pi / np.sqrt(0.5)))
+        edges.update([4.0, 8.0, 16.0, 32.0, mu_hi])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            out = K_reg_coordinate(0.5, 1, scheme, with_cone_coefficient=False)
+        assert out["segments"] == len(edges) - 1
+        # counted, not printed: none escaped the error filter above
+        assert 0 < out["integration_warnings"] <= out["segments"]
 
 
 def test_spec_validation():
