@@ -390,19 +390,11 @@ def criterion_mc_correspondence(seed: int = 20240) -> CriterionResult:
 def criterion_dyson_two_route() -> CriterionResult:
     """Grid Volterra dressing against the momentum-space pole-shift closed
     form on the one-mode toy, to 1e-4."""
-    grid = TimeGrid(2048, 30.0 / 2048)
-    spec = oscillator.OscillatorSpec(omega0=1.0)
-    t = grid.times
-    tau = t[:, None] - t[None, :]
-    d_bare = TwoPointKernel(grid, np.tril(oscillator.retarded_response(spec, tau)))
-    gamma = 0.3
-    pi_r = TwoPointKernel(grid, (gamma / grid.dt) * np.eye(grid.n))
+    omega0 = 1.0
+    d_bare, pi_r, closed, _ = medium.one_mode_toy(TimeGrid(2048, 30.0 / 2048), omega0, 0.3)
     dressed = medium.dress_retarded_grid(d_bare, pi_r)
-    w_shift = np.sqrt(spec.omega0 ** 2 + gamma * spec.omega0)
-    closed = np.tril((spec.omega0 / w_shift) * oscillator.retarded_response(
-        oscillator.OscillatorSpec(omega0=w_shift), tau))
     worst = float(np.abs(dressed.values - closed).max())
-    residual = medium.wave_operator_residual(dressed, pi_r, spec.omega0)
+    residual = medium.wave_operator_residual(dressed, pi_r, omega0)
     passed = worst < 1e-4 and residual < 1e-4
     return CriterionResult(
         name="11-dyson-two-route",

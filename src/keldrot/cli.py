@@ -1,14 +1,18 @@
 """Command-line front end and reproducible experiment runner.
 
-Every verb validates its configuration (unknown keys are rejected), writes
-full-precision CSV/JSON artifacts next to a manifest that records the
-config hash and library versions, and exits 0 on success, 2 on a config
+Each verb's argparse subparser is its only schema: a --config JSON file may
+set the dests of the verb's flags (and, where it has --n, a nested "grid"
+object of n, dt, t0), each to a value of its flag's type and choices.  A
+verb that declares --seed (the stochastic ones) requires it.  Every verb
+writes full-precision CSV/JSON artifacts next to a manifest that records
+the config hash and library versions, and exits 0 on success, 2 on a config
 error, 1 on a computation error (with a machine-readable error JSON on
-stderr).  Stochastic verbs require an explicit --seed.
+stderr).
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -22,7 +26,6 @@ from . import serialization as ser
 from .grids import OrderingParam, Signal, TimeGrid, TwoPointKernel, project_pm, project_s
 
 PRECISION_ENV = "KELDROT_PRECISION"
-BOOL_KEYS = {"renormalized", "impose_b0", "check_consistency", "diagnose_gauge"}
 
 
 class ConfigError(ValueError):
@@ -45,23 +48,44 @@ def _versions() -> dict:
     }
 
 
-def _load_config(path: str | None, cli_params: dict, allowed: set) -> dict:
+def _check_value(key: str, value, flag: argparse.Action):
+    """Raise ConfigError unless a config-file value is one that `flag` parses to."""
+    if flag.nargs == 0:  # store_true, store_false, BooleanOptionalAction
+        ok, want = isinstance(value, bool), "true or false"
+    elif flag.type is int:
+        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif flag.type is float:
+        ok, want = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    else:
+        ok, want = isinstance(value, str), "a string"
+    if ok and flag.choices is not None and value not in flag.choices:
+        ok, want = False, f"one of {list(flag.choices)}"
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {want}, got {json.dumps(value)}")
+
+
+def _load_config(path: str | None, cli_params: dict, flags: dict) -> dict:
+    """The --config file's values, checked against `flags` (dest -> Action),
+    overridden by the flags given on the command line."""
     config = {}
     if path:
         with open(path) as fh:
             config = json.load(fh)
-        unknown = set(config) - allowed
+        if not isinstance(config, dict):
+            raise ConfigError("the config file must hold a JSON object")
+        values, allowed = dict(config), dict(flags)
+        if "n" in flags:  # the grid flags may also come as one nested object
+            grid = values.pop("grid", {})
+            if not isinstance(grid, dict):
+                raise ConfigError("config key 'grid' must be an object with n, dt and t0")
+            values.update((f"grid.{k}", v) for k, v in grid.items())
+            allowed.update((f"grid.{k}", flags[k]) for k in ("n", "dt", "t0"))
+        unknown = set(values) - set(allowed)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key, val in cli_params.items():
-        if val is not None:
-            config[key] = val
-    unknown = set(config) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    loose = sorted(k for k in BOOL_KEYS & set(config) if not isinstance(config[k], bool))
-    if loose:
-        raise ConfigError(f"config keys must be true or false: {loose}")
+        for key, value in values.items():
+            _check_value(key, value, allowed[key])
+    config.update(cli_params)
     return config
 
 
@@ -72,11 +96,9 @@ def _require(config: dict, *keys):
 
 
 def _grid_from_config(config: dict) -> TimeGrid:
-    if isinstance(config.get("grid"), dict):
-        g = config["grid"]
-        return TimeGrid(int(g["n"]), float(g["dt"]), float(g.get("t0", 0.0)))
-    _require(config, "n", "dt")
-    return TimeGrid(int(config["n"]), float(config["dt"]), float(config.get("t0", 0.0)))
+    g = config.get("grid", config)
+    _require(g, "n", "dt")
+    return TimeGrid(int(g["n"]), float(g["dt"]), float(g.get("t0", 0.0)))
 
 
 def _precision_bits(config: dict) -> tuple[int, int]:
@@ -131,14 +153,18 @@ def _k2_values(config: dict) -> np.ndarray:
                        int(config["n_k2"]))
 
 
-def _scheme_from_config(config: dict, need: bool) -> pvreg.PVScheme | None:
-    if not need:
-        return None
+def _dirac_spec(config: dict, mu0: float | None = None) -> diracsea.DiracSeaSpec:
+    return diracsea.DiracSeaSpec(
+        mu0=float(config.get("mu0", 1.0)) if mu0 is None else mu0,
+        alpha=float(config.get("alpha", diracsea.FINE_STRUCTURE)))
+
+
+def _scheme_from_config(config: dict) -> pvreg.PVScheme:
     mu0 = float(config.get("mu0", 1.0))
     m_order = int(config.get("M", 0))
     impose_b0 = config.get("impose_b0", False)
     if config.get("masses"):
-        masses = [float(x) for x in str(config["masses"]).split(",")]
+        masses = [float(x) for x in config["masses"].split(",")]
     elif config.get("geometric"):
         count = 2 * m_order + (6 if impose_b0 else 5)
         masses = pvreg.geometric_masses(mu0, float(config["geometric"]), count)
@@ -184,7 +210,6 @@ def run_oscillator_kernel(config: dict) -> tuple[dict, dict]:
 
 
 def run_oscillator_lambda_check(config: dict) -> tuple[dict, dict]:
-    _require(config, "seed")
     spec, state, p = _osc_from_config(config)
     grid = _grid_from_config(config)
     rng = np.random.default_rng(int(config["seed"]))
@@ -203,7 +228,7 @@ def run_oscillator_lambda_check(config: dict) -> tuple[dict, dict]:
 
 
 def run_oscillator_mc(config: dict) -> tuple[dict, dict]:
-    _require(config, "seed", "samples")
+    _require(config, "samples")
     spec, state, p = _osc_from_config(config)
     grid = _grid_from_config(config)
     est, err = oscillator.mc_quasiaverage(
@@ -258,13 +283,10 @@ def run_kernels(config: dict) -> tuple[dict, dict]:
 
 
 def run_vacuum_pol(config: dict) -> tuple[dict, dict]:
-    spec = diracsea.DiracSeaSpec(mu0=float(config.get("mu0", 1.0)),
-                                 alpha=float(config.get("alpha", diracsea.FINE_STRUCTURE)))
+    spec = _dirac_spec(config)
     kind = config.get("kind", "R")
-    if kind not in ("R", "F", "plus"):
-        raise ConfigError("kind must be R, F or plus")
     renorm = config.get("renormalized", True)
-    scheme = _scheme_from_config(config, need=not renorm)
+    scheme = None if renorm else _scheme_from_config(config)
     k2 = _k2_values(config)
     k0_sign = int(config.get("k0_sign", 1))
     vals = np.zeros(len(k2), dtype=complex)
@@ -286,10 +308,9 @@ def run_pv_solve(config: dict) -> tuple[dict, dict]:
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        scheme = _scheme_from_config(config, need=True)
+        scheme = _scheme_from_config(config)
     d1_asym, d2_asym = pvreg.asymptotic_d(scheme.masses)
-    spec = diracsea.DiracSeaSpec(mu0=scheme.masses[0],
-                                 alpha=float(config.get("alpha", diracsea.FINE_STRUCTURE)))
+    spec = _dirac_spec(config, mu0=scheme.masses[0])
     report = {
         "M": scheme.M,
         "impose_B0": scheme.impose_B0,
@@ -312,17 +333,9 @@ def run_dress(config: dict) -> tuple[dict, dict]:
         return {".json": ser.kernel_to_json(dressed)}, {"n": dressed.grid.n}
     # one-mode toy: delta susceptibility of given strength
     _require(config, "omega0", "coupling")
-    grid = _grid_from_config(config)
-    spec = oscillator.OscillatorSpec(omega0=float(config["omega0"]))
-    t = grid.times
-    d_bare = TwoPointKernel(grid, np.tril(
-        oscillator.retarded_response(spec, t[:, None] - t[None, :])))
-    gamma = float(config["coupling"])
-    pi_r = TwoPointKernel(grid, (gamma / grid.dt) * np.eye(grid.n))
+    d_bare, pi_r, closed, w_shift = medium.one_mode_toy(
+        _grid_from_config(config), float(config["omega0"]), float(config["coupling"]))
     dressed = medium.dress_retarded_grid(d_bare, pi_r)
-    w_shift = np.sqrt(spec.omega0 ** 2 + gamma * spec.omega0)
-    closed = np.tril((spec.omega0 / w_shift) * oscillator.retarded_response(
-        oscillator.OscillatorSpec(omega0=w_shift), t[:, None] - t[None, :]))
     two_route = float(np.abs(dressed.values - closed).max())
     summary = {"two_route_residual": two_route,
                "shifted_frequency": float(w_shift)}
@@ -333,8 +346,7 @@ def run_dress(config: dict) -> tuple[dict, dict]:
 def run_zero_point(config: dict) -> tuple[dict, dict]:
     _require(config, "s")
     factor = 2.0 * OrderingParam(float(config["s"])).s_minus
-    spec = diracsea.DiracSeaSpec(mu0=float(config.get("mu0", 1.0)),
-                                 alpha=float(config.get("alpha", diracsea.FINE_STRUCTURE)))
+    spec = _dirac_spec(config)
     k2 = _k2_values(config)
     density = medium.zero_point_spectrum(k2, spec,
                                          mu_vac=float(config.get("mu_vac", 1.0)),
@@ -353,7 +365,7 @@ def run_zero_point(config: dict) -> tuple[dict, dict]:
 
 
 def run_mc(config: dict) -> tuple[dict, dict]:
-    _require(config, "seed", "samples")
+    _require(config, "samples")
     grid = _grid_from_config(config)
     spec = oscillator.OscillatorSpec(omega0=float(config.get("omega0", 1.0)),
                                      hbar=float(config.get("hbar", 1.0)))
@@ -391,55 +403,36 @@ def run_accept(config: dict) -> tuple[dict, dict]:
 
 # ----- argument parsing ----------------------------------------------------
 
-_COMMON = {"seed", "precision", "config", "out"}
-SCHEMAS = {
-    "project": _COMMON | {"infile", "sign", "s"},
-    "oscillator-kernel": _COMMON | {"omega0", "hbar", "nbar", "m_re", "m_im", "s",
-                                    "n", "dt", "t0", "grid"},
-    "oscillator-lambda-check": _COMMON | {"omega0", "hbar", "nbar", "m_re", "m_im",
-                                          "s", "n", "dt", "t0", "grid", "draws"},
-    "oscillator-mc": _COMMON | {"omega0", "hbar", "nbar", "m_re", "m_im", "s",
-                                "n", "dt", "t0", "grid", "samples"},
-    "rotate": _COMMON | {"infile", "s", "check_consistency", "consistency_tol"},
-    "unrotate": _COMMON | {"infile"},
-    "reorder": _COMMON | {"infile", "s"},
-    "kernels": _COMMON | {"family", "mu2", "eps", "k0_max", "n_k0", "kvec_sq"},
-    "vacuum-pol": _COMMON | {"mu0", "alpha", "kind", "renormalized", "k2",
-                             "k2_min", "k2_max", "n_k2", "k0_sign", "masses",
-                             "geometric", "M", "impose_b0"},
-    "pv-solve": _COMMON | {"mu0", "alpha", "M", "masses", "geometric", "impose_b0"},
-    "dress": _COMMON | {"bare", "pi_r", "omega0", "coupling", "n", "dt", "t0"},
-    "zero-point": _COMMON | {"mu0", "alpha", "mu_vac", "hbar_c", "s", "k2",
-                             "k2_min", "k2_max", "n_k2", "diagnose_gauge"},
-    "mc": _COMMON | {"omega0", "hbar", "n", "dt", "t0", "samples",
-                     "white_noise_std", "alpha_nbar", "je_amplitude"},
-    "accept": _COMMON | {"only"},
-}
-STOCHASTIC = {"oscillator-mc", "mc", "oscillator-lambda-check"}
-
-HANDLERS = {
-    "project": run_project,
-    "oscillator-kernel": run_oscillator_kernel,
-    "oscillator-lambda-check": run_oscillator_lambda_check,
-    "oscillator-mc": run_oscillator_mc,
-    "rotate": lambda c: run_rotation_verb("rotate", c),
-    "unrotate": lambda c: run_rotation_verb("unrotate", c),
-    "reorder": lambda c: run_rotation_verb("reorder", c),
-    "kernels": run_kernels,
-    "vacuum-pol": run_vacuum_pol,
-    "pv-solve": run_pv_solve,
-    "dress": run_dress,
-    "zero-point": run_zero_point,
-    "mc": run_mc,
-    "accept": run_accept,
-}
-
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int)
-    p.add_argument("--precision", choices=["double", "extended"])
+def _verb(sub, name: str, handler, **kwargs) -> argparse.ArgumentParser:
+    """A verb's subparser: its flags are the verb's only schema (see main),
+    and it records the handler that runs the verb."""
+    p = sub.add_parser(name, **kwargs)
+    p.set_defaults(handler=handler, parser=p)
     p.add_argument("--config", help="JSON file with verb parameters")
     p.add_argument("--out", help="output path prefix")
+    return p
+
+
+def _grid_flags(p: argparse.ArgumentParser):
+    p.add_argument("--n", type=int)
+    p.add_argument("--dt", type=float)
+    p.add_argument("--t0", type=float)
+
+
+def _k2_flags(p: argparse.ArgumentParser):
+    p.add_argument("--k2", type=float)
+    p.add_argument("--k2-min", type=float)
+    p.add_argument("--k2-max", type=float)
+    p.add_argument("--n-k2", type=int)
+
+
+def _pv_flags(p: argparse.ArgumentParser):
+    """The Pauli-Villars scheme that _scheme_from_config solves."""
+    p.add_argument("--M", type=int)
+    p.add_argument("--masses", help="comma-separated mass list mu0,mu1,...")
+    p.add_argument("--geometric", type=float, help="geometric mass ratio")
+    p.add_argument("--impose-b0", action="store_true", default=None)
+    p.add_argument("--precision", choices=["double", "extended"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -449,28 +442,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("project", help="frequency-sign projection of a signal")
+    p = _verb(sub, "project", run_project, help="frequency-sign projection of a signal")
     p.add_argument("--in", dest="infile")
     p.add_argument("--sign", choices=["+", "-"])
     p.add_argument("--s", type=float)
-    _add_common(p)
 
     posc = sub.add_parser("oscillator", help="harmonic-oscillator kernels")
     osub = posc.add_subparsers(dest="osc_verb", required=True)
-    for name in ("kernel", "lambda-check", "mc"):
-        po = osub.add_parser(name)
-        for flag, typ in (("omega0", float), ("hbar", float), ("nbar", float),
-                          ("m-re", float), ("m-im", float), ("s", float),
-                          ("n", int), ("dt", float), ("t0", float)):
-            po.add_argument(f"--{flag}", type=typ)
+    for name, handler in (("kernel", run_oscillator_kernel),
+                          ("lambda-check", run_oscillator_lambda_check),
+                          ("mc", run_oscillator_mc)):
+        p = _verb(osub, name, handler)
+        p.add_argument("--omega0", type=float)
+        p.add_argument("--hbar", type=float)
+        p.add_argument("--nbar", type=float)
+        p.add_argument("--m-re", type=float)
+        p.add_argument("--m-im", type=float)
+        p.add_argument("--s", type=float)
+        _grid_flags(p)
         if name == "lambda-check":
-            po.add_argument("--draws", type=int)
+            p.add_argument("--draws", type=int)
         if name == "mc":
-            po.add_argument("--samples", type=int)
-        _add_common(po)
+            p.add_argument("--samples", type=int)
+        if name != "kernel":
+            p.add_argument("--seed", type=int)
 
     for verb in ("rotate", "unrotate", "reorder"):
-        p = sub.add_parser(verb, help=f"{verb} a kernel bundle")
+        p = _verb(sub, verb, functools.partial(run_rotation_verb, verb),
+                  help=f"{verb} a kernel bundle")
         p.add_argument("--in", dest="infile")
         if verb != "unrotate":
             p.add_argument("--s", type=float)
@@ -478,105 +477,79 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--check-consistency", action=argparse.BooleanOptionalAction,
                            default=None)
             p.add_argument("--consistency-tol", type=float)
-        _add_common(p)
 
-    p = sub.add_parser("kernels", help="momentum-space free-field kernels")
+    p = _verb(sub, "kernels", run_kernels, help="momentum-space free-field kernels")
     p.add_argument("family", choices=["scalar", "photon"])
     p.add_argument("--mu2", type=float)
     p.add_argument("--eps", type=float)
     p.add_argument("--k0-max", type=float)
     p.add_argument("--n-k0", type=int)
     p.add_argument("--kvec-sq", type=float)
-    _add_common(p)
 
-    p = sub.add_parser("vacuum-pol", help="one-loop vacuum polarization")
+    p = _verb(sub, "vacuum-pol", run_vacuum_pol, help="one-loop vacuum polarization")
     p.add_argument("--mu0", type=float)
     p.add_argument("--alpha", type=float)
     p.add_argument("--kind", choices=["R", "F", "plus"])
     p.add_argument("--renormalized", dest="renormalized", action="store_true",
                    default=None)
     p.add_argument("--unrenormalized", dest="renormalized", action="store_false")
-    p.add_argument("--k2", type=float)
-    p.add_argument("--k2-min", type=float)
-    p.add_argument("--k2-max", type=float)
-    p.add_argument("--n-k2", type=int)
+    _k2_flags(p)
     p.add_argument("--k0-sign", type=int, choices=[-1, 1])
-    p.add_argument("--masses")
-    p.add_argument("--geometric", type=float)
-    p.add_argument("--M", type=int)
-    p.add_argument("--impose-b0", action="store_true", default=None)
-    _add_common(p)
+    _pv_flags(p)
 
-    p = sub.add_parser("pv-solve", help="Pauli-Villars coefficient solver")
+    p = _verb(sub, "pv-solve", run_pv_solve, help="Pauli-Villars coefficient solver")
     p.add_argument("--mu0", type=float)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--M", type=int)
-    p.add_argument("--masses", help="comma-separated mass list mu0,mu1,...")
-    p.add_argument("--geometric", type=float, help="geometric mass ratio")
-    p.add_argument("--impose-b0", action="store_true", default=None)
-    _add_common(p)
+    _pv_flags(p)
 
-    p = sub.add_parser("dress", help="Dyson dressing of the retarded kernel")
+    p = _verb(sub, "dress", run_dress, help="Dyson dressing of the retarded kernel")
     p.add_argument("--bare", help="bare retarded kernel JSON")
     p.add_argument("--pi-r", dest="pi_r", help="susceptibility kernel JSON")
     p.add_argument("--omega0", type=float)
     p.add_argument("--coupling", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t0", type=float)
-    _add_common(p)
+    _grid_flags(p)
 
-    p = sub.add_parser("zero-point", help="zero-point fluctuation spectrum")
+    p = _verb(sub, "zero-point", run_zero_point, help="zero-point fluctuation spectrum")
     p.add_argument("--mu0", type=float)
     p.add_argument("--alpha", type=float)
     p.add_argument("--mu-vac", dest="mu_vac", type=float)
     p.add_argument("--hbar-c", dest="hbar_c", type=float)
     p.add_argument("--s", type=float)
-    p.add_argument("--k2", type=float)
-    p.add_argument("--k2-min", type=float)
-    p.add_argument("--k2-max", type=float)
-    p.add_argument("--n-k2", type=int)
+    _k2_flags(p)
     p.add_argument("--diagnose-gauge", action="store_true", default=None)
-    _add_common(p)
 
-    p = sub.add_parser("mc", help="classical stochastic one-mode Monte Carlo")
+    p = _verb(sub, "mc", run_mc, help="classical stochastic one-mode Monte Carlo")
     p.add_argument("--omega0", type=float)
     p.add_argument("--hbar", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t0", type=float)
+    _grid_flags(p)
     p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--white-noise-std", type=float)
     p.add_argument("--alpha-nbar", type=float)
     p.add_argument("--je-amplitude", type=float)
-    _add_common(p)
 
-    p = sub.add_parser("accept", help="run the acceptance suite")
+    p = _verb(sub, "accept", run_accept, help="run the acceptance suite")
     p.add_argument("--only", help="substring filter on criterion names")
-    _add_common(p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    verb = args.verb
-    if verb == "oscillator":
-        verb = f"oscillator-{args.osc_verb}"
-    cli_params = {k: v for k, v in vars(args).items()
-                  if k not in ("verb", "osc_verb") and v is not None}
+    args = build_parser().parse_args(argv)
+    verb = "-".join(args.parser.prog.split()[1:])  # "keldrot oscillator mc" -> "oscillator-mc"
+    flags = {a.dest: a for a in args.parser._actions if a.dest != "help"}
+    cli_params = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
     out_prefix = cli_params.pop("out", None)
     config_path = cli_params.pop("config", None)
     try:
-        config = _load_config(config_path, cli_params, SCHEMAS[verb])
-        if verb in STOCHASTIC and config.get("seed") is None:
+        config = _load_config(config_path, cli_params, flags)
+        if "seed" in flags and config.get("seed") is None:
             raise ConfigError(f"--seed is mandatory for the stochastic verb {verb}")
     except (ConfigError, json.JSONDecodeError, OSError) as exc:
         sys.stderr.write(ser.dump_json({"error": "config", "detail": str(exc)}))
         return 2
     try:
-        outputs, summary = HANDLERS[verb](config)
+        outputs, summary = args.handler(config)
     except ConfigError as exc:
         sys.stderr.write(ser.dump_json({"error": "config", "detail": str(exc)}))
         return 2

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -368,7 +369,7 @@ def K_reg_coordinate(x_sq: float, sign_t: int, scheme: PVScheme,
     (l = 0..6) it is 9e-4 at x^2 = 2e-5, 7% at 5e-6 and 150% at 2.5e-6:
     there the value is mostly rounding.
     """
-    from scipy.integrate import IntegrationWarning, quad
+    from scipy.integrate import quad
     from scipy.special import j1
 
     k_reg = _k_reg_scalar(scheme)
@@ -418,18 +419,31 @@ def K_reg_coordinate(x_sq: float, sign_t: int, scheme: PVScheme,
     # segment values cancel heavily near the threshold kinks, so quad's
     # per-segment tolerance check may warn although the summed value is
     # stable in both the cutoff and the segmentation
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IntegrationWarning)
+    with _counted_integration_warnings() as caught:
         smooth, segments = smooth_amplitude() if x_sq > 0 else (0.0, 0)
         cone = cone_delta_coefficient() if with_cone_coefficient else None
-    counted = 0
+    return {"smooth": smooth, "cone_delta_coefficient": cone,
+            "segments": segments, "integration_warnings": len(caught)}
+
+
+@contextmanager
+def _counted_integration_warnings():
+    """Record scipy's IntegrationWarnings instead of printing them.
+
+    Yields a list that holds them on exit, so its length is their count;
+    every other warning is re-emitted.
+    """
+    from scipy.integrate import IntegrationWarning
+
+    counted = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IntegrationWarning)
+        yield counted
     for w in caught:
         if issubclass(w.category, IntegrationWarning):
-            counted += 1
+            counted.append(w)
         else:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return {"smooth": smooth, "cone_delta_coefficient": cone,
-            "segments": segments, "integration_warnings": counted}
 
 
 def tensor_expand(value: PolarizationTensorValue, mu_vac: float = 1.0,

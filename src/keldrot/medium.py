@@ -24,6 +24,7 @@ __all__ = [
     "dress_retarded_momentum",
     "dress_retarded_momentum_finite_eps",
     "dress_retarded_grid",
+    "one_mode_toy",
     "mean_field",
     "noise_map",
     "zero_point_spectrum",
@@ -111,6 +112,23 @@ def dress_retarded_grid(D_bare: TwoPointKernel, pi_R: TwoPointKernel) -> TwoPoin
     else:
         dressed = solve_triangular(a, D_bare.values, lower=True)
     return TwoPointKernel(D_bare.grid, np.tril(dressed))
+
+
+def one_mode_toy(grid: TimeGrid, omega0: float, gamma: float):
+    """The one-mode Dyson toy and its closed form.
+
+    Returns (D0, Pi_R, closed, w'): the bare retarded oscillator kernel
+    D0 = tril(D_R) at omega0, the delta susceptibility Pi_R = (gamma/dt) I,
+    and the dressed kernel's pole-shift closed form
+    closed = tril((omega0/w') D_R at w'), with w'^2 = omega0^2 + gamma omega0.
+    """
+    t = grid.times
+    tau = t[:, None] - t[None, :]
+    d_bare = TwoPointKernel(grid, np.tril(retarded_response(OscillatorSpec(omega0=omega0), tau)))
+    pi_r = TwoPointKernel(grid, (gamma / grid.dt) * np.eye(grid.n))
+    w_shift = np.sqrt(omega0 ** 2 + gamma * omega0)
+    closed = np.tril((omega0 / w_shift) * retarded_response(OscillatorSpec(omega0=w_shift), tau))
+    return d_bare, pi_r, closed, w_shift
 
 
 def mean_field(dressed: TwoPointKernel, J_e: Signal, j_r_mean: Signal | None = None) -> Signal:

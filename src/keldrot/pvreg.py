@@ -247,6 +247,7 @@ class MomentCheck:
     tail: float
     tail_valid: bool
     reference: float
+    integration_warnings: int = 0
 
     @property
     def residual(self) -> float:
@@ -302,9 +303,9 @@ def check_moments(scheme: PVScheme, n: int, cutoff_sq: float,
     this for m <= M+2); otherwise the tail is marked invalid and the
     reported residual tracks the genuine growth with the cutoff.
     """
-    from scipy.integrate import IntegrationWarning, quad
+    from scipy.integrate import quad
 
-    from .diracsea import _k_reg_scalar
+    from .diracsea import _counted_integration_warnings, _k_reg_scalar
 
     scheme.require_solved()
     mu_top_sq = 4.0 * scheme.masses[-1] ** 2
@@ -313,6 +314,7 @@ def check_moments(scheme: PVScheme, n: int, cutoff_sq: float,
     thresholds = 4.0 * np.array(scheme.masses) ** 2
     lo = thresholds[0]
 
+    caught = []
     if n == 0:
         d = np.array(scheme.d)
         signs = (-1.0) ** np.arange(len(d))
@@ -322,12 +324,12 @@ def check_moments(scheme: PVScheme, n: int, cutoff_sq: float,
         # band-wise quadrature in the log variable; each band is smooth
         # apart from the square-root kink at its own left edge.  The bands
         # cancel heavily, so quad's relative-tolerance warnings fire even
-        # though the summed absolute accuracy is at the float noise floor.
+        # though the summed absolute accuracy is at the float noise floor;
+        # they are counted in the result, not printed.
         k_reg = _k_reg_scalar(scheme)
         edges = np.concatenate([thresholds, [cutoff_sq]])
         val = 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
+        with _counted_integration_warnings() as caught:
             for a, b in zip(edges[:-1], edges[1:]):
                 piece, _ = quad(
                     lambda v: np.exp(v * (n + 1)) * k_reg(np.exp(v)),
@@ -362,4 +364,5 @@ def check_moments(scheme: PVScheme, n: int, cutoff_sq: float,
         ref = cutoff_sq ** (n + 1) / (n + 1) / (6.0 * np.pi)
     return MomentCheck(n=n, cutoff_sq=cutoff_sq, integral=val,
                        tail=tail if tail_valid else 0.0,
-                       tail_valid=tail_valid, reference=abs(ref))
+                       tail_valid=tail_valid, reference=abs(ref),
+                       integration_warnings=len(caught))

@@ -108,59 +108,49 @@ def _grid_from_obj(obj: dict) -> TimeGrid:
     return TimeGrid(n=int(obj["n"]), dt=float(obj["dt"]), t0=float(obj["t0"]))
 
 
-def signal_to_obj(f: Signal) -> dict:
+_KINDS = {Signal: "signal", TwoPointKernel: "kernel"}
+
+
+def _to_obj(x: Signal | TwoPointKernel) -> dict:
     return {
-        "kind": "signal",
-        "grid": _grid_obj(f.grid),
-        "re": f.values.real.tolist(),
-        "im": f.values.imag.tolist(),
+        "kind": _KINDS[type(x)],
+        "grid": _grid_obj(x.grid),
+        "re": x.values.real.tolist(),
+        "im": x.values.imag.tolist(),
     }
 
 
-def signal_from_obj(obj: dict) -> Signal:
-    grid = _grid_from_obj(obj["grid"])
-    return Signal(grid, np.array(obj["re"]) + 1j * np.array(obj["im"]))
-
-
-def kernel_to_obj(K: TwoPointKernel) -> dict:
-    return {
-        "kind": "kernel",
-        "grid": _grid_obj(K.grid),
-        "re": K.values.real.tolist(),
-        "im": K.values.imag.tolist(),
-    }
-
-
-def kernel_from_obj(obj: dict) -> TwoPointKernel:
-    grid = _grid_from_obj(obj["grid"])
-    vals = np.array(obj["re"]) + 1j * np.array(obj["im"])
-    return TwoPointKernel(grid, vals)
+def _from_obj(obj: dict, cls):
+    """Read a Signal or TwoPointKernel (`cls`), refusing the other kind."""
+    if obj.get("kind") != _KINDS[cls]:
+        raise ValueError(f"expected a {_KINDS[cls]} object, got kind {obj.get('kind')!r}")
+    return cls(_grid_from_obj(obj["grid"]), np.array(obj["re"]) + 1j * np.array(obj["im"]))
 
 
 def signal_to_json(f: Signal) -> str:
-    return dump_json(signal_to_obj(f))
+    return dump_json(_to_obj(f))
 
 
 def signal_from_json(text: str) -> Signal:
-    return signal_from_obj(json.loads(text))
+    return _from_obj(json.loads(text), Signal)
 
 
 def kernel_to_json(K: TwoPointKernel) -> str:
-    return dump_json(kernel_to_obj(K))
+    return dump_json(_to_obj(K))
 
 
 def kernel_from_json(text: str) -> TwoPointKernel:
-    return kernel_from_obj(json.loads(text))
+    return _from_obj(json.loads(text), TwoPointKernel)
 
 
 def cumulants_to_json(ctl: CumulantSet) -> str:
     return dump_json({
         "kind": "cumulants",
         "hbar_c": ctl.hbar_c,
-        "mean": signal_to_obj(ctl.mean),
-        "K_F": kernel_to_obj(ctl.K_F),
-        "K_rev": kernel_to_obj(ctl.K_rev),
-        "K_W": kernel_to_obj(ctl.K_W),
+        "mean": _to_obj(ctl.mean),
+        "K_F": _to_obj(ctl.K_F),
+        "K_rev": _to_obj(ctl.K_rev),
+        "K_W": _to_obj(ctl.K_W),
     })
 
 
@@ -169,10 +159,10 @@ def cumulants_from_json(text: str) -> CumulantSet:
     if obj.get("kind") != "cumulants":
         raise ValueError("not a cumulant bundle")
     return CumulantSet(
-        mean=signal_from_obj(obj["mean"]),
-        K_F=kernel_from_obj(obj["K_F"]),
-        K_rev=kernel_from_obj(obj["K_rev"]),
-        K_W=kernel_from_obj(obj["K_W"]),
+        mean=_from_obj(obj["mean"], Signal),
+        K_F=_from_obj(obj["K_F"], TwoPointKernel),
+        K_rev=_from_obj(obj["K_rev"], TwoPointKernel),
+        K_W=_from_obj(obj["K_W"], TwoPointKernel),
         hbar_c=float(obj["hbar_c"]),
     )
 
@@ -182,9 +172,9 @@ def rotated_to_json(rot: RotatedCumulants) -> str:
         "kind": "rotated",
         "s": rot.p.s,
         "hbar_c": rot.hbar_c,
-        "mean": signal_to_obj(rot.mean),
-        "D_R": kernel_to_obj(rot.D_R),
-        "N_s": kernel_to_obj(rot.N_s),
+        "mean": _to_obj(rot.mean),
+        "D_R": _to_obj(rot.D_R),
+        "N_s": _to_obj(rot.N_s),
     })
 
 
@@ -193,9 +183,9 @@ def rotated_from_json(text: str) -> RotatedCumulants:
     if obj.get("kind") != "rotated":
         raise ValueError("not a rotated bundle")
     return RotatedCumulants(
-        mean=signal_from_obj(obj["mean"]),
-        D_R=kernel_from_obj(obj["D_R"]),
-        N_s=kernel_from_obj(obj["N_s"]),
+        mean=_from_obj(obj["mean"], Signal),
+        D_R=_from_obj(obj["D_R"], TwoPointKernel),
+        N_s=_from_obj(obj["N_s"], TwoPointKernel),
         p=OrderingParam(float(obj["s"])),
         hbar_c=float(obj["hbar_c"]),
     )

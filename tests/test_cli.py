@@ -229,6 +229,43 @@ class TestConfigHandling:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and key in err["detail"]
 
+    @pytest.mark.parametrize("verb,cfg,key", [
+        (["oscillator", "kernel", "--dt", 0.5], {"n": 8.5}, "n"),
+        (["kernels", "scalar", "--eps", 1e-3, "--k0-max", 2.0], {"n_k0": 5.7}, "n_k0"),
+        (["zero-point", "--k2", 8.0], {"s": "abc"}, "s"),
+        (["pv-solve", "--M", 0], {"masses": [1, 2, 3, 4, 5]}, "masses"),
+        (["project", "--in", "sig.csv"], {"sign": "x"}, "sign"),
+        (["vacuum-pol", "--k2", 1.0], {"kind": "Q"}, "kind"),
+        (["vacuum-pol", "--k2", 1.0], {"k0_sign": 2}, "k0_sign"),
+        (["oscillator", "kernel"], {"grid": {"n": 8.5, "dt": 0.5}}, "grid.n"),
+        (["mc", "--samples", 10, "--seed", 1], {"grid": {"n": 8, "dt": 0.5, "nn": 8}},
+         "grid.nn"),
+    ])
+    def test_values_checked_against_flags(self, outdir, capsys, verb, cfg, key):
+        path = outdir / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(verb + ["--config", path, "--out", outdir / "x"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and f"'{key}'" in err["detail"]
+
+    @pytest.mark.parametrize("verb", [["dress", "--omega0", 1.0, "--coupling", 0.3],
+                                      ["mc", "--samples", 10, "--seed", 1]])
+    def test_grid_object_on_every_grid_verb(self, outdir, verb):
+        cfg = outdir / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"n": 8, "dt": 0.5}}))
+        assert run(verb + ["--config", cfg, "--out", outdir / "g"]) == 0
+        manifest = json.loads((outdir / "g.manifest.json").read_text())
+        assert manifest["config"]["grid"] == {"n": 8, "dt": 0.5}
+
+    @pytest.mark.parametrize("argv", [
+        ["kernels", "scalar", "--eps", 1e-3, "--k0-max", 2.0, "--n-k0", 5, "--seed", 3],
+        ["accept", "--precision", "double"],
+    ])
+    def test_options_a_verb_does_not_read_are_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
     def test_computation_error_exit_code(self, outdir, capsys):
         # masses not strictly increasing -> computation-level failure
         code = run(["pv-solve", "--M", 0, "--masses", "1,3,2,4,5",

@@ -63,8 +63,7 @@ class TestGridDressing:
         t = grid.times
         tau = t[:, None] - t[None, :]
         closed = np.tril((spec.omega0 / w_shift)
-                         * retarded_response(OscillatorSpec(omega0=w_shift), tau)
-                         * (w_shift / w_shift))
+                         * retarded_response(OscillatorSpec(omega0=w_shift), tau))
         assert np.abs(dressed.values - closed).max() < 1e-4
 
     def test_neumann_truncation_cubic_scaling(self):

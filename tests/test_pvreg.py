@@ -1,8 +1,10 @@
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from keldrot.pvreg import (
     PVScheme,
@@ -148,6 +150,14 @@ class TestMoments:
         mc = check_moments(scheme, 1, 1e2 * top)
         assert mc.tail_valid
         assert abs(mc.residual) < 1e-3 * mc.reference
+
+    def test_integration_warnings_counted_not_printed(self, scheme):
+        top = 4.0 * scheme.masses[-1] ** 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            mc = check_moments(scheme, 1, 1e2 * top)
+        assert mc.integration_warnings > 0
+        assert check_moments(scheme, 0, 1e2 * top).integration_warnings == 0
 
     def test_beyond_guarantee_reported_not_small(self, scheme):
         top = 4.0 * scheme.masses[-1] ** 2

@@ -96,6 +96,10 @@ class TestBundles:
         with pytest.raises(ValueError, match="rotated"):
             ser.rotated_from_json(text)
 
+    def test_kernel_read_as_signal_rejected(self, kernel):
+        with pytest.raises(ValueError, match="signal.*'kernel'"):
+            ser.signal_from_json(ser.kernel_to_json(kernel))
+
 
 class TestDeterminism:
     def test_bytes_are_stable(self, signal, kernel):
