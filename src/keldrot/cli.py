@@ -1,13 +1,13 @@
 """Command-line front end and reproducible experiment runner.
 
 Each verb's argparse subparser is its only schema: a --config JSON file may
-set the dests of the verb's flags (and, where it has --n, a nested "grid"
-object of n, dt, t0), each to a value of its flag's type and choices.  A
-verb that declares --seed (the stochastic ones) requires it.  Every verb
-writes full-precision CSV/JSON artifacts next to a manifest that records
-the config hash and library versions, and exits 0 on success, 2 on a config
-error, 1 on a computation error (with a machine-readable error JSON on
-stderr).
+set the dests of the verb's flags other than --config and --out (and, where
+it has --n, a nested "grid" object of n, dt, t0), each to a value of its
+flag's type and choices.  A verb that declares --seed (the stochastic ones)
+requires it.  Every verb writes full-precision CSV/JSON artifacts next to a
+manifest that records the config hash and library versions, and exits 0 on
+success, 2 on a config error, 1 on a computation error (with a
+machine-readable error JSON on stderr).
 """
 from __future__ import annotations
 
@@ -164,7 +164,11 @@ def _scheme_from_config(config: dict) -> pvreg.PVScheme:
     m_order = int(config.get("M", 0))
     impose_b0 = config.get("impose_b0", False)
     if config.get("masses"):
-        masses = [float(x) for x in config["masses"].split(",")]
+        try:
+            masses = [float(x) for x in config["masses"].split(",")]
+        except ValueError:
+            raise ConfigError("config key 'masses' must be comma-separated numbers, "
+                              f"got {json.dumps(config['masses'])}") from None
     elif config.get("geometric"):
         count = 2 * m_order + (6 if impose_b0 else 5)
         masses = pvreg.geometric_masses(mu0, float(config["geometric"]), count)
@@ -537,10 +541,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     verb = "-".join(args.parser.prog.split()[1:])  # "keldrot oscillator mc" -> "oscillator-mc"
-    flags = {a.dest: a for a in args.parser._actions if a.dest != "help"}
+    # --config and --out are read only from the command line
+    flags = {a.dest: a for a in args.parser._actions
+             if a.dest not in ("help", "config", "out")}
     cli_params = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
-    out_prefix = cli_params.pop("out", None)
-    config_path = cli_params.pop("config", None)
+    out_prefix, config_path = args.out, args.config
     try:
         config = _load_config(config_path, cli_params, flags)
         if "seed" in flags and config.get("seed") is None:

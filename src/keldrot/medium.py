@@ -83,6 +83,16 @@ def dress_retarded_momentum_finite_eps(k0: float, kvec_sq: float, spec: DiracSea
     return mu_vac / ((k_sq + 1j * eps * sgn) * (1.0 + r))
 
 
+def _real_if_exact(*arrays):
+    """The arrays as contiguous real arrays when every imaginary part is
+    exactly zero, else unchanged: a product of real kernels then runs in
+    real arithmetic, a quarter of the complex flops, and equals the complex
+    product up to rounding."""
+    if any(np.iscomplexobj(x) and x.imag.any() for x in arrays):
+        return arrays
+    return tuple(np.ascontiguousarray(np.real(x)) for x in arrays)
+
+
 def _check_retarded(K: TwoPointKernel, name: str):
     vals = K.values
     scale = max(np.abs(vals).max(), 1e-300)
@@ -104,13 +114,9 @@ def dress_retarded_grid(D_bare: TwoPointKernel, pi_R: TwoPointKernel) -> TwoPoin
         raise ValueError("kernels must share a grid")
     _check_retarded(D_bare, "bare propagator")
     _check_retarded(pi_R, "susceptibility")
-    dt = D_bare.grid.dt
-    g = dt ** 2 * (D_bare.values @ pi_R.values)  # lower triangular
-    a = np.eye(D_bare.grid.n) - g
-    if np.abs(D_bare.values.imag).max() == 0 and np.abs(pi_R.values.imag).max() == 0:
-        dressed = solve_triangular(a.real, D_bare.values.real, lower=True)
-    else:
-        dressed = solve_triangular(a, D_bare.values, lower=True)
+    d0, pi_r = _real_if_exact(D_bare.values, pi_R.values)
+    g = D_bare.grid.dt ** 2 * (d0 @ pi_r)  # lower triangular
+    dressed = solve_triangular(np.eye(D_bare.grid.n) - g, d0, lower=True)
     return TwoPointKernel(D_bare.grid, np.tril(dressed))
 
 
@@ -154,8 +160,8 @@ def noise_map(dressed: TwoPointKernel, pi_N: TwoPointKernel) -> TwoPointKernel:
     scale = max(np.abs(pi_N.values).max(), 1e-300)
     if np.abs(pi_N.values - pi_N.values.conj().T).max() > 1e-10 * scale:
         raise ValueError("noise kernel must be Hermitian-symmetric")
-    dt = dressed.grid.dt
-    n = dt ** 2 * (dressed.values @ pi_N.values @ dressed.values.conj().T)
+    d_r, p_n = _real_if_exact(dressed.values, pi_N.values)
+    n = dressed.grid.dt ** 2 * (d_r @ p_n @ d_r.conj().T)
     return TwoPointKernel(dressed.grid, n)
 
 
@@ -257,9 +263,9 @@ def wave_operator_residual(dressed: TwoPointKernel, pi_R: TwoPointKernel,
     """
     g = dressed.grid
     dt = g.dt
-    vals = dressed.values
+    vals, pi_r = _real_if_exact(dressed.values, pi_R.values)
     d2 = (np.roll(vals, -1, axis=0) - 2.0 * vals + np.roll(vals, 1, axis=0)) / dt ** 2
-    lhs = -(d2 + omega0 ** 2 * vals) / omega0 - dt * (pi_R.values @ vals)
+    lhs = -(d2 + omega0 ** 2 * vals) / omega0 - dt * (pi_r @ vals)
     n = g.n
     i = np.arange(n)
     lag = i[:, None] - i[None, :]
@@ -268,9 +274,14 @@ def wave_operator_residual(dressed: TwoPointKernel, pi_R: TwoPointKernel,
     return float(np.abs(lhs[interior]).max() / scale)
 
 
+# samples per step of wyld_mc; a step draws its amplitudes before its
+# currents, so this also fixes which normals each sample gets
+_MC_CHUNK = 50_000
+
+
 def wyld_mc(spec: OscillatorSpec, grid: TimeGrid, n_samples: int, seed: int,
             J_e: Signal | None = None, white_noise_std: float = 0.0,
-            alpha_nbar: float = 0.0, chunk: int = 50_000) -> dict:
+            alpha_nbar: float = 0.0) -> dict:
     """Classical stochastic sampling of the driven one-mode field.
 
     Each sample is q(t) = q_in(t; alpha) + integral D_R(t-t') j(t') dt'
@@ -286,36 +297,39 @@ def wyld_mc(spec: OscillatorSpec, grid: TimeGrid, n_samples: int, seed: int,
     t = grid.times
     n = grid.n
     dr = retarded_response(spec, t[:, None] - t[None, :])
-    base = np.zeros(n)
     if J_e is not None:
         if J_e.grid != grid:
             raise ValueError("source grid mismatch")
         base = grid.dt * (dr @ J_e.values.real)
+    # q_in = 2 sqrt(hbar/2) (Re alpha cos wt + Im alpha sin wt)
+    infield = 2.0 * np.sqrt(spec.hbar / 2.0) * np.array(
+        [np.cos(spec.omega0 * t), np.sin(spec.omega0 * t)])
+    # dt (J_r @ dr^T) with J_r standard normals times white_noise_std / sqrt(dt)
+    noise_response_t = (grid.dt * white_noise_std / np.sqrt(grid.dt)) * dr.T
     s1 = np.zeros(n)
-    s2_diag = np.zeros(n)
     sp = np.zeros((n, n))
     sp2 = np.zeros((n, n))
     done = 0
-    pref = np.sqrt(spec.hbar / 2.0)
     while done < n_samples:
-        m = min(chunk, n_samples - done)
-        q = np.tile(base, (m, 1))
-        if alpha_nbar > 0:
-            alphas = np.sqrt(alpha_nbar / 2.0) * (
-                rng.standard_normal(m) + 1j * rng.standard_normal(m))
-            q = q + 2.0 * pref * np.real(alphas[:, None] * np.exp(-1j * spec.omega0 * t[None, :]))
-        if white_noise_std > 0:
-            j_r = rng.standard_normal((m, n)) * (white_noise_std / np.sqrt(grid.dt))
-            q = q + grid.dt * (j_r @ dr.T)
+        m = min(_MC_CHUNK, n_samples - done)
+        # each chunk draws Re alpha, then Im alpha, then J_r
+        alphas = (np.sqrt(alpha_nbar / 2.0) * rng.standard_normal((2, m))
+                  if alpha_nbar > 0 else None)
+        q = (rng.standard_normal((m, n)) @ noise_response_t if white_noise_std > 0
+             else np.zeros((m, n)))
+        if alphas is not None:
+            q += alphas.T @ infield
+        if J_e is not None:
+            q += base
         s1 += q.sum(axis=0)
-        s2_diag += (q ** 2).sum(axis=0)
         sp += q.T @ q
-        sp2 += (q ** 2).T @ (q ** 2)
+        np.square(q, out=q)
+        sp2 += q.T @ q
         done += m
     mean = s1 / n_samples
-    mean_var = np.maximum(s2_diag / n_samples - mean ** 2, 0.0)
-    mean_stderr = np.sqrt(mean_var / n_samples)
     second = sp / n_samples
+    mean_var = np.maximum(np.diag(second) - mean ** 2, 0.0)
+    mean_stderr = np.sqrt(mean_var / n_samples)
     cov = second - np.outer(mean, mean)
     prod_var = np.maximum(sp2 / n_samples - second ** 2, 0.0)
     cov_stderr = np.sqrt(prod_var / n_samples)

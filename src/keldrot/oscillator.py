@@ -92,38 +92,37 @@ def retarded_response_freq(spec: OscillatorSpec, omega, eps: float = 0.0):
     return out if out.ndim else complex(out)
 
 
+def _mode_phases(w: float, t, tp):
+    """(e^{-i w (t+t')}, e^{-i w (t-t')}) from e^{-i w t} and e^{-i w t'}.
+
+    On broadcast grids (t[:, None], t[None, :]) this takes O(n)
+    exponentials instead of O(n^2).
+    """
+    a = np.exp(-1j * w * np.asarray(t, dtype=float))
+    b = np.exp(-1j * w * np.asarray(tp, dtype=float))
+    return a * b, a * b.conj()
+
+
 def s_ordered_kernel(spec: OscillatorSpec, state: GaussianState, p: OrderingParam, t, tp):
     """<O_s q(t) q(t')> for a zero-mean Gaussian state.
 
     (hbar/2)[m e^{-i w (t+t')} + m* e^{i w (t+t')}
              + 2 (nbar + s_minus) cos w (t-t')]
     """
-    t = np.asarray(t, dtype=float)
-    tp = np.asarray(tp, dtype=float)
-    w = spec.omega0
-    tsum = t + tp
-    tau = t - tp
-    val = 0.5 * spec.hbar * (
-        state.m * np.exp(-1j * w * tsum)
-        + np.conjugate(state.m) * np.exp(1j * w * tsum)
-        + 2.0 * (state.nbar + p.s_minus) * np.cos(w * tau)
-    )
+    e_sum, e_diff = _mode_phases(spec.omega0, t, tp)
+    val = spec.hbar * ((state.m * e_sum).real + (state.nbar + p.s_minus) * e_diff.real) + 0j
     return val if np.ndim(val) else complex(val)
 
 
 def wightman_kernel(spec: OscillatorSpec, state: GaussianState, t, tp):
-    """Unordered <q(t) q(t')> for a zero-mean Gaussian state."""
-    t = np.asarray(t, dtype=float)
-    tp = np.asarray(tp, dtype=float)
-    w = spec.omega0
-    tsum = t + tp
-    tau = t - tp
-    val = 0.5 * spec.hbar * (
-        state.m * np.exp(-1j * w * tsum)
-        + np.conjugate(state.m) * np.exp(1j * w * tsum)
-        + (state.nbar + 1.0) * np.exp(-1j * w * tau)
-        + state.nbar * np.exp(1j * w * tau)
-    )
+    """Unordered <q(t) q(t')> for a zero-mean Gaussian state.
+
+    (hbar/2)[m e^{-i w (t+t')} + m* e^{i w (t+t')}
+             + (nbar + 1) e^{-i w (t-t')} + nbar e^{i w (t-t')}]
+    """
+    e_sum, e_diff = _mode_phases(spec.omega0, t, tp)
+    val = 0.5 * spec.hbar * (2.0 * (state.m * e_sum).real
+                             + (2.0 * state.nbar + 1.0) * e_diff.real + 1j * e_diff.imag)
     return val if np.ndim(val) else complex(val)
 
 
@@ -231,14 +230,9 @@ def _quasidistribution_cov(state: GaussianState, p: OrderingParam) -> np.ndarray
     ])
 
 
-def sample_quasidistribution(state: GaussianState, p: OrderingParam, n_samples: int,
-                             rng: np.random.Generator) -> np.ndarray:
-    """Draw complex amplitudes from the s-quasidistribution of the state.
-
-    Raises UnsampleableStateError when the quasidistribution is not a
-    positive (semidefinite) Gaussian, e.g. squeezed states at s = 1 with
-    insufficient thermal noise.
-    """
+def _quasidistribution_xy(state: GaussianState, p: OrderingParam, n_samples: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    """(Re alpha, Im alpha) drawn from the s-quasidistribution, shape (n, 2)."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     cov = _quasidistribution_cov(state, p)
@@ -251,38 +245,58 @@ def sample_quasidistribution(state: GaussianState, p: OrderingParam, n_samples: 
         )
     evals = np.clip(evals, 0.0, None)
     root = evecs @ np.diag(np.sqrt(evals))
-    xy = rng.standard_normal((n_samples, 2)) @ root.T
+    return rng.standard_normal((n_samples, 2)) @ root.T
+
+
+def sample_quasidistribution(state: GaussianState, p: OrderingParam, n_samples: int,
+                             rng: np.random.Generator) -> np.ndarray:
+    """Draw complex amplitudes from the s-quasidistribution of the state.
+
+    Raises UnsampleableStateError when the quasidistribution is not a
+    positive (semidefinite) Gaussian, e.g. squeezed states at s = 1 with
+    insufficient thermal noise.
+    """
+    xy = _quasidistribution_xy(state, p, n_samples, rng)
     return xy[:, 0] + 1j * xy[:, 1]
 
 
+# samples drawn per step; an estimate depends on it only through rounding
+_MC_CHUNK = 200_000
+
+
 def mc_quasiaverage(spec: OscillatorSpec, state: GaussianState, p: OrderingParam,
-                    times: np.ndarray, n_samples: int, seed: int,
-                    chunk: int = 200_000):
+                    times: np.ndarray, n_samples: int, seed: int):
     """Monte Carlo estimate of <O_s q(t) q(t')> over the s-quasidistribution.
 
     Uses a counter-based (Philox) generator so the result is a pure
     function of (seed, n_samples).  Returns (estimate, standard_error) as
     (nt, nt) arrays.
+
+    Every sample path q(t) = 2 sqrt(hbar/2)(x cos wt + y sin wt), with
+    alpha = x + iy, has rank 2, so only the Grams G2 of (x, y) and G4 of
+    (x^2, xy, y^2) are summed over samples: sum q q^T = B^T G2 B and
+    sum q^2 (q^2)^T = C^T G4 C, with B the rows (cos, sin) scaled to the
+    path and C the rows of B_0^2, 2 B_0 B_1 and B_1^2.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     times = np.asarray(times, dtype=float)
     rng = np.random.Generator(np.random.Philox(seed))
-    nt = len(times)
-    s1 = np.zeros((nt, nt))
-    s2 = np.zeros((nt, nt))
-    w = spec.omega0
-    pref = np.sqrt(spec.hbar / 2.0)
+    g2 = np.zeros((2, 2))
+    g4 = np.zeros((3, 3))
     done = 0
     while done < n_samples:
-        m = min(chunk, n_samples - done)
-        alphas = sample_quasidistribution(state, p, m, rng)
-        q = 2.0 * pref * np.real(alphas[:, None] * np.exp(-1j * w * times[None, :]))
-        s1 += q.T @ q
-        q2 = q ** 2
-        s2 += q2.T @ q2
+        m = min(_MC_CHUNK, n_samples - done)
+        xy = _quasidistribution_xy(state, p, m, rng)
+        g2 += xy.T @ xy
+        x, y = xy[:, 0], xy[:, 1]
+        z = np.column_stack((x * x, x * y, y * y))
+        g4 += z.T @ z
         done += m
-    mean = s1 / n_samples
-    var = np.maximum(s2 / n_samples - mean ** 2, 0.0)
+    w = spec.omega0
+    b = 2.0 * np.sqrt(spec.hbar / 2.0) * np.array([np.cos(w * times), np.sin(w * times)])
+    c = np.array([b[0] * b[0], 2.0 * b[0] * b[1], b[1] * b[1]])
+    mean = (b.T @ g2 @ b) / n_samples
+    var = np.maximum((c.T @ g4 @ c) / n_samples - mean ** 2, 0.0)
     stderr = np.sqrt(var / n_samples)
     return mean, stderr

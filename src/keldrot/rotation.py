@@ -326,15 +326,15 @@ def synthetic_cumulants(grid: TimeGrid, rng: np.random.Generator, n_modes: int =
     for k in modes:
         om = grid.resonant_frequency(int(k))
         nbar = rng.uniform(0.0, nbar_max)
-        tau = t[:, None] - t[None, :]
-        k_w += 0.5 * hbar_c * ((nbar + 1.0) * np.exp(-1j * om * tau)
-                               + nbar * np.exp(1j * om * tau))
+        a = np.exp(-1j * om * t)
+        # (nbar + 1) e^{-i w (t-t')} + nbar e^{i w (t-t')}, from e^{-i w t}
+        e_diff = np.outer(a, a.conj())
+        k_w += 0.5 * hbar_c * ((2.0 * nbar + 1.0) * e_diff.real + 1j * e_diff.imag)
         if squeeze:
             mmax = np.sqrt(nbar * (nbar + 1.0))
             m = mmax * rng.uniform(0.0, 1.0) * np.exp(2j * np.pi * rng.uniform())
-            tsum = t[:, None] + t[None, :]
-            k_w += 0.5 * hbar_c * (m * np.exp(-1j * om * tsum)
-                                   + m.conjugate() * np.exp(1j * om * tsum))
+            # m e^{-i w (t+t')} + m* e^{i w (t+t')}
+            k_w += hbar_c * (m * np.outer(a, a)).real
     th = theta_ordering_matrix(grid)
     k_f = th * k_w + th.T * k_w.T
     mean = Signal.zero(grid)

@@ -240,6 +240,11 @@ class TestConfigHandling:
         (["oscillator", "kernel"], {"grid": {"n": 8.5, "dt": 0.5}}, "grid.n"),
         (["mc", "--samples", 10, "--seed", 1], {"grid": {"n": 8, "dt": 0.5, "nn": 8}},
          "grid.nn"),
+        (["pv-solve", "--M", 0], {"masses": "1,2,x,4,5"}, "masses"),
+        (["kernels", "scalar", "--eps", 1e-3, "--k0-max", 2.0, "--n-k0", 5],
+         {"out": "somewhere"}, "out"),
+        (["kernels", "scalar", "--eps", 1e-3, "--k0-max", 2.0, "--n-k0", 5],
+         {"config": "other.json"}, "config"),
     ])
     def test_values_checked_against_flags(self, outdir, capsys, verb, cfg, key):
         path = outdir / "cfg.json"

@@ -146,6 +146,50 @@ class TestNoiseMap:
             noise_map(d_bare, bad)
 
 
+class TestRealRoute:
+    """Kernels whose imaginary parts are exactly zero are multiplied in real
+    arithmetic; the complex products are the oracle."""
+
+    def test_real_kernels_match_complex_products(self):
+        from scipy.linalg import solve_triangular
+
+        grid, spec, d_bare, pi_r, _ = toy_kernels(n=256, total_time=10.0)
+        rng = np.random.default_rng(4)
+        h = rng.normal(size=(grid.n, grid.n))
+        pi_n = TwoPointKernel(grid, h + h.T)
+        dt, w0 = grid.dt, spec.omega0
+        d0, p = d_bare.values, pi_r.values
+        assert d0.dtype == complex and p.dtype == complex
+
+        dressed = dress_retarded_grid(d_bare, pi_r)
+        d = np.tril(solve_triangular(np.eye(grid.n) - dt ** 2 * (d0 @ p), d0, lower=True))
+        assert np.abs(dressed.values - d).max() < 1e-12 * np.abs(d).max()
+
+        noise = dt ** 2 * (d @ pi_n.values @ d.conj().T)
+        got = noise_map(dressed, pi_n).values
+        assert np.abs(got - noise).max() < 1e-12 * np.abs(noise).max()
+
+        d2 = (np.roll(d, -1, axis=0) - 2.0 * d + np.roll(d, 1, axis=0)) / dt ** 2
+        lhs = -(d2 + w0 ** 2 * d) / w0 - dt * (p @ d)
+        i = np.arange(grid.n)
+        lag = i[:, None] - i[None, :]
+        interior = ((lag >= 2) & (lag <= grid.n - 3)
+                    & (i[:, None] >= 2) & (i[:, None] <= grid.n - 3))
+        residual = np.abs(lhs[interior]).max() * dt
+        assert wave_operator_residual(dressed, pi_r, w0) == pytest.approx(residual, rel=1e-12)
+
+    def test_non_real_noise_kernel_takes_complex_route(self):
+        grid, _, d_bare, _, _ = toy_kernels(n=64, total_time=6.0)
+        rng = np.random.default_rng(5)
+        h = rng.normal(size=(grid.n, grid.n)) + 1j * rng.normal(size=(grid.n, grid.n))
+        pi_n = TwoPointKernel(grid, h + h.conj().T)
+        d = d_bare.values
+        noise = grid.dt ** 2 * (d @ pi_n.values @ d.conj().T)
+        got = noise_map(d_bare, pi_n).values
+        assert np.abs(got - noise).max() < 1e-12 * np.abs(noise).max()
+        assert np.abs(got.imag).max() > 0.1 * np.abs(got).max()
+
+
 class TestZeroPointSpectrum:
     def test_below_threshold_smooth_vanishes(self):
         assert zero_point_smooth(2.0, SEA) == 0.0
@@ -268,6 +312,44 @@ class TestWyldMC:
         picks = [(23, 4), (23, 12), (12, 12), (18, 6)]
         for ij in picks:
             assert abs(res["cov"][ij] - target[ij]) < 3.5 * res["cov_stderr"][ij]
+
+    def test_statistics_match_sample_paths(self):
+        # the slow route: every sample path with the source, the in-field and
+        # the white current, from the same draws, over more than one chunk
+        from keldrot.medium import _MC_CHUNK
+
+        grid = TimeGrid(12, 0.3)
+        spec = OscillatorSpec(omega0=grid.resonant_frequency(2))
+        t = grid.times
+        j_e = Signal(grid, np.cos(spec.omega0 * t))
+        nbar, sigma, n_samples, seed = 0.8, 0.5, _MC_CHUNK + 3000, 13
+        res = wyld_mc(spec, grid, n_samples, seed, J_e=j_e, white_noise_std=sigma,
+                      alpha_nbar=nbar)
+        rng = np.random.Generator(np.random.Philox(seed))
+        dr = retarded_response(spec, t[:, None] - t[None, :])
+        paths, done = [], 0
+        while done < n_samples:
+            m = min(_MC_CHUNK, n_samples - done)
+            alphas = np.sqrt(nbar / 2.0) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+            j_r = rng.standard_normal((m, grid.n)) * (sigma / np.sqrt(grid.dt))
+            paths.append(grid.dt * (dr @ j_e.values.real)
+                         + np.sqrt(2.0 * spec.hbar)
+                         * np.real(alphas[:, None] * np.exp(-1j * spec.omega0 * t))
+                         + grid.dt * (j_r @ dr.T))
+            done += m
+        q = np.concatenate(paths)
+        mean = q.mean(axis=0)
+        second = q.T @ q / n_samples
+        q2 = q ** 2
+        expect = {
+            "mean": mean,
+            "mean_stderr": np.sqrt(np.maximum(q2.mean(axis=0) - mean ** 2, 0.0) / n_samples),
+            "cov": second - np.outer(mean, mean),
+            "cov_stderr": np.sqrt(np.maximum(q2.T @ q2 / n_samples - second ** 2, 0.0)
+                                  / n_samples),
+        }
+        for key, want in expect.items():
+            assert np.abs(res[key] - want).max() < 1e-12 * np.abs(want).max(), key
 
     def test_empty_run_rejected(self):
         grid = TimeGrid(8, 0.5)

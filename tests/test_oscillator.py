@@ -73,6 +73,43 @@ class TestSOrderedKernel:
             assert np.abs(diff - expect).max() < 1e-14
 
 
+class TestFactorisedKernels:
+    """The kernels build e^{-i w (t +- t')} from e^{-i w t} and e^{-i w t'};
+    the n x n exponentials of t +- t' are the oracle."""
+
+    STATE = GaussianState(nbar=0.7, m=0.3 - 0.4j)
+
+    def direct_parts(self):
+        t = GRID.times
+        tsum = t[:, None] + t[None, :]
+        tau = t[:, None] - t[None, :]
+        m = self.STATE.m
+        squeeze = m * np.exp(-1j * W0 * tsum) + np.conj(m) * np.exp(1j * W0 * tsum)
+        return t, tau, squeeze
+
+    def test_wightman_kernel(self):
+        t, tau, squeeze = self.direct_parts()
+        nbar = self.STATE.nbar
+        direct = 0.5 * SPEC.hbar * (squeeze + (nbar + 1.0) * np.exp(-1j * W0 * tau)
+                                    + nbar * np.exp(1j * W0 * tau))
+        got = wightman_kernel(SPEC, self.STATE, t[:, None], t[None, :])
+        scale = np.abs(direct).max()
+        assert np.abs(got - direct).max() < 1e-12 * scale
+        assert abs(wightman_kernel(SPEC, self.STATE, t[7], t[3]) - direct[7, 3]) < 1e-12 * scale
+
+    @pytest.mark.parametrize("s", [-1.0, 0.0, 0.6])
+    def test_s_ordered_kernel(self, s):
+        t, tau, squeeze = self.direct_parts()
+        p = OrderingParam(s)
+        direct = 0.5 * SPEC.hbar * (squeeze + 2.0 * (self.STATE.nbar + p.s_minus)
+                                    * np.cos(W0 * tau))
+        got = s_ordered_kernel(SPEC, self.STATE, p, t[:, None], t[None, :])
+        scale = np.abs(direct).max()
+        assert got.dtype == complex
+        assert np.abs(got - direct).max() < 1e-12 * scale
+        assert abs(s_ordered_kernel(SPEC, self.STATE, p, t[2], t[9]) - direct[2, 9]) < 1e-12 * scale
+
+
 class TestReorderGap:
     def test_value_at_zero_lag(self):
         assert reorder_gap(SPEC, 0.0) == pytest.approx(0.5)
@@ -250,6 +287,23 @@ class TestMonteCarlo:
         b, _ = mc_quasiaverage(SPEC, GaussianState(nbar=1.0), OrderingParam(0.0),
                                times, 10 ** 4, seed=42)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("s", [-1.0, 0.0, 0.6])
+    def test_grams_match_sample_paths(self, s):
+        # the slow route: every sample path on the grid, drawn from the same
+        # Philox stream, more samples than one chunk
+        state = GaussianState(nbar=0.5, m=0.4j)
+        p = OrderingParam(s)
+        times = GRID.times[:10]
+        n, seed = 250_000, 31
+        est, err = mc_quasiaverage(SPEC, state, p, times, n, seed)
+        alphas = sample_quasidistribution(state, p, n, np.random.Generator(np.random.Philox(seed)))
+        q = np.sqrt(2.0 * SPEC.hbar) * np.real(alphas[:, None] * np.exp(-1j * W0 * times))
+        mean = q.T @ q / n
+        q2 = q ** 2
+        stderr = np.sqrt(np.maximum(q2.T @ q2 / n - mean ** 2, 0.0) / n)
+        assert np.abs(est - mean).max() < 1e-12 * np.abs(mean).max()
+        assert np.abs(err - stderr).max() < 1e-12 * np.abs(stderr).max()
 
     def test_infield_moments_reproduce_kernel(self):
         # MC over the quasidistribution is an oracle for the closed form

@@ -190,6 +190,36 @@ class TestReorder:
         assert np.abs((n1 - n2) - (s2 - s1) * gap.values).max() < 1e-10 * scale
 
 
+@pytest.mark.parametrize("squeeze", [True, False])
+def test_synthetic_cumulants_match_direct_exponentials(squeeze):
+    # the slow route: n x n exponentials of t -+ t' per mode, from the same draws
+    ctl = synthetic_cumulants(GRID, np.random.default_rng(21), squeeze=squeeze)
+    replay = np.random.default_rng(21)
+    n, t = GRID.n, GRID.times
+    tau = t[:, None] - t[None, :]
+    tsum = t[:, None] + t[None, :]
+    modes = replay.choice(np.arange(1, n // 2 - 1), size=3, replace=False)
+    k_w = np.zeros((n, n), dtype=complex)
+    for k in modes:
+        om = GRID.resonant_frequency(int(k))
+        nbar = replay.uniform(0.0, 2.0)
+        k_w += 0.5 * ((nbar + 1.0) * np.exp(-1j * om * tau) + nbar * np.exp(1j * om * tau))
+        if squeeze:
+            m = (np.sqrt(nbar * (nbar + 1.0)) * replay.uniform(0.0, 1.0)
+                 * np.exp(2j * np.pi * replay.uniform()))
+            k_w += 0.5 * (m * np.exp(-1j * om * tsum) + np.conj(m) * np.exp(1j * om * tsum))
+    mean = np.zeros(n)
+    for k in modes:
+        om = GRID.resonant_frequency(int(k))
+        mean += replay.normal() * np.cos(om * t) + replay.normal() * np.sin(om * t)
+    th = np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n)
+    k_f = th * k_w + th.T * k_w.T
+    scale = np.abs(k_w).max()
+    assert np.abs(ctl.K_W.values - k_w).max() < 1e-12 * scale
+    assert np.abs(ctl.K_F.values - k_f).max() < 1e-12 * scale
+    assert np.array_equal(ctl.mean.values, mean)
+
+
 class TestLambda2:
     def test_identity_on_random_draws(self):
         rng = np.random.default_rng(10)
