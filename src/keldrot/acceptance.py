@@ -19,6 +19,7 @@ from .grids import (
     TwoPointKernel,
     heaviside,
     overlap,
+    project_kernel_axis,
     project_pm,
     project_s,
 )
@@ -155,13 +156,14 @@ def criterion_lambda_identities(seed: int = 77) -> CriterionResult:
 
 
 def criterion_rotation_roundtrip(seed: int = 4321) -> CriterionResult:
-    """unrotate(rotate(.)) = identity to 1e-8 on random consistent
-    cumulant sets; the reordering gap between two direct rotations matches
-    the response-only formula to 1e-10."""
+    """unrotate(rotate(.)) = identity to 1e-8 on random consistent cumulant
+    sets; at two orderings rotate's N_s matches the four-projection noise
+    formula, and their gap the response-only formula, both to 1e-10."""
     grid = TimeGrid(96, 0.13)
     rng = np.random.default_rng(seed)
     worst_rt = 0.0
     worst_gap = 0.0
+    worst_proj = 0.0
     for _ in range(6):
         ctl = rotation.synthetic_cumulants(grid, rng)
         scale = max(np.abs(ctl.K_F.values).max(), 1e-300)
@@ -180,13 +182,19 @@ def criterion_rotation_roundtrip(seed: int = 4321) -> CriterionResult:
         lhs = rot.N_s.values - rot2.N_s.values
         rhs = (s2 - s_val) * gap.values
         worst_gap = max(worst_gap, np.abs(lhs - rhs).max() / scale)
-    passed = worst_rt < 1e-8 and worst_gap < 1e-10
+        for r in (rot, rot2):  # the four-projection noise formula, projected directly
+            kf = project_kernel_axis(project_kernel_axis(ctl.K_F, 1, "+", r.p), 0, "+", r.p)
+            kw = project_kernel_axis(project_kernel_axis(ctl.K_W, 1, "+", r.p), 0, "-", r.p)
+            direct = 2.0 * np.real(kf.values + kw.values)
+            worst_proj = max(worst_proj, np.abs(r.N_s.values - direct).max() / scale)
+    passed = worst_rt < 1e-8 and worst_gap < 1e-10 and worst_proj < 1e-10
     return CriterionResult(
         name="04-rotation-roundtrip",
         passed=bool(passed),
-        measured=max(worst_rt, worst_gap),
+        measured=max(worst_rt, worst_gap, worst_proj),
         tolerance=1e-8,
-        details={"roundtrip": worst_rt, "reorder_gap": worst_gap},
+        details={"roundtrip": worst_rt, "reorder_gap": worst_gap,
+                 "four_projection": worst_proj},
     )
 
 

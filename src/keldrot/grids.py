@@ -26,8 +26,6 @@ __all__ = [
     "OrderingParam",
     "Signal",
     "TwoPointKernel",
-    "spectrum",
-    "from_spectrum",
     "sign_weights",
     "ordering_weights",
     "project_pm",
@@ -169,15 +167,6 @@ def _check_same_grid(a: TimeGrid, b: TimeGrid):
         raise ValueError(f"grid mismatch: {a} vs {b}")
 
 
-def spectrum(f: Signal) -> np.ndarray:
-    """Coefficients c_k of f(t_j) = sum_k c_k exp(-i w_k (t_j - t0))."""
-    return np.fft.ifft(f.values)
-
-
-def from_spectrum(grid: TimeGrid, coeffs: np.ndarray) -> Signal:
-    return Signal(grid, np.fft.fft(np.asarray(coeffs, dtype=complex)))
-
-
 def sign_weights(grid: TimeGrid, sign) -> np.ndarray:
     """Heaviside weights theta(sign * w_k) with the 1/2 boundary split."""
     w = heaviside(_sign_value(sign) * grid.omega)
@@ -248,9 +237,6 @@ class TwoPointKernel:
 
     def with_values(self, values) -> "TwoPointKernel":
         return TwoPointKernel(self.grid, values)
-
-    def transpose(self) -> "TwoPointKernel":
-        return TwoPointKernel(self.grid, self.values.T)
 
     def conj(self) -> "TwoPointKernel":
         return TwoPointKernel(self.grid, self.values.conj())

@@ -1,17 +1,18 @@
 """Generalized Keldysh rotation of two-point closed-time-loop cumulants.
 
 The closed-time-loop data for a Hermitian bosonic field is the triple of
-kernels {<T+ A,A>, <T- A,A>, <A,A>} plus the mean.  A rotation with
-ordering parameter s trades them for the retarded response D_R (shared by
-every rotation) and the time-s-ordered noise kernel N_s.  The inverse map
-reconstructs the triple, and reordering between s values only adds a
-response-derived gap kernel to the noise.
-
-All transforms are linear and built from the grid projectors, so on a
-periodic grid the forward/inverse pair is exact to roundoff for
-consistent inputs.  Only the Hermitian-field case is supported: complex
-(non-Hermitian-component) cumulants are rejected because the entrywise
-"2 Re" in the noise formula is ambiguous for them.
+kernels {K_F, K_rev, K_W} = {<T+ A,A>, <T- A,A>, <A,A>} plus the mean.  A
+rotation with ordering parameter s trades them for the retarded response
+D_R = (K_rev - K_W) / (-i hbar c), shared by every rotation, and the
+time-s-ordered noise N_s.  The Keldysh rotation is the Weyl (s = 0) map,
+N_0 = (1/2) Re(K_F + K_W); every other ordering differs from it only by a
+gap, N_s = N_0 - s Z with Z = i hbar c (C + C^T), C = F^-_t' D_R - D_R / 2,
+so s enters only in `reorder`.  `unrotate` inverts the Weyl map with
+K_F, K_W = N_0 + (i hbar c / 2)(D_R +- D_R^T) and K_rev = K_F*.  By
+F^+ + F^- = 1 and F^{s-} = s_minus + s F^-, N_s equals the four-projection
+formula 2 Re[F^{s+}_t F^{s+}_t' K_F + F^{s-}_t F^{s+}_t' K_W] exactly on the
+grid for consistent inputs.  Non-Hermitian cumulants are rejected, since the
+entrywise "Re" in that formula is ambiguous for them.
 """
 from __future__ import annotations
 
@@ -124,8 +125,9 @@ class RotatedCumulants:
         return self.mean.grid
 
     def retardation_residual(self) -> float:
-        upper = np.triu(self.D_R.values, 1)
-        return float(np.abs(upper).max())
+        """Largest acausal |D_R| entry, in the time representation `rotate`
+        accepts (the smaller part for a kernel acausal in both)."""
+        return _acausal_part(self.D_R.values, self.grid)[1]
 
     def hermiticity_residual(self) -> float:
         r = self.N_s.values - self.N_s.values.conj().T
@@ -133,69 +135,73 @@ class RotatedCumulants:
         return float(np.abs(r).max() / scale)
 
 
-def _enforce_retardation(values: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Zero the acausal part, accepting either time representation.
-
-    Linear-time data is retarded below the diagonal; circulant (periodic
-    stationary) data is retarded on wrapped-positive lags.  In both cases
-    the acausal entries of a physical response vanish identically, so this
-    only removes floating-point noise; genuinely acausal input is rejected.
-    """
-    scale = max(np.abs(values).max(), 1e-300)
-    noise = 1e-10 * scale
-    upper = np.triu(values, 1)
-    if np.abs(upper).max() <= noise:
-        return np.tril(values)
+def _acausal_masks(grid: TimeGrid):
+    """Masks of the acausal entries in linear time, then on the circle."""
     i = np.arange(grid.n)
-    wrapped_negative = grid.lags[(i[:, None] - i[None, :]) % grid.n] < 0
-    if np.abs(values[wrapped_negative]).max() <= noise:
-        out = values.copy()
-        out[wrapped_negative] = 0.0
-        return out
-    raise ConsistencyError("response kernel is not retarded in either time representation")
+    yield i[:, None] < i[None, :]
+    yield grid.lags[(i[:, None] - i[None, :]) % grid.n] < 0
+
+
+def _acausal_part(values: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray | None, float]:
+    """Acausal mask and largest acausal |entry| of a response kernel in the
+    first time representation where that part is noise (<= 1e-10 of the
+    largest entry): linear time, then circulant (retarded on wrapped-positive
+    lags).  If neither, the mask is None and the size the smaller part."""
+    noise = 1e-10 * max(np.abs(values).max(), 1e-300)
+    sizes = []
+    for mask in _acausal_masks(grid):
+        size = float(np.abs(values[mask]).max())
+        if size <= noise:
+            return mask, size
+        sizes.append(size)
+    return None, min(sizes)
 
 
 def retarded_from_cumulants(ctl: CumulantSet) -> TwoPointKernel:
-    """D_R(t,t') = [<T- A,A> - <A,A>] / (-i hbar c), zero for t < t'.
+    """D_R(t,t') = [<T- A,A> - <A,A>] / (-i hbar c), zero where acausal.
 
-    For physical inputs the difference vanishes identically at t < t', so
-    enforcing retardation only removes floating-point noise.
+    A physical response is retarded in one time representation, so zeroing
+    its acausal part only removes rounding; acausal input is rejected.
     """
     d = (ctl.K_rev.values - ctl.K_W.values) / (-1j * ctl.hbar_c)
-    return TwoPointKernel(ctl.grid, _enforce_retardation(d, ctl.grid))
+    mask, _ = _acausal_part(d, ctl.grid)
+    if mask is None:
+        raise ConsistencyError("response kernel is not retarded in either time representation")
+    d[mask] = 0.0
+    return TwoPointKernel(ctl.grid, d)
 
 
-def _time_s_noise(ctl: CumulantSet, p: OrderingParam) -> TwoPointKernel:
-    """Time-s-ordered noise 2 Re[F^{s+}_t F^{s+}_t' K_F + F^{s-}_t F^{s+}_t' K_W]."""
-    kf = project_kernel_axis(project_kernel_axis(ctl.K_F, 1, "+", p), 0, "+", p)
-    kw = project_kernel_axis(project_kernel_axis(ctl.K_W, 1, "+", p), 0, "-", p)
-    return TwoPointKernel(ctl.grid, 2.0 * np.real(kf.values + kw.values))
+def _weyl_image(ctl: CumulantSet) -> RotatedCumulants:
+    """Keldysh (s = 0) rotation: D_R and N_0 = (1/2) Re(K_F + K_W)."""
+    n_0 = TwoPointKernel(ctl.grid, 0.5 * np.real(ctl.K_F.values + ctl.K_W.values))
+    return RotatedCumulants(ctl.mean, retarded_from_cumulants(ctl), n_0, OrderingParam(0.0),
+                            ctl.hbar_c)
 
 
 def rotate(ctl: CumulantSet, p: OrderingParam, consistency_tol: float = 1e-8,
            check: bool = True) -> RotatedCumulants:
-    """Rotate a consistent CTL cumulant set into (mean, D_R, N_s)."""
+    """Rotate a consistent CTL cumulant set into (mean, D_R, N_s).
+
+    N_s = N_0 - s Z[D_R], also for an inconsistent set passed with
+    check=False, where the four-projection formula differs from it.
+    """
     if check:
         ctl.validate(consistency_tol)
-    d_r = retarded_from_cumulants(ctl)
-    n_s = _time_s_noise(ctl, p)
-    return RotatedCumulants(mean=ctl.mean, D_R=d_r, N_s=n_s, p=p, hbar_c=ctl.hbar_c)
+    return reorder(_weyl_image(ctl), p.s)
 
 
 def unrotate(rot: RotatedCumulants) -> CumulantSet:
     """Reconstruct the CTL cumulant triple from (mean, D_R, N_s).
 
-    K_F = N_s + i hbar c [F^{s-}_t' D_R(t,t') + F^{s-}_t D_R(t',t)]
-    K_W = N_s + i hbar c [F^{s-}_t' D_R(t,t') - F^{s+}_t D_R(t',t)]
+    With N_0 = N_s + s Z[D_R] (`reorder` to s = 0) and D_A = D_R^T:
+    K_F = N_0 + (i hbar c / 2)(D_R + D_A)
+    K_W = N_0 + (i hbar c / 2)(D_R - D_A)
     K_rev = K_F*
     """
-    i_hc = 1j * rot.hbar_c
-    t1 = project_kernel_axis(rot.D_R, 1, "-", rot.p).values   # F^{s-} on t'
-    t2 = project_kernel_axis(rot.D_R, 1, "+", rot.p).values   # F^{s+} on t'
-    # Projection on the first argument of the transposed kernel equals the
-    # transpose of the same-sign projection on the second argument.
-    k_f = rot.N_s.values + i_hc * (t1 + t1.T)
-    k_w = rot.N_s.values + i_hc * (t1 - t2.T)
+    half_d_r = 0.5j * rot.hbar_c * rot.D_R.values
+    shared = reorder(rot, 0.0).N_s.values + half_d_r  # N_0 + (i hbar c / 2) D_R
+    k_f = shared + half_d_r.T
+    k_w = shared - half_d_r.T
     g = rot.grid
     return CumulantSet(
         mean=rot.mean,
@@ -209,13 +215,12 @@ def unrotate(rot: RotatedCumulants) -> CumulantSet:
 def reorder_gap_kernel(D_R: TwoPointKernel, hbar_c: float = 1.0) -> TwoPointKernel:
     """Response-derived gap kernel Z(t,t') connecting noises at different s.
 
-    Z = (i hbar c / 2) [F^-_t' D_R(t,t') + F^-_t D_R(t',t)
-                        - F^+_t' D_R(t,t') - F^+_t D_R(t',t)]
+    Z = i hbar c (C + C^T) with C = F^-_t' D_R(t,t') - (1/2) D_R(t,t').  The
+    noise is real at every s, so only Re Z = -hbar c Im(C + C^T) is kept; for
+    a Hermitian field (real D_R) Im Z is rounding.
     """
-    bm = project_kernel_axis(D_R, 1, "-").values
-    bp = project_kernel_axis(D_R, 1, "+").values
-    z = 0.5j * hbar_c * (bm + bm.T - bp - bp.T)
-    return TwoPointKernel(D_R.grid, z)
+    im_c = project_kernel_axis(D_R, 1, "-").values.imag - 0.5 * D_R.values.imag
+    return TwoPointKernel(D_R.grid, -hbar_c * (im_c + im_c.T))
 
 
 def reorder(rot: RotatedCumulants, s_new: float) -> RotatedCumulants:

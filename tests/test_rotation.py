@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from keldrot.grids import OrderingParam, Signal, TimeGrid, TwoPointKernel
+from keldrot.grids import OrderingParam, Signal, TimeGrid, TwoPointKernel, project_kernel_axis
 from keldrot.oscillator import (
     GaussianState,
     OscillatorSpec,
@@ -61,6 +61,25 @@ class TestRotate:
         ctl = synthetic_cumulants(GRID, rng)
         rot = rotate(ctl, OrderingParam(0.2))
         assert rot.retardation_residual() == 0.0
+
+    def test_retardation_circulant(self):
+        # the periodic thermal response is retarded on wrapped-positive lags,
+        # so it has entries above the diagonal
+        rot = rotate(ctl_cumulants(SPEC, GaussianState(nbar=0.6), GRID, periodic=True),
+                     OrderingParam(0.2))
+        assert np.abs(np.triu(rot.D_R.values, 1)).max() > 0.5
+        assert rot.retardation_residual() == 0.0
+
+    def test_retardation_residual_of_kernel_acausal_in_both(self):
+        rot = RotatedCumulants(mean=Signal.zero(GRID),
+                               D_R=TwoPointKernel(GRID, np.ones((GRID.n, GRID.n))),
+                               N_s=TwoPointKernel.zero(GRID), p=OrderingParam(0.0))
+        assert rot.retardation_residual() > 0.0
+        k = TwoPointKernel.zero(GRID)
+        acausal = CumulantSet(mean=Signal.zero(GRID), K_F=k, K_W=k,
+                              K_rev=k.with_values(1j * np.ones((GRID.n, GRID.n))))
+        with pytest.raises(ConsistencyError, match="not retarded"):
+            rotate(acausal, OrderingParam(0.0), check=False)
 
     def test_noise_hermitian_for_real_fields(self):
         rng = np.random.default_rng(2)
@@ -250,21 +269,100 @@ class TestLambda2:
         assert abs(chk["rhs"] - expect) < 1e-10 * max(abs(expect), 1.0)
 
 
+def four_projection_noise(ctl, p):
+    """The direct route: N_s = 2 Re[F^{s+}_t F^{s+}_t' K_F + F^{s-}_t F^{s+}_t' K_W]."""
+    kf = project_kernel_axis(project_kernel_axis(ctl.K_F, 1, "+", p), 0, "+", p)
+    kw = project_kernel_axis(project_kernel_axis(ctl.K_W, 1, "+", p), 0, "-", p)
+    return 2.0 * np.real(kf.values + kw.values)
+
+
+ORACLE_SETS = {
+    "squeezed synthetic": lambda: synthetic_cumulants(GRID, np.random.default_rng(14)),
+    "squeezed linear-time oscillator": lambda: ctl_cumulants(
+        SPEC, GaussianState(nbar=0.8, m=0.6 * np.exp(0.9j)), GRID),
+    "periodic thermal": lambda: ctl_cumulants(SPEC, GaussianState(nbar=1.3), GRID,
+                                              periodic=True),
+}
+
+
+class TestTwoRoute:
+    """The Weyl-image route of rotate/unrotate/reorder_gap_kernel against the
+    direct s-weighted projections."""
+
+    @pytest.mark.parametrize("name", ORACLE_SETS)
+    @pytest.mark.parametrize("s", [-1.0, -0.35, 0.0, 0.7, 1.0])
+    def test_rotate_matches_four_projection_formula(self, name, s):
+        ctl = ORACLE_SETS[name]()
+        p = OrderingParam(s)
+        scale = np.abs(ctl.K_F.values).max()
+        assert np.abs(rotate(ctl, p).N_s.values - four_projection_noise(ctl, p)).max() \
+            < 1e-10 * scale
+
+    @pytest.mark.parametrize("name", ORACLE_SETS)
+    @pytest.mark.parametrize("s", [-0.35, 0.7])
+    def test_unrotate_matches_two_projection_formula(self, name, s):
+        # K_F = N_s + i hbar c [F^{s-}_t' D_R(t,t') + F^{s-}_t D_R(t',t)]
+        # K_W = N_s + i hbar c [F^{s-}_t' D_R(t,t') - F^{s+}_t D_R(t',t)]
+        rot = rotate(ORACLE_SETS[name](), OrderingParam(s))
+        t1 = project_kernel_axis(rot.D_R, 1, "-", rot.p).values
+        t2 = project_kernel_axis(rot.D_R, 1, "+", rot.p).values
+        k_f = rot.N_s.values + 1j * rot.hbar_c * (t1 + t1.T)
+        k_w = rot.N_s.values + 1j * rot.hbar_c * (t1 - t2.T)
+        back = unrotate(rot)
+        scale = np.abs(k_f).max()
+        assert np.abs(back.K_F.values - k_f).max() < 1e-12 * scale
+        assert np.abs(back.K_rev.values - k_f.conj()).max() < 1e-12 * scale
+        assert np.abs(back.K_W.values - k_w).max() < 1e-12 * scale
+
+    @pytest.mark.parametrize("name", ORACLE_SETS)
+    def test_gap_matches_two_projection_formula(self, name):
+        # Z = (i hbar c / 2) [F^-_t' D_R + F^-_t D_R^T - F^+_t' D_R - F^+_t D_R^T]
+        d_r = rotate(ORACLE_SETS[name](), OrderingParam(0.0)).D_R
+        bm = project_kernel_axis(d_r, 1, "-").values
+        bp = project_kernel_axis(d_r, 1, "+").values
+        for hbar_c in (1.0, 0.3):
+            z = 0.5j * hbar_c * (bm + bm.T - bp - bp.T)
+            gap = reorder_gap_kernel(d_r, hbar_c).values
+            assert np.abs(gap - z).max() < 1e-12 * np.abs(z).max()
+
+
 def test_induced_sign_fault_breaks_round_trip(monkeypatch):
-    """Mutation check: flipping the Wightman term in the noise formula must
-    fail the acceptance round-trip criterion."""
+    """Mutation check: flipping the sign of the reordering gap must fail
+    acceptance criterion 04.  rotate and unrotate would both use the flipped
+    gap, so the round trip alone cannot see it; the four-projection formula
+    does."""
     from keldrot.acceptance import criterion_rotation_roundtrip
-    from keldrot.grids import project_kernel_axis
 
-    def broken_noise(ctl, p):
-        kf = project_kernel_axis(project_kernel_axis(ctl.K_F, 1, "+", p), 0, "+", p)
-        kw = project_kernel_axis(project_kernel_axis(ctl.K_W, 1, "+", p), 0, "-", p)
-        return TwoPointKernel(ctl.grid, 2.0 * np.real(kf.values - kw.values))
+    gap = rotation.reorder_gap_kernel
 
-    monkeypatch.setattr(rotation, "_time_s_noise", broken_noise)
-    rng = np.random.default_rng(13)
-    ctl = synthetic_cumulants(GRID, rng)
+    def flipped_gap(D_R, hbar_c=1.0):
+        z = gap(D_R, hbar_c)
+        return z.with_values(-z.values)
+
+    monkeypatch.setattr(rotation, "reorder_gap_kernel", flipped_gap)
+    ctl = synthetic_cumulants(GRID, np.random.default_rng(13))
     back = unrotate(rotate(ctl, OrderingParam(0.3)))
     scale = np.abs(ctl.K_F.values).max()
-    assert np.abs(back.K_F.values - ctl.K_F.values).max() > 1e-3 * scale
-    assert not criterion_rotation_roundtrip().passed
+    assert np.abs(back.K_F.values - ctl.K_F.values).max() < 1e-8 * scale
+    result = criterion_rotation_roundtrip()
+    assert not result.passed
+    assert result.details["four_projection"] > 1e-3
+
+
+def test_corrupted_weyl_image_fails_criterion(monkeypatch):
+    """Mutation check: flipping the Wightman term of the Weyl image must fail
+    acceptance criterion 04."""
+    from keldrot.acceptance import criterion_rotation_roundtrip
+
+    weyl = rotation._weyl_image
+
+    def corrupted(ctl):
+        rot = weyl(ctl)
+        rot.N_s = rot.N_s.with_values(0.5 * np.real(ctl.K_F.values - ctl.K_W.values))
+        return rot
+
+    monkeypatch.setattr(rotation, "_weyl_image", corrupted)
+    result = criterion_rotation_roundtrip()
+    assert not result.passed
+    assert result.details["roundtrip"] > 1e-3
+    assert result.details["four_projection"] > 1e-3
