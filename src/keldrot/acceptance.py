@@ -378,9 +378,7 @@ def criterion_mc_correspondence(seed: int = 20240) -> CriterionResult:
     quasi_pull = float(max(pulls[ij] for ij in picks))
 
     res = medium.wyld_mc(spec, grid, 10 ** 6, seed + 1, white_noise_std=0.4)
-    t = grid.times
-    dr = TwoPointKernel(grid, np.tril(
-        oscillator.retarded_response(spec, t[:, None] - t[None, :])))
+    dr = TwoPointKernel(grid, oscillator.retarded_response_grid(spec, grid))
     pi_n = TwoPointKernel(grid, (0.4 ** 2 / grid.dt) * np.eye(grid.n))
     target_cov = medium.noise_map(dr, pi_n).values.real
     pulls2 = np.abs(res["cov"] - target_cov) / np.maximum(res["cov_stderr"], 1e-300)

@@ -15,7 +15,6 @@ import argparse
 import functools
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,8 +23,6 @@ import numpy as np
 from . import __version__, diracsea, medium, oscillator, pvreg, rotation
 from . import serialization as ser
 from .grids import OrderingParam, Signal, TimeGrid, TwoPointKernel, project_pm, project_s
-
-PRECISION_ENV = "KELDROT_PRECISION"
 
 
 class ConfigError(ValueError):
@@ -105,7 +102,7 @@ def _precision_bits(config: dict) -> tuple[int, int]:
     """(working bits, cap); requesting double means genuinely double, so the
     ill-conditioned solves fail their residual gate instead of silently
     upgrading."""
-    choice = config.get("precision") or os.environ.get(PRECISION_ENV, "extended")
+    choice = config.get("precision") or "extended"
     if choice == "double":
         return 53, 53
     if choice == "extended":

@@ -284,14 +284,18 @@ def pair_form(f: Signal, K: TwoPointKernel, g: Signal) -> complex:
 def theta_ordering_matrix(grid: TimeGrid, periodic: bool = False) -> np.ndarray:
     """theta(t_i - t_j) with the value 1/2 at t_i = t_j.
 
-    With periodic=True the lag is wrapped to [-T/2, T/2), so the matrix is
+    This is the package's one time order: the theta split of K_F, the causal
+    support of a response kernel (its acausal entries are theta == 0) and the
+    sampled oscillator response all derive from it.  With periodic=True the lag is wrapped to [-T/2, T/2), so the matrix is
     circulant ("later on the circle"); the wrap boundary lag -T/2 gets
     weight 1/2 as well.  Circulant ordering is what makes the stationary
     spectral identities exact on the grid.
     """
     n = grid.n
     if not periodic:
-        return np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n)
+        th = np.tri(n, k=-1)
+        np.fill_diagonal(th, 0.5)
+        return th
     prof = heaviside(grid.lags)
     if n % 2 == 0:
         prof[n // 2] = 0.5

@@ -17,7 +17,8 @@ import numpy as np
 
 from .diracsea import DiracSeaSpec, F_threshold, R_obs, R_obs_finite_eps
 from .grids import Signal, TimeGrid, TwoPointKernel, sign_weights
-from .oscillator import OscillatorSpec, retarded_response
+from .oscillator import OscillatorSpec, retarded_response_grid
+from .rotation import _acausal_part
 
 __all__ = [
     "SpectralDensity",
@@ -93,17 +94,11 @@ def _real_if_exact(*arrays):
     return tuple(np.ascontiguousarray(np.real(x)) for x in arrays)
 
 
-def _check_retarded(K: TwoPointKernel, name: str):
-    vals = K.values
-    scale = max(np.abs(vals).max(), 1e-300)
-    if np.abs(np.triu(vals, 1)).max() > 1e-10 * scale:
-        raise ValueError(f"{name} kernel is not retarded (upper triangle non-zero)")
-
-
 def dress_retarded_grid(D_bare: TwoPointKernel, pi_R: TwoPointKernel) -> TwoPointKernel:
     """Solve the Dyson equation D = D0 + D0 * Pi_R * D on the time grid.
 
-    Both kernels must be retarded on a common grid; the composition is the
+    Both kernels must be retarded in linear time (a kernel retarded only on
+    the circle is rejected) on a common grid; the composition is the
     grid quadrature (dt per integral), and the causal Volterra structure
     makes the solve a forward triangular substitution.  The result is
     retarded by construction.
@@ -112,8 +107,9 @@ def dress_retarded_grid(D_bare: TwoPointKernel, pi_R: TwoPointKernel) -> TwoPoin
 
     if D_bare.grid != pi_R.grid:
         raise ValueError("kernels must share a grid")
-    _check_retarded(D_bare, "bare propagator")
-    _check_retarded(pi_R, "susceptibility")
+    for name, K in (("bare propagator", D_bare), ("susceptibility", pi_R)):
+        if _acausal_part(K.values, K.grid, periodic=(False,))[0] is None:
+            raise ValueError(f"{name} kernel is not retarded in linear time")
     d0, pi_r = _real_if_exact(D_bare.values, pi_R.values)
     g = D_bare.grid.dt ** 2 * (d0 @ pi_r)  # lower triangular
     dressed = solve_triangular(np.eye(D_bare.grid.n) - g, d0, lower=True)
@@ -124,16 +120,14 @@ def one_mode_toy(grid: TimeGrid, omega0: float, gamma: float):
     """The one-mode Dyson toy and its closed form.
 
     Returns (D0, Pi_R, closed, w'): the bare retarded oscillator kernel
-    D0 = tril(D_R) at omega0, the delta susceptibility Pi_R = (gamma/dt) I,
-    and the dressed kernel's pole-shift closed form
-    closed = tril((omega0/w') D_R at w'), with w'^2 = omega0^2 + gamma omega0.
+    D0 = D_R at omega0 in linear time, the delta susceptibility
+    Pi_R = (gamma/dt) I, and the dressed kernel's pole-shift closed form
+    closed = (omega0/w') D_R at w', with w'^2 = omega0^2 + gamma omega0.
     """
-    t = grid.times
-    tau = t[:, None] - t[None, :]
-    d_bare = TwoPointKernel(grid, np.tril(retarded_response(OscillatorSpec(omega0=omega0), tau)))
+    d_bare = TwoPointKernel(grid, retarded_response_grid(OscillatorSpec(omega0=omega0), grid))
     pi_r = TwoPointKernel(grid, (gamma / grid.dt) * np.eye(grid.n))
     w_shift = np.sqrt(omega0 ** 2 + gamma * omega0)
-    closed = np.tril((omega0 / w_shift) * retarded_response(OscillatorSpec(omega0=w_shift), tau))
+    closed = (omega0 / w_shift) * retarded_response_grid(OscillatorSpec(omega0=w_shift), grid)
     return d_bare, pi_r, closed, w_shift
 
 
@@ -296,7 +290,7 @@ def wyld_mc(spec: OscillatorSpec, grid: TimeGrid, n_samples: int, seed: int,
     rng = np.random.Generator(np.random.Philox(seed))
     t = grid.times
     n = grid.n
-    dr = retarded_response(spec, t[:, None] - t[None, :])
+    dr = retarded_response_grid(spec, grid)
     if J_e is not None:
         if J_e.grid != grid:
             raise ValueError("source grid mismatch")

@@ -15,7 +15,6 @@ from .grids import (
     OrderingParam,
     Signal,
     TimeGrid,
-    TwoPointKernel,
     heaviside,
     project_pm,
     reflect,
@@ -29,6 +28,7 @@ __all__ = [
     "UnsampleableStateError",
     "retarded_response",
     "retarded_response_freq",
+    "retarded_response_grid",
     "s_ordered_kernel",
     "wightman_kernel",
     "ctl_cumulants",
@@ -84,6 +84,20 @@ def retarded_response(spec: OscillatorSpec, tau):
     return out if out.ndim else float(out)
 
 
+def retarded_response_grid(spec: OscillatorSpec, grid: TimeGrid,
+                           periodic: bool = False) -> np.ndarray:
+    """D_R sampled on the grid: -theta(t - t') sin(omega0 (t - t')) with the
+    grid's time order `theta_ordering_matrix`, in linear time or, with
+    periodic=True, on the circle (wrapped lags, a circulant kernel)."""
+    if periodic:
+        i = np.arange(grid.n)
+        tau = grid.lags[(i[:, None] - i[None, :]) % grid.n]
+    else:
+        t = grid.times
+        tau = t[:, None] - t[None, :]
+    return -theta_ordering_matrix(grid, periodic) * np.sin(spec.omega0 * tau)
+
+
 def retarded_response_freq(spec: OscillatorSpec, omega, eps: float = 0.0):
     """Frequency-domain response (1/2)[1/(w-w0+ie) - 1/(w+w0+ie)]."""
     w = np.asarray(omega, dtype=complex)
@@ -136,15 +150,7 @@ def ctl_cumulants(spec: OscillatorSpec, state: GaussianState, grid: TimeGrid,
     """
     t = grid.times
     k_w = wightman_kernel(spec, state, t[:, None], t[None, :])
-    th = theta_ordering_matrix(grid, periodic=periodic)
-    k_f = th * k_w + th.T * k_w.T
-    return CumulantSet(
-        mean=Signal.zero(grid),
-        K_F=TwoPointKernel(grid, k_f),
-        K_rev=TwoPointKernel(grid, k_f.conj()),
-        K_W=TwoPointKernel(grid, k_w),
-        hbar_c=spec.hbar,
-    )
+    return CumulantSet.from_wightman(Signal.zero(grid), k_w, periodic, spec.hbar)
 
 
 def reorder_gap(spec: OscillatorSpec, tau):
@@ -169,10 +175,12 @@ def reorder_gap_from_response(spec: OscillatorSpec, grid: TimeGrid) -> Signal:
 
 
 def recover_retarded_from_gap(Z: Signal, hbar: float = 1.0) -> Signal:
-    """D_R(tau) = (2 / i hbar) theta(tau) [Z^+(tau) - Z^-(tau)]."""
+    """D_R(tau) = (2 / i hbar) theta(tau) [Z^+(tau) - Z^-(tau)], with theta
+    on the circle (the first column of the periodic `theta_ordering_matrix`)."""
     zp = project_pm(Z, "+")
     zm = project_pm(Z, "-")
-    vals = (2.0 / (1j * hbar)) * heaviside(Z.grid.lags) * (zp.values - zm.values)
+    theta = theta_ordering_matrix(Z.grid, periodic=True)[:, 0]
+    vals = (2.0 / (1j * hbar)) * theta * (zp.values - zm.values)
     return Signal(Z.grid, vals)
 
 
@@ -197,11 +205,7 @@ def rotated_lambda_form(spec: OscillatorSpec, state: GaussianState, p: OrderingP
     """
     g = eta.grid
     t = g.times
-    if periodic:
-        d_r = TwoPointKernel.from_stationary(
-            g, lambda tau: retarded_response(spec, tau)).values
-    else:
-        d_r = retarded_response(spec, t[:, None] - t[None, :])
+    d_r = retarded_response_grid(spec, g, periodic)
     k_s = s_ordered_kernel(spec, state, p, t[:, None], t[None, :])
     dt = g.dt
     term_r = -1j * dt ** 2 * (eta.values @ d_r @ j_s.values)

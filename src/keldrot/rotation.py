@@ -74,6 +74,20 @@ class CumulantSet:
             if K.grid != g:
                 raise ValueError("cumulant kernels must share the mean's grid")
 
+    @classmethod
+    def from_wightman(cls, mean: Signal, k_w: np.ndarray, periodic: bool = False,
+                      hbar_c: float = 1.0) -> "CumulantSet":
+        """The set of a Hermitian field with Wightman kernel k_w: K_F is the
+        theta split by `theta_ordering_matrix` (on the circle when periodic),
+        K_W where theta = 1, K_W^T where 0, their mean where 1/2; K_rev = K_F*."""
+        g = mean.grid
+        th = theta_ordering_matrix(g, periodic)
+        k_f = np.where(th == 1.0, k_w, k_w.T)
+        tie = th == 0.5
+        k_f[tie] = 0.5 * (k_w[tie] + k_w.T[tie])
+        return cls(mean, TwoPointKernel(g, k_f), TwoPointKernel(g, k_f.conj()),
+                   TwoPointKernel(g, k_w), hbar_c)
+
     @property
     def grid(self) -> TimeGrid:
         return self.mean.grid
@@ -86,23 +100,25 @@ class CumulantSet:
             1e-300,
         )
 
-    def consistency_residual(self) -> float:
-        """Relative residual of K_W + K_W^T - K_F - K_rev = 0."""
+    def consistency_residual(self, scale: float | None = None) -> float:
+        """Residual of K_W + K_W^T - K_F - K_rev = 0 relative to `scale`
+        (default: the largest |entry| of the triple)."""
         r = self.K_W.values + self.K_W.values.T - self.K_F.values - self.K_rev.values
-        return float(np.abs(r).max() / self._scale())
+        return float(np.abs(r).max() / (scale or self._scale()))
 
-    def reversal_residual(self) -> float:
-        """Relative residual of the Hermitian-field relation K_rev = K_F*."""
+    def reversal_residual(self, scale: float | None = None) -> float:
+        """Residual of the Hermitian-field relation K_rev = K_F*, relative as above."""
         r = self.K_rev.values - self.K_F.values.conj()
-        return float(np.abs(r).max() / self._scale())
+        return float(np.abs(r).max() / (scale or self._scale()))
 
     def validate(self, tol: float = 1e-8):
-        res = self.consistency_residual()
+        scale = self._scale()
+        res = self.consistency_residual(scale)
         if res > tol:
             raise ConsistencyError(
                 f"cumulant set violates the CTL consistency identity: residual {res:.3e} > {tol:.1e}"
             )
-        rev = self.reversal_residual()
+        rev = self.reversal_residual(scale)
         if rev > tol:
             raise ConsistencyError(
                 f"K_rev != K_F* (non-Hermitian field data not supported): residual {rev:.3e}"
@@ -135,22 +151,18 @@ class RotatedCumulants:
         return float(np.abs(r).max() / scale)
 
 
-def _acausal_masks(grid: TimeGrid):
-    """Masks of the acausal entries in linear time, then on the circle."""
-    i = np.arange(grid.n)
-    yield i[:, None] < i[None, :]
-    yield grid.lags[(i[:, None] - i[None, :]) % grid.n] < 0
-
-
-def _acausal_part(values: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray | None, float]:
-    """Acausal mask and largest acausal |entry| of a response kernel in the
-    first time representation where that part is noise (<= 1e-10 of the
-    largest entry): linear time, then circulant (retarded on wrapped-positive
-    lags).  If neither, the mask is None and the size the smaller part."""
+def _acausal_part(values: np.ndarray, grid: TimeGrid,
+                  periodic=(False, True)) -> tuple[np.ndarray | None, float]:
+    """Acausal mask (theta == 0 in `theta_ordering_matrix`) and largest
+    acausal |entry| of a response kernel in the first time representation of
+    `periodic` where that part is noise (<= 1e-10 of the largest entry): by
+    default linear time, then the circle.  If none, the mask is None and the
+    size the smallest part."""
     noise = 1e-10 * max(np.abs(values).max(), 1e-300)
     sizes = []
-    for mask in _acausal_masks(grid):
-        size = float(np.abs(values[mask]).max())
+    for circle in periodic:
+        mask = theta_ordering_matrix(grid, circle) == 0.0
+        size = float(np.abs(values[mask]).max(initial=0.0))
         if size <= noise:
             return mask, size
         sizes.append(size)
@@ -226,15 +238,11 @@ def reorder_gap_kernel(D_R: TwoPointKernel, hbar_c: float = 1.0) -> TwoPointKern
 def reorder(rot: RotatedCumulants, s_new: float) -> RotatedCumulants:
     """Map the noise kernel to a new ordering: N_s' = N_s + (s - s') Z."""
     p_new = OrderingParam(s_new)  # validates |s_new| <= 1
-    gap = reorder_gap_kernel(rot.D_R, rot.hbar_c)
-    n_new = rot.N_s.values + (rot.p.s - s_new) * gap.values
-    return RotatedCumulants(
-        mean=rot.mean,
-        D_R=rot.D_R,
-        N_s=TwoPointKernel(rot.grid, n_new),
-        p=p_new,
-        hbar_c=rot.hbar_c,
-    )
+    n_new = rot.N_s
+    if s_new != rot.p.s:
+        gap = reorder_gap_kernel(rot.D_R, rot.hbar_c)
+        n_new = TwoPointKernel(rot.grid, rot.N_s.values + (rot.p.s - s_new) * gap.values)
+    return RotatedCumulants(rot.mean, rot.D_R, n_new, p_new, rot.hbar_c)
 
 
 def rotation_substitution(eta: Signal, j_s: Signal, p: OrderingParam,
@@ -340,8 +348,6 @@ def synthetic_cumulants(grid: TimeGrid, rng: np.random.Generator, n_modes: int =
             m = mmax * rng.uniform(0.0, 1.0) * np.exp(2j * np.pi * rng.uniform())
             # m e^{-i w (t+t')} + m* e^{i w (t+t')}
             k_w += hbar_c * (m * np.outer(a, a)).real
-    th = theta_ordering_matrix(grid)
-    k_f = th * k_w + th.T * k_w.T
     mean = Signal.zero(grid)
     if with_mean:
         mean_vals = np.zeros(n)
@@ -349,10 +355,4 @@ def synthetic_cumulants(grid: TimeGrid, rng: np.random.Generator, n_modes: int =
             om = grid.resonant_frequency(int(k))
             mean_vals += rng.normal() * np.cos(om * t) + rng.normal() * np.sin(om * t)
         mean = Signal(grid, mean_vals)
-    return CumulantSet(
-        mean=mean,
-        K_F=TwoPointKernel(grid, k_f),
-        K_rev=TwoPointKernel(grid, k_f.conj()),
-        K_W=TwoPointKernel(grid, k_w),
-        hbar_c=hbar_c,
-    )
+    return CumulantSet.from_wightman(mean, k_w, hbar_c=hbar_c)

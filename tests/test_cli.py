@@ -279,11 +279,9 @@ class TestConfigHandling:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "computation"
 
-    def test_double_precision_backend_fails_honestly(self, outdir, capsys,
-                                                     monkeypatch):
-        monkeypatch.setenv("KELDROT_PRECISION", "double")
+    def test_double_precision_backend_fails_honestly(self, outdir, capsys):
         code = run(["pv-solve", "--M", 0, "--mu0", 1, "--geometric", 1e3,
-                    "--impose-b0", "--out", outdir / "x"])
+                    "--impose-b0", "--precision", "double", "--out", outdir / "x"])
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert "residuals" in err["detail"] or "singular" in err["detail"]

@@ -181,6 +181,18 @@ class TestOrderingMatrix:
                                th[shift, 0] * np.ones(8 - shift))
         assert th[0, 0] == 0.5 and th[1, 0] == 1.0 and th[0, 1] == 0.0
 
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_linear_theta_is_strict_lower_plus_half_diagonal(self, n):
+        th = theta_ordering_matrix(TimeGrid(n, 1.0))
+        expect = np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n)
+        assert th.dtype == expect.dtype and th.tobytes() == expect.tobytes()
+
+    def test_periodic_theta_halves_the_wrap_lag(self):
+        g = TimeGrid(8, 1.0)
+        th = theta_ordering_matrix(g, periodic=True)
+        assert g.lags[4] == -4.0 and th[4, 0] == 0.5 and th[0, 4] == 0.5
+        assert theta_ordering_matrix(TimeGrid(7, 1.0), periodic=True)[3, 0] == 1.0
+
     def test_theta_pair_resolves_identity(self):
         g = TimeGrid(8, 1.0)
         for periodic in (False, True):

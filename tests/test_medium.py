@@ -10,6 +10,7 @@ from keldrot.medium import (
     gauge_projector_diagnosis,
     mean_field,
     noise_map,
+    one_mode_toy,
     time_normal_vacuum_noise,
     wave_operator_residual,
     wyld_mc,
@@ -17,20 +18,22 @@ from keldrot.medium import (
     zero_point_smooth_finite_eps,
     zero_point_spectrum,
 )
-from keldrot.oscillator import GaussianState, OscillatorSpec, ctl_cumulants, retarded_response
-from keldrot.rotation import reorder, rotate
+from keldrot.oscillator import (
+    GaussianState,
+    OscillatorSpec,
+    ctl_cumulants,
+    retarded_response,
+    retarded_response_grid,
+)
+from keldrot.rotation import RotatedCumulants, reorder, rotate
 
 SEA = DiracSeaSpec(mu0=1.0)
 
 
 def toy_kernels(n=1024, total_time=24.0, omega0=1.0, gamma=0.25):
     grid = TimeGrid(n, total_time / n)
-    spec = OscillatorSpec(omega0=omega0)
-    t = grid.times
-    d_bare = TwoPointKernel(grid, np.tril(
-        retarded_response(spec, t[:, None] - t[None, :])))
-    pi_r = TwoPointKernel(grid, (gamma / grid.dt) * np.eye(grid.n))
-    return grid, spec, d_bare, pi_r, gamma
+    d_bare, pi_r, _, _ = one_mode_toy(grid, omega0, gamma)
+    return grid, OscillatorSpec(omega0=omega0), d_bare, pi_r, gamma
 
 
 class TestMomentumDressing:
@@ -84,10 +87,19 @@ class TestGridDressing:
         assert wave_operator_residual(dressed, pi_r, spec.omega0) < 1e-4
 
     def test_non_retarded_input_rejected(self):
-        grid, _, d_bare, _, _ = toy_kernels(n=64, total_time=6.0)
+        grid, spec, d_bare, _, _ = toy_kernels(n=64, total_time=6.0)
         sym = TwoPointKernel(grid, d_bare.values + d_bare.values.T)
-        with pytest.raises(ValueError, match="not retarded"):
-            dress_retarded_grid(sym, TwoPointKernel.zero(grid))
+        # retarded on the circle, which rotate accepts, but not in linear
+        # time, which the forward substitution needs
+        circ = TwoPointKernel(grid, retarded_response_grid(spec, grid, periodic=True))
+        rot = RotatedCumulants(Signal.zero(grid), circ, TwoPointKernel.zero(grid),
+                               OrderingParam(0.0))
+        assert rot.retardation_residual() == 0.0
+        for bad in (sym, circ):
+            with pytest.raises(ValueError, match="bare propagator kernel is not retarded"):
+                dress_retarded_grid(bad, TwoPointKernel.zero(grid))
+            with pytest.raises(ValueError, match="susceptibility kernel is not retarded"):
+                dress_retarded_grid(d_bare, bad)
 
     def test_result_is_retarded(self):
         grid, _, d_bare, pi_r, _ = toy_kernels(n=256, total_time=10.0)

@@ -15,12 +15,13 @@ from keldrot.oscillator import (
     reorder_gap_from_response,
     retarded_response,
     retarded_response_freq,
+    retarded_response_grid,
     rotated_lambda_form,
     s_ordered_kernel,
     sample_quasidistribution,
     wightman_kernel,
 )
-from keldrot.rotation import lambda2_form, rotation_substitution
+from keldrot.rotation import lambda2_form, rotate, rotation_substitution
 
 
 GRID = TimeGrid(256, 0.05)
@@ -39,6 +40,19 @@ class TestRetardedResponse:
     def test_static_limit_of_frequency_kernel(self):
         spec = OscillatorSpec(omega0=1.7)
         assert retarded_response_freq(spec, 0.0) == pytest.approx(-1.0 / 1.7)
+
+    def test_linear_grid_sampling_is_pointwise(self):
+        t = GRID.times
+        assert np.array_equal(retarded_response_grid(SPEC, GRID),
+                              retarded_response(SPEC, t[:, None] - t[None, :]))
+
+    def test_circular_grid_sampling_is_the_rotated_response(self):
+        # on the circle the wrap lag -T/2 is half causal, like K_F's theta split
+        d_r = retarded_response_grid(SPEC, GRID, periodic=True)
+        half = GRID.n // 2
+        assert d_r[half, 0] == -0.5 * np.sin(W0 * GRID.lags[half])
+        ctl = ctl_cumulants(SPEC, GaussianState(nbar=0.7), GRID, periodic=True)
+        assert np.abs(rotate(ctl, OrderingParam(0.0)).D_R.values - d_r).max() < 1e-12
 
 
 class TestSOrderedKernel:

@@ -182,6 +182,18 @@ class TestReorder:
         back = reorder(reorder(rot, 0.9), 0.1)
         assert np.abs(back.N_s.values - rot.N_s.values).max() < 1e-10
 
+    def test_unchanged_s_skips_the_gap(self, monkeypatch):
+        def no_gap(D_R, hbar_c=1.0):
+            raise AssertionError("gap projected for an unchanged ordering")
+
+        monkeypatch.setattr(rotation, "reorder_gap_kernel", no_gap)
+        ctl = synthetic_cumulants(GRID, np.random.default_rng(15))
+        rot = rotate(ctl, OrderingParam(0.0))
+        assert np.array_equal(rot.N_s.values, 0.5 * np.real(ctl.K_F.values + ctl.K_W.values))
+        back = unrotate(rot)
+        scale = np.abs(ctl.K_F.values).max()
+        assert np.abs(back.K_W.values - ctl.K_W.values).max() < 1e-8 * scale
+
     def test_out_of_range_rejected(self):
         rot = rotate(vacuum_ctl(), OrderingParam(0.0))
         with pytest.raises(ValueError):
@@ -282,6 +294,10 @@ ORACLE_SETS = {
         SPEC, GaussianState(nbar=0.8, m=0.6 * np.exp(0.9j)), GRID),
     "periodic thermal": lambda: ctl_cumulants(SPEC, GaussianState(nbar=1.3), GRID,
                                               periodic=True),
+    # omega0 = 1 is not a grid frequency, so the response at the wrap lag
+    # -T/2 is not rounding; theta gives it weight 1/2 there
+    "non-resonant periodic thermal": lambda: ctl_cumulants(
+        OscillatorSpec(omega0=1.0), GaussianState(nbar=0.6), GRID, periodic=True),
 }
 
 
