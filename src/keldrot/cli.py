@@ -237,8 +237,8 @@ def run_oscillator_mc(config: dict) -> tuple[dict, dict]:
     target = oscillator.s_ordered_kernel(
         spec, state, p, grid.times[:, None], grid.times[None, :]).real
     worst_pull = float(np.abs(est - target).max() / max(err.max(), 1e-300))
-    kernel_csv = ser.kernel_to_csv(TwoPointKernel(grid, est.astype(complex)))
-    err_csv = ser.kernel_to_csv(TwoPointKernel(grid, err.astype(complex)))
+    kernel_csv = ser.kernel_to_csv(TwoPointKernel(grid, est))
+    err_csv = ser.kernel_to_csv(TwoPointKernel(grid, err))
     summary = {"samples": int(config["samples"]), "max_stderr": float(err.max()),
                "worst_pull_vs_closed_form": worst_pull}
     return {".csv": kernel_csv, ".stderr.csv": err_csv,
@@ -378,8 +378,8 @@ def run_mc(config: dict) -> tuple[dict, dict]:
                          J_e=j_e,
                          white_noise_std=float(config.get("white_noise_std", 0.0)),
                          alpha_nbar=float(config.get("alpha_nbar", 0.0)))
-    mean_csv = ser.signal_to_csv(Signal(grid, res["mean"].astype(complex)))
-    cov_csv = ser.kernel_to_csv(TwoPointKernel(grid, res["cov"].astype(complex)))
+    mean_csv = ser.signal_to_csv(Signal(grid, res["mean"]))
+    cov_csv = ser.kernel_to_csv(TwoPointKernel(grid, res["cov"]))
     summary = {"samples": res["n_samples"],
                "max_mean_stderr": float(res["mean_stderr"].max()),
                "max_cov_stderr": float(res["cov_stderr"].max())}

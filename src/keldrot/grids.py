@@ -1,4 +1,4 @@
-"""Uniform time grids, complex signals and frequency-sign projections.
+"""Uniform time grids, real or complex signals and frequency-sign projections.
 
 A grid signal decomposes as f(t_j) = sum_k c_k exp(-i w_k t_j) with w_k on
 the discrete frequency grid (spacing 2*pi/(n*dt)); the exp(-i*w*t) basis is
@@ -113,15 +113,22 @@ class OrderingParam:
         return 0.5 * (1.0 - self.s)
 
 
+def _field_values(values) -> np.ndarray:
+    """float64 for real data, complex128 for complex data."""
+    values = np.asarray(values)
+    return values.astype(np.result_type(values, np.float64), copy=False)
+
+
 @dataclass
 class Signal:
-    """Complex samples f(t_j) on a TimeGrid."""
+    """Real or complex samples f(t_j) on a TimeGrid (float64 or complex128,
+    as the data is)."""
 
     grid: TimeGrid
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
+        self.values = _field_values(self.values)
         if self.values.shape != (self.grid.n,):
             raise ValueError(
                 f"signal length {self.values.shape} does not match grid n={self.grid.n}"
@@ -129,11 +136,11 @@ class Signal:
 
     @classmethod
     def from_function(cls, grid: TimeGrid, fn) -> "Signal":
-        return cls(grid, np.asarray(fn(grid.times), dtype=complex))
+        return cls(grid, fn(grid.times))
 
     @classmethod
     def zero(cls, grid: TimeGrid) -> "Signal":
-        return cls(grid, np.zeros(grid.n, dtype=complex))
+        return cls(grid, np.zeros(grid.n))
 
     def with_values(self, values) -> "Signal":
         return Signal(self.grid, values)
@@ -199,13 +206,14 @@ def reflect(f: Signal) -> Signal:
 
 @dataclass
 class TwoPointKernel:
-    """Complex kernel K(t, t') sampled on a common square grid."""
+    """Real or complex kernel K(t, t') sampled on a common square grid
+    (float64 or complex128, as the data is)."""
 
     grid: TimeGrid
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
+        self.values = _field_values(self.values)
         n = self.grid.n
         if self.values.shape != (n, n):
             raise ValueError(f"kernel shape {self.values.shape} does not match grid n={n}")
@@ -217,10 +225,7 @@ class TwoPointKernel:
         `lag_values` is either an array indexed like TimeGrid.lags or a
         callable evaluated on those lags.
         """
-        if callable(lag_values):
-            k = np.asarray(lag_values(grid.lags), dtype=complex)
-        else:
-            k = np.asarray(lag_values, dtype=complex)
+        k = np.asarray(lag_values(grid.lags) if callable(lag_values) else lag_values)
         if k.shape != (grid.n,):
             raise ValueError("stationary profile length must equal grid.n")
         i = np.arange(grid.n)
@@ -229,11 +234,11 @@ class TwoPointKernel:
     @classmethod
     def from_function(cls, grid: TimeGrid, fn) -> "TwoPointKernel":
         t = grid.times
-        return cls(grid, np.asarray(fn(t[:, None], t[None, :]), dtype=complex))
+        return cls(grid, fn(t[:, None], t[None, :]))
 
     @classmethod
     def zero(cls, grid: TimeGrid) -> "TwoPointKernel":
-        return cls(grid, np.zeros((grid.n, grid.n), dtype=complex))
+        return cls(grid, np.zeros((grid.n, grid.n)))
 
     def with_values(self, values) -> "TwoPointKernel":
         return TwoPointKernel(self.grid, values)

@@ -17,13 +17,12 @@ import numpy as np
 
 from .diracsea import DiracSeaSpec, F_threshold, R_obs, R_obs_finite_eps
 from .grids import Signal, TimeGrid, TwoPointKernel, sign_weights
-from .oscillator import OscillatorSpec, retarded_response_grid
+from .oscillator import OscillatorSpec, _infield_basis, retarded_response_grid
 from .rotation import _acausal_part
 
 __all__ = [
     "SpectralDensity",
     "dress_retarded_momentum",
-    "dress_retarded_momentum_finite_eps",
     "dress_retarded_grid",
     "one_mode_toy",
     "mean_field",
@@ -75,25 +74,6 @@ def dress_retarded_momentum(k_sq: float, spec: DiracSeaSpec, k0_sign: int = 1,
     return mu_vac / (k_sq * (1.0 + r))
 
 
-def dress_retarded_momentum_finite_eps(k0: float, kvec_sq: float, spec: DiracSeaSpec,
-                                       eps: float, mu_vac: float = 1.0) -> complex:
-    """Finite-epsilon route mu_vac / [(k^2 + i eps sign k0)(1 + R_obs(k))]."""
-    k_sq = k0 ** 2 - kvec_sq
-    sgn = int(np.sign(k0)) or 1
-    r = R_obs(k_sq, spec, k0_sign=sgn)
-    return mu_vac / ((k_sq + 1j * eps * sgn) * (1.0 + r))
-
-
-def _real_if_exact(*arrays):
-    """The arrays as contiguous real arrays when every imaginary part is
-    exactly zero, else unchanged: a product of real kernels then runs in
-    real arithmetic, a quarter of the complex flops, and equals the complex
-    product up to rounding."""
-    if any(np.iscomplexobj(x) and x.imag.any() for x in arrays):
-        return arrays
-    return tuple(np.ascontiguousarray(np.real(x)) for x in arrays)
-
-
 def dress_retarded_grid(D_bare: TwoPointKernel, pi_R: TwoPointKernel) -> TwoPointKernel:
     """Solve the Dyson equation D = D0 + D0 * Pi_R * D on the time grid.
 
@@ -110,8 +90,8 @@ def dress_retarded_grid(D_bare: TwoPointKernel, pi_R: TwoPointKernel) -> TwoPoin
     for name, K in (("bare propagator", D_bare), ("susceptibility", pi_R)):
         if _acausal_part(K.values, K.grid, periodic=(False,))[0] is None:
             raise ValueError(f"{name} kernel is not retarded in linear time")
-    d0, pi_r = _real_if_exact(D_bare.values, pi_R.values)
-    g = D_bare.grid.dt ** 2 * (d0 @ pi_r)  # lower triangular
+    d0 = D_bare.values
+    g = D_bare.grid.dt ** 2 * (d0 @ pi_R.values)  # lower triangular
     dressed = solve_triangular(np.eye(D_bare.grid.n) - g, d0, lower=True)
     return TwoPointKernel(D_bare.grid, np.tril(dressed))
 
@@ -135,7 +115,7 @@ def mean_field(dressed: TwoPointKernel, J_e: Signal, j_r_mean: Signal | None = N
     """Radiated mean field <A> = D_R * (J_e + <J_r>) by grid quadrature."""
     if J_e.grid != dressed.grid:
         raise ValueError("source grid mismatch")
-    src = J_e.values.copy()
+    src = J_e.values
     if j_r_mean is not None:
         if j_r_mean.grid != dressed.grid:
             raise ValueError("mean-current grid mismatch")
@@ -154,8 +134,8 @@ def noise_map(dressed: TwoPointKernel, pi_N: TwoPointKernel) -> TwoPointKernel:
     scale = max(np.abs(pi_N.values).max(), 1e-300)
     if np.abs(pi_N.values - pi_N.values.conj().T).max() > 1e-10 * scale:
         raise ValueError("noise kernel must be Hermitian-symmetric")
-    d_r, p_n = _real_if_exact(dressed.values, pi_N.values)
-    n = dressed.grid.dt ** 2 * (d_r @ p_n @ d_r.conj().T)
+    d_r = dressed.values
+    n = dressed.grid.dt ** 2 * (d_r @ pi_N.values @ d_r.conj().T)
     return TwoPointKernel(dressed.grid, n)
 
 
@@ -180,31 +160,21 @@ def zero_point_smooth(k_sq, spec: DiracSeaSpec, mu_vac: float = 1.0,
 
 def zero_point_smooth_finite_eps(k0: float, kvec_sq: float, spec: DiracSeaSpec,
                                  eps: float, mu_vac: float = 1.0,
-                                 hbar_c: float = 1.0,
-                                 eps_in: str = "dispersion") -> float:
+                                 hbar_c: float = 1.0) -> float:
     """Cross-check route (i hbar c / 2)[D_R(k) - D_R(-k)] sign k0 at finite eps.
 
     Reproduces the smooth part of the spectrum as eps -> 0 off the light
-    cone.  eps_in selects where the finite shift sits: "dispersion" smears
-    only the spectral integral (the k^2 pole factor is exactly real off the
-    cone, so this is the clean off-cone check); "propagator" also shifts
-    the 1/k^2 factor, which adds an O(eps / (k^2 Im R)) artifact that
-    vanishes linearly with eps.
+    cone.  The finite shift smears only the spectral integral; the k^2 pole
+    factor is exactly real off the cone, so this is the clean off-cone check.
     """
     k_sq = k0 ** 2 - kvec_sq
+    if k_sq == 0.0:
+        raise ValueError("on-cone values live in the delta ledger")
     sgn = int(np.sign(k0)) or 1
-    if eps_in == "dispersion":
-        if k_sq == 0.0:
-            raise ValueError("on-cone values live in the delta ledger")
-        r_p = R_obs_finite_eps(k_sq, spec, eps, k0_sign=sgn)
-        r_m = R_obs_finite_eps(k_sq, spec, eps, k0_sign=-sgn)
-        dp = mu_vac / (k_sq * (1.0 + r_p))
-        dm = mu_vac / (k_sq * (1.0 + r_m))
-    elif eps_in == "propagator":
-        dp = dress_retarded_momentum_finite_eps(k0, kvec_sq, spec, eps, mu_vac)
-        dm = dress_retarded_momentum_finite_eps(-k0, kvec_sq, spec, eps, mu_vac)
-    else:
-        raise ValueError("eps_in must be 'dispersion' or 'propagator'")
+    r_p = R_obs_finite_eps(k_sq, spec, eps, k0_sign=sgn)
+    r_m = R_obs_finite_eps(k_sq, spec, eps, k0_sign=-sgn)
+    dp = mu_vac / (k_sq * (1.0 + r_p))
+    dm = mu_vac / (k_sq * (1.0 + r_m))
     val = 0.5j * hbar_c * (dp - dm) * sgn
     return float(val.real)
 
@@ -257,9 +227,9 @@ def wave_operator_residual(dressed: TwoPointKernel, pi_R: TwoPointKernel,
     """
     g = dressed.grid
     dt = g.dt
-    vals, pi_r = _real_if_exact(dressed.values, pi_R.values)
+    vals = dressed.values
     d2 = (np.roll(vals, -1, axis=0) - 2.0 * vals + np.roll(vals, 1, axis=0)) / dt ** 2
-    lhs = -(d2 + omega0 ** 2 * vals) / omega0 - dt * (pi_r @ vals)
+    lhs = -(d2 + omega0 ** 2 * vals) / omega0 - dt * (pi_R.values @ vals)
     n = g.n
     i = np.arange(n)
     lag = i[:, None] - i[None, :]
@@ -288,16 +258,13 @@ def wyld_mc(spec: OscillatorSpec, grid: TimeGrid, n_samples: int, seed: int,
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     rng = np.random.Generator(np.random.Philox(seed))
-    t = grid.times
     n = grid.n
     dr = retarded_response_grid(spec, grid)
     if J_e is not None:
         if J_e.grid != grid:
             raise ValueError("source grid mismatch")
         base = grid.dt * (dr @ J_e.values.real)
-    # q_in = 2 sqrt(hbar/2) (Re alpha cos wt + Im alpha sin wt)
-    infield = 2.0 * np.sqrt(spec.hbar / 2.0) * np.array(
-        [np.cos(spec.omega0 * t), np.sin(spec.omega0 * t)])
+    infield = _infield_basis(spec, grid.times)  # q_in = (Re alpha, Im alpha) @ infield
     # dt (J_r @ dr^T) with J_r standard normals times white_noise_std / sqrt(dt)
     noise_response_t = (grid.dt * white_noise_std / np.sqrt(grid.dt)) * dr.T
     s1 = np.zeros(n)

@@ -144,9 +144,11 @@ def ctl_cumulants(spec: OscillatorSpec, state: GaussianState, grid: TimeGrid,
                   periodic: bool = False) -> CumulantSet:
     """Closed-time-loop triple of the oscillator on a grid (mean is zero).
 
-    periodic=True applies the time ordering on the circle (circulant
-    kernels); use it when checking stationary spectral identities, which
-    are exact only in that representation.
+    K_W is sampled at the linear lag t - t'; periodic=True takes only the
+    theta split on the circle.  The set is circulant only for a stationary
+    state (m = 0) at a resonant omega0, where wrapped and linear lags give
+    the same phases; use that case when checking stationary spectral
+    identities, which are exact only in that representation.
     """
     t = grid.times
     k_w = wightman_kernel(spec, state, t[:, None], t[None, :])
@@ -219,6 +221,13 @@ def classical_infield(alpha: complex, spec: OscillatorSpec, t):
     w = spec.omega0
     val = np.sqrt(spec.hbar / 2.0) * 2.0 * np.real(alpha * np.exp(-1j * w * t))
     return val if val.ndim else float(val)
+
+
+def _infield_basis(spec: OscillatorSpec, t: np.ndarray) -> np.ndarray:
+    """Rows 2 sqrt(hbar/2) (cos w0 t, sin w0 t): the in-field of amplitude
+    alpha = x + iy is (x, y) @ these rows."""
+    w = spec.omega0
+    return 2.0 * np.sqrt(spec.hbar / 2.0) * np.array([np.cos(w * t), np.sin(w * t)])
 
 
 def _quasidistribution_cov(state: GaussianState, p: OrderingParam) -> np.ndarray:
@@ -297,8 +306,7 @@ def mc_quasiaverage(spec: OscillatorSpec, state: GaussianState, p: OrderingParam
         z = np.column_stack((x * x, x * y, y * y))
         g4 += z.T @ z
         done += m
-    w = spec.omega0
-    b = 2.0 * np.sqrt(spec.hbar / 2.0) * np.array([np.cos(w * times), np.sin(w * times)])
+    b = _infield_basis(spec, times)
     c = np.array([b[0] * b[0], 2.0 * b[0] * b[1], b[1] * b[1]])
     mean = (b.T @ g2 @ b) / n_samples
     var = np.maximum((c.T @ g4 @ c) / n_samples - mean ** 2, 0.0)

@@ -59,17 +59,27 @@ def signal_to_csv(f: Signal) -> str:
     return "".join(lines)
 
 
+def _real_or_complex(re, im) -> np.ndarray:
+    """re + i im, or re alone when every imaginary entry is zero, so real
+    data read back stays real."""
+    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    if re.shape != im.shape:
+        raise ValueError(f"real and imaginary parts differ in shape: {re.shape} vs {im.shape}")
+    return re + 1j * im if im.any() else re
+
+
 def signal_from_csv(text: str) -> Signal:
     lines = text.splitlines()
     grid = _parse_grid_header(lines[1])
-    ts, vals = [], []
+    ts, re, im = [], [], []
     for line in lines[3:]:
         if not line.strip():
             continue
-        t, re, im = line.split(",")
+        t, r, i = line.split(",")
         ts.append(float(t))
-        vals.append(float(re) + 1j * float(im))
-    sig = Signal(grid, np.array(vals))
+        re.append(float(r))
+        im.append(float(i))
+    sig = Signal(grid, _real_or_complex(re, im))
     off = np.abs(np.array(ts) - grid.times).max(initial=0.0)
     if off > 1e-9 * grid.dt:
         raise ValueError(f"signal CSV t column is {off:.3g} off the header grid (dt={fmt(grid.dt)})")
@@ -89,15 +99,16 @@ def kernel_to_csv(K: TwoPointKernel) -> str:
 def kernel_from_csv(text: str) -> TwoPointKernel:
     lines = text.splitlines()
     grid = _parse_grid_header(lines[1])
-    vals = []
+    re, im = [], []
     for line in lines[3:]:
         if not line.strip():
             continue
-        _, _, re, im = line.split(",")
-        vals.append(float(re) + 1j * float(im))
-    if len(vals) != grid.n * grid.n:
-        raise ValueError(f"kernel CSV has {len(vals)} rows, grid n={grid.n} needs {grid.n ** 2}")
-    return TwoPointKernel(grid, np.array(vals).reshape(grid.n, grid.n))
+        _, _, r, i = line.split(",")
+        re.append(float(r))
+        im.append(float(i))
+    if len(re) != grid.n * grid.n:
+        raise ValueError(f"kernel CSV has {len(re)} rows, grid n={grid.n} needs {grid.n ** 2}")
+    return TwoPointKernel(grid, _real_or_complex(re, im).reshape(grid.n, grid.n))
 
 
 def _grid_obj(grid: TimeGrid) -> dict:
@@ -124,7 +135,7 @@ def _from_obj(obj: dict, cls):
     """Read a Signal or TwoPointKernel (`cls`), refusing the other kind."""
     if obj.get("kind") != _KINDS[cls]:
         raise ValueError(f"expected a {_KINDS[cls]} object, got kind {obj.get('kind')!r}")
-    return cls(_grid_from_obj(obj["grid"]), np.array(obj["re"]) + 1j * np.array(obj["im"]))
+    return cls(_grid_from_obj(obj["grid"]), _real_or_complex(obj["re"], obj["im"]))
 
 
 def signal_to_json(f: Signal) -> str:

@@ -212,3 +212,17 @@ def test_reflect_is_circular_reversal():
     r = reflect(f)
     assert r.values[0] == f.values[0]
     assert np.allclose(r.values[1:], f.values[1:][::-1])
+
+
+def test_dtype_follows_the_data():
+    g = TimeGrid(6, 0.5)
+    real = [Signal(g, np.arange(6)), Signal.from_function(g, np.cos), Signal.zero(g),
+            TwoPointKernel(g, np.eye(6, dtype=int)), TwoPointKernel.zero(g),
+            TwoPointKernel.from_function(g, lambda t, tp: t - tp),
+            TwoPointKernel.from_stationary(g, np.cos)]
+    assert all(x.values.dtype == np.float64 for x in real)
+    cplx = [Signal(g, np.ones(6, dtype=np.complex64)),
+            Signal.from_function(g, lambda t: np.exp(-1j * t)),
+            TwoPointKernel.from_function(g, lambda t, tp: np.exp(-1j * (t - tp))),
+            TwoPointKernel.from_stationary(g, np.zeros(6, dtype=complex))]
+    assert all(x.values.dtype == np.complex128 for x in cplx)

@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
 
-from keldrot.grids import OrderingParam, Signal, TimeGrid, TwoPointKernel, project_kernel_axis
+from keldrot.grids import (
+    OrderingParam,
+    Signal,
+    TimeGrid,
+    TwoPointKernel,
+    pair_form,
+    project_kernel_axis,
+)
 from keldrot.oscillator import (
     GaussianState,
     OscillatorSpec,
     ctl_cumulants,
     keldysh_contractions,
     retarded_response,
+    retarded_response_grid,
 )
 import keldrot.rotation as rotation
 from keldrot.rotation import (
@@ -194,6 +202,13 @@ class TestReorder:
         scale = np.abs(ctl.K_F.values).max()
         assert np.abs(back.K_W.values - ctl.K_W.values).max() < 1e-8 * scale
 
+    def test_real_data_stays_real(self):
+        ctl = synthetic_cumulants(GRID, np.random.default_rng(16))
+        for s in (0.0, 0.4):
+            assert rotate(ctl, OrderingParam(s)).N_s.values.dtype == np.float64
+        d_r = TwoPointKernel(GRID, retarded_response_grid(SPEC, GRID))
+        assert reorder_gap_kernel(d_r).values.dtype == np.float64
+
     def test_out_of_range_rejected(self):
         rot = rotate(vacuum_ctl(), OrderingParam(0.0))
         with pytest.raises(ValueError):
@@ -264,11 +279,16 @@ class TestLambda2:
             assert abs(chk["j_quadratic_term"]) < 1e-8 * max(abs(chk["lhs"]), 1.0)
 
     def test_zero_eta_with_zero_mean(self):
-        rng = np.random.default_rng(11)
-        ctl = synthetic_cumulants(GRID, rng, with_mean=False)
-        chk = lambda2_identity_check(ctl, OrderingParam(0.5), Signal.zero(GRID),
-                                     Signal(GRID, rng.normal(size=GRID.n)))
-        assert chk["lhs"] == 0 and chk["rhs"] == 0
+        for seed in (11, *range(100, 140)):
+            rng = np.random.default_rng(seed)
+            ctl = synthetic_cumulants(GRID, rng, with_mean=False)
+            j = Signal(GRID, rng.normal(size=GRID.n))
+            chk = lambda2_identity_check(ctl, OrderingParam(0.5), Signal.zero(GRID), j)
+            assert chk["rhs"] == 0
+            # lhs = j K_W j - j K_F j / 2 - j K_rev j / 2 cancels only up to rounding
+            size = (abs(pair_form(j, ctl.K_W, j)) + 0.5 * abs(pair_form(j, ctl.K_F, j))
+                    + 0.5 * abs(pair_form(j, ctl.K_rev, j)))
+            assert abs(chk["lhs"]) <= 16 * np.finfo(float).eps * size
 
     def test_weyl_zero_source_reduces_to_quadratic_noise_form(self):
         rng = np.random.default_rng(12)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,41 @@ class TestBundles:
     def test_kernel_read_as_signal_rejected(self, kernel):
         with pytest.raises(ValueError, match="signal.*'kernel'"):
             ser.signal_from_json(ser.kernel_to_json(kernel))
+
+
+class TestRealData:
+    """Real data is written with zero imaginary columns and read back real."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_real_signal_round_trip(self, grid, fmt):
+        sig = Signal(grid, np.random.default_rng(2).normal(size=grid.n))
+        write, read = getattr(ser, f"signal_to_{fmt}"), getattr(ser, f"signal_from_{fmt}")
+        back = read(write(sig))
+        assert back.values.dtype == np.float64
+        assert back.values.tobytes() == sig.values.tobytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_real_kernel_round_trip(self, grid, fmt):
+        K = TwoPointKernel(grid, np.random.default_rng(3).normal(size=(grid.n, grid.n)))
+        write, read = getattr(ser, f"kernel_to_{fmt}"), getattr(ser, f"kernel_from_{fmt}")
+        back = read(write(K))
+        assert back.values.dtype == np.float64
+        assert back.values.tobytes() == K.values.tobytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_imaginary_entry_reads_complex(self, grid, fmt):
+        vals = np.random.default_rng(4).normal(size=(grid.n, grid.n)).astype(complex)
+        vals[3, 5] += 1e-300j
+        write, read = getattr(ser, f"kernel_to_{fmt}"), getattr(ser, f"kernel_from_{fmt}")
+        back = read(write(TwoPointKernel(grid, vals)))
+        assert back.values.dtype == np.complex128
+        assert np.array_equal(back.values, vals)
+
+    def test_mismatched_parts_rejected(self, grid):
+        obj = json.loads(ser.signal_to_json(Signal(grid, np.zeros(grid.n))))
+        obj["im"].pop()
+        with pytest.raises(ValueError, match="differ in shape"):
+            ser.signal_from_json(json.dumps(obj))
 
 
 class TestDeterminism:
