@@ -34,7 +34,8 @@ def main():
     density = zero_point_spectrum(
         np.linspace(4.2 * args.mu0 ** 2, args.k2_max, args.n), spec)
     print(f"ordering s = {args.s}: spectrum scale factor 2 s_minus = {factor}")
-    print("delta ledger:", [(loc, factor * w) for loc, w in density.delta_terms])
+    ledger = [(loc, factor * w) for loc, w in density.delta_terms]
+    print("delta ledger:", ledger)
     print(f"{'k^2':>10s} {'smooth':>14s} {'eps=1e-3':>12s} {'eps=1e-4':>12s}")
     for k_sq, smooth in zip(density.k_sq, density.smooth):
         k0 = np.sqrt(k_sq + args.mu0 ** 2)
@@ -46,7 +47,7 @@ def main():
     below = zero_point_smooth(2.0 * args.mu0 ** 2, spec)
     print(f"\nbelow pair threshold (k^2 = 2 mu0^2): smooth part = {below}")
     if args.diagnose_gauge:
-        report = gauge_projector_diagnosis(spec)
+        report = gauge_projector_diagnosis(ledger[0][1])
         print("\ngauge diagnosis:", report["detail"])
 
 

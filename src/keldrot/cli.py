@@ -222,7 +222,7 @@ def run_oscillator_lambda_check(config: dict) -> tuple[dict, dict]:
         j_s = Signal(grid, rng.normal(size=grid.n))
         eta_p, eta_m = rotation.rotation_substitution(eta, j_s, p, spec.hbar)
         lhs = rotation.lambda2_form(ctl, eta_p, eta_m)
-        rhs = oscillator.rotated_lambda_form(spec, state, p, eta, j_s, periodic=True)
+        rhs = oscillator.rotated_lambda_form(spec, state, p, eta, j_s)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
     report = {"draws": draws, "max_relative_residual": worst, "s": p.s}
     return {".json": ser.dump_json(report)}, report
@@ -360,8 +360,9 @@ def run_zero_point(config: dict) -> tuple[dict, dict]:
     summary = {"points": len(k2), "delta_terms": len(deltas)}
     outputs = {".csv": csv, ".delta.json": ledger}
     if config.get("diagnose_gauge"):
-        outputs[".gauge.json"] = ser.dump_json(medium.gauge_projector_diagnosis(spec))
-        summary["gauge_consistent"] = False
+        report = medium.gauge_projector_diagnosis(deltas[0][1])
+        outputs[".gauge.json"] = ser.dump_json(report)
+        summary["gauge_consistent"] = report["consistent"]
     return outputs, summary
 
 

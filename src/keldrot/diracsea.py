@@ -76,7 +76,6 @@ class PolarizationTensorValue:
     k0: float
     kvec_sq: float
     scalar_part: complex
-    kind: str  # "R", "F" or "plus"
 
     @property
     def k_sq(self) -> float:
@@ -96,7 +95,6 @@ def F_threshold(y):
 
 def K_reg(k_sq, scheme: PVScheme):
     """Regularized commutator spectrum (1/6pi) sum_l (-1)^l d_l F(k^2/4 mu_l^2)."""
-    scheme.require_solved()
     k_sq = np.asarray(k_sq, dtype=float)
     out = np.zeros_like(k_sq)
     for l, (d_l, mu_l) in enumerate(zip(scheme.d, scheme.masses)):
@@ -109,9 +107,8 @@ def _k_reg_scalar(scheme: PVScheme):
     """K_reg as a closure over one float k^2, for quadrature integrands.
 
     Performs the IEEE operations of K_reg in the same order, so its values
-    are bit-identical, without K_reg's per-call array and solve-check cost.
+    are bit-identical, without K_reg's per-call array cost.
     """
-    scheme.require_solved()
     terms = [(float(((-1) ** l) * d_l), float(4.0 * mu_l ** 2))
              for l, (d_l, mu_l) in enumerate(zip(scheme.d, scheme.masses))]
     norm = 6.0 * np.pi
@@ -143,14 +140,14 @@ _SERIES = [math.factorial(n + 1) ** 2 / (n * math.factorial(2 * n + 3))
            for n in range(1, 41)]
 
 
-def _tail(a: float, big_y: float, order: int = 8) -> float:
-    """integral_Y^inf F(y)/(y(y-a)) dy via the 1/y expansion of F."""
-    cs = series_coeffs(order)
+def _tail(a: float, big_y: float) -> float:
+    """integral_Y^inf F(y)/(y(y-a)) dy via the 1/y expansion of F to order 8."""
+    cs = series_coeffs(8)
     total = 0.0
     for m, c in enumerate(cs):
         if c == 0.0:
             continue
-        for j in range(order - m + 1):
+        for j in range(8 - m + 1):
             p = m + j + 1
             total += c * a ** j / (p * big_y ** p)
     return total
@@ -226,7 +223,6 @@ def R_obs_finite_eps(k_sq: float, spec: DiracSeaSpec, eps: float,
 
 def R0_from_scheme(scheme: PVScheme, spec: DiracSeaSpec) -> float:
     """Divergent constant -(alpha/3pi) sum_{l>=1} (-1)^l d_l ln(mu_l^2/mu_0^2)."""
-    scheme.require_solved()
     mu0 = scheme.masses[0]
     total = 0.0
     for l in range(1, len(scheme.masses)):
@@ -234,19 +230,19 @@ def R0_from_scheme(scheme: PVScheme, spec: DiracSeaSpec) -> float:
     return -(spec.alpha / (3.0 * np.pi)) * total
 
 
-def R0_quadrature(scheme: PVScheme, spec: DiracSeaSpec,
-                  big_y: float = 1e10) -> float:
+def R0_quadrature(scheme: PVScheme, spec: DiracSeaSpec) -> float:
     """Direct quadrature of R_0 = 2 alpha integral dmu^2 K_reg(mu^2)/mu^2.
 
     Convergent only because the n = 0 moment condition cancels the
     constants of the individual log-divergent terms; integrated in the
-    log variable with breakpoints at each mass threshold.
+    log variable up to 1e10 times the lowest threshold, with breakpoints at
+    each mass threshold.
     """
     from scipy.integrate import quad
 
     k_reg = _k_reg_scalar(scheme)
     lo = 4.0 * scheme.masses[0] ** 2
-    hi = lo * big_y
+    hi = lo * 1e10
 
     def integrand(v):
         return k_reg(np.exp(v))
@@ -263,7 +259,7 @@ def Pi_R_reg(k0: float, kvec_sq: float, spec: DiracSeaSpec,
     k_sq = k0 ** 2 - kvec_sq
     r0 = 0.0 if renormalized else R0_from_scheme(_require(scheme), spec)
     val = r0 + R_obs(k_sq, spec, k0_sign=int(np.sign(k0)) or 1)
-    return PolarizationTensorValue(k0=k0, kvec_sq=kvec_sq, scalar_part=val, kind="R")
+    return PolarizationTensorValue(k0=k0, kvec_sq=kvec_sq, scalar_part=val)
 
 
 def Pi_F_reg(k0: float, kvec_sq: float, spec: DiracSeaSpec,
@@ -275,7 +271,7 @@ def Pi_F_reg(k0: float, kvec_sq: float, spec: DiracSeaSpec,
     k_sq = k0 ** 2 - kvec_sq
     r0 = 0.0 if renormalized else R0_from_scheme(_require(scheme), spec)
     val = r0 + R_obs(k_sq, spec, k0_sign=1)
-    return PolarizationTensorValue(k0=k0, kvec_sq=kvec_sq, scalar_part=val, kind="F")
+    return PolarizationTensorValue(k0=k0, kvec_sq=kvec_sq, scalar_part=val)
 
 
 def Pi_plus(k0: float, kvec_sq: float, spec: DiracSeaSpec,
@@ -287,7 +283,7 @@ def Pi_plus(k0: float, kvec_sq: float, spec: DiracSeaSpec,
     """
     pi_r = Pi_R_reg(k0, kvec_sq, spec, scheme, renormalized)
     val = 2j * heaviside(k0) * np.imag(pi_r.scalar_part)
-    return PolarizationTensorValue(k0=k0, kvec_sq=kvec_sq, scalar_part=val, kind="plus")
+    return PolarizationTensorValue(k0=k0, kvec_sq=kvec_sq, scalar_part=val)
 
 
 def pi_plus_closed_form(k0: float, kvec_sq: float, spec: DiracSeaSpec) -> complex:
@@ -299,7 +295,7 @@ def pi_plus_closed_form(k0: float, kvec_sq: float, spec: DiracSeaSpec) -> comple
 def _require(scheme: PVScheme | None) -> PVScheme:
     if scheme is None:
         raise ValueError("an unrenormalized evaluation needs a solved PV scheme")
-    return scheme.require_solved()
+    return scheme
 
 
 def kramers_kronig_real_part(k_sq: float, spec: DiracSeaSpec) -> float:
@@ -446,17 +442,15 @@ def _counted_integration_warnings():
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
 
 
-def tensor_expand(value: PolarizationTensorValue, mu_vac: float = 1.0,
-                  kvec_direction=(1.0, 0.0, 0.0)) -> np.ndarray:
-    """Full 4x4 tensor (k_nu k_nu' - k^2 g_nu nu') * scalar/(-mu_vac).
+def tensor_expand(value: PolarizationTensorValue) -> np.ndarray:
+    """Full 4x4 tensor (k_nu k_nu' - k^2 g_nu nu') * scalar/(-mu_vac), with
+    mu_vac = 1 and the spatial momentum along the first axis.
 
     Asserts structural 4-transversality: contraction with k^nu vanishes.
     """
-    e = np.asarray(kvec_direction, dtype=float)
-    e = e / np.linalg.norm(e)
-    k_lower = np.concatenate([[value.k0], -np.sqrt(value.kvec_sq) * e])
+    k_lower = np.array([value.k0, -np.sqrt(value.kvec_sq), 0.0, 0.0])
     tensor = (np.outer(k_lower, k_lower) - value.k_sq * MINKOWSKI_METRIC)
-    tensor = tensor * (value.scalar_part / (-mu_vac))
+    tensor = tensor * -value.scalar_part
     k_upper = MINKOWSKI_METRIC @ k_lower
     contraction = k_upper @ tensor
     scale = max(np.abs(tensor).max(), 1e-300)

@@ -105,16 +105,12 @@ def response_transform_check(k0_grid, kvec_sq: float, mu_sq: float, eps: float) 
 def photon_keldysh_pair(k0, kvec_sq, eps: float, mu_vac: float = 1.0) -> dict:
     """Photon D_F and D^(+) scalar coefficients in Feynman gauge.
 
-    The tensor kernels are -mu_vac g_{nu nu'} times these values; they are
-    assembled from the frequency-sign parts of the retarded kernel, and
-    coincide with the massless scalar family scaled by -mu_vac.
+    The tensor kernels are -mu_vac g_{nu nu'} times these values, which are
+    the massless scalar D_F and D^(+) scaled by -mu_vac; their assembly from
+    the retarded kernel is checked by `response_transform_check`.
     """
     ker = scalar_kernels(k0, kvec_sq, 0.0, eps)
-    ker_flip = scalar_kernels(-np.asarray(k0, dtype=float), kvec_sq, 0.0, eps)
-    k0 = np.asarray(k0, dtype=float)
-    d_f = heaviside(k0) * ker["D_R"] + heaviside(-k0) * ker_flip["D_R"]
-    d_plus = heaviside(k0) * (ker["D_R"] - ker["D_A"])
-    return {"D_F": -mu_vac * d_f, "D_plus": -mu_vac * d_plus}
+    return {"D_F": -mu_vac * ker["D_F"], "D_plus": -mu_vac * ker["D_plus"]}
 
 
 def retarded_time_profile(kvec_sq: float, mu_sq: float, eps: float,

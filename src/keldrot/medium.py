@@ -59,9 +59,9 @@ class SpectralDensity:
                 raise ValueError("delta weights must be real")
 
 
-def dress_retarded_momentum(k_sq: float, spec: DiracSeaSpec, k0_sign: int = 1,
-                            mu_vac: float = 1.0) -> complex:
-    """Dressed retarded propagator mu_vac / [k^2 (1 + R_obs(k))].
+def dress_retarded_momentum(k_sq: float, spec: DiracSeaSpec) -> complex:
+    """Dressed retarded propagator mu_vac / [k^2 (1 + R_obs(k))], with
+    mu_vac = 1 and k0 > 0.
 
     Exact-prescription evaluation off the light cone; the k^2 = 0 pole
     carries a delta term that lives in the spectral ledger of
@@ -70,8 +70,8 @@ def dress_retarded_momentum(k_sq: float, spec: DiracSeaSpec, k0_sign: int = 1,
     if k_sq == 0.0:
         raise ValueError("on the light cone the propagator is distributional; "
                          "use zero_point_spectrum's delta ledger")
-    r = R_obs(k_sq, spec, k0_sign=k0_sign)
-    return mu_vac / (k_sq * (1.0 + r))
+    r = R_obs(k_sq, spec)
+    return 1.0 / (k_sq * (1.0 + r))
 
 
 def dress_retarded_grid(D_bare: TwoPointKernel, pi_R: TwoPointKernel) -> TwoPointKernel:
@@ -111,16 +111,12 @@ def one_mode_toy(grid: TimeGrid, omega0: float, gamma: float):
     return d_bare, pi_r, closed, w_shift
 
 
-def mean_field(dressed: TwoPointKernel, J_e: Signal, j_r_mean: Signal | None = None) -> Signal:
-    """Radiated mean field <A> = D_R * (J_e + <J_r>) by grid quadrature."""
+def mean_field(dressed: TwoPointKernel, J_e: Signal) -> Signal:
+    """Radiated mean field <A> = D_R * J_e by grid quadrature; a medium with
+    a mean current <J_r> enters as the source J_e + <J_r>."""
     if J_e.grid != dressed.grid:
         raise ValueError("source grid mismatch")
-    src = J_e.values
-    if j_r_mean is not None:
-        if j_r_mean.grid != dressed.grid:
-            raise ValueError("mean-current grid mismatch")
-        src = src + j_r_mean.values
-    return Signal(dressed.grid, dressed.grid.dt * (dressed.values @ src))
+    return Signal(dressed.grid, dressed.grid.dt * (dressed.values @ J_e.values))
 
 
 def noise_map(dressed: TwoPointKernel, pi_N: TwoPointKernel) -> TwoPointKernel:
@@ -196,13 +192,13 @@ def zero_point_spectrum(k_sq_samples, spec: DiracSeaSpec, mu_vac: float = 1.0,
     )
 
 
-def time_normal_vacuum_noise(pi_F: Signal, pi_W: Signal, hbar_c: float = 1.0) -> Signal:
+def time_normal_vacuum_noise(pi_F: Signal, pi_W: Signal) -> Signal:
     """Time-normal noise of a stationary medium from its current kernels.
 
-    Pi_N(tau) = -2 hbar c Im[F+ F- pi_F + F- F- pi_W] with all projections
-    acting on the lag variable (the stationary reduction of the two-time
-    formula).  For translation-invariant vacuum inputs, whose Wightman
-    kernel is frequency-positive, the result is the zero signal.
+    Pi_N(tau) = -2 hbar c Im[F+ F- pi_F + F- F- pi_W], with hbar c = 1 and
+    all projections acting on the lag variable (the stationary reduction of
+    the two-time formula).  For translation-invariant vacuum inputs, whose
+    Wightman kernel is frequency-positive, the result is the zero signal.
     """
     if pi_F.grid != pi_W.grid:
         raise ValueError("stationary kernels must share a grid")
@@ -212,7 +208,7 @@ def time_normal_vacuum_noise(pi_F: Signal, pi_W: Signal, hbar_c: float = 1.0) ->
     c_f = np.fft.ifft(pi_F.values)
     c_w = np.fft.ifft(pi_W.values)
     combined = np.fft.fft(wp * wm * c_f + wm * wm * c_w)
-    return Signal(g, -2.0 * hbar_c * np.imag(combined))
+    return Signal(g, -2.0 * np.imag(combined))
 
 
 def wave_operator_residual(dressed: TwoPointKernel, pi_R: TwoPointKernel,
@@ -303,27 +299,34 @@ def wyld_mc(spec: OscillatorSpec, grid: TimeGrid, n_samples: int, seed: int,
     }
 
 
-def gauge_projector_diagnosis(spec: DiracSeaSpec, mu_vac: float = 1.0,
-                              hbar_c: float = 1.0) -> dict:
+def gauge_projector_diagnosis(delta_weight: float) -> dict:
     """Report the obstruction to a 4-transverse zero-point spectrum.
 
+    `delta_weight` is the weight of the light-cone delta term in the
+    zero-point ledger at the chosen ordering, 2 s_minus pi hbar c mu_vac.
     Replacing g_{nu nu'} by the transverse projector
-    g_{nu nu'} - k_nu k_nu' / k^2 multiplies the light-cone delta term by a
-    1/k^2 singularity evaluated at k^2 = 0: the coefficient of the
-    attempted delta(k^2)/k^2 term is reported instead of being silently
-    regularized, because no consistent assignment exists.
+    g_{nu nu'} - k_nu k_nu' / k^2 multiplies that term by a 1/k^2
+    singularity evaluated at k^2 = 0: the coefficient of the attempted
+    delta(k^2)/k^2 term is reported instead of being silently regularized,
+    because no consistent assignment exists unless it is zero.  The
+    time-normal ordering (s = 1) has no zero-point term, so nothing to
+    obstruct.
     """
-    weight = np.pi * hbar_c * mu_vac
+    consistent = delta_weight == 0.0
+    if consistent:
+        detail = ("the zero-point spectrum has no light-cone delta term at this "
+                  "ordering, so the k_nu k_nu'/k^2 part of the transverse "
+                  "projector meets nothing at k^2 = 0")
+    else:
+        detail = ("the light-cone delta term of the zero-point spectrum meets the "
+                  "k_nu k_nu'/k^2 part of the transverse projector at k^2 = 0; the "
+                  "product is mathematically meaningless, so the spectrum violates "
+                  "either the Lorentz condition (Feynman gauge) or well-definedness "
+                  "(transverse gauge)")
     return {
-        "feynman_gauge_delta_weight": weight,
+        "feynman_gauge_delta_weight": delta_weight,
         "transverse_projector_term": "delta(k^2)/k^2",
-        "divergent_coefficient": weight,
-        "consistent": False,
-        "detail": (
-            "the light-cone delta term of the zero-point spectrum meets the "
-            "k_nu k_nu'/k^2 part of the transverse projector at k^2 = 0; the "
-            "product is mathematically meaningless, so the spectrum violates "
-            "either the Lorentz condition (Feynman gauge) or well-definedness "
-            "(transverse gauge)"
-        ),
+        "divergent_coefficient": delta_weight,
+        "consistent": consistent,
+        "detail": detail,
     }

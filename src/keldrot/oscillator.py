@@ -98,11 +98,10 @@ def retarded_response_grid(spec: OscillatorSpec, grid: TimeGrid,
     return -theta_ordering_matrix(grid, periodic) * np.sin(spec.omega0 * tau)
 
 
-def retarded_response_freq(spec: OscillatorSpec, omega, eps: float = 0.0):
-    """Frequency-domain response (1/2)[1/(w-w0+ie) - 1/(w+w0+ie)]."""
+def retarded_response_freq(spec: OscillatorSpec, omega):
+    """Frequency-domain response (1/2)[1/(w-w0) - 1/(w+w0)]."""
     w = np.asarray(omega, dtype=complex)
-    shift = 1j * eps
-    out = 0.5 * (1.0 / (w - spec.omega0 + shift) - 1.0 / (w + spec.omega0 + shift))
+    out = 0.5 * (1.0 / (w - spec.omega0) - 1.0 / (w + spec.omega0))
     return out if out.ndim else complex(out)
 
 
@@ -199,15 +198,15 @@ def keldysh_contractions(spec: OscillatorSpec, t, tp) -> dict:
 
 
 def rotated_lambda_form(spec: OscillatorSpec, state: GaussianState, p: OrderingParam,
-                        eta: Signal, j_s: Signal, periodic: bool = False) -> complex:
+                        eta: Signal, j_s: Signal) -> complex:
     """Rotated form -i eta D_R j_s - (1/2) eta <O_s q q> eta, all analytic.
 
-    With periodic=True the response kernel is the circulant (wrapped-lag)
-    sampling, matching cumulant sets built with the periodic ordering.
+    The response kernel is the circulant (wrapped-lag) sampling, matching
+    cumulant sets built with the periodic ordering.
     """
     g = eta.grid
     t = g.times
-    d_r = retarded_response_grid(spec, g, periodic)
+    d_r = retarded_response_grid(spec, g, periodic=True)
     k_s = s_ordered_kernel(spec, state, p, t[:, None], t[None, :])
     dt = g.dt
     term_r = -1j * dt ** 2 * (eta.values @ d_r @ j_s.values)

@@ -26,12 +26,9 @@ import numpy as np
 
 __all__ = [
     "PVScheme",
-    "LinearSystem",
     "series_coeffs",
     "series_coeffs_fractions",
     "geometric_masses",
-    "build_system",
-    "solve_scheme",
     "solve_pv",
     "asymptotic_d",
     "check_moments",
@@ -40,6 +37,10 @@ __all__ = [
 ]
 
 DEFAULT_PRECISION_BITS = 256
+# largest relative row residual at which a solve is accepted
+RESIDUAL_TOL = 1e-10
+# |d_l| above which the scheme is reported as unreliable
+COEFFICIENT_BOUND = 10.0
 
 
 def series_coeffs_fractions(n_max: int) -> list[Fraction]:
@@ -71,21 +72,20 @@ def geometric_masses(mu0: float, ratio: float, count: int) -> list[float]:
 
 @dataclass
 class PVScheme:
-    """Solved (or unsolved) regularization scheme.
+    """Solved regularization scheme, built by `solve_pv` or `unregularized`.
 
-    masses holds mu_0..mu_N; d holds d_0..d_N with d_0 = 1.
+    masses holds mu_0..mu_N; d holds d_0..d_N with d_0 = 1, and d_mp the
+    same coefficients as extended-precision decimal strings, kept for exact
+    moment evaluation (the float d are rounded from them).
     """
 
     M: int
     masses: list[float]
-    d: list[float] | None = None
+    d: list[float]
+    d_mp: list[str] = field(repr=False)
     impose_B0: bool = False
-    solved: bool = False
     residuals: list[float] = field(default_factory=list)
     row_labels: list[str] = field(default_factory=list)
-    # extended-precision coefficients (decimal strings), kept for exact
-    # moment evaluation; the float d are rounded from these
-    d_mp: list[str] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         if self.M < 0:
@@ -93,25 +93,15 @@ class PVScheme:
         ms = list(self.masses)
         if any(b <= a for a, b in zip(ms, ms[1:])):
             raise ValueError("masses must be strictly increasing")
-        if self.d is not None and len(self.d) != len(ms):
+        if len(self.d) != len(ms) or len(self.d_mp) != len(ms):
             raise ValueError("coefficient count must match mass count")
-        if self.d is not None and self.d[0] != 1.0:
+        if self.d[0] != 1.0:
             raise ValueError("d_0 must equal 1")
-
-    @property
-    def n_aux(self) -> int:
-        return len(self.masses) - 1
-
-    def require_solved(self):
-        if not self.solved or self.d is None:
-            raise ValueError("scheme has not been solved")
-        return self
 
     @classmethod
     def unregularized(cls, mu0: float) -> "PVScheme":
         """Single-mass scheme (no auxiliary masses, d = [1])."""
-        out = cls(M=0, masses=[mu0], d=[1.0], impose_B0=False, solved=True)
-        return out
+        return cls(M=0, masses=[mu0], d=[1.0], d_mp=["1"])
 
 
 def _row_labels(M: int, impose_B0: bool) -> list[str]:
@@ -125,21 +115,31 @@ def _row_labels(M: int, impose_B0: bool) -> list[str]:
     return labels
 
 
-@dataclass
-class LinearSystem:
-    M: int
-    masses: list[float]
-    impose_B0: bool
-    labels: list[str]
-    matrix: "mp.matrix"
-    rhs: "mp.matrix"
+def _relative_residuals(a, b, d_aux) -> list[float]:
+    out = []
+    for r in range(a.rows):
+        terms = [a[r, c] * d_aux[c] for c in range(len(d_aux))]
+        terms.append(-b[r, 0])
+        scale = max(abs(t) for t in terms)
+        res = abs(mp.fsum(terms)) / scale if scale > 0 else mp.mpf(0)
+        out.append(float(res))
+    return out
 
 
-def build_system(M: int, masses, impose_B0: bool = False) -> LinearSystem:
-    """Assemble the moment/log-moment system for d_1..d_N.
+def solve_pv(M: int, masses, impose_B0: bool = False,
+             precision_bits: int = DEFAULT_PRECISION_BITS,
+             max_precision_bits: int = 4096) -> PVScheme:
+    """Solve the moment/log-moment system for d_1..d_N.
 
     Needs exactly N = 2M+4 auxiliary masses (2M+5 with the renormalization
-    row B(0)); the d_0 = 1 terms are moved to the right-hand side.
+    row B(0)); the d_0 = 1 terms are moved to the right-hand side.  The
+    system is solved in arbitrary precision, starting at `precision_bits`,
+    and d is rounded to float only after the relative row residuals
+    (computed at working precision) pass RESIDUAL_TOL; precision is doubled
+    and the solve retried, up to `max_precision_bits`, when they do not.
+    Warns when any |d_l| exceeds COEFFICIENT_BOUND: the asymptotic solution
+    is then unreliable and the mass spacing is of the pathological kind
+    whose coefficients grow without bound.
     """
     masses = [float(m) for m in masses]
     if len(set(masses)) != len(masses):
@@ -167,68 +167,36 @@ def build_system(M: int, masses, impose_B0: bool = False) -> LinearSystem:
             a[r, l - 1] = term
         # d_0 term: (+1) * mu0^(2n) for A rows, absent from B rows
         b[r, 0] = -(mu0 ** (2 * n)) if kind == "A" else mp.mpf(0)
-    return LinearSystem(M=M, masses=masses, impose_B0=impose_B0,
-                        labels=labels, matrix=a, rhs=b)
 
-
-def _relative_residuals(sys: LinearSystem, d_aux) -> list[float]:
-    out = []
-    for r in range(len(sys.labels)):
-        terms = [sys.matrix[r, c] * d_aux[c] for c in range(len(d_aux))]
-        terms.append(-sys.rhs[r, 0])
-        scale = max(abs(t) for t in terms)
-        res = abs(mp.fsum(terms)) / scale if scale > 0 else mp.mpf(0)
-        out.append(float(res))
-    return out
-
-
-def solve_scheme(sys: LinearSystem, precision_bits: int = DEFAULT_PRECISION_BITS,
-                 residual_tol: float = 1e-10, coefficient_bound: float = 10.0,
-                 max_precision_bits: int = 4096) -> PVScheme:
-    """Solve the system in arbitrary precision; double-precision output.
-
-    Rounds d to float only after the relative row residuals (computed at
-    working precision) pass `residual_tol`; precision is doubled and the
-    solve retried when they do not.  Warns when any |d_l| exceeds
-    `coefficient_bound`: the asymptotic solution is then unreliable and
-    the mass spacing is of the pathological kind whose coefficients grow
-    without bound.
-    """
     bits = precision_bits
     while True:
         with mp.workprec(bits):
             try:
-                d_aux = mp.lu_solve(sys.matrix, sys.rhs)
-                residuals = _relative_residuals(sys, d_aux)
+                d_aux = mp.lu_solve(a, b)
+                residuals = _relative_residuals(a, b, d_aux)
             except ZeroDivisionError:
                 d_aux, residuals = None, [np.inf]
-        if d_aux is not None and max(residuals) <= residual_tol:
+        if d_aux is not None and max(residuals) <= RESIDUAL_TOL:
             break
         if bits >= max_precision_bits:
             if d_aux is None:
                 raise ValueError("singular regularization system")
             raise ValueError(
-                f"row residuals {max(residuals):.3e} exceed {residual_tol:.1e} "
+                f"row residuals {max(residuals):.3e} exceed {RESIDUAL_TOL:.1e} "
                 f"at {bits}-bit precision"
             )
         bits *= 2
     with mp.workprec(bits):
         d_strings = ["1"] + [mp.nstr(x, int(bits * 0.3) + 5) for x in d_aux]
     d = [1.0] + [float(x) for x in d_aux]
-    if max(abs(x) for x in d[1:]) > coefficient_bound:
+    if max(abs(x) for x in d[1:]) > COEFFICIENT_BOUND:
         warnings.warn(
             "unbounded coefficients: |d_l| exceeds "
-            f"{coefficient_bound}; mass spacing gives an unreliable scheme",
+            f"{COEFFICIENT_BOUND}; mass spacing gives an unreliable scheme",
             stacklevel=2,
         )
-    return PVScheme(M=sys.M, masses=sys.masses, d=d, impose_B0=sys.impose_B0,
-                    solved=True, residuals=residuals, row_labels=sys.labels,
-                    d_mp=d_strings)
-
-
-def solve_pv(M: int, masses, impose_B0: bool = False, **kwargs) -> PVScheme:
-    """Convenience wrapper: build and solve in one call."""
-    return solve_scheme(build_system(M, masses, impose_B0), **kwargs)
+    return PVScheme(M=M, masses=masses, d=d, d_mp=d_strings, impose_B0=impose_B0,
+                    residuals=residuals, row_labels=labels)
 
 
 def asymptotic_d(masses) -> tuple[float, float]:
@@ -275,9 +243,6 @@ def moment_integral_exact(scheme: PVScheme, cutoff_sq: float):
     carries no floating-point noise and the decay of the remainder with
     the cutoff is visible to arbitrary depth.
     """
-    scheme.require_solved()
-    if not scheme.d_mp:
-        raise ValueError("scheme lacks extended-precision coefficients")
     with mp.workdps(max(len(d) for d in scheme.d_mp) + 20):
         cut = mp.mpf(cutoff_sq)
         total = mp.mpf(0)
@@ -291,13 +256,13 @@ def moment_integral_exact(scheme: PVScheme, cutoff_sq: float):
         return float(total / (6 * mp.pi))
 
 
-def check_moments(scheme: PVScheme, n: int, cutoff_sq: float,
-                  tail_terms: int = 3) -> MomentCheck:
+def check_moments(scheme: PVScheme, n: int, cutoff_sq: float) -> MomentCheck:
     """Numerically test the smoothness moment integral of order n.
 
     Integrates mu^(2n) K_reg(mu^2) up to the cutoff (closed form for
     n = 0, band-wise quadrature between thresholds otherwise) and appends
-    the analytic large-mass remainder built from the series coefficients.
+    the analytic large-mass remainder built from the series coefficients,
+    up to three orders past those whose truncated integrals diverge.
     Series terms whose truncated integrals diverge are dropped only when
     the corresponding mass-moment sum cancels (a solved scheme guarantees
     this for m <= M+2); otherwise the tail is marked invalid and the
@@ -307,7 +272,6 @@ def check_moments(scheme: PVScheme, n: int, cutoff_sq: float,
 
     from .diracsea import _counted_integration_warnings, _k_reg_scalar
 
-    scheme.require_solved()
     mu_top_sq = 4.0 * scheme.masses[-1] ** 2
     if cutoff_sq <= mu_top_sq:
         raise ValueError("cutoff must exceed the largest mass threshold 4*mu_N^2")
@@ -339,7 +303,7 @@ def check_moments(scheme: PVScheme, n: int, cutoff_sq: float,
 
     d = np.array(scheme.d)
     signs = (-1.0) ** np.arange(len(d))
-    cs = series_coeffs(n + 1 + tail_terms)
+    cs = series_coeffs(n + 4)
     tail = 0.0
     tail_valid = True
     for m_idx, c in enumerate(cs):

@@ -321,38 +321,33 @@ def lambda2_identity_check(ctl: CumulantSet, p: OrderingParam, eta: Signal,
     }
 
 
-def synthetic_cumulants(grid: TimeGrid, rng: np.random.Generator, n_modes: int = 3,
-                        hbar_c: float = 1.0, nbar_max: float = 2.0,
-                        squeeze: bool = True, with_mean: bool = True) -> CumulantSet:
-    """Random consistent Gaussian cumulant set from a multimode free field.
+def synthetic_cumulants(grid: TimeGrid, rng: np.random.Generator) -> CumulantSet:
+    """Random consistent Gaussian cumulant set from a three-mode free field.
 
-    Each mode contributes a thermal/squeezed Wightman kernel at a resonant
-    grid frequency; the time-ordered kernels follow by the theta split, so
-    the consistency identity holds exactly by construction.  With
-    squeeze=True the kernels carry exp(-i w (t+t')) parts and are genuinely
-    non-stationary.
+    Each mode contributes a thermal (nbar < 2) squeezed Wightman kernel at a
+    resonant grid frequency, with hbar c = 1; the time-ordered kernels
+    follow by the theta split, so the consistency identity holds exactly by
+    construction.  The exp(-i w (t+t')) squeezing parts make the kernels
+    genuinely non-stationary, and the mean is a random field of the same
+    modes.
     """
     n = grid.n
     t = grid.times
-    modes = rng.choice(np.arange(1, n // 2 - 1), size=n_modes, replace=False)
+    modes = rng.choice(np.arange(1, n // 2 - 1), size=3, replace=False)
     k_w = np.zeros((n, n), dtype=complex)
     for k in modes:
         om = grid.resonant_frequency(int(k))
-        nbar = rng.uniform(0.0, nbar_max)
+        nbar = rng.uniform(0.0, 2.0)
         a = np.exp(-1j * om * t)
         # (nbar + 1) e^{-i w (t-t')} + nbar e^{i w (t-t')}, from e^{-i w t}
         e_diff = np.outer(a, a.conj())
-        k_w += 0.5 * hbar_c * ((2.0 * nbar + 1.0) * e_diff.real + 1j * e_diff.imag)
-        if squeeze:
-            mmax = np.sqrt(nbar * (nbar + 1.0))
-            m = mmax * rng.uniform(0.0, 1.0) * np.exp(2j * np.pi * rng.uniform())
-            # m e^{-i w (t+t')} + m* e^{i w (t+t')}
-            k_w += hbar_c * (m * np.outer(a, a)).real
-    mean = Signal.zero(grid)
-    if with_mean:
-        mean_vals = np.zeros(n)
-        for k in modes:
-            om = grid.resonant_frequency(int(k))
-            mean_vals += rng.normal() * np.cos(om * t) + rng.normal() * np.sin(om * t)
-        mean = Signal(grid, mean_vals)
-    return CumulantSet.from_wightman(mean, k_w, hbar_c=hbar_c)
+        k_w += 0.5 * ((2.0 * nbar + 1.0) * e_diff.real + 1j * e_diff.imag)
+        mmax = np.sqrt(nbar * (nbar + 1.0))
+        m = mmax * rng.uniform(0.0, 1.0) * np.exp(2j * np.pi * rng.uniform())
+        # m e^{-i w (t+t')} + m* e^{i w (t+t')}
+        k_w += (m * np.outer(a, a)).real
+    mean_vals = np.zeros(n)
+    for k in modes:
+        om = grid.resonant_frequency(int(k))
+        mean_vals += rng.normal() * np.cos(om * t) + rng.normal() * np.sin(om * t)
+    return CumulantSet.from_wightman(Signal(grid, mean_vals), k_w)

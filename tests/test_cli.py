@@ -153,6 +153,28 @@ class TestSpectrumVerbs:
         gauge = json.loads((outdir / "ns.gauge.json").read_text())
         assert gauge["consistent"] is False
 
+    def test_gauge_coefficient_is_the_ledger_weight(self, outdir):
+        out = outdir / "w"
+        assert run(["zero-point", "--s", 0.0, "--mu-vac", 2.0, "--hbar-c", 3.0, "--k2", 8.0,
+                    "--diagnose-gauge", "--out", out]) == 0
+        ledger = json.loads((outdir / "w.delta.json").read_text())
+        gauge = json.loads((outdir / "w.gauge.json").read_text())
+        assert ledger[0]["weight"] == pytest.approx(6.0 * np.pi)
+        assert gauge["divergent_coefficient"] == ledger[0]["weight"]
+        assert gauge["consistent"] is False
+
+    def test_time_normal_spectrum_has_nothing_to_obstruct(self, outdir):
+        # at s = 1 the zero-point ledger weight is 0, so the projector is consistent
+        out = outdir / "tn"
+        assert run(["zero-point", "--s", 1.0, "--mu-vac", 2.0, "--hbar-c", 3.0, "--k2", 8.0,
+                    "--diagnose-gauge", "--out", out]) == 0
+        ledger = json.loads((outdir / "tn.delta.json").read_text())
+        gauge = json.loads((outdir / "tn.gauge.json").read_text())
+        manifest = json.loads((outdir / "tn.manifest.json").read_text())
+        assert ledger[0]["weight"] == 0.0
+        assert gauge["consistent"] is True and gauge["divergent_coefficient"] == 0.0
+        assert manifest["summary"]["gauge_consistent"] is True
+
 
 class TestStochasticVerbs:
     def test_seed_mandatory(self, outdir, capsys):

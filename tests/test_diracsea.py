@@ -88,11 +88,6 @@ class TestRegularizedSpectrum:
         assert K_reg(k_sq, scheme) == pytest.approx(
             F_threshold(k_sq / 4.0) / (6 * np.pi))
 
-    def test_unsolved_scheme_rejected(self):
-        scheme = PVScheme(M=0, masses=[1.0, 2.0])
-        with pytest.raises(ValueError, match="not been solved"):
-            K_reg(5.0, scheme)
-
     @pytest.mark.parametrize("which", ["scheme", "scheme_m1"])
     def test_scalar_closure_equals_array_route(self, request, which):
         # the quadrature integrands use the closure; the array K_reg is the
@@ -107,10 +102,6 @@ class TestRegularizedSpectrum:
         k_reg = diracsea._k_reg_scalar(sch)
         for k_sq in k_sqs:
             assert k_reg(k_sq) == K_reg(k_sq, sch), k_sq
-
-    def test_scalar_closure_rejects_unsolved_scheme(self):
-        with pytest.raises(ValueError, match="not been solved"):
-            diracsea._k_reg_scalar(PVScheme(M=0, masses=[1.0, 2.0]))
 
 
 class TestDispersion:

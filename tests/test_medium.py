@@ -117,7 +117,7 @@ class TestMeanField:
 
     def test_zero_sources(self):
         grid, _, d_bare, _, _ = toy_kernels(n=64, total_time=6.0)
-        out = mean_field(d_bare, Signal.zero(grid), Signal.zero(grid))
+        out = mean_field(d_bare, Signal.zero(grid))
         assert np.abs(out.values).max() == 0.0
 
     def test_superposition(self):
@@ -197,7 +197,7 @@ class TestRealRoute:
         j = Signal(grid, rng.normal(size=grid.n))
         dressed = dress_retarded_grid(d_bare, pi_r)
         for out in (dressed.values, noise_map(dressed, pi_n).values,
-                    mean_field(dressed, j, j).values):
+                    mean_field(dressed, j).values):
             assert out.dtype == np.float64
 
     def test_complex_inputs_stay_complex(self):
@@ -407,7 +407,9 @@ def test_noise_map_unrotates_into_consistent_cumulants():
 
 
 def test_gauge_diagnosis_reports_obstruction():
-    report = gauge_projector_diagnosis(SEA, mu_vac=2.0, hbar_c=1.0)
+    report = gauge_projector_diagnosis(2.0 * np.pi)
     assert report["consistent"] is False
     assert report["divergent_coefficient"] == pytest.approx(2.0 * np.pi)
     assert "delta(k^2)/k^2" in report["transverse_projector_term"]
+    empty = gauge_projector_diagnosis(0.0)
+    assert empty["consistent"] is True and empty["divergent_coefficient"] == 0.0

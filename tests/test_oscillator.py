@@ -206,7 +206,7 @@ class TestLambdaForm:
             j_s = Signal(grid, rng.normal(size=grid.n))
             eta_p, eta_m = rotation_substitution(eta, j_s, p, spec.hbar)
             lhs = lambda2_form(ctl, eta_p, eta_m)
-            rhs = rotated_lambda_form(spec, state, p, eta, j_s, periodic=True)
+            rhs = rotated_lambda_form(spec, state, p, eta, j_s)
             assert abs(lhs - rhs) < 1e-8 * max(abs(lhs), 1.0)
 
 

@@ -7,16 +7,16 @@ import pytest
 from scipy.integrate import IntegrationWarning
 
 from keldrot.pvreg import (
+    COEFFICIENT_BOUND,
+    RESIDUAL_TOL,
     PVScheme,
     asymptotic_d,
-    build_system,
     check_moments,
     geometric_masses,
     moment_integral_exact,
     series_coeffs,
     series_coeffs_fractions,
     solve_pv,
-    solve_scheme,
 )
 
 
@@ -61,33 +61,33 @@ class TestSeriesCoeffs:
 
 class TestBuildSystem:
     def test_row_counts_with_renormalization(self):
-        sys = build_system(0, geometric_masses(1.0, 10.0, 6), impose_B0=True)
-        assert sys.labels == ["A(0)", "B(0)", "A(2)", "A(4)", "B(4)"]
-        assert sys.matrix.rows == 5 and sys.matrix.cols == 5
+        sch = solve_pv(0, geometric_masses(1.0, 10.0, 6), impose_B0=True)
+        assert sch.row_labels == ["A(0)", "B(0)", "A(2)", "A(4)", "B(4)"]
+        assert len(sch.residuals) == 5 and len(sch.d) == 6
 
     def test_row_counts_without_renormalization(self):
-        sys = build_system(0, geometric_masses(1.0, 10.0, 5), impose_B0=False)
-        assert sys.labels == ["A(0)", "A(2)", "A(4)", "B(4)"]
-        assert sys.matrix.rows == 4
+        sch = solve_pv(0, geometric_masses(1.0, 10.0, 5), impose_B0=False)
+        assert sch.row_labels == ["A(0)", "A(2)", "A(4)", "B(4)"]
+        assert len(sch.residuals) == 4
 
     def test_b2_row_absent(self):
-        sys = build_system(1, geometric_masses(1.0, 10.0, 7), impose_B0=False)
-        assert "B(2)" not in sys.labels
-        assert "B(4)" in sys.labels and "B(6)" in sys.labels
+        sch = solve_pv(1, geometric_masses(1.0, 10.0, 7), impose_B0=False)
+        assert "B(2)" not in sch.row_labels
+        assert "B(4)" in sch.row_labels and "B(6)" in sch.row_labels
 
     def test_wrong_mass_count(self):
         with pytest.raises(ValueError, match="auxiliary masses"):
-            build_system(0, geometric_masses(1.0, 10.0, 4), impose_B0=True)
+            solve_pv(0, geometric_masses(1.0, 10.0, 4), impose_B0=True)
 
     def test_degenerate_masses(self):
         with pytest.raises(ValueError, match="increasing|degenerate"):
-            build_system(0, [1.0, 10.0, 10.0, 100.0, 1000.0], impose_B0=False)
+            solve_pv(0, [1.0, 10.0, 10.0, 100.0, 1000.0], impose_B0=False)
 
 
 class TestSolve:
     def test_residuals_below_gate(self):
         scheme = solve_pv(0, geometric_masses(1.0, 1e3, 6), impose_B0=True)
-        assert max(scheme.residuals) < 1e-10
+        assert max(scheme.residuals) < RESIDUAL_TOL
 
     def test_a0_row_sums_to_zero(self):
         scheme = solve_pv(0, geometric_masses(1.0, 1e3, 6), impose_B0=True)
@@ -109,13 +109,14 @@ class TestSolve:
         with pytest.warns(UserWarning, match="unbounded coefficients"):
             scheme = solve_pv(0, masses, impose_B0=True)
         assert scheme.d[2] == pytest.approx(x / np.log(x), rel=0.05)
+        assert max(abs(d) for d in scheme.d[1:]) > COEFFICIENT_BOUND
 
     def test_double_precision_gate_raises(self):
         # double precision cannot meet the residual gate for well-separated
         # masses: it either fails the gate or the factorization collapses
-        sys = build_system(0, geometric_masses(1.0, 1e3, 6), impose_B0=True)
         with pytest.raises(ValueError, match="residuals|singular"):
-            solve_scheme(sys, precision_bits=53, max_precision_bits=53)
+            solve_pv(0, geometric_masses(1.0, 1e3, 6), impose_B0=True,
+                     precision_bits=53, max_precision_bits=53)
 
     def test_extended_coefficients_recorded(self):
         scheme = solve_pv(0, geometric_masses(1.0, 10.0, 5))
@@ -126,11 +127,17 @@ class TestSolve:
 class TestSchemeInvariants:
     def test_d0_fixed_to_one(self):
         with pytest.raises(ValueError, match="d_0"):
-            PVScheme(M=0, masses=[1.0, 2.0], d=[2.0, 1.0])
+            PVScheme(M=0, masses=[1.0, 2.0], d=[2.0, 1.0], d_mp=["2", "1"])
 
     def test_mass_ordering_enforced(self):
         with pytest.raises(ValueError, match="increasing"):
-            PVScheme(M=0, masses=[2.0, 1.0])
+            PVScheme(M=0, masses=[2.0, 1.0], d=[1.0, 1.0], d_mp=["1", "1"])
+
+    def test_coefficients_required_for_every_mass(self):
+        with pytest.raises(TypeError):
+            PVScheme(M=0, masses=[1.0, 2.0])
+        with pytest.raises(ValueError, match="coefficient count"):
+            PVScheme(M=0, masses=[1.0, 2.0], d=[1.0, 1.0], d_mp=["1"])
 
     def test_geometric_helper(self):
         assert geometric_masses(2.0, 10.0, 3) == [2.0, 20.0, 200.0]
@@ -170,6 +177,14 @@ class TestMoments:
                 for lam in (1e2, 1e3, 1e4)]
         assert vals[0] < vals[1] < vals[2]
         assert not check_moments(bare, 0, 400.0).tail_valid
+
+    def test_exact_route_on_unregularized_scheme(self):
+        # the bare scheme carries d_mp = ["1"]; its exact n = 0 integral is
+        # the float closed form of check_moments
+        bare = PVScheme.unregularized(1.0)
+        for cut in (4e2, 4e3, 4e4):
+            exact = moment_integral_exact(bare, cut)
+            assert exact == pytest.approx(check_moments(bare, 0, cut).integral, rel=1e-14)
 
     def test_exact_route_monotone_decrease(self, scheme):
         top = 4.0 * scheme.masses[-1] ** 2

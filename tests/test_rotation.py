@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -236,10 +238,9 @@ class TestReorder:
         assert np.abs((n1 - n2) - (s2 - s1) * gap.values).max() < 1e-10 * scale
 
 
-@pytest.mark.parametrize("squeeze", [True, False])
-def test_synthetic_cumulants_match_direct_exponentials(squeeze):
+def test_synthetic_cumulants_match_direct_exponentials():
     # the slow route: n x n exponentials of t -+ t' per mode, from the same draws
-    ctl = synthetic_cumulants(GRID, np.random.default_rng(21), squeeze=squeeze)
+    ctl = synthetic_cumulants(GRID, np.random.default_rng(21))
     replay = np.random.default_rng(21)
     n, t = GRID.n, GRID.times
     tau = t[:, None] - t[None, :]
@@ -250,10 +251,9 @@ def test_synthetic_cumulants_match_direct_exponentials(squeeze):
         om = GRID.resonant_frequency(int(k))
         nbar = replay.uniform(0.0, 2.0)
         k_w += 0.5 * ((nbar + 1.0) * np.exp(-1j * om * tau) + nbar * np.exp(1j * om * tau))
-        if squeeze:
-            m = (np.sqrt(nbar * (nbar + 1.0)) * replay.uniform(0.0, 1.0)
-                 * np.exp(2j * np.pi * replay.uniform()))
-            k_w += 0.5 * (m * np.exp(-1j * om * tsum) + np.conj(m) * np.exp(1j * om * tsum))
+        m = (np.sqrt(nbar * (nbar + 1.0)) * replay.uniform(0.0, 1.0)
+             * np.exp(2j * np.pi * replay.uniform()))
+        k_w += 0.5 * (m * np.exp(-1j * om * tsum) + np.conj(m) * np.exp(1j * om * tsum))
     mean = np.zeros(n)
     for k in modes:
         om = GRID.resonant_frequency(int(k))
@@ -281,7 +281,7 @@ class TestLambda2:
     def test_zero_eta_with_zero_mean(self):
         for seed in (11, *range(100, 140)):
             rng = np.random.default_rng(seed)
-            ctl = synthetic_cumulants(GRID, rng, with_mean=False)
+            ctl = dataclasses.replace(synthetic_cumulants(GRID, rng), mean=Signal.zero(GRID))
             j = Signal(GRID, rng.normal(size=GRID.n))
             chk = lambda2_identity_check(ctl, OrderingParam(0.5), Signal.zero(GRID), j)
             assert chk["rhs"] == 0
@@ -292,7 +292,7 @@ class TestLambda2:
 
     def test_weyl_zero_source_reduces_to_quadratic_noise_form(self):
         rng = np.random.default_rng(12)
-        ctl = synthetic_cumulants(GRID, rng, with_mean=False)
+        ctl = dataclasses.replace(synthetic_cumulants(GRID, rng), mean=Signal.zero(GRID))
         p = OrderingParam(0.0)
         eta = Signal(GRID, rng.normal(size=GRID.n))
         chk = lambda2_identity_check(ctl, p, eta, Signal.zero(GRID))
