@@ -17,6 +17,7 @@ is structural: only the scalar coefficient of
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from contextlib import contextmanager
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import heaviside
-from .pvreg import PVScheme, series_coeffs
+from .pvreg import (PVScheme, moment_integral_exact, moment_sums, series_coeffs,
+                    series_coeffs_fractions)
 
 __all__ = [
     "DiracSeaSpec",
@@ -338,37 +340,61 @@ def kramers_kronig_real_part(k_sq: float, spec: DiracSeaSpec) -> float:
     return (k_sq / np.pi) * val
 
 
+# K_reg_coordinate's panel sum: the Gauss-Legendre order, and the lower
+# order whose difference from it is reported as abserr
+GAUSS_ORDER = 24
+GAUSS_ORDER_CHECK = 12
+# above SERIES_START * 2 mu_N the integrand is summed from its 1/mu^2
+# series; there (2 mu_N/mu)^2 <= 1/9, so SERIES_TERMS terms leave a
+# truncation below 1e-17 of the leading one
+SERIES_START = 3.0
+SERIES_TERMS = 20
+# panels evaluated per vectorised step, which bounds the node temporaries
+PANEL_CHUNK = 256
+# half Bessel periods up to the cutoff beyond which a call raises; a call
+# just below it takes about 5 s (one core of a 2-core machine)
+MAX_PANELS = 1_000_000
+
+
 def K_reg_coordinate(x_sq: float, sign_t: int, scheme: PVScheme,
                      cutoff_sq: float | None = None,
                      with_cone_coefficient: bool = True) -> dict:
     """Coordinate-space regularized commutator spectrum near the light cone.
 
     Returns the smooth amplitude A(x^2) multiplying i*eps(t) theta(x^2)
-    in K_reg(x), evaluated through the mass-spectral integral with the
-    Bessel J1 kernel, plus (optionally) the coefficient of the light-cone
-    delta term, which is proportional to the n = 0 moment and therefore
-    cancels for a solved scheme.  Spacelike points give zero.  The smooth
-    part is continuous across the cone; its slope in x^2 stays bounded for
-    schemes with M >= 1 (at M = 0 the uncancelled log moment makes the
-    slope grow like ln(1/x^2)).
+    in K_reg(x),
 
-    The result also reports the number of Bessel-period segments summed
-    (0 for a spacelike point) and the number of IntegrationWarnings that
-    quad raised on them and on the cone coefficient; they are counted, not
-    printed.
+        A = sign_t / (8 pi^2 r) integral_{2 mu_0}^{mu_c} 2 mu^2 K_reg(mu^2) J1(mu r) dmu
 
-    Near the cone the signed PV terms cancel, and the integrand uses the
-    float-rounded coefficients scheme.d, not scheme.d_mp, so what is left
-    is partly their rounding.  Against a 25-digit mpmath Bessel quadrature
-    with d_mp the relative error on masses 1..16 at M = 0 is at most 1.3e-5
-    at x^2 = 4e-5, 1e-5 and 2.5e-6.  On the M = 1 scheme with masses 2^l
-    (l = 0..6) it is 9e-4 at x^2 = 2e-5, 7% at 5e-6 and 150% at 2.5e-6:
-    there the value is mostly rounding.
+    with r = sqrt(x^2) and mu_c^2 = cutoff_sq (default 400 * 4 mu_N^2),
+    plus (optionally) the coefficient of the light-cone delta term,
+    -(1/4 pi^2) integral K_reg, which is the n = 0 moment in closed form
+    (`pvreg.moment_integral_exact`) and cancels for a solved scheme.
+    Spacelike points give zero.  The smooth part is continuous across the
+    cone; its slope in x^2 stays bounded for schemes with M >= 1 (at M = 0
+    the uncancelled log moment makes the slope grow like ln(1/x^2)).
+
+    The integral is one fixed-order Gauss-Legendre sum over panels no
+    longer than half a Bessel period pi/r, with a break at every threshold
+    2 mu_l; on the panel after each threshold mu = 2 mu_l + t^2 removes
+    the square-root kink.  Above SERIES_START * 2 mu_N the integrand is
+    (1/3 pi) mu^2 sum_k c_k S_k mu^(-2k) J1(mu r), with the moment sums
+    S_k taken exactly from d_mp (`pvreg.moment_sums`), so the cancellation
+    of the signed PV terms happens there without rounding.  The cost is
+    bounded: about mu_c r / pi panels, and a call that would need more
+    than MAX_PANELS raises ValueError before it computes anything.  The
+    result reports the panel count as `segments` (0 for a spacelike
+    point) and, as `abserr`, the difference from a GAUSS_ORDER_CHECK
+    rule on the same panels, in the units of `smooth`.
+
+    Below that point the integrand uses the float-rounded coefficients
+    scheme.d, so near the cone what is left of the cancellation is partly
+    their rounding.  Against a 25-digit mpmath Bessel quadrature with d_mp
+    the relative error on masses 1..16 at M = 0 is at most 1.2e-8 at
+    x^2 = 4e-5, 1e-5 and 2.5e-6.  On the M = 1 scheme with masses 2^l
+    (l = 0..6) it is 4.3e-5 at x^2 = 2e-5, 1.6e-4 at 1e-5, 5.7e-4 at 5e-6
+    and 2.1e-3 at 2.5e-6.
     """
-    from scipy.integrate import quad
-    from scipy.special import j1
-
-    k_reg = _k_reg_scalar(scheme)
     mu_top_sq = 4.0 * scheme.masses[-1] ** 2
     if cutoff_sq is None:
         cutoff_sq = 400.0 * mu_top_sq
@@ -376,50 +402,84 @@ def K_reg_coordinate(x_sq: float, sign_t: int, scheme: PVScheme,
         raise ValueError("cutoff too small: needs >= 25 * 4 mu_N^2 for convergence")
     if sign_t not in (-1, 1):
         raise ValueError("sign_t must be +1 or -1")
-    lo = 4.0 * scheme.masses[0] ** 2
-
-    def cone_delta_coefficient():
-        def integrand(v):
-            s = np.exp(v)
-            return s * k_reg(s)
-
-        pts = sorted(np.log(4.0 * np.array(scheme.masses) ** 2))
-        # the coefficient of a solved scheme cancels to zero, which a purely
-        # relative tolerance cannot certify
-        val, _ = quad(integrand, np.log(lo), np.log(cutoff_sq), points=pts,
-                      limit=400, epsabs=1e-12 * mu_top_sq, epsrel=1e-11)
-        return -val / (4.0 * np.pi ** 2)
-
-    def smooth_amplitude():
-        r = np.sqrt(x_sq)
-
-        # in the mu variable the Bessel oscillation has a fixed period
-        # 2 pi / r, so the integral is summed over segments no longer than
-        # half a period, with breaks at every mass threshold
-        def integrand(mu):
-            return 2.0 * mu ** 2 * k_reg(mu ** 2) * j1(mu * r)
-
-        mu_lo = np.sqrt(lo)
-        mu_hi = np.sqrt(cutoff_sq)
-        step = np.pi / r
-        edges = set(np.arange(mu_lo, mu_hi, step))
-        edges.update(2.0 * np.array(scheme.masses))
-        edges.update([mu_lo, mu_hi])
-        edges = sorted(e for e in edges if mu_lo <= e <= mu_hi)
-        val = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            piece, _ = quad(integrand, a, b, limit=100, epsabs=1e-14, epsrel=1e-10)
-            val += piece
-        return sign_t * val / (8.0 * np.pi ** 2 * r), len(edges) - 1
-
-    # segment values cancel heavily near the threshold kinks, so quad's
-    # per-segment tolerance check may warn although the summed value is
-    # stable in both the cutoff and the segmentation
-    with _counted_integration_warnings() as caught:
-        smooth, segments = smooth_amplitude() if x_sq > 0 else (0.0, 0)
-        cone = cone_delta_coefficient() if with_cone_coefficient else None
+    smooth, panels, abserr = 0.0, 0, 0.0
+    if x_sq > 0:
+        value, panels, abserr = _smooth_amplitude(x_sq, scheme, cutoff_sq)
+        smooth = sign_t * value
+    cone = None
+    if with_cone_coefficient:
+        cone = -moment_integral_exact(scheme, cutoff_sq) / (4.0 * np.pi ** 2)
     return {"smooth": smooth, "cone_delta_coefficient": cone,
-            "segments": segments, "integration_warnings": len(caught)}
+            "segments": panels, "abserr": abserr}
+
+
+def _smooth_amplitude(x_sq: float, scheme: PVScheme, cutoff_sq: float):
+    """A(x^2) at sign_t = 1, its panel count and abserr (K_reg_coordinate)."""
+    from scipy.special import j1
+
+    r = math.sqrt(x_sq)
+    mu_hi = math.sqrt(cutoff_sq)
+    step = np.pi / r
+    if mu_hi / step > MAX_PANELS:
+        raise ValueError(
+            f"x_sq = {x_sq:g} needs about {mu_hi / step:.3g} Bessel half-period "
+            f"panels up to the cutoff, more than MAX_PANELS = {MAX_PANELS}")
+    thresholds = [2.0 * m for m in scheme.masses]
+    mu_top = thresholds[-1]
+    mu_s = SERIES_START * mu_top
+    series = [float(c) * s for c, s in zip(series_coeffs_fractions(SERIES_TERMS),
+                                           moment_sums(scheme, SERIES_TERMS))]
+
+    def below(mu):
+        return 2.0 * mu ** 2 * K_reg(mu ** 2, scheme) * j1(mu * r)
+
+    def above(mu):
+        u = (mu_top / mu) ** 2
+        total = np.zeros_like(mu)
+        for c in reversed(series):
+            total = total * u + c
+        return mu ** 2 * total / (3.0 * np.pi) * j1(mu * r)
+
+    rules = [_gauss_legendre(GAUSS_ORDER), _gauss_legendre(GAUSS_ORDER_CHECK)]
+    sums = [0.0, 0.0]
+    panels = 0
+    breaks = thresholds + [mu_s, mu_hi]
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        n = math.ceil((b - a) / step)
+        h = (b - a) / n
+        # a band that starts at a threshold takes mu = a + h s^2 on its
+        # first panel, which removes the square-root kink there
+        kink = a < mu_s
+        integrand = below if kink else above
+        if kink:
+            for j, (t, w) in enumerate(rules):
+                sums[j] += float(integrand(a + h * t * t) @ (2.0 * h * t * w))
+        for first in range(int(kink), n, PANEL_CHUNK):
+            left = a + h * np.arange(first, min(n, first + PANEL_CHUNK))
+            for j, (t, w) in enumerate(rules):
+                sums[j] += float(np.sum(integrand(left[:, None] + h * t) @ (h * w)))
+        panels += n
+    norm = 8.0 * np.pi ** 2 * r
+    return sums[0] / norm, panels, abs(sums[0] - sums[1]) / norm
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights on [0, 1].
+
+    Newton's method on the Legendre recurrence from the usual cosine
+    guesses, which converges to rounding in a few steps; it spares
+    importing numpy.polynomial (about 0.6 MB of peak resident memory in
+    a `momentum` benchmark run).
+    """
+    x = np.cos(np.pi * (np.arange(1, order + 1) - 0.25) / (order + 0.5))
+    for _ in range(10):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, order + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = order * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return 0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * dp * dp)
 
 
 @contextmanager

@@ -17,6 +17,7 @@ solved in arbitrary precision and only the solution is rounded to double.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,6 +34,7 @@ __all__ = [
     "asymptotic_d",
     "check_moments",
     "moment_integral_exact",
+    "moment_sums",
     "MomentCheck",
 ]
 
@@ -256,13 +258,30 @@ def moment_integral_exact(scheme: PVScheme, cutoff_sq: float):
         return float(total / (6 * mp.pi))
 
 
+def moment_sums(scheme: PVScheme, k_max: int) -> list[float]:
+    """Scaled moment sums S_k / (4 mu_N^2)^k for k = 0..k_max.
+
+    S_k = sum_l (-1)^l d_l (4 mu_l^2)^k, summed in mpmath from d_mp at the
+    digits it carries plus a guard, so a sum that the scheme cancels comes
+    out at its true size, not at float rounding; scaling by the top
+    threshold keeps every float finite however far apart the masses are.
+    """
+    with mp.workdps(max(len(d) for d in scheme.d_mp) + 20):
+        top = 4 * mp.mpf(scheme.masses[-1]) ** 2
+        ratios = [4 * mp.mpf(m) ** 2 / top for m in scheme.masses]
+        d = [(-1) ** l * mp.mpf(s) for l, s in enumerate(scheme.d_mp)]
+        return [float(mp.fsum(c * q ** k for c, q in zip(d, ratios)))
+                for k in range(k_max + 1)]
+
+
 def check_moments(scheme: PVScheme, n: int, cutoff_sq: float) -> MomentCheck:
     """Numerically test the smoothness moment integral of order n.
 
     Integrates mu^(2n) K_reg(mu^2) up to the cutoff (closed form for
     n = 0, band-wise quadrature between thresholds otherwise) and appends
-    the analytic large-mass remainder built from the series coefficients,
-    up to three orders past those whose truncated integrals diverge.
+    the analytic large-mass remainder built from the series coefficients
+    and the exact moment sums of `moment_sums`, up to three orders past
+    those whose truncated integrals diverge.
     Series terms whose truncated integrals diverge are dropped only when
     the corresponding mass-moment sum cancels (a solved scheme guarantees
     this for m <= M+2); otherwise the tail is marked invalid and the
@@ -301,24 +320,28 @@ def check_moments(scheme: PVScheme, n: int, cutoff_sq: float) -> MomentCheck:
                 )
                 val += piece
 
-    d = np.array(scheme.d)
-    signs = (-1.0) ** np.arange(len(d))
-    cs = series_coeffs(n + 4)
+    # S_m / cutoff^power = s_hat_m top^(n+1) (top/cutoff)^power, with each
+    # factor finite; a moment sum counts as cancelled against its largest
+    # term, |d_l| (4 mu_l^2/top)^m in the same scaling
+    s_hat = moment_sums(scheme, n + 4)
+    top = thresholds[-1]
+    d_abs = np.abs(np.array(scheme.d))
     tail = 0.0
     tail_valid = True
-    for m_idx, c in enumerate(cs):
+    for m_idx, c in enumerate(series_coeffs(n + 4)):
         if c == 0.0:
             continue
-        terms = signs * d * thresholds ** m_idx
-        s_m = float(np.sum(terms))
         if m_idx <= n + 1:
             # truncated integral of this term diverges with the cutoff;
-            # admissible only when the moment sum cancels
-            if abs(s_m) > 1e-8 * float(np.max(np.abs(terms))):
+            # admissible only when the moment sum cancels (a NaN never does)
+            largest = float(np.max(d_abs * (thresholds / top) ** m_idx))
+            if not abs(s_hat[m_idx]) <= 1e-8 * largest:
                 tail_valid = False
             continue
         power = m_idx - n - 1
-        tail += c * s_m / (power * cutoff_sq ** power) / (6.0 * np.pi)
+        tail += (c * s_hat[m_idx] * top ** (n + 1) * (top / cutoff_sq) ** power
+                 / power / (6.0 * np.pi))
+    tail_valid = tail_valid and math.isfinite(tail)
 
     # unregularized magnitude of the same moment integral (closed form at
     # n = 0, leading large-y behavior otherwise)
@@ -327,6 +350,6 @@ def check_moments(scheme: PVScheme, n: int, cutoff_sq: float) -> MomentCheck:
     else:
         ref = cutoff_sq ** (n + 1) / (n + 1) / (6.0 * np.pi)
     return MomentCheck(n=n, cutoff_sq=cutoff_sq, integral=val,
-                       tail=tail if tail_valid else 0.0,
+                       tail=float(tail) if tail_valid else 0.0,
                        tail_valid=tail_valid, reference=abs(ref),
                        integration_warnings=len(caught))

@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from keldrot.pvreg import (
     check_moments,
     geometric_masses,
     moment_integral_exact,
+    moment_sums,
     series_coeffs,
     series_coeffs_fractions,
     solve_pv,
@@ -177,6 +179,36 @@ class TestMoments:
                 for lam in (1e2, 1e3, 1e4)]
         assert vals[0] < vals[1] < vals[2]
         assert not check_moments(bare, 0, 400.0).tail_valid
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tail_finite_on_hard_scheme(self, n):
+        # M = 3 at ratio 1e3: the thresholds reach 4e66, so the moment sums
+        # overflow as floats; the exact scaled sums keep every tail finite
+        hard = solve_pv(3, geometric_masses(1.0, 1e3, 12), impose_B0=True)
+        top = 4.0 * hard.masses[-1] ** 2
+        mc = check_moments(hard, n, 1e2 * top)
+        assert mc.tail_valid
+        assert math.isfinite(mc.tail)
+
+    def test_nan_moment_sum_never_valid(self):
+        # a NaN moment sum must fail the cancellation test, not pass it
+        broken = PVScheme(M=0, masses=[1.0, 2.0], d=[1.0, np.nan], d_mp=["1", "nan"])
+        mc = check_moments(broken, 0, 400.0)
+        assert not mc.tail_valid
+
+    def test_moment_sums_scaled_and_exact(self, scheme):
+        # S_k / (4 mu_N^2)^k against the sum of the signed terms at twice
+        # the digits; the solved M = 0 scheme cancels S_0, S_1 and S_2
+        sums = moment_sums(scheme, 6)
+        with mp.workdps(2 * (max(len(d) for d in scheme.d_mp) + 20)):
+            top = 4 * mp.mpf(scheme.masses[-1]) ** 2
+            for k, got in enumerate(sums):
+                terms = [(-1) ** l * mp.mpf(d) * (4 * mp.mpf(m) ** 2 / top) ** k
+                         for l, (d, m) in enumerate(zip(scheme.d_mp, scheme.masses))]
+                assert got == pytest.approx(float(mp.fsum(terms)), rel=1e-14, abs=1e-300)
+                if k <= 2:
+                    assert abs(got) < 1e-60 * float(max(abs(t) for t in terms))
 
     def test_exact_route_on_unregularized_scheme(self):
         # the bare scheme carries d_mp = ["1"]; its exact n = 0 integral is
