@@ -250,39 +250,81 @@ def wyld_mc(spec: OscillatorSpec, grid: TimeGrid, n_samples: int, seed: int,
     white_noise_std^2 delta(t-t') (grid variance white_noise_std^2/dt).
     Returns sample mean and covariance with standard errors; deterministic
     for fixed (seed, n_samples) via a counter-based generator.
+
+    One helper thread draws the next block of normals while the calling
+    thread sums the previous one.  It draws them from the one generator in
+    the serial order (per chunk of _MC_CHUNK samples, Re alpha, Im alpha,
+    then J_r), so the result is bit for bit that of drawing and summing in
+    turn on one thread.  The helper is joined before return, also when the
+    call raises.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    for name, value in (("white_noise_std", white_noise_std), ("alpha_nbar", alpha_nbar)):
+        if not (np.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and non-negative, got {value}")
     rng = np.random.Generator(np.random.Philox(seed))
     n = grid.n
     dr = retarded_response_grid(spec, grid)
     if J_e is not None:
         if J_e.grid != grid:
             raise ValueError("source grid mismatch")
+        if np.any(J_e.values.imag):
+            raise ValueError("J_e must be real: a classical current has no imaginary part")
         base = grid.dt * (dr @ J_e.values.real)
     infield = _infield_basis(spec, grid.times)  # q_in = (Re alpha, Im alpha) @ infield
     # dt (J_r @ dr^T) with J_r standard normals times white_noise_std / sqrt(dt)
     noise_response_t = (grid.dt * white_noise_std / np.sqrt(grid.dt)) * dr.T
+    with_alpha, with_current = alpha_nbar > 0, white_noise_std > 0
+    # steps (chunk size m, rows lo:hi of the chunk): the currents of a chunk
+    # come in as few pieces as keep each within half a chunk
+    steps, done = [], 0
+    while done < n_samples:
+        m = min(_MC_CHUNK, n_samples - done)
+        pieces = -(-2 * m // _MC_CHUNK) if with_current else 1
+        steps += [(m, m * i // pieces, m * (i + 1) // pieces) for i in range(pieces)]
+        done += m
+    rows = max(hi - lo for _, lo, hi in steps)
+    buffers = [np.empty((rows, n)) for _ in range(2 if with_current else 0)]
+
+    def draw(k):
+        # step k's normals: its chunk's amplitudes when it opens the chunk,
+        # then its currents, into the buffer that step k - 1 is not using
+        m, lo, hi = steps[k]
+        alphas = rng.standard_normal((2, m)) if with_alpha and lo == 0 else None
+        j_r = rng.standard_normal(out=buffers[k % 2][:hi - lo]) if with_current else None
+        return alphas, j_r
+
     s1 = np.zeros(n)
     sp = np.zeros((n, n))
     sp2 = np.zeros((n, n))
-    done = 0
-    while done < n_samples:
-        m = min(_MC_CHUNK, n_samples - done)
-        # each chunk draws Re alpha, then Im alpha, then J_r
-        alphas = (np.sqrt(alpha_nbar / 2.0) * rng.standard_normal((2, m))
-                  if alpha_nbar > 0 else None)
-        q = (rng.standard_normal((m, n)) @ noise_response_t if white_noise_std > 0
-             else np.zeros((m, n)))
-        if alphas is not None:
-            q += alphas.T @ infield
-        if J_e is not None:
-            q += base
-        s1 += q.sum(axis=0)
-        sp += q.T @ q
-        np.square(q, out=q)
-        sp2 += q.T @ q
-        done += m
+    q = np.empty((steps[0][0], n))
+    alphas = None
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="wyld_mc") as helper:
+        ahead = helper.submit(draw, 0)
+        for k, (m, lo, hi) in enumerate(steps):
+            drawn, j_r = ahead.result()
+            if k + 1 < len(steps):
+                ahead = helper.submit(draw, k + 1)
+            if drawn is not None:
+                alphas = np.sqrt(alpha_nbar / 2.0) * drawn
+            if j_r is not None:
+                np.matmul(j_r, noise_response_t, out=q[lo:hi])
+            else:
+                q[lo:hi] = 0.0
+            if hi < m:
+                continue
+            qm = q[:m]
+            if alphas is not None:
+                qm += alphas.T @ infield
+            if J_e is not None:
+                qm += base
+            s1 += qm.sum(axis=0)
+            sp += qm.T @ qm
+            np.square(qm, out=qm)
+            sp2 += qm.T @ qm
     mean = s1 / n_samples
     second = sp / n_samples
     mean_var = np.maximum(np.diag(second) - mean ** 2, 0.0)

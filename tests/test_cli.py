@@ -198,6 +198,16 @@ class TestStochasticVerbs:
         run(args + ["--out", outdir / "m2"])
         assert (outdir / "m1.cov.csv").read_bytes() == (outdir / "m2.cov.csv").read_bytes()
 
+    @pytest.mark.parametrize("flag", [["--white-noise-std", -0.3], ["--white-noise-std", "nan"],
+                                      ["--white-noise-std", "inf"], ["--alpha-nbar", -2]])
+    def test_mc_bad_noise_parameter_fails(self, flag, outdir, capsys):
+        code = run(["mc", "--samples", 100, "--seed", 3, "--n", 8, "--dt", 0.5, *flag,
+                    "--out", outdir / "m"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "computation" and flag[0][2:].replace("-", "_") in err["detail"]
+        assert not (outdir / "m.json").exists()
+
     def test_oscillator_lambda_check_verb(self, outdir):
         out = outdir / "lc"
         # omega0 resonant on the grid: 2 cycles over n*dt = 4 pi

@@ -1,9 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from keldrot.diracsea import DiracSeaSpec, F_threshold, Pi_R_reg, R_obs, pi_plus_closed_form
 from keldrot.grids import OrderingParam, Signal, TimeGrid, TwoPointKernel
 from keldrot.medium import (
+    _MC_CHUNK,
     SpectralDensity,
     dress_retarded_grid,
     dress_retarded_momentum,
@@ -21,6 +25,7 @@ from keldrot.medium import (
 from keldrot.oscillator import (
     GaussianState,
     OscillatorSpec,
+    _infield_basis,
     ctl_cumulants,
     retarded_response,
     retarded_response_grid,
@@ -300,6 +305,45 @@ class TestTimeNormalVacuumNoise:
             assert np.abs(n_s - expect).max() < 1e-10
 
 
+def serial_wyld_mc(spec, grid, n_samples, seed, J_e=None, white_noise_std=0.0,
+                   alpha_nbar=0.0):
+    """wyld_mc drawing and summing in turn on one thread, chunk by chunk."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    n = grid.n
+    dr = retarded_response_grid(spec, grid)
+    if J_e is not None:
+        base = grid.dt * (dr @ J_e.values.real)
+    infield = _infield_basis(spec, grid.times)
+    noise_response_t = (grid.dt * white_noise_std / np.sqrt(grid.dt)) * dr.T
+    s1 = np.zeros(n)
+    sp = np.zeros((n, n))
+    sp2 = np.zeros((n, n))
+    done = 0
+    while done < n_samples:
+        m = min(_MC_CHUNK, n_samples - done)
+        alphas = (np.sqrt(alpha_nbar / 2.0) * rng.standard_normal((2, m))
+                  if alpha_nbar > 0 else None)
+        q = (rng.standard_normal((m, n)) @ noise_response_t if white_noise_std > 0
+             else np.zeros((m, n)))
+        if alphas is not None:
+            q += alphas.T @ infield
+        if J_e is not None:
+            q += base
+        s1 += q.sum(axis=0)
+        sp += q.T @ q
+        np.square(q, out=q)
+        sp2 += q.T @ q
+        done += m
+    mean = s1 / n_samples
+    second = sp / n_samples
+    return {
+        "mean": mean,
+        "mean_stderr": np.sqrt(np.maximum(np.diag(second) - mean ** 2, 0.0) / n_samples),
+        "cov": second - np.outer(mean, mean),
+        "cov_stderr": np.sqrt(np.maximum(sp2 / n_samples - second ** 2, 0.0) / n_samples),
+    }
+
+
 class TestWyldMC:
     def test_deterministic_source_only(self):
         grid = TimeGrid(32, 0.2)
@@ -340,8 +384,6 @@ class TestWyldMC:
     def test_statistics_match_sample_paths(self):
         # the slow route: every sample path with the source, the in-field and
         # the white current, from the same draws, over more than one chunk
-        from keldrot.medium import _MC_CHUNK
-
         grid = TimeGrid(12, 0.3)
         spec = OscillatorSpec(omega0=grid.resonant_frequency(2))
         t = grid.times
@@ -374,6 +416,101 @@ class TestWyldMC:
         }
         for key, want in expect.items():
             assert np.abs(res[key] - want).max() < 1e-12 * np.abs(want).max(), key
+
+    @pytest.mark.parametrize("n_samples", [1, _MC_CHUNK, _MC_CHUNK + 1, 5 * _MC_CHUNK // 2])
+    @pytest.mark.parametrize("inputs", ["noise", "alpha+source+noise", "alpha"])
+    def test_bits_match_serial_drawing(self, inputs, n_samples):
+        grid = TimeGrid(12, 0.3)
+        spec = OscillatorSpec(omega0=grid.resonant_frequency(2))
+        kwargs = {
+            "noise": {"white_noise_std": 0.4},
+            "alpha+source+noise": {"J_e": Signal(grid, np.cos(spec.omega0 * grid.times)),
+                                   "white_noise_std": 0.4, "alpha_nbar": 0.8},
+            "alpha": {"alpha_nbar": 1.3},
+        }[inputs]
+        got = wyld_mc(spec, grid, n_samples, 17, **kwargs)
+        want = serial_wyld_mc(spec, grid, n_samples, 17, **kwargs)
+        for key, value in want.items():
+            assert np.array_equal(got[key], value), key
+
+    def test_helper_thread_joined(self, monkeypatch):
+        grid = TimeGrid(8, 0.5)
+        spec = OscillatorSpec(omega0=1.0)
+        before = threading.active_count()
+        wyld_mc(spec, grid, _MC_CHUNK + 1, seed=2, white_noise_std=0.3, alpha_nbar=0.5)
+        assert threading.active_count() == before
+
+        # a failure on the calling thread while the helper draws the next piece
+        def failing_matmul(*args, **kwargs):
+            raise RuntimeError("summing failed")
+
+        monkeypatch.setattr(np, "matmul", failing_matmul)
+        with pytest.raises(RuntimeError, match="summing failed"):
+            wyld_mc(spec, grid, 2 * _MC_CHUNK, seed=2, white_noise_std=0.3)
+        assert threading.active_count() == before
+        monkeypatch.undo()
+
+        # a failure on the helper reaches the caller
+        generator = np.random.Generator
+
+        class FailingGenerator:
+            def __init__(self, bit_generator):
+                self.rng, self.calls = generator(bit_generator), 0
+
+            def standard_normal(self, *args, **kwargs):
+                self.calls += 1
+                if self.calls == 3:
+                    raise RuntimeError("drawing failed")
+                return self.rng.standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", FailingGenerator)
+        with pytest.raises(RuntimeError, match="drawing failed"):
+            wyld_mc(spec, grid, 2 * _MC_CHUNK, seed=2, white_noise_std=0.3)
+        assert threading.active_count() == before
+
+    def test_concurrent_calls_under_fast_switching(self):
+        # three callers, each with its own helper, on fewer cores, switching
+        # threads every microsecond: each result is still the serial one
+        grid = TimeGrid(8, 0.5)
+        spec = OscillatorSpec(omega0=grid.resonant_frequency(1))
+        kwargs = {"white_noise_std": 0.3, "alpha_nbar": 0.6}
+        n_samples = 5 * _MC_CHUNK // 2
+        results = {}
+
+        def call(seed):
+            results[seed] = wyld_mc(spec, grid, n_samples, seed, **kwargs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(seed,)) for seed in (1, 2, 3)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for seed in (1, 2, 3):
+            want = serial_wyld_mc(spec, grid, n_samples, seed, **kwargs)
+            assert all(np.array_equal(results[seed][k], want[k]) for k in want), seed
+
+    @pytest.mark.parametrize("name", ["white_noise_std", "alpha_nbar"])
+    @pytest.mark.parametrize("value", [-0.3, np.nan, np.inf])
+    def test_bad_noise_parameters_rejected(self, name, value):
+        grid = TimeGrid(8, 0.5)
+        with pytest.raises(ValueError, match=name):
+            wyld_mc(OscillatorSpec(omega0=1.0), grid, 10, seed=0, **{name: value})
+
+    def test_complex_source_rejected(self):
+        grid = TimeGrid(8, 0.5)
+        spec = OscillatorSpec(omega0=1.0)
+        j_e = np.cos(grid.times)
+        with pytest.raises(ValueError, match="real"):
+            wyld_mc(spec, grid, 10, seed=0, J_e=Signal(grid, j_e + 1e-3j * np.sin(grid.times)))
+        real = wyld_mc(spec, grid, 10, seed=0, J_e=Signal(grid, j_e))
+        zero_imag = wyld_mc(spec, grid, 10, seed=0, J_e=Signal(grid, j_e + 0j))
+        assert np.array_equal(real["mean"], zero_imag["mean"])
 
     def test_empty_run_rejected(self):
         grid = TimeGrid(8, 0.5)
