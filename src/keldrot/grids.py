@@ -59,8 +59,10 @@ class TimeGrid:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("grid needs at least two samples")
-        if self.dt <= 0:
-            raise ValueError("grid step must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"grid step must be finite and positive, got {self.dt}")
+        if not np.isfinite(self.t0):
+            raise ValueError(f"grid start must be finite, got {self.t0}")
 
     @property
     def times(self) -> np.ndarray:

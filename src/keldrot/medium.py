@@ -74,6 +74,56 @@ def dress_retarded_momentum(k_sq: float, spec: DiracSeaSpec) -> complex:
     return 1.0 / (k_sq * (1.0 + r))
 
 
+_ROWS = 64  # rows per block in the structure checks and the wave residual
+
+
+def _toeplitz_column(values: np.ndarray) -> np.ndarray | None:
+    """First column c of an exactly lower-triangular Toeplitz kernel
+    (values[i, j] = c[i - j], zero above the diagonal), else None.  A
+    Toeplitz kernel is zero above the diagonal exactly when its first row is
+    zero past the diagonal; the shift is compared in row blocks."""
+    n = values.shape[0]
+    if values[0, 1:].any():
+        return None
+    for lo in range(0, n - 1, _ROWS):
+        hi = min(lo + _ROWS, n - 1)
+        if not np.array_equal(values[lo + 1:hi + 1, 1:], values[lo:hi, :-1]):
+            return None
+    return values[:, 0].copy()
+
+
+def _scalar_diagonal(values: np.ndarray):
+    """gamma when values is exactly gamma I, else None."""
+    d = np.diagonal(values)
+    if (d == d[0]).all() and np.count_nonzero(values) == np.count_nonzero(d):
+        return d[0]
+    return None
+
+
+def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
+    """The dense lower-triangular Toeplitz matrix with first column c."""
+    n = len(c)
+    padded = np.concatenate([np.zeros(n - 1, dtype=c.dtype), c])  # padded[n - 1 + m] = c[m]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n)  # windows[i, m] = padded[i + m]
+    return np.ascontiguousarray(windows[:, ::-1])
+
+
+def _dyson_column(a: np.ndarray, lam) -> np.ndarray:
+    """First column c of (I - lam T)^-1 T for the lower-triangular Toeplitz T
+    with first column a, by forward recursion:
+    (1 - lam a_0) c_i = a_i + lam sum_{k<i} a_{i-k} c_k."""
+    pivot = 1.0 - lam * a[0]
+    if pivot == 0:
+        raise np.linalg.LinAlgError("singular matrix: the Dyson kernel 1 - dt^2 Pi_R D0 "
+                                    "has a zero diagonal")
+    n = len(a)
+    c = np.empty(n, dtype=np.result_type(a, lam))
+    a_rev = a[::-1]  # a_rev[n - 1 - m] = a[m]
+    for i in range(n):
+        c[i] = (a[i] + lam * np.dot(a_rev[n - 1 - i:n - 1], c[:i])) / pivot
+    return c
+
+
 def dress_retarded_grid(D_bare: TwoPointKernel, pi_R: TwoPointKernel) -> TwoPointKernel:
     """Solve the Dyson equation D = D0 + D0 * Pi_R * D on the time grid.
 
@@ -81,19 +131,26 @@ def dress_retarded_grid(D_bare: TwoPointKernel, pi_R: TwoPointKernel) -> TwoPoin
     the circle is rejected) on a common grid; the composition is the
     grid quadrature (dt per integral), and the causal Volterra structure
     makes the solve a forward triangular substitution.  The result is
-    retarded by construction.
+    retarded by construction.  For a time-invariant medium (D0 exactly
+    lower-triangular Toeplitz, Pi_R exactly gamma I) the dressed kernel is
+    Toeplitz too, and only its first column is solved for.
     """
-    from scipy.linalg import solve_triangular
-
     if D_bare.grid != pi_R.grid:
         raise ValueError("kernels must share a grid")
+    grid = D_bare.grid
+    a = _toeplitz_column(D_bare.values)
+    gamma = _scalar_diagonal(pi_R.values) if a is not None else None
+    if gamma is not None:
+        return TwoPointKernel(grid, _lower_toeplitz(_dyson_column(a, grid.dt ** 2 * gamma)))
+    from scipy.linalg import solve_triangular
+
     for name, K in (("bare propagator", D_bare), ("susceptibility", pi_R)):
         if _acausal_part(K.values, K.grid, periodic=(False,))[0] is None:
             raise ValueError(f"{name} kernel is not retarded in linear time")
     d0 = D_bare.values
-    g = D_bare.grid.dt ** 2 * (d0 @ pi_R.values)  # lower triangular
-    dressed = solve_triangular(np.eye(D_bare.grid.n) - g, d0, lower=True)
-    return TwoPointKernel(D_bare.grid, np.tril(dressed))
+    g = grid.dt ** 2 * (d0 @ pi_R.values)  # lower triangular
+    dressed = solve_triangular(np.eye(grid.n) - g, d0, lower=True)
+    return TwoPointKernel(grid, np.tril(dressed))
 
 
 def one_mode_toy(grid: TimeGrid, omega0: float, gamma: float):
@@ -123,15 +180,26 @@ def noise_map(dressed: TwoPointKernel, pi_N: TwoPointKernel) -> TwoPointKernel:
     """Field noise N(t,t') = D_R(t,.) Pi_N(.,.) D_R(t',.)* by quadrature.
 
     The conjugation placement is fixed by requiring a Hermitian-symmetric
-    result; for real propagators it is immaterial.
+    result; for real propagators it is immaterial.  For white noise
+    (Pi_N = g I, g real) and a lower-triangular Toeplitz D_R with first
+    column c, N is the running sum along each diagonal,
+    N(i+1, j+1) = N(i, j) + dt^2 g c_{i+1} c*_{j+1}.
     """
     if dressed.grid != pi_N.grid:
         raise ValueError("grid mismatch")
+    dt = dressed.grid.dt
+    g = _scalar_diagonal(pi_N.values)
+    c = _toeplitz_column(dressed.values) if g is not None and g.imag == 0 else None
+    if c is not None:
+        n = np.outer(dt ** 2 * g * c, c.conj())
+        for i in range(1, len(c)):
+            n[i, 1:] += n[i - 1, :-1]
+        return TwoPointKernel(dressed.grid, n)
     scale = max(np.abs(pi_N.values).max(), 1e-300)
     if np.abs(pi_N.values - pi_N.values.conj().T).max() > 1e-10 * scale:
         raise ValueError("noise kernel must be Hermitian-symmetric")
     d_r = dressed.values
-    n = dressed.grid.dt ** 2 * (d_r @ pi_N.values @ d_r.conj().T)
+    n = dt ** 2 * (d_r @ pi_N.values @ d_r.conj().T)
     return TwoPointKernel(dressed.grid, n)
 
 
@@ -218,20 +286,28 @@ def wave_operator_residual(dressed: TwoPointKernel, pi_R: TwoPointKernel,
     In the one-mode toy the wave operator is L0 = -(d^2/dt^2 + w0^2)/w0,
     for which L0 D_R = delta.  Applies (L0 - Pi_R *) to the dressed kernel
     with a central second difference and compares with the grid delta away
-    from the diagonal, where the difference stencil is valid.  Returns the
-    maximum interior residual relative to the delta amplitude.
+    from the diagonal, where the difference stencil is valid: rows
+    2 <= i <= n - 3 at lags 2 <= i - j <= n - 3.  Returns the maximum
+    interior residual relative to the delta amplitude.  The rows are taken
+    in blocks, and a Pi_R = gamma I acts as the scalar gamma.
     """
     g = dressed.grid
-    dt = g.dt
+    dt, n = g.dt, g.n
+    if n < 5:
+        raise ValueError("the wave operator residual needs a grid of at least 5 samples")
     vals = dressed.values
-    d2 = (np.roll(vals, -1, axis=0) - 2.0 * vals + np.roll(vals, 1, axis=0)) / dt ** 2
-    lhs = -(d2 + omega0 ** 2 * vals) / omega0 - dt * (pi_R.values @ vals)
-    n = g.n
-    i = np.arange(n)
-    lag = i[:, None] - i[None, :]
-    interior = (lag >= 2) & (lag <= n - 3) & (i[:, None] >= 2) & (i[:, None] <= n - 3)
+    gamma = _scalar_diagonal(pi_R.values)
+    worst = 0.0
+    for lo in range(2, n - 2, _ROWS):
+        hi = min(lo + _ROWS, n - 2)
+        cols = hi - 2  # interior entries of rows lo:hi have j <= i - 2 < hi - 2
+        rows = vals[lo:hi, :cols]
+        d2 = (vals[lo + 1:hi + 1, :cols] - 2.0 * rows + vals[lo - 1:hi - 1, :cols]) / dt ** 2
+        pi_d = gamma * rows if gamma is not None else pi_R.values[lo:hi] @ vals[:, :cols]
+        lhs = -(d2 + omega0 ** 2 * rows) / omega0 - dt * pi_d
+        worst = max(worst, float(np.abs(np.tril(lhs, lo - 2)).max()))
     scale = 1.0 / dt  # grid delta amplitude
-    return float(np.abs(lhs[interior]).max() / scale)
+    return worst / scale
 
 
 # samples per step of wyld_mc; a step draws its amplitudes before its

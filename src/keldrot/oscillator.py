@@ -53,10 +53,10 @@ class OscillatorSpec:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.omega0 <= 0:
-            raise ValueError("omega0 must be positive")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        for name in ("omega0", "hbar"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,10 @@ class GaussianState:
     m: complex = 0j
 
     def __post_init__(self):
-        if self.nbar < 0:
-            raise ValueError("nbar must be non-negative")
+        if not (np.isfinite(self.nbar) and self.nbar >= 0):
+            raise ValueError(f"nbar must be finite and non-negative, got {self.nbar}")
+        if not np.isfinite(self.m):
+            raise ValueError(f"squeezing m must be finite, got {self.m}")
         bound = np.sqrt(self.nbar * (self.nbar + 1.0))
         if abs(self.m) > bound * (1.0 + 1e-12) + 1e-300:
             raise ValueError(

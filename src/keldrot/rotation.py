@@ -3,11 +3,12 @@
 The closed-time-loop data for a Hermitian bosonic field is the triple of
 kernels {K_F, K_rev, K_W} = {<T+ A,A>, <T- A,A>, <A,A>} plus the mean.  A
 rotation with ordering parameter s trades them for the retarded response
-D_R = (K_rev - K_W) / (-i hbar c), shared by every rotation, and the
-time-s-ordered noise N_s.  The Keldysh rotation is the Weyl (s = 0) map,
-N_0 = (1/2) Re(K_F + K_W); every other ordering differs from it only by a
-gap, N_s = N_0 - s Z with Z = i hbar c (C + C^T), C = F^-_t' D_R - D_R / 2,
-so s enters only in `reorder`.  `unrotate` inverts the Weyl map with
+D_R = (K_rev - K_W) / (-i hbar c), shared by every rotation and real for a
+Hermitian field, and the time-s-ordered noise N_s.  The Keldysh rotation is
+the Weyl (s = 0) map, N_0 = (1/2) Re(K_F + K_W); every other ordering
+differs from it only by a gap, N_s = N_0 - s Z with Z = i hbar c (C + C^T),
+C = F^-_t' D_R - D_R / 2, so s enters only in `reorder`, and Z depends on
+Re D_R alone.  `unrotate` inverts the Weyl map with
 K_F, K_W = N_0 + (i hbar c / 2)(D_R +- D_R^T) and K_rev = K_F*.  By
 F^+ + F^- = 1 and F^{s-} = s_minus + s F^-, N_s equals the four-projection
 formula 2 Re[F^{s+}_t F^{s+}_t' K_F + F^{s-}_t F^{s+}_t' K_W] exactly on the
@@ -27,8 +28,8 @@ from .grids import (
     TwoPointKernel,
     pair_form,
     overlap,
-    project_kernel_axis,
     project_s,
+    sign_weights,
     theta_ordering_matrix,
 )
 
@@ -53,6 +54,27 @@ class ConsistencyError(ValueError):
     """Raised when a cumulant set violates the closed-time-loop identity."""
 
 
+def _check_hbar_c(hbar_c: float):
+    if not (np.isfinite(hbar_c) and hbar_c > 0):
+        raise ValueError(f"hbar_c must be finite and positive, got {hbar_c}")
+
+
+_TILE = 64  # edge of the tiles in which _add_transpose reads a and a^T
+
+
+def _add_transpose(a: np.ndarray, sign: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+    """a + a^T (a - a^T for negative `sign`), summed tile by tile so that
+    the transposed tile is read from cache; `out` must not overlap `a`."""
+    out = np.empty_like(a) if out is None else out
+    op = np.add if sign > 0 else np.subtract
+    n = a.shape[0]
+    for i in range(0, n, _TILE):
+        for j in range(0, n, _TILE):
+            op(a[i:i + _TILE, j:j + _TILE], a[j:j + _TILE, i:i + _TILE].T,
+               out=out[i:i + _TILE, j:j + _TILE])
+    return out
+
+
 @dataclass
 class CumulantSet:
     """Closed-time-loop cumulant triple plus mean for one field component.
@@ -69,6 +91,7 @@ class CumulantSet:
     hbar_c: float = 1.0
 
     def __post_init__(self):
+        _check_hbar_c(self.hbar_c)
         g = self.mean.grid
         for K in (self.K_F, self.K_rev, self.K_W):
             if K.grid != g:
@@ -103,12 +126,17 @@ class CumulantSet:
     def consistency_residual(self, scale: float | None = None) -> float:
         """Residual of K_W + K_W^T - K_F - K_rev = 0 relative to `scale`
         (default: the largest |entry| of the triple)."""
-        r = self.K_W.values + self.K_W.values.T - self.K_F.values - self.K_rev.values
+        w, f, rev = self.K_W.values, self.K_F.values, self.K_rev.values
+        r = _add_transpose(w, out=np.empty(w.shape, np.result_type(w, f, rev)))
+        r -= f
+        r -= rev
         return float(np.abs(r).max() / (scale or self._scale()))
 
     def reversal_residual(self, scale: float | None = None) -> float:
         """Residual of the Hermitian-field relation K_rev = K_F*, relative as above."""
-        r = self.K_rev.values - self.K_F.values.conj()
+        f, rev = self.K_F.values, self.K_rev.values
+        r = np.conjugate(f, out=np.empty(f.shape, np.result_type(f, rev)))
+        np.subtract(rev, r, out=r)
         return float(np.abs(r).max() / (scale or self._scale()))
 
     def validate(self, tol: float = 1e-8):
@@ -136,6 +164,9 @@ class RotatedCumulants:
     p: OrderingParam
     hbar_c: float = 1.0
 
+    def __post_init__(self):
+        _check_hbar_c(self.hbar_c)
+
     @property
     def grid(self) -> TimeGrid:
         return self.mean.grid
@@ -157,11 +188,15 @@ def _acausal_part(values: np.ndarray, grid: TimeGrid,
     acausal |entry| of a response kernel in the first time representation of
     `periodic` where that part is noise (<= 1e-10 of the largest entry): by
     default linear time, then the circle.  If none, the mask is None and the
-    size the smallest part."""
+    size the smallest part.  In linear time the mask is the strict upper
+    triangle."""
     noise = 1e-10 * max(np.abs(values).max(), 1e-300)
     sizes = []
     for circle in periodic:
-        mask = theta_ordering_matrix(grid, circle) == 0.0
+        if circle:
+            mask = theta_ordering_matrix(grid, True) == 0.0
+        else:
+            mask = np.triu(np.ones(values.shape, dtype=bool), 1)
         size = float(np.abs(values[mask]).max(initial=0.0))
         if size <= noise:
             return mask, size
@@ -173,21 +208,27 @@ def retarded_from_cumulants(ctl: CumulantSet) -> TwoPointKernel:
     """D_R(t,t') = [<T- A,A> - <A,A>] / (-i hbar c), zero where acausal.
 
     A physical response is retarded in one time representation, so zeroing
-    its acausal part only removes rounding; acausal input is rejected.
+    its acausal part only removes rounding; acausal input is rejected.  As
+    the readers do, D_R is stored real when its imaginary part is exactly
+    zero, which it is for a Hermitian field (K_rev = K_F*).
     """
-    d = (ctl.K_rev.values - ctl.K_W.values) / (-1j * ctl.hbar_c)
-    mask, _ = _acausal_part(d, ctl.grid)
+    diff = ctl.K_rev.values - ctl.K_W.values  # -i hbar c D_R
+    mask, _ = _acausal_part(diff, ctl.grid)
     if mask is None:
         raise ConsistencyError("response kernel is not retarded in either time representation")
-    d[mask] = 0.0
+    diff[mask] = 0.0
+    d = np.imag(diff) / -ctl.hbar_c
+    if np.real(diff).any():
+        d = d + 1j * (np.real(diff) / ctl.hbar_c)
     return TwoPointKernel(ctl.grid, d)
 
 
 def _weyl_image(ctl: CumulantSet) -> RotatedCumulants:
     """Keldysh (s = 0) rotation: D_R and N_0 = (1/2) Re(K_F + K_W)."""
-    n_0 = TwoPointKernel(ctl.grid, 0.5 * np.real(ctl.K_F.values + ctl.K_W.values))
-    return RotatedCumulants(ctl.mean, retarded_from_cumulants(ctl), n_0, OrderingParam(0.0),
-                            ctl.hbar_c)
+    n_0 = np.add(np.real(ctl.K_F.values), np.real(ctl.K_W.values))
+    n_0 *= 0.5
+    return RotatedCumulants(ctl.mean, retarded_from_cumulants(ctl), TwoPointKernel(ctl.grid, n_0),
+                            OrderingParam(0.0), ctl.hbar_c)
 
 
 def rotate(ctl: CumulantSet, p: OrderingParam, consistency_tol: float = 1e-8,
@@ -209,11 +250,21 @@ def unrotate(rot: RotatedCumulants) -> CumulantSet:
     K_F = N_0 + (i hbar c / 2)(D_R + D_A)
     K_W = N_0 + (i hbar c / 2)(D_R - D_A)
     K_rev = K_F*
+    Each is built from real parts: with D_R = B + iA,
+    K = N_0 - (hbar c / 2)(A +- A^T) + i (hbar c / 2)(B +- B^T).
     """
-    half_d_r = 0.5j * rot.hbar_c * rot.D_R.values
-    shared = reorder(rot, 0.0).N_s.values + half_d_r  # N_0 + (i hbar c / 2) D_R
-    k_f = shared + half_d_r.T
-    k_w = shared - half_d_r.T
+    n_0 = reorder(rot, 0.0).N_s.values
+    d = rot.D_R.values
+    half = 0.5 * rot.hbar_c
+    k_f, k_w = (np.empty(d.shape, dtype=complex) for _ in range(2))
+    for k, sign in ((k_f, 1.0), (k_w, -1.0)):
+        _add_transpose(np.real(d), sign, out=k.imag)
+        k.imag *= half
+        k.real = np.real(n_0)
+        if np.iscomplexobj(d):
+            k.real -= half * _add_transpose(d.imag, sign)
+        if np.iscomplexobj(n_0):
+            k.imag += n_0.imag
     g = rot.grid
     return CumulantSet(
         mean=rot.mean,
@@ -228,11 +279,20 @@ def reorder_gap_kernel(D_R: TwoPointKernel, hbar_c: float = 1.0) -> TwoPointKern
     """Response-derived gap kernel Z(t,t') connecting noises at different s.
 
     Z = i hbar c (C + C^T) with C = F^-_t' D_R(t,t') - (1/2) D_R(t,t').  The
-    noise is real at every s, so only Re Z = -hbar c Im(C + C^T) is kept; for
-    a Hermitian field (real D_R) Im Z is rounding.
+    noise is real at every s, so only Re Z = -hbar c (Y + Y^T) with
+    Y = Im C is kept.  With D_R = B + iA, F^+ + F^- = 1 gives
+    Re F^- A = A/2 for real A, so Y = Im F^-_t' B: Im D_R drops out.  For
+    real B, (F^- - 1/2) B = -(1/2) sign(w) B is imaginary, so Y is B under
+    the real weight i (theta(w) - 1/2): one ihfft/hfft pair along t', with
+    weight i/2 on the half spectrum and 0 at w = 0 and at the Nyquist bin.
     """
-    im_c = project_kernel_axis(D_R, 1, "-").values.imag - 0.5 * D_R.values.imag
-    return TwoPointKernel(D_R.grid, -hbar_c * (im_c + im_c.T))
+    _check_hbar_c(hbar_c)
+    n = D_R.grid.n
+    half = np.fft.ihfft(np.real(D_R.values), axis=1)
+    half *= 1j * (sign_weights(D_R.grid, "+")[:n // 2 + 1] - 0.5)
+    y = np.fft.hfft(half, n, axis=1)
+    y *= -hbar_c
+    return TwoPointKernel(D_R.grid, _add_transpose(y))
 
 
 def reorder(rot: RotatedCumulants, s_new: float) -> RotatedCumulants:
@@ -240,8 +300,9 @@ def reorder(rot: RotatedCumulants, s_new: float) -> RotatedCumulants:
     p_new = OrderingParam(s_new)  # validates |s_new| <= 1
     n_new = rot.N_s
     if s_new != rot.p.s:
-        gap = reorder_gap_kernel(rot.D_R, rot.hbar_c)
-        n_new = TwoPointKernel(rot.grid, rot.N_s.values + (rot.p.s - s_new) * gap.values)
+        z = reorder_gap_kernel(rot.D_R, rot.hbar_c).values
+        z *= rot.p.s - s_new
+        n_new = TwoPointKernel(rot.grid, rot.N_s.values + z)
     return RotatedCumulants(rot.mean, rot.D_R, n_new, p_new, rot.hbar_c)
 
 

@@ -87,6 +87,21 @@ class TestRotationFlow:
         manifest = json.loads((outdir / "rot.manifest.json").read_text())
         assert manifest["config"]["check_consistency"] is False
 
+    @pytest.mark.parametrize("hbar_c", [float("nan"), 0.0, float("inf"), -1.0])
+    def test_unrotate_refuses_bad_hbar_c(self, hbar_c, outdir, capsys):
+        grid = TimeGrid(12, 0.2)
+        spec = OscillatorSpec(omega0=grid.resonant_frequency(2))
+        bundle = json.loads(ser.rotated_to_json(
+            rotate(ctl_cumulants(spec, GaussianState(nbar=0.4), grid), OrderingParam(0.5))))
+        bundle["hbar_c"] = hbar_c
+        inp = outdir / "rot.json"
+        inp.write_text(json.dumps(bundle))  # NaN and Infinity as Python's json writes them
+        code = run(["unrotate", "--in", inp, "--out", outdir / "back"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "computation" and "hbar_c" in err["detail"]
+        assert list(outdir.iterdir()) == [inp]
+
     def test_reorder_verb(self, outdir):
         grid = TimeGrid(24, 0.2)
         spec = OscillatorSpec(omega0=grid.resonant_frequency(3))
@@ -318,6 +333,17 @@ class TestConfigHandling:
         err = json.loads(capsys.readouterr().err)
         assert "residuals" in err["detail"] or "singular" in err["detail"]
 
+    @pytest.mark.parametrize("argv", [
+        ["oscillator", "kernel", "--omega0", 1.0, "--s", 0.0, "--n", 8, "--dt", "inf"],
+        ["dress", "--omega0", 1.0, "--coupling", 0.3, "--n", 8, "--dt", "nan"],
+    ])
+    def test_non_finite_grid_step_fails(self, argv, outdir, capsys):
+        code = run(argv + ["--out", outdir / "x"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "computation" and "grid step" in err["detail"]
+        assert list(outdir.iterdir()) == []
+
     def test_nested_grid_config(self, outdir):
         cfg = outdir / "cfg.json"
         cfg.write_text(json.dumps({"omega0": 1.0, "s": 0.0,
@@ -347,10 +373,19 @@ class TestAcceptVerb:
 
 class TestStartupImports:
     def test_verbs_without_quadrature_load_no_heavy_scipy(self, outdir):
-        """`kernels` and `project` run in a fresh interpreter without
-        importing scipy's quadrature, special functions or linear algebra."""
+        """`kernels`, `project` and `dress` on a time-invariant medium (the
+        one-mode toy at a dyadic step, and bare/susceptibility files holding
+        an exactly Toeplitz kernel and gamma I) run in a fresh interpreter
+        without importing scipy's quadrature, special functions or linear
+        algebra."""
         sig = outdir / "sig.csv"
         sig.write_text(ser.signal_to_csv(Signal.zero(TimeGrid(8, 0.5))))
+        grid = TimeGrid(32, 0.125)
+        t = grid.times
+        bare, pi_r = outdir / "bare.json", outdir / "pi_r.json"
+        bare.write_text(ser.kernel_to_json(TwoPointKernel(
+            grid, np.tril(-np.sin(1.3 * (t[:, None] - t[None, :]))))))
+        pi_r.write_text(ser.kernel_to_json(TwoPointKernel(grid, 2.0 * np.eye(grid.n))))
         script = f"""
 import sys
 from keldrot import cli
@@ -358,6 +393,10 @@ assert cli.main(["kernels", "scalar", "--eps", "1e-3", "--k0-max", "2", "--n-k0"
                  "--out", {str(outdir / "k")!r}]) == 0
 assert cli.main(["project", "--in", {str(sig)!r}, "--sign", "+",
                  "--out", {str(outdir / "p")!r}]) == 0
+assert cli.main(["dress", "--omega0", "1", "--coupling", "0.3", "--n", "64", "--dt", "0.0625",
+                 "--out", {str(outdir / "d1")!r}]) == 0
+assert cli.main(["dress", "--bare", {str(bare)!r}, "--pi-r", {str(pi_r)!r},
+                 "--out", {str(outdir / "d2")!r}]) == 0
 print("loaded:" + ",".join(m for m in ("scipy.integrate", "scipy.special", "scipy.linalg")
                            if m in sys.modules))
 """

@@ -41,6 +41,12 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(8, -0.1)
 
+    @pytest.mark.parametrize("dt, t0", [(np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0),
+                                        (0.1, np.nan), (0.1, np.inf), (0.1, -np.inf)])
+    def test_rejects_non_finite_grids(self, dt, t0):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(8, dt, t0)
+
     def test_lags_wrap(self):
         g = TimeGrid(8, 1.0)
         assert list(g.lags) == [0, 1, 2, 3, -4, -3, -2, -1]

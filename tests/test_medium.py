@@ -6,6 +6,7 @@ import pytest
 
 from keldrot.diracsea import DiracSeaSpec, F_threshold, Pi_R_reg, R_obs, pi_plus_closed_form
 from keldrot.grids import OrderingParam, Signal, TimeGrid, TwoPointKernel
+import keldrot.medium as medium
 from keldrot.medium import (
     _MC_CHUNK,
     SpectralDensity,
@@ -550,3 +551,172 @@ def test_gauge_diagnosis_reports_obstruction():
     assert "delta(k^2)/k^2" in report["transverse_projector_term"]
     empty = gauge_projector_diagnosis(0.0)
     assert empty["consistent"] is True and empty["divergent_coefficient"] == 0.0
+
+
+def one_ulp_off_toeplitz(values):
+    """A copy whose entry (n - 1, 1) moved by one ulp, so that the kernel is
+    lower triangular but no longer exactly Toeplitz."""
+    off = values.copy()
+    off[-1, 1] = np.nextafter(off[-1, 1], np.inf)
+    return off
+
+
+class TestToeplitzRoutes:
+    """A time-invariant medium (D0 lower-triangular Toeplitz, Pi_R = gamma I,
+    Pi_N = g I) takes the first-column routes; the dense solve and products
+    are the oracles, and any other input takes them."""
+
+    @pytest.fixture
+    def dense_solves(self, monkeypatch):
+        import scipy.linalg
+
+        calls = []
+        solve = scipy.linalg.solve_triangular
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "solve_triangular", counted)
+        return calls
+
+    @staticmethod
+    def dense_dressed(d0, pi_r, dt):
+        from scipy.linalg import solve_triangular
+
+        g = dt ** 2 * (d0 @ pi_r)
+        return np.tril(solve_triangular(np.eye(len(d0)) - g, d0, lower=True))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_dress_matches_dense_solve(self, dtype, dense_solves):
+        grid, _, d_bare, pi_r, _ = toy_kernels(n=512, total_time=12.0)
+        d0 = d_bare.values.astype(dtype)
+        dressed = dress_retarded_grid(TwoPointKernel(grid, d0), pi_r).values
+        assert dense_solves == []
+        expect = self.dense_dressed(d0, pi_r.values, grid.dt)
+        assert dressed.dtype == expect.dtype
+        assert np.abs(dressed - expect).max() < 1e-12 * np.abs(expect).max()
+        assert np.array_equal(dressed, np.tril(dressed))
+
+    def test_off_toeplitz_inputs_take_dense_route(self, dense_solves):
+        grid, _, d_bare, pi_r, gamma = toy_kernels(n=256, total_time=10.0)
+        toeplitz = dress_retarded_grid(d_bare, pi_r).values
+        scale = np.abs(toeplitz).max()
+        d_off = one_ulp_off_toeplitz(d_bare.values)
+        pi_off = pi_r.values.copy()
+        pi_off[5, 5] = np.nextafter(pi_off[5, 5], np.inf)
+        assert medium._toeplitz_column(d_off) is None
+        assert medium._scalar_diagonal(pi_off) is None
+        for d0, pi in ((d_off, pi_r.values), (d_bare.values, pi_off)):
+            del dense_solves[:]
+            got = dress_retarded_grid(TwoPointKernel(grid, d0), TwoPointKernel(grid, pi)).values
+            assert len(dense_solves) == 1
+            assert np.abs(got - self.dense_dressed(d0, pi, grid.dt)).max() == 0.0
+            assert np.abs(got - toeplitz).max() < 1e-12 * scale
+
+    def test_toeplitz_check_needs_exact_structure(self):
+        grid, _, d_bare, _, _ = toy_kernels(n=130, total_time=130 / 16)
+        d = d_bare.values
+        assert np.array_equal(medium._toeplitz_column(d), d[:, 0])
+        upper = d.copy()
+        upper[0, 3] = 1e-300
+        assert medium._toeplitz_column(upper) is None
+        for i, j in ((64, 0), (65, 1), (129, 128), (100, 36)):  # block edges and interior
+            bad = d.copy()
+            bad[i, j] = np.nextafter(bad[i, j], np.inf)
+            assert medium._toeplitz_column(bad) is None
+        nan = d.copy()
+        nan[70, 3] = np.nan
+        assert medium._toeplitz_column(nan) is None
+        assert medium._scalar_diagonal(2.5 * np.eye(8)) == 2.5
+        assert medium._scalar_diagonal(np.zeros((8, 8))) == 0.0
+        off_diagonal = 2.5 * np.eye(8)
+        off_diagonal[3, 1] = 1e-300
+        assert medium._scalar_diagonal(off_diagonal) is None
+
+    def test_non_dyadic_step_takes_dense_route(self, dense_solves):
+        # t_i - t_j rounds differently along a diagonal at this step, so the
+        # sampled D0 is not exactly Toeplitz
+        grid = TimeGrid(128, 0.1)
+        d_bare, pi_r, closed, _ = one_mode_toy(grid, 1.0, 0.25)
+        assert medium._toeplitz_column(d_bare.values) is None
+        dress_retarded_grid(d_bare, pi_r)
+        assert len(dense_solves) == 1
+
+    def test_singular_kernel_refused_on_both_routes(self):
+        grid = TimeGrid(16, 0.5)
+        d0 = np.tril(np.ones((16, 16)))
+        pi_r = (1.0 / grid.dt ** 2) * np.eye(16)  # 1 - dt^2 pi_R d0 has a zero diagonal
+        for d in (d0, one_ulp_off_toeplitz(d0)):
+            with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                dress_retarded_grid(TwoPointKernel(grid, d), TwoPointKernel(grid, pi_r))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_noise_map_matches_dense_product(self, dtype):
+        grid, _, d_bare, pi_r, _ = toy_kernels(n=512, total_time=12.0)
+        d = dress_retarded_grid(d_bare, pi_r).values.astype(dtype)
+        if dtype is complex:
+            d = d * np.exp(0.7j)
+        pi_n = (0.16 / grid.dt) * np.eye(grid.n)
+        got = noise_map(TwoPointKernel(grid, d), TwoPointKernel(grid, pi_n)).values
+        expect = grid.dt ** 2 * (d @ pi_n @ d.conj().T)
+        assert got.dtype == expect.dtype
+        assert np.abs(got - expect).max() < 1e-12 * np.abs(expect).max()
+
+    def test_noise_map_off_structure_takes_dense_route(self):
+        grid, _, d_bare, pi_r, _ = toy_kernels(n=256, total_time=10.0)
+        d = dress_retarded_grid(d_bare, pi_r).values
+        pi_n = (0.16 / grid.dt) * np.eye(grid.n)
+        structured = noise_map(TwoPointKernel(grid, d), TwoPointKernel(grid, pi_n)).values
+        pi_off = pi_n.copy()
+        pi_off[7, 7] = np.nextafter(pi_off[7, 7], np.inf)
+        d_off = one_ulp_off_toeplitz(d)
+        for dr, pi in ((d_off, pi_n), (d, pi_off)):
+            got = noise_map(TwoPointKernel(grid, dr), TwoPointKernel(grid, pi)).values
+            assert np.array_equal(got, grid.dt ** 2 * (dr @ pi @ dr.conj().T))
+            assert np.abs(got - structured).max() < 1e-12 * np.abs(structured).max()
+        # an imaginary white level is not Hermitian: the dense route refuses it
+        with pytest.raises(ValueError, match="Hermitian"):
+            noise_map(TwoPointKernel(grid, d), TwoPointKernel(grid, 1j * np.eye(grid.n)))
+
+    @pytest.mark.parametrize("general_pi", [False, True])
+    @pytest.mark.parametrize("n", [5, 64, 200])
+    def test_wave_residual_matches_masked_dense_route(self, general_pi, n):
+        # a random kernel with a large diagonal and last row: the residual
+        # is large at lags 0 and 1 and in the rows next to the grid ends, so
+        # only the exact interior gives the oracle's maximum
+        grid = TimeGrid(n, 0.05)
+        rng = np.random.default_rng(n)
+        d = np.tril(rng.normal(size=(n, n)))
+        d[np.diag_indices(n)] += 1e6
+        d[-1] += 1e6
+        pi = 3.0 * np.eye(n)
+        if general_pi:
+            pi += np.tril(rng.normal(size=(n, n)), -1)
+        dt, w0 = grid.dt, 1.3
+        d2 = (np.roll(d, -1, axis=0) - 2.0 * d + np.roll(d, 1, axis=0)) / dt ** 2
+        lhs = -(d2 + w0 ** 2 * d) / w0 - dt * (pi @ d)
+        i = np.arange(n)
+        lag = i[:, None] - i[None, :]
+        interior = ((lag >= 2) & (lag <= n - 3) & (i[:, None] >= 2) & (i[:, None] <= n - 3))
+        residual = np.abs(lhs[interior]).max() * dt
+        got = wave_operator_residual(TwoPointKernel(grid, d), TwoPointKernel(grid, pi), w0)
+        assert got == pytest.approx(residual, rel=1e-12)
+
+    def test_wave_residual_needs_an_interior(self):
+        grid = TimeGrid(4, 0.05)
+        with pytest.raises(ValueError, match="at least 5"):
+            wave_operator_residual(TwoPointKernel.zero(grid), TwoPointKernel.zero(grid), 1.0)
+
+    def test_wave_residual_allocates_no_square_array(self):
+        import tracemalloc
+
+        grid, spec, d_bare, pi_r, _ = toy_kernels(n=1024, total_time=24.0)
+        dressed = dress_retarded_grid(d_bare, pi_r)
+        tracemalloc.start()
+        try:
+            wave_operator_residual(dressed, pi_r, spec.omega0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * dressed.values.nbytes  # row blocks only

@@ -77,6 +77,14 @@ class TestSOrderedKernel:
         with pytest.raises(ValueError):
             GaussianState(nbar=-1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, value):
+        for make in (lambda v: OscillatorSpec(omega0=v), lambda v: OscillatorSpec(1.0, hbar=v),
+                     lambda v: GaussianState(nbar=v), lambda v: GaussianState(nbar=1.0, m=v),
+                     lambda v: GaussianState(nbar=1.0, m=1j * v)):
+            with pytest.raises(ValueError, match="finite"):
+                make(value)
+
     def test_reordering_difference_is_exact(self):
         t = GRID.times
         state = GaussianState(nbar=0.9, m=0.2 + 0.1j)

@@ -402,3 +402,103 @@ def test_corrupted_weyl_image_fails_criterion(monkeypatch):
     assert not result.passed
     assert result.details["roundtrip"] > 1e-3
     assert result.details["four_projection"] > 1e-3
+
+
+def complex_gap_oracle(d_r, hbar_c=1.0):
+    """The complex-projection route: Z = -hbar c (Y + Y^T) with
+    Y = Im F^-_t' D_R - (1/2) Im D_R."""
+    im_c = project_kernel_axis(d_r, 1, "-").values.imag - 0.5 * d_r.values.imag
+    return -hbar_c * (im_c + im_c.T)
+
+
+class TestRealRotation:
+    """D_R is stored real for a Hermitian field, and Z is taken from Re D_R
+    alone on the half spectrum; the complex routes are the oracles."""
+
+    @pytest.mark.parametrize("n", [96, 97])
+    @pytest.mark.parametrize("imaginary", [False, True])
+    def test_gap_matches_complex_projection_route(self, n, imaginary):
+        grid = TimeGrid(n, 0.12)
+        rng = np.random.default_rng(n)
+        d = retarded_response_grid(OscillatorSpec(omega0=0.9), grid)
+        d += np.tril(rng.normal(size=(n, n)))
+        if imaginary:
+            d = d + 1j * np.tril(rng.normal(size=(n, n)))
+        d_r = TwoPointKernel(grid, d)
+        for hbar_c in (1.0, 0.3):
+            z = complex_gap_oracle(d_r, hbar_c)
+            gap = reorder_gap_kernel(d_r, hbar_c).values
+            assert gap.dtype == np.float64
+            assert np.abs(gap - z).max() < 1e-12 * np.abs(z).max()
+
+    def test_gap_ignores_imaginary_response(self):
+        d = retarded_response_grid(SPEC, GRID)
+        noise = np.tril(np.random.default_rng(30).normal(size=d.shape))
+        real = reorder_gap_kernel(TwoPointKernel(GRID, d)).values
+        assert np.array_equal(reorder_gap_kernel(TwoPointKernel(GRID, d + 1j * noise)).values,
+                              real)
+
+    @pytest.mark.parametrize("name", ORACLE_SETS)
+    def test_hermitian_response_stored_real(self, name):
+        ctl = ORACLE_SETS[name]()
+        d_r = rotate(ctl, OrderingParam(0.4)).D_R.values
+        assert d_r.dtype == np.float64
+        direct = (ctl.K_rev.values - ctl.K_W.values) / (-1j * ctl.hbar_c)
+        mask, _ = rotation._acausal_part(direct, GRID)
+        direct[mask] = 0.0
+        assert np.array_equal(d_r, direct.real)
+
+    def test_non_hermitian_response_stays_complex(self):
+        ctl = synthetic_cumulants(GRID, np.random.default_rng(31))
+        shift = 1e-3 * np.tril(np.ones((GRID.n, GRID.n)))
+        bad = dataclasses.replace(ctl, K_rev=ctl.K_rev.with_values(ctl.K_rev.values + shift))
+        d_r = rotation.retarded_from_cumulants(bad).values
+        assert d_r.dtype == np.complex128
+        assert np.abs(d_r.imag - shift).max() < 1e-15  # shift + Re K_rev - Re K_W, rounded
+        assert np.array_equal(d_r.real, rotation.retarded_from_cumulants(ctl).values)
+
+    @pytest.mark.parametrize("name", ORACLE_SETS)
+    def test_unrotate_matches_complex_route(self, name):
+        # the parent's complex assembly: N_0 + (i hbar c / 2)(D_R +- D_R^T)
+        rot = rotate(ORACLE_SETS[name](), OrderingParam(-0.6))
+        rng = np.random.default_rng(32)
+        for d_r in (rot.D_R.values, rot.D_R.values + 1j * np.tril(rng.normal(size=(GRID.n,) * 2))):
+            for hbar_c in (1.0, 0.3):
+                r = dataclasses.replace(rot, D_R=TwoPointKernel(GRID, d_r), hbar_c=hbar_c)
+                half = 0.5j * hbar_c * d_r
+                n_0 = reorder(r, 0.0).N_s.values + half
+                back = unrotate(r)
+                scale = np.abs(n_0).max()
+                assert np.abs(back.K_F.values - (n_0 + half.T)).max() < 1e-12 * scale
+                assert np.abs(back.K_W.values - (n_0 - half.T)).max() < 1e-12 * scale
+                assert np.array_equal(back.K_rev.values, back.K_F.values.conj())
+
+    def test_residuals_match_out_of_place_sums(self):
+        ctl = synthetic_cumulants(GRID, np.random.default_rng(33))
+        rng = np.random.default_rng(34)
+        bad = dataclasses.replace(ctl, K_F=ctl.K_F.with_values(
+            ctl.K_F.values + 1e-3 * rng.normal(size=(GRID.n, GRID.n))))
+        f, rev, w = bad.K_F.values, bad.K_rev.values, bad.K_W.values
+        scale = bad._scale()
+        assert bad.consistency_residual() == float(np.abs(w + w.T - f - rev).max() / scale)
+        assert bad.reversal_residual() == float(np.abs(rev - f.conj()).max() / scale)
+
+    @pytest.mark.parametrize("n", [3, 64, 65, 130])
+    def test_add_transpose_tiles(self, n):
+        a = np.random.default_rng(n).normal(size=(n, n)) + 1j
+        assert np.array_equal(rotation._add_transpose(a), a + a.T)
+        assert np.array_equal(rotation._add_transpose(a, -1.0), a - a.T)
+
+
+@pytest.mark.parametrize("hbar_c", [0.0, -1.0, np.nan, np.inf])
+def test_bad_hbar_c_rejected(hbar_c):
+    ctl = synthetic_cumulants(GRID, np.random.default_rng(35))
+    with pytest.raises(ValueError, match="hbar_c"):
+        rotate(dataclasses.replace(ctl, hbar_c=hbar_c), OrderingParam(0.3))
+    rot = rotate(ctl, OrderingParam(0.3))
+    with pytest.raises(ValueError, match="hbar_c"):
+        unrotate(dataclasses.replace(rot, hbar_c=hbar_c))
+    with pytest.raises(ValueError, match="hbar_c"):
+        reorder(dataclasses.replace(rot, hbar_c=hbar_c), -0.2)
+    with pytest.raises(ValueError, match="hbar_c"):
+        reorder_gap_kernel(rot.D_R, hbar_c)
