@@ -32,7 +32,6 @@ __all__ = [
     "project_s",
     "project_kernel_axis",
     "reflect",
-    "integrate",
     "overlap",
     "pair_form",
     "theta_ordering_matrix",
@@ -137,15 +136,8 @@ class Signal:
             )
 
     @classmethod
-    def from_function(cls, grid: TimeGrid, fn) -> "Signal":
-        return cls(grid, fn(grid.times))
-
-    @classmethod
     def zero(cls, grid: TimeGrid) -> "Signal":
         return cls(grid, np.zeros(grid.n))
-
-    def with_values(self, values) -> "Signal":
-        return Signal(self.grid, values)
 
     def conj(self) -> "Signal":
         return Signal(self.grid, self.values.conj())
@@ -157,11 +149,6 @@ class Signal:
     def __sub__(self, other: "Signal") -> "Signal":
         _check_same_grid(self.grid, other.grid)
         return Signal(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar) -> "Signal":
-        return Signal(self.grid, self.values * scalar)
-
-    __rmul__ = __mul__
 
 
 def heaviside(x):
@@ -220,34 +207,6 @@ class TwoPointKernel:
         if self.values.shape != (n, n):
             raise ValueError(f"kernel shape {self.values.shape} does not match grid n={n}")
 
-    @classmethod
-    def from_stationary(cls, grid: TimeGrid, lag_values) -> "TwoPointKernel":
-        """Circulant kernel K(t_i, t_j) = k(tau_{(i-j) mod n}).
-
-        `lag_values` is either an array indexed like TimeGrid.lags or a
-        callable evaluated on those lags.
-        """
-        k = np.asarray(lag_values(grid.lags) if callable(lag_values) else lag_values)
-        if k.shape != (grid.n,):
-            raise ValueError("stationary profile length must equal grid.n")
-        i = np.arange(grid.n)
-        return cls(grid, k[(i[:, None] - i[None, :]) % grid.n])
-
-    @classmethod
-    def from_function(cls, grid: TimeGrid, fn) -> "TwoPointKernel":
-        t = grid.times
-        return cls(grid, fn(t[:, None], t[None, :]))
-
-    @classmethod
-    def zero(cls, grid: TimeGrid) -> "TwoPointKernel":
-        return cls(grid, np.zeros((grid.n, grid.n)))
-
-    def with_values(self, values) -> "TwoPointKernel":
-        return TwoPointKernel(self.grid, values)
-
-    def conj(self) -> "TwoPointKernel":
-        return TwoPointKernel(self.grid, self.values.conj())
-
 
 def _apply_weights_along(values: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
     c = np.fft.ifft(values, axis=axis)
@@ -268,11 +227,6 @@ def project_kernel_axis(K: TwoPointKernel, axis: int, sign, p: OrderingParam | N
     else:
         w = ordering_weights(K.grid, p, sign)
     return TwoPointKernel(K.grid, _apply_weights_along(K.values, w, axis))
-
-
-def integrate(f: Signal) -> complex:
-    """Periodic quadrature dt * sum; exact for band-limited integrands."""
-    return complex(f.grid.dt * f.values.sum())
 
 
 def overlap(f: Signal, g: Signal) -> complex:
@@ -303,8 +257,15 @@ def theta_ordering_matrix(grid: TimeGrid, periodic: bool = False) -> np.ndarray:
         th = np.tri(n, k=-1)
         np.fill_diagonal(th, 0.5)
         return th
-    prof = heaviside(grid.lags)
-    if n % 2 == 0:
-        prof[n // 2] = 0.5
     i = np.arange(n)
-    return prof[(i[:, None] - i[None, :]) % n]
+    return _circle_theta(grid)[(i[:, None] - i[None, :]) % n]
+
+
+def _circle_theta(grid: TimeGrid) -> np.ndarray:
+    """theta on the circle as a lag profile, indexed like TimeGrid.lags:
+    column 0 of theta_ordering_matrix(grid, periodic=True), whose entry
+    (i, j) is the profile at lag index (i - j) mod n."""
+    prof = heaviside(grid.lags)
+    if grid.n % 2 == 0:
+        prof[grid.n // 2] = 0.5
+    return prof

@@ -1,10 +1,10 @@
 """Electromagnetic field in a linear medium.
 
-Dyson dressing of the retarded propagator (momentum closed form and causal
-time-grid solve), radiation of the mean field, mapping of the medium noise
-kernel onto the field noise, the zero-point-fluctuation spectrum driven by
-the Dirac-sea susceptibility, and a classical stochastic Monte Carlo that
-cross-checks the deterministic maps.
+Dyson dressing of the retarded propagator by a causal time-grid solve,
+radiation of the mean field, mapping of the medium noise kernel onto the
+field noise, the zero-point-fluctuation spectrum driven by the Dirac-sea
+susceptibility, and a classical stochastic Monte Carlo that cross-checks
+the deterministic maps.
 
 Delta terms of spectra are never discretized; they are carried as explicit
 (location, weight) entries next to the smooth samples.
@@ -22,7 +22,6 @@ from .rotation import _acausal_part
 
 __all__ = [
     "SpectralDensity",
-    "dress_retarded_momentum",
     "dress_retarded_grid",
     "one_mode_toy",
     "mean_field",
@@ -57,21 +56,6 @@ class SpectralDensity:
         for _, w in self.delta_terms:
             if abs(np.imag(w)) > 0:
                 raise ValueError("delta weights must be real")
-
-
-def dress_retarded_momentum(k_sq: float, spec: DiracSeaSpec) -> complex:
-    """Dressed retarded propagator mu_vac / [k^2 (1 + R_obs(k))], with
-    mu_vac = 1 and k0 > 0.
-
-    Exact-prescription evaluation off the light cone; the k^2 = 0 pole
-    carries a delta term that lives in the spectral ledger of
-    `zero_point_spectrum`, not here.
-    """
-    if k_sq == 0.0:
-        raise ValueError("on the light cone the propagator is distributional; "
-                         "use zero_point_spectrum's delta ledger")
-    r = R_obs(k_sq, spec)
-    return 1.0 / (k_sq * (1.0 + r))
 
 
 _ROWS = 64  # rows per block in the structure checks and the wave residual

@@ -1,9 +1,9 @@
 """Harmonic-oscillator kernels under Cahill-Glauber s-ordering.
 
 Exact closed forms for the retarded response, the s-ordered two-point
-kernel of a Gaussian state, the Keldysh contractions, and the reordering
-gap, plus a phase-space Monte Carlo sampler of the s-quasidistribution
-that serves as an independent oracle for the closed forms.
+kernel of a Gaussian state and the reordering gap, plus a phase-space
+Monte Carlo over the s-quasidistribution that serves as an independent
+oracle for the closed forms.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from .grids import (
     OrderingParam,
     Signal,
     TimeGrid,
+    _circle_theta,
     heaviside,
     project_pm,
     reflect,
@@ -27,7 +28,6 @@ __all__ = [
     "GaussianState",
     "UnsampleableStateError",
     "retarded_response",
-    "retarded_response_freq",
     "retarded_response_grid",
     "s_ordered_kernel",
     "wightman_kernel",
@@ -35,10 +35,7 @@ __all__ = [
     "reorder_gap",
     "reorder_gap_from_response",
     "recover_retarded_from_gap",
-    "keldysh_contractions",
     "rotated_lambda_form",
-    "classical_infield",
-    "sample_quasidistribution",
     "mc_quasiaverage",
 ]
 
@@ -98,13 +95,6 @@ def retarded_response_grid(spec: OscillatorSpec, grid: TimeGrid,
         t = grid.times
         tau = t[:, None] - t[None, :]
     return -theta_ordering_matrix(grid, periodic) * np.sin(spec.omega0 * tau)
-
-
-def retarded_response_freq(spec: OscillatorSpec, omega):
-    """Frequency-domain response (1/2)[1/(w-w0) - 1/(w+w0)]."""
-    w = np.asarray(omega, dtype=complex)
-    out = 0.5 * (1.0 / (w - spec.omega0) - 1.0 / (w + spec.omega0))
-    return out if out.ndim else complex(out)
 
 
 def _mode_phases(w: float, t, tp):
@@ -179,24 +169,12 @@ def reorder_gap_from_response(spec: OscillatorSpec, grid: TimeGrid) -> Signal:
 
 def recover_retarded_from_gap(Z: Signal, hbar: float = 1.0) -> Signal:
     """D_R(tau) = (2 / i hbar) theta(tau) [Z^+(tau) - Z^-(tau)], with theta
-    on the circle (the first column of the periodic `theta_ordering_matrix`)."""
+    on the circle (the lag profile of the periodic `theta_ordering_matrix`)."""
     zp = project_pm(Z, "+")
     zm = project_pm(Z, "-")
-    theta = theta_ordering_matrix(Z.grid, periodic=True)[:, 0]
+    theta = _circle_theta(Z.grid)
     vals = (2.0 / (1j * hbar)) * theta * (zp.values - zm.values)
     return Signal(Z.grid, vals)
-
-
-def keldysh_contractions(spec: OscillatorSpec, t, tp) -> dict:
-    """Vacuum contractions: i hbar D^+ = (hbar/2) e^{-i w tau},
-    i hbar D_F = (hbar/2) e^{-i w |tau|}; returns D_F and D_plus."""
-    tau = np.asarray(t, dtype=float) - np.asarray(tp, dtype=float)
-    w = spec.omega0
-    d_plus = np.exp(-1j * w * tau) / 2j
-    d_f = np.exp(-1j * w * np.abs(tau)) / 2j
-    if np.ndim(tau):
-        return {"D_F": d_f, "D_plus": d_plus}
-    return {"D_F": complex(d_f), "D_plus": complex(d_plus)}
 
 
 def rotated_lambda_form(spec: OscillatorSpec, state: GaussianState, p: OrderingParam,
@@ -214,14 +192,6 @@ def rotated_lambda_form(spec: OscillatorSpec, state: GaussianState, p: OrderingP
     term_r = -1j * dt ** 2 * (eta.values @ d_r @ j_s.values)
     term_n = -0.5 * dt ** 2 * (eta.values @ k_s @ eta.values)
     return complex(term_r + term_n)
-
-
-def classical_infield(alpha: complex, spec: OscillatorSpec, t):
-    """c-number in-field sqrt(hbar/2)(alpha e^{-i w t} + alpha* e^{i w t})."""
-    t = np.asarray(t, dtype=float)
-    w = spec.omega0
-    val = np.sqrt(spec.hbar / 2.0) * 2.0 * np.real(alpha * np.exp(-1j * w * t))
-    return val if val.ndim else float(val)
 
 
 def _infield_basis(spec: OscillatorSpec, t: np.ndarray) -> np.ndarray:
@@ -247,8 +217,6 @@ def _quasidistribution_cov(state: GaussianState, p: OrderingParam) -> np.ndarray
 def _quasidistribution_xy(state: GaussianState, p: OrderingParam, n_samples: int,
                           rng: np.random.Generator) -> np.ndarray:
     """(Re alpha, Im alpha) drawn from the s-quasidistribution, shape (n, 2)."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
     cov = _quasidistribution_cov(state, p)
     evals, evecs = np.linalg.eigh(cov)
     tol = 1e-12 * max(1.0, float(np.abs(cov).max()))
@@ -260,18 +228,6 @@ def _quasidistribution_xy(state: GaussianState, p: OrderingParam, n_samples: int
     evals = np.clip(evals, 0.0, None)
     root = evecs @ np.diag(np.sqrt(evals))
     return rng.standard_normal((n_samples, 2)) @ root.T
-
-
-def sample_quasidistribution(state: GaussianState, p: OrderingParam, n_samples: int,
-                             rng: np.random.Generator) -> np.ndarray:
-    """Draw complex amplitudes from the s-quasidistribution of the state.
-
-    Raises UnsampleableStateError when the quasidistribution is not a
-    positive (semidefinite) Gaussian, e.g. squeezed states at s = 1 with
-    insufficient thermal noise.
-    """
-    xy = _quasidistribution_xy(state, p, n_samples, rng)
-    return xy[:, 0] + 1j * xy[:, 1]
 
 
 # samples drawn per step; an estimate depends on it only through rounding

@@ -32,10 +32,8 @@ __all__ = [
     "geometric_masses",
     "solve_pv",
     "asymptotic_d",
-    "check_moments",
     "moment_integral_exact",
     "moment_sums",
-    "MomentCheck",
 ]
 
 DEFAULT_PRECISION_BITS = 256
@@ -67,14 +65,24 @@ def series_coeffs(n_max: int) -> np.ndarray:
 
 def geometric_masses(mu0: float, ratio: float, count: int) -> list[float]:
     """Masses mu_l = mu0 * ratio^l for l = 0..count-1 (count includes mu0)."""
-    if ratio <= 1:
-        raise ValueError("mass ratio must exceed 1")
+    if not (math.isfinite(ratio) and ratio > 1):
+        raise ValueError(f"mass ratio must be finite and exceed 1, got {ratio}")
     return [mu0 * ratio ** l for l in range(count)]
+
+
+def _checked_masses(masses) -> list[float]:
+    """The masses as floats, if finite, positive and strictly increasing."""
+    masses = [float(m) for m in masses]
+    if not all(math.isfinite(m) and m > 0 for m in masses):
+        raise ValueError(f"masses must be finite and positive, got {masses}")
+    if any(b <= a for a, b in zip(masses, masses[1:])):
+        raise ValueError("masses must be strictly increasing")
+    return masses
 
 
 @dataclass
 class PVScheme:
-    """Solved regularization scheme, built by `solve_pv` or `unregularized`.
+    """Solved regularization scheme, as `solve_pv` builds it.
 
     masses holds mu_0..mu_N; d holds d_0..d_N with d_0 = 1, and d_mp the
     same coefficients as extended-precision decimal strings, kept for exact
@@ -92,18 +100,11 @@ class PVScheme:
     def __post_init__(self):
         if self.M < 0:
             raise ValueError("smoothness order M must be >= 0")
-        ms = list(self.masses)
-        if any(b <= a for a, b in zip(ms, ms[1:])):
-            raise ValueError("masses must be strictly increasing")
+        ms = _checked_masses(self.masses)
         if len(self.d) != len(ms) or len(self.d_mp) != len(ms):
             raise ValueError("coefficient count must match mass count")
         if self.d[0] != 1.0:
             raise ValueError("d_0 must equal 1")
-
-    @classmethod
-    def unregularized(cls, mu0: float) -> "PVScheme":
-        """Single-mass scheme (no auxiliary masses, d = [1])."""
-        return cls(M=0, masses=[mu0], d=[1.0], d_mp=["1"])
 
 
 def _row_labels(M: int, impose_B0: bool) -> list[str]:
@@ -143,11 +144,7 @@ def solve_pv(M: int, masses, impose_B0: bool = False,
     is then unreliable and the mass spacing is of the pathological kind
     whose coefficients grow without bound.
     """
-    masses = [float(m) for m in masses]
-    if len(set(masses)) != len(masses):
-        raise ValueError("degenerate masses are not allowed")
-    if any(b <= a for a, b in zip(masses, masses[1:])):
-        raise ValueError("masses must be strictly increasing")
+    masses = _checked_masses(masses)
     n_aux = len(masses) - 1
     n_needed = 2 * M + 5 if impose_B0 else 2 * M + 4
     if n_aux != n_needed:
@@ -209,32 +206,6 @@ def asymptotic_d(masses) -> tuple[float, float]:
     return 1.0 + d2, d2
 
 
-@dataclass
-class MomentCheck:
-    n: int
-    cutoff_sq: float
-    integral: float
-    tail: float
-    tail_valid: bool
-    reference: float
-    integration_warnings: int = 0
-
-    @property
-    def residual(self) -> float:
-        return self.integral + self.tail
-
-    @property
-    def relative_residual(self) -> float:
-        return abs(self.residual) / self.reference if self.reference else np.inf
-
-
-def _f_antiderivative(y):
-    """Closed form: integral of F from 1 to y equals (y-1) sqrt(1 - 1/y)."""
-    y = np.asarray(y, dtype=float)
-    out = np.where(y > 1.0, (y - 1.0) * np.sqrt(np.maximum(1.0 - 1.0 / np.maximum(y, 1.0), 0.0)), 0.0)
-    return out if out.ndim else float(out)
-
-
 def moment_integral_exact(scheme: PVScheme, cutoff_sq: float):
     """Exact n = 0 moment integral via the closed-form antiderivative of F.
 
@@ -272,84 +243,3 @@ def moment_sums(scheme: PVScheme, k_max: int) -> list[float]:
         d = [(-1) ** l * mp.mpf(s) for l, s in enumerate(scheme.d_mp)]
         return [float(mp.fsum(c * q ** k for c, q in zip(d, ratios)))
                 for k in range(k_max + 1)]
-
-
-def check_moments(scheme: PVScheme, n: int, cutoff_sq: float) -> MomentCheck:
-    """Numerically test the smoothness moment integral of order n.
-
-    Integrates mu^(2n) K_reg(mu^2) up to the cutoff (closed form for
-    n = 0, band-wise quadrature between thresholds otherwise) and appends
-    the analytic large-mass remainder built from the series coefficients
-    and the exact moment sums of `moment_sums`, up to three orders past
-    those whose truncated integrals diverge.
-    Series terms whose truncated integrals diverge are dropped only when
-    the corresponding mass-moment sum cancels (a solved scheme guarantees
-    this for m <= M+2); otherwise the tail is marked invalid and the
-    reported residual tracks the genuine growth with the cutoff.
-    """
-    from scipy.integrate import quad
-
-    from .diracsea import _counted_integration_warnings, _k_reg_scalar
-
-    mu_top_sq = 4.0 * scheme.masses[-1] ** 2
-    if cutoff_sq <= mu_top_sq:
-        raise ValueError("cutoff must exceed the largest mass threshold 4*mu_N^2")
-    thresholds = 4.0 * np.array(scheme.masses) ** 2
-    lo = thresholds[0]
-
-    caught = []
-    if n == 0:
-        d = np.array(scheme.d)
-        signs = (-1.0) ** np.arange(len(d))
-        val = float(np.sum(signs * d * thresholds * _f_antiderivative(cutoff_sq / thresholds))
-                    / (6.0 * np.pi))
-    else:
-        # band-wise quadrature in the log variable; each band is smooth
-        # apart from the square-root kink at its own left edge.  The bands
-        # cancel heavily, so quad's relative-tolerance warnings fire even
-        # though the summed absolute accuracy is at the float noise floor;
-        # they are counted in the result, not printed.
-        k_reg = _k_reg_scalar(scheme)
-        edges = np.concatenate([thresholds, [cutoff_sq]])
-        val = 0.0
-        with _counted_integration_warnings() as caught:
-            for a, b in zip(edges[:-1], edges[1:]):
-                piece, _ = quad(
-                    lambda v: np.exp(v * (n + 1)) * k_reg(np.exp(v)),
-                    np.log(a), np.log(b), limit=400, epsabs=1e-13, epsrel=1e-12,
-                )
-                val += piece
-
-    # S_m / cutoff^power = s_hat_m top^(n+1) (top/cutoff)^power, with each
-    # factor finite; a moment sum counts as cancelled against its largest
-    # term, |d_l| (4 mu_l^2/top)^m in the same scaling
-    s_hat = moment_sums(scheme, n + 4)
-    top = thresholds[-1]
-    d_abs = np.abs(np.array(scheme.d))
-    tail = 0.0
-    tail_valid = True
-    for m_idx, c in enumerate(series_coeffs(n + 4)):
-        if c == 0.0:
-            continue
-        if m_idx <= n + 1:
-            # truncated integral of this term diverges with the cutoff;
-            # admissible only when the moment sum cancels (a NaN never does)
-            largest = float(np.max(d_abs * (thresholds / top) ** m_idx))
-            if not abs(s_hat[m_idx]) <= 1e-8 * largest:
-                tail_valid = False
-            continue
-        power = m_idx - n - 1
-        tail += (c * s_hat[m_idx] * top ** (n + 1) * (top / cutoff_sq) ** power
-                 / power / (6.0 * np.pi))
-    tail_valid = tail_valid and math.isfinite(tail)
-
-    # unregularized magnitude of the same moment integral (closed form at
-    # n = 0, leading large-y behavior otherwise)
-    if n == 0:
-        ref = lo * _f_antiderivative(cutoff_sq / lo) / (6.0 * np.pi)
-    else:
-        ref = cutoff_sq ** (n + 1) / (n + 1) / (6.0 * np.pi)
-    return MomentCheck(n=n, cutoff_sq=cutoff_sq, integral=val,
-                       tail=float(tail) if tail_valid else 0.0,
-                       tail_valid=tail_valid, reference=abs(ref),
-                       integration_warnings=len(caught))

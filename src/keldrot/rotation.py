@@ -42,7 +42,6 @@ __all__ = [
     "reorder",
     "reorder_gap_kernel",
     "rotation_substitution",
-    "inverse_rotation_substitution",
     "lambda2_form",
     "rotated_lambda2_form",
     "lambda2_identity_check",
@@ -171,16 +170,6 @@ class RotatedCumulants:
     def grid(self) -> TimeGrid:
         return self.mean.grid
 
-    def retardation_residual(self) -> float:
-        """Largest acausal |D_R| entry, in the time representation `rotate`
-        accepts (the smaller part for a kernel acausal in both)."""
-        return _acausal_part(self.D_R.values, self.grid)[1]
-
-    def hermiticity_residual(self) -> float:
-        r = self.N_s.values - self.N_s.values.conj().T
-        scale = max(np.abs(self.N_s.values).max(), 1e-300)
-        return float(np.abs(r).max() / scale)
-
 
 def _acausal_part(values: np.ndarray, grid: TimeGrid,
                   periodic=(False, True)) -> tuple[np.ndarray | None, float]:
@@ -189,14 +178,17 @@ def _acausal_part(values: np.ndarray, grid: TimeGrid,
     `periodic` where that part is noise (<= 1e-10 of the largest entry): by
     default linear time, then the circle.  If none, the mask is None and the
     size the smallest part.  In linear time the mask is the strict upper
-    triangle."""
+    triangle; on the circle it is the band of lag index (i - j) mod n above
+    n // 2, built from triangles without lag temporaries."""
+    n = grid.n
     noise = 1e-10 * max(np.abs(values).max(), 1e-300)
     sizes = []
     for circle in periodic:
         if circle:
-            mask = theta_ordering_matrix(grid, True) == 0.0
+            mask = np.tri(n, k=-(n // 2) - 1, dtype=bool)
+            mask |= np.tri(n, k=n - n // 2 - 1, dtype=bool) & ~np.tri(n, dtype=bool)
         else:
-            mask = np.triu(np.ones(values.shape, dtype=bool), 1)
+            mask = ~np.tri(n, dtype=bool)
         size = float(np.abs(values[mask]).max(initial=0.0))
         if size <= noise:
             return mask, size
@@ -317,17 +309,6 @@ def rotation_substitution(eta: Signal, j_s: Signal, p: OrderingParam,
     eta_sp = project_s(eta, p, "+").values
     g = eta.grid
     return Signal(g, j_scaled + eta_sm), Signal(g, j_scaled - eta_sp)
-
-
-def inverse_rotation_substitution(eta_p: Signal, eta_m: Signal, p: OrderingParam,
-                                  hbar_c: float = 1.0) -> tuple[Signal, Signal]:
-    """Inverse map (eta_+, eta_-) -> (eta, j_s); exact on the grid.
-
-    eta = eta_+ - eta_-,  j_s = hbar c [eta_+^(s+) + eta_-^(s-)].
-    """
-    eta = eta_p - eta_m
-    j_s = hbar_c * (project_s(eta_p, p, "+") + project_s(eta_m, p, "-"))
-    return eta, j_s
 
 
 def lambda2_form(ctl: CumulantSet, eta_p: Signal, eta_m: Signal) -> complex:

@@ -20,7 +20,6 @@ __all__ = [
     "signal_from_csv",
     "kernel_to_csv",
     "kernel_from_csv",
-    "signal_to_json",
     "signal_from_json",
     "kernel_to_json",
     "kernel_from_json",
@@ -136,10 +135,6 @@ def _from_obj(obj: dict, cls):
     if obj.get("kind") != _KINDS[cls]:
         raise ValueError(f"expected a {_KINDS[cls]} object, got kind {obj.get('kind')!r}")
     return cls(_grid_from_obj(obj["grid"]), _real_or_complex(obj["re"], obj["im"]))
-
-
-def signal_to_json(f: Signal) -> str:
-    return dump_json(_to_obj(f))
 
 
 def signal_from_json(text: str) -> Signal:

@@ -344,6 +344,24 @@ class TestConfigHandling:
         assert err["error"] == "computation" and "grid step" in err["detail"]
         assert list(outdir.iterdir()) == []
 
+    @pytest.mark.parametrize("argv,name", [
+        (["vacuum-pol", "--mu0", "nan", "--k2", 1], "mu0"),
+        (["vacuum-pol", "--mu0", "inf", "--k2", 1], "mu0"),
+        (["zero-point", "--mu0", "inf", "--s", 0, "--k2", 5], "mu0"),
+        (["kernels", "scalar", "--eps", "nan", "--mu2", 1, "--k0-max", 5, "--n-k0", 8], "eps"),
+        (["kernels", "scalar", "--eps", 1e-4, "--mu2", "inf", "--k0-max", 5, "--n-k0", 8],
+         "mu_sq"),
+        (["pv-solve", "--masses", "1,2,nan,4,5", "--M", 0], "masses"),
+        (["pv-solve", "--geometric", "nan", "--M", 0], "ratio"),
+        (["pv-solve", "--mu0", "inf", "--geometric", 10, "--M", 0], "masses"),
+    ])
+    def test_non_finite_physics_parameter_fails(self, argv, name, outdir, capsys):
+        code = run(argv + ["--out", outdir / "x"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "computation" and name in err["detail"]
+        assert list(outdir.iterdir()) == []
+
     def test_nested_grid_config(self, outdir):
         cfg = outdir / "cfg.json"
         cfg.write_text(json.dumps({"omega0": 1.0, "s": 0.0,

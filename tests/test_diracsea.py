@@ -29,9 +29,21 @@ from keldrot.diracsea import (
     R_obs_finite_eps,
     kramers_kronig_real_part,
     pi_plus_closed_form,
-    tensor_expand,
 )
 from keldrot.pvreg import PVScheme, geometric_masses, solve_pv
+
+BARE = PVScheme(M=0, masses=[1.0], d=[1.0], d_mp=["1"])  # no auxiliary masses
+MINKOWSKI_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
+
+
+def tensor_expand(value):
+    """Full 4x4 tensor (k_nu k_nu' - k^2 g_nu nu') * scalar/(-mu_vac) of a
+    stored polarization value, with mu_vac = 1 and the spatial momentum
+    along the first axis."""
+    k_lower = np.array([value.k0, -np.sqrt(value.kvec_sq), 0.0, 0.0])
+    k_sq = value.k0 ** 2 - value.kvec_sq
+    tensor = np.outer(k_lower, k_lower) - k_sq * MINKOWSKI_METRIC
+    return tensor * -value.scalar_part
 
 @pytest.fixture(scope="module")
 def scheme():
@@ -90,7 +102,7 @@ class TestRegularizedSpectrum:
         assert abs(K_reg(1e14, scheme)) < 1e-12
 
     def test_single_mass_reduces_to_bare(self):
-        scheme = PVScheme.unregularized(1.0)
+        scheme = BARE
         k_sq = 9.0
         assert K_reg(k_sq, scheme) == pytest.approx(
             F_threshold(k_sq / 4.0) / (6 * np.pi))
@@ -186,14 +198,13 @@ class TestR0:
         assert a == pytest.approx(b, rel=1e-6)
 
     def test_empty_auxiliary_sum(self):
-        scheme = PVScheme.unregularized(1.0)
-        assert R0_from_scheme(scheme, SPEC) == 0.0
+        assert R0_from_scheme(BARE, SPEC) == 0.0
 
 
 class TestPolarizationTensors:
     def test_renormalized_low_k(self):
         val = Pi_R_reg(1e-2, 1e-2 ** 2 - 1e-4, SPEC)  # k^2 = 1e-4
-        assert val.scalar_part.real / val.k_sq == pytest.approx(
+        assert val.scalar_part.real / (val.k0 ** 2 - val.kvec_sq) == pytest.approx(
             SPEC.alpha / (15 * np.pi), rel=1e-3)
 
     def test_reflection_conjugates(self):
@@ -236,9 +247,11 @@ class TestPolarizationTensors:
             Pi_R_reg(3.0, 1.0, SPEC, renormalized=False)
 
     def test_tensor_expansion_transverse(self):
+        # the stored scalar carries a 4-transverse tensor: k^nu Pi_nu nu' = 0
         val = Pi_R_reg(3.0, 2.0, SPEC)
-        tensor = tensor_expand(val)  # raises if the contraction is non-zero
-        assert tensor.shape == (4, 4)
+        tensor = tensor_expand(val)
+        k_upper = MINKOWSKI_METRIC @ np.array([val.k0, -np.sqrt(val.kvec_sq), 0.0, 0.0])
+        assert np.abs(k_upper @ tensor).max() <= 1e-10 * np.abs(tensor).max() * max(abs(val.k0), 1.0)
         # symmetric in the two indices
         assert np.abs(tensor - tensor.T).max() == 0.0
 
@@ -257,7 +270,7 @@ class TestCoordinateSpace:
 
     def test_cone_delta_coefficient_cancels(self, scheme):
         out = K_reg_coordinate(-1.0, 1, scheme)
-        bare = PVScheme.unregularized(1.0)
+        bare = BARE
         ref = abs(K_reg_coordinate(-1.0, 1, bare, cutoff_sq=4e4)["cone_delta_coefficient"])
         assert abs(out["cone_delta_coefficient"]) < 1e-6 * ref
 
@@ -420,3 +433,10 @@ def test_spec_validation():
         DiracSeaSpec(mu0=-1.0)
     with pytest.raises(ValueError):
         DiracSeaSpec(mu0=1.0, alpha=1.5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="mu0 must be finite"):
+            DiracSeaSpec(mu0=bad)
+        with pytest.raises(ValueError, match="alpha"):
+            DiracSeaSpec(mu0=1.0, alpha=bad)
+        with pytest.raises(ValueError, match="eps must be finite"):
+            R_obs_finite_eps(1.0, SPEC, bad)

@@ -8,6 +8,7 @@ from keldrot.grids import (
     Signal,
     TimeGrid,
     TwoPointKernel,
+    _circle_theta,
     heaviside,
     overlap,
     project_kernel_axis,
@@ -17,6 +18,14 @@ from keldrot.grids import (
     sign_weights,
     theta_ordering_matrix,
 )
+from keldrot.rotation import _acausal_part
+
+
+def circular_lags(grid):
+    """Lag tau_{(i - j) mod n} of entry (i, j): a function of it is a
+    circulant (stationary) kernel."""
+    i = np.arange(grid.n)
+    return grid.lags[(i[:, None] - i[None, :]) % grid.n]
 
 
 def random_signal(grid, rng, band_interior=False):
@@ -68,14 +77,14 @@ class TestProjection:
     def test_single_positive_mode_is_kept(self):
         g = TimeGrid(256, 0.05)
         w0 = g.resonant_frequency(9)
-        f = Signal.from_function(g, lambda t: np.exp(-1j * w0 * t))
+        f = Signal(g, np.exp(-1j * w0 * g.times))
         assert np.abs(project_pm(f, "+").values - f.values).max() < 1e-12
         assert np.abs(project_pm(f, "-").values).max() < 1e-12
 
     def test_cosine_splits_into_half_exponential(self):
         g = TimeGrid(128, 0.1)
         w0 = g.resonant_frequency(5)
-        f = Signal.from_function(g, lambda t: np.cos(w0 * t))
+        f = Signal(g, np.cos(w0 * g.times))
         expect = 0.5 * np.exp(-1j * w0 * g.times)
         assert np.abs(project_pm(f, "+").values - expect).max() < 1e-12
 
@@ -143,8 +152,8 @@ class TestKernelProjection:
         # projecting a stationary kernel on t equals the opposite sign on t'
         g = TimeGrid(64, 0.15)
         w0 = g.resonant_frequency(4)
-        K = TwoPointKernel.from_stationary(g, lambda tau: np.exp(-1j * w0 * tau)
-                                           + 0.3 * np.cos(2 * w0 * tau))
+        tau = circular_lags(g)
+        K = TwoPointKernel(g, np.exp(-1j * w0 * tau) + 0.3 * np.cos(2 * w0 * tau))
         lhs = project_kernel_axis(K, 0, "+").values
         rhs = project_kernel_axis(K, 1, "-").values
         assert np.abs(lhs - rhs).max() < 1e-10
@@ -152,12 +161,12 @@ class TestKernelProjection:
     def test_double_same_sign_kills_stationary(self):
         g = TimeGrid(64, 0.15)
         w0 = g.resonant_frequency(4)
-        K = TwoPointKernel.from_stationary(g, lambda tau: np.cos(w0 * tau))
+        K = TwoPointKernel(g, np.cos(w0 * circular_lags(g)))
         out = project_kernel_axis(project_kernel_axis(K, 1, "+"), 0, "+")
         assert np.abs(out.values).max() < 1e-12
 
     def test_axis_validation(self):
-        K = TwoPointKernel.zero(TimeGrid(16, 0.5))
+        K = TwoPointKernel(TimeGrid(16, 0.5), np.zeros((16, 16)))
         with pytest.raises(ValueError, match="axis"):
             project_kernel_axis(K, 2, "+")
 
@@ -199,6 +208,15 @@ class TestOrderingMatrix:
         assert g.lags[4] == -4.0 and th[4, 0] == 0.5 and th[0, 4] == 0.5
         assert theta_ordering_matrix(TimeGrid(7, 1.0), periodic=True)[3, 0] == 1.0
 
+    @pytest.mark.parametrize("n", [*range(2, 12), 64, 65, 1024])
+    def test_circle_mask_and_profile_match_dense_theta(self, n):
+        # rotate's acausal band and the lag profile against the dense matrix
+        g = TimeGrid(n, 0.5)
+        dense = theta_ordering_matrix(g, periodic=True)
+        mask, _ = _acausal_part(np.zeros((n, n)), g, periodic=(True,))
+        assert np.array_equal(mask, dense == 0.0)
+        assert np.array_equal(_circle_theta(g), dense[:, 0])
+
     def test_theta_pair_resolves_identity(self):
         g = TimeGrid(8, 1.0)
         for periodic in (False, True):
@@ -222,13 +240,12 @@ def test_reflect_is_circular_reversal():
 
 def test_dtype_follows_the_data():
     g = TimeGrid(6, 0.5)
-    real = [Signal(g, np.arange(6)), Signal.from_function(g, np.cos), Signal.zero(g),
-            TwoPointKernel(g, np.eye(6, dtype=int)), TwoPointKernel.zero(g),
-            TwoPointKernel.from_function(g, lambda t, tp: t - tp),
-            TwoPointKernel.from_stationary(g, np.cos)]
+    real = [Signal(g, np.arange(6)), Signal(g, np.cos(g.times)), Signal.zero(g),
+            TwoPointKernel(g, np.eye(6, dtype=int)), TwoPointKernel(g, np.zeros((6, 6))),
+            TwoPointKernel(g, np.cos(circular_lags(g)))]
     assert all(x.values.dtype == np.float64 for x in real)
     cplx = [Signal(g, np.ones(6, dtype=np.complex64)),
-            Signal.from_function(g, lambda t: np.exp(-1j * t)),
-            TwoPointKernel.from_function(g, lambda t, tp: np.exp(-1j * (t - tp))),
-            TwoPointKernel.from_stationary(g, np.zeros(6, dtype=complex))]
+            Signal(g, np.exp(-1j * g.times)),
+            TwoPointKernel(g, np.exp(-1j * circular_lags(g))),
+            TwoPointKernel(g, np.zeros((6, 6), dtype=complex))]
     assert all(x.values.dtype == np.complex128 for x in cplx)

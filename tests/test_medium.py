@@ -11,7 +11,6 @@ from keldrot.medium import (
     _MC_CHUNK,
     SpectralDensity,
     dress_retarded_grid,
-    dress_retarded_momentum,
     gauge_projector_diagnosis,
     mean_field,
     noise_map,
@@ -31,9 +30,13 @@ from keldrot.oscillator import (
     retarded_response,
     retarded_response_grid,
 )
-from keldrot.rotation import RotatedCumulants, reorder, rotate
+from keldrot.rotation import RotatedCumulants, _acausal_part, reorder, rotate
 
 SEA = DiracSeaSpec(mu0=1.0)
+
+
+def zero_kernel(grid):
+    return TwoPointKernel(grid, np.zeros((grid.n, grid.n)))
 
 
 def toy_kernels(n=1024, total_time=24.0, omega0=1.0, gamma=0.25):
@@ -42,27 +45,30 @@ def toy_kernels(n=1024, total_time=24.0, omega0=1.0, gamma=0.25):
     return grid, OscillatorSpec(omega0=omega0), d_bare, pi_r, gamma
 
 
+def dressed_momentum(k_sq, spec):
+    """Dressed retarded propagator mu_vac / [k^2 (1 + R_obs(k))] at k0 > 0,
+    mu_vac = 1, off the light cone."""
+    return 1.0 / (k_sq * (1.0 + R_obs(k_sq, spec)))
+
+
 class TestMomentumDressing:
     def test_bare_limit(self):
         # with no susceptibility the propagator is mu_vac / k^2
-        val = dress_retarded_momentum(-4.0, DiracSeaSpec(mu0=1e8))  # R ~ 0
+        val = dressed_momentum(-4.0, DiracSeaSpec(mu0=1e8))  # R ~ 0
         assert val == pytest.approx(-0.25, rel=1e-6)
 
     def test_spacelike_real_and_negative(self):
-        val = dress_retarded_momentum(-9.0, SEA)
+        # R_obs is real and negative at spacelike k, so the propagator stays
+        # real and exceeds the bare -1/9 in size (the Uehling enhancement)
+        val = dressed_momentum(-9.0, SEA)
         assert val.imag == 0.0
-        assert val.real == pytest.approx(-1.0 / (9.0 * (1 + R_obs(-9.0, SEA).real)),
-                                         rel=1e-12)
-
-    def test_light_cone_refused(self):
-        with pytest.raises(ValueError, match="delta ledger"):
-            dress_retarded_momentum(0.0, SEA)
+        assert val.real < -1.0 / 9.0
 
 
 class TestGridDressing:
     def test_zero_susceptibility_identity(self):
         grid, _, d_bare, _, _ = toy_kernels()
-        dressed = dress_retarded_grid(d_bare, TwoPointKernel.zero(grid))
+        dressed = dress_retarded_grid(d_bare, zero_kernel(grid))
         assert np.abs(dressed.values - d_bare.values).max() == 0.0
 
     def test_pole_shift_closed_form(self):
@@ -98,12 +104,10 @@ class TestGridDressing:
         # retarded on the circle, which rotate accepts, but not in linear
         # time, which the forward substitution needs
         circ = TwoPointKernel(grid, retarded_response_grid(spec, grid, periodic=True))
-        rot = RotatedCumulants(Signal.zero(grid), circ, TwoPointKernel.zero(grid),
-                               OrderingParam(0.0))
-        assert rot.retardation_residual() == 0.0
+        assert _acausal_part(circ.values, grid)[1] == 0.0
         for bad in (sym, circ):
             with pytest.raises(ValueError, match="bare propagator kernel is not retarded"):
-                dress_retarded_grid(bad, TwoPointKernel.zero(grid))
+                dress_retarded_grid(bad, zero_kernel(grid))
             with pytest.raises(ValueError, match="susceptibility kernel is not retarded"):
                 dress_retarded_grid(d_bare, bad)
 
@@ -139,7 +143,7 @@ class TestMeanField:
 class TestNoiseMap:
     def test_empty_vacuum_maps_to_zero(self):
         grid, _, d_bare, _, _ = toy_kernels(n=64, total_time=6.0)
-        out = noise_map(d_bare, TwoPointKernel.zero(grid))
+        out = noise_map(d_bare, zero_kernel(grid))
         assert np.abs(out.values).max() == 0.0
 
     def test_white_noise_composition(self):
@@ -706,7 +710,7 @@ class TestToeplitzRoutes:
     def test_wave_residual_needs_an_interior(self):
         grid = TimeGrid(4, 0.05)
         with pytest.raises(ValueError, match="at least 5"):
-            wave_operator_residual(TwoPointKernel.zero(grid), TwoPointKernel.zero(grid), 1.0)
+            wave_operator_residual(zero_kernel(grid), zero_kernel(grid), 1.0)
 
     def test_wave_residual_allocates_no_square_array(self):
         import tracemalloc

@@ -6,19 +6,17 @@ from keldrot.oscillator import (
     GaussianState,
     OscillatorSpec,
     UnsampleableStateError,
-    classical_infield,
+    _infield_basis,
+    _quasidistribution_xy,
     ctl_cumulants,
-    keldysh_contractions,
     mc_quasiaverage,
     recover_retarded_from_gap,
     reorder_gap,
     reorder_gap_from_response,
     retarded_response,
-    retarded_response_freq,
     retarded_response_grid,
     rotated_lambda_form,
     s_ordered_kernel,
-    sample_quasidistribution,
     wightman_kernel,
 )
 from keldrot.rotation import lambda2_form, rotate, rotation_substitution
@@ -27,6 +25,19 @@ from keldrot.rotation import lambda2_form, rotate, rotation_substitution
 GRID = TimeGrid(256, 0.05)
 W0 = GRID.resonant_frequency(9)
 SPEC = OscillatorSpec(omega0=W0)
+
+
+def keldysh_contractions(spec, tau):
+    """Vacuum contractions at lag tau: i hbar D^+ = (hbar/2) e^{-i w tau},
+    i hbar D_F = (hbar/2) e^{-i w |tau|}."""
+    w = spec.omega0
+    return {"D_F": np.exp(-1j * w * np.abs(tau)) / 2j, "D_plus": np.exp(-1j * w * tau) / 2j}
+
+
+def sample_quasidistribution(state, p, n_samples, rng):
+    """Complex amplitudes alpha drawn from the s-quasidistribution."""
+    xy = _quasidistribution_xy(state, p, n_samples, rng)
+    return xy[:, 0] + 1j * xy[:, 1]
 
 
 class TestRetardedResponse:
@@ -38,8 +49,17 @@ class TestRetardedResponse:
         assert retarded_response(spec, np.pi / (2 * 2.0)) == pytest.approx(-1.0)
 
     def test_static_limit_of_frequency_kernel(self):
-        spec = OscillatorSpec(omega0=1.7)
-        assert retarded_response_freq(spec, 0.0) == pytest.approx(-1.0 / 1.7)
+        # the transform integral e^{i w tau} D_R(tau) dtau of the kernel at
+        # w = i eps is (1/2)[1/(w - w0) - 1/(w + w0)] = -w0 / (w0^2 + eps^2),
+        # which tends to the static -1/w0
+        from scipy.integrate import quad
+
+        spec, eps = OscillatorSpec(omega0=1.7), 0.05
+        val, _ = quad(lambda tau: np.exp(-eps * tau) * retarded_response(spec, tau),
+                      0.0, 800.0, limit=2000)
+        assert val == pytest.approx(0.5 * (1 / (1j * eps - 1.7) - 1 / (1j * eps + 1.7)).real,
+                                    rel=1e-8)
+        assert val == pytest.approx(-1.0 / 1.7, rel=1e-3)
 
     def test_linear_grid_sampling_is_pointwise(self):
         t = GRID.times
@@ -168,18 +188,23 @@ class TestReorderGap:
 
 class TestKeldyshContractions:
     def test_equal_time(self):
-        c = keldysh_contractions(SPEC, 0.0, 0.0)
+        c = keldysh_contractions(SPEC, 0.0)
         assert 1j * c["D_plus"] == pytest.approx(0.5)
+        ctl = ctl_cumulants(SPEC, GaussianState(), GRID)
+        assert np.allclose(np.diag(ctl.K_W.values), 1j * c["D_plus"], rtol=0, atol=1e-15)
 
     def test_feynman_symmetric(self):
-        c1 = keldysh_contractions(SPEC, 1.0, 0.25)
-        c2 = keldysh_contractions(SPEC, 0.25, 1.0)
-        assert c1["D_F"] == pytest.approx(c2["D_F"])
+        # the vacuum K_F, the theta split of K_W, is i hbar D_F: even in tau
+        t = GRID.times
+        tau = t[:, None] - t[None, :]
+        k_f = ctl_cumulants(SPEC, GaussianState(), GRID).K_F.values
+        assert np.abs(k_f - 1j * keldysh_contractions(SPEC, tau)["D_F"]).max() < 1e-12
+        assert np.abs(k_f - k_f.T).max() == 0.0
 
     def test_anticommutator_matches_wightman(self):
         tau = 0.85
-        c = keldysh_contractions(SPEC, tau, 0.0)
-        cr = keldysh_contractions(SPEC, 0.0, tau)
+        c = keldysh_contractions(SPEC, tau)
+        cr = keldysh_contractions(SPEC, -tau)
         anti = 1j * (c["D_plus"] + cr["D_plus"])
         assert anti == pytest.approx(np.cos(W0 * tau))
         w = wightman_kernel(SPEC, GaussianState(), tau, 0.0)
@@ -238,25 +263,33 @@ class TestSubstitution:
         assert np.abs(em.values - (j_e.values - project_pm(eta, "+").values)).max() < 1e-12
 
     def test_round_trip(self):
-        from keldrot.rotation import inverse_rotation_substitution
+        # the inverse map: eta = eta_+ - eta_-, j_s = hbar c [eta_+^(s+) + eta_-^(s-)]
+        from keldrot.grids import project_s
 
         rng = np.random.default_rng(4)
         for s in (-0.6, 0.0, 0.9):
             p = OrderingParam(s)
             eta = Signal(GRID, rng.normal(size=GRID.n) + 1j * rng.normal(size=GRID.n))
             j_s = Signal(GRID, rng.normal(size=GRID.n))
-            back_eta, back_j = inverse_rotation_substitution(
-                *rotation_substitution(eta, j_s, p), p)
-            assert np.abs(back_eta.values - eta.values).max() < 1e-12
-            assert np.abs(back_j.values - j_s.values).max() < 1e-12
+            eta_p, eta_m = rotation_substitution(eta, j_s, p)
+            back_j = project_s(eta_p, p, "+").values + project_s(eta_m, p, "-").values
+            assert np.abs((eta_p - eta_m).values - eta.values).max() < 1e-12
+            assert np.abs(back_j - j_s.values).max() < 1e-12
 
 
 class TestClassicalInfield:
+    # the c-number in-field sqrt(hbar/2)(alpha e^{-i w t} + c.c.) of
+    # amplitude alpha = x + iy is (x, y) @ _infield_basis
     def test_zero_amplitude(self):
-        assert classical_infield(0j, SPEC, 1.0) == 0.0
+        assert np.array_equal(np.zeros(2) @ _infield_basis(SPEC, GRID.times), np.zeros(GRID.n))
 
     def test_unit_amplitude_at_origin(self):
-        assert classical_infield(1.0 + 0j, SPEC, 0.0) == pytest.approx(np.sqrt(2.0))
+        assert (np.array([1.0, 0.0]) @ _infield_basis(SPEC, np.array([0.0])))[0] \
+            == pytest.approx(np.sqrt(2.0))
+        alpha = 0.3 - 0.8j
+        field = np.array([alpha.real, alpha.imag]) @ _infield_basis(SPEC, GRID.times)
+        expect = np.sqrt(SPEC.hbar / 2.0) * 2.0 * np.real(alpha * np.exp(-1j * W0 * GRID.times))
+        assert np.abs(field - expect).max() < 1e-14
 
 
 class TestMonteCarlo:
@@ -268,13 +301,12 @@ class TestMonteCarlo:
     def test_squeezed_normal_order_unsampleable(self):
         state = GaussianState(nbar=0.3, m=0.6)  # |m| > nbar: P-function not positive
         with pytest.raises(UnsampleableStateError, match="not sampleable"):
-            sample_quasidistribution(state, OrderingParam(1.0), 10,
-                                     np.random.default_rng(0))
+            mc_quasiaverage(SPEC, state, OrderingParam(1.0), GRID.times[:4], 10, seed=0)
 
     def test_vacuum_p_function_is_degenerate(self):
-        alphas = sample_quasidistribution(GaussianState(), OrderingParam(1.0), 100,
-                                          np.random.default_rng(0))
-        assert np.abs(alphas).max() == 0.0
+        est, err = mc_quasiaverage(SPEC, GaussianState(), OrderingParam(1.0),
+                                   GRID.times[:4], 100, seed=0)
+        assert np.abs(est).max() == 0.0 and np.abs(err).max() == 0.0
 
     def test_vacuum_q_function(self):
         times = GRID.times[:16]
@@ -334,11 +366,9 @@ class TestMonteCarlo:
         rng = np.random.default_rng(17)
         alphas = sample_quasidistribution(state, p, 200_000, rng)
         t1, t2 = 0.4, 1.1
-        # classical_infield vectorized over the sampled amplitudes
+        # the in-field sqrt(hbar/2)(alpha e^{-i w t} + c.c.) of every sample
         qs = (np.sqrt(SPEC.hbar / 2) * 2
               * np.real(alphas[:, None] * np.exp(-1j * W0 * np.array([t1, t2]))))
-        single = classical_infield(alphas[0], SPEC, t1)
-        assert qs[0, 0] == pytest.approx(single)
         mc_val = (qs[:, 0] * qs[:, 1]).mean()
         closed = s_ordered_kernel(SPEC, state, p, t1, t2).real
         stderr = (qs[:, 0] * qs[:, 1]).std() / np.sqrt(len(alphas))
