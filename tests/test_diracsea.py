@@ -32,7 +32,8 @@ from keldrot.diracsea import (
 )
 from keldrot.pvreg import PVScheme, geometric_masses, solve_pv
 
-BARE = PVScheme(M=0, masses=[1.0], d=[1.0], d_mp=["1"])  # no auxiliary masses
+from common import BARE
+
 MINKOWSKI_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
 

@@ -20,12 +20,7 @@ from keldrot.grids import (
 )
 from keldrot.rotation import _acausal_part
 
-
-def circular_lags(grid):
-    """Lag tau_{(i - j) mod n} of entry (i, j): a function of it is a
-    circulant (stationary) kernel."""
-    i = np.arange(grid.n)
-    return grid.lags[(i[:, None] - i[None, :]) % grid.n]
+from common import circular_lags
 
 
 def random_signal(grid, rng, band_interior=False):

@@ -32,11 +32,9 @@ from keldrot.oscillator import (
 )
 from keldrot.rotation import RotatedCumulants, _acausal_part, reorder, rotate
 
+from common import zero_kernel
+
 SEA = DiracSeaSpec(mu0=1.0)
-
-
-def zero_kernel(grid):
-    return TwoPointKernel(grid, np.zeros((grid.n, grid.n)))
 
 
 def toy_kernels(n=1024, total_time=24.0, omega0=1.0, gamma=0.25):

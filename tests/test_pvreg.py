@@ -21,7 +21,8 @@ from keldrot.pvreg import (
     solve_pv,
 )
 
-BARE = PVScheme(M=0, masses=[1.0], d=[1.0], d_mp=["1"])  # no auxiliary masses
+from common import BARE
+
 
 
 def band_moment(scheme, n, cutoff_sq):
@@ -50,6 +51,18 @@ def series_tail(scheme, n, cutoff_sq):
     return sum(c * s_hat[m] * top ** (n + 1) * (top / cutoff_sq) ** (m - n - 1)
                / (m - n - 1) / (6.0 * np.pi)
                for m, c in enumerate(series_coeffs(n + 4)) if m > n + 1)
+
+
+def divergent_sums_cancel(scheme, n):
+    """Whether every scaled moment sum S_m / (4 mu_N^2)^m with m <= n + 1 and
+    a non-zero series coefficient, whose truncated integral diverges with
+    the cutoff, cancels to 1e-8 of its largest term |d_l| (mu_l/mu_N)^(2m);
+    `series_tail` is the tail only when it does.  A NaN sum never cancels."""
+    s_hat = moment_sums(scheme, n + 1)
+    ratios = (np.array(scheme.masses) / scheme.masses[-1]) ** 2
+    d_abs = np.abs(np.array(scheme.d))
+    return all(abs(s_hat[m]) <= 1e-8 * np.max(d_abs * ratios ** m)
+               for m, c in enumerate(series_coeffs(n + 1)) if c != 0.0)
 
 
 def unregularized_size(n, cutoff_sq, mu0=1.0):
@@ -200,11 +213,13 @@ class TestSchemeInvariants:
 class TestMoments:
     def test_guaranteed_moment_is_small(self, scheme):
         cut = 1e4 * 4.0 * scheme.masses[-1] ** 2
+        assert divergent_sums_cancel(scheme, 0)
         residual = band_moment(scheme, 0, cut) + series_tail(scheme, 0, cut)
         assert abs(residual) < 1e-3 * unregularized_size(0, cut)
 
     def test_first_moment_also_guaranteed(self, scheme):
         cut = 1e2 * 4.0 * scheme.masses[-1] ** 2
+        assert divergent_sums_cancel(scheme, 1)
         residual = band_moment(scheme, 1, cut) + series_tail(scheme, 1, cut)
         assert abs(residual) < 1e-3 * unregularized_size(1, cut)
 
@@ -214,8 +229,10 @@ class TestMoments:
         top = scheme.masses[-1]
         largest = max(abs(d) * (m / top) ** 6 for d, m in zip(scheme.d, scheme.masses))
         assert abs(moment_sums(scheme, 3)[3]) > 1e-3 * largest
+        assert not divergent_sums_cancel(scheme, 2)
 
     def test_unregularized_residual_grows(self):
+        assert not divergent_sums_cancel(BARE, 0)
         vals = [abs(band_moment(BARE, 0, lam * 4.0)) for lam in (1e2, 1e3, 1e4)]
         assert vals[0] < vals[1] < vals[2]
         for lam, val in zip((1e2, 1e3, 1e4), vals):
@@ -225,9 +242,11 @@ class TestMoments:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_tail_finite_on_hard_scheme(self, n):
         # M = 3 at ratio 1e3: the thresholds reach 4e66, so the moment sums
-        # overflow as floats; the exact scaled sums keep every tail finite
+        # overflow as floats; the exact scaled sums still cancel where the
+        # remainder diverges and keep every tail finite
         hard = solve_pv(3, geometric_masses(1.0, 1e3, 12), impose_B0=True)
         top = 4.0 * hard.masses[-1] ** 2
+        assert divergent_sums_cancel(hard, n)
         assert math.isfinite(series_tail(hard, n, 1e2 * top))
 
     def test_moment_sums_scaled_and_exact(self, scheme):
@@ -255,6 +274,7 @@ class TestMoments:
         vals = [abs(moment_integral_exact(scheme, lam * top))
                 for lam in (10.0, 100.0, 1000.0)]
         assert vals[0] > vals[1] > vals[2]
+
     def test_exact_route_holds_on_hard_scheme(self):
         # M = 3 at ratio 1e3 needs far more than double or 60 digits; the
         # remainder sits at the level left by the solve's row residuals and

@@ -31,13 +31,11 @@ from keldrot.rotation import (
     unrotate,
 )
 
+from common import circular_lags, zero_kernel
+
 GRID = TimeGrid(96, 0.12)
 W0 = GRID.resonant_frequency(7)
 SPEC = OscillatorSpec(omega0=W0)
-
-
-def zero_kernel():
-    return TwoPointKernel(GRID, np.zeros((GRID.n, GRID.n)))
 
 
 def vacuum_ctl(periodic=True):
@@ -86,7 +84,7 @@ class TestRotate:
     def test_retardation_residual_of_kernel_acausal_in_both(self):
         mask, size = rotation._acausal_part(np.ones((GRID.n, GRID.n)), GRID)
         assert mask is None and size > 0.0
-        k = zero_kernel()
+        k = zero_kernel(GRID)
         acausal = CumulantSet(mean=Signal.zero(GRID), K_F=k, K_W=k,
                               K_rev=TwoPointKernel(GRID, 1j * np.ones((GRID.n, GRID.n))))
         with pytest.raises(ConsistencyError, match="not retarded"):
@@ -139,7 +137,7 @@ class TestUnrotate:
         n = n + n.T
         rot = RotatedCumulants(
             mean=Signal.zero(GRID),
-            D_R=zero_kernel(),
+            D_R=zero_kernel(GRID),
             N_s=TwoPointKernel(GRID, n.astype(complex)),
             p=OrderingParam(0.25),
         )
@@ -151,11 +149,10 @@ class TestUnrotate:
         # the normal-ordered rotated set {D_R, N=0} carries the full
         # vacuum information: both contractions come back out
         # with hbar = 1: i D_F = (1/2) e^{-i w |tau|}, i D^+ = (1/2) e^{-i w tau}
-        i = np.arange(GRID.n)
-        tau = GRID.lags[(i[:, None] - i[None, :]) % GRID.n]
+        tau = circular_lags(GRID)
         rot = RotatedCumulants(mean=Signal.zero(GRID),
                                D_R=TwoPointKernel(GRID, retarded_response(SPEC, tau)),
-                               N_s=zero_kernel(),
+                               N_s=zero_kernel(GRID),
                                p=OrderingParam(1.0))
         ctl = unrotate(rot)
         assert np.abs(ctl.K_F.values - 0.5 * np.exp(-1j * W0 * np.abs(tau))).max() < 1e-8

@@ -4,9 +4,15 @@ A name in a keldrot module's `__all__` is live when code outside `tests/`
 reads it: a script, the benchmark harness, module-level code of the
 package, or the body of a top-level function or class that is itself
 live.  Liveness is closed transitively, so a constant that only a
-test-only function reads is not live either.  Names are matched by
-identifier (an `ast.Name` read or an attribute name), not resolved to
-their module.
+test-only function reads is not live either.
+
+A bare name read is matched by identifier, not resolved to its module.
+An attribute read `base.attr` counts only when `base` denotes a keldrot
+module: an import alias (`ser.kernel_to_csv`), a name assigned from a
+module (`D = lib.diracsea`), an attribute or string subscript spelled as
+a module (`lib.cli.main`, `mods["acceptance"]`) or `keldrot.<module>`.
+So `grid.lags` or `Signal.zero` never keeps a public `lags` or `zero`
+alive.
 """
 import ast
 import importlib
@@ -19,12 +25,48 @@ PACKAGE = ROOT / "src" / "keldrot"
 READERS_OF_CLI_OUTPUT = {"kernel_from_csv"}
 
 
-def _reads(node: ast.AST) -> set[str]:
+MODULES = {path.stem for path in PACKAGE.glob("*.py")} | {"keldrot"}
+
+
+def _module_aliases(tree: ast.Module) -> set[str]:
+    """Names that a file binds to a keldrot module, by import or by
+    assignment from a module expression."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname or a.name.split(".")[0] for a in node.names
+                        if a.name.split(".")[0] == "keldrot"}
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "keldrot"):
+            aliases |= {a.asname or a.name for a in node.names if a.name in MODULES}
+    for _ in range(2):  # an alias may be assigned from another alias
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = (zip(target.elts, node.value.elts)
+                             if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                             else [(target, node.value)])
+                    aliases |= {t.id for t, v in pairs
+                                if isinstance(t, ast.Name) and _is_module(v, aliases)}
+    return aliases
+
+
+def _is_module(node: ast.AST, aliases: set[str]) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id in aliases
+    if isinstance(node, ast.Attribute):
+        return node.attr in MODULES
+    if isinstance(node, ast.Subscript):
+        key = node.slice
+        return isinstance(key, ast.Constant) and key.value in MODULES
+    return False
+
+
+def _reads(node: ast.AST, aliases: set[str]) -> set[str]:
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             out.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
+        elif isinstance(sub, ast.Attribute) and _is_module(sub.value, aliases):
             out.add(sub.attr)
     return out
 
@@ -32,14 +74,17 @@ def _reads(node: ast.AST) -> set[str]:
 def _live_names() -> set[str]:
     roots, units = set(), {}
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        aliases = _module_aliases(tree)
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                units.setdefault(node.name, set()).update(_reads(node))
+                units.setdefault(node.name, set()).update(_reads(node, aliases))
             else:
-                roots |= _reads(node)
+                roots |= _reads(node, aliases)
     for folder in ("perfbench", "scripts"):
         for path in sorted((ROOT / folder).glob("*.py")):
-            roots |= _reads(ast.parse(path.read_text()))
+            tree = ast.parse(path.read_text())
+            roots |= _reads(tree, _module_aliases(tree))
     live, todo = set(), list(roots)
     while todo:
         name = todo.pop()
