@@ -132,6 +132,11 @@ _SERIES = [math.factorial(n + 1) ** 2 / (n * math.factorial(2 * n + 3))
            for n in range(1, 41)]
 
 
+def _finite_k_sq(k_sq: float) -> None:
+    if not math.isfinite(k_sq):
+        raise ValueError(f"k_sq must be finite, got {k_sq}")
+
+
 def _tail(a: float, big_y: float) -> float:
     """integral_Y^inf F(y)/(y(y-a)) dy via the 1/y expansion of F to order 8."""
     cs = series_coeffs(8)
@@ -158,6 +163,7 @@ def R_obs(k_sq: float, spec: DiracSeaSpec, k0_sign: int = 1) -> complex:
     form cancels, the series (2 alpha/pi) sum_n (k^2/mu0^2)^n B(n+2,n+2)/n
     is summed instead.
     """
+    _finite_k_sq(k_sq)
     x = k_sq / spec.mu0 ** 2
     if abs(x) < 1.0:
         total = 0.0
@@ -189,6 +195,7 @@ def R_obs_finite_eps(k_sq: float, spec: DiracSeaSpec, eps: float,
 
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
+    _finite_k_sq(k_sq)
     a = k_sq / (4.0 * spec.mu0 ** 2)
     ea = eps * np.sign(k0_sign) / (4.0 * spec.mu0 ** 2)
     big_y = max(1e6, 1e3 * (1.0 + abs(a)))
@@ -250,7 +257,7 @@ def Pi_R_reg(k0: float, kvec_sq: float, spec: DiracSeaSpec,
     """Retarded polarization scalar: R_0 + R_obs(k) with the sign-k0 shift."""
     k_sq = k0 ** 2 - kvec_sq
     r0 = 0.0 if renormalized else R0_from_scheme(_require(scheme), spec)
-    val = r0 + R_obs(k_sq, spec, k0_sign=int(np.sign(k0)) or 1)
+    val = r0 + R_obs(k_sq, spec, k0_sign=-1 if k0 < 0 else 1)
     return PolarizationTensorValue(k0=k0, kvec_sq=kvec_sq, scalar_part=val)
 
 
@@ -305,6 +312,7 @@ def kramers_kronig_real_part(k_sq: float, spec: DiracSeaSpec) -> float:
     """
     from scipy.integrate import quad
 
+    _finite_k_sq(k_sq)
     s0 = 4.0 * spec.mu0 ** 2
 
     def im_r(s):

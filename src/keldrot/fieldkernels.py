@@ -41,6 +41,10 @@ def scalar_kernels(k0, kvec_sq, mu_sq: float, eps: float) -> dict:
         raise ValueError(f"mu_sq must be finite and non-negative, got {mu_sq}")
     k0 = np.asarray(k0, dtype=float)
     kvec_sq = np.asarray(kvec_sq, dtype=float)
+    for name, val in (("k0", k0), ("kvec_sq", kvec_sq)):
+        bad = val[~np.isfinite(val)]
+        if bad.size:
+            raise ValueError(f"{name} must be finite, got {bad[0]}")
     k_sq = k0 ** 2 - kvec_sq
     base = k_sq - mu_sq
     d_r = 1.0 / (base + 1j * eps * np.sign(k0))
@@ -62,6 +66,10 @@ def scalar_kernels(k0, kvec_sq, mu_sq: float, eps: float) -> dict:
 def symmetric_k0_grid(k0_max: float, n: int) -> np.ndarray:
     """Symmetric k0 samples excluding 0 (where the 1/2-split makes the
     Feynman identity O(eps) instead of exact)."""
+    if not (math.isfinite(k0_max) and k0_max > 0):
+        raise ValueError(f"k0_max must be finite and positive, got {k0_max}")
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     half = np.linspace(k0_max / n, k0_max, n)
     return np.concatenate([-half[::-1], half])
 

@@ -11,6 +11,7 @@ Delta terms of spectra are never discretized; they are carried as explicit
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .diracsea import DiracSeaSpec, F_threshold, R_obs, R_obs_finite_eps
 from .grids import Signal, TimeGrid, TwoPointKernel, sign_weights
 from .oscillator import OscillatorSpec, _infield_basis, retarded_response_grid
-from .rotation import _acausal_part
+from .rotation import _acausal_part, _check_hbar_c
 
 __all__ = [
     "SpectralDensity",
@@ -146,6 +147,8 @@ def one_mode_toy(grid: TimeGrid, omega0: float, gamma: float):
     closed = (omega0/w') D_R at w', with w'^2 = omega0^2 + gamma omega0.
     """
     d_bare = TwoPointKernel(grid, retarded_response_grid(OscillatorSpec(omega0=omega0), grid))
+    if not (math.isfinite(gamma) and omega0 ** 2 + gamma * omega0 > 0):
+        raise ValueError(f"coupling gamma must be finite and exceed -omega0, got {gamma}")
     pi_r = TwoPointKernel(grid, (gamma / grid.dt) * np.eye(grid.n))
     w_shift = np.sqrt(omega0 ** 2 + gamma * omega0)
     closed = (omega0 / w_shift) * retarded_response_grid(OscillatorSpec(omega0=w_shift), grid)
@@ -195,6 +198,12 @@ def zero_point_smooth(k_sq, spec: DiracSeaSpec, mu_vac: float = 1.0,
                                           / (3 k^2 |1 + R_obs|^2).
     """
     k_sq_arr = np.atleast_1d(np.asarray(k_sq, dtype=float))
+    bad = k_sq_arr[~np.isfinite(k_sq_arr)]
+    if bad.size:
+        raise ValueError(f"k_sq must be finite, got {bad[0]}")
+    if not (math.isfinite(mu_vac) and mu_vac > 0):
+        raise ValueError(f"mu_vac must be finite and positive, got {mu_vac}")
+    _check_hbar_c(hbar_c)
     out = np.zeros_like(k_sq_arr)
     thr = 4.0 * spec.mu0 ** 2
     for i, s in enumerate(k_sq_arr):
@@ -218,7 +227,7 @@ def zero_point_smooth_finite_eps(k0: float, kvec_sq: float, spec: DiracSeaSpec,
     k_sq = k0 ** 2 - kvec_sq
     if k_sq == 0.0:
         raise ValueError("on-cone values live in the delta ledger")
-    sgn = int(np.sign(k0)) or 1
+    sgn = -1 if k0 < 0 else 1
     r_p = R_obs_finite_eps(k_sq, spec, eps, k0_sign=sgn)
     r_m = R_obs_finite_eps(k_sq, spec, eps, k0_sign=-sgn)
     dp = mu_vac / (k_sq * (1.0 + r_p))

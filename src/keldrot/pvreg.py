@@ -12,14 +12,19 @@ requires the moment conditions
 (B(2) is absent because the 1/y coefficient of the large-argument
 expansion of F vanishes).  The zero-momentum renormalization condition is
 the additional row B(0).  The system matrix is Vandermonde-like and
-catastrophically ill-conditioned for well-separated masses, so it is
-solved in arbitrary precision and only the solution is rounded to double.
+catastrophically ill-conditioned for well-separated masses.  Its rows are
+assembled in mpmath at 53 bits and solved in arbitrary precision by
+Gaussian elimination in the standard `decimal` module, whose arithmetic
+runs in C; only the solution is rounded to double.  The moment routines
+(`moment_integral_exact`, `moment_sums`) sum the extended coefficients in
+mpmath.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import mpmath as mp
@@ -118,15 +123,60 @@ def _row_labels(M: int, impose_B0: bool) -> list[str]:
     return labels
 
 
-def _relative_residuals(a, b, d_aux) -> list[float]:
-    out = []
-    for r in range(a.rows):
-        terms = [a[r, c] * d_aux[c] for c in range(len(d_aux))]
-        terms.append(-b[r, 0])
-        scale = max(abs(t) for t in terms)
-        res = abs(mp.fsum(terms)) / scale if scale > 0 else mp.mpf(0)
-        out.append(float(res))
-    return out
+def _exact_decimal(x) -> Decimal:
+    """An mpf as a Decimal, exactly: man * 2^exp = man * 5^-exp * 10^exp."""
+    sign, man, exp, _ = x._mpf_
+    man = -man if sign else man
+    return Decimal(man << exp) if exp >= 0 else Decimal(f"{man * 5 ** -exp}E{exp}")
+
+
+def _gauss_solve(a, b, bits):
+    """d with a d = b, and its relative row residuals, or None if singular.
+
+    mpmath's `lu_solve` at `bits`, carried out in `decimal`: elimination at
+    the digits of bits + 10 bits, the pivot of largest |a_kj| over the row
+    sum of the active block, and a row sum or pivot at or below
+    ||a||_1 2^(-bits-9) counting as singular.  The residuals
+    |sum_c a_rc d_c - b_r| over the largest term are summed from the exact
+    rows with 20 guard digits.
+    """
+    digits = math.ceil((bits + 10) * math.log10(2))
+    with localcontext() as ctx:
+        ctx.prec = digits
+        n = len(b)
+        rows = [row + [rhs] for row, rhs in zip(a, b)]
+        tol = max(sum(abs(row[c]) for row in a) for c in range(n)) * Decimal(2) ** (-bits - 9)
+        for j in range(n):
+            best, p = 0, j
+            for k in range(j, n):
+                s = sum(map(abs, rows[k][j:n]))
+                if s <= tol:
+                    return None
+                cur = abs(rows[k][j]) / s
+                if cur > best:
+                    best, p = cur, k
+            rows[j], rows[p] = rows[p], rows[j]
+            pivot = rows[j]
+            if abs(pivot[j]) <= tol:
+                return None
+            for row in rows[j + 1:]:
+                f = row[j] / pivot[j]
+                row[j + 1:] = [v - f * w for v, w in zip(row[j + 1:], pivot[j + 1:])]
+        d = [Decimal(0)] * n
+        for i in reversed(range(n)):
+            row = rows[i]
+            t = row[n]
+            for c in range(i + 1, n):
+                t -= row[c] * d[c]
+            d[i] = t / row[i]
+    with localcontext() as ctx:
+        ctx.prec = digits + 20
+        residuals = []
+        for row, rhs in zip(a, b):
+            terms = [v * x for v, x in zip(row, d)] + [-rhs]
+            scale = max(map(abs, terms))
+            residuals.append(float(abs(sum(terms)) / scale) if scale else 0.0)
+    return d, residuals
 
 
 def solve_pv(M: int, masses, impose_B0: bool = False,
@@ -136,10 +186,14 @@ def solve_pv(M: int, masses, impose_B0: bool = False,
 
     Needs exactly N = 2M+4 auxiliary masses (2M+5 with the renormalization
     row B(0)); the d_0 = 1 terms are moved to the right-hand side.  The
-    system is solved in arbitrary precision, starting at `precision_bits`,
-    and d is rounded to float only after the relative row residuals
-    (computed at working precision) pass RESIDUAL_TOL; precision is doubled
-    and the solve retried, up to `max_precision_bits`, when they do not.
+    rows are assembled in mpmath at 53 bits and converted to `Decimal`
+    exactly; the system is solved in `decimal` (`_gauss_solve`), starting
+    at `precision_bits`, and d is rounded to float only after the relative
+    row residuals (summed from the exact rows with guard digits) pass
+    RESIDUAL_TOL; precision is doubled and the solve retried, up to
+    `max_precision_bits`, when they do not or the elimination finds the
+    system singular.  d_mp holds the solution as `mp.nstr` writes it at
+    int(0.3 bits) + 5 digits of the final precision.
     Warns when any |d_l| exceeds COEFFICIENT_BOUND: the asymptotic solution
     is then unreliable and the mass spacing is of the pathological kind
     whose coefficients grow without bound.
@@ -154,27 +208,21 @@ def solve_pv(M: int, masses, impose_B0: bool = False,
     labels = _row_labels(M, impose_B0)
     mu = [mp.mpf(m) for m in masses]
     mu0 = mu[0]
-    a = mp.matrix(len(labels), n_aux)
-    b = mp.matrix(len(labels), 1)
-    for r, lab in enumerate(labels):
-        kind = lab[0]
+    # A(2n) entries (-1)^l mu_l^(2n); a B(2n) entry is the A one times 2 ln(mu_l/mu_0)
+    powers = [[((-1) ** l) * mu[l] ** (2 * n) for l in range(1, n_aux + 1)]
+              for n in range(M + 3)]
+    logs = [2 * mp.log(m / mu0) for m in mu[1:]]
+    a, b = [], []
+    for lab in labels:
         n = int(lab[2:-1]) // 2
-        for l in range(1, n_aux + 1):
-            term = ((-1) ** l) * mu[l] ** (2 * n)
-            if kind == "B":
-                term *= 2 * mp.log(mu[l] / mu0)
-            a[r, l - 1] = term
+        row = powers[n] if lab[0] == "A" else [p * g for p, g in zip(powers[n], logs)]
+        a.append([_exact_decimal(v) for v in row])
         # d_0 term: (+1) * mu0^(2n) for A rows, absent from B rows
-        b[r, 0] = -(mu0 ** (2 * n)) if kind == "A" else mp.mpf(0)
+        b.append(_exact_decimal(-(mu0 ** (2 * n))) if lab[0] == "A" else Decimal(0))
 
     bits = precision_bits
     while True:
-        with mp.workprec(bits):
-            try:
-                d_aux = mp.lu_solve(a, b)
-                residuals = _relative_residuals(a, b, d_aux)
-            except ZeroDivisionError:
-                d_aux, residuals = None, [np.inf]
+        d_aux, residuals = _gauss_solve(a, b, bits) or (None, [np.inf])
         if d_aux is not None and max(residuals) <= RESIDUAL_TOL:
             break
         if bits >= max_precision_bits:
@@ -185,8 +233,8 @@ def solve_pv(M: int, masses, impose_B0: bool = False,
                 f"at {bits}-bit precision"
             )
         bits *= 2
-    with mp.workprec(bits):
-        d_strings = ["1"] + [mp.nstr(x, int(bits * 0.3) + 5) for x in d_aux]
+    with mp.workprec(bits + 10):
+        d_strings = ["1"] + [mp.nstr(mp.mpf(str(x)), int(bits * 0.3) + 5) for x in d_aux]
     d = [1.0] + [float(x) for x in d_aux]
     if max(abs(x) for x in d[1:]) > COEFFICIENT_BOUND:
         warnings.warn(

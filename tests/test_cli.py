@@ -362,6 +362,27 @@ class TestConfigHandling:
         assert err["error"] == "computation" and name in err["detail"]
         assert list(outdir.iterdir()) == []
 
+    @pytest.mark.parametrize("argv,name", [
+        (["zero-point", "--s", 0, "--k2", "nan"], "k_sq"),
+        (["zero-point", "--s", 0, "--k2=-inf"], "k_sq"),
+        (["zero-point", "--s", 0, "--k2", 5, "--mu-vac", "nan"], "mu_vac"),
+        (["zero-point", "--s", 0, "--k2", 5, "--hbar-c", "inf"], "hbar_c"),
+        (["kernels", "scalar", "--k0-max", "nan", "--eps", 1e-3, "--n-k0", 3, "--mu2", 1,
+          "--kvec-sq", 0.5], "k0_max"),
+        (["kernels", "photon", "--kvec-sq", "nan", "--eps", 1e-3, "--n-k0", 3,
+          "--k0-max", 2], "kvec_sq"),
+        (["vacuum-pol", "--k2", "nan"], "k_sq"),
+        (["vacuum-pol", "--kind", "F", "--k2", "inf"], "k_sq"),
+        (["vacuum-pol", "--k2-min", 1, "--k2-max", "nan", "--n-k2", 3], "k_sq"),
+        (["dress", "--omega0", 1, "--coupling", "nan", "--n", 8, "--dt", 0.5], "coupling"),
+    ])
+    def test_non_finite_momentum_or_medium_parameter_fails(self, argv, name, outdir, capsys):
+        code = run(argv + ["--out", outdir / "x"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "computation" and name in err["detail"]
+        assert list(outdir.iterdir()) == []
+
     def test_nested_grid_config(self, outdir):
         cfg = outdir / "cfg.json"
         cfg.write_text(json.dumps({"omega0": 1.0, "s": 0.0,

@@ -441,3 +441,24 @@ def test_spec_validation():
             DiracSeaSpec(mu0=1.0, alpha=bad)
         with pytest.raises(ValueError, match="eps must be finite"):
             R_obs_finite_eps(1.0, SPEC, bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_momentum_rejected(bad):
+    with pytest.raises(ValueError, match="k_sq must be finite"):
+        R_obs(bad, SPEC)
+    with pytest.raises(ValueError, match="k_sq must be finite"):
+        R_obs_finite_eps(bad, SPEC, 1e-4)
+    with pytest.raises(ValueError, match="k_sq must be finite"):
+        kramers_kronig_real_part(bad, SPEC)
+    for fn in (Pi_R_reg, Pi_F_reg, Pi_plus):
+        with pytest.raises(ValueError, match="k_sq must be finite"):
+            fn(bad, 1.0, SPEC)
+        with pytest.raises(ValueError, match="k_sq must be finite"):
+            fn(2.0, bad, SPEC)
+
+
+def test_retarded_sign_at_zero_k0():
+    # k0 = 0 takes the k0 > 0 branch
+    for k_sq in (-3.0, 9.0):
+        assert Pi_R_reg(0.0, -k_sq, SPEC).scalar_part == R_obs(k_sq, SPEC, 1)

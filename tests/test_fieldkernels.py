@@ -40,6 +40,23 @@ class TestEpsilon:
         with pytest.raises(ValueError, match="mu_sq must be finite"):
             scalar_kernels(1.0, 0.0, bad, eps=1e-3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_momenta_rejected(self, bad):
+        with pytest.raises(ValueError, match="k0 must be finite"):
+            scalar_kernels(np.array([1.0, bad]), 0.0, 1.0, eps=1e-3)
+        with pytest.raises(ValueError, match="kvec_sq must be finite"):
+            scalar_kernels(1.0, bad, 1.0, eps=1e-3)
+        with pytest.raises(ValueError, match="kvec_sq must be finite"):
+            photon_keldysh_pair(np.array([-1.0, 1.0]), bad, 1e-3)
+        with pytest.raises(ValueError, match="k0_max must be finite"):
+            symmetric_k0_grid(bad, 4)
+
+    def test_k0_grid_needs_positive_size_and_extent(self):
+        with pytest.raises(ValueError, match="k0_max"):
+            symmetric_k0_grid(0.0, 4)
+        with pytest.raises(ValueError, match="n must be positive"):
+            symmetric_k0_grid(2.0, 0)
+
 
 class TestScalarKernels:
     def test_off_shell_prescription_irrelevant(self):

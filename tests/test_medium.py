@@ -96,6 +96,12 @@ class TestGridDressing:
         dressed = dress_retarded_grid(d_bare, pi_r)
         assert wave_operator_residual(dressed, pi_r, spec.omega0) < 1e-4
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, -1.0, -2.0])
+    def test_toy_rejects_bad_coupling(self, gamma):
+        # the pole moves to w'^2 = omega0^2 + gamma omega0, which must stay positive
+        with pytest.raises(ValueError, match="coupling gamma"):
+            one_mode_toy(TimeGrid(8, 0.5), 1.0, gamma)
+
     def test_non_retarded_input_rejected(self):
         grid, spec, d_bare, _, _ = toy_kernels(n=64, total_time=6.0)
         sym = TwoPointKernel(grid, d_bare.values + d_bare.values.T)
@@ -262,6 +268,25 @@ class TestZeroPointSpectrum:
     def test_density_validation(self):
         with pytest.raises(ValueError):
             SpectralDensity(k_sq=np.array([1.0]), smooth=np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        # -inf lies below threshold, where the smooth part would read 0
+        with pytest.raises(ValueError, match="k_sq must be finite"):
+            zero_point_spectrum([8.0, bad], SEA)
+        with pytest.raises(ValueError, match="k_sq must be finite"):
+            zero_point_smooth(bad, SEA)
+        with pytest.raises(ValueError, match="k_sq must be finite"):
+            zero_point_smooth_finite_eps(bad, 1.0, SEA, 1e-4)
+        for name in ("mu_vac", "hbar_c"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                zero_point_spectrum([8.0], SEA, **{name: bad})
+
+    @pytest.mark.parametrize("name", ["mu_vac", "hbar_c"])
+    def test_non_positive_scale_rejected(self, name):
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+                zero_point_spectrum([8.0], SEA, **{name: bad})
 
 
 class TestTimeNormalVacuumNoise:

@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 from fractions import Fraction
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
+from keldrot import pvreg
 from keldrot.diracsea import _k_reg_scalar
 from keldrot.pvreg import (
     COEFFICIENT_BOUND,
@@ -72,6 +74,141 @@ def unregularized_size(n, cutoff_sq, mu0=1.0):
         y = cutoff_sq / (4.0 * mu0 ** 2)
         return 4.0 * mu0 ** 2 * (y - 1.0) * math.sqrt(1.0 - 1.0 / y) / (6.0 * np.pi)
     return cutoff_sq ** (n + 1) / (n + 1) / (6.0 * np.pi)
+
+
+def mpmath_solve(M, masses, impose_B0, precision_bits=256, max_precision_bits=4096):
+    """Oracle for `solve_pv`: the same 53-bit rows in an `mp.matrix`, solved
+    by `mp.lu_solve` with `fsum` row residuals at working precision, on the
+    same precision ladder.  Returns (d, d_mp, final bits)."""
+    labels = pvreg._row_labels(M, impose_B0)
+    mu = [mp.mpf(m) for m in masses]
+    a = mp.matrix(len(labels), len(mu) - 1)
+    b = mp.matrix(len(labels), 1)
+    for r, lab in enumerate(labels):
+        n = int(lab[2:-1]) // 2
+        for l in range(1, len(mu)):
+            term = ((-1) ** l) * mu[l] ** (2 * n)
+            if lab[0] == "B":
+                term *= 2 * mp.log(mu[l] / mu[0])
+            a[r, l - 1] = term
+        b[r, 0] = -(mu[0] ** (2 * n)) if lab[0] == "A" else mp.mpf(0)
+    bits = precision_bits
+    while True:
+        with mp.workprec(bits):
+            try:
+                x = mp.lu_solve(a, b)
+            except ZeroDivisionError:
+                x, worst = None, np.inf
+            else:
+                worst = 0.0
+                for r in range(a.rows):
+                    terms = [a[r, c] * x[c] for c in range(a.cols)] + [-b[r, 0]]
+                    worst = max(worst, float(abs(mp.fsum(terms)) / max(abs(t) for t in terms)))
+        if x is not None and worst <= RESIDUAL_TOL:
+            break
+        if bits >= max_precision_bits:
+            raise ValueError("singular regularization system" if x is None else
+                             f"row residuals {worst:.3e} exceed {RESIDUAL_TOL:.1e} "
+                             f"at {bits}-bit precision")
+        bits *= 2
+    with mp.workprec(bits):
+        d_mp = ["1"] + [mp.nstr(v, int(bits * 0.3) + 5) for v in x]
+    return [1.0] + [float(v) for v in x], d_mp, bits
+
+
+def _pathological_masses(x=50.0):
+    return [1.0, np.exp(x)] + [np.exp(x) * x ** k for k in range(1, 5)]
+
+
+# every scheme that src/, perfbench/, scripts/ and the tests solve, once each
+SOLVED_SCHEMES = list({
+    (M, tuple(masses), b0): None for M, masses, b0 in
+    # the momentum grid of the benchmark
+    [(M, geometric_masses(1.0, ratio, 2 * M + (6 if b0 else 5)), b0)
+     for M in range(4) for ratio in (10.0, 1e3) for b0 in (False, True)]
+    # its two coordinate schemes and the fault scheme
+    + [(0, [1.0, 2.0, 4.0, 8.0, 16.0], False),
+       (1, [2.0 ** l for l in range(7)], False),
+       (0, [1.0, 10.0, 100.0, 1e3, 1e4], False)]
+    # criteria 06 and 07, the benchmark's CLI pv-solve, the study script
+    + [(0, geometric_masses(1.0, 100.0, 5), False),
+       (0, geometric_masses(1.0, 1e3, 6), True),
+       (1, geometric_masses(1.0, 1e3, 8), True)]
+    + [(0, geometric_masses(1.0, ratio, 6), True) for ratio in (10.0, 100.0, 1e3, 1e4)]
+    # the test fixtures
+    + [(1, geometric_masses(1.0, 2.0, 7), False),
+       (0, [1.0, 10.0, 100.0, 1e4, 1e6], False),
+       (0, _pathological_masses(), True)]
+})
+
+
+def _scheme_id(key):
+    M, masses, b0 = key
+    return f"M{M}{'-B0' if b0 else ''}-" + ",".join(f"{m:.3g}" for m in masses)
+
+
+def significant_digits(s):
+    """The mantissa digits of a d_mp entry, without sign, point and leading zeros."""
+    return s.split("e")[0].lstrip("-").replace(".", "").lstrip("0")
+
+
+class TestMpmathOracle:
+    @pytest.mark.filterwarnings("ignore:unbounded coefficients")
+    @pytest.mark.parametrize("M,masses,b0", SOLVED_SCHEMES,
+                             ids=[_scheme_id(k) for k in SOLVED_SCHEMES])
+    def test_decimal_solve_matches_lu_solve(self, M, masses, b0):
+        scheme = solve_pv(M, masses, impose_B0=b0)
+        d, d_mp, bits = mpmath_solve(M, masses, b0)
+        digits = int(bits * 0.3) + 5
+        assert scheme.d == d
+        # summed from the exact rows with guard digits, the residuals sit
+        # below the working precision
+        assert max(scheme.residuals) <= 2.0 ** -bits
+        assert len(scheme.d_mp) == len(d_mp) and scheme.d_mp[0] == d_mp[0] == "1"
+        for got, want in zip(scheme.d_mp[1:], d_mp[1:]):
+            # both entries are nstr at the oracle's digit count; nstr strips
+            # trailing zeros, so a count may fall short of it but not exceed it
+            assert len(significant_digits(got)) <= digits
+            with mp.workdps(digits + 10):
+                assert mp.nstr(mp.mpf(got), digits) == got
+                assert (len(mp.nstr(mp.mpf(got), digits, strip_zeros=False))
+                        == len(mp.nstr(mp.mpf(want), digits, strip_zeros=False)))
+                got, want = mp.mpf(got), mp.mpf(want)
+                assert abs(got - want) <= mp.mpf(10) ** (5 - digits) * abs(want)
+
+    @pytest.mark.parametrize("ratio,count,b0", [(1e3, 6, True), (100.0, 5, False),
+                                                (10.0, 5, False)])
+    def test_double_precision_alike(self, ratio, count, b0):
+        # at 53 bits the wide schemes fail, with the same message; ratio 10
+        # without B(0) solves, to the same float d
+        args = (0, geometric_masses(1.0, ratio, count), b0, 53, 53)
+        try:
+            d = mpmath_solve(*args)[0]
+        except ValueError as exc:
+            with pytest.raises(ValueError) as ours:
+                solve_pv(*args)
+            assert str(ours.value) == str(exc)
+        else:
+            assert solve_pv(*args).d == d
+
+    def test_solve_does_not_use_lu_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mpmath.lu_solve called")
+
+        monkeypatch.setattr(mp, "lu_solve", refuse)
+        scheme = solve_pv(3, geometric_masses(1.0, 1e3, 12), impose_B0=True)
+        assert max(scheme.residuals) < RESIDUAL_TOL
+
+    def test_solve_uses_python310_localcontext(self, monkeypatch):
+        # localcontext takes context attributes as keywords only from 3.11 on;
+        # the package supports 3.10, so the solve must set ctx.prec itself
+        def localcontext_310(ctx=None):
+            return decimal.localcontext(ctx)
+
+        monkeypatch.setattr(pvreg, "localcontext", localcontext_310)
+        ref = solve_pv(1, geometric_masses(1.0, 1e3, 8), impose_B0=True)
+        monkeypatch.undo()
+        assert solve_pv(1, geometric_masses(1.0, 1e3, 8), impose_B0=True).d == ref.d
 
 
 @pytest.fixture(scope="module")
