@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .grids import heaviside
+from .grids import _require_finite, heaviside
 
 __all__ = [
     "scalar_kernels",
@@ -41,10 +41,8 @@ def scalar_kernels(k0, kvec_sq, mu_sq: float, eps: float) -> dict:
         raise ValueError(f"mu_sq must be finite and non-negative, got {mu_sq}")
     k0 = np.asarray(k0, dtype=float)
     kvec_sq = np.asarray(kvec_sq, dtype=float)
-    for name, val in (("k0", k0), ("kvec_sq", kvec_sq)):
-        bad = val[~np.isfinite(val)]
-        if bad.size:
-            raise ValueError(f"{name} must be finite, got {bad[0]}")
+    _require_finite("k0", k0)
+    _require_finite("kvec_sq", kvec_sq)
     k_sq = k0 ** 2 - kvec_sq
     base = k_sq - mu_sq
     d_r = 1.0 / (base + 1j * eps * np.sign(k0))

@@ -47,6 +47,14 @@ def _sign_value(sign) -> int:
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
+def _require_finite(name: str, values) -> None:
+    """Raise a ValueError naming `name` and its first non-finite entry."""
+    values = np.asarray(values, dtype=float)
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {bad[0]}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniformly sampled, periodically interpreted time grid."""

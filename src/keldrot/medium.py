@@ -12,12 +12,13 @@ Delta terms of spectra are never discretized; they are carried as explicit
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .diracsea import DiracSeaSpec, F_threshold, R_obs, R_obs_finite_eps
-from .grids import Signal, TimeGrid, TwoPointKernel, sign_weights
+from .grids import Signal, TimeGrid, TwoPointKernel, _require_finite, sign_weights
 from .oscillator import OscillatorSpec, _infield_basis, retarded_response_grid
 from .rotation import _acausal_part, _check_hbar_c
 
@@ -198,9 +199,7 @@ def zero_point_smooth(k_sq, spec: DiracSeaSpec, mu_vac: float = 1.0,
                                           / (3 k^2 |1 + R_obs|^2).
     """
     k_sq_arr = np.atleast_1d(np.asarray(k_sq, dtype=float))
-    bad = k_sq_arr[~np.isfinite(k_sq_arr)]
-    if bad.size:
-        raise ValueError(f"k_sq must be finite, got {bad[0]}")
+    _require_finite("k_sq", k_sq_arr)
     if not (math.isfinite(mu_vac) and mu_vac > 0):
         raise ValueError(f"mu_vac must be finite and positive, got {mu_vac}")
     _check_hbar_c(hbar_c)
@@ -303,11 +302,6 @@ def wave_operator_residual(dressed: TwoPointKernel, pi_R: TwoPointKernel,
     return worst / scale
 
 
-# samples per step of wyld_mc; a step draws its amplitudes before its
-# currents, so this also fixes which normals each sample gets
-_MC_CHUNK = 50_000
-
-
 def wyld_mc(spec: OscillatorSpec, grid: TimeGrid, n_samples: int, seed: int,
             J_e: Signal | None = None, white_noise_std: float = 0.0,
             alpha_nbar: float = 0.0) -> dict:
@@ -317,95 +311,69 @@ def wyld_mc(spec: OscillatorSpec, grid: TimeGrid, n_samples: int, seed: int,
     with j = J_e + J_r, a thermal complex amplitude alpha of mean square
     modulus alpha_nbar, and a white random current of covariance
     white_noise_std^2 delta(t-t') (grid variance white_noise_std^2/dt).
-    Returns sample mean and covariance with standard errors; deterministic
-    for fixed (seed, n_samples) via a counter-based generator.
+    Returns the sample mean and covariance (normalised by n_samples) of
+    n_samples such paths, with standard errors; deterministic for fixed
+    (seed, n_samples) via a counter-based generator.
 
-    One helper thread draws the next block of normals while the calling
-    thread sums the previous one.  It draws them from the one generator in
-    the serial order (per chunk of _MC_CHUNK samples, Re alpha, Im alpha,
-    then J_r), so the result is bit for bit that of drawing and summing in
-    turn on one thread.  The helper is joined before return, also when the
-    call raises.
+    A path is q = z B + q_J with z the standard normal of the d random
+    inputs (Re alpha and Im alpha when alpha_nbar > 0, the n current
+    samples when white_noise_std > 0), so the estimates depend on the
+    draws only through the sample mean zbar ~ N(0, I/N) and the scatter
+    matrix W = sum (z - zbar)^T (z - zbar) ~ Wishart(N - 1, I), which are
+    independent.  Both are drawn directly, zbar first: W = A A^T by the
+    Bartlett decomposition (A lower triangular, A_ii^2 ~ chi^2(N - 1 - i),
+    A_ij ~ N(0, 1) below the diagonal in np.tril_indices order) when
+    N - 1 >= d, else as Z^T Z from N - 1 standard normal rows.  So the
+    estimates have exactly the distribution of the path average at a cost
+    that does not grow with N.  W carries no fourth moments: cov_stderr is
+    the Gaussian (Isserlis) plug-in for the standard deviation of the mean
+    of q_i q_j, sqrt((C_ii C_jj + C_ij^2 + m_i^2 C_jj + m_j^2 C_ii
+    + 2 m_i m_j C_ij) / N) with C = cov and m = mean.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
+    try:
+        n_samples = operator.index(n_samples)
+    except TypeError:
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}") from None
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     for name, value in (("white_noise_std", white_noise_std), ("alpha_nbar", alpha_nbar)):
         if not (np.isfinite(value) and value >= 0):
             raise ValueError(f"{name} must be finite and non-negative, got {value}")
     rng = np.random.Generator(np.random.Philox(seed))
-    n = grid.n
     dr = retarded_response_grid(spec, grid)
+    base = np.zeros(grid.n)
     if J_e is not None:
         if J_e.grid != grid:
             raise ValueError("source grid mismatch")
         if np.any(J_e.values.imag):
             raise ValueError("J_e must be real: a classical current has no imaginary part")
         base = grid.dt * (dr @ J_e.values.real)
-    infield = _infield_basis(spec, grid.times)  # q_in = (Re alpha, Im alpha) @ infield
-    # dt (J_r @ dr^T) with J_r standard normals times white_noise_std / sqrt(dt)
-    noise_response_t = (grid.dt * white_noise_std / np.sqrt(grid.dt)) * dr.T
-    with_alpha, with_current = alpha_nbar > 0, white_noise_std > 0
-    # steps (chunk size m, rows lo:hi of the chunk): the currents of a chunk
-    # come in as few pieces as keep each within half a chunk
-    steps, done = [], 0
-    while done < n_samples:
-        m = min(_MC_CHUNK, n_samples - done)
-        pieces = -(-2 * m // _MC_CHUNK) if with_current else 1
-        steps += [(m, m * i // pieces, m * (i + 1) // pieces) for i in range(pieces)]
-        done += m
-    rows = max(hi - lo for _, lo, hi in steps)
-    buffers = [np.empty((rows, n)) for _ in range(2 if with_current else 0)]
-
-    def draw(k):
-        # step k's normals: its chunk's amplitudes when it opens the chunk,
-        # then its currents, into the buffer that step k - 1 is not using
-        m, lo, hi = steps[k]
-        alphas = rng.standard_normal((2, m)) if with_alpha and lo == 0 else None
-        j_r = rng.standard_normal(out=buffers[k % 2][:hi - lo]) if with_current else None
-        return alphas, j_r
-
-    s1 = np.zeros(n)
-    sp = np.zeros((n, n))
-    sp2 = np.zeros((n, n))
-    q = np.empty((steps[0][0], n))
-    alphas = None
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="wyld_mc") as helper:
-        ahead = helper.submit(draw, 0)
-        for k, (m, lo, hi) in enumerate(steps):
-            drawn, j_r = ahead.result()
-            if k + 1 < len(steps):
-                ahead = helper.submit(draw, k + 1)
-            if drawn is not None:
-                alphas = np.sqrt(alpha_nbar / 2.0) * drawn
-            if j_r is not None:
-                np.matmul(j_r, noise_response_t, out=q[lo:hi])
-            else:
-                q[lo:hi] = 0.0
-            if hi < m:
-                continue
-            qm = q[:m]
-            if alphas is not None:
-                qm += alphas.T @ infield
-            if J_e is not None:
-                qm += base
-            s1 += qm.sum(axis=0)
-            sp += qm.T @ qm
-            np.square(qm, out=qm)
-            sp2 += qm.T @ qm
-    mean = s1 / n_samples
-    second = sp / n_samples
-    mean_var = np.maximum(np.diag(second) - mean ** 2, 0.0)
-    mean_stderr = np.sqrt(mean_var / n_samples)
-    cov = second - np.outer(mean, mean)
-    prod_var = np.maximum(sp2 / n_samples - second ** 2, 0.0)
-    cov_stderr = np.sqrt(prod_var / n_samples)
+    rows = [np.zeros((0, grid.n))]
+    if alpha_nbar > 0:
+        rows.append(np.sqrt(alpha_nbar / 2.0) * _infield_basis(spec, grid.times))
+    if white_noise_std > 0:
+        # the current's grid variance is white_noise_std^2 / dt
+        rows.append((grid.dt * white_noise_std / np.sqrt(grid.dt)) * dr.T)
+    b = np.concatenate(rows)
+    d = len(b)
+    z_mean = rng.standard_normal(d) / np.sqrt(n_samples)
+    if n_samples - 1 >= d:
+        factor = np.diag(np.sqrt(rng.chisquare(n_samples - 1 - np.arange(d))))
+        factor[np.tril_indices(d, -1)] = rng.standard_normal(d * (d - 1) // 2)
+        root = factor.T @ b
+    else:
+        root = rng.standard_normal((n_samples - 1, d)) @ b
+    mean = z_mean @ b + base
+    cov = root.T @ root / n_samples  # B^T (W / N) B
+    var = np.diag(cov)
+    m2 = mean ** 2
+    prod_var = np.outer(var, var) + cov ** 2 + np.outer(m2, var) + np.outer(var, m2)
+    prod_var += 2.0 * np.outer(mean, mean) * cov
     return {
         "mean": mean,
-        "mean_stderr": mean_stderr,
+        "mean_stderr": np.sqrt(var / n_samples),
         "cov": cov,
-        "cov_stderr": cov_stderr,
+        "cov_stderr": np.sqrt(np.maximum(prod_var, 0.0) / n_samples),
         "n_samples": n_samples,
     }
 

@@ -1,4 +1,3 @@
-import sys
 import threading
 
 import numpy as np
@@ -8,7 +7,6 @@ from keldrot.diracsea import DiracSeaSpec, F_threshold, Pi_R_reg, R_obs, pi_plus
 from keldrot.grids import OrderingParam, Signal, TimeGrid, TwoPointKernel
 import keldrot.medium as medium
 from keldrot.medium import (
-    _MC_CHUNK,
     SpectralDensity,
     dress_retarded_grid,
     gauge_projector_diagnosis,
@@ -335,54 +333,86 @@ class TestTimeNormalVacuumNoise:
 
 def serial_wyld_mc(spec, grid, n_samples, seed, J_e=None, white_noise_std=0.0,
                    alpha_nbar=0.0):
-    """wyld_mc drawing and summing in turn on one thread, chunk by chunk."""
+    """The path sampler: every sample path drawn and summed, with the
+    fourth-moment estimate of cov_stderr."""
     rng = np.random.Generator(np.random.Philox(seed))
-    n = grid.n
     dr = retarded_response_grid(spec, grid)
+    q = np.zeros((n_samples, grid.n))
+    if alpha_nbar > 0:
+        q += np.sqrt(alpha_nbar / 2.0) * rng.standard_normal((n_samples, 2)) @ _infield_basis(
+            spec, grid.times)
+    if white_noise_std > 0:
+        j_r = rng.standard_normal((n_samples, grid.n)) * (white_noise_std / np.sqrt(grid.dt))
+        q += grid.dt * (j_r @ dr.T)
     if J_e is not None:
-        base = grid.dt * (dr @ J_e.values.real)
-    infield = _infield_basis(spec, grid.times)
-    noise_response_t = (grid.dt * white_noise_std / np.sqrt(grid.dt)) * dr.T
-    s1 = np.zeros(n)
-    sp = np.zeros((n, n))
-    sp2 = np.zeros((n, n))
-    done = 0
-    while done < n_samples:
-        m = min(_MC_CHUNK, n_samples - done)
-        alphas = (np.sqrt(alpha_nbar / 2.0) * rng.standard_normal((2, m))
-                  if alpha_nbar > 0 else None)
-        q = (rng.standard_normal((m, n)) @ noise_response_t if white_noise_std > 0
-             else np.zeros((m, n)))
-        if alphas is not None:
-            q += alphas.T @ infield
-        if J_e is not None:
-            q += base
-        s1 += q.sum(axis=0)
-        sp += q.T @ q
-        np.square(q, out=q)
-        sp2 += q.T @ q
-        done += m
-    mean = s1 / n_samples
-    second = sp / n_samples
+        q += grid.dt * (dr @ J_e.values.real)
+    mean = q.mean(axis=0)
+    second = q.T @ q / n_samples
+    q2 = q ** 2
     return {
         "mean": mean,
-        "mean_stderr": np.sqrt(np.maximum(np.diag(second) - mean ** 2, 0.0) / n_samples),
+        "mean_stderr": np.sqrt(np.maximum(q2.mean(axis=0) - mean ** 2, 0.0) / n_samples),
         "cov": second - np.outer(mean, mean),
-        "cov_stderr": np.sqrt(np.maximum(sp2 / n_samples - second ** 2, 0.0) / n_samples),
+        "cov_stderr": np.sqrt(np.maximum(q2.T @ q2 / n_samples - second ** 2, 0.0)
+                              / n_samples),
     }
+
+
+def mc_inputs(grid, spec, inputs):
+    return {
+        "noise": {"white_noise_std": 0.4},
+        "alpha+source+noise": {"J_e": Signal(grid, np.cos(spec.omega0 * grid.times)),
+                               "white_noise_std": 0.4, "alpha_nbar": 0.8},
+        "alpha": {"alpha_nbar": 1.3},
+    }[inputs]
+
+
+def documented_draw(spec, grid, n_samples, seed, J_e=None, white_noise_std=0.0,
+                    alpha_nbar=0.0):
+    """wyld_mc's draw written out: the rows B of the d random inputs, the
+    source's field, the sample mean zbar and a root R of the scatter matrix,
+    W = R^T R (A^T from the Bartlett draw when n_samples - 1 >= d, else the
+    n_samples - 1 standard normal rows Z)."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    dr = retarded_response_grid(spec, grid)
+    base = np.zeros(grid.n) if J_e is None else grid.dt * (dr @ J_e.values.real)
+    rows = [np.zeros((0, grid.n))]
+    if alpha_nbar > 0:
+        rows.append(np.sqrt(alpha_nbar / 2.0) * _infield_basis(spec, grid.times))
+    if white_noise_std > 0:
+        rows.append((grid.dt * white_noise_std / np.sqrt(grid.dt)) * dr.T)
+    b = np.concatenate(rows)
+    d = len(b)
+    z_mean = rng.standard_normal(d) / np.sqrt(n_samples)
+    if n_samples - 1 >= d:
+        a = np.diag(np.sqrt(rng.chisquare(n_samples - 1 - np.arange(d))))
+        a[np.tril_indices(d, -1)] = rng.standard_normal(d * (d - 1) // 2)
+        return b, base, z_mean, a.T
+    return b, base, z_mean, rng.standard_normal((n_samples - 1, d))
+
+
+def assert_same_mean(a, b, sigmas=4.0):
+    """The column means of two independent samples (rows) agree within
+    `sigmas` standard errors of their difference."""
+    se = np.sqrt(a.var(axis=0, ddof=1) / len(a) + b.var(axis=0, ddof=1) / len(b))
+    assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= sigmas * se)
 
 
 class TestWyldMC:
     def test_deterministic_source_only(self):
+        # no random input (d = 0): the mean is the radiated field and the
+        # covariance is exactly zero, whatever the sample count
         grid = TimeGrid(32, 0.2)
         spec = OscillatorSpec(omega0=grid.resonant_frequency(3))
         j_e = Signal(grid, np.cos(spec.omega0 * grid.times))
-        res = wyld_mc(spec, grid, 200, seed=5, J_e=j_e)
         t = grid.times
         dr = np.tril(retarded_response(spec, t[:, None] - t[None, :]))
         expect = grid.dt * (dr @ j_e.values.real)
-        assert np.abs(res["mean"] - expect).max() < 1e-12
-        assert np.abs(res["cov"]).max() < 1e-12
+        for n_samples in (1, 200):
+            res = wyld_mc(spec, grid, n_samples, seed=5, J_e=j_e)
+            assert np.abs(res["mean"] - expect).max() < 1e-12
+            assert not res["cov"].any() and not res["cov_stderr"].any()
+            assert not res["mean_stderr"].any()
 
     def test_thermal_infield_covariance(self):
         grid = TimeGrid(24, 0.3)
@@ -409,119 +439,147 @@ class TestWyldMC:
         for ij in picks:
             assert abs(res["cov"][ij] - target[ij]) < 3.5 * res["cov_stderr"][ij]
 
+    # d = 14 random inputs with the amplitude and the current: n_samples 200
+    # and 16 take the Bartlett draw, 6 the n_samples - 1 < d one
+    @pytest.mark.parametrize("inputs, n_samples", [
+        ("noise", 200), ("alpha", 200), ("alpha+source+noise", 200),
+        ("alpha+source+noise", 16), ("alpha+source+noise", 6)])
+    def test_matches_path_sampler_in_distribution(self, inputs, n_samples):
+        # over 500 seeds each, the direct draw and the path sampler give the
+        # same mean and variance of chosen mean and cov entries, and at 200
+        # samples the same average standard errors (the path sampler's
+        # fourth-moment estimate is biased at a few samples)
+        grid = TimeGrid(12, 0.3)
+        spec = OscillatorSpec(omega0=grid.resonant_frequency(2))
+        kwargs = mc_inputs(grid, spec, inputs)
+        cov_picks = [(0, 0), (11, 11), (11, 3), (6, 2)]
+        entries = {"mean": [0, 5, 11], "cov": cov_picks,
+                   "mean_stderr": [0, 5, 11], "cov_stderr": cov_picks}
+
+        def sample(mc, seeds):
+            runs = [mc(spec, grid, n_samples, seed, **kwargs) for seed in seeds]
+            return {key: np.array([[run[key][e] for e in picks] for run in runs])
+                    for key, picks in entries.items()}
+
+        # disjoint seeds: the two routes read the same Philox streams
+        direct = sample(wyld_mc, range(500))
+        paths = sample(serial_wyld_mc, range(1000, 1500))
+        for key in ("mean", "cov"):
+            a, b = direct[key], paths[key]
+            assert_same_mean(a, b)
+            centre = 0.5 * (a.mean(axis=0) + b.mean(axis=0))
+            assert_same_mean((a - centre) ** 2, (b - centre) ** 2)
+        if n_samples >= 200:
+            for key in ("mean_stderr", "cov_stderr"):
+                assert_same_mean(direct[key], paths[key])
+
+    # d = 2 (alpha), 12 (noise) and 14 (alpha+source+noise): the Bartlett draw
+    # needs n_samples - 1 >= d, so the small counts straddle the two branches
+    @pytest.mark.parametrize("n_samples", [1, 2, 3, 12, 13, 14, 15, 50_000, 50_001, 125_000])
+    @pytest.mark.parametrize("inputs", ["noise", "alpha+source+noise", "alpha"])
+    def test_bits_match_serial_drawing(self, inputs, n_samples):
+        # the estimates are a function of the seed through the documented
+        # draws alone, so they keep their bytes for as long as this order holds
+        grid = TimeGrid(12, 0.3)
+        spec = OscillatorSpec(omega0=grid.resonant_frequency(2))
+        kwargs = mc_inputs(grid, spec, inputs)
+        b, base, z_mean, root = documented_draw(spec, grid, n_samples, 17, **kwargs)
+        spread = root @ b
+        got = wyld_mc(spec, grid, n_samples, 17, **kwargs)
+        assert got["n_samples"] == n_samples
+        assert np.array_equal(got["mean"], z_mean @ b + base)
+        assert np.array_equal(got["cov"], spread.T @ spread / n_samples)
+
     def test_statistics_match_sample_paths(self):
-        # the slow route: every sample path with the source, the in-field and
-        # the white current, from the same draws, over more than one chunk
+        # the estimates are the statistics of n_samples explicit paths with the
+        # source, the in-field and the white current: zbar plus the root of W
+        # spread over orthonormal contrasts of the samples (Helmert columns),
+        # on both branches (d = 14)
         grid = TimeGrid(12, 0.3)
         spec = OscillatorSpec(omega0=grid.resonant_frequency(2))
         t = grid.times
         j_e = Signal(grid, np.cos(spec.omega0 * t))
-        nbar, sigma, n_samples, seed = 0.8, 0.5, _MC_CHUNK + 3000, 13
-        res = wyld_mc(spec, grid, n_samples, seed, J_e=j_e, white_noise_std=sigma,
-                      alpha_nbar=nbar)
-        rng = np.random.Generator(np.random.Philox(seed))
+        nbar, sigma, seed = 0.8, 0.5, 13
+        kwargs = {"J_e": j_e, "white_noise_std": sigma, "alpha_nbar": nbar}
         dr = retarded_response(spec, t[:, None] - t[None, :])
-        paths, done = [], 0
-        while done < n_samples:
-            m = min(_MC_CHUNK, n_samples - done)
-            alphas = np.sqrt(nbar / 2.0) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-            j_r = rng.standard_normal((m, grid.n)) * (sigma / np.sqrt(grid.dt))
-            paths.append(grid.dt * (dr @ j_e.values.real)
-                         + np.sqrt(2.0 * spec.hbar)
-                         * np.real(alphas[:, None] * np.exp(-1j * spec.omega0 * t))
-                         + grid.dt * (j_r @ dr.T))
-            done += m
-        q = np.concatenate(paths)
-        mean = q.mean(axis=0)
-        second = q.T @ q / n_samples
-        q2 = q ** 2
-        expect = {
-            "mean": mean,
-            "mean_stderr": np.sqrt(np.maximum(q2.mean(axis=0) - mean ** 2, 0.0) / n_samples),
-            "cov": second - np.outer(mean, mean),
-            "cov_stderr": np.sqrt(np.maximum(q2.T @ q2 / n_samples - second ** 2, 0.0)
-                                  / n_samples),
-        }
-        for key, want in expect.items():
-            assert np.abs(res[key] - want).max() < 1e-12 * np.abs(want).max(), key
+        for n_samples in (6, 53_000):
+            res = wyld_mc(spec, grid, n_samples, seed, **kwargs)
+            _, _, z_mean, root = documented_draw(spec, grid, n_samples, seed, **kwargs)
+            helmert = np.zeros((n_samples, len(root)))
+            for j in range(len(root)):
+                helmert[:j + 1, j] = 1.0
+                helmert[j + 1, j] = -(j + 1.0)
+                helmert[:, j] /= np.sqrt((j + 1.0) * (j + 2.0))
+            z = z_mean + helmert @ root
+            alphas = np.sqrt(nbar / 2.0) * (z[:, 0] + 1j * z[:, 1])
+            j_r = z[:, 2:] * (sigma / np.sqrt(grid.dt))
+            q = (grid.dt * (dr @ j_e.values.real)
+                 + np.sqrt(2.0 * spec.hbar) * np.real(alphas[:, None] * np.exp(-1j * spec.omega0 * t))
+                 + grid.dt * (j_r @ dr.T))
+            mean = q.mean(axis=0)
+            cov = (q - mean).T @ (q - mean) / n_samples
+            var, m2 = np.diag(cov), mean ** 2
+            isserlis = (np.outer(var, var) + cov ** 2 + np.outer(m2, var) + np.outer(var, m2)
+                        + 2.0 * np.outer(mean, mean) * cov)
+            expect = {
+                "mean": mean,
+                "mean_stderr": np.sqrt(var / n_samples),
+                "cov": cov,
+                "cov_stderr": np.sqrt(isserlis / n_samples),
+            }
+            for key, want in expect.items():
+                assert np.abs(res[key] - want).max() < 1e-12 * np.abs(want).max(), (key, n_samples)
 
-    @pytest.mark.parametrize("n_samples", [1, _MC_CHUNK, _MC_CHUNK + 1, 5 * _MC_CHUNK // 2])
-    @pytest.mark.parametrize("inputs", ["noise", "alpha+source+noise", "alpha"])
-    def test_bits_match_serial_drawing(self, inputs, n_samples):
+    def test_single_sample(self):
+        # n_samples = 1 leaves no scatter: the covariance and its errors are zero
         grid = TimeGrid(12, 0.3)
         spec = OscillatorSpec(omega0=grid.resonant_frequency(2))
-        kwargs = {
-            "noise": {"white_noise_std": 0.4},
-            "alpha+source+noise": {"J_e": Signal(grid, np.cos(spec.omega0 * grid.times)),
-                                   "white_noise_std": 0.4, "alpha_nbar": 0.8},
-            "alpha": {"alpha_nbar": 1.3},
-        }[inputs]
-        got = wyld_mc(spec, grid, n_samples, 17, **kwargs)
-        want = serial_wyld_mc(spec, grid, n_samples, 17, **kwargs)
-        for key, value in want.items():
-            assert np.array_equal(got[key], value), key
+        res = wyld_mc(spec, grid, 1, 3, **mc_inputs(grid, spec, "alpha+source+noise"))
+        assert not res["cov"].any() and not res["mean_stderr"].any()
+        assert np.all(np.isfinite(res["mean"]))
 
-    def test_helper_thread_joined(self, monkeypatch):
-        grid = TimeGrid(8, 0.5)
-        spec = OscillatorSpec(omega0=1.0)
-        before = threading.active_count()
-        wyld_mc(spec, grid, _MC_CHUNK + 1, seed=2, white_noise_std=0.3, alpha_nbar=0.5)
-        assert threading.active_count() == before
+    def test_cost_bounded_in_sample_count(self, monkeypatch):
+        # the draw does not grow with n_samples, and no thread is started
+        generator, made = np.random.Generator, []
 
-        # a failure on the calling thread while the helper draws the next piece
-        def failing_matmul(*args, **kwargs):
-            raise RuntimeError("summing failed")
-
-        monkeypatch.setattr(np, "matmul", failing_matmul)
-        with pytest.raises(RuntimeError, match="summing failed"):
-            wyld_mc(spec, grid, 2 * _MC_CHUNK, seed=2, white_noise_std=0.3)
-        assert threading.active_count() == before
-        monkeypatch.undo()
-
-        # a failure on the helper reaches the caller
-        generator = np.random.Generator
-
-        class FailingGenerator:
+        class CountingGenerator:
             def __init__(self, bit_generator):
-                self.rng, self.calls = generator(bit_generator), 0
+                self.rng, self.drawn = generator(bit_generator), 0
+                made.append(self)
 
-            def standard_normal(self, *args, **kwargs):
-                self.calls += 1
-                if self.calls == 3:
-                    raise RuntimeError("drawing failed")
-                return self.rng.standard_normal(*args, **kwargs)
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
 
-        monkeypatch.setattr(np.random, "Generator", FailingGenerator)
-        with pytest.raises(RuntimeError, match="drawing failed"):
-            wyld_mc(spec, grid, 2 * _MC_CHUNK, seed=2, white_noise_std=0.3)
-        assert threading.active_count() == before
+                def counted(*args, **kwargs):
+                    out = method(*args, **kwargs)
+                    self.drawn += np.size(out)
+                    return out
+                return counted
 
-    def test_concurrent_calls_under_fast_switching(self):
-        # three callers, each with its own helper, on fewer cores, switching
-        # threads every microsecond: each result is still the serial one
+        def no_thread(self):
+            raise AssertionError("wyld_mc started a thread")
+
+        monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        grid = TimeGrid(48, 0.21)
+        spec = OscillatorSpec(omega0=grid.resonant_frequency(5))
+        kwargs = {"white_noise_std": 0.4, "alpha_nbar": 0.5}
+        wyld_mc(spec, grid, 10 ** 3, 7, **kwargs)
+        huge = wyld_mc(spec, grid, 10 ** 12, 7, **kwargs)
+        d = 2 + grid.n
+        assert [g.drawn for g in made] == [d + d + d * (d - 1) // 2] * 2
+        assert np.all(np.isfinite(huge["cov"]))
+        # at 1e12 samples the estimate is the exact covariance to about 1e-6
+        dr = retarded_response_grid(spec, grid)
+        exact = (0.4 ** 2 * grid.dt) * dr @ dr.T + 0.5 * np.cos(
+            spec.omega0 * (grid.times[:, None] - grid.times[None, :]))
+        assert np.abs(huge["cov"] - exact).max() < 1e-4 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("n_samples", [2.5, 3.0, "10"])
+    def test_non_integral_sample_count_rejected(self, n_samples):
         grid = TimeGrid(8, 0.5)
-        spec = OscillatorSpec(omega0=grid.resonant_frequency(1))
-        kwargs = {"white_noise_std": 0.3, "alpha_nbar": 0.6}
-        n_samples = 5 * _MC_CHUNK // 2
-        results = {}
-
-        def call(seed):
-            results[seed] = wyld_mc(spec, grid, n_samples, seed, **kwargs)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            callers = [threading.Thread(target=call, args=(seed,)) for seed in (1, 2, 3)]
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(caller.is_alive() for caller in callers)
-        for seed in (1, 2, 3):
-            want = serial_wyld_mc(spec, grid, n_samples, seed, **kwargs)
-            assert all(np.array_equal(results[seed][k], want[k]) for k in want), seed
+        with pytest.raises(ValueError, match="n_samples"):
+            wyld_mc(OscillatorSpec(omega0=1.0), grid, n_samples, seed=0, white_noise_std=0.3)
 
     @pytest.mark.parametrize("name", ["white_noise_std", "alpha_nbar"])
     @pytest.mark.parametrize("value", [-0.3, np.nan, np.inf])
