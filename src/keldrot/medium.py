@@ -326,9 +326,9 @@ def wyld_mc(spec: OscillatorSpec, grid: TimeGrid, n_samples: int, seed: int,
     N - 1 >= d, else as Z^T Z from N - 1 standard normal rows.  So the
     estimates have exactly the distribution of the path average at a cost
     that does not grow with N.  W carries no fourth moments: cov_stderr is
-    the Gaussian (Isserlis) plug-in for the standard deviation of the mean
-    of q_i q_j, sqrt((C_ii C_jj + C_ij^2 + m_i^2 C_jj + m_j^2 C_ii
-    + 2 m_i m_j C_ij) / N) with C = cov and m = mean.
+    the Gaussian (Isserlis) plug-in for the standard deviation of the
+    centred covariance, sqrt((C_ii C_jj + C_ij^2) / N) with C = cov; the
+    mean does not enter it, since cov is centred on the sample mean.
     """
     try:
         n_samples = operator.index(n_samples)
@@ -366,14 +366,11 @@ def wyld_mc(spec: OscillatorSpec, grid: TimeGrid, n_samples: int, seed: int,
     mean = z_mean @ b + base
     cov = root.T @ root / n_samples  # B^T (W / N) B
     var = np.diag(cov)
-    m2 = mean ** 2
-    prod_var = np.outer(var, var) + cov ** 2 + np.outer(m2, var) + np.outer(var, m2)
-    prod_var += 2.0 * np.outer(mean, mean) * cov
     return {
         "mean": mean,
         "mean_stderr": np.sqrt(var / n_samples),
         "cov": cov,
-        "cov_stderr": np.sqrt(np.maximum(prod_var, 0.0) / n_samples),
+        "cov_stderr": np.sqrt((np.outer(var, var) + cov ** 2) / n_samples),
         "n_samples": n_samples,
     }
 

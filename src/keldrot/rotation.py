@@ -14,6 +14,20 @@ F^+ + F^- = 1 and F^{s-} = s_minus + s F^-, N_s equals the four-projection
 formula 2 Re[F^{s+}_t F^{s+}_t' K_F + F^{s-}_t F^{s+}_t' K_W] exactly on the
 grid for consistent inputs.  Non-Hermitian cumulants are rejected, since the
 entrywise "Re" in that formula is ambiguous for them.
+
+A set built by `CumulantSet.from_wightman` (the oscillator's
+`ctl_cumulants`, `synthetic_cumulants`) or returned by `unrotate` is stored
+as (mean, K_W, hbar c, time representation): K_F is the theta split of K_W
+and K_rev = K_F*, both derived only where they are read.  K_W is checked to
+be Hermitian once, where the set is made; the CTL and reversal identities
+then hold by construction, and the Weyl image takes element-wise real passes
+over K_W: N_0 = Re K_W and D_R = 2 theta Im K_W / hbar c (the Kubo
+commutator), formed in the triple route's operation order so that both
+routes give the same bits.  A triple passed explicitly (as
+`cumulants_from_json` reads one) is validated in full and rotated from its
+three kernels, as is the output of `unrotate` when its K_F would not be the
+theta split of its K_W: a complex or acausal D_R, D_R + D_R^T non-zero where
+theta = 1/2, or a complex or non-symmetric N_0.
 """
 from __future__ import annotations
 
@@ -30,7 +44,6 @@ from .grids import (
     overlap,
     project_s,
     sign_weights,
-    theta_ordering_matrix,
 )
 
 __all__ = [
@@ -53,9 +66,19 @@ class ConsistencyError(ValueError):
     """Raised when a cumulant set violates the closed-time-loop identity."""
 
 
+_CONSISTENCY_TOL = 1e-8  # relative residual that `rotate` and `from_wightman` accept
+_SPLIT_TOL = 1e-10  # relative deviation of unrotate's K_F from the theta split of its K_W
+
+
 def _check_hbar_c(hbar_c: float):
     if not (np.isfinite(hbar_c) and hbar_c > 0):
         raise ValueError(f"hbar_c must be finite and positive, got {hbar_c}")
+
+
+def _check_grids(grid: TimeGrid, kernels: dict):
+    for name, K in kernels.items():
+        if K is not None and K.grid != grid:
+            raise ValueError(f"{name} is on {K.grid}, not on the mean's grid {grid}")
 
 
 _TILE = 64  # edge of the tiles in which _add_transpose reads a and a^T
@@ -74,6 +97,47 @@ def _add_transpose(a: np.ndarray, sign: float = 1.0, out: np.ndarray | None = No
     return out
 
 
+def _mirror_residual(a: np.ndarray) -> tuple[float, float]:
+    """(max |a - a^H|, max |a|), read tile by tile as in `_add_transpose`,
+    each pair of mirrored tiles once; a^H = a^T for real a."""
+    worst, size = 0.0, 0.0
+    n = a.shape[0]
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            upper, lower = a[i:i + _TILE, j:j + _TILE], a[j:j + _TILE, i:i + _TILE]
+            worst = max(worst, np.abs(upper - lower.T.conj()).max())
+            size = max(size, np.abs(upper).max(), np.abs(lower).max())
+    return float(worst), float(size)
+
+
+def _theta_masks(n: int, periodic: bool) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Where `theta_ordering_matrix` is 1, where it is 0, and the (rows,
+    columns) where it is 1/2, built from triangles.  In linear time these are
+    the strict lower and upper triangles and the diagonal.  On the circle
+    theta is 0 on the band of lag index (i - j) mod n above n // 2 and 1/2
+    on the diagonal and, for even n, at the wrap lag n / 2."""
+    if periodic:
+        earlier = np.tri(n, k=-(n // 2) - 1, dtype=bool)
+        earlier |= np.tri(n, k=n - n // 2 - 1, dtype=bool) & ~np.tri(n, dtype=bool)
+    else:
+        earlier = ~np.tri(n, dtype=bool)
+    rows = cols = np.arange(n)
+    if periodic and n % 2 == 0:
+        rows, cols = np.concatenate([rows, rows]), np.concatenate([cols, (cols - n // 2) % n])
+    later = ~earlier
+    later[rows, cols] = False
+    return later, earlier, (rows, cols)
+
+
+def _theta_split(k_w: np.ndarray, periodic: bool) -> np.ndarray:
+    """K_F of a Hermitian field: K_W where theta = 1, K_W^T where 0, their
+    mean where 1/2 (theta on the circle when periodic)."""
+    later, _, tie = _theta_masks(k_w.shape[0], periodic)
+    k_f = np.where(later, k_w, k_w.T)
+    k_f[tie] = 0.5 * (k_w[tie] + k_w.T[tie])
+    return k_f
+
+
 @dataclass
 class CumulantSet:
     """Closed-time-loop cumulant triple plus mean for one field component.
@@ -81,46 +145,52 @@ class CumulantSet:
     K_F = <T+ A,A>, K_rev = <T- A,A>, K_W = <A,A> (Wightman).  For a
     Hermitian field K_rev = K_F* entrywise and the triple satisfies
     K_W(t,t') + K_W(t',t) - K_F(t,t') - K_rev(t,t') = 0.
+
+    Built with K_F = K_rev = None, the set is a Hermitian field's stored by
+    its Wightman kernel: K_W must be Hermitian (to 1e-8 relative, else
+    ConsistencyError), and reading K_F or K_rev derives the theta split of
+    K_W in the time representation `periodic` (the circle when True) and
+    its conjugate; `periodic` has no meaning for a triple.
+    `dataclasses.replace` reads K_F and K_rev, so it returns a triple.
     """
 
     mean: Signal
-    K_F: TwoPointKernel
-    K_rev: TwoPointKernel
+    K_F: TwoPointKernel | None
+    K_rev: TwoPointKernel | None
     K_W: TwoPointKernel
     hbar_c: float = 1.0
+    periodic: bool = False
 
     def __post_init__(self):
         _check_hbar_c(self.hbar_c)
-        g = self.mean.grid
-        for K in (self.K_F, self.K_rev, self.K_W):
-            if K.grid != g:
-                raise ValueError("cumulant kernels must share the mean's grid")
+        if (self._K_F is None) != (self._K_rev is None):
+            raise ValueError("K_F and K_rev are given together, or both derived from K_W")
+        _check_grids(self.mean.grid, {"K_F": self._K_F, "K_rev": self._K_rev, "K_W": self.K_W})
+        if self._K_F is None:
+            worst, size = _mirror_residual(self.K_W.values)
+            self._hermitian = worst / max(size, 1e-300)
+            if self._hermitian > _CONSISTENCY_TOL:
+                raise ConsistencyError(
+                    f"K_W is not Hermitian: residual {self._hermitian:.3e} > {_CONSISTENCY_TOL:.1e}")
 
     @classmethod
     def from_wightman(cls, mean: Signal, k_w: np.ndarray, periodic: bool = False,
                       hbar_c: float = 1.0) -> "CumulantSet":
-        """The set of a Hermitian field with Wightman kernel k_w: K_F is the
-        theta split by `theta_ordering_matrix` (on the circle when periodic),
-        K_W where theta = 1, K_W^T where 0, their mean where 1/2; K_rev = K_F*."""
-        g = mean.grid
-        th = theta_ordering_matrix(g, periodic)
-        k_f = np.where(th == 1.0, k_w, k_w.T)
-        tie = th == 0.5
-        k_f[tie] = 0.5 * (k_w[tie] + k_w.T[tie])
-        return cls(mean, TwoPointKernel(g, k_f), TwoPointKernel(g, k_f.conj()),
-                   TwoPointKernel(g, k_w), hbar_c)
+        """The set of a Hermitian field with Wightman kernel k_w, stored as
+        (mean, K_W): K_F is the theta split by `theta_ordering_matrix` (on
+        the circle when periodic), K_W where theta = 1, K_W^T where 0, their
+        mean where 1/2; K_rev = K_F*."""
+        return cls(mean, None, None, TwoPointKernel(mean.grid, k_w), hbar_c, periodic)
 
     @property
     def grid(self) -> TimeGrid:
         return self.mean.grid
 
-    def _scale(self) -> float:
-        return max(
-            np.abs(self.K_F.values).max(),
-            np.abs(self.K_W.values).max(),
-            np.abs(self.K_rev.values).max(),
-            1e-300,
-        )
+    def _scale(self, *values: np.ndarray) -> float:
+        """Largest |entry| of `values`, by default of the triple's kernels
+        (pass them when they are at hand: a derived K_F is built per read)."""
+        values = values or (self.K_F.values, self.K_W.values, self.K_rev.values)
+        return max(*(np.abs(v).max() for v in values), 1e-300)
 
     def consistency_residual(self, scale: float | None = None) -> float:
         """Residual of K_W + K_W^T - K_F - K_rev = 0 relative to `scale`
@@ -129,28 +199,52 @@ class CumulantSet:
         r = _add_transpose(w, out=np.empty(w.shape, np.result_type(w, f, rev)))
         r -= f
         r -= rev
-        return float(np.abs(r).max() / (scale or self._scale()))
+        return float(np.abs(r).max() / (scale or self._scale(f, w, rev)))
 
     def reversal_residual(self, scale: float | None = None) -> float:
         """Residual of the Hermitian-field relation K_rev = K_F*, relative as above."""
         f, rev = self.K_F.values, self.K_rev.values
         r = np.conjugate(f, out=np.empty(f.shape, np.result_type(f, rev)))
         np.subtract(rev, r, out=r)
-        return float(np.abs(r).max() / (scale or self._scale()))
+        return float(np.abs(r).max() / (scale or self._scale(f, self.K_W.values, rev)))
 
-    def validate(self, tol: float = 1e-8):
-        scale = self._scale()
-        res = self.consistency_residual(scale)
+    def validate(self, tol: float = _CONSISTENCY_TOL):
+        if self._K_F is None:
+            # K_F and K_rev derived from K_W satisfy both identities up to
+            # K_W's Hermitian residual, measured where the set was made
+            res, rev = self._hermitian, 0.0
+        else:
+            scale = self._scale()
+            res, rev = self.consistency_residual(scale), self.reversal_residual(scale)
         if res > tol:
             raise ConsistencyError(
                 f"cumulant set violates the CTL consistency identity: residual {res:.3e} > {tol:.1e}"
             )
-        rev = self.reversal_residual(scale)
         if rev > tol:
             raise ConsistencyError(
                 f"K_rev != K_F* (non-Hermitian field data not supported): residual {rev:.3e}"
             )
         return self
+
+
+def _derived_kernel(name: str, conj: bool) -> property:
+    """Field `name` of CumulantSet: the stored kernel, or for a set stored
+    by K_W alone the theta split of K_W (conjugated for K_rev)."""
+    slot = "_" + name
+
+    def get(self) -> TwoPointKernel:
+        k = getattr(self, slot)
+        if k is not None:
+            return k
+        k_f = _theta_split(self.K_W.values, self.periodic)
+        return TwoPointKernel(self.grid, k_f.conj() if conj else k_f)
+
+    return property(get, lambda self, value: setattr(self, slot, value))
+
+
+# after the dataclass is made, so that its __init__ assigns through them
+CumulantSet.K_F = _derived_kernel("K_F", conj=False)
+CumulantSet.K_rev = _derived_kernel("K_rev", conj=True)
 
 
 @dataclass
@@ -165,6 +259,7 @@ class RotatedCumulants:
 
     def __post_init__(self):
         _check_hbar_c(self.hbar_c)
+        _check_grids(self.mean.grid, {"D_R": self.D_R, "N_s": self.N_s})
 
     @property
     def grid(self) -> TimeGrid:
@@ -177,18 +272,11 @@ def _acausal_part(values: np.ndarray, grid: TimeGrid,
     acausal |entry| of a response kernel in the first time representation of
     `periodic` where that part is noise (<= 1e-10 of the largest entry): by
     default linear time, then the circle.  If none, the mask is None and the
-    size the smallest part.  In linear time the mask is the strict upper
-    triangle; on the circle it is the band of lag index (i - j) mod n above
-    n // 2, built from triangles without lag temporaries."""
-    n = grid.n
+    size the smallest part."""
     noise = 1e-10 * max(np.abs(values).max(), 1e-300)
     sizes = []
     for circle in periodic:
-        if circle:
-            mask = np.tri(n, k=-(n // 2) - 1, dtype=bool)
-            mask |= np.tri(n, k=n - n // 2 - 1, dtype=bool) & ~np.tri(n, dtype=bool)
-        else:
-            mask = ~np.tri(n, dtype=bool)
+        mask = _theta_masks(grid.n, circle)[1]
         size = float(np.abs(values[mask]).max(initial=0.0))
         if size <= noise:
             return mask, size
@@ -215,15 +303,49 @@ def retarded_from_cumulants(ctl: CumulantSet) -> TwoPointKernel:
     return TwoPointKernel(ctl.grid, d)
 
 
+def _weyl_image_of_wightman(ctl: CumulantSet) -> tuple[np.ndarray, np.ndarray]:
+    """(D_R, N_0) of a set stored by K_W, in the triple route's operation
+    order: where theta = 1, N_0 = (Re K_W + Re K_W) / 2 = Re K_W and
+    D_R = (-Im K_W - Im K_W) / -hbar c; where theta = 0,
+    N_0 = (Re K_W^T + Re K_W) / 2 and D_R = -0.0 (a zeroed entry over
+    -hbar c); where theta = 1/2, the triple route's expressions on
+    K_F = (K_W + K_W^T) / 2."""
+    later, earlier, tie = _theta_masks(ctl.grid.n, ctl.periodic)
+    k_w = ctl.K_W.values
+    re, im = np.real(k_w), np.imag(k_w)
+    n_0 = _add_transpose(re)
+    n_0 *= 0.5
+    np.copyto(n_0, re, where=later)
+    # imag(conj(K_W) - K_W): a real K_W has no imaginary part to negate
+    d = np.negative(im) if np.iscomplexobj(k_w) else np.zeros(k_w.shape)
+    d -= im
+    d /= -ctl.hbar_c
+    np.copyto(d, -0.0, where=earlier)
+    k_f = 0.5 * (k_w[tie] + k_w.T[tie])
+    n_0[tie] = np.add(np.real(k_f), re[tie]) * 0.5
+    diff = k_f.conj() - k_w[tie]
+    d[tie] = np.imag(diff) / -ctl.hbar_c
+    if np.real(diff).any():
+        re_diff = np.zeros_like(d)
+        re_diff[tie] = np.real(diff)
+        d = d + 1j * (re_diff / ctl.hbar_c)
+    return d, n_0
+
+
 def _weyl_image(ctl: CumulantSet) -> RotatedCumulants:
     """Keldysh (s = 0) rotation: D_R and N_0 = (1/2) Re(K_F + K_W)."""
-    n_0 = np.add(np.real(ctl.K_F.values), np.real(ctl.K_W.values))
-    n_0 *= 0.5
-    return RotatedCumulants(ctl.mean, retarded_from_cumulants(ctl), TwoPointKernel(ctl.grid, n_0),
+    if ctl._K_F is None:
+        d, n_0 = _weyl_image_of_wightman(ctl)
+    else:
+        d = retarded_from_cumulants(ctl).values
+        n_0 = np.add(np.real(ctl.K_F.values), np.real(ctl.K_W.values))
+        n_0 *= 0.5
+    g = ctl.grid
+    return RotatedCumulants(ctl.mean, TwoPointKernel(g, d), TwoPointKernel(g, n_0),
                             OrderingParam(0.0), ctl.hbar_c)
 
 
-def rotate(ctl: CumulantSet, p: OrderingParam, consistency_tol: float = 1e-8,
+def rotate(ctl: CumulantSet, p: OrderingParam, consistency_tol: float = _CONSISTENCY_TOL,
            check: bool = True) -> RotatedCumulants:
     """Rotate a consistent CTL cumulant set into (mean, D_R, N_s).
 
@@ -235,6 +357,42 @@ def rotate(ctl: CumulantSet, p: OrderingParam, consistency_tol: float = 1e-8,
     return reorder(_weyl_image(ctl), p.s)
 
 
+def _assemble(n_0: np.ndarray, d: np.ndarray, half: float, sign: float) -> np.ndarray:
+    """N_0 + i half (D_R +- D_R^T) from real parts: with D_R = B + iA,
+    N_0 - half (A +- A^T) + i half (B +- B^T)."""
+    k = np.empty(d.shape, dtype=complex)
+    _add_transpose(np.real(d), sign, out=k.imag)
+    k.imag *= half
+    k.real = np.real(n_0)
+    if np.iscomplexobj(d):
+        k.real -= half * _add_transpose(d.imag, sign)
+    if np.iscomplexobj(n_0):
+        k.imag += n_0.imag
+    return k
+
+
+def _split_representation(n_0: np.ndarray, d: np.ndarray, hbar_c: float) -> bool | None:
+    """The time representation (periodic or not) in which
+    K_F = N_0 + (i hbar c / 2)(D_R + D_R^T) is the theta split of
+    K_W = N_0 + (i hbar c / 2)(D_R - D_R^T) to _SPLIT_TOL relative to
+    max |N_0| + hbar c max |D_R|, or None.  They differ by
+    N_0 - N_0^T, by i hbar c D_R where theta = 0 and by
+    (i hbar c / 2)(D_R + D_R^T) where theta = 1/2; K_W is Hermitian only
+    for a real D_R and N_0."""
+    if np.iscomplexobj(d) or np.iscomplexobj(n_0):
+        return None
+    asym, n_0_size = _mirror_residual(n_0)
+    size = np.abs(d)
+    bound = _SPLIT_TOL * (n_0_size + hbar_c * size.max())
+    for periodic in (False, True):
+        _, earlier, (rows, cols) = _theta_masks(d.shape[0], periodic)
+        off = (hbar_c * size.max(where=earlier, initial=0.0)
+               + 0.5 * hbar_c * np.abs(d[rows, cols] + d[cols, rows]).max())
+        if asym + off <= bound:
+            return periodic
+    return None
+
+
 def unrotate(rot: RotatedCumulants) -> CumulantSet:
     """Reconstruct the CTL cumulant triple from (mean, D_R, N_s).
 
@@ -242,27 +400,24 @@ def unrotate(rot: RotatedCumulants) -> CumulantSet:
     K_F = N_0 + (i hbar c / 2)(D_R + D_A)
     K_W = N_0 + (i hbar c / 2)(D_R - D_A)
     K_rev = K_F*
-    Each is built from real parts: with D_R = B + iA,
-    K = N_0 - (hbar c / 2)(A +- A^T) + i (hbar c / 2)(B +- B^T).
+    Each is built from real parts (`_assemble`).  When K_F is the theta
+    split of K_W in some time representation, the set is stored by K_W
+    alone; otherwise all three are returned.
     """
     n_0 = reorder(rot, 0.0).N_s.values
     d = rot.D_R.values
     half = 0.5 * rot.hbar_c
-    k_f, k_w = (np.empty(d.shape, dtype=complex) for _ in range(2))
-    for k, sign in ((k_f, 1.0), (k_w, -1.0)):
-        _add_transpose(np.real(d), sign, out=k.imag)
-        k.imag *= half
-        k.real = np.real(n_0)
-        if np.iscomplexobj(d):
-            k.real -= half * _add_transpose(d.imag, sign)
-        if np.iscomplexobj(n_0):
-            k.imag += n_0.imag
     g = rot.grid
+    k_w = TwoPointKernel(g, _assemble(n_0, d, half, -1.0))
+    periodic = _split_representation(n_0, d, rot.hbar_c)
+    if periodic is not None:
+        return CumulantSet(rot.mean, None, None, k_w, rot.hbar_c, periodic)
+    k_f = _assemble(n_0, d, half, 1.0)
     return CumulantSet(
         mean=rot.mean,
         K_F=TwoPointKernel(g, k_f),
         K_rev=TwoPointKernel(g, k_f.conj()),
-        K_W=TwoPointKernel(g, k_w),
+        K_W=k_w,
         hbar_c=rot.hbar_c,
     )
 

@@ -102,6 +102,21 @@ class TestRotationFlow:
         assert err["error"] == "computation" and "hbar_c" in err["detail"]
         assert list(outdir.iterdir()) == [inp]
 
+    @pytest.mark.parametrize("verb", [["unrotate"], ["reorder", "--s", 0.2]])
+    def test_kernels_on_another_grid_refused(self, verb, outdir, capsys):
+        grid = TimeGrid(8, 0.1)
+        spec = OscillatorSpec(omega0=grid.resonant_frequency(2))
+        bundle = json.loads(ser.rotated_to_json(
+            rotate(ctl_cumulants(spec, GaussianState(nbar=0.4), grid), OrderingParam(0.5))))
+        bundle["D_R"]["grid"]["dt"] = 0.2
+        inp = outdir / "rot.json"
+        inp.write_text(json.dumps(bundle))
+        assert run(verb + ["--in", inp, "--out", outdir / "out"]) != 0
+        err = json.loads(capsys.readouterr().err)
+        assert "D_R is on TimeGrid(n=8, dt=0.2" in err["detail"]
+        assert "grid TimeGrid(n=8, dt=0.1" in err["detail"]
+        assert list(outdir.iterdir()) == [inp]
+
     def test_reorder_verb(self, outdir):
         grid = TimeGrid(24, 0.2)
         spec = OscillatorSpec(omega0=grid.resonant_frequency(3))

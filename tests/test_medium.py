@@ -334,7 +334,7 @@ class TestTimeNormalVacuumNoise:
 def serial_wyld_mc(spec, grid, n_samples, seed, J_e=None, white_noise_std=0.0,
                    alpha_nbar=0.0):
     """The path sampler: every sample path drawn and summed, with the
-    fourth-moment estimate of cov_stderr."""
+    fourth-moment estimate of cov_stderr from the centred products."""
     rng = np.random.Generator(np.random.Philox(seed))
     dr = retarded_response_grid(spec, grid)
     q = np.zeros((n_samples, grid.n))
@@ -347,13 +347,14 @@ def serial_wyld_mc(spec, grid, n_samples, seed, J_e=None, white_noise_std=0.0,
     if J_e is not None:
         q += grid.dt * (dr @ J_e.values.real)
     mean = q.mean(axis=0)
-    second = q.T @ q / n_samples
+    cov = q.T @ q / n_samples - np.outer(mean, mean)
     q2 = q ** 2
+    centred2 = (q - mean) ** 2
     return {
         "mean": mean,
         "mean_stderr": np.sqrt(np.maximum(q2.mean(axis=0) - mean ** 2, 0.0) / n_samples),
-        "cov": second - np.outer(mean, mean),
-        "cov_stderr": np.sqrt(np.maximum(q2.T @ q2 / n_samples - second ** 2, 0.0)
+        "cov": cov,
+        "cov_stderr": np.sqrt(np.maximum(centred2.T @ centred2 / n_samples - cov ** 2, 0.0)
                               / n_samples),
     }
 
@@ -473,6 +474,21 @@ class TestWyldMC:
             for key in ("mean_stderr", "cov_stderr"):
                 assert_same_mean(direct[key], paths[key])
 
+    def test_cov_stderr_matches_scatter_of_centred_cov(self):
+        # with a source the mean is far from zero, but cov is centred on it:
+        # over seeded runs the average cov_stderr is the observed standard
+        # deviation of cov (a standard error of the raw product q_i q_j would
+        # read 2.4 times it at (11, 11))
+        grid = TimeGrid(12, 0.3)
+        spec = OscillatorSpec(omega0=grid.resonant_frequency(2))
+        kwargs = mc_inputs(grid, spec, "alpha+source+noise")
+        picks = ([0, 11, 11, 6], [0, 11, 3, 2])
+        runs = [wyld_mc(spec, grid, 200, seed, **kwargs) for seed in range(500)]
+        cov = np.array([run["cov"][picks] for run in runs])
+        stderr = np.array([run["cov_stderr"][picks] for run in runs])
+        ratio = stderr.mean(axis=0) / cov.std(axis=0, ddof=1)
+        assert np.all(np.abs(ratio - 1.0) < 0.15), ratio
+
     # d = 2 (alpha), 12 (noise) and 14 (alpha+source+noise): the Bartlett draw
     # needs n_samples - 1 >= d, so the small counts straddle the two branches
     @pytest.mark.parametrize("n_samples", [1, 2, 3, 12, 13, 14, 15, 50_000, 50_001, 125_000])
@@ -518,9 +534,8 @@ class TestWyldMC:
                  + grid.dt * (j_r @ dr.T))
             mean = q.mean(axis=0)
             cov = (q - mean).T @ (q - mean) / n_samples
-            var, m2 = np.diag(cov), mean ** 2
-            isserlis = (np.outer(var, var) + cov ** 2 + np.outer(m2, var) + np.outer(var, m2)
-                        + 2.0 * np.outer(mean, mean) * cov)
+            var = np.diag(cov)
+            isserlis = np.outer(var, var) + cov ** 2
             expect = {
                 "mean": mean,
                 "mean_stderr": np.sqrt(var / n_samples),

@@ -10,6 +10,7 @@ from keldrot.grids import (
     TwoPointKernel,
     pair_form,
     project_kernel_axis,
+    theta_ordering_matrix,
 )
 from keldrot.oscillator import (
     GaussianState,
@@ -19,6 +20,7 @@ from keldrot.oscillator import (
     retarded_response_grid,
 )
 import keldrot.rotation as rotation
+from keldrot.serialization import cumulants_to_json
 from keldrot.rotation import (
     ConsistencyError,
     CumulantSet,
@@ -356,6 +358,100 @@ class TestTwoRoute:
             z = 0.5j * hbar_c * (bm + bm.T - bp - bp.T)
             gap = reorder_gap_kernel(d_r, hbar_c).values
             assert np.abs(gap - z).max() < 1e-12 * np.abs(z).max()
+
+
+def explicit_triple(ctl):
+    """The same data passed as a triple, which takes the triple route."""
+    return CumulantSet(mean=ctl.mean, K_F=ctl.K_F, K_rev=ctl.K_rev, K_W=ctl.K_W,
+                       hbar_c=ctl.hbar_c)
+
+
+def parent_theta_split(k_w, periodic):
+    """K_F selected by the dense theta matrix, as from_wightman stored it."""
+    th = theta_ordering_matrix(GRID, periodic)
+    k_f = np.where(th == 1.0, k_w, k_w.T)
+    tie = th == 0.5
+    k_f[tie] = 0.5 * (k_w[tie] + k_w.T[tie])
+    return k_f
+
+
+STORED_SETS = {
+    **ORACLE_SETS,
+    # a real K_W: the triple route's D_R is -0.0 throughout
+    "classical real": lambda: CumulantSet.from_wightman(
+        Signal.zero(GRID), np.cos(W0 * (GRID.times[:, None] - GRID.times[None, :]))),
+}
+
+
+class TestStoredWightman:
+    """A set stored by K_W against the same data passed as a triple."""
+
+    @pytest.mark.parametrize("name", STORED_SETS)
+    @pytest.mark.parametrize("s", [-0.35, 0.0, 1.0])
+    def test_rotate_matches_explicit_triple_bit_for_bit(self, name, s):
+        ctl = STORED_SETS[name]()
+        stored, triple = rotate(ctl, OrderingParam(s)), rotate(explicit_triple(ctl), OrderingParam(s))
+        for a, b in ((stored.D_R, triple.D_R), (stored.N_s, triple.N_s)):
+            assert np.array_equal(a.values, b.values)
+            assert a.values.dtype == b.values.dtype and a.values.tobytes() == b.values.tobytes()
+
+    @pytest.mark.parametrize("name", ORACLE_SETS)
+    def test_derived_kernels_are_the_dense_theta_split(self, name):
+        ctl = ORACLE_SETS[name]()
+        k_f = parent_theta_split(ctl.K_W.values, ctl.periodic)
+        assert np.array_equal(ctl.K_F.values, k_f)
+        assert np.array_equal(ctl.K_rev.values, k_f.conj())
+        assert cumulants_to_json(ctl) == cumulants_to_json(explicit_triple(ctl))
+
+    @pytest.mark.parametrize("n", [7, 8, 96, 97])
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_theta_masks_match_theta_matrix(self, n, periodic):
+        th = theta_ordering_matrix(TimeGrid(n, 0.1), periodic)
+        later, earlier, tie = rotation._theta_masks(n, periodic)
+        assert np.array_equal(later, th == 1.0) and np.array_equal(earlier, th == 0.0)
+        ties = np.zeros((n, n), dtype=bool)
+        ties[tie] = True
+        assert np.array_equal(ties, th == 0.5) and len(tie[0]) == ties.sum()
+
+    def test_non_hermitian_wightman_kernel_refused(self):
+        k_w = vacuum_ctl().K_W.values.copy()
+        k_w[3, 5] += 1e-6
+        with pytest.raises(ConsistencyError, match="not Hermitian: residual 2.0"):
+            CumulantSet.from_wightman(Signal.zero(GRID), k_w, periodic=True)
+
+    def test_tighter_tolerance_checks_the_stored_residual(self):
+        k_w = vacuum_ctl().K_W.values.copy()
+        k_w[3, 5] += 1e-10
+        ctl = CumulantSet.from_wightman(Signal.zero(GRID), k_w, periodic=True)
+        rotate(ctl, OrderingParam(0.2))
+        with pytest.raises(ConsistencyError, match="consistency identity: residual 2.0"):
+            rotate(ctl, OrderingParam(0.2), consistency_tol=1e-12)
+
+    @pytest.mark.parametrize("name", ORACLE_SETS)
+    def test_unrotate_stores_the_wightman_kernel(self, name):
+        ctl = ORACLE_SETS[name]()
+        back = unrotate(rotate(ctl, OrderingParam(0.7)))
+        assert back._K_F is None and back.periodic == ctl.periodic
+
+    def test_diagonal_response_takes_the_triple_route(self):
+        rot = rotate(vacuum_ctl(periodic=False), OrderingParam(0.3))
+        d_r = rot.D_R.values + 0.2 * np.eye(GRID.n)
+        rot = dataclasses.replace(rot, D_R=TwoPointKernel(GRID, d_r))
+        back = unrotate(rot)
+        assert back._K_F is not None
+        again = rotate(back, OrderingParam(0.3))
+        assert np.abs(again.D_R.values - d_r).max() < 1e-12 * np.abs(d_r).max()
+        assert np.abs(again.N_s.values - rot.N_s.values).max() < 1e-12 * np.abs(rot.N_s.values).max()
+
+    def test_kernels_on_another_grid_refused(self):
+        k = TwoPointKernel(TimeGrid(8, 0.2), np.zeros((8, 8)))
+        with pytest.raises(ValueError, match="D_R is on TimeGrid"):
+            RotatedCumulants(Signal.zero(TimeGrid(8, 0.1)), k, zero_kernel(TimeGrid(8, 0.1)),
+                             OrderingParam(0.0))
+        with pytest.raises(ValueError, match="K_W is on TimeGrid"):
+            CumulantSet(mean=Signal.zero(TimeGrid(8, 0.1)), K_F=None, K_rev=None, K_W=k)
+        with pytest.raises(ValueError, match="K_F and K_rev"):
+            CumulantSet(mean=Signal.zero(TimeGrid(8, 0.2)), K_F=k, K_rev=None, K_W=k)
 
 
 def test_induced_sign_fault_breaks_round_trip(monkeypatch):
