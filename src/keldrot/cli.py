@@ -34,15 +34,9 @@ def _config_hash(config: dict) -> str:
 
 
 def _versions() -> dict:
-    import mpmath
     import scipy
 
-    return {
-        "keldrot": __version__,
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "mpmath": mpmath.__version__,
-    }
+    return {"keldrot": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def _check_value(key: str, value, flag: argparse.Action):
@@ -142,12 +136,20 @@ def _read_signal(path: str) -> Signal:
     return ser.signal_from_csv(text)
 
 
+def _count(config: dict, key: str, default: int | None = None) -> int:
+    """An integer config value that must be at least 1: a count of zero
+    would write an empty result and report nothing as checked."""
+    n = int(config.get(key, default))
+    if n < 1:
+        raise ValueError(f"{key} must be positive, got {n}")
+    return n
+
+
 def _k2_values(config: dict) -> np.ndarray:
     if config.get("k2") is not None:
         return np.array([float(config["k2"])])
     _require(config, "k2_min", "k2_max", "n_k2")
-    return np.linspace(float(config["k2_min"]), float(config["k2_max"]),
-                       int(config["n_k2"]))
+    return np.linspace(float(config["k2_min"]), float(config["k2_max"]), _count(config, "n_k2"))
 
 
 def _dirac_spec(config: dict, mu0: float | None = None) -> diracsea.DiracSeaSpec:
@@ -216,7 +218,7 @@ def run_oscillator_lambda_check(config: dict) -> tuple[dict, dict]:
     rng = np.random.default_rng(int(config["seed"]))
     ctl = oscillator.ctl_cumulants(spec, state, grid, periodic=True)
     worst = 0.0
-    draws = int(config.get("draws", 10))
+    draws = _count(config, "draws", 10)
     for _ in range(draws):
         eta = Signal(grid, rng.normal(size=grid.n))
         j_s = Signal(grid, rng.normal(size=grid.n))

@@ -255,18 +255,35 @@ def theta_ordering_matrix(grid: TimeGrid, periodic: bool = False) -> np.ndarray:
 
     This is the package's one time order: the theta split of K_F, the causal
     support of a response kernel (its acausal entries are theta == 0) and the
-    sampled oscillator response all derive from it.  With periodic=True the lag is wrapped to [-T/2, T/2), so the matrix is
+    sampled oscillator response all derive from it, through `_theta_masks`.
+    With periodic=True the lag is wrapped to [-T/2, T/2), so the matrix is
     circulant ("later on the circle"); the wrap boundary lag -T/2 gets
     weight 1/2 as well.  Circulant ordering is what makes the stationary
     spectral identities exact on the grid.
     """
-    n = grid.n
-    if not periodic:
-        th = np.tri(n, k=-1)
-        np.fill_diagonal(th, 0.5)
-        return th
-    i = np.arange(n)
-    return _circle_theta(grid)[(i[:, None] - i[None, :]) % n]
+    later, _, tie = _theta_masks(grid.n, periodic)
+    th = later.astype(float)
+    th[tie] = 0.5
+    return th
+
+
+def _theta_masks(n: int, periodic: bool) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Where `theta_ordering_matrix` is 1, where it is 0, and the (rows,
+    columns) where it is 1/2, built from triangles.  In linear time these are
+    the strict lower and upper triangles and the diagonal.  On the circle
+    theta is 0 on the band of lag index (i - j) mod n above n // 2 and 1/2
+    on the diagonal and, for even n, at the wrap lag n / 2."""
+    if periodic:
+        earlier = np.tri(n, k=-(n // 2) - 1, dtype=bool)
+        earlier |= np.tri(n, k=n - n // 2 - 1, dtype=bool) & ~np.tri(n, dtype=bool)
+    else:
+        earlier = ~np.tri(n, dtype=bool)
+    rows = cols = np.arange(n)
+    if periodic and n % 2 == 0:
+        rows, cols = np.concatenate([rows, rows]), np.concatenate([cols, (cols - n // 2) % n])
+    later = ~earlier
+    later[rows, cols] = False
+    return later, earlier, (rows, cols)
 
 
 def _circle_theta(grid: TimeGrid) -> np.ndarray:

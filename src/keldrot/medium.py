@@ -12,14 +12,13 @@ Delta terms of spectra are never discretized; they are carried as explicit
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .diracsea import DiracSeaSpec, F_threshold, R_obs, R_obs_finite_eps
 from .grids import Signal, TimeGrid, TwoPointKernel, _require_finite, sign_weights
-from .oscillator import OscillatorSpec, _infield_basis, retarded_response_grid
+from .oscillator import OscillatorSpec, _infield_basis, _sample_count, retarded_response_grid
 from .rotation import _acausal_part, _check_hbar_c
 
 __all__ = [
@@ -330,12 +329,7 @@ def wyld_mc(spec: OscillatorSpec, grid: TimeGrid, n_samples: int, seed: int,
     centred covariance, sqrt((C_ii C_jj + C_ij^2) / N) with C = cov; the
     mean does not enter it, since cov is centred on the sample mean.
     """
-    try:
-        n_samples = operator.index(n_samples)
-    except TypeError:
-        raise ValueError(f"n_samples must be an integer, got {n_samples!r}") from None
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    n_samples = _sample_count(n_samples)
     for name, value in (("white_noise_std", white_noise_std), ("alpha_nbar", alpha_nbar)):
         if not (np.isfinite(value) and value >= 0):
             raise ValueError(f"{name} must be finite and non-negative, got {value}")

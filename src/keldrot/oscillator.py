@@ -7,6 +7,7 @@ oracle for the closed forms.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,6 +235,17 @@ def _quasidistribution_xy(state: GaussianState, p: OrderingParam, n_samples: int
 _MC_CHUNK = 200_000
 
 
+def _sample_count(n_samples) -> int:
+    """n_samples as an int, if it is an integer of at least 1."""
+    try:
+        n_samples = operator.index(n_samples)
+    except TypeError:
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}") from None
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    return n_samples
+
+
 def mc_quasiaverage(spec: OscillatorSpec, state: GaussianState, p: OrderingParam,
                     times: np.ndarray, n_samples: int, seed: int):
     """Monte Carlo estimate of <O_s q(t) q(t')> over the s-quasidistribution.
@@ -248,8 +260,7 @@ def mc_quasiaverage(spec: OscillatorSpec, state: GaussianState, p: OrderingParam
     sum q^2 (q^2)^T = C^T G4 C, with B the rows (cos, sin) scaled to the
     path and C the rows of B_0^2, 2 B_0 B_1 and B_1^2.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    n_samples = _sample_count(n_samples)
     times = np.asarray(times, dtype=float)
     rng = np.random.Generator(np.random.Philox(seed))
     g2 = np.zeros((2, 2))

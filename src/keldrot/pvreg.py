@@ -13,11 +13,12 @@ requires the moment conditions
 expansion of F vanishes).  The zero-momentum renormalization condition is
 the additional row B(0).  The system matrix is Vandermonde-like and
 catastrophically ill-conditioned for well-separated masses.  Its rows are
-assembled in mpmath at 53 bits and solved in arbitrary precision by
-Gaussian elimination in the standard `decimal` module, whose arithmetic
-runs in C; only the solution is rounded to double.  The moment routines
-(`moment_integral_exact`, `moment_sums`) sum the extended coefficients in
-mpmath.
+assembled from integer (mantissa, exponent) pairs rounded to 53 bits and
+solved in arbitrary precision by Gaussian elimination in the standard
+`decimal` module, whose arithmetic runs in C; only the solution is rounded
+to double.  The moment routines (`moment_integral_exact`, `moment_sums`)
+sum the extended coefficients in `decimal` too, so the module needs no
+arbitrary-precision library beyond the standard one.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 __all__ = [
@@ -46,6 +46,8 @@ DEFAULT_PRECISION_BITS = 256
 RESIDUAL_TOL = 1e-10
 # |d_l| above which the scheme is reported as unreliable
 COEFFICIENT_BOUND = 10.0
+# pi to 64 digits: it enters the moment integral only as the final factor
+_PI = Decimal("3.141592653589793238462643383279502884197169399375105820974944592")
 
 
 def series_coeffs_fractions(n_max: int) -> list[Fraction]:
@@ -123,11 +125,53 @@ def _row_labels(M: int, impose_B0: bool) -> list[str]:
     return labels
 
 
-def _exact_decimal(x) -> Decimal:
-    """An mpf as a Decimal, exactly: man * 2^exp = man * 5^-exp * 10^exp."""
-    sign, man, exp, _ = x._mpf_
-    man = -man if sign else man
+def _rounded(num: int, den: int = 1, exp: int = 0) -> tuple[int, int]:
+    """num / den * 2^exp rounded to 53 significant bits, half to even, as
+    the integer pair (man, e) with value man * 2^e."""
+    sign, num = (-1 if num < 0 else 1), abs(num)
+    shift = num.bit_length() - den.bit_length() - 54  # the quotient has 54 or 55 bits
+    q, rest = divmod(num << -shift, den) if shift < 0 else divmod(num, den << shift)
+    extra = q.bit_length() - 53
+    q, low, half = q >> extra, q & ((1 << extra) - 1), 1 << (extra - 1)
+    if low > half or (low == half and (rest or q & 1)):
+        q += 1
+    return sign * q, exp + shift + extra
+
+
+def _exact_decimal(man: int, exp: int) -> Decimal:
+    """man * 2^exp as a Decimal, exactly: man * 5^-exp * 10^exp."""
     return Decimal(man << exp) if exp >= 0 else Decimal(f"{man * 5 ** -exp}E{exp}")
+
+
+def _system(M: int, masses: list[float], labels: list[str]) -> tuple[list, list]:
+    """The rows a and right-hand side b of the moment system, as Decimals.
+
+    Every step is rounded to 53 bits, half to even: the power mu_l^(2n)
+    from its exact value, the ratio mu_l/mu_0, its logarithm (from
+    `Decimal.ln` at 40 digits) and the product of a power with
+    2 ln(mu_l/mu_0).  The rounded entries are exact in `decimal`.
+    """
+    # each mass as (man, exp): a float's denominator is a power of two
+    mu = [(num, 1 - den.bit_length()) for num, den in (m.as_integer_ratio() for m in masses)]
+    man0, exp0 = mu[0]
+    # (-1)^l mu_l^(2n): A(2n) holds them for l >= 1, b the negated l = 0 term
+    powers = [[_rounded((-1) ** l * man ** (2 * n), exp=2 * n * exp)
+               for l, (man, exp) in enumerate(mu)] for n in range(M + 3)]
+    with localcontext() as ctx:
+        ctx.prec = 40
+        # 2 ln(mu_l/mu_0); a B(2n) entry is the A one times it
+        logs = [_rounded(*_exact_decimal(*_rounded(man, man0, exp - exp0)).ln().as_integer_ratio(),
+                         exp=1) for man, exp in mu[1:]]
+    a, b = [], []
+    for lab in labels:
+        n = int(lab[2:-1]) // 2
+        row = powers[n][1:]
+        if lab[0] == "B":
+            row = [_rounded(p * g, exp=e_p + e_g) for (p, e_p), (g, e_g) in zip(row, logs)]
+        a.append([_exact_decimal(*v) for v in row])
+        p, e = powers[n][0]
+        b.append(_exact_decimal(-p, e) if lab[0] == "A" else Decimal(0))
+    return a, b
 
 
 def _gauss_solve(a, b, bits):
@@ -186,14 +230,15 @@ def solve_pv(M: int, masses, impose_B0: bool = False,
 
     Needs exactly N = 2M+4 auxiliary masses (2M+5 with the renormalization
     row B(0)); the d_0 = 1 terms are moved to the right-hand side.  The
-    rows are assembled in mpmath at 53 bits and converted to `Decimal`
-    exactly; the system is solved in `decimal` (`_gauss_solve`), starting
-    at `precision_bits`, and d is rounded to float only after the relative
-    row residuals (summed from the exact rows with guard digits) pass
-    RESIDUAL_TOL; precision is doubled and the solve retried, up to
-    `max_precision_bits`, when they do not or the elimination finds the
-    system singular.  d_mp holds the solution as `mp.nstr` writes it at
-    int(0.3 bits) + 5 digits of the final precision.
+    rows are assembled with every entry rounded to 53 bits (`_system`) and
+    are exact as `Decimal`s; the system is solved in `decimal`
+    (`_gauss_solve`), starting at `precision_bits`, and d is rounded to
+    float only after the relative row residuals (summed from the exact rows
+    with guard digits) pass RESIDUAL_TOL; precision is doubled and the
+    solve retried, up to `max_precision_bits`, when they do not or the
+    elimination finds the system singular.  d_mp holds the solution as the
+    `Decimal` strings of its rounding to int(0.3 bits) + 5 significant
+    digits of the final precision.
     Warns when any |d_l| exceeds COEFFICIENT_BOUND: the asymptotic solution
     is then unreliable and the mass spacing is of the pathological kind
     whose coefficients grow without bound.
@@ -206,20 +251,7 @@ def solve_pv(M: int, masses, impose_B0: bool = False,
             f"M={M}, impose_B0={impose_B0} needs {n_needed} auxiliary masses, got {n_aux}"
         )
     labels = _row_labels(M, impose_B0)
-    mu = [mp.mpf(m) for m in masses]
-    mu0 = mu[0]
-    # A(2n) entries (-1)^l mu_l^(2n); a B(2n) entry is the A one times 2 ln(mu_l/mu_0)
-    powers = [[((-1) ** l) * mu[l] ** (2 * n) for l in range(1, n_aux + 1)]
-              for n in range(M + 3)]
-    logs = [2 * mp.log(m / mu0) for m in mu[1:]]
-    a, b = [], []
-    for lab in labels:
-        n = int(lab[2:-1]) // 2
-        row = powers[n] if lab[0] == "A" else [p * g for p, g in zip(powers[n], logs)]
-        a.append([_exact_decimal(v) for v in row])
-        # d_0 term: (+1) * mu0^(2n) for A rows, absent from B rows
-        b.append(_exact_decimal(-(mu0 ** (2 * n))) if lab[0] == "A" else Decimal(0))
-
+    a, b = _system(M, masses, labels)
     bits = precision_bits
     while True:
         d_aux, residuals = _gauss_solve(a, b, bits) or (None, [np.inf])
@@ -233,8 +265,9 @@ def solve_pv(M: int, masses, impose_B0: bool = False,
                 f"at {bits}-bit precision"
             )
         bits *= 2
-    with mp.workprec(bits + 10):
-        d_strings = ["1"] + [mp.nstr(mp.mpf(str(x)), int(bits * 0.3) + 5) for x in d_aux]
+    with localcontext() as ctx:
+        ctx.prec = int(bits * 0.3) + 5
+        d_strings = ["1"] + [str(ctx.plus(x)) for x in d_aux]
     d = [1.0] + [float(x) for x in d_aux]
     if max(abs(x) for x in d[1:]) > COEFFICIENT_BOUND:
         warnings.warn(
@@ -259,35 +292,37 @@ def moment_integral_exact(scheme: PVScheme, cutoff_sq: float):
 
     integral_{4mu0^2}^{cutoff} K_reg = (1/6pi) sum_l (-1)^l d_l 4mu_l^2 G_l
     with G_l = (y-1)sqrt(1-1/y) at y = cutoff/(4mu_l^2).  Evaluated in
-    mpmath with the extended-precision coefficients, at the digits they
+    `decimal` with the extended-precision coefficients, at the digits they
     carry plus a guard, so the cancellation between the signed terms
     carries no floating-point noise and the decay of the remainder with
     the cutoff is visible to arbitrary depth.
     """
-    with mp.workdps(max(len(d) for d in scheme.d_mp) + 20):
-        cut = mp.mpf(cutoff_sq)
-        total = mp.mpf(0)
+    with localcontext() as ctx:
+        ctx.prec = max(len(d) for d in scheme.d_mp) + 20
+        cut = Decimal(cutoff_sq)
+        total = Decimal(0)
         for l, (d_str, mass) in enumerate(zip(scheme.d_mp, scheme.masses)):
-            thr = 4 * mp.mpf(mass) ** 2
+            thr = 4 * Decimal(mass) ** 2
             y = cut / thr
             if y <= 1:
                 continue
-            g = (y - 1) * mp.sqrt(1 - 1 / y)
-            total += (-1) ** l * mp.mpf(d_str) * thr * g
-        return float(total / (6 * mp.pi))
+            g = (y - 1) * (1 - 1 / y).sqrt()
+            total += (-1) ** l * Decimal(d_str) * thr * g
+        return float(total / (6 * _PI))
 
 
 def moment_sums(scheme: PVScheme, k_max: int) -> list[float]:
     """Scaled moment sums S_k / (4 mu_N^2)^k for k = 0..k_max.
 
-    S_k = sum_l (-1)^l d_l (4 mu_l^2)^k, summed in mpmath from d_mp at the
-    digits it carries plus a guard, so a sum that the scheme cancels comes
-    out at its true size, not at float rounding; scaling by the top
+    S_k = sum_l (-1)^l d_l (4 mu_l^2)^k, summed in `decimal` from d_mp at
+    the digits it carries plus a guard, so a sum that the scheme cancels
+    comes out at its true size, not at float rounding; scaling by the top
     threshold keeps every float finite however far apart the masses are.
     """
-    with mp.workdps(max(len(d) for d in scheme.d_mp) + 20):
-        top = 4 * mp.mpf(scheme.masses[-1]) ** 2
-        ratios = [4 * mp.mpf(m) ** 2 / top for m in scheme.masses]
-        d = [(-1) ** l * mp.mpf(s) for l, s in enumerate(scheme.d_mp)]
-        return [float(mp.fsum(c * q ** k for c, q in zip(d, ratios)))
+    with localcontext() as ctx:
+        ctx.prec = max(len(d) for d in scheme.d_mp) + 20
+        top = 4 * Decimal(scheme.masses[-1]) ** 2
+        ratios = [4 * Decimal(m) ** 2 / top for m in scheme.masses]
+        d = [(-1) ** l * Decimal(s) for l, s in enumerate(scheme.d_mp)]
+        return [float(sum(c * q ** k for c, q in zip(d, ratios)))
                 for k in range(k_max + 1)]

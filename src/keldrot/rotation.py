@@ -40,6 +40,7 @@ from .grids import (
     Signal,
     TimeGrid,
     TwoPointKernel,
+    _theta_masks,
     pair_form,
     overlap,
     project_s,
@@ -110,25 +111,6 @@ def _mirror_residual(a: np.ndarray) -> tuple[float, float]:
     return float(worst), float(size)
 
 
-def _theta_masks(n: int, periodic: bool) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Where `theta_ordering_matrix` is 1, where it is 0, and the (rows,
-    columns) where it is 1/2, built from triangles.  In linear time these are
-    the strict lower and upper triangles and the diagonal.  On the circle
-    theta is 0 on the band of lag index (i - j) mod n above n // 2 and 1/2
-    on the diagonal and, for even n, at the wrap lag n / 2."""
-    if periodic:
-        earlier = np.tri(n, k=-(n // 2) - 1, dtype=bool)
-        earlier |= np.tri(n, k=n - n // 2 - 1, dtype=bool) & ~np.tri(n, dtype=bool)
-    else:
-        earlier = ~np.tri(n, dtype=bool)
-    rows = cols = np.arange(n)
-    if periodic and n % 2 == 0:
-        rows, cols = np.concatenate([rows, rows]), np.concatenate([cols, (cols - n // 2) % n])
-    later = ~earlier
-    later[rows, cols] = False
-    return later, earlier, (rows, cols)
-
-
 def _theta_split(k_w: np.ndarray, periodic: bool) -> np.ndarray:
     """K_F of a Hermitian field: K_W where theta = 1, K_W^T where 0, their
     mean where 1/2 (theta on the circle when periodic)."""
@@ -161,14 +143,17 @@ class CumulantSet:
     hbar_c: float = 1.0
     periodic: bool = False
 
+    _hermitian = None  # K_W's relative Hermitian residual, when stored by K_W
+
     def __post_init__(self):
         _check_hbar_c(self.hbar_c)
         if (self._K_F is None) != (self._K_rev is None):
             raise ValueError("K_F and K_rev are given together, or both derived from K_W")
         _check_grids(self.mean.grid, {"K_F": self._K_F, "K_rev": self._K_rev, "K_W": self.K_W})
         if self._K_F is None:
-            worst, size = _mirror_residual(self.K_W.values)
-            self._hermitian = worst / max(size, 1e-300)
+            if self._hermitian is None:
+                worst, size = _mirror_residual(self.K_W.values)
+                self._hermitian = worst / max(size, 1e-300)
             if self._hermitian > _CONSISTENCY_TOL:
                 raise ConsistencyError(
                     f"K_W is not Hermitian: residual {self._hermitian:.3e} > {_CONSISTENCY_TOL:.1e}")
@@ -181,6 +166,16 @@ class CumulantSet:
         the circle when periodic), K_W where theta = 1, K_W^T where 0, their
         mean where 1/2; K_rev = K_F*."""
         return cls(mean, None, None, TwoPointKernel(mean.grid, k_w), hbar_c, periodic)
+
+    @classmethod
+    def _measured(cls, hermitian: float, mean: Signal, k_w: TwoPointKernel,
+                  hbar_c: float, periodic: bool) -> "CumulantSet":
+        """The set stored by k_w whose Hermitian residual `hermitian`
+        (max |K_W - K_W^H| / max |K_W|) the caller has measured."""
+        ctl = cls.__new__(cls)
+        ctl._hermitian = hermitian
+        ctl.__init__(mean, None, None, k_w, hbar_c, periodic)
+        return ctl
 
     @property
     def grid(self) -> TimeGrid:
@@ -371,17 +366,15 @@ def _assemble(n_0: np.ndarray, d: np.ndarray, half: float, sign: float) -> np.nd
     return k
 
 
-def _split_representation(n_0: np.ndarray, d: np.ndarray, hbar_c: float) -> bool | None:
+def _split_representation(asym: float, n_0_size: float, d: np.ndarray,
+                          hbar_c: float) -> bool | None:
     """The time representation (periodic or not) in which
     K_F = N_0 + (i hbar c / 2)(D_R + D_R^T) is the theta split of
     K_W = N_0 + (i hbar c / 2)(D_R - D_R^T) to _SPLIT_TOL relative to
-    max |N_0| + hbar c max |D_R|, or None.  They differ by
+    max |N_0| + hbar c max |D_R|, or None, for real N_0 and D_R with
+    (asym, n_0_size) = `_mirror_residual(N_0)`.  They differ by
     N_0 - N_0^T, by i hbar c D_R where theta = 0 and by
-    (i hbar c / 2)(D_R + D_R^T) where theta = 1/2; K_W is Hermitian only
-    for a real D_R and N_0."""
-    if np.iscomplexobj(d) or np.iscomplexobj(n_0):
-        return None
-    asym, n_0_size = _mirror_residual(n_0)
+    (i hbar c / 2)(D_R + D_R^T) where theta = 1/2."""
     size = np.abs(d)
     bound = _SPLIT_TOL * (n_0_size + hbar_c * size.max())
     for periodic in (False, True):
@@ -402,16 +395,23 @@ def unrotate(rot: RotatedCumulants) -> CumulantSet:
     K_rev = K_F*
     Each is built from real parts (`_assemble`).  When K_F is the theta
     split of K_W in some time representation, the set is stored by K_W
-    alone; otherwise all three are returned.
+    alone; otherwise all three are returned.  K_W is Hermitian only for a
+    real D_R and N_0, and then K_W - K_W^H = N_0 - N_0^T exactly (the
+    imaginary parts of mirrored entries are exact negatives), so one pass
+    over N_0 gives both the split rule's asymmetry and K_W's Hermitian
+    residual.
     """
     n_0 = reorder(rot, 0.0).N_s.values
     d = rot.D_R.values
     half = 0.5 * rot.hbar_c
     g = rot.grid
     k_w = TwoPointKernel(g, _assemble(n_0, d, half, -1.0))
-    periodic = _split_representation(n_0, d, rot.hbar_c)
-    if periodic is not None:
-        return CumulantSet(rot.mean, None, None, k_w, rot.hbar_c, periodic)
+    if not (np.iscomplexobj(d) or np.iscomplexobj(n_0)):
+        asym, n_0_size = _mirror_residual(n_0)
+        periodic = _split_representation(asym, n_0_size, d, rot.hbar_c)
+        if periodic is not None:
+            hermitian = asym / max(np.abs(k_w.values).max(), 1e-300)
+            return CumulantSet._measured(hermitian, rot.mean, k_w, rot.hbar_c, periodic)
     k_f = _assemble(n_0, d, half, 1.0)
     return CumulantSet(
         mean=rot.mean,

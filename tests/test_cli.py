@@ -398,6 +398,26 @@ class TestConfigHandling:
         assert err["error"] == "computation" and name in err["detail"]
         assert list(outdir.iterdir()) == []
 
+    @pytest.mark.parametrize("argv,message", [
+        (["oscillator", "lambda-check", "--n", 8, "--dt", 0.1, "--seed", 1, "--draws", 0],
+         "draws must be positive, got 0"),
+        (["oscillator", "lambda-check", "--n", 8, "--dt", 0.1, "--seed", 1, "--draws=-3"],
+         "draws must be positive, got -3"),
+        (["vacuum-pol", "--k2-min", 1, "--k2-max", 2, "--n-k2", 0],
+         "n_k2 must be positive, got 0"),
+        (["zero-point", "--s", 0, "--k2-min", 4.2, "--k2-max", 5, "--n-k2", 0],
+         "n_k2 must be positive, got 0"),
+        (["kernels", "scalar", "--eps", 1e-3, "--k0-max", 2, "--n-k0", 0],
+         "n must be positive, got 0"),
+    ])
+    def test_empty_count_fails(self, argv, message, outdir, capsys):
+        # a count below 1 would check nothing or write an empty table
+        code = run(argv + ["--out", outdir / "x"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "computation", "detail": message}
+        assert list(outdir.iterdir()) == []
+
     def test_nested_grid_config(self, outdir):
         cfg = outdir / "cfg.json"
         cfg.write_text(json.dumps({"omega0": 1.0, "s": 0.0,
@@ -427,11 +447,12 @@ class TestAcceptVerb:
 
 class TestStartupImports:
     def test_verbs_without_quadrature_load_no_heavy_scipy(self, outdir):
-        """`kernels`, `project` and `dress` on a time-invariant medium (the
+        """`kernels`, `project`, `dress` on a time-invariant medium (the
         one-mode toy at a dyadic step, and bare/susceptibility files holding
-        an exactly Toeplitz kernel and gamma I) run in a fresh interpreter
-        without importing scipy's quadrature, special functions or linear
-        algebra."""
+        an exactly Toeplitz kernel and gamma I), `pv-solve` and an
+        unrenormalized `vacuum-pol` run in a fresh interpreter without
+        importing scipy's quadrature, special functions or linear algebra,
+        or mpmath."""
         sig = outdir / "sig.csv"
         sig.write_text(ser.signal_to_csv(Signal.zero(TimeGrid(8, 0.5))))
         grid = TimeGrid(32, 0.125)
@@ -451,8 +472,12 @@ assert cli.main(["dress", "--omega0", "1", "--coupling", "0.3", "--n", "64", "--
                  "--out", {str(outdir / "d1")!r}]) == 0
 assert cli.main(["dress", "--bare", {str(bare)!r}, "--pi-r", {str(pi_r)!r},
                  "--out", {str(outdir / "d2")!r}]) == 0
-print("loaded:" + ",".join(m for m in ("scipy.integrate", "scipy.special", "scipy.linalg")
-                           if m in sys.modules))
+assert cli.main(["pv-solve", "--M", "1", "--geometric", "1e3", "--impose-b0",
+                 "--out", {str(outdir / "pv")!r}]) == 0
+assert cli.main(["vacuum-pol", "--unrenormalized", "--geometric", "10", "--k2-min", "-3",
+                 "--k2-max", "9", "--n-k2", "7", "--out", {str(outdir / "vp")!r}]) == 0
+print("loaded:" + ",".join(m for m in ("scipy.integrate", "scipy.special", "scipy.linalg",
+                                       "mpmath") if m in sys.modules))
 """
         src = str(Path(keldrot.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -388,13 +388,14 @@ class TestCoordinateSpace:
 
     def test_loads_no_quadrature(self):
         # the panel sum needs scipy.special only; scipy.integrate would
-        # add about 0.6 s to the start-up of any verb that calls it
+        # add about 0.6 s to the start-up of any verb that calls it, and
+        # the PV solve and its moment sums run in `decimal`, not mpmath
         script = """
 import sys
 from keldrot.diracsea import K_reg_coordinate
 from keldrot.pvreg import solve_pv
 K_reg_coordinate(0.5, 1, solve_pv(0, [1.0, 2.0, 4.0, 8.0, 16.0]))
-print("scipy.integrate" in sys.modules)
+print("scipy.integrate" in sys.modules or "mpmath" in sys.modules)
 """
         src = str(Path(diracsea.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -298,6 +298,13 @@ class TestMonteCarlo:
             mc_quasiaverage(SPEC, GaussianState(), OrderingParam(0.0),
                             GRID.times[:4], 0, seed=1)
 
+    @pytest.mark.parametrize("n_samples", [2.5, 3.0, "10", None])
+    def test_rejects_non_integral_sample_count(self, n_samples):
+        # the same check as wyld_mc's, not a TypeError from range arithmetic
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            mc_quasiaverage(SPEC, GaussianState(), OrderingParam(0.0),
+                            GRID.times[:4], n_samples, seed=1)
+
     def test_squeezed_normal_order_unsampleable(self):
         state = GaussianState(nbar=0.3, m=0.6)  # |m| > nbar: P-function not positive
         with pytest.raises(UnsampleableStateError, match="not sampleable"):

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 from keldrot import pvreg
-from keldrot.diracsea import _k_reg_scalar
+from keldrot.diracsea import SERIES_TERMS, _k_reg_scalar
 from keldrot.pvreg import (
     COEFFICIENT_BOUND,
     RESIDUAL_TOL,
@@ -76,22 +76,31 @@ def unregularized_size(n, cutoff_sq, mu0=1.0):
     return cutoff_sq ** (n + 1) / (n + 1) / (6.0 * np.pi)
 
 
-def mpmath_solve(M, masses, impose_B0, precision_bits=256, max_precision_bits=4096):
-    """Oracle for `solve_pv`: the same 53-bit rows in an `mp.matrix`, solved
-    by `mp.lu_solve` with `fsum` row residuals at working precision, on the
-    same precision ladder.  Returns (d, d_mp, final bits)."""
+def mpmath_rows(M, masses, impose_B0):
+    """The moment system's rows and right-hand side as mpmath builds them
+    at its default 53 bits, each operation rounded half to even."""
     labels = pvreg._row_labels(M, impose_B0)
     mu = [mp.mpf(m) for m in masses]
-    a = mp.matrix(len(labels), len(mu) - 1)
-    b = mp.matrix(len(labels), 1)
-    for r, lab in enumerate(labels):
+    a, b = [], []
+    for lab in labels:
         n = int(lab[2:-1]) // 2
+        row = []
         for l in range(1, len(mu)):
             term = ((-1) ** l) * mu[l] ** (2 * n)
             if lab[0] == "B":
                 term *= 2 * mp.log(mu[l] / mu[0])
-            a[r, l - 1] = term
-        b[r, 0] = -(mu[0] ** (2 * n)) if lab[0] == "A" else mp.mpf(0)
+            row.append(term)
+        a.append(row)
+        b.append(-(mu[0] ** (2 * n)) if lab[0] == "A" else mp.mpf(0))
+    return a, b
+
+
+def mpmath_solve(M, masses, impose_B0, precision_bits=256, max_precision_bits=4096):
+    """Oracle for `solve_pv`: the `mpmath_rows` in an `mp.matrix`, solved
+    by `mp.lu_solve` with `fsum` row residuals at working precision, on the
+    same precision ladder.  Returns (d, d_mp, final bits)."""
+    rows, rhs = mpmath_rows(M, masses, impose_B0)
+    a, b = mp.matrix(rows), mp.matrix(rhs)
     bits = precision_bits
     while True:
         with mp.workprec(bits):
@@ -114,6 +123,34 @@ def mpmath_solve(M, masses, impose_B0, precision_bits=256, max_precision_bits=40
     with mp.workprec(bits):
         d_mp = ["1"] + [mp.nstr(v, int(bits * 0.3) + 5) for v in x]
     return [1.0] + [float(v) for v in x], d_mp, bits
+
+
+def mpmath_moment_integral(scheme, cutoff_sq, factor=1):
+    """Oracle for `moment_integral_exact`: the same closed-form sum in
+    mpmath, at `factor` times the routine's digits."""
+    with mp.workdps(factor * (max(len(d) for d in scheme.d_mp) + 20)):
+        total = mp.mpf(0)
+        for l, (d, mass) in enumerate(zip(scheme.d_mp, scheme.masses)):
+            thr = 4 * mp.mpf(mass) ** 2
+            y = mp.mpf(cutoff_sq) / thr
+            if y > 1:
+                total += (-1) ** l * mp.mpf(d) * thr * (y - 1) * mp.sqrt(1 - 1 / y)
+        return float(total / (6 * mp.pi))
+
+
+def mpmath_moment_sums(scheme, k_max, factor=1):
+    """Oracle for `moment_sums`: for k = 0..k_max, the scaled sum
+    S_k / (4 mu_N^2)^k by `mp.fsum` of its signed terms
+    (-1)^l d_l (mu_l / mu_N)^(2k), and the largest |term|, at `factor`
+    times the routine's digits."""
+    with mp.workdps(factor * (max(len(d) for d in scheme.d_mp) + 20)):
+        top = 4 * mp.mpf(scheme.masses[-1]) ** 2
+        out = []
+        for k in range(k_max + 1):
+            terms = [(-1) ** l * mp.mpf(d) * (4 * mp.mpf(m) ** 2 / top) ** k
+                     for l, (d, m) in enumerate(zip(scheme.d_mp, scheme.masses))]
+            out.append((float(mp.fsum(terms)), float(max(abs(t) for t in terms))))
+        return out
 
 
 def _pathological_masses(x=50.0):
@@ -149,7 +186,28 @@ def _scheme_id(key):
 
 def significant_digits(s):
     """The mantissa digits of a d_mp entry, without sign, point and leading zeros."""
-    return s.split("e")[0].lstrip("-").replace(".", "").lstrip("0")
+    return s.lower().split("e")[0].lstrip("-").replace(".", "").lstrip("0")
+
+
+def random_mass_lists(count, seed=5):
+    """Seeded (M, masses, impose_B0) with M <= 3 and log10 spacings of the
+    strictly increasing masses drawn from [0.01, 8]."""
+    rng = np.random.default_rng(seed)
+    lists = []
+    for _ in range(count):
+        M, b0 = int(rng.integers(4)), bool(rng.integers(2))
+        steps = rng.uniform(0.01, 8.0, 2 * M + (5 if b0 else 4))
+        logs = np.cumsum(np.concatenate([[rng.uniform(-3.0, 3.0)], steps]))
+        lists.append((M, [float(10.0 ** x) for x in logs], b0))
+    return lists
+
+
+def exact(x):
+    """An mpf or a Decimal as a Fraction, exactly."""
+    if isinstance(x, decimal.Decimal):
+        return Fraction(x)
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(int(man)) * Fraction(2) ** exp
 
 
 class TestMpmathOracle:
@@ -166,15 +224,39 @@ class TestMpmathOracle:
         assert max(scheme.residuals) <= 2.0 ** -bits
         assert len(scheme.d_mp) == len(d_mp) and scheme.d_mp[0] == d_mp[0] == "1"
         for got, want in zip(scheme.d_mp[1:], d_mp[1:]):
-            # both entries are nstr at the oracle's digit count; nstr strips
-            # trailing zeros, so a count may fall short of it but not exceed it
+            # an entry is `decimal`'s string of its own value rounded to the
+            # oracle's digit count (an exact quotient may carry fewer digits)
             assert len(significant_digits(got)) <= digits
+            with decimal.localcontext() as ctx:
+                ctx.prec = digits
+                assert str(ctx.plus(decimal.Decimal(got))) == got
             with mp.workdps(digits + 10):
-                assert mp.nstr(mp.mpf(got), digits) == got
-                assert (len(mp.nstr(mp.mpf(got), digits, strip_zeros=False))
-                        == len(mp.nstr(mp.mpf(want), digits, strip_zeros=False)))
                 got, want = mp.mpf(got), mp.mpf(want)
                 assert abs(got - want) <= mp.mpf(10) ** (5 - digits) * abs(want)
+
+    @pytest.mark.parametrize("M,masses,b0", SOLVED_SCHEMES + random_mass_lists(40),
+                             ids=[_scheme_id(k) for k in SOLVED_SCHEMES]
+                             + [f"random{i}" for i in range(40)])
+    def test_rows_match_mpmath(self, M, masses, b0):
+        # the 53-bit rounding of every power, ratio, logarithm and product
+        a, b = pvreg._system(M, list(masses), pvreg._row_labels(M, b0))
+        a_mp, b_mp = mpmath_rows(M, masses, b0)
+        assert [[exact(v) for v in row] for row in a] == [[exact(v) for v in row] for row in a_mp]
+        assert [exact(v) for v in b] == [exact(v) for v in b_mp]
+
+    @pytest.mark.filterwarnings("ignore:unbounded coefficients")
+    @pytest.mark.parametrize("M,masses,b0", SOLVED_SCHEMES,
+                             ids=[_scheme_id(k) for k in SOLVED_SCHEMES])
+    def test_moments_match_mpmath(self, M, masses, b0):
+        # the cutoffs of criterion 07 and the default of K_reg_coordinate;
+        # a sum that the scheme cancels may move at the guard digits only
+        scheme = solve_pv(M, masses, impose_B0=b0)
+        top = 4.0 * scheme.masses[-1] ** 2
+        for cut in (10.0 * top, 100.0 * top, 400.0 * top, 1000.0 * top):
+            assert moment_integral_exact(scheme, cut) == mpmath_moment_integral(scheme, cut)
+        want = [s for s, _ in mpmath_moment_sums(scheme, SERIES_TERMS)]
+        got = moment_sums(scheme, SERIES_TERMS)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-40 * np.abs(want).max()
 
     @pytest.mark.parametrize("ratio,count,b0", [(1e3, 6, True), (100.0, 5, False),
                                                 (10.0, 5, False)])
@@ -390,14 +472,10 @@ class TestMoments:
         # S_k / (4 mu_N^2)^k against the sum of the signed terms at twice
         # the digits; the solved M = 0 scheme cancels S_0, S_1 and S_2
         sums = moment_sums(scheme, 6)
-        with mp.workdps(2 * (max(len(d) for d in scheme.d_mp) + 20)):
-            top = 4 * mp.mpf(scheme.masses[-1]) ** 2
-            for k, got in enumerate(sums):
-                terms = [(-1) ** l * mp.mpf(d) * (4 * mp.mpf(m) ** 2 / top) ** k
-                         for l, (d, m) in enumerate(zip(scheme.d_mp, scheme.masses))]
-                assert got == pytest.approx(float(mp.fsum(terms)), rel=1e-14, abs=1e-300)
-                if k <= 2:
-                    assert abs(got) < 1e-60 * float(max(abs(t) for t in terms))
+        for k, (got, (want, largest)) in enumerate(zip(sums, mpmath_moment_sums(scheme, 6, 2))):
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
+            if k <= 2:
+                assert abs(got) < 1e-60 * largest
 
     def test_exact_route_on_unregularized_scheme(self):
         # the bare scheme carries d_mp = ["1"]; its exact n = 0 integral is
@@ -420,13 +498,7 @@ class TestMoments:
         top = 4.0 * hard.masses[-1] ** 2
         vals = [moment_integral_exact(hard, lam * top) for lam in (10.0, 100.0, 1000.0)]
         assert max(abs(v) for v in vals) <= abs(vals[0]) * (1.0 + 1e-9)
-        with mp.workdps(2 * (max(len(d) for d in hard.d_mp) + 20)):
-            total = mp.mpf(0)
-            for l, (d, mass) in enumerate(zip(hard.d_mp, hard.masses)):
-                y = 1000.0 * top / (4 * mp.mpf(mass) ** 2)
-                total += (-1) ** l * mp.mpf(d) * 4 * mp.mpf(mass) ** 2 * (y - 1) * mp.sqrt(1 - 1 / y)
-            twice = float(total / (6 * mp.pi))
-        assert vals[2] == pytest.approx(twice, rel=1e-12)
+        assert vals[2] == pytest.approx(mpmath_moment_integral(hard, 1000.0 * top, 2), rel=1e-12)
 
     def test_exact_route_matches_float_route(self, scheme):
         top = 4.0 * scheme.masses[-1] ** 2

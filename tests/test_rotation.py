@@ -19,6 +19,7 @@ from keldrot.oscillator import (
     retarded_response,
     retarded_response_grid,
 )
+import keldrot.grids as grids
 import keldrot.rotation as rotation
 from keldrot.serialization import cumulants_to_json
 from keldrot.rotation import (
@@ -406,12 +407,22 @@ class TestStoredWightman:
     @pytest.mark.parametrize("n", [7, 8, 96, 97])
     @pytest.mark.parametrize("periodic", [False, True])
     def test_theta_masks_match_theta_matrix(self, n, periodic):
-        th = theta_ordering_matrix(TimeGrid(n, 0.1), periodic)
-        later, earlier, tie = rotation._theta_masks(n, periodic)
-        assert np.array_equal(later, th == 1.0) and np.array_equal(earlier, th == 0.0)
+        # oracle: the dense construction, theta of the lag index (i - j),
+        # wrapped on the circle to the lag profile of `_circle_theta`
+        grid = TimeGrid(n, 0.1)
+        if periodic:
+            i = np.arange(n)
+            dense = grids._circle_theta(grid)[(i[:, None] - i[None, :]) % n]
+        else:
+            dense = np.tri(n, k=-1)
+            np.fill_diagonal(dense, 0.5)
+        th = theta_ordering_matrix(grid, periodic)
+        assert np.array_equal(th, dense) and th.dtype == dense.dtype
+        later, earlier, tie = grids._theta_masks(n, periodic)
+        assert np.array_equal(later, dense == 1.0) and np.array_equal(earlier, dense == 0.0)
         ties = np.zeros((n, n), dtype=bool)
         ties[tie] = True
-        assert np.array_equal(ties, th == 0.5) and len(tie[0]) == ties.sum()
+        assert np.array_equal(ties, dense == 0.5) and len(tie[0]) == ties.sum()
 
     def test_non_hermitian_wightman_kernel_refused(self):
         k_w = vacuum_ctl().K_W.values.copy()
@@ -432,6 +443,24 @@ class TestStoredWightman:
         ctl = ORACLE_SETS[name]()
         back = unrotate(rotate(ctl, OrderingParam(0.7)))
         assert back._K_F is None and back.periodic == ctl.periodic
+
+    @pytest.mark.parametrize("name", ORACLE_SETS)
+    def test_unrotate_measures_the_asymmetry_once(self, name, monkeypatch):
+        # one pass over N_0 gives the split rule's asymmetry and the stored
+        # set's Hermitian residual, equal to the one K_W itself gives
+        rot = rotate(ORACLE_SETS[name](), OrderingParam(0.7))
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return mirror(a)
+
+        mirror = rotation._mirror_residual
+        monkeypatch.setattr(rotation, "_mirror_residual", counted)
+        back = unrotate(rot)
+        assert len(calls) == 1 and back._K_F is None
+        worst, size = mirror(back.K_W.values)
+        assert back._hermitian == worst / max(size, 1e-300)
 
     def test_diagonal_response_takes_the_triple_route(self):
         rot = rotate(vacuum_ctl(periodic=False), OrderingParam(0.3))
