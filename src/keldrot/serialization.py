@@ -4,6 +4,16 @@ CSV carries the grid in comment headers and full-precision (17 significant
 digit) scientific notation so that round trips and acceptance comparisons
 are not rounded away.  JSON bundles are written with sorted keys and fixed
 separators, making output bytes a pure function of the data.
+
+Every writer turns its floats into text in one place, `_spelled`: it
+formats each distinct float64 bit pattern of a document once and gathers
+each entry's text from those words.  A word is the text `json.dumps`
+(JSON) or `fmt` (CSV) gives that value, so the bytes are still a pure
+function of the data, the same as formatting every entry on its own.  A
+cumulant or rotated bundle holds about a fifth as many distinct patterns
+as entries: K_F and K_rev reuse the values of K_W, Re K_W and N_s are
+symmetric, and D_R's upper triangle and a real kernel's imaginary part
+are zeros.
 """
 from __future__ import annotations
 
@@ -36,8 +46,82 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _csv_words(values: np.ndarray) -> list[str]:
+    return [fmt(x) for x in values.tolist()]
+
+
+def _json_words(values: np.ndarray) -> list[str]:
+    # `_spelled` never passes an empty array, for which this would be [""]
+    return json.dumps(values.tolist(), separators=(",", ":"))[1:-1].split(",")
+
+
+def _spelled(arrays: list[np.ndarray], words) -> list[np.ndarray]:
+    """The text of every entry of `arrays`, as object arrays of their shapes.
+
+    `words(values)` spells a 1-D float64 array entry by entry; it is called
+    once, on the distinct bit patterns among all entries, and each entry
+    takes its pattern's word.
+    """
+    if not arrays:
+        return []
+    sizes = [np.size(a) for a in arrays]
+    bits = np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays]).view(np.int64)
+    # +0.0 (imaginary parts of real data, a retarded kernel's upper
+    # triangle) is often most of the entries; it takes word 0 unsorted
+    nonzero = bits != 0
+    distinct, inverse = np.unique(bits[nonzero], return_inverse=True)
+    index = np.zeros(bits.size, dtype=np.intp)
+    index[nonzero] = inverse + 1
+    values = np.concatenate([[0.0], distinct.view(np.float64)])
+    tokens = np.array(words(values), dtype=object)[index]
+    parts = np.split(tokens, np.cumsum(sizes)[:-1])
+    return [t.reshape(np.shape(a)) for t, a in zip(parts, arrays)]
+
+
+def _json_array(tokens: np.ndarray) -> str:
+    """The JSON nested list of an array of entry texts (altered in place)."""
+    if tokens.ndim == 1:
+        return "[" + ",".join(tokens.tolist()) + "]"
+    if tokens.ndim == 2 and tokens.shape[1]:
+        tokens[:, 0] = "[" + tokens[:, 0]
+        tokens[:, -1] = tokens[:, -1] + "]"
+        return "[" + ",".join(tokens.ravel().tolist()) + "]"
+    return "[" + ",".join(map(_json_array, tokens)) + "]"
+
+
+def _arrays(obj) -> list[np.ndarray]:
+    """The arrays among `obj`'s dict values, nested dicts included, in the
+    order that sorted-key JSON writes them."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        return [a for key in sorted(obj) for a in _arrays(obj[key])]
+    return []
+
+
+def _chunks(obj, texts):
+    """Sorted-key JSON of `obj` in pieces, each array taking the next text
+    of `texts`."""
+    if isinstance(obj, np.ndarray):
+        yield next(texts)
+    elif isinstance(obj, dict) and _arrays(obj):
+        for i, key in enumerate(sorted(obj)):
+            yield ("{" if i == 0 else ",") + json.dumps(key) + ":"
+            yield from _chunks(obj[key], texts)
+        yield "}"
+    else:
+        yield json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """`obj` as JSON with sorted keys and no spaces, plus a newline.
+
+    A numpy array among the dict values (string keys) is written as the
+    nested list of its float64 entries, the bytes `json.dumps` gives its
+    `.tolist()`.
+    """
+    texts = map(_json_array, _spelled(_arrays(obj), _json_words))
+    return "".join([*_chunks(obj, texts), "\n"])
 
 
 def _grid_header(grid: TimeGrid) -> str:
@@ -51,17 +135,30 @@ def _parse_grid_header(line: str) -> TimeGrid:
     return TimeGrid(n=int(fields["n"]), dt=float(fields["dt"]), t0=float(fields["t0"]))
 
 
+def _csv_rows(columns: list[np.ndarray]) -> list[str]:
+    """One CSV line per row of equal-length 1-D columns of entry texts."""
+    return [",".join(row) + "\n" for row in zip(*(c.tolist() for c in columns))]
+
+
 def signal_to_csv(f: Signal) -> str:
-    lines = ["# keldrot signal\n", _grid_header(f.grid), "t,re,im\n"]
-    for t, v in zip(f.grid.times, f.values):
-        lines.append(f"{fmt(t)},{fmt(v.real)},{fmt(v.imag)}\n")
-    return "".join(lines)
+    columns = _spelled([f.grid.times, f.values.real, f.values.imag], _csv_words)
+    return "".join(["# keldrot signal\n", _grid_header(f.grid), "t,re,im\n", *_csv_rows(columns)])
 
 
-def _real_or_complex(re, im) -> np.ndarray:
+def _numbers(values, name: str) -> np.ndarray:
+    """`values` as a float array, refusing null, string and boolean entries
+    (which numpy would read as NaN, as numbers and as 0/1)."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "fiu":
+        raise ValueError(f"{name} must hold numbers only; its entries read as {a.dtype} "
+                         "(a null, string or boolean entry?)")
+    return a.astype(float, copy=False)
+
+
+def _real_or_complex(re, im, where: str = "") -> np.ndarray:
     """re + i im, or re alone when every imaginary entry is zero, so real
-    data read back stays real."""
-    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    data read back stays real.  `where` prefixes the keys named in errors."""
+    re, im = _numbers(re, f"{where}re"), _numbers(im, f"{where}im")
     if re.shape != im.shape:
         raise ValueError(f"real and imaginary parts differ in shape: {re.shape} vs {im.shape}")
     return re + 1j * im if im.any() else re
@@ -86,13 +183,10 @@ def signal_from_csv(text: str) -> Signal:
 
 
 def kernel_to_csv(K: TwoPointKernel) -> str:
-    lines = ["# keldrot kernel\n", _grid_header(K.grid), "t,tp,re,im\n"]
-    t = K.grid.times
-    for i in range(K.grid.n):
-        for j in range(K.grid.n):
-            v = K.values[i, j]
-            lines.append(f"{fmt(t[i])},{fmt(t[j])},{fmt(v.real)},{fmt(v.imag)}\n")
-    return "".join(lines)
+    n = K.grid.n
+    t, re, im = _spelled([K.grid.times, K.values.real, K.values.imag], _csv_words)
+    rows = _csv_rows([np.repeat(t, n), np.tile(t, n), re.ravel(), im.ravel()])
+    return "".join(["# keldrot kernel\n", _grid_header(K.grid), "t,tp,re,im\n", *rows])
 
 
 def kernel_from_csv(text: str) -> TwoPointKernel:
@@ -114,8 +208,19 @@ def _grid_obj(grid: TimeGrid) -> dict:
     return {"n": grid.n, "dt": grid.dt, "t0": grid.t0}
 
 
-def _grid_from_obj(obj: dict) -> TimeGrid:
-    return TimeGrid(n=int(obj["n"]), dt=float(obj["dt"]), t0=float(obj["t0"]))
+def _scalar(obj: dict, key: str, where: str = "", kind: type = float):
+    """obj[key] as `kind` (int or float), refusing null, strings, booleans
+    and, for an int, a fractional number."""
+    v = obj[key]
+    if isinstance(v, bool) or not isinstance(v, int if kind is int else (int, float)):
+        want = "an integer" if kind is int else "a number"
+        raise ValueError(f"{where}{key} must be {want}, got {json.dumps(v)}")
+    return kind(v)
+
+
+def _grid_from_obj(obj: dict, where: str) -> TimeGrid:
+    return TimeGrid(n=_scalar(obj, "n", where, int), dt=_scalar(obj, "dt", where),
+                    t0=_scalar(obj, "t0", where))
 
 
 _KINDS = {Signal: "signal", TwoPointKernel: "kernel"}
@@ -125,16 +230,18 @@ def _to_obj(x: Signal | TwoPointKernel) -> dict:
     return {
         "kind": _KINDS[type(x)],
         "grid": _grid_obj(x.grid),
-        "re": x.values.real.tolist(),
-        "im": x.values.imag.tolist(),
+        "re": x.values.real,
+        "im": x.values.imag,
     }
 
 
-def _from_obj(obj: dict, cls):
-    """Read a Signal or TwoPointKernel (`cls`), refusing the other kind."""
+def _from_obj(obj: dict, cls, where: str = ""):
+    """Read a Signal or TwoPointKernel (`cls`), refusing the other kind;
+    `where` is the key path prefixed to the keys named in errors."""
     if obj.get("kind") != _KINDS[cls]:
         raise ValueError(f"expected a {_KINDS[cls]} object, got kind {obj.get('kind')!r}")
-    return cls(_grid_from_obj(obj["grid"]), _real_or_complex(obj["re"], obj["im"]))
+    return cls(_grid_from_obj(obj["grid"], f"{where}grid."),
+               _real_or_complex(obj["re"], obj["im"], where))
 
 
 def signal_from_json(text: str) -> Signal:
@@ -165,11 +272,11 @@ def cumulants_from_json(text: str) -> CumulantSet:
     if obj.get("kind") != "cumulants":
         raise ValueError("not a cumulant bundle")
     return CumulantSet(
-        mean=_from_obj(obj["mean"], Signal),
-        K_F=_from_obj(obj["K_F"], TwoPointKernel),
-        K_rev=_from_obj(obj["K_rev"], TwoPointKernel),
-        K_W=_from_obj(obj["K_W"], TwoPointKernel),
-        hbar_c=float(obj["hbar_c"]),
+        mean=_from_obj(obj["mean"], Signal, "mean."),
+        K_F=_from_obj(obj["K_F"], TwoPointKernel, "K_F."),
+        K_rev=_from_obj(obj["K_rev"], TwoPointKernel, "K_rev."),
+        K_W=_from_obj(obj["K_W"], TwoPointKernel, "K_W."),
+        hbar_c=_scalar(obj, "hbar_c"),
     )
 
 
@@ -189,11 +296,11 @@ def rotated_from_json(text: str) -> RotatedCumulants:
     if obj.get("kind") != "rotated":
         raise ValueError("not a rotated bundle")
     return RotatedCumulants(
-        mean=_from_obj(obj["mean"], Signal),
-        D_R=_from_obj(obj["D_R"], TwoPointKernel),
-        N_s=_from_obj(obj["N_s"], TwoPointKernel),
-        p=OrderingParam(float(obj["s"])),
-        hbar_c=float(obj["hbar_c"]),
+        mean=_from_obj(obj["mean"], Signal, "mean."),
+        D_R=_from_obj(obj["D_R"], TwoPointKernel, "D_R."),
+        N_s=_from_obj(obj["N_s"], TwoPointKernel, "N_s."),
+        p=OrderingParam(_scalar(obj, "s")),
+        hbar_c=_scalar(obj, "hbar_c"),
     )
 
 
@@ -219,6 +326,5 @@ def momentum_table_to_csv(columns: dict, header_comment: str = "") -> str:
     if header_comment:
         lines.append(f"# {header_comment}\n")
     lines.append(",".join(name for name, _ in expanded) + "\n")
-    for i in range(length or 0):
-        lines.append(",".join(fmt(arr[i]) for _, arr in expanded) + "\n")
+    lines += _csv_rows(_spelled([arr for _, arr in expanded], _csv_words))
     return "".join(lines)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from keldrot.grids import OrderingParam, Signal, TimeGrid, TwoPointKernel
 from keldrot.oscillator import GaussianState, OscillatorSpec, ctl_cumulants
-from keldrot.rotation import rotate
+from keldrot.rotation import rotate, synthetic_cumulants
 from keldrot import serialization as ser
 
 
@@ -168,3 +169,209 @@ class TestMomentumTable:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ser.momentum_table_to_csv({"a": np.ones(2), "b": np.ones(3)})
+
+
+# The writers before distinct-value formatting: every float formatted on its
+# own, by `json.dumps` over `.tolist()` or by `fmt` per CSV entry.  They are
+# the oracles for the bytes of today's writers.
+
+def old_dump_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def old_obj(x) -> dict:
+    kind = "signal" if isinstance(x, Signal) else "kernel"
+    return {"kind": kind, "grid": {"n": x.grid.n, "dt": x.grid.dt, "t0": x.grid.t0},
+            "re": x.values.real.tolist(), "im": x.values.imag.tolist()}
+
+
+def old_cumulants_json(ctl) -> str:
+    return old_dump_json({"kind": "cumulants", "hbar_c": ctl.hbar_c,
+                          **{k: old_obj(getattr(ctl, k)) for k in ("mean", "K_F", "K_rev", "K_W")}})
+
+
+def old_rotated_json(rot) -> str:
+    return old_dump_json({"kind": "rotated", "s": rot.p.s, "hbar_c": rot.hbar_c,
+                          **{k: old_obj(getattr(rot, k)) for k in ("mean", "D_R", "N_s")}})
+
+
+def old_signal_csv(f) -> str:
+    lines = ["# keldrot signal\n", ser._grid_header(f.grid), "t,re,im\n"]
+    for t, v in zip(f.grid.times, f.values):
+        lines.append(f"{ser.fmt(t)},{ser.fmt(v.real)},{ser.fmt(v.imag)}\n")
+    return "".join(lines)
+
+
+def old_kernel_csv(K) -> str:
+    lines = ["# keldrot kernel\n", ser._grid_header(K.grid), "t,tp,re,im\n"]
+    t = K.grid.times
+    for i in range(K.grid.n):
+        for j in range(K.grid.n):
+            v = K.values[i, j]
+            lines.append(f"{ser.fmt(t[i])},{ser.fmt(t[j])},{ser.fmt(v.real)},{ser.fmt(v.imag)}\n")
+    return "".join(lines)
+
+
+def old_momentum_csv(columns: dict, header_comment: str = "") -> str:
+    expanded = []
+    for name, arr in columns.items():
+        arr = np.asarray(arr)
+        if np.iscomplexobj(arr):
+            expanded += [(f"{name}_re", arr.real), (f"{name}_im", arr.imag)]
+        else:
+            expanded.append((name, arr.astype(float)))
+    lines = [f"# {header_comment}\n"] if header_comment else []
+    lines.append(",".join(name for name, _ in expanded) + "\n")
+    length = len(expanded[0][1]) if expanded else 0
+    for i in range(length):
+        lines.append(",".join(ser.fmt(arr[i]) for _, arr in expanded) + "\n")
+    return "".join(lines)
+
+
+# -0.0, the smallest and largest subnormals, the smallest normal, +-inf, a
+# NaN and a NaN with its sign bit set
+SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                    np.inf, -np.inf, np.nan, -np.nan, 1e308, -1.0 / 3.0, 0.1, 1e22, 1e-7])
+
+
+def special_values(n: int, rng) -> np.ndarray:
+    """n random normals with every SPECIAL value among them, repeated."""
+    v = rng.normal(size=n)
+    v[rng.choice(n, size=min(n, 2 * SPECIAL.size), replace=False)] = np.resize(SPECIAL, min(n, 2 * SPECIAL.size))
+    return v
+
+
+class TestSameBytesAsFormattingEachFloat:
+    """Formatting each distinct float once gives the bytes of formatting
+    every entry on its own."""
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_stored_wightman_set(self, grid, periodic):
+        spec = OscillatorSpec(omega0=grid.resonant_frequency(3))
+        ctl = ctl_cumulants(spec, GaussianState(nbar=0.5), grid, periodic=periodic)
+        assert ctl._K_F is None
+        assert ser.cumulants_to_json(ctl) == old_cumulants_json(ctl)
+
+    def test_synthetic_and_explicit_triple(self, grid):
+        ctl = synthetic_cumulants(grid, np.random.default_rng(5))
+        triple = dataclasses.replace(ctl)
+        assert triple._K_F is not None
+        assert ser.cumulants_to_json(ctl) == old_cumulants_json(ctl)
+        assert ser.cumulants_to_json(triple) == old_cumulants_json(triple)
+
+    def test_rotated_bundle(self, grid):
+        ctl = synthetic_cumulants(grid, np.random.default_rng(6))
+        rot = rotate(ctl, OrderingParam(-0.3))
+        assert ser.rotated_to_json(rot) == old_rotated_json(rot)
+
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_kernels_and_signals(self, n, dtype):
+        rng = np.random.default_rng(n)
+        g = TimeGrid(n, 0.1, t0=-0.35)
+        kv, sv = np.zeros((n, n), dtype), np.zeros(n, dtype)
+        kv.real, sv.real = special_values(n * n, rng).reshape(n, n), special_values(n, rng)
+        if dtype is complex:
+            kv.imag, sv.imag = special_values(n * n, rng).reshape(n, n), special_values(n, rng)
+        K, f = TwoPointKernel(g, kv), Signal(g, sv)
+        assert ser.kernel_to_json(K) == old_dump_json(old_obj(K))
+        assert ser.dump_json(ser._to_obj(f)) == old_dump_json(old_obj(f))
+        assert ser.kernel_to_csv(K) == old_kernel_csv(K)
+        assert ser.signal_to_csv(f) == old_signal_csv(f)
+
+    @pytest.mark.parametrize("value", SPECIAL.tolist())
+    def test_one_by_one_array(self, value):
+        obj = {"re": np.array([[value]]), "im": np.array([value]), "x": value}
+        assert ser.dump_json(obj) == old_dump_json({"re": [[value]], "im": [value], "x": value})
+
+    def test_empty_arrays(self):
+        obj = {"a": np.zeros(0), "b": np.zeros((0, 3)), "c": np.zeros((2, 0)), "d": {"e": np.zeros(0)}}
+        want = {"a": [], "b": [], "c": [[], []], "d": {"e": []}}
+        assert ser.dump_json(obj) == old_dump_json(want)
+        assert ser.momentum_table_to_csv({"k": np.zeros(0)}) == "k\n"
+
+    def test_dicts_without_arrays(self):
+        """The manifest and the zero-point ledger take `json.dumps` whole."""
+        manifest = {"verb": "mc", "config": {"n": 8, "grid": {"dt": 0.5}, "flag": True, "none": None},
+                    "outputs": ["a.csv", "b.json"], "summary": {"x": float("nan"), "y": -0.0},
+                    "versions": {"numpy": np.__version__}}
+        ledger = [{"location_k2": 4.0, "weight": -1.5e-300}, {"location_k2": 1e10, "weight": 2.0}]
+        for obj in (manifest, ledger, [], {}, 1.5, "text"):
+            assert ser.dump_json(obj) == old_dump_json(obj)
+
+    def test_momentum_table(self):
+        rng = np.random.default_rng(7)
+        cols = {"k2": special_values(40, rng), "Pi": special_values(40, rng) + 1j * rng.normal(size=40),
+                "count": np.arange(40), "f32": rng.normal(size=40).astype(np.float32)}
+        for comment in ("", "scalar kernels"):
+            assert ser.momentum_table_to_csv(cols, comment) == old_momentum_csv(cols, comment)
+        assert ser.momentum_table_to_csv({}) == old_momentum_csv({})
+
+    def test_values_shared_between_arrays(self):
+        """One word table serves every array of the document."""
+        v = np.random.default_rng(8).normal(size=(5, 5))
+        obj = {"b": {"re": v, "im": -v}, "a": {"re": v.T, "im": np.zeros((5, 5))}, "c": v[0]}
+        as_lists = {"b": {"re": v.tolist(), "im": (-v).tolist()},
+                    "a": {"re": v.T.tolist(), "im": np.zeros((5, 5)).tolist()}, "c": v[0].tolist()}
+        assert ser.dump_json(obj) == old_dump_json(as_lists)
+
+
+def _first_entry(obj: dict, key: str, value) -> dict:
+    """obj with the first entry of array `key` set to `value`."""
+    row = obj[key]
+    while isinstance(row[0], list):
+        row = row[0]
+    row[0] = value
+    return obj
+
+
+def _all_boolean(obj: dict, key: str) -> dict:
+    obj[key] = (np.asarray(obj[key]) > 0).tolist()
+    return obj
+
+
+def _grid_entry(obj: dict, key: str, value) -> dict:
+    obj["grid"][key] = value
+    return obj
+
+
+BAD_ENTRIES = {
+    "null": (lambda o: _first_entry(o, "re", None), "re must hold numbers"),
+    "string": (lambda o: _first_entry(o, "im", "1.0"), "im must hold numbers"),
+    "all boolean": (lambda o: _all_boolean(o, "re"), "re must hold numbers"),
+    "fractional n": (lambda o: _grid_entry(o, "n", 16.0 + 0.7), "grid.n must be an integer"),
+    "string dt": (lambda o: _grid_entry(o, "dt", "0.25"), "grid.dt must be a number"),
+}
+
+
+class TestBadEntriesRejected:
+    @pytest.mark.parametrize("case", BAD_ENTRIES)
+    @pytest.mark.parametrize("reader", ["signal", "kernel"])
+    def test_reader_names_the_key(self, signal, kernel, reader, case):
+        x = {"signal": signal, "kernel": kernel}[reader]
+        spoil, message = BAD_ENTRIES[case]
+        text = json.dumps(spoil(old_obj(x)))
+        with pytest.raises(ValueError, match=message):
+            getattr(ser, f"{reader}_from_json")(text)
+
+    def test_bundle_names_the_kernel(self, grid):
+        ctl = synthetic_cumulants(grid, np.random.default_rng(9))
+        obj = json.loads(ser.cumulants_to_json(ctl))
+        _first_entry(obj["K_W"], "re", None)
+        with pytest.raises(ValueError, match=r"K_W\.re must hold numbers"):
+            ser.cumulants_from_json(json.dumps(obj))
+        obj = json.loads(ser.rotated_to_json(rotate(ctl, OrderingParam(0.5))))
+        _grid_entry(obj["N_s"], "n", True)
+        with pytest.raises(ValueError, match=r"N_s\.grid\.n must be an integer"):
+            ser.rotated_from_json(json.dumps(obj))
+        obj["N_s"]["grid"]["n"] = grid.n
+        obj["hbar_c"] = "1"
+        with pytest.raises(ValueError, match="hbar_c must be a number"):
+            ser.rotated_from_json(json.dumps(obj))
+
+    def test_integer_entries_still_read(self, grid):
+        obj = old_obj(Signal(grid, np.arange(grid.n, dtype=float)))
+        obj["re"], obj["im"] = list(range(grid.n)), [0] * grid.n
+        back = ser.signal_from_json(json.dumps(obj))
+        assert back.values.dtype == np.float64
+        assert np.array_equal(back.values, np.arange(grid.n))
