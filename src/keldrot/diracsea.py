@@ -75,7 +75,15 @@ class PolarizationTensorValue:
 
 
 def F_threshold(y):
-    """Spectral function F(y) = theta(y-1)(1 + 1/(2y)) sqrt(1 - 1/y)."""
+    """Spectral function F(y) = theta(y-1)(1 + 1/(2y)) sqrt(1 - 1/y).
+
+    A float (including np.float64) takes a scalar path that performs the
+    array path's IEEE operations in the same order, so its value is
+    bit-identical without the per-call array cost; arrays, ints and bools
+    take the array path.
+    """
+    if isinstance(y, float):
+        return (1.0 + 0.5 / y) * math.sqrt((y - 1.0) / y) if y > 1.0 else 0.0
     y = np.asarray(y, dtype=float)
     out = np.zeros_like(y)
     above = y > 1.0
@@ -98,8 +106,9 @@ def K_reg(k_sq, scheme: PVScheme):
 def _k_reg_scalar(scheme: PVScheme):
     """K_reg as a closure over one float k^2, for quadrature integrands.
 
-    Performs the IEEE operations of K_reg in the same order, so its values
-    are bit-identical, without K_reg's per-call array cost.
+    Performs the IEEE operations of K_reg in the same order (F_threshold's
+    float path), so its values are bit-identical, without K_reg's per-call
+    array cost.
     """
     terms = [(float(((-1) ** l) * d_l), float(4.0 * mu_l ** 2))
              for l, (d_l, mu_l) in enumerate(zip(scheme.d, scheme.masses))]
@@ -108,9 +117,7 @@ def _k_reg_scalar(scheme: PVScheme):
     def k_reg(k_sq: float) -> float:
         out = 0.0
         for c, m4 in terms:
-            y = k_sq / m4
-            f = (1.0 + 0.5 / y) * math.sqrt((y - 1.0) / y) if y > 1.0 else 0.0
-            out = out + c * f
+            out = out + c * F_threshold(k_sq / m4)
         return out / norm
 
     return k_reg
@@ -183,7 +190,8 @@ def R_obs(k_sq: float, spec: DiracSeaSpec, k0_sign: int = 1) -> complex:
         beta = math.sqrt((k_sq - s0) / k_sq)
         beta_log = beta * (2.0 * math.log1p(beta) - math.log(abs(z)))
         if k_sq > s0:
-            im = np.sign(k0_sign) * (spec.alpha / 3.0) * F_threshold(k_sq / s0)
+            sign = (k0_sign > 0) - (k0_sign < 0)
+            im = sign * (spec.alpha / 3.0) * F_threshold(k_sq / s0)
     re = (spec.alpha / (3.0 * np.pi)) * (5.0 / 3.0 + z - (1.0 + 0.5 * z) * beta_log)
     return complex(re, im)
 
@@ -203,7 +211,7 @@ def R_obs_finite_eps(k_sq: float, spec: DiracSeaSpec, eps: float,
 
     def integrand(u, part):
         y = 1.0 + u * u
-        f = (1.0 + 0.5 / y) * u / np.sqrt(y)
+        f = (1.0 + 0.5 / y) * u / math.sqrt(y)
         val = 2.0 * u * f / (y * (y - a - 1j * ea))
         return val.real if part == 0 else val.imag
 
@@ -244,7 +252,8 @@ def R0_quadrature(scheme: PVScheme, spec: DiracSeaSpec) -> float:
     hi = lo * 1e10
 
     def integrand(v):
-        return k_reg(np.exp(v))
+        # a Python float keeps k_reg's arithmetic out of numpy scalars
+        return k_reg(float(np.exp(v)))
 
     points = sorted(np.log(4.0 * np.array(scheme.masses) ** 2))
     val, _ = quad(integrand, np.log(lo), np.log(hi), points=points,
@@ -281,7 +290,7 @@ def Pi_plus(k0: float, kvec_sq: float, spec: DiracSeaSpec,
     built from the spectral function alone.
     """
     pi_r = Pi_R_reg(k0, kvec_sq, spec, scheme, renormalized)
-    val = 2j * heaviside(k0) * np.imag(pi_r.scalar_part)
+    val = 2j * heaviside(k0) * pi_r.scalar_part.imag
     return PolarizationTensorValue(k0=k0, kvec_sq=kvec_sq, scalar_part=val)
 
 

@@ -160,7 +160,14 @@ class Signal:
 
 
 def heaviside(x):
-    """theta(x) with the value 1/2 at x = 0."""
+    """theta(x) with the value 1/2 at x = 0.
+
+    A float (including np.float64) takes a scalar path with the array
+    path's comparisons, so it returns the same value without the per-call
+    array cost; arrays, ints and bools take the array path.
+    """
+    if isinstance(x, float):
+        return 1.0 if x > 0 else (0.5 if x == 0 else 0.0)
     x = np.asarray(x, dtype=float)
     out = np.where(x > 0, 1.0, np.where(x == 0, 0.5, 0.0))
     return out if out.ndim else float(out)

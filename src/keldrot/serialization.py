@@ -17,6 +17,7 @@ are zeros.
 """
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -147,11 +148,20 @@ def signal_to_csv(f: Signal) -> str:
 
 def _numbers(values, name: str) -> np.ndarray:
     """`values` as a float array, refusing null, string and boolean entries
-    (which numpy would read as NaN, as numbers and as 0/1)."""
+    (which numpy would read as NaN, as numbers and as 0/1).
+
+    A boolean among numbers leaves a numeric dtype, so the entries' types
+    are scanned as well, through the nesting that `np.asarray` found.
+    """
     a = np.asarray(values)
     if a.dtype.kind not in "fiu":
         raise ValueError(f"{name} must hold numbers only; its entries read as {a.dtype} "
                          "(a null, string or boolean entry?)")
+    entries = values
+    for _ in range(a.ndim - 1):
+        entries = itertools.chain.from_iterable(entries)
+    if a.ndim and bool in set(map(type, entries)):
+        raise ValueError(f"{name} must hold numbers only; it has a boolean entry")
     return a.astype(float, copy=False)
 
 

@@ -93,6 +93,38 @@ class TestSpectralFunction:
         assert val == pytest.approx(0.8, abs=1e-8)
 
 
+def float_path_inputs() -> list[float]:
+    """A dense sweep, 1.0 and its neighbours, and the special values."""
+    ys = list(np.linspace(-5.0, 50.0, 2001)) + list(np.geomspace(1.0 + 1e-15, 1e12, 1000))
+    ys += [1.0, float(np.nextafter(1.0, 0.0)), float(np.nextafter(1.0, 2.0)),
+           0.0, -0.0, -1.0, -1e300, 5e-324, 1e300, math.inf, -math.inf, math.nan]
+    return [float(y) for y in ys]
+
+
+def bits(v) -> int:
+    return int(np.float64(v).view(np.int64))
+
+
+class TestFloatPath:
+    """The float path of F_threshold against its array path, the oracle."""
+
+    @pytest.mark.parametrize("wrap", [float, np.float64], ids=["float", "float64"])
+    def test_bit_equal_to_array_path(self, wrap):
+        with np.errstate(invalid="ignore"):
+            for y in float_path_inputs():
+                want = F_threshold(np.array([y]))[0]
+                got = F_threshold(wrap(y))
+                assert bits(got) == bits(want), y
+                if wrap is float:
+                    assert type(got) is float
+
+    def test_int_input_takes_array_path(self):
+        for y in (-3, 0, 1, 2, 7, 10 ** 6):
+            got = F_threshold(y)
+            assert type(got) is float and got == F_threshold(float(y))
+        assert F_threshold(True) == 0.0
+
+
 class TestRegularizedSpectrum:
     def test_below_lowest_threshold_zero(self):
         scheme = solve_pv(0, geometric_masses(1.0, 10.0, 5))
@@ -140,6 +172,19 @@ class TestDispersion:
         r = R_obs(k_sq, SPEC, k0_sign=1)
         assert r.imag == pytest.approx(SPEC.alpha / 3 * F_threshold(2.0), rel=1e-12)
         assert R_obs(k_sq, SPEC, k0_sign=-1).imag == pytest.approx(-r.imag)
+
+    @pytest.mark.parametrize("k0_sign", [-1, 0, 1])
+    def test_imaginary_part_is_signed_spectrum(self, k0_sign):
+        # above threshold Im R_obs is sign(k0) (alpha/3) F, with F from the
+        # array path, exactly
+        for spec in (SPEC, DiracSeaSpec(mu0=0.7)):
+            s0 = 4.0 * spec.mu0 ** 2
+            k_sqs = [float(np.nextafter(s0, np.inf)), 1.0001 * s0, 8.0, 50.0, 4e4]
+            k_sqs += list(np.random.default_rng(5).uniform(s0, 400.0, 50))
+            for k_sq in k_sqs:
+                f = F_threshold(np.array([k_sq / s0]))[0]
+                want = k0_sign * (spec.alpha / 3.0) * f
+                assert R_obs(k_sq, spec, k0_sign).imag == want, k_sq
 
     def test_real_below_pair_threshold(self):
         assert R_obs(3.0, SPEC).imag == 0.0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -223,6 +225,28 @@ def test_heaviside_takes_half_at_zero():
     assert heaviside(-2.0) == 0.0 and heaviside(0.0) == 0.5 and heaviside(3.0) == 1.0
     assert isinstance(heaviside(1.0), float)
     assert np.array_equal(heaviside(np.array([-1.0, 0.0, 1.0])), [0.0, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("wrap", [float, np.float64], ids=["float", "float64"])
+def test_heaviside_float_path_equals_array_path(wrap):
+    """The float path against the array path, the oracle, bit for bit."""
+    xs = list(np.linspace(-5.0, 5.0, 2001)) + [
+        float(np.nextafter(0.0, 1.0)), float(np.nextafter(0.0, -1.0)), 0.0, -0.0, 1.0,
+        float(np.nextafter(1.0, 0.0)), float(np.nextafter(1.0, 2.0)), -1e300, 1e300,
+        math.inf, -math.inf, math.nan]
+    for x in xs:
+        got = heaviside(wrap(x))
+        want = heaviside(np.array([x]))[0]
+        assert np.float64(got).tobytes() == want.tobytes(), x
+        if wrap is float:
+            assert type(got) is float
+
+
+def test_heaviside_int_input_takes_array_path():
+    for x in (-2, 0, 3):
+        got = heaviside(x)
+        assert type(got) is float and got == heaviside(float(x))
+    assert heaviside(True) == 1.0 and heaviside(False) == 0.5
 
 
 def test_reflect_is_circular_reversal():

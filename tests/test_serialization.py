@@ -339,6 +339,8 @@ BAD_ENTRIES = {
     "null": (lambda o: _first_entry(o, "re", None), "re must hold numbers"),
     "string": (lambda o: _first_entry(o, "im", "1.0"), "im must hold numbers"),
     "all boolean": (lambda o: _all_boolean(o, "re"), "re must hold numbers"),
+    "boolean among numbers": (lambda o: _first_entry(o, "re", True),
+                              "re must hold numbers only; it has a boolean entry"),
     "fractional n": (lambda o: _grid_entry(o, "n", 16.0 + 0.7), "grid.n must be an integer"),
     "string dt": (lambda o: _grid_entry(o, "dt", "0.25"), "grid.dt must be a number"),
 }
@@ -368,6 +370,24 @@ class TestBadEntriesRejected:
         obj["hbar_c"] = "1"
         with pytest.raises(ValueError, match="hbar_c must be a number"):
             ser.rotated_from_json(json.dumps(obj))
+
+    def test_boolean_among_numbers_in_bundles(self, grid):
+        """A boolean mixed into numbers reads as float64 or int64 through
+        np.asarray; each bundle reader still refuses it and names the key."""
+        ctl = synthetic_cumulants(grid, np.random.default_rng(9))
+        obj = json.loads(ser.cumulants_to_json(ctl))
+        _first_entry(obj["K_W"], "im", False)
+        with pytest.raises(ValueError, match=r"K_W\.im must hold numbers only; it has a boolean"):
+            ser.cumulants_from_json(json.dumps(obj))
+        obj = json.loads(ser.rotated_to_json(rotate(ctl, OrderingParam(0.5))))
+        _first_entry(obj["D_R"], "re", True)
+        with pytest.raises(ValueError, match=r"D_R\.re must hold numbers only; it has a boolean"):
+            ser.rotated_from_json(json.dumps(obj))
+        obj = old_obj(Signal(grid, np.arange(grid.n, dtype=float)))
+        obj["re"] = [True] + list(range(1, grid.n))
+        assert np.asarray(obj["re"]).dtype.kind == "i"
+        with pytest.raises(ValueError, match="re must hold numbers only; it has a boolean"):
+            ser.signal_from_json(json.dumps(obj))
 
     def test_integer_entries_still_read(self, grid):
         obj = old_obj(Signal(grid, np.arange(grid.n, dtype=float)))
