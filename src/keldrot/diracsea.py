@@ -171,6 +171,7 @@ def R_obs(k_sq: float, spec: DiracSeaSpec, k0_sign: int = 1) -> complex:
     is summed instead.
     """
     _finite_k_sq(k_sq)
+    k_sq = float(k_sq)  # exact: np.float64 input runs on Python floats
     x = k_sq / spec.mu0 ** 2
     if abs(x) < 1.0:
         total = 0.0

@@ -208,19 +208,60 @@ def reflect(f: Signal) -> Signal:
     return Signal(f.grid, np.roll(f.values[::-1], 1))
 
 
-@dataclass
 class TwoPointKernel:
     """Real or complex kernel K(t, t') sampled on a common square grid
-    (float64 or complex128, as the data is)."""
+    (float64 or complex128, as the data is).
 
-    grid: TimeGrid
-    values: np.ndarray
+    A kernel is held either as its n x n `values` or, for a circulant
+    (stationary on the circle) kernel made by `TwoPointKernel.circulant`,
+    as its lag profile alone: entry (i, j) is `profile[(i - j) % n]`, the
+    profile indexed like `TimeGrid.lags`.  Reading `values` of a circulant
+    kernel lays it out as n x n once; from then on the layout is the
+    kernel (`profile` is None), so a write through `values` is seen by
+    every later read and every route.
+    """
 
-    def __post_init__(self):
-        self.values = _field_values(self.values)
+    def __init__(self, grid: TimeGrid, values):
+        self.grid = grid
+        self.values = values
+
+    @classmethod
+    def circulant(cls, grid: TimeGrid, profile) -> "TwoPointKernel":
+        """The circulant kernel K(t_i, t_j) = profile[(i - j) % n]."""
+        profile = _field_values(profile)
+        if profile.shape != (grid.n,):
+            raise ValueError(f"lag profile shape {profile.shape} does not match grid n={grid.n}")
+        kernel = cls.__new__(cls)
+        kernel.grid, kernel._values, kernel._profile = grid, None, profile
+        return kernel
+
+    @property
+    def profile(self) -> np.ndarray | None:
+        """The lag profile of a circulant kernel not yet laid out, else None."""
+        return self._profile
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            p, n = self._profile, self.grid.n
+            # row i is p[(i - j) % n] over j: a window of the reversed
+            # profile repeated twice, starting at n - 1 - i
+            twice = np.concatenate((p[::-1], p[::-1]))
+            windows = np.lib.stride_tricks.sliding_window_view(twice, n)
+            self._values, self._profile = np.ascontiguousarray(windows[n - 1::-1]), None
+        return self._values
+
+    @values.setter
+    def values(self, values):
+        values = _field_values(values)
         n = self.grid.n
-        if self.values.shape != (n, n):
-            raise ValueError(f"kernel shape {self.values.shape} does not match grid n={n}")
+        if values.shape != (n, n):
+            raise ValueError(f"kernel shape {values.shape} does not match grid n={n}")
+        self._values, self._profile = values, None
+
+    def __repr__(self) -> str:
+        form = "values" if self._profile is None else "profile"
+        return f"TwoPointKernel({self.grid!r}, {form}={getattr(self, form)!r})"
 
 
 def _apply_weights_along(values: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
@@ -274,12 +315,21 @@ def theta_ordering_matrix(grid: TimeGrid, periodic: bool = False) -> np.ndarray:
     return th
 
 
-def _theta_masks(n: int, periodic: bool) -> tuple[np.ndarray, np.ndarray, tuple]:
+def _theta_masks(n: int, periodic: bool, profile: bool = False) -> tuple:
     """Where `theta_ordering_matrix` is 1, where it is 0, and the (rows,
     columns) where it is 1/2, built from triangles.  In linear time these are
     the strict lower and upper triangles and the diagonal.  On the circle
     theta is 0 on the band of lag index (i - j) mod n above n // 2 and 1/2
-    on the diagonal and, for even n, at the wrap lag n / 2."""
+    on the diagonal and, for even n, at the wrap lag n / 2.
+
+    With profile=True the three regions are boolean masks over the lag
+    index of a circulant kernel's profile, taken from `_circle_theta`; a lag
+    profile has them on the circle only."""
+    if profile:
+        if not periodic:
+            raise ValueError("a lag profile has theta regions on the circle only")
+        th = _circle_theta(TimeGrid(n, 1.0))  # theta depends on the lag's sign alone
+        return th == 1.0, th == 0.0, th == 0.5
     if periodic:
         earlier = np.tri(n, k=-(n // 2) - 1, dtype=bool)
         earlier |= np.tri(n, k=n - n // 2 - 1, dtype=bool) & ~np.tri(n, dtype=bool)

@@ -16,6 +16,7 @@ from .grids import (
     OrderingParam,
     Signal,
     TimeGrid,
+    TwoPointKernel,
     _circle_theta,
     heaviside,
     project_pm,
@@ -88,14 +89,13 @@ def retarded_response_grid(spec: OscillatorSpec, grid: TimeGrid,
                            periodic: bool = False) -> np.ndarray:
     """D_R sampled on the grid: -theta(t - t') sin(omega0 (t - t')) with the
     grid's time order `theta_ordering_matrix`, in linear time or, with
-    periodic=True, on the circle (wrapped lags, a circulant kernel)."""
+    periodic=True, on the circle (wrapped lags: the layout of a circulant
+    kernel's profile)."""
     if periodic:
-        i = np.arange(grid.n)
-        tau = grid.lags[(i[:, None] - i[None, :]) % grid.n]
-    else:
-        t = grid.times
-        tau = t[:, None] - t[None, :]
-    return -theta_ordering_matrix(grid, periodic) * np.sin(spec.omega0 * tau)
+        profile = -_circle_theta(grid) * np.sin(spec.omega0 * grid.lags)
+        return TwoPointKernel.circulant(grid, profile).values
+    t = grid.times
+    return -theta_ordering_matrix(grid) * np.sin(spec.omega0 * (t[:, None] - t[None, :]))
 
 
 def _mode_phases(w: float, t, tp):
@@ -136,15 +136,24 @@ def ctl_cumulants(spec: OscillatorSpec, state: GaussianState, grid: TimeGrid,
                   periodic: bool = False) -> CumulantSet:
     """Closed-time-loop triple of the oscillator on a grid (mean is zero).
 
-    K_W is sampled at the linear lag t - t'; periodic=True takes only the
-    theta split on the circle.  The set is circulant only for a stationary
-    state (m = 0) at a resonant omega0, where wrapped and linear lags give
-    the same phases; use that case when checking stationary spectral
-    identities, which are exact only in that representation.
+    periodic=True takes the theta split on the circle.  The set is circulant
+    only for a stationary state (m = 0) at a resonant omega0 (an integral
+    multiple of the grid's domega), where wrapped and linear lags give the
+    same phases; use that case when checking stationary spectral
+    identities, which are exact only in that representation.  On the circle
+    that set is built as a circulant K_W (`TwoPointKernel.circulant`)
+    sampled at the wrapped lags `TimeGrid.lags`, so the rotation works on
+    its lag profile and never lays it out as n x n.  Every other set is a
+    dense K_W sampled at the linear lag t - t'.
     """
+    zero = Signal.zero(grid)
+    cycles = round(spec.omega0 / grid.domega)
+    if periodic and state.m == 0 and spec.omega0 == grid.resonant_frequency(cycles):
+        k_w = TwoPointKernel.circulant(grid, wightman_kernel(spec, state, grid.lags, 0.0))
+        return CumulantSet(zero, None, None, k_w, spec.hbar, periodic)
     t = grid.times
     k_w = wightman_kernel(spec, state, t[:, None], t[None, :])
-    return CumulantSet.from_wightman(Signal.zero(grid), k_w, periodic, spec.hbar)
+    return CumulantSet.from_wightman(zero, k_w, periodic, spec.hbar)
 
 
 def reorder_gap(spec: OscillatorSpec, tau):

@@ -28,6 +28,17 @@ routes give the same bits.  A triple passed explicitly (as
 three kernels, as is the output of `unrotate` when its K_F would not be the
 theta split of its K_W: a complex or acausal D_R, D_R + D_R^T non-zero where
 theta = 1/2, or a complex or non-symmetric N_0.
+
+A stationary set on the circle has circulant kernels, held by their lag
+profiles (`TwoPointKernel.circulant`; `ctl_cumulants` builds them at a
+resonant frequency).  Every step here takes a kernel's data in either
+layout, an n x n array or a 1-D profile: the element-wise passes are the
+same, a^T of a profile is the reflected profile, the theta regions are
+masks over the lag index from `grids._circle_theta`, and the gap is one
+FFT pair of length n.  So the Hermitian check, the derived K_F and K_rev,
+`validate`, the Weyl image, `reorder`, `reorder_gap_kernel` and `unrotate`
+keep a set of profiles as profiles, in O(n log n), and never lay it out;
+a step given a mix of profiles and dense kernels lays the profiles out.
 """
 from __future__ import annotations
 
@@ -82,6 +93,29 @@ def _check_grids(grid: TimeGrid, kernels: dict):
             raise ValueError(f"{name} is on {K.grid}, not on the mean's grid {grid}")
 
 
+def _data(*kernels: TwoPointKernel) -> list[np.ndarray]:
+    """The kernels' lag profiles when every one is circulant, else their
+    n x n values.  The helpers below take either layout: a profile is 1-D."""
+    if all(k.profile is not None for k in kernels):
+        return [k.profile for k in kernels]
+    return [k.values for k in kernels]
+
+
+def _kernel(grid: TimeGrid, a: np.ndarray) -> TwoPointKernel:
+    """The kernel whose data is `a`: a lag profile or an n x n layout."""
+    return TwoPointKernel.circulant(grid, a) if a.ndim == 1 else TwoPointKernel(grid, a)
+
+
+def _transposed(a: np.ndarray) -> np.ndarray:
+    """a^T: for a lag profile the reflected profile a[(-k) % n]."""
+    return a.T if a.ndim == 2 else np.concatenate((a[:1], a[:0:-1]))
+
+
+def _regions(a: np.ndarray, periodic: bool) -> tuple:
+    """(later, earlier, tie) of `theta_ordering_matrix` on a kernel's data."""
+    return _theta_masks(a.shape[0], periodic, profile=a.ndim == 1)
+
+
 _TILE = 64  # edge of the tiles in which _add_transpose reads a and a^T
 
 
@@ -90,6 +124,8 @@ def _add_transpose(a: np.ndarray, sign: float = 1.0, out: np.ndarray | None = No
     the transposed tile is read from cache; `out` must not overlap `a`."""
     out = np.empty_like(a) if out is None else out
     op = np.add if sign > 0 else np.subtract
+    if a.ndim == 1:
+        return op(a, _transposed(a), out=out)
     n = a.shape[0]
     for i in range(0, n, _TILE):
         for j in range(0, n, _TILE):
@@ -101,6 +137,8 @@ def _add_transpose(a: np.ndarray, sign: float = 1.0, out: np.ndarray | None = No
 def _mirror_residual(a: np.ndarray) -> tuple[float, float]:
     """(max |a - a^H|, max |a|), read tile by tile as in `_add_transpose`,
     each pair of mirrored tiles once; a^H = a^T for real a."""
+    if a.ndim == 1:
+        return float(np.abs(a - _transposed(a).conj()).max()), float(np.abs(a).max())
     worst, size = 0.0, 0.0
     n = a.shape[0]
     for i in range(0, n, _TILE):
@@ -114,9 +152,10 @@ def _mirror_residual(a: np.ndarray) -> tuple[float, float]:
 def _theta_split(k_w: np.ndarray, periodic: bool) -> np.ndarray:
     """K_F of a Hermitian field: K_W where theta = 1, K_W^T where 0, their
     mean where 1/2 (theta on the circle when periodic)."""
-    later, _, tie = _theta_masks(k_w.shape[0], periodic)
-    k_f = np.where(later, k_w, k_w.T)
-    k_f[tie] = 0.5 * (k_w[tie] + k_w.T[tie])
+    later, _, tie = _regions(k_w, periodic)
+    k_t = _transposed(k_w)
+    k_f = np.where(later, k_w, k_t)
+    k_f[tie] = 0.5 * (k_w[tie] + k_t[tie])
     return k_f
 
 
@@ -132,8 +171,10 @@ class CumulantSet:
     its Wightman kernel: K_W must be Hermitian (to 1e-8 relative, else
     ConsistencyError), and reading K_F or K_rev derives the theta split of
     K_W in the time representation `periodic` (the circle when True) and
-    its conjugate; `periodic` has no meaning for a triple.
-    `dataclasses.replace` reads K_F and K_rev, so it returns a triple.
+    its conjugate; `periodic` has no meaning for a triple.  A circulant K_W
+    on the circle (periodic=True) gives circulant K_F and K_rev, split on
+    its lag profile.  `dataclasses.replace` reads K_F and K_rev, so it
+    returns a triple.
     """
 
     mean: Signal
@@ -152,7 +193,7 @@ class CumulantSet:
         _check_grids(self.mean.grid, {"K_F": self._K_F, "K_rev": self._K_rev, "K_W": self.K_W})
         if self._K_F is None:
             if self._hermitian is None:
-                worst, size = _mirror_residual(self.K_W.values)
+                worst, size = _mirror_residual(_data(self.K_W)[0])
                 self._hermitian = worst / max(size, 1e-300)
             if self._hermitian > _CONSISTENCY_TOL:
                 raise ConsistencyError(
@@ -184,13 +225,13 @@ class CumulantSet:
     def _scale(self, *values: np.ndarray) -> float:
         """Largest |entry| of `values`, by default of the triple's kernels
         (pass them when they are at hand: a derived K_F is built per read)."""
-        values = values or (self.K_F.values, self.K_W.values, self.K_rev.values)
+        values = values or _data(self.K_F, self.K_W, self.K_rev)
         return max(*(np.abs(v).max() for v in values), 1e-300)
 
     def consistency_residual(self, scale: float | None = None) -> float:
         """Residual of K_W + K_W^T - K_F - K_rev = 0 relative to `scale`
         (default: the largest |entry| of the triple)."""
-        w, f, rev = self.K_W.values, self.K_F.values, self.K_rev.values
+        w, f, rev = _data(self.K_W, self.K_F, self.K_rev)
         r = _add_transpose(w, out=np.empty(w.shape, np.result_type(w, f, rev)))
         r -= f
         r -= rev
@@ -198,10 +239,10 @@ class CumulantSet:
 
     def reversal_residual(self, scale: float | None = None) -> float:
         """Residual of the Hermitian-field relation K_rev = K_F*, relative as above."""
-        f, rev = self.K_F.values, self.K_rev.values
+        f, w, rev = _data(self.K_F, self.K_W, self.K_rev)
         r = np.conjugate(f, out=np.empty(f.shape, np.result_type(f, rev)))
         np.subtract(rev, r, out=r)
-        return float(np.abs(r).max() / (scale or self._scale(f, self.K_W.values, rev)))
+        return float(np.abs(r).max() / (scale or self._scale(f, w, rev)))
 
     def validate(self, tol: float = _CONSISTENCY_TOL):
         if self._K_F is None:
@@ -231,10 +272,17 @@ def _derived_kernel(name: str, conj: bool) -> property:
         k = getattr(self, slot)
         if k is not None:
             return k
-        k_f = _theta_split(self.K_W.values, self.periodic)
-        return TwoPointKernel(self.grid, k_f.conj() if conj else k_f)
+        k_f = _theta_split(_wightman_data(self), self.periodic)
+        return _kernel(self.grid, k_f.conj() if conj else k_f)
 
     return property(get, lambda self, value: setattr(self, slot, value))
+
+
+def _wightman_data(ctl: CumulantSet) -> np.ndarray:
+    """K_W's data where the set's theta regions exist: its lag profile on
+    the circle, else its n x n values."""
+    k_w = ctl.K_W
+    return k_w.profile if ctl.periodic and k_w.profile is not None else k_w.values
 
 
 # after the dataclass is made, so that its __init__ assigns through them
@@ -267,11 +315,13 @@ def _acausal_part(values: np.ndarray, grid: TimeGrid,
     acausal |entry| of a response kernel in the first time representation of
     `periodic` where that part is noise (<= 1e-10 of the largest entry): by
     default linear time, then the circle.  If none, the mask is None and the
-    size the smallest part."""
+    size the smallest part.  A circulant kernel retarded in linear time is
+    diagonal, and so retarded on the circle too: a lag profile is tested on
+    the circle alone."""
     noise = 1e-10 * max(np.abs(values).max(), 1e-300)
     sizes = []
-    for circle in periodic:
-        mask = _theta_masks(grid.n, circle)[1]
+    for circle in periodic if values.ndim == 2 else (True,):
+        mask = _theta_masks(grid.n, circle, profile=values.ndim == 1)[1]
         size = float(np.abs(values[mask]).max(initial=0.0))
         if size <= noise:
             return mask, size
@@ -287,7 +337,8 @@ def retarded_from_cumulants(ctl: CumulantSet) -> TwoPointKernel:
     the readers do, D_R is stored real when its imaginary part is exactly
     zero, which it is for a Hermitian field (K_rev = K_F*).
     """
-    diff = ctl.K_rev.values - ctl.K_W.values  # -i hbar c D_R
+    k_rev, k_w = _data(ctl.K_rev, ctl.K_W)
+    diff = k_rev - k_w  # -i hbar c D_R
     mask, _ = _acausal_part(diff, ctl.grid)
     if mask is None:
         raise ConsistencyError("response kernel is not retarded in either time representation")
@@ -295,7 +346,7 @@ def retarded_from_cumulants(ctl: CumulantSet) -> TwoPointKernel:
     d = np.imag(diff) / -ctl.hbar_c
     if np.real(diff).any():
         d = d + 1j * (np.real(diff) / ctl.hbar_c)
-    return TwoPointKernel(ctl.grid, d)
+    return _kernel(ctl.grid, d)
 
 
 def _weyl_image_of_wightman(ctl: CumulantSet) -> tuple[np.ndarray, np.ndarray]:
@@ -305,8 +356,8 @@ def _weyl_image_of_wightman(ctl: CumulantSet) -> tuple[np.ndarray, np.ndarray]:
     N_0 = (Re K_W^T + Re K_W) / 2 and D_R = -0.0 (a zeroed entry over
     -hbar c); where theta = 1/2, the triple route's expressions on
     K_F = (K_W + K_W^T) / 2."""
-    later, earlier, tie = _theta_masks(ctl.grid.n, ctl.periodic)
-    k_w = ctl.K_W.values
+    k_w = _wightman_data(ctl)
+    later, earlier, tie = _regions(k_w, ctl.periodic)
     re, im = np.real(k_w), np.imag(k_w)
     n_0 = _add_transpose(re)
     n_0 *= 0.5
@@ -316,7 +367,7 @@ def _weyl_image_of_wightman(ctl: CumulantSet) -> tuple[np.ndarray, np.ndarray]:
     d -= im
     d /= -ctl.hbar_c
     np.copyto(d, -0.0, where=earlier)
-    k_f = 0.5 * (k_w[tie] + k_w.T[tie])
+    k_f = 0.5 * (k_w[tie] + _transposed(k_w)[tie])
     n_0[tie] = np.add(np.real(k_f), re[tie]) * 0.5
     diff = k_f.conj() - k_w[tie]
     d[tie] = np.imag(diff) / -ctl.hbar_c
@@ -332,12 +383,13 @@ def _weyl_image(ctl: CumulantSet) -> RotatedCumulants:
     if ctl._K_F is None:
         d, n_0 = _weyl_image_of_wightman(ctl)
     else:
-        d = retarded_from_cumulants(ctl).values
-        n_0 = np.add(np.real(ctl.K_F.values), np.real(ctl.K_W.values))
+        d = _data(retarded_from_cumulants(ctl))[0]
+        k_f, k_w = _data(ctl.K_F, ctl.K_W)
+        n_0 = np.add(np.real(k_f), np.real(k_w))
         n_0 *= 0.5
     g = ctl.grid
-    return RotatedCumulants(ctl.mean, TwoPointKernel(g, d), TwoPointKernel(g, n_0),
-                            OrderingParam(0.0), ctl.hbar_c)
+    return RotatedCumulants(ctl.mean, _kernel(g, d), _kernel(g, n_0), OrderingParam(0.0),
+                            ctl.hbar_c)
 
 
 def rotate(ctl: CumulantSet, p: OrderingParam, consistency_tol: float = _CONSISTENCY_TOL,
@@ -374,13 +426,14 @@ def _split_representation(asym: float, n_0_size: float, d: np.ndarray,
     max |N_0| + hbar c max |D_R|, or None, for real N_0 and D_R with
     (asym, n_0_size) = `_mirror_residual(N_0)`.  They differ by
     N_0 - N_0^T, by i hbar c D_R where theta = 0 and by
-    (i hbar c / 2)(D_R + D_R^T) where theta = 1/2."""
+    (i hbar c / 2)(D_R + D_R^T) where theta = 1/2.  A lag profile is split
+    on the circle alone (see `_acausal_part`)."""
     size = np.abs(d)
     bound = _SPLIT_TOL * (n_0_size + hbar_c * size.max())
-    for periodic in (False, True):
-        _, earlier, (rows, cols) = _theta_masks(d.shape[0], periodic)
+    for periodic in (False, True) if d.ndim == 2 else (True,):
+        _, earlier, tie = _regions(d, periodic)
         off = (hbar_c * size.max(where=earlier, initial=0.0)
-               + 0.5 * hbar_c * np.abs(d[rows, cols] + d[cols, rows]).max())
+               + 0.5 * hbar_c * np.abs(d[tie] + _transposed(d)[tie]).max())
         if asym + off <= bound:
             return periodic
     return None
@@ -401,23 +454,23 @@ def unrotate(rot: RotatedCumulants) -> CumulantSet:
     over N_0 gives both the split rule's asymmetry and K_W's Hermitian
     residual.
     """
-    n_0 = reorder(rot, 0.0).N_s.values
-    d = rot.D_R.values
+    n_0, d = _data(reorder(rot, 0.0).N_s, rot.D_R)
     half = 0.5 * rot.hbar_c
     g = rot.grid
-    k_w = TwoPointKernel(g, _assemble(n_0, d, half, -1.0))
+    k_w = _assemble(n_0, d, half, -1.0)
     if not (np.iscomplexobj(d) or np.iscomplexobj(n_0)):
         asym, n_0_size = _mirror_residual(n_0)
         periodic = _split_representation(asym, n_0_size, d, rot.hbar_c)
         if periodic is not None:
-            hermitian = asym / max(np.abs(k_w.values).max(), 1e-300)
-            return CumulantSet._measured(hermitian, rot.mean, k_w, rot.hbar_c, periodic)
+            hermitian = asym / max(np.abs(k_w).max(), 1e-300)
+            return CumulantSet._measured(hermitian, rot.mean, _kernel(g, k_w), rot.hbar_c,
+                                         periodic)
     k_f = _assemble(n_0, d, half, 1.0)
     return CumulantSet(
         mean=rot.mean,
-        K_F=TwoPointKernel(g, k_f),
-        K_rev=TwoPointKernel(g, k_f.conj()),
-        K_W=k_w,
+        K_F=_kernel(g, k_f),
+        K_rev=_kernel(g, k_f.conj()),
+        K_W=_kernel(g, k_w),
         hbar_c=rot.hbar_c,
     )
 
@@ -432,14 +485,19 @@ def reorder_gap_kernel(D_R: TwoPointKernel, hbar_c: float = 1.0) -> TwoPointKern
     real B, (F^- - 1/2) B = -(1/2) sign(w) B is imaginary, so Y is B under
     the real weight i (theta(w) - 1/2): one ihfft/hfft pair along t', with
     weight i/2 on the half spectrum and 0 at w = 0 and at the Nyquist bin.
+
+    A circulant D_R has a circulant Y, so the filter runs on row 0 of D_R
+    alone, which is D_R's reflected profile.  Z is symmetric, so its profile
+    is Y's row 0 plus the reflection of that row: one FFT pair of length n.
     """
     _check_hbar_c(hbar_c)
     n = D_R.grid.n
-    half = np.fft.ihfft(np.real(D_R.values), axis=1)
+    re = np.real(_data(D_R)[0])
+    half = np.fft.ihfft(re if re.ndim == 2 else _transposed(re), axis=-1)
     half *= 1j * (sign_weights(D_R.grid, "+")[:n // 2 + 1] - 0.5)
-    y = np.fft.hfft(half, n, axis=1)
+    y = np.fft.hfft(half, n, axis=-1)
     y *= -hbar_c
-    return TwoPointKernel(D_R.grid, _add_transpose(y))
+    return _kernel(D_R.grid, _add_transpose(y))
 
 
 def reorder(rot: RotatedCumulants, s_new: float) -> RotatedCumulants:
@@ -447,9 +505,9 @@ def reorder(rot: RotatedCumulants, s_new: float) -> RotatedCumulants:
     p_new = OrderingParam(s_new)  # validates |s_new| <= 1
     n_new = rot.N_s
     if s_new != rot.p.s:
-        z = reorder_gap_kernel(rot.D_R, rot.hbar_c).values
+        n_s, z = _data(rot.N_s, reorder_gap_kernel(rot.D_R, rot.hbar_c))
         z *= rot.p.s - s_new
-        n_new = TwoPointKernel(rot.grid, rot.N_s.values + z)
+        n_new = _kernel(rot.grid, n_s + z)
     return RotatedCumulants(rot.mean, rot.D_R, n_new, p_new, rot.hbar_c)
 
 

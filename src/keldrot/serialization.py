@@ -165,10 +165,9 @@ def _numbers(values, name: str) -> np.ndarray:
     return a.astype(float, copy=False)
 
 
-def _real_or_complex(re, im, where: str = "") -> np.ndarray:
+def _real_or_complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """re + i im, or re alone when every imaginary entry is zero, so real
-    data read back stays real.  `where` prefixes the keys named in errors."""
-    re, im = _numbers(re, f"{where}re"), _numbers(im, f"{where}im")
+    data read back stays real."""
     if re.shape != im.shape:
         raise ValueError(f"real and imaginary parts differ in shape: {re.shape} vs {im.shape}")
     return re + 1j * im if im.any() else re
@@ -185,7 +184,8 @@ def signal_from_csv(text: str) -> Signal:
         ts.append(float(t))
         re.append(float(r))
         im.append(float(i))
-    sig = Signal(grid, _real_or_complex(re, im))
+    # lists of floats: no entry to refuse, so `_numbers` is not needed
+    sig = Signal(grid, _real_or_complex(np.array(re), np.array(im)))
     off = np.abs(np.array(ts) - grid.times).max(initial=0.0)
     if off > 1e-9 * grid.dt:
         raise ValueError(f"signal CSV t column is {off:.3g} off the header grid (dt={fmt(grid.dt)})")
@@ -211,7 +211,8 @@ def kernel_from_csv(text: str) -> TwoPointKernel:
         im.append(float(i))
     if len(re) != grid.n * grid.n:
         raise ValueError(f"kernel CSV has {len(re)} rows, grid n={grid.n} needs {grid.n ** 2}")
-    return TwoPointKernel(grid, _real_or_complex(re, im).reshape(grid.n, grid.n))
+    values = _real_or_complex(np.array(re), np.array(im))
+    return TwoPointKernel(grid, values.reshape(grid.n, grid.n))
 
 
 def _grid_obj(grid: TimeGrid) -> dict:
@@ -250,8 +251,9 @@ def _from_obj(obj: dict, cls, where: str = ""):
     `where` is the key path prefixed to the keys named in errors."""
     if obj.get("kind") != _KINDS[cls]:
         raise ValueError(f"expected a {_KINDS[cls]} object, got kind {obj.get('kind')!r}")
-    return cls(_grid_from_obj(obj["grid"], f"{where}grid."),
-               _real_or_complex(obj["re"], obj["im"], where))
+    grid = _grid_from_obj(obj["grid"], f"{where}grid.")
+    re, im = _numbers(obj["re"], f"{where}re"), _numbers(obj["im"], f"{where}im")
+    return cls(grid, _real_or_complex(re, im))
 
 
 def signal_from_json(text: str) -> Signal:

@@ -124,6 +124,21 @@ class TestFloatPath:
             assert type(got) is float and got == F_threshold(float(y))
         assert F_threshold(True) == 0.0
 
+    @pytest.mark.parametrize("mu0", [1.0, 0.7])
+    def test_r_obs_float64_input_gives_the_float_bits(self, mu0):
+        # every band of R_obs: the series at |k^2| < mu0^2 of either sign,
+        # the closed form below and above threshold 4 mu0^2 and spacelike
+        spec = DiracSeaSpec(mu0=mu0)
+        s0 = 4.0 * mu0 ** 2
+        k_sqs = list(np.linspace(-3.0 * s0, 3.0 * s0, 601)) + list(np.geomspace(1e-6, 1e8, 300))
+        k_sqs += [0.0, -0.0, mu0 ** 2, -mu0 ** 2, s0, float(np.nextafter(s0, np.inf)), -1e8]
+        for k_sq in k_sqs:
+            for k0_sign in (-1, 0, 1):
+                want = R_obs(float(k_sq), spec, k0_sign)
+                got = R_obs(np.float64(k_sq), spec, k0_sign)
+                assert type(got) is complex
+                assert (bits(got.real), bits(got.imag)) == (bits(want.real), bits(want.imag)), k_sq
+
 
 class TestRegularizedSpectrum:
     def test_below_lowest_threshold_zero(self):
