@@ -170,21 +170,24 @@ def noise_map(dressed: TwoPointKernel, pi_N: TwoPointKernel) -> TwoPointKernel:
     result; for real propagators it is immaterial.  For white noise
     (Pi_N = g I, g real) and a lower-triangular Toeplitz D_R with first
     column c, N is the running sum along each diagonal,
-    N(i+1, j+1) = N(i, j) + dt^2 g c_{i+1} c*_{j+1}.
+    N(i+1, j+1) = N(i, j) + dt^2 g c_{i+1} c*_{j+1}.  Any other Pi_N must be
+    finite and Hermitian-symmetric, else ValueError.
     """
     if dressed.grid != pi_N.grid:
         raise ValueError("grid mismatch")
     dt = dressed.grid.dt
     g = _scalar_diagonal(pi_N.values)
-    c = _toeplitz_column(dressed.values) if g is not None and g.imag == 0 else None
+    white = g is not None and g.imag == 0 and np.isfinite(g)
+    c = _toeplitz_column(dressed.values) if white else None
     if c is not None:
         n = np.outer(dt ** 2 * g * c, c.conj())
         for i in range(1, len(c)):
             n[i, 1:] += n[i - 1, :-1]
         return TwoPointKernel(dressed.grid, n)
-    scale = max(np.abs(pi_N.values).max(), 1e-300)
-    if np.abs(pi_N.values - pi_N.values.conj().T).max() > 1e-10 * scale:
-        raise ValueError("noise kernel must be Hermitian-symmetric")
+    scale = np.abs(pi_N.values).max()  # NaN or inf when an entry is not finite
+    asym = np.abs(pi_N.values - pi_N.values.conj().T).max()
+    if not (np.isfinite(scale) and asym <= 1e-10 * max(scale, 1e-300)):
+        raise ValueError("noise kernel must be finite and Hermitian-symmetric")
     d_r = dressed.values
     n = dt ** 2 * (d_r @ pi_N.values @ d_r.conj().T)
     return TwoPointKernel(dressed.grid, n)
@@ -279,8 +282,9 @@ def wave_operator_residual(dressed: TwoPointKernel, pi_R: TwoPointKernel,
     with a central second difference and compares with the grid delta away
     from the diagonal, where the difference stencil is valid: rows
     2 <= i <= n - 3 at lags 2 <= i - j <= n - 3.  Returns the maximum
-    interior residual relative to the delta amplitude.  The rows are taken
-    in blocks, and a Pi_R = gamma I acts as the scalar gamma.
+    interior residual relative to the delta amplitude (NaN when an entry it
+    reads is NaN).  The rows are taken in blocks, and a Pi_R = gamma I acts
+    as the scalar gamma.
     """
     g = dressed.grid
     dt, n = g.dt, g.n
@@ -296,9 +300,9 @@ def wave_operator_residual(dressed: TwoPointKernel, pi_R: TwoPointKernel,
         d2 = (vals[lo + 1:hi + 1, :cols] - 2.0 * rows + vals[lo - 1:hi - 1, :cols]) / dt ** 2
         pi_d = gamma * rows if gamma is not None else pi_R.values[lo:hi] @ vals[:, :cols]
         lhs = -(d2 + omega0 ** 2 * rows) / omega0 - dt * pi_d
-        worst = max(worst, float(np.abs(np.tril(lhs, lo - 2)).max()))
+        worst = np.maximum(worst, np.abs(np.tril(lhs, lo - 2)).max())  # NaN propagates
     scale = 1.0 / dt  # grid delta amplitude
-    return worst / scale
+    return float(worst / scale)
 
 
 def wyld_mc(spec: OscillatorSpec, grid: TimeGrid, n_samples: int, seed: int,

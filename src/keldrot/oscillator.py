@@ -3,7 +3,8 @@
 Exact closed forms for the retarded response, the s-ordered two-point
 kernel of a Gaussian state and the reordering gap, plus a phase-space
 Monte Carlo over the s-quasidistribution that serves as an independent
-oracle for the closed forms.
+oracle for the closed forms.  `rotated_cumulants` is the rotated image of
+a `ctl_cumulants` set in closed form, for `rotation.lambda2_identity_check`.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .grids import (
     reflect,
     theta_ordering_matrix,
 )
-from .rotation import CumulantSet
+from .rotation import CumulantSet, RotatedCumulants
 
 __all__ = [
     "OscillatorSpec",
@@ -37,7 +38,7 @@ __all__ = [
     "reorder_gap",
     "reorder_gap_from_response",
     "recover_retarded_from_gap",
-    "rotated_lambda_form",
+    "rotated_cumulants",
     "mc_quasiaverage",
 ]
 
@@ -85,15 +86,10 @@ def retarded_response(spec: OscillatorSpec, tau):
     return out if out.ndim else float(out)
 
 
-def retarded_response_grid(spec: OscillatorSpec, grid: TimeGrid,
-                           periodic: bool = False) -> np.ndarray:
-    """D_R sampled on the grid: -theta(t - t') sin(omega0 (t - t')) with the
-    grid's time order `theta_ordering_matrix`, in linear time or, with
-    periodic=True, on the circle (wrapped lags: the layout of a circulant
-    kernel's profile)."""
-    if periodic:
-        profile = -_circle_theta(grid) * np.sin(spec.omega0 * grid.lags)
-        return TwoPointKernel.circulant(grid, profile).values
+def retarded_response_grid(spec: OscillatorSpec, grid: TimeGrid) -> np.ndarray:
+    """D_R sampled on the grid in linear time: -theta(t - t') sin(omega0 (t - t'))
+    with the grid's time order `theta_ordering_matrix`.  The response on the
+    circle is the D_R of `rotated_cumulants`."""
     t = grid.times
     return -theta_ordering_matrix(grid) * np.sin(spec.omega0 * (t[:, None] - t[None, :]))
 
@@ -187,21 +183,18 @@ def recover_retarded_from_gap(Z: Signal, hbar: float = 1.0) -> Signal:
     return Signal(Z.grid, vals)
 
 
-def rotated_lambda_form(spec: OscillatorSpec, state: GaussianState, p: OrderingParam,
-                        eta: Signal, j_s: Signal) -> complex:
-    """Rotated form -i eta D_R j_s - (1/2) eta <O_s q q> eta, all analytic.
-
-    The response kernel is the circulant (wrapped-lag) sampling, matching
-    cumulant sets built with the periodic ordering.
-    """
-    g = eta.grid
-    t = g.times
-    d_r = retarded_response_grid(spec, g, periodic=True)
-    k_s = s_ordered_kernel(spec, state, p, t[:, None], t[None, :])
-    dt = g.dt
-    term_r = -1j * dt ** 2 * (eta.values @ d_r @ j_s.values)
-    term_n = -0.5 * dt ** 2 * (eta.values @ k_s @ eta.values)
-    return complex(term_r + term_n)
+def rotated_cumulants(spec: OscillatorSpec, state: GaussianState, p: OrderingParam,
+                      grid: TimeGrid) -> RotatedCumulants:
+    """Closed-form rotated image of `ctl_cumulants(spec, state, grid,
+    periodic=True)` at ordering p, its `rotate` to rounding at a resonant
+    omega0: zero mean, the s-ordered kernel as a real N_s, and as D_R the
+    Kubo response on the circle, the circulant kernel with lag profile
+    -theta sin(omega0 tau), theta from `grids._circle_theta` (1/2 at lag 0
+    and at the wrap lag -T/2)."""
+    t = grid.times
+    d_r = TwoPointKernel.circulant(grid, -_circle_theta(grid) * np.sin(spec.omega0 * grid.lags))
+    n_s = np.ascontiguousarray(s_ordered_kernel(spec, state, p, t[:, None], t[None, :]).real)
+    return RotatedCumulants(Signal.zero(grid), d_r, TwoPointKernel(grid, n_s), p, spec.hbar)
 
 
 def _infield_basis(spec: OscillatorSpec, t: np.ndarray) -> np.ndarray:

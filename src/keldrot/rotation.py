@@ -39,6 +39,12 @@ FFT pair of length n.  So the Hermitian check, the derived K_F and K_rev,
 `validate`, the Weyl image, `reorder`, `reorder_gap_kernel` and `unrotate`
 keep a set of profiles as profiles, in O(n log n), and never lay it out;
 a step given a mix of profiles and dense kernels lays the profiles out.
+
+`lambda2_identity_check(ctl, rot, ...)` evaluates the defining identity:
+Lambda_2[eta_+, eta_-] of a set (`lambda2_form`) under the substitution
+(`rotation_substitution`) against the rotated form (`rotated_lambda2_form`)
+of an image of it, `rotate(ctl, p)` or a closed form such as
+`oscillator.rotated_cumulants`.
 """
 from __future__ import annotations
 
@@ -136,17 +142,18 @@ def _add_transpose(a: np.ndarray, sign: float = 1.0, out: np.ndarray | None = No
 
 def _mirror_residual(a: np.ndarray) -> tuple[float, float]:
     """(max |a - a^H|, max |a|), read tile by tile as in `_add_transpose`,
-    each pair of mirrored tiles once; a^H = a^T for real a."""
+    each pair of mirrored tiles once; a^H = a^T for real a.  A NaN entry
+    makes both NaN (np.max, unlike max, propagates it)."""
     if a.ndim == 1:
         return float(np.abs(a - _transposed(a).conj()).max()), float(np.abs(a).max())
-    worst, size = 0.0, 0.0
+    worst, size = [], []
     n = a.shape[0]
     for i in range(0, n, _TILE):
         for j in range(i, n, _TILE):
             upper, lower = a[i:i + _TILE, j:j + _TILE], a[j:j + _TILE, i:i + _TILE]
-            worst = max(worst, np.abs(upper - lower.T.conj()).max())
-            size = max(size, np.abs(upper).max(), np.abs(lower).max())
-    return float(worst), float(size)
+            worst.append(np.abs(upper - lower.T.conj()).max())
+            size += (np.abs(upper).max(), np.abs(lower).max())
+    return float(np.max(worst)), float(np.max(size))
 
 
 def _theta_split(k_w: np.ndarray, periodic: bool) -> np.ndarray:
@@ -195,7 +202,7 @@ class CumulantSet:
             if self._hermitian is None:
                 worst, size = _mirror_residual(_data(self.K_W)[0])
                 self._hermitian = worst / max(size, 1e-300)
-            if self._hermitian > _CONSISTENCY_TOL:
+            if not self._hermitian <= _CONSISTENCY_TOL:  # NaN fails too
                 raise ConsistencyError(
                     f"K_W is not Hermitian: residual {self._hermitian:.3e} > {_CONSISTENCY_TOL:.1e}")
 
@@ -252,11 +259,11 @@ class CumulantSet:
         else:
             scale = self._scale()
             res, rev = self.consistency_residual(scale), self.reversal_residual(scale)
-        if res > tol:
+        if not res <= tol:  # NaN fails too
             raise ConsistencyError(
                 f"cumulant set violates the CTL consistency identity: residual {res:.3e} > {tol:.1e}"
             )
-        if rev > tol:
+        if not rev <= tol:
             raise ConsistencyError(
                 f"K_rev != K_F* (non-Hermitian field data not supported): residual {rev:.3e}"
             )
@@ -548,31 +555,26 @@ def rotated_lambda2_form(rot: RotatedCumulants, eta: Signal, j_s: Signal) -> com
     )
 
 
-def lambda2_identity_check(ctl: CumulantSet, p: OrderingParam, eta: Signal,
+def lambda2_identity_check(ctl: CumulantSet, rot: RotatedCumulants, eta: Signal,
                            j_s: Signal) -> dict:
-    """Evaluate both sides of the rotated-form identity and their residual.
+    """Both sides of the rotated-form identity and their residual: Lambda_2
+    of `ctl` under the substitution at rot.p against the rotated form of its
+    image `rot` (`rotate(ctl, rot.p)` or a closed form).
 
-    Also reports the term quadratic in j_s, which must cancel by the CTL
-    consistency identity.
+    Also reports Lambda_2[j, j] with j = j_s / hbar c, the term quadratic in
+    j_s, which must cancel by the CTL consistency identity.
     """
-    eta_p, eta_m = rotation_substitution(eta, j_s, p, ctl.hbar_c)
+    eta_p, eta_m = rotation_substitution(eta, j_s, rot.p, ctl.hbar_c)
     lhs = lambda2_form(ctl, eta_p, eta_m)
-    rot = rotate(ctl, p, check=False)
     rhs = rotated_lambda2_form(rot, eta, j_s)
-    # j_s-quadratic piece of Lambda_2 under the substitution
     j = Signal(ctl.grid, j_s.values / ctl.hbar_c)
-    quad_j = (
-        pair_form(j, ctl.K_W, j)
-        - 0.5 * pair_form(j, ctl.K_F, j)
-        - 0.5 * pair_form(j, ctl.K_rev, j)
-    )
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return {
         "lhs": lhs,
         "rhs": rhs,
         "residual": abs(lhs - rhs),
         "relative_residual": abs(lhs - rhs) / scale,
-        "j_quadratic_term": quad_j,
+        "j_quadratic_term": lambda2_form(ctl, j, j),
     }
 
 

@@ -22,7 +22,7 @@ import json
 
 import numpy as np
 
-from .grids import OrderingParam, Signal, TimeGrid, TwoPointKernel
+from .grids import OrderingParam, Signal, TimeGrid, TwoPointKernel, _require_finite
 from .rotation import CumulantSet, RotatedCumulants
 
 __all__ = [
@@ -148,7 +148,8 @@ def signal_to_csv(f: Signal) -> str:
 
 def _numbers(values, name: str) -> np.ndarray:
     """`values` as a float array, refusing null, string and boolean entries
-    (which numpy would read as NaN, as numbers and as 0/1).
+    (which numpy would read as NaN, as numbers and as 0/1) and the NaN and
+    infinite entries that `json.loads` reads from NaN and Infinity.
 
     A boolean among numbers leaves a numeric dtype, so the entries' types
     are scanned as well, through the nesting that `np.asarray` found.
@@ -162,7 +163,9 @@ def _numbers(values, name: str) -> np.ndarray:
         entries = itertools.chain.from_iterable(entries)
     if a.ndim and bool in set(map(type, entries)):
         raise ValueError(f"{name} must hold numbers only; it has a boolean entry")
-    return a.astype(float, copy=False)
+    a = a.astype(float, copy=False)
+    _require_finite(name, a)
+    return a
 
 
 def _real_or_complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -184,9 +187,12 @@ def signal_from_csv(text: str) -> Signal:
         ts.append(float(t))
         re.append(float(r))
         im.append(float(i))
-    # lists of floats: no entry to refuse, so `_numbers` is not needed
-    sig = Signal(grid, _real_or_complex(np.array(re), np.array(im)))
-    off = np.abs(np.array(ts) - grid.times).max(initial=0.0)
+    # lists of floats: only a non-finite entry to refuse, so `_numbers` is not needed
+    ts, re, im = np.array(ts), np.array(re), np.array(im)
+    for name, column in (("t", ts), ("re", re), ("im", im)):
+        _require_finite(f"signal CSV column {name}", column)
+    sig = Signal(grid, _real_or_complex(re, im))
+    off = np.abs(ts - grid.times).max(initial=0.0)
     if off > 1e-9 * grid.dt:
         raise ValueError(f"signal CSV t column is {off:.3g} off the header grid (dt={fmt(grid.dt)})")
     return sig
@@ -211,8 +217,10 @@ def kernel_from_csv(text: str) -> TwoPointKernel:
         im.append(float(i))
     if len(re) != grid.n * grid.n:
         raise ValueError(f"kernel CSV has {len(re)} rows, grid n={grid.n} needs {grid.n ** 2}")
-    values = _real_or_complex(np.array(re), np.array(im))
-    return TwoPointKernel(grid, values.reshape(grid.n, grid.n))
+    re, im = np.array(re), np.array(im)
+    for name, column in (("re", re), ("im", im)):
+        _require_finite(f"kernel CSV column {name}", column)
+    return TwoPointKernel(grid, _real_or_complex(re, im).reshape(grid.n, grid.n))
 
 
 def _grid_obj(grid: TimeGrid) -> dict:

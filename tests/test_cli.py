@@ -37,6 +37,18 @@ class TestProject:
         expect = project_pm(sig, "+")
         assert np.abs(got.values - expect.values).max() < 1e-15
 
+    @pytest.mark.parametrize("word", ["nan", "inf"])
+    def test_non_finite_signal_row_fails(self, word, outdir, capsys):
+        grid = TimeGrid(8, 0.5)
+        lines = ser.signal_to_csv(Signal(grid, np.arange(8.0))).splitlines(keepends=True)
+        lines[6] = lines[6].replace(lines[6].split(",")[1], word, 1)
+        inp = outdir / "sig.csv"
+        inp.write_text("".join(lines))
+        assert run(["project", "--in", inp, "--sign", "+", "--out", outdir / "p"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert f"signal CSV column re must be finite, got {word}" in err["detail"]
+        assert list(outdir.iterdir()) == [inp]
+
     def test_manifest_written_with_hash(self, outdir):
         grid = TimeGrid(8, 0.5)
         inp = outdir / "sig.csv"
@@ -86,6 +98,20 @@ class TestRotationFlow:
         assert run(args + ["--no-check-consistency"]) == 0
         manifest = json.loads((outdir / "rot.manifest.json").read_text())
         assert manifest["config"]["check_consistency"] is False
+
+    def test_non_finite_bundle_entry_fails(self, outdir, capsys):
+        grid = TimeGrid(16, 0.2)
+        spec = OscillatorSpec(omega0=grid.resonant_frequency(2))
+        obj = json.loads(ser.cumulants_to_json(ctl_cumulants(spec, GaussianState(nbar=0.4), grid)))
+        obj["K_F"]["re"][3][7] = float("nan")
+        bundle = outdir / "nan.json"
+        bundle.write_text(json.dumps(obj))  # NaN as Python's json writes it
+        code = run(["rotate", "--in", bundle, "--s", 0.5, "--out", outdir / "rot",
+                    "--check-consistency"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert "K_F.re must be finite, got nan" in err["detail"]
+        assert list(outdir.iterdir()) == [bundle]
 
     @pytest.mark.parametrize("hbar_c", [float("nan"), 0.0, float("inf"), -1.0])
     def test_unrotate_refuses_bad_hbar_c(self, hbar_c, outdir, capsys):

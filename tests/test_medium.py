@@ -27,6 +27,7 @@ from keldrot.oscillator import (
     ctl_cumulants,
     retarded_response,
     retarded_response_grid,
+    rotated_cumulants,
 )
 from keldrot.rotation import RotatedCumulants, _acausal_part, reorder, rotate
 
@@ -94,6 +95,15 @@ class TestGridDressing:
         dressed = dress_retarded_grid(d_bare, pi_r)
         assert wave_operator_residual(dressed, pi_r, spec.omega0) < 1e-4
 
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_wave_operator_residual_carries_nan(self, block):
+        # a NaN interior entry in the first or a later row block is not dropped
+        grid, spec, d_bare, pi_r, _ = toy_kernels(n=256, total_time=10.0)
+        values = dress_retarded_grid(d_bare, pi_r).values.copy()
+        values[10 + 64 * block, 3] = np.nan
+        residual = wave_operator_residual(TwoPointKernel(grid, values), pi_r, spec.omega0)
+        assert np.isnan(residual)
+
     @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, -1.0, -2.0])
     def test_toy_rejects_bad_coupling(self, gamma):
         # the pole moves to w'^2 = omega0^2 + gamma omega0, which must stay positive
@@ -105,7 +115,8 @@ class TestGridDressing:
         sym = TwoPointKernel(grid, d_bare.values + d_bare.values.T)
         # retarded on the circle, which rotate accepts, but not in linear
         # time, which the forward substitution needs
-        circ = TwoPointKernel(grid, retarded_response_grid(spec, grid, periodic=True))
+        image = rotated_cumulants(spec, GaussianState(), OrderingParam(0.0), grid)
+        circ = TwoPointKernel(grid, image.D_R.values)
         assert _acausal_part(circ.values, grid)[1] == 0.0
         for bad in (sym, circ):
             with pytest.raises(ValueError, match="bare propagator kernel is not retarded"):
@@ -168,6 +179,19 @@ class TestNoiseMap:
         bad = TwoPointKernel(grid, np.triu(np.ones((grid.n, grid.n))))
         with pytest.raises(ValueError, match="Hermitian"):
             noise_map(d_bare, bad)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["off diagonal", "white level"])
+    def test_non_finite_noise_rejected(self, bad, where):
+        grid, _, d_bare, _, _ = toy_kernels(n=16, total_time=2.0)
+        pi_n = np.eye(grid.n)
+        if where == "white level":
+            pi_n[np.diag_indices(grid.n)] = bad
+        else:
+            pi_n[3, 4] = bad
+        with pytest.raises(ValueError, match="finite and Hermitian"):
+            noise_map(d_bare, TwoPointKernel(grid, pi_n))
 
 
 class TestRealRoute:

@@ -15,11 +15,11 @@ from keldrot.oscillator import (
     reorder_gap_from_response,
     retarded_response,
     retarded_response_grid,
-    rotated_lambda_form,
+    rotated_cumulants,
     s_ordered_kernel,
     wightman_kernel,
 )
-from keldrot.rotation import lambda2_form, rotate, rotation_substitution
+from keldrot.rotation import lambda2_form, lambda2_identity_check, rotate, rotation_substitution
 
 
 GRID = TimeGrid(256, 0.05)
@@ -68,11 +68,41 @@ class TestRetardedResponse:
 
     def test_circular_grid_sampling_is_the_rotated_response(self):
         # on the circle the wrap lag -T/2 is half causal, like K_F's theta split
-        d_r = retarded_response_grid(SPEC, GRID, periodic=True)
+        state = GaussianState(nbar=0.7)
+        d_r = rotated_cumulants(SPEC, state, OrderingParam(0.0), GRID).D_R.values
         half = GRID.n // 2
         assert d_r[half, 0] == -0.5 * np.sin(W0 * GRID.lags[half])
-        ctl = ctl_cumulants(SPEC, GaussianState(nbar=0.7), GRID, periodic=True)
+        ctl = ctl_cumulants(SPEC, state, GRID, periodic=True)
         assert np.abs(rotate(ctl, OrderingParam(0.0)).D_R.values - d_r).max() < 1e-12
+
+
+class TestRotatedImage:
+    """`rotated_cumulants` against the oracle `rotate(ctl_cumulants(...,
+    periodic=True), p)` at a resonant omega0: D_R and N_s agree to 1e-12
+    relative to the oracle's largest entry."""
+
+    @pytest.mark.parametrize("n, dt", [(96, 0.13), (97, 0.11)])
+    @pytest.mark.parametrize("state, circulant", [(GaussianState(nbar=0.7), True),
+                                                  (GaussianState(nbar=0.8, m=0.5 + 0.3j), False)])
+    @pytest.mark.parametrize("s", [-1.0, -0.35, 0.0, 0.7, 1.0])
+    def test_matches_rotate(self, n, dt, state, circulant, s):
+        grid = TimeGrid(n, dt)
+        spec = OscillatorSpec(omega0=grid.resonant_frequency(9), hbar=0.8)
+        ctl = ctl_cumulants(spec, state, grid, periodic=True)
+        assert (ctl.K_W.profile is not None) == circulant
+        p = OrderingParam(s)
+        oracle = rotate(ctl, p)
+        image = rotated_cumulants(spec, state, p, grid)
+        assert image.p == p and image.hbar_c == spec.hbar
+        assert not image.mean.values.any()
+        for got, want in ((image.D_R, oracle.D_R), (image.N_s, oracle.N_s)):
+            want = want.values
+            assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_response_is_a_circulant_profile(self):
+        image = rotated_cumulants(SPEC, GaussianState(), OrderingParam(0.3), GRID)
+        assert image.D_R.profile is not None
+        assert image.N_s.values.dtype == np.float64
 
 
 class TestSOrderedKernel:
@@ -233,14 +263,13 @@ class TestLambdaForm:
         state = GaussianState(nbar=0.6, m=0.3 - 0.2j)
         ctl = ctl_cumulants(spec, state, grid, periodic=True)
         rng = np.random.default_rng(11)
-        p = OrderingParam(s)
+        rot = rotated_cumulants(spec, state, OrderingParam(s), grid)
         for _ in range(5):
             eta = Signal(grid, rng.normal(size=grid.n))
             j_s = Signal(grid, rng.normal(size=grid.n))
-            eta_p, eta_m = rotation_substitution(eta, j_s, p, spec.hbar)
-            lhs = lambda2_form(ctl, eta_p, eta_m)
-            rhs = rotated_lambda_form(spec, state, p, eta, j_s)
-            assert abs(lhs - rhs) < 1e-8 * max(abs(lhs), 1.0)
+            chk = lambda2_identity_check(ctl, rot, eta, j_s)
+            assert abs(chk["lhs"] - chk["rhs"]) < 1e-8 * max(abs(chk["lhs"]), 1.0)
+            assert abs(chk["j_quadratic_term"]) < 1e-8 * max(abs(chk["lhs"]), 1.0)
 
 
 class TestSubstitution:

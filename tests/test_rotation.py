@@ -273,7 +273,7 @@ class TestLambda2:
             p = OrderingParam(rng.uniform(-1, 1))
             eta = Signal(GRID, rng.normal(size=GRID.n))
             j_s = Signal(GRID, rng.normal(size=GRID.n))
-            chk = lambda2_identity_check(ctl, p, eta, j_s)
+            chk = lambda2_identity_check(ctl, rotate(ctl, p, check=False), eta, j_s)
             assert chk["relative_residual"] < 1e-8
             assert abs(chk["j_quadratic_term"]) < 1e-8 * max(abs(chk["lhs"]), 1.0)
 
@@ -282,7 +282,8 @@ class TestLambda2:
             rng = np.random.default_rng(seed)
             ctl = dataclasses.replace(synthetic_cumulants(GRID, rng), mean=Signal.zero(GRID))
             j = Signal(GRID, rng.normal(size=GRID.n))
-            chk = lambda2_identity_check(ctl, OrderingParam(0.5), Signal.zero(GRID), j)
+            rot = rotate(ctl, OrderingParam(0.5), check=False)
+            chk = lambda2_identity_check(ctl, rot, Signal.zero(GRID), j)
             assert chk["rhs"] == 0
             # lhs = j K_W j - j K_F j / 2 - j K_rev j / 2 cancels only up to rounding
             size = (abs(pair_form(j, ctl.K_W, j)) + 0.5 * abs(pair_form(j, ctl.K_F, j))
@@ -294,7 +295,7 @@ class TestLambda2:
         ctl = dataclasses.replace(synthetic_cumulants(GRID, rng), mean=Signal.zero(GRID))
         p = OrderingParam(0.0)
         eta = Signal(GRID, rng.normal(size=GRID.n))
-        chk = lambda2_identity_check(ctl, p, eta, Signal.zero(GRID))
+        chk = lambda2_identity_check(ctl, rotate(ctl, p, check=False), eta, Signal.zero(GRID))
         n0 = rotate(ctl, p).N_s
         expect = -0.5 * GRID.dt ** 2 * (eta.values @ n0.values @ eta.values)
         assert abs(chk["rhs"] - expect) < 1e-10 * max(abs(expect), 1.0)
@@ -429,6 +430,26 @@ class TestStoredWightman:
         k_w[3, 5] += 1e-6
         with pytest.raises(ConsistencyError, match="not Hermitian: residual 2.0"):
             CumulantSet.from_wightman(Signal.zero(GRID), k_w, periodic=True)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(3, 5), (4, 4), (0, 95)])
+    def test_non_finite_wightman_entry_refused(self, bad, where):
+        # one entry is enough: the tiled residual must not drop it as max() drops NaN
+        k_w = vacuum_ctl().K_W.values.copy()
+        k_w[where] = bad
+        with pytest.raises(ConsistencyError, match="not Hermitian: residual nan"):
+            CumulantSet.from_wightman(Signal.zero(GRID), k_w, periodic=True)
+
+    @pytest.mark.parametrize("name", ["K_F", "K_rev", "K_W"])
+    def test_non_finite_triple_entry_fails_validation(self, name):
+        ctl = synthetic_cumulants(GRID, np.random.default_rng(3))
+        kernels = {k: getattr(ctl, k).values.copy() for k in ("K_F", "K_rev", "K_W")}
+        kernels[name][7, 2] = np.nan
+        triple = CumulantSet(ctl.mean, *(TwoPointKernel(GRID, kernels[k])
+                                         for k in ("K_F", "K_rev", "K_W")))
+        with pytest.raises(ConsistencyError, match="residual nan"):
+            rotate(triple, OrderingParam(0.3))
 
     def test_tighter_tolerance_checks_the_stored_residual(self):
         k_w = vacuum_ctl().K_W.values.copy()

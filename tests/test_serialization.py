@@ -343,6 +343,9 @@ BAD_ENTRIES = {
                               "re must hold numbers only; it has a boolean entry"),
     "fractional n": (lambda o: _grid_entry(o, "n", 16.0 + 0.7), "grid.n must be an integer"),
     "string dt": (lambda o: _grid_entry(o, "dt", "0.25"), "grid.dt must be a number"),
+    # json.loads reads NaN, Infinity and -Infinity as floats
+    "NaN": (lambda o: _first_entry(o, "re", float("nan")), "re must be finite, got nan"),
+    "infinity": (lambda o: _first_entry(o, "im", float("-inf")), "im must be finite, got -inf"),
 }
 
 
@@ -388,6 +391,36 @@ class TestBadEntriesRejected:
         assert np.asarray(obj["re"]).dtype.kind == "i"
         with pytest.raises(ValueError, match="re must hold numbers only; it has a boolean"):
             ser.signal_from_json(json.dumps(obj))
+
+    def test_non_finite_entry_in_bundles(self, grid):
+        ctl = synthetic_cumulants(grid, np.random.default_rng(9))
+        obj = json.loads(ser.cumulants_to_json(ctl))
+        obj["K_F"]["re"][2][5] = float("nan")
+        with pytest.raises(ValueError, match=r"K_F\.re must be finite, got nan"):
+            ser.cumulants_from_json(json.dumps(obj))
+        obj = json.loads(ser.rotated_to_json(rotate(ctl, OrderingParam(0.5))))
+        obj["N_s"]["im"][0][1] = float("inf")
+        with pytest.raises(ValueError, match=r"N_s\.im must be finite, got inf"):
+            ser.rotated_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("column", ["t", "re", "im"])
+    @pytest.mark.parametrize("word", ["nan", "inf", "-inf"])
+    def test_non_finite_signal_csv_entry(self, signal, column, word):
+        lines = ser.signal_to_csv(signal).splitlines(keepends=True)
+        fields = lines[5].rstrip("\n").split(",")
+        fields[["t", "re", "im"].index(column)] = word
+        lines[5] = ",".join(fields) + "\n"
+        with pytest.raises(ValueError, match=f"signal CSV column {column} must be finite"):
+            ser.signal_from_csv("".join(lines))
+
+    @pytest.mark.parametrize("column", ["re", "im"])
+    def test_non_finite_kernel_csv_entry(self, kernel, column):
+        lines = ser.kernel_to_csv(kernel).splitlines(keepends=True)
+        fields = lines[-1].rstrip("\n").split(",")
+        fields[["t", "tp", "re", "im"].index(column)] = "nan"
+        lines[-1] = ",".join(fields) + "\n"
+        with pytest.raises(ValueError, match=f"kernel CSV column {column} must be finite, got nan"):
+            ser.kernel_from_csv("".join(lines))
 
     def test_integer_entries_still_read(self, grid):
         obj = old_obj(Signal(grid, np.arange(grid.n, dtype=float)))
