@@ -216,18 +216,21 @@ def run_oscillator_kernel(config: dict) -> tuple[dict, dict]:
 def run_oscillator_lambda_check(config: dict) -> tuple[dict, dict]:
     spec, state, p = _osc_from_config(config)
     grid = _grid_from_config(config)
+    draws = _count(config, "draws", 10)
     rng = np.random.default_rng(int(config["seed"]))
+    rot = oscillator.rotated_cumulants(spec, state, p, grid)  # refuses a non-resonant omega0
     # as a triple, so that K_F and K_rev are derived (and laid out) once, not per draw
     ctl = dataclasses.replace(oscillator.ctl_cumulants(spec, state, grid, periodic=True))
-    rot = oscillator.rotated_cumulants(spec, state, p, grid)
-    draws = _count(config, "draws", 10)
-    residuals = []
+    residuals, j_quadratic = [], []
     for _ in range(draws):
         eta = Signal(grid, rng.normal(size=grid.n))
         j_s = Signal(grid, rng.normal(size=grid.n))
         chk = rotation.lambda2_identity_check(ctl, rot, eta, j_s)
-        residuals.append(chk["residual"] / max(abs(chk["lhs"]), 1e-300))
-    report = {"draws": draws, "max_relative_residual": float(np.max(residuals)), "s": p.s}
+        scale = max(abs(chk["lhs"]), 1e-300)
+        residuals.append(chk["residual"] / scale)
+        j_quadratic.append(abs(chk["j_quadratic_term"]) / scale)
+    report = {"draws": draws, "max_relative_j_quadratic": float(np.max(j_quadratic)),
+              "max_relative_residual": float(np.max(residuals)), "s": p.s}
     return {".json": ser.dump_json(report)}, report
 
 

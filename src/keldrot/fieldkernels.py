@@ -2,8 +2,8 @@
 
 Scalar Klein-Gordon kernel family (retarded, advanced, Feynman, the two
 frequency-sign parts of the commutator, and the commutator itself) plus
-the photon versions in Feynman gauge, where every kernel is
--mu_vac * g_{nu nu'} times the massless scalar one.
+the photon versions in Feynman gauge at mu_vac = 1, where every kernel is
+-g_{nu nu'} times the massless scalar one.
 
 On-shell delta functions are represented by finite-epsilon Lorentzians
 here; exact delta weights are kept symbolically by the medium module,
@@ -72,14 +72,16 @@ def symmetric_k0_grid(k0_max: float, n: int) -> np.ndarray:
     return np.concatenate([-half[::-1], half])
 
 
-def photon_keldysh_pair(k0, kvec_sq, eps: float, mu_vac: float = 1.0) -> dict:
-    """Photon D_F and D^(+) scalar coefficients in Feynman gauge.
+def photon_keldysh_pair(k0, kvec_sq, eps: float) -> dict:
+    """Photon D_F and D^(+) scalar coefficients in Feynman gauge at mu_vac = 1.
 
-    The tensor kernels are -mu_vac g_{nu nu'} times these values, which are
-    the massless scalar D_F and D^(+) scaled by -mu_vac.  Both follow from
-    the retarded kernel alone, D_F(k) = theta(k0) D_R(k) + theta(-k0) D_R(-k)
-    and D^(+)(k) = theta(k0) [D_R(k) - D_R(-k)] away from k0 = 0, which the
+    The tensor kernels are -g_{nu nu'} times these values, which are the
+    massless scalar D_F and D^(+) times -1.  Both follow from the retarded
+    kernel alone, D_F(k) = theta(k0) D_R(k) + theta(-k0) D_R(-k) and
+    D^(+)(k) = theta(k0) [D_R(k) - D_R(-k)] away from k0 = 0, which the
     tests check.
     """
     ker = scalar_kernels(k0, kvec_sq, 0.0, eps)
-    return {"D_F": -mu_vac * ker["D_F"], "D_plus": -mu_vac * ker["D_plus"]}
+    # a complex product with -1.0, not a negation, which would flip the
+    # sign of D^(+)'s zero real parts
+    return {"D_F": -1.0 * ker["D_F"], "D_plus": -1.0 * ker["D_plus"]}

@@ -31,7 +31,6 @@ __all__ = [
     "project_pm",
     "project_s",
     "project_kernel_axis",
-    "reflect",
     "overlap",
     "pair_form",
     "theta_ordering_matrix",
@@ -203,9 +202,21 @@ def project_s(f: Signal, p: OrderingParam, sign) -> Signal:
     return Signal(f.grid, np.fft.fft(np.fft.ifft(f.values) * w))
 
 
-def reflect(f: Signal) -> Signal:
-    """Time reversal on the circle: g(tau_j) = f(tau_{-j})."""
-    return Signal(f.grid, np.roll(f.values[::-1], 1))
+def _reflected(profile: np.ndarray) -> np.ndarray:
+    """Time reversal of a lag profile on the circle: profile[(-k) % n]."""
+    return np.concatenate((profile[:1], profile[:0:-1]))
+
+
+def _toeplitz(column: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The n x n layout with entry (i, j) = column[i - j] for i >= j and
+    row[j - i] for i < j (row[0] is not read), from one sliding window.
+    A circulant kernel's is _toeplitz(profile, _reflected(profile)); a
+    lower-triangular Toeplitz kernel's is _toeplitz(column, zeros)."""
+    n = len(column)
+    # padded[n - 1 + m] = column[m], padded[n - 1 - m] = row[m]
+    padded = np.concatenate((row[:0:-1], column))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n)  # windows[i, m] = padded[i + m]
+    return np.ascontiguousarray(windows[:, ::-1])
 
 
 class TwoPointKernel:
@@ -243,12 +254,8 @@ class TwoPointKernel:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            p, n = self._profile, self.grid.n
-            # row i is p[(i - j) % n] over j: a window of the reversed
-            # profile repeated twice, starting at n - 1 - i
-            twice = np.concatenate((p[::-1], p[::-1]))
-            windows = np.lib.stride_tricks.sliding_window_view(twice, n)
-            self._values, self._profile = np.ascontiguousarray(windows[n - 1::-1]), None
+            p = self._profile
+            self._values, self._profile = _toeplitz(p, _reflected(p)), None
         return self._values
 
     @values.setter
@@ -271,17 +278,14 @@ def _apply_weights_along(values: np.ndarray, w: np.ndarray, axis: int) -> np.nda
     return np.fft.fft(c * w.reshape(shape), axis=axis)
 
 
-def project_kernel_axis(K: TwoPointKernel, axis: int, sign, p: OrderingParam | None = None) -> TwoPointKernel:
-    """Apply F^(+-) (or F^(s+-) when p is given) along one time argument.
+def project_kernel_axis(K: TwoPointKernel, axis: int, sign, p: OrderingParam) -> TwoPointKernel:
+    """Apply F^(s+-) along one time argument; p = OrderingParam(1.0) gives F^(+-).
 
     axis 0 is the first argument t, axis 1 the second argument t'.
     """
     if axis not in (0, 1):
         raise ValueError("axis must be 0 (t) or 1 (t')")
-    if p is None:
-        w = sign_weights(K.grid, sign)
-    else:
-        w = ordering_weights(K.grid, p, sign)
+    w = ordering_weights(K.grid, p, sign)
     return TwoPointKernel(K.grid, _apply_weights_along(K.values, w, axis))
 
 
@@ -298,46 +302,40 @@ def pair_form(f: Signal, K: TwoPointKernel, g: Signal) -> complex:
     return complex(f.grid.dt ** 2 * (f.values @ K.values @ g.values))
 
 
-def theta_ordering_matrix(grid: TimeGrid, periodic: bool = False) -> np.ndarray:
-    """theta(t_i - t_j) with the value 1/2 at t_i = t_j.
+def theta_ordering_matrix(grid: TimeGrid) -> np.ndarray:
+    """theta(t_i - t_j) with the value 1/2 at t_i = t_j, in linear time.
 
     This is the package's one time order: the theta split of K_F, the causal
     support of a response kernel (its acausal entries are theta == 0) and the
     sampled oscillator response all derive from it, through `_theta_masks`.
-    With periodic=True the lag is wrapped to [-T/2, T/2), so the matrix is
-    circulant ("later on the circle"); the wrap boundary lag -T/2 gets
-    weight 1/2 as well.  Circulant ordering is what makes the stationary
-    spectral identities exact on the grid.
+    On the circle the order is the lag profile `_circle_theta`, whose wrap
+    lag -T/2 gets weight 1/2 as well; circulant ordering is what makes the
+    stationary spectral identities exact on the grid.
     """
-    later, _, tie = _theta_masks(grid.n, periodic)
+    later, _, tie = _theta_masks(grid.n, False)
     th = later.astype(float)
     th[tie] = 0.5
     return th
 
 
 def _theta_masks(n: int, periodic: bool, profile: bool = False) -> tuple:
-    """Where `theta_ordering_matrix` is 1, where it is 0, and the (rows,
-    columns) where it is 1/2, built from triangles.  In linear time these are
-    the strict lower and upper triangles and the diagonal.  On the circle
-    theta is 0 on the band of lag index (i - j) mod n above n // 2 and 1/2
-    on the diagonal and, for even n, at the wrap lag n / 2.
-
-    With profile=True the three regions are boolean masks over the lag
-    index of a circulant kernel's profile, taken from `_circle_theta`; a lag
-    profile has them on the circle only."""
-    if profile:
-        if not periodic:
-            raise ValueError("a lag profile has theta regions on the circle only")
-        th = _circle_theta(TimeGrid(n, 1.0))  # theta depends on the lag's sign alone
-        return th == 1.0, th == 0.0, th == 0.5
+    """Where theta is 1, where it is 0, and where it is 1/2.  In linear time
+    these are the strict lower and upper triangles and the (rows, columns)
+    of the diagonal.  On the circle they are the regions of the lag profile
+    `_circle_theta`: masks over the lag index for a profile (profile=True),
+    else masks over its n x n layout by `_toeplitz` and the (rows, columns)
+    of its 1/2 entries (the diagonal and, for even n, the wrap lag n / 2).
+    A lag profile has theta regions on the circle only."""
     if periodic:
-        earlier = np.tri(n, k=-(n // 2) - 1, dtype=bool)
-        earlier |= np.tri(n, k=n - n // 2 - 1, dtype=bool) & ~np.tri(n, dtype=bool)
-    else:
-        earlier = ~np.tri(n, dtype=bool)
+        th = _circle_theta(TimeGrid(n, 1.0))  # theta depends on the lag's sign alone
+        if profile:
+            return th == 1.0, th == 0.0, th == 0.5
+        th = _toeplitz(th, _reflected(th))
+        return th == 1.0, th == 0.0, np.nonzero(th == 0.5)
+    if profile:
+        raise ValueError("a lag profile has theta regions on the circle only")
+    earlier = ~np.tri(n, dtype=bool)
     rows = cols = np.arange(n)
-    if periodic and n % 2 == 0:
-        rows, cols = np.concatenate([rows, rows]), np.concatenate([cols, (cols - n // 2) % n])
     later = ~earlier
     later[rows, cols] = False
     return later, earlier, (rows, cols)
@@ -345,8 +343,9 @@ def _theta_masks(n: int, periodic: bool, profile: bool = False) -> tuple:
 
 def _circle_theta(grid: TimeGrid) -> np.ndarray:
     """theta on the circle as a lag profile, indexed like TimeGrid.lags:
-    column 0 of theta_ordering_matrix(grid, periodic=True), whose entry
-    (i, j) is the profile at lag index (i - j) mod n."""
+    theta(tau) with 1/2 at lag 0 and, for even n, at the wrap lag -T/2.
+    Entry (i, j) of the circle's time order is the profile at lag index
+    (i - j) mod n."""
     prof = heaviside(grid.lags)
     if grid.n % 2 == 0:
         prof[grid.n // 2] = 0.5

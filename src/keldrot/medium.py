@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diracsea import DiracSeaSpec, F_threshold, R_obs, R_obs_finite_eps
-from .grids import Signal, TimeGrid, TwoPointKernel, _require_finite, sign_weights
+from .grids import Signal, TimeGrid, TwoPointKernel, _require_finite, _toeplitz, sign_weights
 from .oscillator import OscillatorSpec, _infield_basis, _sample_count, retarded_response_grid
 from .rotation import _acausal_part, _check_hbar_c
 
@@ -85,14 +85,6 @@ def _scalar_diagonal(values: np.ndarray):
     return None
 
 
-def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
-    """The dense lower-triangular Toeplitz matrix with first column c."""
-    n = len(c)
-    padded = np.concatenate([np.zeros(n - 1, dtype=c.dtype), c])  # padded[n - 1 + m] = c[m]
-    windows = np.lib.stride_tricks.sliding_window_view(padded, n)  # windows[i, m] = padded[i + m]
-    return np.ascontiguousarray(windows[:, ::-1])
-
-
 def _dyson_column(a: np.ndarray, lam) -> np.ndarray:
     """First column c of (I - lam T)^-1 T for the lower-triangular Toeplitz T
     with first column a, by forward recursion:
@@ -126,7 +118,8 @@ def dress_retarded_grid(D_bare: TwoPointKernel, pi_R: TwoPointKernel) -> TwoPoin
     a = _toeplitz_column(D_bare.values)
     gamma = _scalar_diagonal(pi_R.values) if a is not None else None
     if gamma is not None:
-        return TwoPointKernel(grid, _lower_toeplitz(_dyson_column(a, grid.dt ** 2 * gamma)))
+        c = _dyson_column(a, grid.dt ** 2 * gamma)
+        return TwoPointKernel(grid, _toeplitz(c, np.zeros_like(c)))
     from scipy.linalg import solve_triangular
 
     for name, K in (("bare propagator", D_bare), ("susceptibility", pi_R)):
@@ -217,9 +210,9 @@ def zero_point_smooth(k_sq, spec: DiracSeaSpec, mu_vac: float = 1.0,
 
 
 def zero_point_smooth_finite_eps(k0: float, kvec_sq: float, spec: DiracSeaSpec,
-                                 eps: float, mu_vac: float = 1.0,
-                                 hbar_c: float = 1.0) -> float:
-    """Cross-check route (i hbar c / 2)[D_R(k) - D_R(-k)] sign k0 at finite eps.
+                                 eps: float) -> float:
+    """Cross-check route (i hbar c / 2)[D_R(k) - D_R(-k)] sign k0 at finite
+    eps, with D_R = mu_vac / [k^2 (1 + R_obs)] at mu_vac = hbar c = 1.
 
     Reproduces the smooth part of the spectrum as eps -> 0 off the light
     cone.  The finite shift smears only the spectral integral; the k^2 pole
@@ -231,9 +224,9 @@ def zero_point_smooth_finite_eps(k0: float, kvec_sq: float, spec: DiracSeaSpec,
     sgn = -1 if k0 < 0 else 1
     r_p = R_obs_finite_eps(k_sq, spec, eps, k0_sign=sgn)
     r_m = R_obs_finite_eps(k_sq, spec, eps, k0_sign=-sgn)
-    dp = mu_vac / (k_sq * (1.0 + r_p))
-    dm = mu_vac / (k_sq * (1.0 + r_m))
-    val = 0.5j * hbar_c * (dp - dm) * sgn
+    dp = 1.0 / (k_sq * (1.0 + r_p))
+    dm = 1.0 / (k_sq * (1.0 + r_m))
+    val = 0.5j * (dp - dm) * sgn
     return float(val.real)
 
 

@@ -21,7 +21,6 @@ from .grids import (
     _circle_theta,
     heaviside,
     project_pm,
-    reflect,
     theta_ordering_matrix,
 )
 from .rotation import CumulantSet, RotatedCumulants
@@ -36,7 +35,6 @@ __all__ = [
     "wightman_kernel",
     "ctl_cumulants",
     "reorder_gap",
-    "reorder_gap_from_response",
     "recover_retarded_from_gap",
     "rotated_cumulants",
     "mc_quasiaverage",
@@ -159,23 +157,9 @@ def reorder_gap(spec: OscillatorSpec, tau):
     return out if out.ndim else float(out)
 
 
-def reorder_gap_from_response(spec: OscillatorSpec, grid: TimeGrid) -> Signal:
-    """Z assembled from the frequency-sign parts of the sampled response.
-
-    Z(tau) = (i hbar / 2)[D_R^+(tau) + D_R^+(-tau) - D_R^-(tau) - D_R^-(-tau)].
-    Exact on grids where omega0 is resonant.
-    """
-    d = Signal(grid, retarded_response(spec, grid.lags))
-    dp = project_pm(d, "+")
-    dm = project_pm(d, "-")
-    z = 0.5j * spec.hbar * (dp.values + reflect(dp).values
-                            - dm.values - reflect(dm).values)
-    return Signal(grid, z)
-
-
 def recover_retarded_from_gap(Z: Signal, hbar: float = 1.0) -> Signal:
     """D_R(tau) = (2 / i hbar) theta(tau) [Z^+(tau) - Z^-(tau)], with theta
-    on the circle (the lag profile of the periodic `theta_ordering_matrix`)."""
+    on the circle (the lag profile `grids._circle_theta`)."""
     zp = project_pm(Z, "+")
     zm = project_pm(Z, "-")
     theta = _circle_theta(Z.grid)
@@ -186,11 +170,19 @@ def recover_retarded_from_gap(Z: Signal, hbar: float = 1.0) -> Signal:
 def rotated_cumulants(spec: OscillatorSpec, state: GaussianState, p: OrderingParam,
                       grid: TimeGrid) -> RotatedCumulants:
     """Closed-form rotated image of `ctl_cumulants(spec, state, grid,
-    periodic=True)` at ordering p, its `rotate` to rounding at a resonant
-    omega0: zero mean, the s-ordered kernel as a real N_s, and as D_R the
-    Kubo response on the circle, the circulant kernel with lag profile
-    -theta sin(omega0 tau), theta from `grids._circle_theta` (1/2 at lag 0
-    and at the wrap lag -T/2)."""
+    periodic=True)` at ordering p, its `rotate` to rounding: zero mean, the
+    s-ordered kernel as a real N_s, and as D_R the Kubo response on the
+    circle, the circulant kernel with lag profile -theta sin(omega0 tau),
+    theta from `grids._circle_theta` (1/2 at lag 0 and at the wrap lag
+    -T/2).  It is that image only at a resonant omega0, so an omega0 more
+    than 1e-9 omega0 from every `grid.resonant_frequency(k)`, k >= 1, is a
+    ValueError."""
+    cycles = max(1, round(spec.omega0 / grid.domega))
+    nearest = grid.resonant_frequency(cycles)
+    if abs(spec.omega0 - nearest) > 1e-9 * spec.omega0:
+        raise ValueError(f"omega0 = {spec.omega0!r} is not a grid resonance (nearest "
+                         f"{nearest!r}, {cycles} cycles): the closed-form image is "
+                         "rotate's only at a resonant omega0")
     t = grid.times
     d_r = TwoPointKernel.circulant(grid, -_circle_theta(grid) * np.sin(spec.omega0 * grid.lags))
     n_s = np.ascontiguousarray(s_ordered_kernel(spec, state, p, t[:, None], t[None, :]).real)

@@ -57,6 +57,7 @@ from .grids import (
     Signal,
     TimeGrid,
     TwoPointKernel,
+    _reflected,
     _theta_masks,
     pair_form,
     overlap,
@@ -113,12 +114,12 @@ def _kernel(grid: TimeGrid, a: np.ndarray) -> TwoPointKernel:
 
 
 def _transposed(a: np.ndarray) -> np.ndarray:
-    """a^T: for a lag profile the reflected profile a[(-k) % n]."""
-    return a.T if a.ndim == 2 else np.concatenate((a[:1], a[:0:-1]))
+    """a^T: for a lag profile the reflected profile."""
+    return a.T if a.ndim == 2 else _reflected(a)
 
 
 def _regions(a: np.ndarray, periodic: bool) -> tuple:
-    """(later, earlier, tie) of `theta_ordering_matrix` on a kernel's data."""
+    """(later, earlier, tie) of theta (`grids._theta_masks`) on a kernel's data."""
     return _theta_masks(a.shape[0], periodic, profile=a.ndim == 1)
 
 
@@ -210,8 +211,8 @@ class CumulantSet:
     def from_wightman(cls, mean: Signal, k_w: np.ndarray, periodic: bool = False,
                       hbar_c: float = 1.0) -> "CumulantSet":
         """The set of a Hermitian field with Wightman kernel k_w, stored as
-        (mean, K_W): K_F is the theta split by `theta_ordering_matrix` (on
-        the circle when periodic), K_W where theta = 1, K_W^T where 0, their
+        (mean, K_W): K_F is the theta split (`grids._theta_masks`, on the
+        circle when periodic), K_W where theta = 1, K_W^T where 0, their
         mean where 1/2; K_rev = K_F*."""
         return cls(mean, None, None, TwoPointKernel(mean.grid, k_w), hbar_c, periodic)
 
@@ -318,7 +319,7 @@ class RotatedCumulants:
 
 def _acausal_part(values: np.ndarray, grid: TimeGrid,
                   periodic=(False, True)) -> tuple[np.ndarray | None, float]:
-    """Acausal mask (theta == 0 in `theta_ordering_matrix`) and largest
+    """Acausal mask (theta == 0, `grids._theta_masks`) and largest
     acausal |entry| of a response kernel in the first time representation of
     `periodic` where that part is noise (<= 1e-10 of the largest entry): by
     default linear time, then the circle.  If none, the mask is None and the

@@ -176,25 +176,39 @@ def _real_or_complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return re + 1j * im if im.any() else re
 
 
-def signal_from_csv(text: str) -> Signal:
+def _csv_columns(text: str, kind: str, names: tuple) -> tuple[TimeGrid, list[np.ndarray]]:
+    """The header grid and the named columns of a signal or kernel CSV, as
+    float arrays, each refused (naming it) if an entry is not finite."""
     lines = text.splitlines()
     grid = _parse_grid_header(lines[1])
-    ts, re, im = [], [], []
+    rows = []
     for line in lines[3:]:
         if not line.strip():
             continue
-        t, r, i = line.split(",")
-        ts.append(float(t))
-        re.append(float(r))
-        im.append(float(i))
+        fields = line.split(",")
+        if len(fields) != len(names):
+            raise ValueError(f"{kind} CSV row {line!r} has {len(fields)} fields, "
+                             f"not {len(names)} ({','.join(names)})")
+        rows.append([float(x) for x in fields])
     # lists of floats: only a non-finite entry to refuse, so `_numbers` is not needed
-    ts, re, im = np.array(ts), np.array(re), np.array(im)
-    for name, column in (("t", ts), ("re", re), ("im", im)):
-        _require_finite(f"signal CSV column {name}", column)
-    sig = Signal(grid, _real_or_complex(re, im))
-    off = np.abs(ts - grid.times).max(initial=0.0)
+    columns = list(np.array(rows, dtype=float).reshape(-1, len(names)).T.copy())
+    for name, column in zip(names, columns):
+        _require_finite(f"{kind} CSV column {name}", column)
+    return grid, columns
+
+
+def _check_times(kind: str, name: str, column: np.ndarray, want: np.ndarray, grid: TimeGrid):
+    """Refuse a time column more than 1e-9 dt off the header grid's times."""
+    off = np.abs(column - want).max(initial=0.0)
     if off > 1e-9 * grid.dt:
-        raise ValueError(f"signal CSV t column is {off:.3g} off the header grid (dt={fmt(grid.dt)})")
+        raise ValueError(f"{kind} CSV {name} column is {off:.3g} off the header grid "
+                         f"(dt={fmt(grid.dt)})")
+
+
+def signal_from_csv(text: str) -> Signal:
+    grid, (ts, re, im) = _csv_columns(text, "signal", ("t", "re", "im"))
+    sig = Signal(grid, _real_or_complex(re, im))
+    _check_times("signal", "t", ts, grid.times, grid)
     return sig
 
 
@@ -206,21 +220,16 @@ def kernel_to_csv(K: TwoPointKernel) -> str:
 
 
 def kernel_from_csv(text: str) -> TwoPointKernel:
-    lines = text.splitlines()
-    grid = _parse_grid_header(lines[1])
-    re, im = [], []
-    for line in lines[3:]:
-        if not line.strip():
-            continue
-        _, _, r, i = line.split(",")
-        re.append(float(r))
-        im.append(float(i))
-    if len(re) != grid.n * grid.n:
-        raise ValueError(f"kernel CSV has {len(re)} rows, grid n={grid.n} needs {grid.n ** 2}")
-    re, im = np.array(re), np.array(im)
-    for name, column in (("re", re), ("im", im)):
-        _require_finite(f"kernel CSV column {name}", column)
-    return TwoPointKernel(grid, _real_or_complex(re, im).reshape(grid.n, grid.n))
+    """The kernel of a CSV listed t-major, as `kernel_to_csv` writes it: the
+    t and tp columns must be the header grid's times in that order."""
+    grid, (ts, tps, re, im) = _csv_columns(text, "kernel", ("t", "tp", "re", "im"))
+    n = grid.n
+    if len(re) != n * n:
+        raise ValueError(f"kernel CSV has {len(re)} rows, grid n={n} needs {n ** 2}")
+    t = grid.times
+    _check_times("kernel", "t", ts, np.repeat(t, n), grid)
+    _check_times("kernel", "tp", tps, np.tile(t, n), grid)
+    return TwoPointKernel(grid, _real_or_complex(re, im).reshape(n, n))
 
 
 def _grid_obj(grid: TimeGrid) -> dict:

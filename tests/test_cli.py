@@ -193,6 +193,21 @@ class TestPvSolve:
         assert (outdir / "a.json").read_bytes() == (outdir / "b.json").read_bytes()
 
 
+class TestDressRoutes:
+    def test_file_route_and_toy_route_write_the_same_bytes(self, outdir):
+        # the toy's kernels as files take the same exact-Toeplitz recursion
+        from keldrot.medium import one_mode_toy
+
+        d_bare, pi_r, _, _ = one_mode_toy(TimeGrid(64, 0.0625), 1.0, 0.3)
+        bare, pi = outdir / "bare.json", outdir / "pi_r.json"
+        bare.write_text(ser.kernel_to_json(d_bare))
+        pi.write_text(ser.kernel_to_json(pi_r))
+        assert run(["dress", "--bare", bare, "--pi-r", pi, "--out", outdir / "file"]) == 0
+        assert run(["dress", "--omega0", 1.0, "--coupling", 0.3, "--n", 64, "--dt", 0.0625,
+                    "--out", outdir / "toy"]) == 0
+        assert (outdir / "file.json").read_bytes() == (outdir / "toy.json").read_bytes()
+
+
 class TestSpectrumVerbs:
     def test_zero_point_scales_delta_ledger(self, outdir):
         out = outdir / "zp"
@@ -273,6 +288,18 @@ class TestStochasticVerbs:
         assert code == 0
         report = json.loads((outdir / "lc.json").read_text())
         assert report["max_relative_residual"] < 1e-8
+        assert report["max_relative_j_quadratic"] < 1e-8
+
+    def test_oscillator_lambda_check_refuses_non_resonant_frequency(self, outdir, capsys):
+        # omega0 = 1 is not a resonance of n dt = 12.8, where the closed-form
+        # image is not rotate's
+        code = run(["oscillator", "lambda-check", "--n", 256, "--dt", 0.05, "--seed", 1,
+                    "--out", outdir / "lc"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "computation"
+        assert "omega0 = 1.0 is not a grid resonance (nearest 0.98174" in err["detail"]
+        assert list(outdir.iterdir()) == []
 
     def test_oscillator_mc_verb(self, outdir):
         out = outdir / "omc"

@@ -119,17 +119,18 @@ class TestResponseTransform:
 
 class TestPhotonPair:
     def test_matches_scaled_massless_scalar(self):
+        # mu_vac = 1: the photon coefficients are the massless scalar's times -1
         k0 = symmetric_k0_grid(3.0, 40)
-        photon = photon_keldysh_pair(k0, 0.5, eps=1e-4, mu_vac=2.0)
+        photon = photon_keldysh_pair(k0, 0.5, eps=1e-4)
         scalar = scalar_kernels(k0, 0.5, mu_sq=0.0, eps=1e-4)
-        assert np.abs(photon["D_F"] + 2.0 * scalar["D_F"]).max() < 1e-14
-        assert np.abs(photon["D_plus"] + 2.0 * scalar["D_plus"]).max() < 1e-14
+        assert np.abs(photon["D_F"] + scalar["D_F"]).max() < 1e-14
+        assert np.abs(photon["D_plus"] + scalar["D_plus"]).max() < 1e-14
 
     def test_feynman_kernel_at_zero_frequency_keeps_its_prescription(self):
         # at k0 = 0 D_F is 1/(k^2 + i eps) by definition; the theta split of
         # D_R would give the real 1/k^2 there
-        photon = photon_keldysh_pair(np.array([0.0]), 0.5, eps=1e-4, mu_vac=2.0)
-        assert photon["D_F"][0] == pytest.approx(-2.0 / (-0.5 + 1e-4j), rel=1e-15)
+        photon = photon_keldysh_pair(np.array([0.0]), 0.5, eps=1e-4)
+        assert photon["D_F"][0] == pytest.approx(-1.0 / (-0.5 + 1e-4j), rel=1e-15)
         assert photon["D_F"][0].imag != 0.0
         assert photon["D_plus"][0] == 0.0
 

@@ -11,18 +11,20 @@ from keldrot.grids import (
     TimeGrid,
     TwoPointKernel,
     _circle_theta,
+    _reflected,
+    _theta_masks,
+    _toeplitz,
     heaviside,
     overlap,
     project_kernel_axis,
     project_pm,
     project_s,
-    reflect,
     sign_weights,
     theta_ordering_matrix,
 )
 from keldrot.rotation import _acausal_part
 
-from common import circular_lags
+from common import F_PM, circular_lags, lag_index_theta
 
 
 def random_signal(grid, rng, band_interior=False):
@@ -151,31 +153,39 @@ class TestKernelProjection:
         w0 = g.resonant_frequency(4)
         tau = circular_lags(g)
         K = TwoPointKernel(g, np.exp(-1j * w0 * tau) + 0.3 * np.cos(2 * w0 * tau))
-        lhs = project_kernel_axis(K, 0, "+").values
-        rhs = project_kernel_axis(K, 1, "-").values
+        lhs = project_kernel_axis(K, 0, "+", F_PM).values
+        rhs = project_kernel_axis(K, 1, "-", F_PM).values
         assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_double_same_sign_kills_stationary(self):
         g = TimeGrid(64, 0.15)
         w0 = g.resonant_frequency(4)
         K = TwoPointKernel(g, np.cos(w0 * circular_lags(g)))
-        out = project_kernel_axis(project_kernel_axis(K, 1, "+"), 0, "+")
+        out = project_kernel_axis(project_kernel_axis(K, 1, "+", F_PM), 0, "+", F_PM)
         assert np.abs(out.values).max() < 1e-12
 
     def test_axis_validation(self):
         K = TwoPointKernel(TimeGrid(16, 0.5), np.zeros((16, 16)))
         with pytest.raises(ValueError, match="axis"):
-            project_kernel_axis(K, 2, "+")
+            project_kernel_axis(K, 2, "+", F_PM)
 
     def test_identity_kernel_rows_become_projector_samples(self):
         g = TimeGrid(32, 0.3)
         eye = TwoPointKernel(g, np.eye(g.n) / g.dt)
-        rows = project_kernel_axis(eye, 0, "+")
+        rows = project_kernel_axis(eye, 0, "+", F_PM)
         # each column is the projector response to a grid delta
         delta = Signal(g, np.zeros(g.n))
         delta.values[5] = 1.0 / g.dt
         expect = project_pm(delta, "+")
         assert np.abs(rows.values[:, 5] - expect.values).max() < 1e-12
+
+
+def circle_theta_matrix(n):
+    """The circle's theta as the dense regions of `_theta_masks` give it."""
+    later, _, tie = _theta_masks(n, True)
+    th = later.astype(float)
+    th[tie] = 0.5
+    return th
 
 
 class TestOrderingMatrix:
@@ -185,8 +195,7 @@ class TestOrderingMatrix:
         assert th[2, 1] == 1.0 and th[1, 2] == 0.0 and th[1, 1] == 0.5
 
     def test_periodic_theta_is_circulant(self):
-        g = TimeGrid(8, 1.0)
-        th = theta_ordering_matrix(g, periodic=True)
+        th = circle_theta_matrix(8)
         # entry depends only on (i - j) mod n
         for shift in range(1, 8):
             assert np.allclose(np.diag(th, -shift),
@@ -201,23 +210,23 @@ class TestOrderingMatrix:
 
     def test_periodic_theta_halves_the_wrap_lag(self):
         g = TimeGrid(8, 1.0)
-        th = theta_ordering_matrix(g, periodic=True)
+        th = circle_theta_matrix(8)
         assert g.lags[4] == -4.0 and th[4, 0] == 0.5 and th[0, 4] == 0.5
-        assert theta_ordering_matrix(TimeGrid(7, 1.0), periodic=True)[3, 0] == 1.0
+        assert circle_theta_matrix(7)[3, 0] == 1.0
 
     @pytest.mark.parametrize("n", [*range(2, 12), 64, 65, 1024])
     def test_circle_mask_and_profile_match_dense_theta(self, n):
-        # rotate's acausal band and the lag profile against the dense matrix
+        # rotate's acausal band, the dense regions and the lag profile
+        # against theta of the wrapped lags
         g = TimeGrid(n, 0.5)
-        dense = theta_ordering_matrix(g, periodic=True)
+        dense = lag_index_theta(g, True)
         mask, _ = _acausal_part(np.zeros((n, n)), g, periodic=(True,))
         assert np.array_equal(mask, dense == 0.0)
+        assert np.array_equal(circle_theta_matrix(n), dense)
         assert np.array_equal(_circle_theta(g), dense[:, 0])
 
     def test_theta_pair_resolves_identity(self):
-        g = TimeGrid(8, 1.0)
-        for periodic in (False, True):
-            th = theta_ordering_matrix(g, periodic=periodic)
+        for th in (theta_ordering_matrix(TimeGrid(8, 1.0)), circle_theta_matrix(8)):
             assert np.allclose(th + th.T, np.ones((8, 8)))
 
 
@@ -250,11 +259,28 @@ def test_heaviside_int_input_takes_array_path():
 
 
 def test_reflect_is_circular_reversal():
-    g = TimeGrid(8, 1.0)
-    f = Signal(g, np.arange(8, dtype=complex))
-    r = reflect(f)
-    assert r.values[0] == f.values[0]
-    assert np.allclose(r.values[1:], f.values[1:][::-1])
+    f = np.arange(8, dtype=complex)
+    assert np.array_equal(_reflected(f), f[-np.arange(8) % 8])
+
+
+@pytest.mark.parametrize("n", [7, 8, 96, 97])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_toeplitz_layouts_match_index_oracles(n, dtype):
+    """The circulant and the lower-triangular Toeplitz layout of `_toeplitz`
+    against layouts indexed entry by entry, bit for bit."""
+    rng = np.random.default_rng(n)
+    column = rng.normal(size=n).astype(dtype)
+    if dtype is complex:
+        column += 1j * rng.normal(size=n)
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    cases = ((_reflected(column), column[(i - j) % n]),
+             (np.zeros_like(column), np.where(i >= j, column[np.maximum(i - j, 0)], 0)))
+    for row, want in cases:
+        got = _toeplitz(column, row)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+    circulant = TwoPointKernel.circulant(TimeGrid(n, 0.1), column).values
+    assert circulant.tobytes() == column[(i - j) % n].tobytes()
 
 
 def test_dtype_follows_the_data():

@@ -27,11 +27,10 @@ from keldrot.oscillator import (
     ctl_cumulants,
     retarded_response,
     retarded_response_grid,
-    rotated_cumulants,
 )
 from keldrot.rotation import RotatedCumulants, _acausal_part, reorder, rotate
 
-from common import zero_kernel
+from common import circular_lags, zero_kernel
 
 SEA = DiracSeaSpec(mu0=1.0)
 
@@ -115,8 +114,7 @@ class TestGridDressing:
         sym = TwoPointKernel(grid, d_bare.values + d_bare.values.T)
         # retarded on the circle, which rotate accepts, but not in linear
         # time, which the forward substitution needs
-        image = rotated_cumulants(spec, GaussianState(), OrderingParam(0.0), grid)
-        circ = TwoPointKernel(grid, image.D_R.values)
+        circ = TwoPointKernel(grid, retarded_response(spec, circular_lags(grid)))
         assert _acausal_part(circ.values, grid)[1] == 0.0
         for bad in (sym, circ):
             with pytest.raises(ValueError, match="bare propagator kernel is not retarded"):

@@ -34,7 +34,7 @@ from keldrot.rotation import (
     unrotate,
 )
 
-from common import circular_lags, zero_kernel
+from common import F_PM, circular_lags, lag_index_theta, zero_kernel
 
 GRID = TimeGrid(96, 0.12)
 W0 = GRID.resonant_frequency(7)
@@ -354,8 +354,8 @@ class TestTwoRoute:
     def test_gap_matches_two_projection_formula(self, name):
         # Z = (i hbar c / 2) [F^-_t' D_R + F^-_t D_R^T - F^+_t' D_R - F^+_t D_R^T]
         d_r = rotate(ORACLE_SETS[name](), OrderingParam(0.0)).D_R
-        bm = project_kernel_axis(d_r, 1, "-").values
-        bp = project_kernel_axis(d_r, 1, "+").values
+        bm = project_kernel_axis(d_r, 1, "-", F_PM).values
+        bp = project_kernel_axis(d_r, 1, "+", F_PM).values
         for hbar_c in (1.0, 0.3):
             z = 0.5j * hbar_c * (bm + bm.T - bp - bp.T)
             gap = reorder_gap_kernel(d_r, hbar_c).values
@@ -370,7 +370,7 @@ def explicit_triple(ctl):
 
 def parent_theta_split(k_w, periodic):
     """K_F selected by the dense theta matrix, as from_wightman stored it."""
-    th = theta_ordering_matrix(GRID, periodic)
+    th = lag_index_theta(GRID, periodic)
     k_f = np.where(th == 1.0, k_w, k_w.T)
     tie = th == 0.5
     k_f[tie] = 0.5 * (k_w[tie] + k_w.T[tie])
@@ -408,17 +408,12 @@ class TestStoredWightman:
     @pytest.mark.parametrize("n", [7, 8, 96, 97])
     @pytest.mark.parametrize("periodic", [False, True])
     def test_theta_masks_match_theta_matrix(self, n, periodic):
-        # oracle: the dense construction, theta of the lag index (i - j),
-        # wrapped on the circle to the lag profile of `_circle_theta`
+        # oracle: the dense construction from the lag index
         grid = TimeGrid(n, 0.1)
-        if periodic:
-            i = np.arange(n)
-            dense = grids._circle_theta(grid)[(i[:, None] - i[None, :]) % n]
-        else:
-            dense = np.tri(n, k=-1)
-            np.fill_diagonal(dense, 0.5)
-        th = theta_ordering_matrix(grid, periodic)
-        assert np.array_equal(th, dense) and th.dtype == dense.dtype
+        dense = lag_index_theta(grid, periodic)
+        if not periodic:
+            th = theta_ordering_matrix(grid)
+            assert np.array_equal(th, dense) and th.dtype == dense.dtype
         later, earlier, tie = grids._theta_masks(n, periodic)
         assert np.array_equal(later, dense == 1.0) and np.array_equal(earlier, dense == 0.0)
         ties = np.zeros((n, n), dtype=bool)
@@ -549,7 +544,7 @@ def test_corrupted_weyl_image_fails_criterion(monkeypatch):
 def complex_gap_oracle(d_r, hbar_c=1.0):
     """The complex-projection route: Z = -hbar c (Y + Y^T) with
     Y = Im F^-_t' D_R - (1/2) Im D_R."""
-    im_c = project_kernel_axis(d_r, 1, "-").values.imag - 0.5 * d_r.values.imag
+    im_c = project_kernel_axis(d_r, 1, "-", F_PM).values.imag - 0.5 * d_r.values.imag
     return -hbar_c * (im_c + im_c.T)
 
 

@@ -75,6 +75,28 @@ class TestKernelRoundTrip:
         back = ser.kernel_from_json(ser.kernel_to_json(kernel))
         assert np.array_equal(back.values, kernel.values)
 
+    def test_tp_major_csv_rejected(self, kernel):
+        # the same rows listed tp-major would read back as K^T
+        text = ser.kernel_to_csv(kernel)
+        head, body = text.split("t,tp,re,im\n")
+        rows = body.splitlines(keepends=True)
+        n = kernel.grid.n
+        tp_major = [rows[(k % n) * n + k // n] for k in range(n * n)]
+        with pytest.raises(ValueError, match="kernel CSV t column is .* off the header grid"):
+            ser.kernel_from_csv(head + "t,tp,re,im\n" + "".join(tp_major))
+
+    @pytest.mark.parametrize("column", ["t", "tp"])
+    @pytest.mark.parametrize("word, message", [
+        ("99", "kernel CSV {} column is .* off the header grid"),
+        ("nan", "kernel CSV column {} must be finite, got nan")])
+    def test_time_column_checked(self, kernel, column, word, message):
+        lines = ser.kernel_to_csv(kernel).splitlines(keepends=True)
+        fields = lines[7].rstrip("\n").split(",")
+        fields[["t", "tp"].index(column)] = word
+        lines[7] = ",".join(fields) + "\n"
+        with pytest.raises(ValueError, match=message.format(column)):
+            ser.kernel_from_csv("".join(lines))
+
     def test_short_csv_rejected(self, kernel):
         text = ser.kernel_to_csv(kernel)
         with pytest.raises(ValueError, match="rows"):

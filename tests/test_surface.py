@@ -1,4 +1,5 @@
-"""Every public name has a caller outside the tests.
+"""Every public name has a caller outside the tests, and the library has
+few settable values.
 
 A name in a keldrot module's `__all__` is live when code outside `tests/`
 reads it: a script, the benchmark harness, module-level code of the
@@ -13,6 +14,15 @@ module (`D = lib.diracsea`), an attribute or string subscript spelled as
 a module (`lib.cli.main`, `mods["acceptance"]`) or `keldrot.<module>`.
 So `grid.lags` or `Signal.zero` never keeps a public `lags` or `zero`
 alive.
+
+A settable value is a parameter with a default of a public function or
+method, or a dataclass field with a default, counted by AST over the
+package's modules.  Public means a module-level function, or a method of a
+module-level class, whose name and whose class's name do not start with
+an underscore.  A field has a default when it is assigned a value other
+than a `field(...)` call, or a `field(...)` call with `default` or
+`default_factory`.  A default that no caller outside the tests sets is an
+option nobody uses: make it a constant instead.
 """
 import ast
 import importlib
@@ -20,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "keldrot"
+MAX_SETTABLE_VALUES = 48
 # the read half of a CLI output format: `kernel_from_csv` reads the kernel
 # CSV that `kernel_to_csv` writes for the oscillator, mc and kernels verbs
 READERS_OF_CLI_OUTPUT = {"kernel_from_csv"}
@@ -102,3 +113,50 @@ def test_every_public_name_has_a_non_test_caller():
         unused += [f"{path.stem}.{name}" for name in getattr(mod, "__all__", [])
                    if name not in live and name not in READERS_OF_CLI_OUTPUT]
     assert not unused, f"public names with no caller outside tests/: {unused}"
+
+
+def _defaulted_parameters(fn: ast.FunctionDef) -> int:
+    return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _has_default(field: ast.AnnAssign) -> bool:
+    value = field.value
+    if value is None:
+        return False
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return any(k.arg in ("default", "default_factory") for k in value.keywords)
+    return True
+
+
+def _settable_values() -> list[str]:
+    """One entry per settable value, named by its function or field."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            where = f"{path.stem}.{node.name}"
+            if isinstance(node, ast.FunctionDef):
+                found += [where] * _defaulted_parameters(node)
+                continue
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    found += [f"{where}.{sub.name}"] * _defaulted_parameters(sub)
+                elif (_is_dataclass(node) and isinstance(sub, ast.AnnAssign)
+                      and isinstance(sub.target, ast.Name) and _has_default(sub)):
+                    found.append(f"{where}.{sub.target.id}")
+    return found
+
+
+def test_few_settable_values():
+    found = _settable_values()
+    assert len(found) <= MAX_SETTABLE_VALUES, (
+        f"{len(found)} settable values, at most {MAX_SETTABLE_VALUES}: {found}")
