@@ -5,7 +5,6 @@ from .grids import (
     Signal,
     TimeGrid,
     TwoPointKernel,
-    project_pm,
     project_s,
 )
 from .rotation import CumulantSet, RotatedCumulants, reorder, rotate, unrotate
@@ -17,7 +16,6 @@ __all__ = [
     "Signal",
     "OrderingParam",
     "TwoPointKernel",
-    "project_pm",
     "project_s",
     "CumulantSet",
     "RotatedCumulants",

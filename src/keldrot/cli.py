@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, diracsea, medium, oscillator, pvreg, rotation
 from . import serialization as ser
-from .grids import OrderingParam, Signal, TimeGrid, TwoPointKernel, project_pm, project_s
+from .grids import OrderingParam, Signal, TimeGrid, TwoPointKernel, _require_count, project_s
 
 
 class ConfigError(ValueError):
@@ -70,6 +70,10 @@ def _load_config(path: str | None, cli_params: dict, flags: dict) -> dict:
             grid = values.pop("grid", {})
             if not isinstance(grid, dict):
                 raise ConfigError("config key 'grid' must be an object with n, dt and t0")
+            twice = sorted(set(grid) & set(values))
+            if twice:
+                raise ConfigError(f"config key {twice[0]!r} is given both at the top level "
+                                  "and in 'grid'")
             values.update((f"grid.{k}", v) for k, v in grid.items())
             allowed.update((f"grid.{k}", flags[k]) for k in ("n", "dt", "t0"))
         unknown = set(values) - set(allowed)
@@ -88,7 +92,9 @@ def _require(config: dict, *keys):
 
 
 def _grid_from_config(config: dict) -> TimeGrid:
-    g = config.get("grid", config)
+    """The grid of n, dt and t0, each from its flag or, failing that, the
+    config file's top level or its "grid" object."""
+    g = {**config.get("grid", {}), **config}
     _require(g, "n", "dt")
     return TimeGrid(int(g["n"]), float(g["dt"]), float(g.get("t0", 0.0)))
 
@@ -137,20 +143,13 @@ def _read_signal(path: str) -> Signal:
     return ser.signal_from_csv(text)
 
 
-def _count(config: dict, key: str, default: int | None = None) -> int:
-    """An integer config value that must be at least 1: a count of zero
-    would write an empty result and report nothing as checked."""
-    n = int(config.get(key, default))
-    if n < 1:
-        raise ValueError(f"{key} must be positive, got {n}")
-    return n
-
-
 def _k2_values(config: dict) -> np.ndarray:
     if config.get("k2") is not None:
         return np.array([float(config["k2"])])
     _require(config, "k2_min", "k2_max", "n_k2")
-    return np.linspace(float(config["k2_min"]), float(config["k2_max"]), _count(config, "n_k2"))
+    # a count of zero would write an empty result and report nothing as checked
+    return np.linspace(float(config["k2_min"]), float(config["k2_max"]),
+                       _require_count("n_k2", config["n_k2"]))
 
 
 def _dirac_spec(config: dict, mu0: float | None = None) -> diracsea.DiracSeaSpec:
@@ -184,10 +183,7 @@ def _scheme_from_config(config: dict) -> pvreg.PVScheme:
 def run_project(config: dict) -> tuple[dict, dict]:
     _require(config, "infile", "sign")
     sig = _read_signal(config["infile"])
-    if config.get("s") is not None:
-        out = project_s(sig, OrderingParam(float(config["s"])), config["sign"])
-    else:
-        out = project_pm(sig, config["sign"])
+    out = project_s(sig, OrderingParam(float(config.get("s", 1.0))), config["sign"])
     return {".csv": ser.signal_to_csv(out)}, {"n": sig.grid.n}
 
 
@@ -216,7 +212,7 @@ def run_oscillator_kernel(config: dict) -> tuple[dict, dict]:
 def run_oscillator_lambda_check(config: dict) -> tuple[dict, dict]:
     spec, state, p = _osc_from_config(config)
     grid = _grid_from_config(config)
-    draws = _count(config, "draws", 10)
+    draws = _require_count("draws", config.get("draws", 10))
     rng = np.random.default_rng(int(config["seed"]))
     rot = oscillator.rotated_cumulants(spec, state, p, grid)  # refuses a non-resonant omega0
     # as a triple, so that K_F and K_rev are derived (and laid out) once, not per draw

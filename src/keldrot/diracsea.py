@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import heaviside
+from .grids import _require_finite, _require_positive, heaviside
 from .pvreg import (PVScheme, moment_integral_exact, moment_sums, series_coeffs,
                     series_coeffs_fractions)
 
@@ -51,12 +51,11 @@ FINE_STRUCTURE = 7.2973525693e-3
 class DiracSeaSpec:
     """Electron mass in inverse-length units and the coupling."""
 
-    mu0: float = 1.0
+    mu0: float
     alpha: float = FINE_STRUCTURE
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu0) and self.mu0 > 0):
-            raise ValueError(f"mu0 must be finite and positive, got {self.mu0}")
+        _require_positive("mu0", self.mu0)
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
 
@@ -139,11 +138,6 @@ _SERIES = [math.factorial(n + 1) ** 2 / (n * math.factorial(2 * n + 3))
            for n in range(1, 41)]
 
 
-def _finite_k_sq(k_sq: float) -> None:
-    if not math.isfinite(k_sq):
-        raise ValueError(f"k_sq must be finite, got {k_sq}")
-
-
 def _tail(a: float, big_y: float) -> float:
     """integral_Y^inf F(y)/(y(y-a)) dy via the 1/y expansion of F to order 8."""
     cs = series_coeffs(8)
@@ -170,7 +164,7 @@ def R_obs(k_sq: float, spec: DiracSeaSpec, k0_sign: int = 1) -> complex:
     form cancels, the series (2 alpha/pi) sum_n (k^2/mu0^2)^n B(n+2,n+2)/n
     is summed instead.
     """
-    _finite_k_sq(k_sq)
+    _require_finite("k_sq", k_sq)
     k_sq = float(k_sq)  # exact: np.float64 input runs on Python floats
     x = k_sq / spec.mu0 ** 2
     if abs(x) < 1.0:
@@ -202,9 +196,8 @@ def R_obs_finite_eps(k_sq: float, spec: DiracSeaSpec, eps: float,
     """Finite-epsilon cross-check route (eps in mass^2 units)."""
     from scipy.integrate import quad
 
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
-    _finite_k_sq(k_sq)
+    _require_positive("eps", eps)
+    _require_finite("k_sq", k_sq)
     a = k_sq / (4.0 * spec.mu0 ** 2)
     ea = eps * np.sign(k0_sign) / (4.0 * spec.mu0 ** 2)
     big_y = max(1e6, 1e3 * (1.0 + abs(a)))
@@ -322,7 +315,7 @@ def kramers_kronig_real_part(k_sq: float, spec: DiracSeaSpec) -> float:
     """
     from scipy.integrate import quad
 
-    _finite_k_sq(k_sq)
+    _require_finite("k_sq", k_sq)
     s0 = 4.0 * spec.mu0 ** 2
 
     def im_r(s):
@@ -365,6 +358,8 @@ GAUSS_ORDER_CHECK = 12
 # truncation below 1e-17 of the leading one
 SERIES_START = 3.0
 SERIES_TERMS = 20
+# the cutoff mu_c^2 of the integral, in units of the top threshold 4 mu_N^2
+CUTOFF_RATIO = 400.0
 # panels evaluated per vectorised step, which bounds the node temporaries
 PANEL_CHUNK = 256
 # half Bessel periods up to the cutoff beyond which a call raises; a call
@@ -373,7 +368,6 @@ MAX_PANELS = 1_000_000
 
 
 def K_reg_coordinate(x_sq: float, sign_t: int, scheme: PVScheme,
-                     cutoff_sq: float | None = None,
                      with_cone_coefficient: bool = True) -> dict:
     """Coordinate-space regularized commutator spectrum near the light cone.
 
@@ -382,7 +376,7 @@ def K_reg_coordinate(x_sq: float, sign_t: int, scheme: PVScheme,
 
         A = sign_t / (8 pi^2 r) integral_{2 mu_0}^{mu_c} 2 mu^2 K_reg(mu^2) J1(mu r) dmu
 
-    with r = sqrt(x^2) and mu_c^2 = cutoff_sq (default 400 * 4 mu_N^2),
+    with r = sqrt(x^2) and mu_c^2 = CUTOFF_RATIO * 4 mu_N^2,
     plus (optionally) the coefficient of the light-cone delta term,
     -(1/4 pi^2) integral K_reg, which is the n = 0 moment in closed form
     (`pvreg.moment_integral_exact`) and cancels for a solved scheme.
@@ -411,11 +405,7 @@ def K_reg_coordinate(x_sq: float, sign_t: int, scheme: PVScheme,
     (l = 0..6) it is 4.3e-5 at x^2 = 2e-5, 1.6e-4 at 1e-5, 5.7e-4 at 5e-6
     and 2.1e-3 at 2.5e-6.
     """
-    mu_top_sq = 4.0 * scheme.masses[-1] ** 2
-    if cutoff_sq is None:
-        cutoff_sq = 400.0 * mu_top_sq
-    if cutoff_sq < 25.0 * mu_top_sq:
-        raise ValueError("cutoff too small: needs >= 25 * 4 mu_N^2 for convergence")
+    cutoff_sq = CUTOFF_RATIO * (4.0 * scheme.masses[-1] ** 2)
     if sign_t not in (-1, 1):
         raise ValueError("sign_t must be +1 or -1")
     smooth, panels, abserr = 0.0, 0, 0.0

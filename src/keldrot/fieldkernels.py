@@ -11,11 +11,9 @@ where they matter quantitatively.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .grids import _require_finite, heaviside
+from .grids import _require_count, _require_finite, _require_positive, heaviside
 
 __all__ = [
     "scalar_kernels",
@@ -35,10 +33,8 @@ def scalar_kernels(k0, kvec_sq, mu_sq: float, eps: float) -> dict:
     Heaviside split theta(0) = 1/2, so D = D_R - D_A holds exactly
     everywhere including k0 = 0.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
-    if not (math.isfinite(mu_sq) and mu_sq >= 0):
-        raise ValueError(f"mu_sq must be finite and non-negative, got {mu_sq}")
+    _require_positive("eps", eps)
+    _require_positive("mu_sq", mu_sq, zero_ok=True)
     k0 = np.asarray(k0, dtype=float)
     kvec_sq = np.asarray(kvec_sq, dtype=float)
     _require_finite("k0", k0)
@@ -64,10 +60,8 @@ def scalar_kernels(k0, kvec_sq, mu_sq: float, eps: float) -> dict:
 def symmetric_k0_grid(k0_max: float, n: int) -> np.ndarray:
     """Symmetric k0 samples excluding 0 (where the 1/2-split makes the
     Feynman identity O(eps) instead of exact)."""
-    if not (math.isfinite(k0_max) and k0_max > 0):
-        raise ValueError(f"k0_max must be finite and positive, got {k0_max}")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _require_positive("k0_max", k0_max)
+    n = _require_count("n", n)
     half = np.linspace(k0_max / n, k0_max, n)
     return np.concatenate([-half[::-1], half])
 

@@ -17,6 +17,8 @@ for band-interior signals and quadrature-exact otherwise.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +30,6 @@ __all__ = [
     "TwoPointKernel",
     "sign_weights",
     "ordering_weights",
-    "project_pm",
     "project_s",
     "project_kernel_axis",
     "overlap",
@@ -46,12 +47,41 @@ def _sign_value(sign) -> int:
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
+# The package's parameter checks: each raises a ValueError naming the
+# parameter, so that bad input fails where it enters.
+
 def _require_finite(name: str, values) -> None:
-    """Raise a ValueError naming `name` and its first non-finite entry."""
+    """Raise a ValueError naming `name` and its first non-finite entry.  A
+    float (np.float64 too) takes a scalar path with the same message and
+    without the array cost, for per-point callers."""
+    if isinstance(values, float):
+        if not math.isfinite(values):
+            raise ValueError(f"{name} must be finite, got {values}")
+        return
     values = np.asarray(values, dtype=float)
     bad = values[~np.isfinite(values)]
     if bad.size:
         raise ValueError(f"{name} must be finite, got {bad[0]}")
+
+
+def _require_positive(name: str, value, zero_ok: bool = False) -> None:
+    """Raise a ValueError naming `name` unless the scalar `value` is finite
+    and positive (non-negative when zero_ok)."""
+    if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+        sign = "non-negative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be finite and {sign}, got {value}")
+
+
+def _require_count(name: str, value) -> int:
+    """`value` as an int, if it is an integer of at least 1, else a
+    ValueError naming `name`."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -65,18 +95,12 @@ class TimeGrid:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("grid needs at least two samples")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"grid step must be finite and positive, got {self.dt}")
-        if not np.isfinite(self.t0):
-            raise ValueError(f"grid start must be finite, got {self.t0}")
+        _require_positive("grid step", self.dt)
+        _require_finite("grid start", self.t0)
 
     @property
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n)
-
-    @property
-    def duration(self) -> float:
-        return self.n * self.dt
 
     @property
     def lags(self) -> np.ndarray:
@@ -190,14 +214,9 @@ def ordering_weights(grid: TimeGrid, p: OrderingParam, sign) -> np.ndarray:
     return p.s_plus * sign_weights(grid, sgn) + p.s_minus * sign_weights(grid, -sgn)
 
 
-def project_pm(f: Signal, sign) -> Signal:
-    """Frequency-positive/negative part f^(+-) of a signal."""
-    w = sign_weights(f.grid, sign)
-    return Signal(f.grid, np.fft.fft(np.fft.ifft(f.values) * w))
-
-
 def project_s(f: Signal, p: OrderingParam, sign) -> Signal:
-    """s-weighted projection f^(s+-) = s_plus f^(+-) + s_minus f^(-+)."""
+    """s-weighted projection f^(s+-) = s_plus f^(+-) + s_minus f^(-+);
+    p = OrderingParam(1.0) gives the frequency-sign part f^(+-)."""
     w = ordering_weights(f.grid, p, sign)
     return Signal(f.grid, np.fft.fft(np.fft.ifft(f.values) * w))
 

@@ -12,14 +12,15 @@ Delta terms of spectra are never discretized; they are carried as explicit
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diracsea import DiracSeaSpec, F_threshold, R_obs, R_obs_finite_eps
-from .grids import Signal, TimeGrid, TwoPointKernel, _require_finite, _toeplitz, sign_weights
-from .oscillator import OscillatorSpec, _infield_basis, _sample_count, retarded_response_grid
-from .rotation import _acausal_part, _check_hbar_c
+from .grids import (Signal, TimeGrid, TwoPointKernel, _check_same_grid, _require_count,
+                    _require_finite, _require_positive, _toeplitz, sign_weights)
+from .oscillator import OscillatorSpec, _infield_basis, retarded_response_grid
+from .rotation import _acausal_part, _mirror_residual
 
 __all__ = [
     "SpectralDensity",
@@ -47,7 +48,7 @@ class SpectralDensity:
 
     k_sq: np.ndarray
     smooth: np.ndarray
-    delta_terms: list[tuple[float, float]] = field(default_factory=list)
+    delta_terms: list[tuple[float, float]]
 
     def __post_init__(self):
         self.k_sq = np.asarray(self.k_sq, dtype=float)
@@ -112,8 +113,7 @@ def dress_retarded_grid(D_bare: TwoPointKernel, pi_R: TwoPointKernel) -> TwoPoin
     lower-triangular Toeplitz, Pi_R exactly gamma I) the dressed kernel is
     Toeplitz too, and only its first column is solved for.
     """
-    if D_bare.grid != pi_R.grid:
-        raise ValueError("kernels must share a grid")
+    _check_same_grid(D_bare.grid, pi_R.grid)
     grid = D_bare.grid
     a = _toeplitz_column(D_bare.values)
     gamma = _scalar_diagonal(pi_R.values) if a is not None else None
@@ -151,8 +151,7 @@ def one_mode_toy(grid: TimeGrid, omega0: float, gamma: float):
 def mean_field(dressed: TwoPointKernel, J_e: Signal) -> Signal:
     """Radiated mean field <A> = D_R * J_e by grid quadrature; a medium with
     a mean current <J_r> enters as the source J_e + <J_r>."""
-    if J_e.grid != dressed.grid:
-        raise ValueError("source grid mismatch")
+    _check_same_grid(dressed.grid, J_e.grid)
     return Signal(dressed.grid, dressed.grid.dt * (dressed.values @ J_e.values))
 
 
@@ -166,8 +165,7 @@ def noise_map(dressed: TwoPointKernel, pi_N: TwoPointKernel) -> TwoPointKernel:
     N(i+1, j+1) = N(i, j) + dt^2 g c_{i+1} c*_{j+1}.  Any other Pi_N must be
     finite and Hermitian-symmetric, else ValueError.
     """
-    if dressed.grid != pi_N.grid:
-        raise ValueError("grid mismatch")
+    _check_same_grid(dressed.grid, pi_N.grid)
     dt = dressed.grid.dt
     g = _scalar_diagonal(pi_N.values)
     white = g is not None and g.imag == 0 and np.isfinite(g)
@@ -177,9 +175,10 @@ def noise_map(dressed: TwoPointKernel, pi_N: TwoPointKernel) -> TwoPointKernel:
         for i in range(1, len(c)):
             n[i, 1:] += n[i - 1, :-1]
         return TwoPointKernel(dressed.grid, n)
-    scale = np.abs(pi_N.values).max()  # NaN or inf when an entry is not finite
-    asym = np.abs(pi_N.values - pi_N.values.conj().T).max()
-    if not (np.isfinite(scale) and asym <= 1e-10 * max(scale, 1e-300)):
+    # scale is NaN or inf when an entry is not finite; an infinite entry
+    # would pass the relative test alone
+    asym, scale = _mirror_residual(pi_N.values)
+    if not (math.isfinite(scale) and asym <= 1e-10 * max(scale, 1e-300)):
         raise ValueError("noise kernel must be finite and Hermitian-symmetric")
     d_r = dressed.values
     n = dt ** 2 * (d_r @ pi_N.values @ d_r.conj().T)
@@ -195,9 +194,8 @@ def zero_point_smooth(k_sq, spec: DiracSeaSpec, mu_vac: float = 1.0,
     """
     k_sq_arr = np.atleast_1d(np.asarray(k_sq, dtype=float))
     _require_finite("k_sq", k_sq_arr)
-    if not (math.isfinite(mu_vac) and mu_vac > 0):
-        raise ValueError(f"mu_vac must be finite and positive, got {mu_vac}")
-    _check_hbar_c(hbar_c)
+    _require_positive("mu_vac", mu_vac)
+    _require_positive("hbar_c", hbar_c)
     out = np.zeros_like(k_sq_arr)
     thr = 4.0 * spec.mu0 ** 2
     for i, s in enumerate(k_sq_arr):
@@ -255,8 +253,7 @@ def time_normal_vacuum_noise(pi_F: Signal, pi_W: Signal) -> Signal:
     the two-time formula).  For translation-invariant vacuum inputs, whose
     Wightman kernel is frequency-positive, the result is the zero signal.
     """
-    if pi_F.grid != pi_W.grid:
-        raise ValueError("stationary kernels must share a grid")
+    _check_same_grid(pi_F.grid, pi_W.grid)
     g = pi_F.grid
     wp = sign_weights(g, "+")
     wm = sign_weights(g, "-")
@@ -326,16 +323,14 @@ def wyld_mc(spec: OscillatorSpec, grid: TimeGrid, n_samples: int, seed: int,
     centred covariance, sqrt((C_ii C_jj + C_ij^2) / N) with C = cov; the
     mean does not enter it, since cov is centred on the sample mean.
     """
-    n_samples = _sample_count(n_samples)
-    for name, value in (("white_noise_std", white_noise_std), ("alpha_nbar", alpha_nbar)):
-        if not (np.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be finite and non-negative, got {value}")
+    n_samples = _require_count("n_samples", n_samples)
+    _require_positive("white_noise_std", white_noise_std, zero_ok=True)
+    _require_positive("alpha_nbar", alpha_nbar, zero_ok=True)
     rng = np.random.Generator(np.random.Philox(seed))
     dr = retarded_response_grid(spec, grid)
     base = np.zeros(grid.n)
     if J_e is not None:
-        if J_e.grid != grid:
-            raise ValueError("source grid mismatch")
+        _check_same_grid(grid, J_e.grid)
         if np.any(J_e.values.imag):
             raise ValueError("J_e must be real: a classical current has no imaginary part")
         base = grid.dt * (dr @ J_e.values.real)

@@ -8,7 +8,6 @@ a `ctl_cumulants` set in closed form, for `rotation.lambda2_identity_check`.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +18,10 @@ from .grids import (
     TimeGrid,
     TwoPointKernel,
     _circle_theta,
+    _require_count,
+    _require_positive,
     heaviside,
-    project_pm,
+    project_s,
     theta_ordering_matrix,
 )
 from .rotation import CumulantSet, RotatedCumulants
@@ -51,10 +52,8 @@ class OscillatorSpec:
     hbar: float = 1.0
 
     def __post_init__(self):
-        for name in ("omega0", "hbar"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        _require_positive("omega0", self.omega0)
+        _require_positive("hbar", self.hbar)
 
 
 @dataclass(frozen=True)
@@ -65,8 +64,7 @@ class GaussianState:
     m: complex = 0j
 
     def __post_init__(self):
-        if not (np.isfinite(self.nbar) and self.nbar >= 0):
-            raise ValueError(f"nbar must be finite and non-negative, got {self.nbar}")
+        _require_positive("nbar", self.nbar, zero_ok=True)
         if not np.isfinite(self.m):
             raise ValueError(f"squeezing m must be finite, got {self.m}")
         bound = np.sqrt(self.nbar * (self.nbar + 1.0))
@@ -127,7 +125,7 @@ def wightman_kernel(spec: OscillatorSpec, state: GaussianState, t, tp):
 
 
 def ctl_cumulants(spec: OscillatorSpec, state: GaussianState, grid: TimeGrid,
-                  periodic: bool = False) -> CumulantSet:
+                  periodic: bool) -> CumulantSet:
     """Closed-time-loop triple of the oscillator on a grid (mean is zero).
 
     periodic=True takes the theta split on the circle.  The set is circulant
@@ -157,11 +155,11 @@ def reorder_gap(spec: OscillatorSpec, tau):
     return out if out.ndim else float(out)
 
 
-def recover_retarded_from_gap(Z: Signal, hbar: float = 1.0) -> Signal:
+def recover_retarded_from_gap(Z: Signal, hbar: float) -> Signal:
     """D_R(tau) = (2 / i hbar) theta(tau) [Z^+(tau) - Z^-(tau)], with theta
     on the circle (the lag profile `grids._circle_theta`)."""
-    zp = project_pm(Z, "+")
-    zm = project_pm(Z, "-")
+    zp = project_s(Z, OrderingParam(1.0), "+")
+    zm = project_s(Z, OrderingParam(1.0), "-")
     theta = _circle_theta(Z.grid)
     vals = (2.0 / (1j * hbar)) * theta * (zp.values - zm.values)
     return Signal(Z.grid, vals)
@@ -229,17 +227,6 @@ def _quasidistribution_xy(state: GaussianState, p: OrderingParam, n_samples: int
 _MC_CHUNK = 200_000
 
 
-def _sample_count(n_samples) -> int:
-    """n_samples as an int, if it is an integer of at least 1."""
-    try:
-        n_samples = operator.index(n_samples)
-    except TypeError:
-        raise ValueError(f"n_samples must be an integer, got {n_samples!r}") from None
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    return n_samples
-
-
 def mc_quasiaverage(spec: OscillatorSpec, state: GaussianState, p: OrderingParam,
                     times: np.ndarray, n_samples: int, seed: int):
     """Monte Carlo estimate of <O_s q(t) q(t')> over the s-quasidistribution.
@@ -254,7 +241,7 @@ def mc_quasiaverage(spec: OscillatorSpec, state: GaussianState, p: OrderingParam
     sum q^2 (q^2)^T = C^T G4 C, with B the rows (cos, sin) scaled to the
     path and C the rows of B_0^2, 2 B_0 B_1 and B_1^2.
     """
-    n_samples = _sample_count(n_samples)
+    n_samples = _require_count("n_samples", n_samples)
     times = np.asarray(times, dtype=float)
     rng = np.random.Generator(np.random.Philox(seed))
     g2 = np.zeros((2, 2))

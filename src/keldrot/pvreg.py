@@ -100,9 +100,9 @@ class PVScheme:
     masses: list[float]
     d: list[float]
     d_mp: list[str] = field(repr=False)
-    impose_B0: bool = False
-    residuals: list[float] = field(default_factory=list)
-    row_labels: list[str] = field(default_factory=list)
+    impose_B0: bool
+    residuals: list[float]
+    row_labels: list[str]
 
     def __post_init__(self):
         if self.M < 0:
@@ -223,7 +223,7 @@ def _gauss_solve(a, b, bits):
     return d, residuals
 
 
-def solve_pv(M: int, masses, impose_B0: bool = False,
+def solve_pv(M: int, masses, impose_B0: bool,
              precision_bits: int = DEFAULT_PRECISION_BITS,
              max_precision_bits: int = 4096) -> PVScheme:
     """Solve the moment/log-moment system for d_1..d_N.

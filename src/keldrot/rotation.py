@@ -58,6 +58,7 @@ from .grids import (
     TimeGrid,
     TwoPointKernel,
     _reflected,
+    _require_positive,
     _theta_masks,
     pair_form,
     overlap,
@@ -87,11 +88,6 @@ class ConsistencyError(ValueError):
 
 _CONSISTENCY_TOL = 1e-8  # relative residual that `rotate` and `from_wightman` accept
 _SPLIT_TOL = 1e-10  # relative deviation of unrotate's K_F from the theta split of its K_W
-
-
-def _check_hbar_c(hbar_c: float):
-    if not (np.isfinite(hbar_c) and hbar_c > 0):
-        raise ValueError(f"hbar_c must be finite and positive, got {hbar_c}")
 
 
 def _check_grids(grid: TimeGrid, kernels: dict):
@@ -189,13 +185,13 @@ class CumulantSet:
     K_F: TwoPointKernel | None
     K_rev: TwoPointKernel | None
     K_W: TwoPointKernel
-    hbar_c: float = 1.0
+    hbar_c: float
     periodic: bool = False
 
     _hermitian = None  # K_W's relative Hermitian residual, when stored by K_W
 
     def __post_init__(self):
-        _check_hbar_c(self.hbar_c)
+        _require_positive("hbar_c", self.hbar_c)
         if (self._K_F is None) != (self._K_rev is None):
             raise ValueError("K_F and K_rev are given together, or both derived from K_W")
         _check_grids(self.mean.grid, {"K_F": self._K_F, "K_rev": self._K_rev, "K_W": self.K_W})
@@ -252,7 +248,7 @@ class CumulantSet:
         np.subtract(rev, r, out=r)
         return float(np.abs(r).max() / (scale or self._scale(f, w, rev)))
 
-    def validate(self, tol: float = _CONSISTENCY_TOL):
+    def validate(self, tol: float):
         if self._K_F is None:
             # K_F and K_rev derived from K_W satisfy both identities up to
             # K_W's Hermitian residual, measured where the set was made
@@ -306,10 +302,10 @@ class RotatedCumulants:
     D_R: TwoPointKernel
     N_s: TwoPointKernel
     p: OrderingParam
-    hbar_c: float = 1.0
+    hbar_c: float
 
     def __post_init__(self):
-        _check_hbar_c(self.hbar_c)
+        _require_positive("hbar_c", self.hbar_c)
         _check_grids(self.mean.grid, {"D_R": self.D_R, "N_s": self.N_s})
 
     @property
@@ -483,7 +479,7 @@ def unrotate(rot: RotatedCumulants) -> CumulantSet:
     )
 
 
-def reorder_gap_kernel(D_R: TwoPointKernel, hbar_c: float = 1.0) -> TwoPointKernel:
+def reorder_gap_kernel(D_R: TwoPointKernel, hbar_c: float) -> TwoPointKernel:
     """Response-derived gap kernel Z(t,t') connecting noises at different s.
 
     Z = i hbar c (C + C^T) with C = F^-_t' D_R(t,t') - (1/2) D_R(t,t').  The
@@ -498,7 +494,7 @@ def reorder_gap_kernel(D_R: TwoPointKernel, hbar_c: float = 1.0) -> TwoPointKern
     alone, which is D_R's reflected profile.  Z is symmetric, so its profile
     is Y's row 0 plus the reflection of that row: one FFT pair of length n.
     """
-    _check_hbar_c(hbar_c)
+    _require_positive("hbar_c", hbar_c)
     n = D_R.grid.n
     re = np.real(_data(D_R)[0])
     half = np.fft.ihfft(re if re.ndim == 2 else _transposed(re), axis=-1)
@@ -520,7 +516,7 @@ def reorder(rot: RotatedCumulants, s_new: float) -> RotatedCumulants:
 
 
 def rotation_substitution(eta: Signal, j_s: Signal, p: OrderingParam,
-                          hbar_c: float = 1.0) -> tuple[Signal, Signal]:
+                          hbar_c: float) -> tuple[Signal, Signal]:
     """Substitution (eta, j_s) -> (eta_+, eta_-).
 
     eta_+ = j_s/(hbar c) + eta^(s-),  eta_- = j_s/(hbar c) - eta^(s+).

@@ -178,9 +178,15 @@ def _real_or_complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 def _csv_columns(text: str, kind: str, names: tuple) -> tuple[TimeGrid, list[np.ndarray]]:
     """The header grid and the named columns of a signal or kernel CSV, as
-    float arrays, each refused (naming it) if an entry is not finite."""
+    float arrays, each refused (naming it) if an entry is not finite.  The
+    kind line and the column line must be the ones the writer puts there."""
     lines = text.splitlines()
-    grid = _parse_grid_header(lines[1])
+    kind_line, grid_line, column_line = (lines + ["", "", ""])[:3]
+    for what, want, found in (("kind", f"# keldrot {kind}", kind_line),
+                              ("column", ",".join(names), column_line)):
+        if found != want:
+            raise ValueError(f"{kind} CSV {what} line must read {want!r}, found {found!r}")
+    grid = _parse_grid_header(grid_line)
     rows = []
     for line in lines[3:]:
         if not line.strip():
@@ -201,7 +207,7 @@ def _check_times(kind: str, name: str, column: np.ndarray, want: np.ndarray, gri
     """Refuse a time column more than 1e-9 dt off the header grid's times."""
     off = np.abs(column - want).max(initial=0.0)
     if off > 1e-9 * grid.dt:
-        raise ValueError(f"{kind} CSV {name} column is {off:.3g} off the header grid "
+        raise ValueError(f"{kind} CSV column {name} is {off:.3g} off the header grid "
                          f"(dt={fmt(grid.dt)})")
 
 
@@ -333,7 +339,7 @@ def rotated_from_json(text: str) -> RotatedCumulants:
     )
 
 
-def momentum_table_to_csv(columns: dict, header_comment: str = "") -> str:
+def momentum_table_to_csv(columns: dict, header_comment: str) -> str:
     """CSV for momentum-space tables: columns maps name -> array.
 
     Complex columns are split into <name>_re / <name>_im pairs.

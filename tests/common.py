@@ -1,11 +1,18 @@
 """Helpers shared by several test modules."""
 import numpy as np
 
-from keldrot.grids import OrderingParam, TwoPointKernel, heaviside
+from keldrot.grids import OrderingParam, Signal, TwoPointKernel, heaviside, sign_weights
 from keldrot.pvreg import PVScheme
 
-BARE = PVScheme(M=0, masses=[1.0], d=[1.0], d_mp=["1"])  # no auxiliary masses
+BARE = PVScheme(M=0, masses=[1.0], d=[1.0], d_mp=["1"], impose_B0=False, residuals=[],
+                row_labels=[])  # no auxiliary masses
 F_PM = OrderingParam(1.0)  # F^{s+-} at s = 1 is F^{+-}
+
+
+def project_pm(f, sign):
+    """The frequency-sign part f^(+-) from the sign weights alone, the
+    oracle for `project_s` at s = 1."""
+    return Signal(f.grid, np.fft.fft(np.fft.ifft(f.values) * sign_weights(f.grid, sign)))
 
 
 def zero_kernel(grid):

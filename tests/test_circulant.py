@@ -113,7 +113,7 @@ def test_which_sets_are_circulant():
     circulant = ctl_cumulants(resonant, GaussianState(nbar=0.4), grid, periodic=True)
     assert circulant.K_W.profile is not None
     dense = {
-        "linear time": ctl_cumulants(resonant, GaussianState(nbar=0.4), grid),
+        "linear time": ctl_cumulants(resonant, GaussianState(nbar=0.4), grid, periodic=False),
         "squeezed": ctl_cumulants(resonant, GaussianState(nbar=0.4, m=0.3), grid, periodic=True),
         "non-resonant": ctl_cumulants(OscillatorSpec(omega0=1.0), GaussianState(nbar=0.4), grid,
                                       periodic=True),

@@ -10,9 +10,11 @@ import pytest
 import keldrot
 from keldrot import serialization as ser
 from keldrot.cli import main
-from keldrot.grids import OrderingParam, Signal, TimeGrid, TwoPointKernel, project_pm
+from keldrot.grids import OrderingParam, Signal, TimeGrid, TwoPointKernel
 from keldrot.oscillator import GaussianState, OscillatorSpec, ctl_cumulants
 from keldrot.rotation import CumulantSet, rotate, unrotate
+
+from common import project_pm
 
 
 @pytest.fixture
@@ -66,7 +68,7 @@ class TestRotationFlow:
     def test_rotate_then_unrotate_files(self, outdir):
         grid = TimeGrid(24, 0.2)
         spec = OscillatorSpec(omega0=grid.resonant_frequency(3))
-        ctl = ctl_cumulants(spec, GaussianState(nbar=0.4), grid)
+        ctl = ctl_cumulants(spec, GaussianState(nbar=0.4), grid, periodic=False)
         bundle = outdir / "ctl.json"
         bundle.write_text(ser.cumulants_to_json(ctl))
         rot_out = outdir / "rot"
@@ -81,13 +83,13 @@ class TestRotationFlow:
     def test_consistency_check_flag(self, outdir, capsys):
         grid = TimeGrid(16, 0.2)
         spec = OscillatorSpec(omega0=grid.resonant_frequency(2))
-        ctl = ctl_cumulants(spec, GaussianState(nbar=0.4), grid)
+        ctl = ctl_cumulants(spec, GaussianState(nbar=0.4), grid, periodic=False)
         # the same symmetric shift of K_W and K_rev breaks the consistency
         # identity but keeps the response K_rev - K_W retarded
         shift = 1e-3 * np.eye(grid.n)
         bad = CumulantSet(mean=ctl.mean, K_F=ctl.K_F,
                           K_rev=TwoPointKernel(grid, ctl.K_rev.values + shift),
-                          K_W=TwoPointKernel(grid, ctl.K_W.values + shift))
+                          K_W=TwoPointKernel(grid, ctl.K_W.values + shift), hbar_c=ctl.hbar_c)
         bundle = outdir / "bad.json"
         bundle.write_text(ser.cumulants_to_json(bad))
         args = ["rotate", "--in", bundle, "--s", 0.5, "--out", outdir / "rot"]
@@ -102,7 +104,8 @@ class TestRotationFlow:
     def test_non_finite_bundle_entry_fails(self, outdir, capsys):
         grid = TimeGrid(16, 0.2)
         spec = OscillatorSpec(omega0=grid.resonant_frequency(2))
-        obj = json.loads(ser.cumulants_to_json(ctl_cumulants(spec, GaussianState(nbar=0.4), grid)))
+        ctl = ctl_cumulants(spec, GaussianState(nbar=0.4), grid, periodic=False)
+        obj = json.loads(ser.cumulants_to_json(ctl))
         obj["K_F"]["re"][3][7] = float("nan")
         bundle = outdir / "nan.json"
         bundle.write_text(json.dumps(obj))  # NaN as Python's json writes it
@@ -118,7 +121,8 @@ class TestRotationFlow:
         grid = TimeGrid(12, 0.2)
         spec = OscillatorSpec(omega0=grid.resonant_frequency(2))
         bundle = json.loads(ser.rotated_to_json(
-            rotate(ctl_cumulants(spec, GaussianState(nbar=0.4), grid), OrderingParam(0.5))))
+            rotate(ctl_cumulants(spec, GaussianState(nbar=0.4), grid, periodic=False),
+                   OrderingParam(0.5))))
         bundle["hbar_c"] = hbar_c
         inp = outdir / "rot.json"
         inp.write_text(json.dumps(bundle))  # NaN and Infinity as Python's json writes them
@@ -133,7 +137,8 @@ class TestRotationFlow:
         grid = TimeGrid(8, 0.1)
         spec = OscillatorSpec(omega0=grid.resonant_frequency(2))
         bundle = json.loads(ser.rotated_to_json(
-            rotate(ctl_cumulants(spec, GaussianState(nbar=0.4), grid), OrderingParam(0.5))))
+            rotate(ctl_cumulants(spec, GaussianState(nbar=0.4), grid, periodic=False),
+                   OrderingParam(0.5))))
         bundle["D_R"]["grid"]["dt"] = 0.2
         inp = outdir / "rot.json"
         inp.write_text(json.dumps(bundle))
@@ -479,6 +484,25 @@ class TestConfigHandling:
         assert run(["oscillator", "kernel", "--config", cfg, "--out", out]) == 0
         got = ser.kernel_from_csv((outdir / "k.csv").read_text())
         assert got.grid.n == 8
+
+    @pytest.mark.parametrize("cfg", [{"grid": {"n": 4, "dt": 0.1}}, {"n": 4, "dt": 0.1}],
+                             ids=["grid object", "top level"])
+    def test_grid_flag_overrides_config_file(self, outdir, cfg):
+        path = outdir / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["oscillator", "kernel", "--config", path, "--n", 8,
+                    "--out", outdir / "k"]) == 0
+        assert ser.kernel_from_csv((outdir / "k.csv").read_text()).grid == TimeGrid(8, 0.1)
+        manifest = json.loads((outdir / "k.manifest.json").read_text())
+        assert manifest["config"] == {**cfg, "n": 8}
+
+    def test_grid_value_given_twice_refused(self, outdir, capsys):
+        path = outdir / "cfg.json"
+        path.write_text(json.dumps({"dt": 0.1, "grid": {"n": 4, "dt": 0.2}}))
+        assert run(["oscillator", "kernel", "--config", path, "--out", outdir / "k"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "'dt'" in err["detail"]
+        assert list(outdir.iterdir()) == [path]
 
 
 class TestAcceptVerb:

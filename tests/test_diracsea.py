@@ -30,7 +30,7 @@ from keldrot.diracsea import (
     kramers_kronig_real_part,
     pi_plus_closed_form,
 )
-from keldrot.pvreg import PVScheme, geometric_masses, solve_pv
+from keldrot.pvreg import PVScheme, geometric_masses, moment_integral_exact, solve_pv
 
 from common import BARE
 
@@ -142,11 +142,11 @@ class TestFloatPath:
 
 class TestRegularizedSpectrum:
     def test_below_lowest_threshold_zero(self):
-        scheme = solve_pv(0, geometric_masses(1.0, 10.0, 5))
+        scheme = solve_pv(0, geometric_masses(1.0, 10.0, 5), impose_B0=False)
         assert K_reg(3.9, scheme) == 0.0
 
     def test_large_argument_constant_cancels(self):
-        scheme = solve_pv(0, geometric_masses(1.0, 10.0, 5))
+        scheme = solve_pv(0, geometric_masses(1.0, 10.0, 5), impose_B0=False)
         assert abs(K_reg(1e14, scheme)) < 1e-12
 
     def test_single_mass_reduces_to_bare(self):
@@ -331,8 +331,8 @@ class TestCoordinateSpace:
 
     def test_cone_delta_coefficient_cancels(self, scheme):
         out = K_reg_coordinate(-1.0, 1, scheme)
-        bare = BARE
-        ref = abs(K_reg_coordinate(-1.0, 1, bare, cutoff_sq=4e4)["cone_delta_coefficient"])
+        # the unregularized cone coefficient at a cutoff of 4e4
+        ref = abs(moment_integral_exact(BARE, 4e4)) / (4.0 * np.pi ** 2)
         assert abs(out["cone_delta_coefficient"]) < 1e-6 * ref
 
     def test_continuity_across_cone_m0(self, scheme):
@@ -358,13 +358,9 @@ class TestCoordinateSpace:
         b = K_reg_coordinate(0.5, -1, scheme)["smooth"]
         assert a == pytest.approx(-b)
 
-    def test_small_cutoff_rejected(self, scheme):
-        with pytest.raises(ValueError, match="cutoff too small"):
-            K_reg_coordinate(0.5, 1, scheme, cutoff_sq=100.0)
-
     @pytest.mark.parametrize("which,x_sq,ref,rel", [
         # 25-digit mpmath Bessel quadrature with the extended-precision
-        # coefficients d_mp, at the default cutoff; the M = 1 scheme keeps
+        # coefficients d_mp, at the cutoff; the M = 1 scheme keeps
         # more of the float rounding of d (see the K_reg_coordinate docstring)
         ("scheme", 4e-5, 0.000636485660692489, 1e-4),
         ("scheme", 1e-5, 0.00021313798457323725, 1e-4),
@@ -392,9 +388,9 @@ class TestCoordinateSpace:
         # quadrature with d_mp (about 8 minutes):
         #   cd perfbench && python3 -c "import sys; sys.path.insert(0, '../src');
         #   from keldrot.pvreg import solve_pv; import reference as r;
-        #   s = solve_pv(0, [1.0, 10.0, 100.0, 1e3, 1e4]);
+        #   s = solve_pv(0, [1.0, 10.0, 100.0, 1e3, 1e4], impose_B0=False);
         #   print(repr(r.coordinate_smooth(s.masses, s.d_mp, 1e-3)))"
-        fault = solve_pv(0, [1.0, 10.0, 100.0, 1e3, 1e4])
+        fault = solve_pv(0, [1.0, 10.0, 100.0, 1e3, 1e4], impose_B0=False)
         out = K_reg_coordinate(1e-3, 1, fault, with_cone_coefficient=False)
         assert out["smooth"] == pytest.approx(207.31288075182366, rel=1e-8)
         assert out["segments"] < diracsea.MAX_PANELS / 100
@@ -433,7 +429,7 @@ class TestCoordinateSpace:
 
     def test_unbounded_cost_rejected_before_work(self):
         # mu_N = 1e6 at x^2 = 1 would take about 1.3e7 panels
-        big = solve_pv(0, [1.0, 10.0, 100.0, 1e4, 1e6])
+        big = solve_pv(0, [1.0, 10.0, 100.0, 1e4, 1e6], impose_B0=False)
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -454,7 +450,7 @@ class TestCoordinateSpace:
 import sys
 from keldrot.diracsea import K_reg_coordinate
 from keldrot.pvreg import solve_pv
-K_reg_coordinate(0.5, 1, solve_pv(0, [1.0, 2.0, 4.0, 8.0, 16.0]))
+K_reg_coordinate(0.5, 1, solve_pv(0, [1.0, 2.0, 4.0, 8.0, 16.0], impose_B0=False))
 print("scipy.integrate" in sys.modules or "mpmath" in sys.modules)
 """
         src = str(Path(diracsea.__file__).resolve().parents[1])
@@ -467,7 +463,7 @@ print("scipy.integrate" in sys.modules or "mpmath" in sys.modules)
 
 def segment_sum_oracle(x_sq: float, scheme: PVScheme) -> float:
     """A(x^2) at sign_t = 1 by one adaptive quad per half Bessel period up
-    to the default cutoff 400 * 4 mu_N^2, with breaks at every threshold."""
+    to the cutoff 400 * 4 mu_N^2, with breaks at every threshold."""
     from scipy.special import j1
 
     k_reg = diracsea._k_reg_scalar(scheme)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,19 +13,21 @@ from keldrot.grids import (
     TwoPointKernel,
     _circle_theta,
     _reflected,
+    _require_count,
+    _require_finite,
+    _require_positive,
     _theta_masks,
     _toeplitz,
     heaviside,
     overlap,
     project_kernel_axis,
-    project_pm,
     project_s,
     sign_weights,
     theta_ordering_matrix,
 )
 from keldrot.rotation import _acausal_part
 
-from common import F_PM, circular_lags, lag_index_theta
+from common import F_PM, circular_lags, lag_index_theta, project_pm
 
 
 def random_signal(grid, rng, band_interior=False):
@@ -58,6 +61,61 @@ class TestTimeGrid:
     def test_lags_wrap(self):
         g = TimeGrid(8, 1.0)
         assert list(g.lags) == [0, 1, 2, 3, -4, -3, -2, -1]
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestParameterChecks:
+    """The package's one check per kind of parameter: each refuses NaN, +-inf
+    and out-of-range values with a message that names the parameter."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_finite_float_path_says_what_the_array_path_says(self, bad):
+        messages = set()
+        for value in (bad, np.float64(bad), np.array(bad), np.array([0.0, bad]), [bad]):
+            with pytest.raises(ValueError) as exc:
+                _require_finite("k_sq", value)
+            messages.add(str(exc.value))
+        assert messages == {f"k_sq must be finite, got {bad}"}
+
+    def test_finite_values_pass(self):
+        for value in (0.0, -1e308, 3, np.float64(2.0), np.zeros((2, 2)), []):
+            _require_finite("k_sq", value)
+
+    @pytest.mark.parametrize("bad", NON_FINITE + [0.0, -0.0, -1.0, -1e-300])
+    def test_positive_refuses(self, bad):
+        message = f"mu0 must be finite and positive, got {bad}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _require_positive("mu0", bad)
+
+    @pytest.mark.parametrize("bad", NON_FINITE + [-1.0, -1e-300])
+    def test_non_negative_refuses(self, bad):
+        message = f"nbar must be finite and non-negative, got {bad}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _require_positive("nbar", bad, zero_ok=True)
+
+    def test_in_range_values_pass(self):
+        for value in (1e-300, 1, np.float64(2.5), 1e308):
+            _require_positive("mu0", value)
+        for value in (0.0, -0.0, 0, 1e-300):
+            _require_positive("nbar", value, zero_ok=True)
+
+    @pytest.mark.parametrize("bad, message", [
+        (2.5, "must be an integer, got 2.5"),
+        (math.nan, "must be an integer, got nan"),
+        ("4", "must be an integer, got '4'"),
+        (0, "must be positive, got 0"),
+        (-3, "must be positive, got -3"),
+    ])
+    def test_count_refuses(self, bad, message):
+        with pytest.raises(ValueError, match=f"^n_samples {re.escape(message)}$"):
+            _require_count("n_samples", bad)
+
+    def test_count_is_an_int(self):
+        for value in (1, 7, np.int64(7)):
+            got = _require_count("n_samples", value)
+            assert got == value and type(got) is int
 
 
 class TestOrderingParam:

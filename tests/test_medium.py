@@ -180,12 +180,14 @@ class TestNoiseMap:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("where", ["off diagonal", "white level"])
+    @pytest.mark.parametrize("where", ["off diagonal", "white level", "diagonal"])
     def test_non_finite_noise_rejected(self, bad, where):
         grid, _, d_bare, _, _ = toy_kernels(n=16, total_time=2.0)
         pi_n = np.eye(grid.n)
         if where == "white level":
             pi_n[np.diag_indices(grid.n)] = bad
+        elif where == "diagonal":
+            pi_n[3, 3] = bad
         else:
             pi_n[3, 4] = bad
         with pytest.raises(ValueError, match="finite and Hermitian"):
@@ -287,7 +289,7 @@ class TestZeroPointSpectrum:
 
     def test_density_validation(self):
         with pytest.raises(ValueError):
-            SpectralDensity(k_sq=np.array([1.0]), smooth=np.array([1.0, 2.0]))
+            SpectralDensity(k_sq=np.array([1.0]), smooth=np.array([1.0, 2.0]), delta_terms=[])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameters_rejected(self, bad):
@@ -660,7 +662,7 @@ def test_noise_map_unrotates_into_consistent_cumulants():
     pi_n = TwoPointKernel(grid, (h + h.T).astype(complex))
     n_field = noise_map(dressed, pi_n)
     rot = RotatedCumulants(mean=Signal.zero(grid), D_R=dressed, N_s=n_field,
-                           p=OrderingParam(1.0))
+                           p=OrderingParam(1.0), hbar_c=1.0)
     ctl = unrotate(rot)
     assert ctl.consistency_residual() < 1e-8
     assert ctl.reversal_residual() < 1e-8

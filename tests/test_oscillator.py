@@ -228,12 +228,12 @@ class TestReorderGap:
         assert np.abs(d.values - expect).max() < 1e-6
 
     def test_zero_gap_gives_zero_response(self):
-        d = recover_retarded_from_gap(Signal.zero(GRID))
+        d = recover_retarded_from_gap(Signal.zero(GRID), SPEC.hbar)
         assert np.abs(d.values).max() == 0.0
 
     def test_recovery_respects_retardation(self):
         z = Signal(GRID, reorder_gap(SPEC, GRID.lags))
-        d = recover_retarded_from_gap(z)
+        d = recover_retarded_from_gap(z, SPEC.hbar)
         assert np.abs(d.values[GRID.lags < 0]).max() < 1e-12
 
 
@@ -241,14 +241,14 @@ class TestKeldyshContractions:
     def test_equal_time(self):
         c = keldysh_contractions(SPEC, 0.0)
         assert 1j * c["D_plus"] == pytest.approx(0.5)
-        ctl = ctl_cumulants(SPEC, GaussianState(), GRID)
+        ctl = ctl_cumulants(SPEC, GaussianState(), GRID, periodic=False)
         assert np.allclose(np.diag(ctl.K_W.values), 1j * c["D_plus"], rtol=0, atol=1e-15)
 
     def test_feynman_symmetric(self):
         # the vacuum K_F, the theta split of K_W, is i hbar D_F: even in tau
         t = GRID.times
         tau = t[:, None] - t[None, :]
-        k_f = ctl_cumulants(SPEC, GaussianState(), GRID).K_F.values
+        k_f = ctl_cumulants(SPEC, GaussianState(), GRID, periodic=False).K_F.values
         assert np.abs(k_f - 1j * keldysh_contractions(SPEC, tau)["D_F"]).max() < 1e-12
         assert np.abs(k_f - k_f.T).max() == 0.0
 
@@ -264,12 +264,12 @@ class TestKeldyshContractions:
 
 class TestLambdaForm:
     def test_zero_sources_give_zero(self):
-        ctl = ctl_cumulants(SPEC, GaussianState(), GRID)
+        ctl = ctl_cumulants(SPEC, GaussianState(), GRID, periodic=False)
         zero = Signal.zero(GRID)
         assert lambda2_form(ctl, zero, zero) == 0
 
     def test_single_branch_reduces_to_feynman_term(self):
-        ctl = ctl_cumulants(SPEC, GaussianState(), GRID)
+        ctl = ctl_cumulants(SPEC, GaussianState(), GRID, periodic=False)
         rng = np.random.default_rng(5)
         eta_p = Signal(GRID, rng.normal(size=GRID.n))
         zero = Signal.zero(GRID)
@@ -298,17 +298,17 @@ class TestSubstitution:
         rng = np.random.default_rng(2)
         eta = Signal(GRID, rng.normal(size=GRID.n) + 1j * rng.normal(size=GRID.n))
         j_w = Signal(GRID, rng.normal(size=GRID.n))
-        ep, em = rotation_substitution(eta, j_w, OrderingParam(0.0))
+        ep, em = rotation_substitution(eta, j_w, OrderingParam(0.0), 1.0)
         assert np.abs(ep.values - (j_w.values + 0.5 * eta.values)).max() < 1e-12
         assert np.abs(em.values - (j_w.values - 0.5 * eta.values)).max() < 1e-12
 
     def test_normal_order_uses_sign_parts(self):
-        from keldrot.grids import project_pm
+        from common import project_pm
 
         rng = np.random.default_rng(3)
         eta = Signal(GRID, rng.normal(size=GRID.n))
         j_e = Signal(GRID, rng.normal(size=GRID.n))
-        ep, em = rotation_substitution(eta, j_e, OrderingParam(1.0))
+        ep, em = rotation_substitution(eta, j_e, OrderingParam(1.0), 1.0)
         assert np.abs(ep.values - (j_e.values + project_pm(eta, "-").values)).max() < 1e-12
         assert np.abs(em.values - (j_e.values - project_pm(eta, "+").values)).max() < 1e-12
 
@@ -321,7 +321,7 @@ class TestSubstitution:
             p = OrderingParam(s)
             eta = Signal(GRID, rng.normal(size=GRID.n) + 1j * rng.normal(size=GRID.n))
             j_s = Signal(GRID, rng.normal(size=GRID.n))
-            eta_p, eta_m = rotation_substitution(eta, j_s, p)
+            eta_p, eta_m = rotation_substitution(eta, j_s, p, 1.0)
             back_j = project_s(eta_p, p, "+").values + project_s(eta_m, p, "-").values
             assert np.abs((eta_p - eta_m).values - eta.values).max() < 1e-12
             assert np.abs(back_j - j_s.values).max() < 1e-12

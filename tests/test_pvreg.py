@@ -248,7 +248,7 @@ class TestMpmathOracle:
     @pytest.mark.parametrize("M,masses,b0", SOLVED_SCHEMES,
                              ids=[_scheme_id(k) for k in SOLVED_SCHEMES])
     def test_moments_match_mpmath(self, M, masses, b0):
-        # the cutoffs of criterion 07 and the default of K_reg_coordinate;
+        # the cutoffs of criterion 07 and the cutoff of K_reg_coordinate;
         # a sum that the scheme cancels may move at the guard digits only
         scheme = solve_pv(M, masses, impose_B0=b0)
         top = 4.0 * scheme.masses[-1] ** 2
@@ -392,25 +392,28 @@ class TestSolve:
                      precision_bits=53, max_precision_bits=53)
 
     def test_extended_coefficients_recorded(self):
-        scheme = solve_pv(0, geometric_masses(1.0, 10.0, 5))
+        scheme = solve_pv(0, geometric_masses(1.0, 10.0, 5), impose_B0=False)
         assert len(scheme.d_mp) == len(scheme.d)
         assert float(mp.mpf(scheme.d_mp[1])) == pytest.approx(scheme.d[1])
+
+
+UNSOLVED = {"impose_B0": False, "residuals": [], "row_labels": []}
 
 
 class TestSchemeInvariants:
     def test_d0_fixed_to_one(self):
         with pytest.raises(ValueError, match="d_0"):
-            PVScheme(M=0, masses=[1.0, 2.0], d=[2.0, 1.0], d_mp=["2", "1"])
+            PVScheme(M=0, masses=[1.0, 2.0], d=[2.0, 1.0], d_mp=["2", "1"], **UNSOLVED)
 
     def test_mass_ordering_enforced(self):
         with pytest.raises(ValueError, match="increasing"):
-            PVScheme(M=0, masses=[2.0, 1.0], d=[1.0, 1.0], d_mp=["1", "1"])
+            PVScheme(M=0, masses=[2.0, 1.0], d=[1.0, 1.0], d_mp=["1", "1"], **UNSOLVED)
 
     def test_coefficients_required_for_every_mass(self):
         with pytest.raises(TypeError):
             PVScheme(M=0, masses=[1.0, 2.0])
         with pytest.raises(ValueError, match="coefficient count"):
-            PVScheme(M=0, masses=[1.0, 2.0], d=[1.0, 1.0], d_mp=["1"])
+            PVScheme(M=0, masses=[1.0, 2.0], d=[1.0, 1.0], d_mp=["1"], **UNSOLVED)
 
     def test_geometric_helper(self):
         assert geometric_masses(2.0, 10.0, 3) == [2.0, 20.0, 200.0]
@@ -422,11 +425,11 @@ class TestSchemeInvariants:
         with pytest.raises(ValueError, match="ratio"):
             geometric_masses(1.0, bad, 3)
         with pytest.raises(ValueError, match="masses must be finite"):
-            solve_pv(0, geometric_masses(bad, 10.0, 5))
+            solve_pv(0, geometric_masses(bad, 10.0, 5), impose_B0=False)
         with pytest.raises(ValueError, match="masses must be finite"):
-            solve_pv(0, [1.0, 2.0, bad, 4.0, 5.0])
+            solve_pv(0, [1.0, 2.0, bad, 4.0, 5.0], impose_B0=False)
         with pytest.raises(ValueError, match="masses must be finite"):
-            PVScheme(M=0, masses=[1.0, bad], d=[1.0, 1.0], d_mp=["1", "1"])
+            PVScheme(M=0, masses=[1.0, bad], d=[1.0, 1.0], d_mp=["1", "1"], **UNSOLVED)
 
 
 class TestMoments:

@@ -59,7 +59,7 @@ class TestRotate:
     def test_commuting_classical_limit_has_no_response(self):
         t = GRID.times
         k = TwoPointKernel(GRID, np.cos(W0 * (t[:, None] - t[None, :])).astype(complex))
-        ctl = CumulantSet(mean=Signal.zero(GRID), K_F=k, K_rev=k, K_W=k)
+        ctl = CumulantSet(mean=Signal.zero(GRID), K_F=k, K_rev=k, K_W=k, hbar_c=1.0)
         rot = rotate(ctl, OrderingParam(0.3))
         assert np.abs(rot.D_R.values).max() == 0.0
 
@@ -89,7 +89,8 @@ class TestRotate:
         assert mask is None and size > 0.0
         k = zero_kernel(GRID)
         acausal = CumulantSet(mean=Signal.zero(GRID), K_F=k, K_W=k,
-                              K_rev=TwoPointKernel(GRID, 1j * np.ones((GRID.n, GRID.n))))
+                              K_rev=TwoPointKernel(GRID, 1j * np.ones((GRID.n, GRID.n))),
+                              hbar_c=1.0)
         with pytest.raises(ConsistencyError, match="not retarded"):
             rotate(acausal, OrderingParam(0.0), check=False)
 
@@ -105,6 +106,7 @@ class TestRotate:
             K_F=TwoPointKernel(GRID, ctl.K_F.values + 0.1),
             K_rev=ctl.K_rev,
             K_W=ctl.K_W,
+            hbar_c=1.0,
         )
         with pytest.raises(ConsistencyError, match="consistency"):
             rotate(bad, OrderingParam(0.0))
@@ -116,6 +118,7 @@ class TestRotate:
             K_F=ctl.K_F,
             K_rev=TwoPointKernel(GRID, ctl.K_F.values),  # should be conjugated
             K_W=TwoPointKernel(GRID, 0.5 * (ctl.K_F.values + ctl.K_F.values.T)),
+            hbar_c=1.0,
         )
         with pytest.raises(ConsistencyError, match="non-Hermitian"):
             rotate(bad, OrderingParam(0.0))
@@ -143,6 +146,7 @@ class TestUnrotate:
             D_R=zero_kernel(GRID),
             N_s=TwoPointKernel(GRID, n.astype(complex)),
             p=OrderingParam(0.25),
+            hbar_c=1.0,
         )
         ctl = unrotate(rot)
         for k in (ctl.K_F, ctl.K_W, ctl.K_rev):
@@ -156,7 +160,7 @@ class TestUnrotate:
         rot = RotatedCumulants(mean=Signal.zero(GRID),
                                D_R=TwoPointKernel(GRID, retarded_response(SPEC, tau)),
                                N_s=zero_kernel(GRID),
-                               p=OrderingParam(1.0))
+                               p=OrderingParam(1.0), hbar_c=1.0)
         ctl = unrotate(rot)
         assert np.abs(ctl.K_F.values - 0.5 * np.exp(-1j * W0 * np.abs(tau))).max() < 1e-8
         assert np.abs(ctl.K_W.values - 0.5 * np.exp(-1j * W0 * tau)).max() < 1e-8
@@ -208,7 +212,7 @@ class TestReorder:
         for s in (0.0, 0.4):
             assert rotate(ctl, OrderingParam(s)).N_s.values.dtype == np.float64
         d_r = TwoPointKernel(GRID, retarded_response_grid(SPEC, GRID))
-        assert reorder_gap_kernel(d_r).values.dtype == np.float64
+        assert reorder_gap_kernel(d_r, 1.0).values.dtype == np.float64
 
     def test_out_of_range_rejected(self):
         rot = rotate(vacuum_ctl(), OrderingParam(0.0))
@@ -221,7 +225,7 @@ class TestReorder:
         perturbed = RotatedCumulants(
             mean=rot.mean, D_R=rot.D_R,
             N_s=TwoPointKernel(GRID, rot.N_s.values + np.eye(GRID.n)),
-            p=rot.p)
+            p=rot.p, hbar_c=1.0)
         gap1 = reorder(rot, -0.5).N_s.values - rot.N_s.values
         gap2 = reorder(perturbed, -0.5).N_s.values - perturbed.N_s.values
         assert np.abs(gap1 - gap2).max() < 1e-14
@@ -311,7 +315,7 @@ def four_projection_noise(ctl, p):
 ORACLE_SETS = {
     "squeezed synthetic": lambda: synthetic_cumulants(GRID, np.random.default_rng(14)),
     "squeezed linear-time oscillator": lambda: ctl_cumulants(
-        SPEC, GaussianState(nbar=0.8, m=0.6 * np.exp(0.9j)), GRID),
+        SPEC, GaussianState(nbar=0.8, m=0.6 * np.exp(0.9j)), GRID, periodic=False),
     "periodic thermal": lambda: ctl_cumulants(SPEC, GaussianState(nbar=1.3), GRID,
                                               periodic=True),
     # omega0 = 1 is not a grid frequency, so the response at the wrap lag
@@ -442,7 +446,7 @@ class TestStoredWightman:
         kernels = {k: getattr(ctl, k).values.copy() for k in ("K_F", "K_rev", "K_W")}
         kernels[name][7, 2] = np.nan
         triple = CumulantSet(ctl.mean, *(TwoPointKernel(GRID, kernels[k])
-                                         for k in ("K_F", "K_rev", "K_W")))
+                                         for k in ("K_F", "K_rev", "K_W")), hbar_c=1.0)
         with pytest.raises(ConsistencyError, match="residual nan"):
             rotate(triple, OrderingParam(0.3))
 
@@ -492,11 +496,12 @@ class TestStoredWightman:
         k = TwoPointKernel(TimeGrid(8, 0.2), np.zeros((8, 8)))
         with pytest.raises(ValueError, match="D_R is on TimeGrid"):
             RotatedCumulants(Signal.zero(TimeGrid(8, 0.1)), k, zero_kernel(TimeGrid(8, 0.1)),
-                             OrderingParam(0.0))
+                             OrderingParam(0.0), hbar_c=1.0)
         with pytest.raises(ValueError, match="K_W is on TimeGrid"):
-            CumulantSet(mean=Signal.zero(TimeGrid(8, 0.1)), K_F=None, K_rev=None, K_W=k)
+            CumulantSet(mean=Signal.zero(TimeGrid(8, 0.1)), K_F=None, K_rev=None, K_W=k,
+                        hbar_c=1.0)
         with pytest.raises(ValueError, match="K_F and K_rev"):
-            CumulantSet(mean=Signal.zero(TimeGrid(8, 0.2)), K_F=k, K_rev=None, K_W=k)
+            CumulantSet(mean=Signal.zero(TimeGrid(8, 0.2)), K_F=k, K_rev=None, K_W=k, hbar_c=1.0)
 
 
 def test_induced_sign_fault_breaks_round_trip(monkeypatch):
@@ -571,8 +576,8 @@ class TestRealRotation:
     def test_gap_ignores_imaginary_response(self):
         d = retarded_response_grid(SPEC, GRID)
         noise = np.tril(np.random.default_rng(30).normal(size=d.shape))
-        real = reorder_gap_kernel(TwoPointKernel(GRID, d)).values
-        assert np.array_equal(reorder_gap_kernel(TwoPointKernel(GRID, d + 1j * noise)).values,
+        real = reorder_gap_kernel(TwoPointKernel(GRID, d), 1.0).values
+        assert np.array_equal(reorder_gap_kernel(TwoPointKernel(GRID, d + 1j * noise), 1.0).values,
                               real)
 
     @pytest.mark.parametrize("name", ORACLE_SETS)

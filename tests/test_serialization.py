@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -46,12 +47,27 @@ class TestSignalRoundTrip:
         assert back.grid == signal.grid
         assert np.array_equal(back.values, signal.values)
 
+    @pytest.mark.parametrize("head, message", [
+        ("# keldrot signal\n{grid}t,im,re\n",
+         "signal CSV column line must read 't,re,im', found 't,im,re'"),
+        ("# keldrot kernel\n{grid}t,re,im\n",
+         "signal CSV kind line must read '# keldrot signal', found '# keldrot kernel'"),
+        ("", "signal CSV kind line must read '# keldrot signal', found ''"),
+        ("# keldrot signal\n", "signal CSV column line must read 't,re,im', found ''"),
+    ], ids=["swapped columns", "kernel kind", "empty", "one line"])
+    def test_header_lines_checked(self, signal, head, message):
+        lines = ser.signal_to_csv(signal).splitlines(keepends=True)
+        head = head.format(grid=lines[1])
+        body = "".join(lines[3:]) if head.count("\n") == 3 else ""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ser.signal_from_csv(head + body)
+
     def test_shifted_t_column_rejected(self, signal):
         grid = signal.grid
         shifted = Signal(TimeGrid(grid.n, grid.dt, t0=grid.t0 + 1e-6 * grid.dt), signal.values)
         lines = ser.signal_to_csv(shifted).splitlines(keepends=True)
         lines[1] = ser.signal_to_csv(signal).splitlines(keepends=True)[1]
-        with pytest.raises(ValueError, match="t column"):
+        with pytest.raises(ValueError, match="signal CSV column t is .* off the header grid"):
             ser.signal_from_csv("".join(lines))
 
     def test_csv_round_trip_on_inexact_grid(self):
@@ -82,12 +98,12 @@ class TestKernelRoundTrip:
         rows = body.splitlines(keepends=True)
         n = kernel.grid.n
         tp_major = [rows[(k % n) * n + k // n] for k in range(n * n)]
-        with pytest.raises(ValueError, match="kernel CSV t column is .* off the header grid"):
+        with pytest.raises(ValueError, match="kernel CSV column t is .* off the header grid"):
             ser.kernel_from_csv(head + "t,tp,re,im\n" + "".join(tp_major))
 
     @pytest.mark.parametrize("column", ["t", "tp"])
     @pytest.mark.parametrize("word, message", [
-        ("99", "kernel CSV {} column is .* off the header grid"),
+        ("99", "kernel CSV column {} is .* off the header grid"),
         ("nan", "kernel CSV column {} must be finite, got nan")])
     def test_time_column_checked(self, kernel, column, word, message):
         lines = ser.kernel_to_csv(kernel).splitlines(keepends=True)
@@ -106,7 +122,7 @@ class TestKernelRoundTrip:
 class TestBundles:
     def test_cumulants_round_trip(self, grid):
         spec = OscillatorSpec(omega0=grid.resonant_frequency(3))
-        ctl = ctl_cumulants(spec, GaussianState(nbar=0.5), grid)
+        ctl = ctl_cumulants(spec, GaussianState(nbar=0.5), grid, periodic=False)
         back = ser.cumulants_from_json(ser.cumulants_to_json(ctl))
         for a, b in ((back.K_F, ctl.K_F), (back.K_W, ctl.K_W), (back.K_rev, ctl.K_rev)):
             assert np.array_equal(a.values, b.values)
@@ -114,7 +130,7 @@ class TestBundles:
 
     def test_rotated_round_trip(self, grid):
         spec = OscillatorSpec(omega0=grid.resonant_frequency(3))
-        ctl = ctl_cumulants(spec, GaussianState(nbar=0.5), grid)
+        ctl = ctl_cumulants(spec, GaussianState(nbar=0.5), grid, periodic=False)
         rot = rotate(ctl, OrderingParam(0.25))
         back = ser.rotated_from_json(ser.rotated_to_json(rot))
         assert back.p.s == 0.25
@@ -123,7 +139,7 @@ class TestBundles:
 
     def test_kind_mismatch_rejected(self, grid):
         spec = OscillatorSpec(omega0=grid.resonant_frequency(3))
-        ctl = ctl_cumulants(spec, GaussianState(), grid)
+        ctl = ctl_cumulants(spec, GaussianState(), grid, periodic=False)
         text = ser.cumulants_to_json(ctl)
         with pytest.raises(ValueError, match="rotated"):
             ser.rotated_from_json(text)
@@ -183,14 +199,14 @@ class TestDeterminism:
 class TestMomentumTable:
     def test_complex_columns_split(self):
         text = ser.momentum_table_to_csv({"k0": np.array([1.0, 2.0]),
-                                          "D": np.array([1 + 2j, 3 - 4j])})
+                                          "D": np.array([1 + 2j, 3 - 4j])}, "")
         lines = text.splitlines()
         assert lines[0] == "k0,D_re,D_im"
         assert lines[1] == "1,1,2"
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ser.momentum_table_to_csv({"a": np.ones(2), "b": np.ones(3)})
+            ser.momentum_table_to_csv({"a": np.ones(2), "b": np.ones(3)}, "")
 
 
 # The writers before distinct-value formatting: every float formatted on its
@@ -310,7 +326,7 @@ class TestSameBytesAsFormattingEachFloat:
         obj = {"a": np.zeros(0), "b": np.zeros((0, 3)), "c": np.zeros((2, 0)), "d": {"e": np.zeros(0)}}
         want = {"a": [], "b": [], "c": [[], []], "d": {"e": []}}
         assert ser.dump_json(obj) == old_dump_json(want)
-        assert ser.momentum_table_to_csv({"k": np.zeros(0)}) == "k\n"
+        assert ser.momentum_table_to_csv({"k": np.zeros(0)}, "") == "k\n"
 
     def test_dicts_without_arrays(self):
         """The manifest and the zero-point ledger take `json.dumps` whole."""
@@ -327,7 +343,7 @@ class TestSameBytesAsFormattingEachFloat:
                 "count": np.arange(40), "f32": rng.normal(size=40).astype(np.float32)}
         for comment in ("", "scalar kernels"):
             assert ser.momentum_table_to_csv(cols, comment) == old_momentum_csv(cols, comment)
-        assert ser.momentum_table_to_csv({}) == old_momentum_csv({})
+        assert ser.momentum_table_to_csv({}, "") == old_momentum_csv({})
 
     def test_values_shared_between_arrays(self):
         """One word table serves every array of the document."""

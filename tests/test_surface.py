@@ -22,7 +22,13 @@ module-level class, whose name and whose class's name do not start with
 an underscore.  A field has a default when it is assigned a value other
 than a `field(...)` call, or a `field(...)` call with `default` or
 `default_factory`.  A default that no caller outside the tests sets is an
-option nobody uses: make it a constant instead.
+option nobody uses: make it a constant instead.  A default that every
+caller outside the tests overrides is a configuration nobody runs: remove
+it, and the parameter becomes required.
+
+A finiteness check is written once, in `grids` (`_require_finite`,
+`_require_positive`); elsewhere only the checks that test more than
+finiteness and sign call `isfinite` themselves (FINITENESS_SPECIAL_CASES).
 """
 import ast
 import importlib
@@ -30,10 +36,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "keldrot"
-MAX_SETTABLE_VALUES = 48
+MAX_SETTABLE_VALUES = 32
 # the read half of a CLI output format: `kernel_from_csv` reads the kernel
 # CSV that `kernel_to_csv` writes for the oscillator, mc and kernels verbs
 READERS_OF_CLI_OUTPUT = {"kernel_from_csv"}
+# (module, top-level function or class) that may call isfinite outside
+# `grids`: a bound besides the sign, a complex value or a list of masses
+FINITENESS_SPECIAL_CASES = {
+    ("medium", "one_mode_toy"),  # the coupling must keep omega'^2 > 0
+    ("medium", "noise_map"),  # the scale of a matrix, and a white level
+    ("oscillator", "GaussianState"),  # the complex squeezing m
+    ("pvreg", "geometric_masses"),  # the ratio must exceed 1
+    ("pvreg", "_checked_masses"),  # every mass of a list
+}
 
 
 MODULES = {path.stem for path in PACKAGE.glob("*.py")} | {"keldrot"}
@@ -160,3 +175,17 @@ def test_few_settable_values():
     found = _settable_values()
     assert len(found) <= MAX_SETTABLE_VALUES, (
         f"{len(found)} settable values, at most {MAX_SETTABLE_VALUES}: {found}")
+
+
+def test_finiteness_checked_in_grids():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "grids":
+            continue
+        for unit in ast.parse(path.read_text()).body:
+            for sub in ast.walk(unit):
+                if (isinstance(sub, ast.Call)
+                        and getattr(sub.func, "id", getattr(sub.func, "attr", None)) == "isfinite"
+                        and (path.stem, getattr(unit, "name", None)) not in FINITENESS_SPECIAL_CASES):
+                    found.append(f"{path.stem}.py:{sub.lineno}")
+    assert not found, f"hand-written finiteness checks outside grids: {found}"
