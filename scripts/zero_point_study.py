@@ -13,6 +13,7 @@ import numpy as np
 from keldrot.diracsea import DiracSeaSpec
 from keldrot.grids import OrderingParam
 from keldrot.medium import (
+    SpectralDensity,
     gauge_projector_diagnosis,
     zero_point_smooth,
     zero_point_smooth_finite_eps,
@@ -30,19 +31,20 @@ def main():
     args = ap.parse_args()
 
     spec = DiracSeaSpec(mu0=args.mu0)
-    factor = 2.0 * OrderingParam(args.s).s_minus
-    density = zero_point_spectrum(
-        np.linspace(4.2 * args.mu0 ** 2, args.k2_max, args.n), spec)
-    print(f"ordering s = {args.s}: spectrum scale factor 2 s_minus = {factor}")
-    ledger = [(loc, factor * w) for loc, w in density.delta_terms]
+    p = OrderingParam(args.s)
+    k_sq = np.linspace(4.2 * args.mu0 ** 2, args.k2_max, args.n)
+    density = zero_point_spectrum(k_sq, spec).at_ordering(p)
+    print(f"ordering s = {args.s}: spectrum scale factor 2 s_minus = {2.0 * p.s_minus}")
+    ledger = density.delta_terms
     print("delta ledger:", ledger)
+    k0 = np.sqrt(k_sq + args.mu0 ** 2)
+    # the finite-epsilon propagator-difference route, at the same ordering
+    routes = [SpectralDensity(k_sq, [zero_point_smooth_finite_eps(a, b, spec, eps)
+                                     for a, b in zip(k0, k0 ** 2 - k_sq)], []).at_ordering(p)
+              for eps in (1e-3, 1e-4)]
     print(f"{'k^2':>10s} {'smooth':>14s} {'eps=1e-3':>12s} {'eps=1e-4':>12s}")
-    for k_sq, smooth in zip(density.k_sq, density.smooth):
-        k0 = np.sqrt(k_sq + args.mu0 ** 2)
-        routes = [zero_point_smooth_finite_eps(k0, k0 ** 2 - k_sq, spec, eps)
-                  for eps in (1e-3, 1e-4)]
-        print(f"{k_sq:10.3f} {factor * smooth:14.6e} "
-              f"{factor * routes[0]:12.4e} {factor * routes[1]:12.4e}")
+    for row in zip(k_sq, density.smooth, routes[0].smooth, routes[1].smooth):
+        print("{:10.3f} {:14.6e} {:12.4e} {:12.4e}".format(*row))
 
     below = zero_point_smooth(2.0 * args.mu0 ** 2, spec)
     print(f"\nbelow pair threshold (k^2 = 2 mu0^2): smooth part = {below}")

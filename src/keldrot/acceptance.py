@@ -369,8 +369,7 @@ def criterion_mc_correspondence() -> CriterionResult:
     picks = [(0, 0), (n // 4, n // 4), (n // 2, n // 2), (n - 1, n - 1),
              (n - 1, 0), (n - 1, n // 2), (n // 2, n // 4), (3 * n // 4, n // 4)]
     est, err = oscillator.mc_quasiaverage(spec, state, p, times, 10 ** 6, 20240)
-    target = oscillator.s_ordered_kernel(spec, state, p,
-                                         times[:, None], times[None, :]).real
+    target = oscillator.s_ordered_kernel(spec, state, p, times[:, None], times[None, :])
     pulls = np.abs(est - target) / np.maximum(err, 1e-300)
     quasi_pull = float(max(pulls[ij] for ij in picks))
 

@@ -236,8 +236,7 @@ def run_oscillator_mc(config: dict) -> tuple[dict, dict]:
     grid = _grid_from_config(config)
     est, err = oscillator.mc_quasiaverage(
         spec, state, p, grid.times, int(config["samples"]), int(config["seed"]))
-    target = oscillator.s_ordered_kernel(
-        spec, state, p, grid.times[:, None], grid.times[None, :]).real
+    target = oscillator.s_ordered_kernel(spec, state, p, grid.times[:, None], grid.times[None, :])
     worst_pull = float(np.abs(est - target).max() / max(err.max(), 1e-300))
     kernel_csv = ser.kernel_to_csv(TwoPointKernel(grid, est))
     err_csv = ser.kernel_to_csv(TwoPointKernel(grid, err))
@@ -348,15 +347,14 @@ def run_dress(config: dict) -> tuple[dict, dict]:
 
 def run_zero_point(config: dict) -> tuple[dict, dict]:
     _require(config, "s")
-    factor = 2.0 * OrderingParam(float(config["s"])).s_minus
+    p = OrderingParam(float(config["s"]))
     spec = _dirac_spec(config)
     k2 = _k2_values(config)
     density = medium.zero_point_spectrum(k2, spec,
                                          mu_vac=float(config.get("mu_vac", 1.0)),
-                                         hbar_c=float(config.get("hbar_c", 1.0)))
-    smooth = factor * density.smooth
-    deltas = [(loc, factor * w) for loc, w in density.delta_terms]
-    csv = ser.momentum_table_to_csv({"k2": density.k_sq, "smooth": smooth},
+                                         hbar_c=float(config.get("hbar_c", 1.0))).at_ordering(p)
+    deltas = density.delta_terms
+    csv = ser.momentum_table_to_csv({"k2": density.k_sq, "smooth": density.smooth},
                                     header_comment="zero-point spectrum (smooth part)")
     ledger = ser.dump_json([{"location_k2": loc, "weight": w} for loc, w in deltas])
     summary = {"points": len(k2), "delta_terms": len(deltas)}

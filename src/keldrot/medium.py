@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diracsea import DiracSeaSpec, F_threshold, R_obs, R_obs_finite_eps
-from .grids import (Signal, TimeGrid, TwoPointKernel, _check_same_grid, _require_count,
-                    _require_finite, _require_positive, _toeplitz, sign_weights)
+from .grids import (OrderingParam, Signal, TimeGrid, TwoPointKernel, _check_same_grid,
+                    _require_count, _require_finite, _require_positive, _toeplitz,
+                    sign_weights)
 from .oscillator import OscillatorSpec, _infield_basis, retarded_response_grid
 from .rotation import _acausal_part, _mirror_residual
 
@@ -58,6 +59,14 @@ class SpectralDensity:
         for _, w in self.delta_terms:
             if abs(np.imag(w)) > 0:
                 raise ValueError("delta weights must be real")
+
+    def at_ordering(self, p: OrderingParam) -> "SpectralDensity":
+        """The density at ordering p, smooth part and delta weights scaled by
+        2 s_minus: the Weyl (s = 0) density is unchanged, and at time-normal
+        ordering (s = 1) the spectrum vanishes."""
+        factor = 2.0 * p.s_minus
+        return SpectralDensity(self.k_sq, factor * self.smooth,
+                               [(loc, factor * w) for loc, w in self.delta_terms])
 
 
 _ROWS = 64  # rows per block in the structure checks and the wave residual
@@ -234,7 +243,8 @@ def zero_point_spectrum(k_sq_samples, spec: DiracSeaSpec, mu_vac: float = 1.0,
 
     The single delta term sits on the light cone with weight
     pi hbar c mu_vac (the free-field contribution); the smooth part above
-    the pair threshold comes from the medium interaction.
+    the pair threshold comes from the medium interaction.  This is the Weyl
+    (s = 0) density; `SpectralDensity.at_ordering` gives it at any s.
     """
     k_sq_samples = np.asarray(k_sq_samples, dtype=float)
     smooth = zero_point_smooth(k_sq_samples, spec, mu_vac, hbar_c)

@@ -102,14 +102,15 @@ def _mode_phases(w: float, t, tp):
 
 
 def s_ordered_kernel(spec: OscillatorSpec, state: GaussianState, p: OrderingParam, t, tp):
-    """<O_s q(t) q(t')> for a zero-mean Gaussian state.
+    """<O_s q(t) q(t')> for a zero-mean Gaussian state, real (float64, or a
+    float for scalar t and t'):
 
     (hbar/2)[m e^{-i w (t+t')} + m* e^{i w (t+t')}
              + 2 (nbar + s_minus) cos w (t-t')]
     """
     e_sum, e_diff = _mode_phases(spec.omega0, t, tp)
-    val = spec.hbar * ((state.m * e_sum).real + (state.nbar + p.s_minus) * e_diff.real) + 0j
-    return val if np.ndim(val) else complex(val)
+    val = spec.hbar * ((state.m * e_sum).real + (state.nbar + p.s_minus) * e_diff.real)
+    return val if np.ndim(val) else float(val)
 
 
 def wightman_kernel(spec: OscillatorSpec, state: GaussianState, t, tp):
@@ -183,7 +184,7 @@ def rotated_cumulants(spec: OscillatorSpec, state: GaussianState, p: OrderingPar
                          "rotate's only at a resonant omega0")
     t = grid.times
     d_r = TwoPointKernel.circulant(grid, -_circle_theta(grid) * np.sin(spec.omega0 * grid.lags))
-    n_s = np.ascontiguousarray(s_ordered_kernel(spec, state, p, t[:, None], t[None, :]).real)
+    n_s = s_ordered_kernel(spec, state, p, t[:, None], t[None, :])
     return RotatedCumulants(Signal.zero(grid), d_r, TwoPointKernel(grid, n_s), p, spec.hbar)
 
 

@@ -24,10 +24,10 @@ then hold by construction, and the Weyl image takes element-wise real passes
 over K_W: N_0 = Re K_W and D_R = 2 theta Im K_W / hbar c (the Kubo
 commutator), formed in the triple route's operation order so that both
 routes give the same bits.  A triple passed explicitly (as
-`cumulants_from_json` reads one) is validated in full and rotated from its
-three kernels, as is the output of `unrotate` when its K_F would not be the
-theta split of its K_W: a complex or acausal D_R, D_R + D_R^T non-zero where
-theta = 1/2, or a complex or non-symmetric N_0.
+`cumulants_from_json` reads one) is validated in full, K_W's Hermitian
+residual too, and rotated from its three kernels.  `unrotate` refuses a
+rotated set whose K_F would not be the theta split of its K_W: an acausal
+D_R, D_R + D_R^T non-zero where theta = 1/2, or a non-symmetric N_0.
 
 A stationary set on the circle has circulant kernels, held by their lag
 profiles (`TwoPointKernel.circulant`; `ctl_cumulants` builds them at a
@@ -88,6 +88,8 @@ class ConsistencyError(ValueError):
 
 _CONSISTENCY_TOL = 1e-8  # relative residual that `rotate` and `from_wightman` accept
 _SPLIT_TOL = 1e-10  # relative deviation of unrotate's K_F from the theta split of its K_W
+_SPLIT_TERMS = ("max |N_0 - N_0^T|", "hbar c max |D_R| where theta = 0",
+                "(hbar c / 2) max |D_R + D_R^T| where theta = 1/2")  # that deviation's parts
 
 
 def _check_grids(grid: TimeGrid, kernels: dict):
@@ -264,6 +266,10 @@ class CumulantSet:
             raise ConsistencyError(
                 f"K_rev != K_F* (non-Hermitian field data not supported): residual {rev:.3e}"
             )
+        if self._K_F is not None:
+            herm = _mirror_residual(_data(self.K_W)[0])[0] / scale
+            if not herm <= tol:
+                raise ConsistencyError(f"K_W is not Hermitian: residual {herm:.3e} > {tol:.1e}")
         return self
 
 
@@ -296,7 +302,11 @@ CumulantSet.K_rev = _derived_kernel("K_rev", conj=True)
 
 @dataclass
 class RotatedCumulants:
-    """Rotated image: mean, retarded response D_R, time-s-ordered noise N_s."""
+    """Rotated image: mean, retarded response D_R, time-s-ordered noise N_s.
+
+    D_R and N_s are real, as a Hermitian field's are: a complex kernel whose
+    imaginary part is all zero is stored real, and one with a non-zero
+    imaginary entry is a ConsistencyError naming it."""
 
     mean: Signal
     D_R: TwoPointKernel
@@ -307,6 +317,13 @@ class RotatedCumulants:
     def __post_init__(self):
         _require_positive("hbar_c", self.hbar_c)
         _check_grids(self.mean.grid, {"D_R": self.D_R, "N_s": self.N_s})
+        for name in ("D_R", "N_s"):
+            a = _data(getattr(self, name))[0]
+            if np.iscomplexobj(a):
+                if (worst := np.abs(a.imag).max()) != 0.0:  # NaN is refused too
+                    raise ConsistencyError(f"{name} must be real for a Hermitian field: "
+                                           f"max |Im {name}| = {worst:.3e}")
+                setattr(self, name, _kernel(self.grid, a.real.copy()))
 
     @property
     def grid(self) -> TimeGrid:
@@ -337,9 +354,11 @@ def retarded_from_cumulants(ctl: CumulantSet) -> TwoPointKernel:
     """D_R(t,t') = [<T- A,A> - <A,A>] / (-i hbar c), zero where acausal.
 
     A physical response is retarded in one time representation, so zeroing
-    its acausal part only removes rounding; acausal input is rejected.  As
-    the readers do, D_R is stored real when its imaginary part is exactly
-    zero, which it is for a Hermitian field (K_rev = K_F*).
+    its acausal part only removes rounding; acausal input is rejected.  D_R
+    is real, Im(K_rev - K_W) / -hbar c: for a set that passes `validate`,
+    K_W's Hermitian residual bounds Re(K_rev - K_W) on the causal side, and
+    for one passed with check=False the non-Hermitian part does not enter
+    D_R.
     """
     k_rev, k_w = _data(ctl.K_rev, ctl.K_W)
     diff = k_rev - k_w  # -i hbar c D_R
@@ -347,10 +366,7 @@ def retarded_from_cumulants(ctl: CumulantSet) -> TwoPointKernel:
     if mask is None:
         raise ConsistencyError("response kernel is not retarded in either time representation")
     diff[mask] = 0.0
-    d = np.imag(diff) / -ctl.hbar_c
-    if np.real(diff).any():
-        d = d + 1j * (np.real(diff) / ctl.hbar_c)
-    return _kernel(ctl.grid, d)
+    return _kernel(ctl.grid, np.imag(diff) / -ctl.hbar_c)
 
 
 def _weyl_image_of_wightman(ctl: CumulantSet) -> tuple[np.ndarray, np.ndarray]:
@@ -373,12 +389,7 @@ def _weyl_image_of_wightman(ctl: CumulantSet) -> tuple[np.ndarray, np.ndarray]:
     np.copyto(d, -0.0, where=earlier)
     k_f = 0.5 * (k_w[tie] + _transposed(k_w)[tie])
     n_0[tie] = np.add(np.real(k_f), re[tie]) * 0.5
-    diff = k_f.conj() - k_w[tie]
-    d[tie] = np.imag(diff) / -ctl.hbar_c
-    if np.real(diff).any():
-        re_diff = np.zeros_like(d)
-        re_diff[tie] = np.real(diff)
-        d = d + 1j * (re_diff / ctl.hbar_c)
+    d[tie] = np.imag(k_f.conj() - k_w[tie]) / -ctl.hbar_c
     return d, n_0
 
 
@@ -408,75 +419,58 @@ def rotate(ctl: CumulantSet, p: OrderingParam, consistency_tol: float = _CONSIST
     return reorder(_weyl_image(ctl), p.s)
 
 
-def _assemble(n_0: np.ndarray, d: np.ndarray, half: float, sign: float) -> np.ndarray:
-    """N_0 + i half (D_R +- D_R^T) from real parts: with D_R = B + iA,
-    N_0 - half (A +- A^T) + i half (B +- B^T)."""
-    k = np.empty(d.shape, dtype=complex)
-    _add_transpose(np.real(d), sign, out=k.imag)
-    k.imag *= half
-    k.real = np.real(n_0)
-    if np.iscomplexobj(d):
-        k.real -= half * _add_transpose(d.imag, sign)
-    if np.iscomplexobj(n_0):
-        k.imag += n_0.imag
-    return k
-
-
 def _split_representation(asym: float, n_0_size: float, d: np.ndarray,
-                          hbar_c: float) -> bool | None:
+                          hbar_c: float) -> bool:
     """The time representation (periodic or not) in which
     K_F = N_0 + (i hbar c / 2)(D_R + D_R^T) is the theta split of
     K_W = N_0 + (i hbar c / 2)(D_R - D_R^T) to _SPLIT_TOL relative to
-    max |N_0| + hbar c max |D_R|, or None, for real N_0 and D_R with
+    max |N_0| + hbar c max |D_R|, for real N_0 and D_R with
     (asym, n_0_size) = `_mirror_residual(N_0)`.  They differ by
     N_0 - N_0^T, by i hbar c D_R where theta = 0 and by
-    (i hbar c / 2)(D_R + D_R^T) where theta = 1/2.  A lag profile is split
-    on the circle alone (see `_acausal_part`)."""
+    (i hbar c / 2)(D_R + D_R^T) where theta = 1/2.  In neither
+    representation, a ConsistencyError names the largest of these three
+    terms in the one where their sum is least.  A lag profile is split on
+    the circle alone (see `_acausal_part`)."""
     size = np.abs(d)
     bound = _SPLIT_TOL * (n_0_size + hbar_c * size.max())
+    closest = None
     for periodic in (False, True) if d.ndim == 2 else (True,):
         _, earlier, tie = _regions(d, periodic)
-        off = (hbar_c * size.max(where=earlier, initial=0.0)
-               + 0.5 * hbar_c * np.abs(d[tie] + _transposed(d)[tie]).max())
-        if asym + off <= bound:
+        terms = (asym, hbar_c * size.max(where=earlier, initial=0.0),
+                 0.5 * hbar_c * np.abs(d[tie] + _transposed(d)[tie]).max())
+        if terms[0] + (terms[1] + terms[2]) <= bound:
             return periodic
-    return None
+        closest = min(closest or terms, terms, key=sum)
+    worst = int(np.argmax(closest))
+    raise ConsistencyError(
+        "rotated set is not a Hermitian field's: K_F would not be the theta split of K_W; "
+        f"largest term {_SPLIT_TERMS[worst]} = {closest[worst]:.3e} (tolerance {bound:.3e})")
 
 
 def unrotate(rot: RotatedCumulants) -> CumulantSet:
-    """Reconstruct the CTL cumulant triple from (mean, D_R, N_s).
+    """The CTL cumulant set of (mean, D_R, N_s), stored by its K_W.
 
     With N_0 = N_s + s Z[D_R] (`reorder` to s = 0) and D_A = D_R^T:
     K_F = N_0 + (i hbar c / 2)(D_R + D_A)
     K_W = N_0 + (i hbar c / 2)(D_R - D_A)
     K_rev = K_F*
-    Each is built from real parts (`_assemble`).  When K_F is the theta
-    split of K_W in some time representation, the set is stored by K_W
-    alone; otherwise all three are returned.  K_W is Hermitian only for a
-    real D_R and N_0, and then K_W - K_W^H = N_0 - N_0^T exactly (the
-    imaginary parts of mirrored entries are exact negatives), so one pass
+    K_F must be the theta split of K_W in some time representation
+    (`_split_representation`, else a ConsistencyError naming what fails).
+    D_R and N_0 are real, so K_W - K_W^H = N_0 - N_0^T exactly (the
+    imaginary parts of mirrored entries are exact negatives), and one pass
     over N_0 gives both the split rule's asymmetry and K_W's Hermitian
     residual.
     """
     n_0, d = _data(reorder(rot, 0.0).N_s, rot.D_R)
-    half = 0.5 * rot.hbar_c
-    g = rot.grid
-    k_w = _assemble(n_0, d, half, -1.0)
-    if not (np.iscomplexobj(d) or np.iscomplexobj(n_0)):
-        asym, n_0_size = _mirror_residual(n_0)
-        periodic = _split_representation(asym, n_0_size, d, rot.hbar_c)
-        if periodic is not None:
-            hermitian = asym / max(np.abs(k_w).max(), 1e-300)
-            return CumulantSet._measured(hermitian, rot.mean, _kernel(g, k_w), rot.hbar_c,
-                                         periodic)
-    k_f = _assemble(n_0, d, half, 1.0)
-    return CumulantSet(
-        mean=rot.mean,
-        K_F=_kernel(g, k_f),
-        K_rev=_kernel(g, k_f.conj()),
-        K_W=_kernel(g, k_w),
-        hbar_c=rot.hbar_c,
-    )
+    asym, n_0_size = _mirror_residual(n_0)
+    periodic = _split_representation(asym, n_0_size, d, rot.hbar_c)
+    k_w = np.empty(d.shape, dtype=complex)
+    _add_transpose(d, -1.0, out=k_w.imag)
+    k_w.imag *= 0.5 * rot.hbar_c
+    k_w.real = n_0
+    hermitian = asym / max(np.abs(k_w).max(), 1e-300)
+    return CumulantSet._measured(hermitian, rot.mean, _kernel(rot.grid, k_w), rot.hbar_c,
+                                 periodic)
 
 
 def reorder_gap_kernel(D_R: TwoPointKernel, hbar_c: float) -> TwoPointKernel:

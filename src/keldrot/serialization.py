@@ -129,11 +129,21 @@ def _grid_header(grid: TimeGrid) -> str:
     return f"# grid n={grid.n} dt={fmt(grid.dt)} t0={fmt(grid.t0)}\n"
 
 
-def _parse_grid_header(line: str) -> TimeGrid:
+def _parse_grid_header(line: str, kind: str) -> TimeGrid:
+    """The grid of a `# grid n=.. dt=.. t0=..` line: its key=value pairs,
+    each key given once and each value read as JSON reads a number, are
+    checked as a JSON grid object is."""
     if not line.startswith("# grid"):
         raise ValueError("missing grid header")
-    fields = dict(tok.split("=") for tok in line[1:].split() if "=" in tok)
-    return TimeGrid(n=int(fields["n"]), dt=float(fields["dt"]), t0=float(fields["t0"]))
+    fields = {}
+    for key, _, word in (tok.partition("=") for tok in line[len("# grid"):].split()):
+        if key in fields:
+            raise ValueError(f"{kind} CSV grid.{key} is given twice")
+        try:
+            fields[key] = json.loads(word)
+        except ValueError:  # not a number: `_grid_from_obj` names it
+            fields[key] = word
+    return _grid_from_obj(fields, f"{kind} CSV grid.")
 
 
 def _csv_rows(columns: list[np.ndarray]) -> list[str]:
@@ -186,7 +196,7 @@ def _csv_columns(text: str, kind: str, names: tuple) -> tuple[TimeGrid, list[np.
                               ("column", ",".join(names), column_line)):
         if found != want:
             raise ValueError(f"{kind} CSV {what} line must read {want!r}, found {found!r}")
-    grid = _parse_grid_header(grid_line)
+    grid = _parse_grid_header(grid_line, kind)
     rows = []
     for line in lines[3:]:
         if not line.strip():
@@ -242,10 +252,17 @@ def _grid_obj(grid: TimeGrid) -> dict:
     return {"n": grid.n, "dt": grid.dt, "t0": grid.t0}
 
 
+def _field(obj: dict, key: str, where: str):
+    """obj[key], or a ValueError naming the missing key by its path."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{where}{key} is missing")
+    return obj[key]
+
+
 def _scalar(obj: dict, key: str, where: str = "", kind: type = float):
     """obj[key] as `kind` (int or float), refusing null, strings, booleans
     and, for an int, a fractional number."""
-    v = obj[key]
+    v = _field(obj, key, where)
     if isinstance(v, bool) or not isinstance(v, int if kind is int else (int, float)):
         want = "an integer" if kind is int else "a number"
         raise ValueError(f"{where}{key} must be {want}, got {json.dumps(v)}")
@@ -274,9 +291,14 @@ def _from_obj(obj: dict, cls, where: str = ""):
     `where` is the key path prefixed to the keys named in errors."""
     if obj.get("kind") != _KINDS[cls]:
         raise ValueError(f"expected a {_KINDS[cls]} object, got kind {obj.get('kind')!r}")
-    grid = _grid_from_obj(obj["grid"], f"{where}grid.")
-    re, im = _numbers(obj["re"], f"{where}re"), _numbers(obj["im"], f"{where}im")
+    grid = _grid_from_obj(_field(obj, "grid", where), f"{where}grid.")
+    re, im = (_numbers(_field(obj, key, where), f"{where}{key}") for key in ("re", "im"))
     return cls(grid, _real_or_complex(re, im))
+
+
+def _member(bundle: dict, key: str, cls):
+    """The Signal or TwoPointKernel stored under `key` of a bundle."""
+    return _from_obj(_field(bundle, key, ""), cls, f"{key}.")
 
 
 def signal_from_json(text: str) -> Signal:
@@ -307,10 +329,10 @@ def cumulants_from_json(text: str) -> CumulantSet:
     if obj.get("kind") != "cumulants":
         raise ValueError("not a cumulant bundle")
     return CumulantSet(
-        mean=_from_obj(obj["mean"], Signal, "mean."),
-        K_F=_from_obj(obj["K_F"], TwoPointKernel, "K_F."),
-        K_rev=_from_obj(obj["K_rev"], TwoPointKernel, "K_rev."),
-        K_W=_from_obj(obj["K_W"], TwoPointKernel, "K_W."),
+        mean=_member(obj, "mean", Signal),
+        K_F=_member(obj, "K_F", TwoPointKernel),
+        K_rev=_member(obj, "K_rev", TwoPointKernel),
+        K_W=_member(obj, "K_W", TwoPointKernel),
         hbar_c=_scalar(obj, "hbar_c"),
     )
 
@@ -331,9 +353,9 @@ def rotated_from_json(text: str) -> RotatedCumulants:
     if obj.get("kind") != "rotated":
         raise ValueError("not a rotated bundle")
     return RotatedCumulants(
-        mean=_from_obj(obj["mean"], Signal, "mean."),
-        D_R=_from_obj(obj["D_R"], TwoPointKernel, "D_R."),
-        N_s=_from_obj(obj["N_s"], TwoPointKernel, "N_s."),
+        mean=_member(obj, "mean", Signal),
+        D_R=_member(obj, "D_R", TwoPointKernel),
+        N_s=_member(obj, "N_s", TwoPointKernel),
         p=OrderingParam(_scalar(obj, "s")),
         hbar_c=_scalar(obj, "hbar_c"),
     )

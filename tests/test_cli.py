@@ -116,6 +116,19 @@ class TestRotationFlow:
         assert "K_F.re must be finite, got nan" in err["detail"]
         assert list(outdir.iterdir()) == [bundle]
 
+    def test_missing_grid_key_named(self, outdir, capsys):
+        grid = TimeGrid(8, 0.2)
+        spec = OscillatorSpec(omega0=grid.resonant_frequency(2))
+        obj = json.loads(ser.cumulants_to_json(
+            ctl_cumulants(spec, GaussianState(nbar=0.4), grid, periodic=False)))
+        del obj["K_W"]["grid"]["dt"]
+        bundle = outdir / "ctl.json"
+        bundle.write_text(json.dumps(obj))
+        assert run(["rotate", "--in", bundle, "--s", 0.5, "--out", outdir / "rot"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["detail"] == "K_W.grid.dt is missing"
+        assert list(outdir.iterdir()) == [bundle]
+
     @pytest.mark.parametrize("hbar_c", [float("nan"), 0.0, float("inf"), -1.0])
     def test_unrotate_refuses_bad_hbar_c(self, hbar_c, outdir, capsys):
         grid = TimeGrid(12, 0.2)
@@ -130,6 +143,22 @@ class TestRotationFlow:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "computation" and "hbar_c" in err["detail"]
+        assert list(outdir.iterdir()) == [inp]
+
+    @pytest.mark.parametrize("verb", [["unrotate"], ["reorder", "--s", 0.2]])
+    def test_complex_response_refused(self, verb, outdir, capsys):
+        grid = TimeGrid(8, 0.1)
+        spec = OscillatorSpec(omega0=grid.resonant_frequency(2))
+        bundle = json.loads(ser.rotated_to_json(
+            rotate(ctl_cumulants(spec, GaussianState(nbar=0.4), grid, periodic=False),
+                   OrderingParam(0.5))))
+        bundle["D_R"]["im"][5][2] = 0.25
+        inp = outdir / "rot.json"
+        inp.write_text(json.dumps(bundle))
+        assert run(verb + ["--in", inp, "--out", outdir / "out"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "computation"
+        assert "D_R must be real for a Hermitian field: max |Im D_R| = 2.500e-01" in err["detail"]
         assert list(outdir.iterdir()) == [inp]
 
     @pytest.mark.parametrize("verb", [["unrotate"], ["reorder", "--s", 0.2]])

@@ -274,6 +274,22 @@ class TestZeroPointSpectrum:
         density = zero_point_spectrum([2.0, 8.0], SEA, mu_vac=1.5, hbar_c=2.0)
         assert density.delta_terms == [(0.0, np.pi * 2.0 * 1.5)]
 
+    @pytest.mark.parametrize("s", [-0.5, 0.0, 0.3, 1.0])
+    def test_at_ordering_scales_by_two_s_minus(self, s):
+        # the spectrum vanishes at time-normal ordering (s = 1) and is the
+        # Weyl density at s = 0
+        density = zero_point_spectrum([2.0, 8.0, 20.0], SEA, mu_vac=1.5, hbar_c=2.0)
+        ordered = density.at_ordering(OrderingParam(s))
+        factor = 1.0 - s
+        assert np.array_equal(ordered.k_sq, density.k_sq)
+        assert np.array_equal(ordered.smooth, factor * density.smooth)
+        assert ordered.delta_terms == [(0.0, factor * np.pi * 2.0 * 1.5)]
+        if s == 1.0:
+            assert not ordered.smooth.any() and ordered.delta_terms[0][1] == 0.0
+        if s == 0.0:
+            assert np.array_equal(ordered.smooth, density.smooth)
+            assert ordered.delta_terms == density.delta_terms
+
     def test_two_route_agreement(self):
         for k_sq in (6.0, 8.0, 20.0):
             closed = zero_point_smooth(k_sq, SEA)

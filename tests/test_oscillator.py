@@ -194,9 +194,10 @@ class TestFactorisedKernels:
                                     * np.cos(W0 * tau))
         got = s_ordered_kernel(SPEC, self.STATE, p, t[:, None], t[None, :])
         scale = np.abs(direct).max()
-        assert got.dtype == complex
+        assert got.dtype == np.float64
         assert np.abs(got - direct).max() < 1e-12 * scale
-        assert abs(s_ordered_kernel(SPEC, self.STATE, p, t[2], t[9]) - direct[2, 9]) < 1e-12 * scale
+        one = s_ordered_kernel(SPEC, self.STATE, p, t[2], t[9])
+        assert type(one) is float and abs(one - direct[2, 9]) < 1e-12 * scale
 
 
 class TestReorderGap:

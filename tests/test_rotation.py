@@ -389,6 +389,17 @@ STORED_SETS = {
 }
 
 
+# the term that each refusal of `unrotate` names
+UNROTATE_REFUSALS = {
+    "acausal D_R": r"hbar c max \|D_R\| where theta = 0 = ",
+    # K_F(t,t) = N_0 + i hbar c D_R(t,t) would be complex, which
+    # <T+ A(t) A(t)> of a Hermitian field cannot be
+    "equal-time D_R": r"\(hbar c / 2\) max \|D_R \+ D_R\^T\| where theta = 1/2 = 2.000e-01",
+    "asymmetric N_0": r"max \|N_0 - N_0\^T\| = 2.000e-03",
+    "complex D_R": r"D_R must be real for a Hermitian field: max \|Im D_R\| = 1.000e-03",
+}
+
+
 class TestStoredWightman:
     """A set stored by K_W against the same data passed as a triple."""
 
@@ -482,15 +493,22 @@ class TestStoredWightman:
         worst, size = mirror(back.K_W.values)
         assert back._hermitian == worst / max(size, 1e-300)
 
-    def test_diagonal_response_takes_the_triple_route(self):
+    @pytest.mark.parametrize("case", UNROTATE_REFUSALS)
+    def test_unrotate_names_what_fails(self, case):
         rot = rotate(vacuum_ctl(periodic=False), OrderingParam(0.3))
-        d_r = rot.D_R.values + 0.2 * np.eye(GRID.n)
-        rot = dataclasses.replace(rot, D_R=TwoPointKernel(GRID, d_r))
-        back = unrotate(rot)
-        assert back._K_F is not None
-        again = rotate(back, OrderingParam(0.3))
-        assert np.abs(again.D_R.values - d_r).max() < 1e-12 * np.abs(d_r).max()
-        assert np.abs(again.N_s.values - rot.N_s.values).max() < 1e-12 * np.abs(rot.N_s.values).max()
+        n = GRID.n
+        if case == "acausal D_R":
+            rot.D_R = TwoPointKernel(GRID, np.random.default_rng(36).normal(size=(n, n)))
+        elif case == "equal-time D_R":
+            rot.D_R = TwoPointKernel(GRID, rot.D_R.values + 0.2 * np.eye(n))
+        elif case == "asymmetric N_0":
+            step = np.zeros((n, n))
+            step[5, 2], step[2, 5] = 1e-3, -1e-3
+            rot.N_s = TwoPointKernel(GRID, rot.N_s.values + step)
+        else:  # assigned past RotatedCumulants' check, as a caller may
+            rot.D_R = TwoPointKernel(GRID, rot.D_R.values + 1e-3j * np.eye(n, k=-1))
+        with pytest.raises(ConsistencyError, match=UNROTATE_REFUSALS[case]):
+            unrotate(rot)
 
     def test_kernels_on_another_grid_refused(self):
         k = TwoPointKernel(TimeGrid(8, 0.2), np.zeros((8, 8)))
@@ -590,30 +608,77 @@ class TestRealRotation:
         direct[mask] = 0.0
         assert np.array_equal(d_r, direct.real)
 
-    def test_non_hermitian_response_stays_complex(self):
+    def test_non_hermitian_part_kept_out_of_response(self):
+        # a real shift of K_rev is refused by validate; with check=False it
+        # does not enter D_R, which stays real
         ctl = synthetic_cumulants(GRID, np.random.default_rng(31))
         shift = 1e-3 * np.tril(np.ones((GRID.n, GRID.n)))
         bad = dataclasses.replace(ctl, K_rev=TwoPointKernel(GRID, ctl.K_rev.values + shift))
         d_r = rotation.retarded_from_cumulants(bad).values
-        assert d_r.dtype == np.complex128
-        assert np.abs(d_r.imag - shift).max() < 1e-15  # shift + Re K_rev - Re K_W, rounded
-        assert np.array_equal(d_r.real, rotation.retarded_from_cumulants(ctl).values)
+        assert d_r.dtype == np.float64
+        assert np.array_equal(d_r, rotation.retarded_from_cumulants(ctl).values)
+        with pytest.raises(ConsistencyError, match="consistency identity"):
+            rotate(bad, OrderingParam(0.2))
+        unchecked = rotate(bad, OrderingParam(0.2), check=False)
+        assert unchecked.D_R.values.dtype == unchecked.N_s.values.dtype == np.float64
+        assert np.array_equal(unchecked.D_R.values, rotate(ctl, OrderingParam(0.2)).D_R.values)
 
     @pytest.mark.parametrize("name", ORACLE_SETS)
     def test_unrotate_matches_complex_route(self, name):
         # the parent's complex assembly: N_0 + (i hbar c / 2)(D_R +- D_R^T)
         rot = rotate(ORACLE_SETS[name](), OrderingParam(-0.6))
+        d_r = rot.D_R.values
+        for hbar_c in (1.0, 0.3):
+            r = dataclasses.replace(rot, hbar_c=hbar_c)
+            half = 0.5j * hbar_c * d_r
+            n_0 = reorder(r, 0.0).N_s.values + half
+            back = unrotate(r)
+            scale = np.abs(n_0).max()
+            assert np.abs(back.K_F.values - (n_0 + half.T)).max() < 1e-12 * scale
+            assert np.abs(back.K_W.values - (n_0 - half.T)).max() < 1e-12 * scale
+            assert np.array_equal(back.K_rev.values, back.K_F.values.conj())
+        # a complex D_R has no Hermitian field's set: refused where it is made
         rng = np.random.default_rng(32)
-        for d_r in (rot.D_R.values, rot.D_R.values + 1j * np.tril(rng.normal(size=(GRID.n,) * 2))):
-            for hbar_c in (1.0, 0.3):
-                r = dataclasses.replace(rot, D_R=TwoPointKernel(GRID, d_r), hbar_c=hbar_c)
-                half = 0.5j * hbar_c * d_r
-                n_0 = reorder(r, 0.0).N_s.values + half
-                back = unrotate(r)
-                scale = np.abs(n_0).max()
-                assert np.abs(back.K_F.values - (n_0 + half.T)).max() < 1e-12 * scale
-                assert np.abs(back.K_W.values - (n_0 - half.T)).max() < 1e-12 * scale
-                assert np.array_equal(back.K_rev.values, back.K_F.values.conj())
+        complex_d_r = d_r + 1j * np.tril(rng.normal(size=(GRID.n,) * 2))
+        with pytest.raises(ConsistencyError, match="D_R must be real"):
+            dataclasses.replace(rot, D_R=TwoPointKernel(GRID, complex_d_r))
+
+    @pytest.mark.parametrize("layout", ["values", "profile"])
+    def test_zero_imaginary_part_stored_real(self, layout):
+        rot = rotate(ORACLE_SETS["periodic thermal"](), OrderingParam(0.4))
+        assert rot.D_R.profile is not None and rot.N_s.profile is not None
+        kernels = {}
+        for name in ("D_R", "N_s"):
+            data = getattr(getattr(rot, name), layout)
+            kernels[name] = (TwoPointKernel.circulant(GRID, data + 0j) if layout == "profile"
+                             else TwoPointKernel(GRID, data + 0j))
+        again = RotatedCumulants(rot.mean, kernels["D_R"], kernels["N_s"], rot.p, rot.hbar_c)
+        for name in ("D_R", "N_s"):
+            got = getattr(getattr(again, name), layout)
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert np.array_equal(got, getattr(getattr(rot, name), layout))
+
+    @pytest.mark.parametrize("name", ["D_R", "N_s"])
+    @pytest.mark.parametrize("im", [1e-300, np.nan])
+    def test_imaginary_entry_refused(self, name, im):
+        rot = rotate(ORACLE_SETS["squeezed synthetic"](), OrderingParam(0.4))
+        values = getattr(rot, name).values.astype(complex)
+        values[7, 2] += 1j * im
+        with pytest.raises(ConsistencyError, match=f"{name} must be real .* = {im:.3e}"):
+            dataclasses.replace(rot, **{name: TwoPointKernel(GRID, values)})
+
+    def test_non_hermitian_wightman_triple_refused(self):
+        # a real antisymmetric part of K_W keeps both identities (it cancels
+        # in K_W + K_W^T, and K_rev = K_F*), so only the Hermitian check sees
+        # it; without that check it would enter Im D_R
+        ctl = synthetic_cumulants(GRID, np.random.default_rng(37))
+        a = np.random.default_rng(38).normal(size=(GRID.n, GRID.n))
+        bad = dataclasses.replace(ctl, K_W=TwoPointKernel(GRID, ctl.K_W.values + 1e-3 * (a - a.T)))
+        assert bad.consistency_residual() < 1e-15 and bad.reversal_residual() == 0.0
+        with pytest.raises(ConsistencyError, match=r"^K_W is not Hermitian: residual \d"):
+            rotate(bad, OrderingParam(0.3))
+        worst, _ = rotation._mirror_residual(bad.K_W.values)
+        bad.validate(2.0 * worst / bad._scale())
 
     def test_residuals_match_out_of_place_sums(self):
         ctl = synthetic_cumulants(GRID, np.random.default_rng(33))

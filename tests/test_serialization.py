@@ -381,6 +381,8 @@ BAD_ENTRIES = {
                               "re must hold numbers only; it has a boolean entry"),
     "fractional n": (lambda o: _grid_entry(o, "n", 16.0 + 0.7), "grid.n must be an integer"),
     "string dt": (lambda o: _grid_entry(o, "dt", "0.25"), "grid.dt must be a number"),
+    "missing dt": (lambda o: (o["grid"].pop("dt"), o)[1], r"^grid\.dt is missing$"),
+    "missing re": (lambda o: (o.pop("re"), o)[1], "^re is missing$"),
     # json.loads reads NaN, Infinity and -Infinity as floats
     "NaN": (lambda o: _first_entry(o, "re", float("nan")), "re must be finite, got nan"),
     "infinity": (lambda o: _first_entry(o, "im", float("-inf")), "im must be finite, got -inf"),
@@ -411,6 +413,38 @@ class TestBadEntriesRejected:
         obj["hbar_c"] = "1"
         with pytest.raises(ValueError, match="hbar_c must be a number"):
             ser.rotated_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("bundle,spoil,message", [
+        ("cumulants", lambda o: o.pop("K_W"), "^K_W is missing$"),
+        ("cumulants", lambda o: o["K_W"]["grid"].pop("dt"), r"^K_W\.grid\.dt is missing$"),
+        ("cumulants", lambda o: o["mean"].pop("im"), r"^mean\.im is missing$"),
+        ("cumulants", lambda o: o.pop("hbar_c"), "^hbar_c is missing$"),
+        ("rotated", lambda o: o.pop("D_R"), "^D_R is missing$"),
+        ("rotated", lambda o: o["N_s"].pop("grid"), r"^N_s\.grid is missing$"),
+        ("rotated", lambda o: o.pop("s"), "^s is missing$"),
+    ])
+    def test_missing_key_named_by_path(self, grid, bundle, spoil, message):
+        ctl = synthetic_cumulants(grid, np.random.default_rng(9))
+        obj = json.loads(ser.cumulants_to_json(ctl) if bundle == "cumulants"
+                         else ser.rotated_to_json(rotate(ctl, OrderingParam(0.5))))
+        spoil(obj)
+        with pytest.raises(ValueError, match=message):
+            getattr(ser, f"{bundle}_from_json")(json.dumps(obj))
+
+    @pytest.mark.parametrize("reader", ["signal", "kernel"])
+    @pytest.mark.parametrize("line,message", [
+        ("# grid n=16 t0=-1", "grid.dt is missing"),
+        ("# grid n=16.5 dt=0.25 t0=-1", "grid.n must be an integer, got 16.5"),
+        ("# grid n=16 dt=abc t0=-1", 'grid.dt must be a number, got "abc"'),
+        ("# grid n=16 dt=0.25 t0=-1 dt=0.5", "grid.dt is given twice"),
+    ], ids=["missing dt", "fractional n", "word dt", "repeated dt"])
+    def test_csv_grid_line_checked(self, signal, kernel, reader, line, message):
+        text = getattr(ser, f"{reader}_to_csv")({"signal": signal, "kernel": kernel}[reader])
+        lines = text.splitlines(keepends=True)
+        assert lines[1] == "# grid n=16 dt=0.25 t0=-1\n"
+        lines[1] = line + "\n"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{reader} CSV {message}')}$"):
+            getattr(ser, f"{reader}_from_csv")("".join(lines))
 
     def test_boolean_among_numbers_in_bundles(self, grid):
         """A boolean mixed into numbers reads as float64 or int64 through
