@@ -139,7 +139,7 @@ def criterion_lambda_identities() -> CriterionResult:
         j_s = Signal(grid, rng.normal(size=grid.n))
         ctl = rotation.synthetic_cumulants(grid, rng)
         for c, rot in ((ctl_osc, oscillator.rotated_cumulants(spec, state, p, grid)),
-                       (ctl, rotation.rotate(ctl, p, check=False))):
+                       (ctl, rotation.rotate(ctl, p))):
             chk = rotation.lambda2_identity_check(c, rot, eta, j_s)
             residuals += [chk["relative_residual"],
                           abs(chk["j_quadratic_term"]) / max(abs(chk["lhs"]), 1e-300)]

@@ -12,7 +12,6 @@ machine-readable error JSON on stderr).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -215,8 +214,7 @@ def run_oscillator_lambda_check(config: dict) -> tuple[dict, dict]:
     draws = _require_count("draws", config.get("draws", 10))
     rng = np.random.default_rng(int(config["seed"]))
     rot = oscillator.rotated_cumulants(spec, state, p, grid)  # refuses a non-resonant omega0
-    # as a triple, so that K_F and K_rev are derived (and laid out) once, not per draw
-    ctl = dataclasses.replace(oscillator.ctl_cumulants(spec, state, grid, periodic=True))
+    ctl = oscillator.ctl_cumulants(spec, state, grid, periodic=True)
     residuals, j_quadratic = [], []
     for _ in range(draws):
         eta = Signal(grid, rng.normal(size=grid.n))
@@ -250,18 +248,15 @@ def run_rotation_verb(verb: str, config: dict) -> tuple[dict, dict]:
     _require(config, "infile")
     text = Path(config["infile"]).read_text()
     if verb == "rotate":
-        ctl = ser.cumulants_from_json(text)
+        ctl = ser.cumulants_from_json(text)  # checks the file's identities
         _require(config, "s")
-        tol = float(config.get("consistency_tol", 1e-8))
-        rot = rotation.rotate(ctl, OrderingParam(float(config["s"])),
-                              consistency_tol=tol,
-                              check=config.get("check_consistency", True))
-        summary = {"s": rot.p.s, "consistency_residual": ctl.consistency_residual()}
+        rot = rotation.rotate(ctl, OrderingParam(float(config["s"])))
+        summary = {"s": rot.p.s, "consistency_residual": ctl.residual}
         return {".json": ser.rotated_to_json(rot)}, summary
     rot = ser.rotated_from_json(text)
     if verb == "unrotate":
         ctl = rotation.unrotate(rot)
-        summary = {"s": rot.p.s, "consistency_residual": ctl.consistency_residual()}
+        summary = {"s": rot.p.s, "consistency_residual": ctl.residual}
         return {".json": ser.cumulants_to_json(ctl)}, summary
     _require(config, "s")
     out = rotation.reorder(rot, float(config["s"]))
@@ -476,9 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
         if verb != "unrotate":
             p.add_argument("--s", type=float)
         if verb == "rotate":
-            p.add_argument("--check-consistency", action=argparse.BooleanOptionalAction,
-                           default=None)
-            p.add_argument("--consistency-tol", type=float)
+            p.add_argument("--check-consistency", action="store_true", default=None,
+                           help="no effect: the bundle's identities are always checked")
 
     p = _verb(sub, "kernels", run_kernels, help="momentum-space free-field kernels")
     p.add_argument("family", choices=["scalar", "photon"])

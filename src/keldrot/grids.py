@@ -315,10 +315,21 @@ def overlap(f: Signal, g: Signal) -> complex:
 
 
 def pair_form(f: Signal, K: TwoPointKernel, g: Signal) -> complex:
-    """Bilinear form fKg = double integral f(t) K(t,t') g(t') dt dt'."""
+    """Bilinear form fKg = double integral f(t) K(t,t') g(t') dt dt'.
+
+    A circulant K not laid out takes Kg as one circular convolution of its
+    lag profile with g, by FFT (a real one for real data), so the profile
+    is never laid out."""
     _check_same_grid(f.grid, K.grid)
     _check_same_grid(K.grid, g.grid)
-    return complex(f.grid.dt ** 2 * (f.values @ K.values @ g.values))
+    p, v = K.profile, g.values
+    if p is None:
+        return complex(f.grid.dt ** 2 * (f.values @ K.values @ v))
+    if np.iscomplexobj(p) or np.iscomplexobj(v):
+        kg = np.fft.ifft(np.fft.fft(p) * np.fft.fft(v))
+    else:
+        kg = np.fft.irfft(np.fft.rfft(p) * np.fft.rfft(v), len(v))
+    return complex(f.grid.dt ** 2 * (f.values @ kg))
 
 
 def theta_ordering_matrix(grid: TimeGrid) -> np.ndarray:

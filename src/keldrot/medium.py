@@ -18,10 +18,10 @@ import numpy as np
 
 from .diracsea import DiracSeaSpec, F_threshold, R_obs, R_obs_finite_eps
 from .grids import (OrderingParam, Signal, TimeGrid, TwoPointKernel, _check_same_grid,
-                    _require_count, _require_finite, _require_positive, _toeplitz,
-                    sign_weights)
+                    _require_count, _require_finite, _require_positive, _theta_masks,
+                    _toeplitz, sign_weights)
 from .oscillator import OscillatorSpec, _infield_basis, retarded_response_grid
-from .rotation import _acausal_part, _mirror_residual
+from .rotation import _mirror_residual
 
 __all__ = [
     "SpectralDensity",
@@ -131,8 +131,10 @@ def dress_retarded_grid(D_bare: TwoPointKernel, pi_R: TwoPointKernel) -> TwoPoin
         return TwoPointKernel(grid, _toeplitz(c, np.zeros_like(c)))
     from scipy.linalg import solve_triangular
 
+    earlier = _theta_masks(grid.n, False)[1]  # where theta = 0
     for name, K in (("bare propagator", D_bare), ("susceptibility", pi_R)):
-        if _acausal_part(K.values, K.grid, periodic=(False,))[0] is None:
+        v = K.values  # its acausal part must be noise, <= 1e-10 of its largest entry
+        if not np.abs(v[earlier]).max(initial=0.0) <= 1e-10 * max(np.abs(v).max(), 1e-300):
             raise ValueError(f"{name} kernel is not retarded in linear time")
     d0 = D_bare.values
     g = grid.dt ** 2 * (d0 @ pi_R.values)  # lower triangular

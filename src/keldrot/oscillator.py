@@ -143,7 +143,7 @@ def ctl_cumulants(spec: OscillatorSpec, state: GaussianState, grid: TimeGrid,
     cycles = round(spec.omega0 / grid.domega)
     if periodic and state.m == 0 and spec.omega0 == grid.resonant_frequency(cycles):
         k_w = TwoPointKernel.circulant(grid, wightman_kernel(spec, state, grid.lags, 0.0))
-        return CumulantSet(zero, None, None, k_w, spec.hbar, periodic)
+        return CumulantSet(zero, k_w, spec.hbar, periodic)
     t = grid.times
     k_w = wightman_kernel(spec, state, t[:, None], t[None, :])
     return CumulantSet.from_wightman(zero, k_w, periodic, spec.hbar)
@@ -170,7 +170,9 @@ def rotated_cumulants(spec: OscillatorSpec, state: GaussianState, p: OrderingPar
                       grid: TimeGrid) -> RotatedCumulants:
     """Closed-form rotated image of `ctl_cumulants(spec, state, grid,
     periodic=True)` at ordering p, its `rotate` to rounding: zero mean, the
-    s-ordered kernel as a real N_s, and as D_R the Kubo response on the
+    s-ordered kernel as a real N_s (the circulant kernel with the lag
+    profile of `s_ordered_kernel` for a stationary state, m = 0, else its
+    n x n samples at t - t'), and as D_R the Kubo response on the
     circle, the circulant kernel with lag profile -theta sin(omega0 tau),
     theta from `grids._circle_theta` (1/2 at lag 0 and at the wrap lag
     -T/2).  It is that image only at a resonant omega0, so an omega0 more
@@ -182,10 +184,13 @@ def rotated_cumulants(spec: OscillatorSpec, state: GaussianState, p: OrderingPar
         raise ValueError(f"omega0 = {spec.omega0!r} is not a grid resonance (nearest "
                          f"{nearest!r}, {cycles} cycles): the closed-form image is "
                          "rotate's only at a resonant omega0")
-    t = grid.times
     d_r = TwoPointKernel.circulant(grid, -_circle_theta(grid) * np.sin(spec.omega0 * grid.lags))
-    n_s = s_ordered_kernel(spec, state, p, t[:, None], t[None, :])
-    return RotatedCumulants(Signal.zero(grid), d_r, TwoPointKernel(grid, n_s), p, spec.hbar)
+    if state.m == 0:  # a stationary state: N_s is circulant too
+        n_s = TwoPointKernel.circulant(grid, s_ordered_kernel(spec, state, p, grid.lags, 0.0))
+    else:
+        t = grid.times
+        n_s = TwoPointKernel(grid, s_ordered_kernel(spec, state, p, t[:, None], t[None, :]))
+    return RotatedCumulants(Signal.zero(grid), d_r, n_s, p, spec.hbar)
 
 
 def _infield_basis(spec: OscillatorSpec, t: np.ndarray) -> np.ndarray:

@@ -15,19 +15,18 @@ formula 2 Re[F^{s+}_t F^{s+}_t' K_F + F^{s-}_t F^{s+}_t' K_W] exactly on the
 grid for consistent inputs.  Non-Hermitian cumulants are rejected, since the
 entrywise "Re" in that formula is ambiguous for them.
 
-A set built by `CumulantSet.from_wightman` (the oscillator's
-`ctl_cumulants`, `synthetic_cumulants`) or returned by `unrotate` is stored
-as (mean, K_W, hbar c, time representation): K_F is the theta split of K_W
-and K_rev = K_F*, both derived only where they are read.  K_W is checked to
-be Hermitian once, where the set is made; the CTL and reversal identities
-then hold by construction, and the Weyl image takes element-wise real passes
-over K_W: N_0 = Re K_W and D_R = 2 theta Im K_W / hbar c (the Kubo
-commutator), formed in the triple route's operation order so that both
-routes give the same bits.  A triple passed explicitly (as
-`cumulants_from_json` reads one) is validated in full, K_W's Hermitian
-residual too, and rotated from its three kernels.  `unrotate` refuses a
-rotated set whose K_F would not be the theta split of its K_W: an acausal
-D_R, D_R + D_R^T non-zero where theta = 1/2, or a non-symmetric N_0.
+For a Hermitian field the triple carries no more than K_W: K_F is the theta
+split of K_W and K_rev = K_F*.  So a `CumulantSet` is stored as (mean, K_W,
+hbar c, time representation), K_W checked Hermitian once where the set is
+made, and K_F and K_rev derived where they are read.  `from_wightman` (the
+oscillator's `ctl_cumulants`, `synthetic_cumulants`) and `unrotate` make
+one from K_W; `cumulants_from_json` makes one from a file's triple, after
+checking the CTL identity, K_rev = K_F*, K_W Hermitian and K_F the theta
+split.  The Weyl image takes element-wise real passes over K_W:
+N_0 = Re K_W (its symmetric part) and D_R = 2 theta Im K_W / hbar c (the
+Kubo commutator).  `unrotate` refuses a rotated set whose K_F would not be
+the theta split of its K_W: an acausal D_R, D_R + D_R^T non-zero where
+theta = 1/2, or a non-symmetric N_0.
 
 A stationary set on the circle has circulant kernels, held by their lag
 profiles (`TwoPointKernel.circulant`; `ctl_cumulants` builds them at a
@@ -36,7 +35,7 @@ layout, an n x n array or a 1-D profile: the element-wise passes are the
 same, a^T of a profile is the reflected profile, the theta regions are
 masks over the lag index from `grids._circle_theta`, and the gap is one
 FFT pair of length n.  So the Hermitian check, the derived K_F and K_rev,
-`validate`, the Weyl image, `reorder`, `reorder_gap_kernel` and `unrotate`
+the Weyl image, `reorder`, `reorder_gap_kernel` and `unrotate`
 keep a set of profiles as profiles, in O(n log n), and never lay it out;
 a step given a mix of profiles and dense kernels lays the profiles out.
 
@@ -86,7 +85,7 @@ class ConsistencyError(ValueError):
     """Raised when a cumulant set violates the closed-time-loop identity."""
 
 
-_CONSISTENCY_TOL = 1e-8  # relative residual that `rotate` and `from_wightman` accept
+_CONSISTENCY_TOL = 1e-8  # relative residual of a set's identities, checked where it is made
 _SPLIT_TOL = 1e-10  # relative deviation of unrotate's K_F from the theta split of its K_W
 _SPLIT_TERMS = ("max |N_0 - N_0^T|", "hbar c max |D_R| where theta = 0",
                 "(hbar c / 2) max |D_R + D_R^T| where theta = 1/2")  # that deviation's parts
@@ -94,7 +93,7 @@ _SPLIT_TERMS = ("max |N_0 - N_0^T|", "hbar c max |D_R| where theta = 0",
 
 def _check_grids(grid: TimeGrid, kernels: dict):
     for name, K in kernels.items():
-        if K is not None and K.grid != grid:
+        if K.grid != grid:
             raise ValueError(f"{name} is on {K.grid}, not on the mean's grid {grid}")
 
 
@@ -167,125 +166,103 @@ def _theta_split(k_w: np.ndarray, periodic: bool) -> np.ndarray:
 
 @dataclass
 class CumulantSet:
-    """Closed-time-loop cumulant triple plus mean for one field component.
+    """Closed-time-loop cumulants of a Hermitian field, stored as (mean,
+    K_W, hbar c, time representation).
 
-    K_F = <T+ A,A>, K_rev = <T- A,A>, K_W = <A,A> (Wightman).  For a
-    Hermitian field K_rev = K_F* entrywise and the triple satisfies
-    K_W(t,t') + K_W(t',t) - K_F(t,t') - K_rev(t,t') = 0.
-
-    Built with K_F = K_rev = None, the set is a Hermitian field's stored by
-    its Wightman kernel: K_W must be Hermitian (to 1e-8 relative, else
-    ConsistencyError), and reading K_F or K_rev derives the theta split of
-    K_W in the time representation `periodic` (the circle when True) and
-    its conjugate; `periodic` has no meaning for a triple.  A circulant K_W
-    on the circle (periodic=True) gives circulant K_F and K_rev, split on
-    its lag profile.  `dataclasses.replace` reads K_F and K_rev, so it
-    returns a triple.
+    K_W = <A,A> (Wightman) must be Hermitian, to 1e-8 relative, else
+    ConsistencyError; its residual is measured once, where the set is made,
+    and kept as `residual`.  K_F = <T+ A,A> is the theta split of K_W in the
+    time representation `periodic` (the circle when True): K_W where
+    theta = 1, K_W^T where 0, their mean where 1/2; K_rev = <T- A,A> = K_F*.
+    Both are derived on each read, so they follow a write into
+    `K_W.values`, and the CTL identity K_W + K_W^T - K_F - K_rev = 0 holds
+    by construction.  A circulant K_W on the circle gives circulant K_F and
+    K_rev, split on its lag profile.
     """
 
     mean: Signal
-    K_F: TwoPointKernel | None
-    K_rev: TwoPointKernel | None
     K_W: TwoPointKernel
     hbar_c: float
-    periodic: bool = False
+    periodic: bool
 
-    _hermitian = None  # K_W's relative Hermitian residual, when stored by K_W
+    residual = None  # largest relative residual of the identities, measured where the set is made
 
     def __post_init__(self):
         _require_positive("hbar_c", self.hbar_c)
-        if (self._K_F is None) != (self._K_rev is None):
-            raise ValueError("K_F and K_rev are given together, or both derived from K_W")
-        _check_grids(self.mean.grid, {"K_F": self._K_F, "K_rev": self._K_rev, "K_W": self.K_W})
-        if self._K_F is None:
-            if self._hermitian is None:
-                worst, size = _mirror_residual(_data(self.K_W)[0])
-                self._hermitian = worst / max(size, 1e-300)
-            if not self._hermitian <= _CONSISTENCY_TOL:  # NaN fails too
-                raise ConsistencyError(
-                    f"K_W is not Hermitian: residual {self._hermitian:.3e} > {_CONSISTENCY_TOL:.1e}")
+        _check_grids(self.mean.grid, {"K_W": self.K_W})
+        if self.residual is None:
+            worst, size = _mirror_residual(_data(self.K_W)[0])
+            self.residual = worst / max(size, 1e-300)
+        if not self.residual <= _CONSISTENCY_TOL:  # NaN fails too
+            raise ConsistencyError(
+                f"K_W is not Hermitian: residual {self.residual:.3e} > {_CONSISTENCY_TOL:.1e}")
 
     @classmethod
     def from_wightman(cls, mean: Signal, k_w: np.ndarray, periodic: bool = False,
                       hbar_c: float = 1.0) -> "CumulantSet":
-        """The set of a Hermitian field with Wightman kernel k_w, stored as
-        (mean, K_W): K_F is the theta split (`grids._theta_masks`, on the
-        circle when periodic), K_W where theta = 1, K_W^T where 0, their
-        mean where 1/2; K_rev = K_F*."""
-        return cls(mean, None, None, TwoPointKernel(mean.grid, k_w), hbar_c, periodic)
+        """The set of a Hermitian field with Wightman kernel k_w."""
+        return cls(mean, TwoPointKernel(mean.grid, k_w), hbar_c, periodic)
 
     @classmethod
-    def _measured(cls, hermitian: float, mean: Signal, k_w: TwoPointKernel,
+    def _measured(cls, residual: float, mean: Signal, k_w: TwoPointKernel,
                   hbar_c: float, periodic: bool) -> "CumulantSet":
-        """The set stored by k_w whose Hermitian residual `hermitian`
-        (max |K_W - K_W^H| / max |K_W|) the caller has measured."""
+        """The set stored by k_w whose `residual` (at least K_W's Hermitian
+        residual max |K_W - K_W^H| / max |K_W|) the caller has measured."""
         ctl = cls.__new__(cls)
-        ctl._hermitian = hermitian
-        ctl.__init__(mean, None, None, k_w, hbar_c, periodic)
+        ctl.residual = residual
+        ctl.__init__(mean, k_w, hbar_c, periodic)
         return ctl
+
+    @classmethod
+    def _from_triple(cls, mean: Signal, k_f: TwoPointKernel, k_rev: TwoPointKernel,
+                     k_w: TwoPointKernel, hbar_c: float) -> "CumulantSet":
+        """The set stored by k_w of an explicit triple, as a file holds one.
+
+        The triple must be a Hermitian field's, each identity to 1e-8 of its
+        largest |entry|, else a ConsistencyError names the first that fails:
+        the CTL identity K_W + K_W^T - K_F - K_rev = 0, K_rev = K_F*, K_W
+        Hermitian, and K_F the theta split of K_W in linear time or else on
+        the circle, which gives the set's `periodic` (a lag profile is split
+        on the circle alone).  The set's `residual` is the largest of the
+        four.
+        """
+        _check_grids(mean.grid, {"K_F": k_f, "K_rev": k_rev, "K_W": k_w})
+        f, rev, w = _data(k_f, k_rev, k_w)
+        scale = max(np.abs(f).max(), np.abs(w).max(), np.abs(rev).max(), 1e-300)
+        r = _add_transpose(w, out=np.empty(w.shape, np.result_type(w, f, rev)))
+        r -= f
+        r -= rev
+        res = float(np.abs(r).max() / scale)
+        if not res <= _CONSISTENCY_TOL:  # NaN fails too
+            raise ConsistencyError("cumulant set violates the CTL consistency identity: "
+                                   f"residual {res:.3e} > {_CONSISTENCY_TOL:.1e}")
+        rev_res = float(np.abs(rev - f.conj()).max() / scale)
+        if not rev_res <= _CONSISTENCY_TOL:
+            raise ConsistencyError("K_rev != K_F* (non-Hermitian field data not supported): "
+                                   f"residual {rev_res:.3e}")
+        herm = _mirror_residual(w)[0] / scale
+        if not herm <= _CONSISTENCY_TOL:
+            raise ConsistencyError(f"K_W is not Hermitian: residual {herm:.3e} > {_CONSISTENCY_TOL:.1e}")
+        splits = {}
+        for periodic in (False, True) if w.ndim == 2 else (True,):
+            splits[periodic] = float(np.abs(f - _theta_split(w, periodic)).max() / scale)
+            if splits[periodic] <= _CONSISTENCY_TOL:
+                return cls._measured(max(res, rev_res, herm, splits[periodic]), mean, k_w,
+                                     hbar_c, periodic)
+        raise ConsistencyError("K_F is not the theta split of K_W in either time representation: "
+                               f"residual {min(splits.values()):.3e} > {_CONSISTENCY_TOL:.1e}")
 
     @property
     def grid(self) -> TimeGrid:
         return self.mean.grid
 
-    def _scale(self, *values: np.ndarray) -> float:
-        """Largest |entry| of `values`, by default of the triple's kernels
-        (pass them when they are at hand: a derived K_F is built per read)."""
-        values = values or _data(self.K_F, self.K_W, self.K_rev)
-        return max(*(np.abs(v).max() for v in values), 1e-300)
+    @property
+    def K_F(self) -> TwoPointKernel:
+        return _kernel(self.grid, _theta_split(_wightman_data(self), self.periodic))
 
-    def consistency_residual(self, scale: float | None = None) -> float:
-        """Residual of K_W + K_W^T - K_F - K_rev = 0 relative to `scale`
-        (default: the largest |entry| of the triple)."""
-        w, f, rev = _data(self.K_W, self.K_F, self.K_rev)
-        r = _add_transpose(w, out=np.empty(w.shape, np.result_type(w, f, rev)))
-        r -= f
-        r -= rev
-        return float(np.abs(r).max() / (scale or self._scale(f, w, rev)))
-
-    def reversal_residual(self, scale: float | None = None) -> float:
-        """Residual of the Hermitian-field relation K_rev = K_F*, relative as above."""
-        f, w, rev = _data(self.K_F, self.K_W, self.K_rev)
-        r = np.conjugate(f, out=np.empty(f.shape, np.result_type(f, rev)))
-        np.subtract(rev, r, out=r)
-        return float(np.abs(r).max() / (scale or self._scale(f, w, rev)))
-
-    def validate(self, tol: float):
-        if self._K_F is None:
-            # K_F and K_rev derived from K_W satisfy both identities up to
-            # K_W's Hermitian residual, measured where the set was made
-            res, rev = self._hermitian, 0.0
-        else:
-            scale = self._scale()
-            res, rev = self.consistency_residual(scale), self.reversal_residual(scale)
-        if not res <= tol:  # NaN fails too
-            raise ConsistencyError(
-                f"cumulant set violates the CTL consistency identity: residual {res:.3e} > {tol:.1e}"
-            )
-        if not rev <= tol:
-            raise ConsistencyError(
-                f"K_rev != K_F* (non-Hermitian field data not supported): residual {rev:.3e}"
-            )
-        if self._K_F is not None:
-            herm = _mirror_residual(_data(self.K_W)[0])[0] / scale
-            if not herm <= tol:
-                raise ConsistencyError(f"K_W is not Hermitian: residual {herm:.3e} > {tol:.1e}")
-        return self
-
-
-def _derived_kernel(name: str, conj: bool) -> property:
-    """Field `name` of CumulantSet: the stored kernel, or for a set stored
-    by K_W alone the theta split of K_W (conjugated for K_rev)."""
-    slot = "_" + name
-
-    def get(self) -> TwoPointKernel:
-        k = getattr(self, slot)
-        if k is not None:
-            return k
-        k_f = _theta_split(_wightman_data(self), self.periodic)
-        return _kernel(self.grid, k_f.conj() if conj else k_f)
-
-    return property(get, lambda self, value: setattr(self, slot, value))
+    @property
+    def K_rev(self) -> TwoPointKernel:
+        return _kernel(self.grid, _theta_split(_wightman_data(self), self.periodic).conj())
 
 
 def _wightman_data(ctl: CumulantSet) -> np.ndarray:
@@ -293,11 +270,6 @@ def _wightman_data(ctl: CumulantSet) -> np.ndarray:
     the circle, else its n x n values."""
     k_w = ctl.K_W
     return k_w.profile if ctl.periodic and k_w.profile is not None else k_w.values
-
-
-# after the dataclass is made, so that its __init__ assigns through them
-CumulantSet.K_F = _derived_kernel("K_F", conj=False)
-CumulantSet.K_rev = _derived_kernel("K_rev", conj=True)
 
 
 @dataclass
@@ -330,92 +302,31 @@ class RotatedCumulants:
         return self.mean.grid
 
 
-def _acausal_part(values: np.ndarray, grid: TimeGrid,
-                  periodic=(False, True)) -> tuple[np.ndarray | None, float]:
-    """Acausal mask (theta == 0, `grids._theta_masks`) and largest
-    acausal |entry| of a response kernel in the first time representation of
-    `periodic` where that part is noise (<= 1e-10 of the largest entry): by
-    default linear time, then the circle.  If none, the mask is None and the
-    size the smallest part.  A circulant kernel retarded in linear time is
-    diagonal, and so retarded on the circle too: a lag profile is tested on
-    the circle alone."""
-    noise = 1e-10 * max(np.abs(values).max(), 1e-300)
-    sizes = []
-    for circle in periodic if values.ndim == 2 else (True,):
-        mask = _theta_masks(grid.n, circle, profile=values.ndim == 1)[1]
-        size = float(np.abs(values[mask]).max(initial=0.0))
-        if size <= noise:
-            return mask, size
-        sizes.append(size)
-    return None, min(sizes)
-
-
-def retarded_from_cumulants(ctl: CumulantSet) -> TwoPointKernel:
-    """D_R(t,t') = [<T- A,A> - <A,A>] / (-i hbar c), zero where acausal.
-
-    A physical response is retarded in one time representation, so zeroing
-    its acausal part only removes rounding; acausal input is rejected.  D_R
-    is real, Im(K_rev - K_W) / -hbar c: for a set that passes `validate`,
-    K_W's Hermitian residual bounds Re(K_rev - K_W) on the causal side, and
-    for one passed with check=False the non-Hermitian part does not enter
-    D_R.
-    """
-    k_rev, k_w = _data(ctl.K_rev, ctl.K_W)
-    diff = k_rev - k_w  # -i hbar c D_R
-    mask, _ = _acausal_part(diff, ctl.grid)
-    if mask is None:
-        raise ConsistencyError("response kernel is not retarded in either time representation")
-    diff[mask] = 0.0
-    return _kernel(ctl.grid, np.imag(diff) / -ctl.hbar_c)
-
-
-def _weyl_image_of_wightman(ctl: CumulantSet) -> tuple[np.ndarray, np.ndarray]:
-    """(D_R, N_0) of a set stored by K_W, in the triple route's operation
-    order: where theta = 1, N_0 = (Re K_W + Re K_W) / 2 = Re K_W and
-    D_R = (-Im K_W - Im K_W) / -hbar c; where theta = 0,
-    N_0 = (Re K_W^T + Re K_W) / 2 and D_R = -0.0 (a zeroed entry over
-    -hbar c); where theta = 1/2, the triple route's expressions on
-    K_F = (K_W + K_W^T) / 2."""
-    k_w = _wightman_data(ctl)
-    later, earlier, tie = _regions(k_w, ctl.periodic)
-    re, im = np.real(k_w), np.imag(k_w)
-    n_0 = _add_transpose(re)
-    n_0 *= 0.5
-    np.copyto(n_0, re, where=later)
-    # imag(conj(K_W) - K_W): a real K_W has no imaginary part to negate
-    d = np.negative(im) if np.iscomplexobj(k_w) else np.zeros(k_w.shape)
-    d -= im
-    d /= -ctl.hbar_c
-    np.copyto(d, -0.0, where=earlier)
-    k_f = 0.5 * (k_w[tie] + _transposed(k_w)[tie])
-    n_0[tie] = np.add(np.real(k_f), re[tie]) * 0.5
-    d[tie] = np.imag(k_f.conj() - k_w[tie]) / -ctl.hbar_c
-    return d, n_0
-
-
 def _weyl_image(ctl: CumulantSet) -> RotatedCumulants:
-    """Keldysh (s = 0) rotation: D_R and N_0 = (1/2) Re(K_F + K_W)."""
-    if ctl._K_F is None:
-        d, n_0 = _weyl_image_of_wightman(ctl)
-    else:
-        d = _data(retarded_from_cumulants(ctl))[0]
-        k_f, k_w = _data(ctl.K_F, ctl.K_W)
-        n_0 = np.add(np.real(k_f), np.real(k_w))
-        n_0 *= 0.5
+    """Keldysh (s = 0) rotation, from K_F + K_W with K_F the theta split of
+    K_W: N_0 = (1/2) Re(K_F + K_W) and D_R = (K_rev - K_W) / (-i hbar c)
+    = Im(K_F + K_W) / hbar c, the Kubo commutator 2 theta Im K_W / hbar c.
+    D_R is set to 0 where theta = 0, where Im(K_W^T + K_W) is K_W's
+    anti-Hermitian residual."""
+    k_w = _wightman_data(ctl)
+    later, _, tie = _regions(k_w, ctl.periodic)
+    re, im = np.real(k_w), np.imag(k_w)
+    total = _add_transpose(re)  # Re(K_F + K_W) where theta = 0
+    np.multiply(re, 2.0, out=total, where=later)
+    d = np.where(later, 2.0 * im, 0.0)
+    k_f = 0.5 * (k_w[tie] + _transposed(k_w)[tie])
+    total[tie] = np.real(k_f) + re[tie]
+    d[tie] = np.imag(k_f) + im[tie]
+    total *= 0.5
+    d /= ctl.hbar_c
     g = ctl.grid
-    return RotatedCumulants(ctl.mean, _kernel(g, d), _kernel(g, n_0), OrderingParam(0.0),
+    return RotatedCumulants(ctl.mean, _kernel(g, d), _kernel(g, total), OrderingParam(0.0),
                             ctl.hbar_c)
 
 
-def rotate(ctl: CumulantSet, p: OrderingParam, consistency_tol: float = _CONSISTENCY_TOL,
-           check: bool = True) -> RotatedCumulants:
-    """Rotate a consistent CTL cumulant set into (mean, D_R, N_s).
-
-    N_s = N_0 - s Z[D_R], also for an inconsistent set passed with
-    check=False, where the four-projection formula differs from it.
-    """
-    if check:
-        ctl.validate(consistency_tol)
+def rotate(ctl: CumulantSet, p: OrderingParam) -> RotatedCumulants:
+    """Rotate a Hermitian field's CTL cumulant set into (mean, D_R, N_s),
+    N_s = N_0 - s Z[D_R] (`reorder` of the Weyl image)."""
     return reorder(_weyl_image(ctl), p.s)
 
 
@@ -430,7 +341,8 @@ def _split_representation(asym: float, n_0_size: float, d: np.ndarray,
     (i hbar c / 2)(D_R + D_R^T) where theta = 1/2.  In neither
     representation, a ConsistencyError names the largest of these three
     terms in the one where their sum is least.  A lag profile is split on
-    the circle alone (see `_acausal_part`)."""
+    the circle alone: a circulant D_R retarded in linear time is diagonal,
+    so it is retarded on the circle too."""
     size = np.abs(d)
     bound = _SPLIT_TOL * (n_0_size + hbar_c * size.max())
     closest = None

@@ -252,9 +252,20 @@ def _grid_obj(grid: TimeGrid) -> dict:
     return {"n": grid.n, "dt": grid.dt, "t0": grid.t0}
 
 
+_JSON_TYPES = {list: "an array", str: "a string", bool: "a boolean", int: "a number",
+               float: "a number", type(None): "null"}  # what json.loads reads as each type
+
+
+def _object(value, path: str) -> dict:
+    """`value`, if it is a JSON object, else a ValueError naming `path`."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{path} must be a JSON object, got {_JSON_TYPES[type(value)]}")
+    return value
+
+
 def _field(obj: dict, key: str, where: str):
     """obj[key], or a ValueError naming the missing key by its path."""
-    if not isinstance(obj, dict) or key not in obj:
+    if key not in obj:
         raise ValueError(f"{where}{key} is missing")
     return obj[key]
 
@@ -270,6 +281,7 @@ def _scalar(obj: dict, key: str, where: str = "", kind: type = float):
 
 
 def _grid_from_obj(obj: dict, where: str) -> TimeGrid:
+    _object(obj, where[:-1])
     return TimeGrid(n=_scalar(obj, "n", where, int), dt=_scalar(obj, "dt", where),
                     t0=_scalar(obj, "t0", where))
 
@@ -289,6 +301,7 @@ def _to_obj(x: Signal | TwoPointKernel) -> dict:
 def _from_obj(obj: dict, cls, where: str = ""):
     """Read a Signal or TwoPointKernel (`cls`), refusing the other kind;
     `where` is the key path prefixed to the keys named in errors."""
+    _object(obj, where[:-1] or _KINDS[cls])
     if obj.get("kind") != _KINDS[cls]:
         raise ValueError(f"expected a {_KINDS[cls]} object, got kind {obj.get('kind')!r}")
     grid = _grid_from_obj(_field(obj, "grid", where), f"{where}grid.")
@@ -325,16 +338,15 @@ def cumulants_to_json(ctl: CumulantSet) -> str:
 
 
 def cumulants_from_json(text: str) -> CumulantSet:
-    obj = json.loads(text)
+    """The set stored by the bundle's K_W, once its triple passes a
+    Hermitian field's checks (`CumulantSet._from_triple`)."""
+    obj = _object(json.loads(text), "cumulant bundle")
     if obj.get("kind") != "cumulants":
         raise ValueError("not a cumulant bundle")
-    return CumulantSet(
-        mean=_member(obj, "mean", Signal),
-        K_F=_member(obj, "K_F", TwoPointKernel),
-        K_rev=_member(obj, "K_rev", TwoPointKernel),
-        K_W=_member(obj, "K_W", TwoPointKernel),
-        hbar_c=_scalar(obj, "hbar_c"),
-    )
+    return CumulantSet._from_triple(
+        _member(obj, "mean", Signal), _member(obj, "K_F", TwoPointKernel),
+        _member(obj, "K_rev", TwoPointKernel), _member(obj, "K_W", TwoPointKernel),
+        _scalar(obj, "hbar_c"))
 
 
 def rotated_to_json(rot: RotatedCumulants) -> str:
@@ -349,7 +361,7 @@ def rotated_to_json(rot: RotatedCumulants) -> str:
 
 
 def rotated_from_json(text: str) -> RotatedCumulants:
-    obj = json.loads(text)
+    obj = _object(json.loads(text), "rotated bundle")
     if obj.get("kind") != "rotated":
         raise ValueError("not a rotated bundle")
     return RotatedCumulants(

@@ -1,7 +1,9 @@
 """Helpers shared by several test modules."""
 import numpy as np
 
-from keldrot.grids import OrderingParam, Signal, TwoPointKernel, heaviside, sign_weights
+import keldrot.rotation as rotation
+from keldrot.grids import (OrderingParam, Signal, TwoPointKernel, _theta_masks, heaviside,
+                           sign_weights)
 from keldrot.pvreg import PVScheme
 
 BARE = PVScheme(M=0, masses=[1.0], d=[1.0], d_mp=["1"], impose_B0=False, residuals=[],
@@ -39,3 +41,59 @@ def lag_index_theta(grid, periodic):
     if grid.n % 2 == 0:
         th[tau == grid.lags[grid.n // 2]] = 0.5
     return th
+
+
+# The triple route: the rotation computed from all three kernels of a set,
+# {K_F, K_rev, K_W}, apart from the library's route from K_W alone, and
+# the residuals of a triple's identities.  They are that route's oracles.
+
+def acausal_part(values, grid, periodic=(False, True)):
+    """Acausal mask (theta == 0, `grids._theta_masks`) and largest acausal
+    |entry| of a response kernel in the first time representation of
+    `periodic` where that part is noise (<= 1e-10 of the largest entry): by
+    default linear time, then the circle.  If none, the mask is None and the
+    size the smallest part.  A lag profile is tested on the circle alone."""
+    noise = 1e-10 * max(np.abs(values).max(), 1e-300)
+    sizes = []
+    for circle in periodic if values.ndim == 2 else (True,):
+        mask = _theta_masks(grid.n, circle, profile=values.ndim == 1)[1]
+        size = float(np.abs(values[mask]).max(initial=0.0))
+        if size <= noise:
+            return mask, size
+        sizes.append(size)
+    return None, min(sizes)
+
+
+def retarded_from_cumulants(ctl) -> TwoPointKernel:
+    """D_R = Im(K_rev - K_W) / -hbar c with its acausal part zeroed, from a
+    set's triple (profiles when every kernel is circulant); acausal input is
+    refused."""
+    k_rev, k_w = rotation._data(ctl.K_rev, ctl.K_W)
+    diff = k_rev - k_w  # -i hbar c D_R
+    mask, _ = acausal_part(diff, ctl.grid)
+    if mask is None:
+        raise rotation.ConsistencyError("response kernel is not retarded in either time representation")
+    diff[mask] = 0.0
+    return rotation._kernel(ctl.grid, np.imag(diff) / -ctl.hbar_c)
+
+
+def triple_route(ctl, p) -> "rotation.RotatedCumulants":
+    """`rotate` by the triple route: D_R as `retarded_from_cumulants`,
+    N_0 = (1/2) Re(K_F + K_W), then `reorder` to p."""
+    k_f, k_w = rotation._data(ctl.K_F, ctl.K_W)
+    n_0 = np.add(np.real(k_f), np.real(k_w))
+    n_0 *= 0.5
+    image = rotation.RotatedCumulants(ctl.mean, retarded_from_cumulants(ctl),
+                                      rotation._kernel(ctl.grid, n_0), OrderingParam(0.0),
+                                      ctl.hbar_c)
+    return rotation.reorder(image, p.s)
+
+
+def triple_residuals(k_f, k_rev, k_w) -> tuple[float, float, float]:
+    """The residuals of the CTL identity K_W + K_W^T - K_F - K_rev = 0, of
+    K_rev = K_F* and of K_W = K_W^H, out of place on n x n arrays, each
+    relative to the triple's largest |entry|."""
+    scale = max(np.abs(k_f).max(), np.abs(k_w).max(), np.abs(k_rev).max(), 1e-300)
+    return (float(np.abs(k_w + k_w.T - k_f - k_rev).max() / scale),
+            float(np.abs(k_rev - k_f.conj()).max() / scale),
+            float(np.abs(k_w - k_w.conj().T).max() / scale))

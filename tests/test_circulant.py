@@ -3,11 +3,12 @@ rotation against the dense routes on the laid-out kernels, the oracles."""
 import numpy as np
 import pytest
 
-from keldrot.grids import OrderingParam, Signal, TimeGrid, TwoPointKernel
-from keldrot.oscillator import GaussianState, OscillatorSpec, ctl_cumulants
+from keldrot.grids import OrderingParam, Signal, TimeGrid, TwoPointKernel, pair_form
+from keldrot.oscillator import GaussianState, OscillatorSpec, ctl_cumulants, rotated_cumulants
 from keldrot.rotation import (
     CumulantSet,
     RotatedCumulants,
+    lambda2_identity_check,
     reorder,
     reorder_gap_kernel,
     rotate,
@@ -35,7 +36,7 @@ def random_spectrum(grid):
     # a Hermitian circulant K_W: the lag profile of a real spectrum of both signs
     spectrum = np.random.default_rng(grid.n).normal(size=grid.n)
     k_w = TwoPointKernel.circulant(grid, np.fft.fft(spectrum) / grid.n)
-    return CumulantSet(Signal.zero(grid), None, None, k_w, 1.3, True)
+    return CumulantSet(Signal.zero(grid), k_w, 1.3, True)
 
 
 SETS = {"thermal": thermal, "vacuum": vacuum, "random spectrum": random_spectrum}
@@ -88,20 +89,22 @@ class TestProfileRoutes:
         ctl = SETS[name](TimeGrid(n, 0.12))
         rot = rotate(ctl, OrderingParam(s))
         back, oracle = unrotate(rot), unrotate(dense_rotated(rot))
-        assert back._K_F is None and back.periodic and oracle.periodic
+        assert back.periodic and oracle.periodic
         for k in ("K_F", "K_W", "K_rev"):
             assert_close(getattr(back, k), getattr(oracle, k).values, ctl.K_W)
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_triple_of_circulant_kernels_is_validated_on_profiles(n):
+    # the reader's checks take a triple of profiles as profiles, and the set
+    # stored by its K_W is the circulant set on the circle
     ctl = thermal(TimeGrid(n, 0.12))
-    triple = CumulantSet(ctl.mean, ctl.K_F, ctl.K_rev, ctl.K_W, ctl.hbar_c)
-    oracle = CumulantSet(ctl.mean, *(TwoPointKernel(ctl.grid, layout(k))
-                                     for k in (triple.K_F, triple.K_rev, triple.K_W)),
-                         ctl.hbar_c)
-    assert triple.consistency_residual() == oracle.consistency_residual()
-    assert triple.reversal_residual() == oracle.reversal_residual()
+    kernels = (ctl.K_F, ctl.K_rev, ctl.K_W)
+    triple = CumulantSet._from_triple(ctl.mean, *kernels, ctl.hbar_c)
+    oracle = CumulantSet._from_triple(ctl.mean, *(TwoPointKernel(ctl.grid, layout(k))
+                                                  for k in kernels), ctl.hbar_c)
+    assert triple.residual == oracle.residual
+    assert triple.periodic and oracle.periodic and triple.K_W is ctl.K_W
     rot = rotate(triple, OrderingParam(0.4))
     assert rot.D_R.profile is not None and rot.N_s.profile is not None
     assert_close(rot.N_s, rotate(oracle, OrderingParam(0.4)).N_s.values, ctl.K_W)
@@ -177,3 +180,42 @@ def test_large_resonant_set_is_never_laid_out(monkeypatch):
     expect = spec.hbar * (state.nbar + OrderingParam(-0.5).s_minus) * np.cos(spec.omega0 * tau)
     assert np.abs(reordered.N_s.profile - expect).max() < 1e-10 * scale
     assert np.abs(back.K_W.profile - ctl.K_W.profile).max() < 1e-10 * scale
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("kind", ["real", "complex profile", "complex signals"])
+def test_pair_form_of_a_profile(n, kind):
+    # one circular convolution against the dense product, the oracle, to
+    # 1e-12 of dt^2 |f| |K| |g|
+    grid = TimeGrid(n, 0.12)
+    rng = np.random.default_rng(n)
+    profile = rng.normal(size=n) + (1j * rng.normal(size=n) if kind == "complex profile" else 0)
+    f, g = (Signal(grid, rng.normal(size=n) + (1j * rng.normal(size=n)
+                                               if kind == "complex signals" else 0))
+            for _ in range(2))
+    k = TwoPointKernel.circulant(grid, profile)
+    got = pair_form(f, k, g)
+    assert k.profile is not None
+    dense = layout(k)
+    want = complex(grid.dt ** 2 * (f.values @ dense @ g.values))
+    scale = grid.dt ** 2 * (np.abs(f.values) @ np.abs(dense) @ np.abs(g.values))
+    assert abs(got - want) <= TOL * scale
+
+
+def test_lambda_check_of_a_thermal_set_is_never_laid_out(monkeypatch):
+    values = TwoPointKernel.values
+
+    def no_layout(self):
+        assert self._values is not None, "a circulant kernel was laid out as n x n"
+        return values.fget(self)
+
+    monkeypatch.setattr(TwoPointKernel, "values", property(no_layout, values.fset))
+    grid = TimeGrid(2 ** 14, 0.01)
+    spec = OscillatorSpec(omega0=grid.resonant_frequency(321))
+    state, p = GaussianState(nbar=0.6), OrderingParam(0.3)
+    rng = np.random.default_rng(2)
+    eta, j_s = (Signal(grid, rng.normal(size=grid.n)) for _ in range(2))
+    chk = lambda2_identity_check(ctl_cumulants(spec, state, grid, periodic=True),
+                                 rotated_cumulants(spec, state, p, grid), eta, j_s)
+    assert chk["relative_residual"] < 1e-8
+    assert abs(chk["j_quadratic_term"]) < 1e-8 * abs(chk["lhs"])

@@ -12,7 +12,7 @@ from keldrot import serialization as ser
 from keldrot.cli import main
 from keldrot.grids import OrderingParam, Signal, TimeGrid, TwoPointKernel
 from keldrot.oscillator import GaussianState, OscillatorSpec, ctl_cumulants
-from keldrot.rotation import CumulantSet, rotate, unrotate
+from keldrot.rotation import rotate, synthetic_cumulants, unrotate
 
 from common import project_pm
 
@@ -86,20 +86,62 @@ class TestRotationFlow:
         ctl = ctl_cumulants(spec, GaussianState(nbar=0.4), grid, periodic=False)
         # the same symmetric shift of K_W and K_rev breaks the consistency
         # identity but keeps the response K_rev - K_W retarded
-        shift = 1e-3 * np.eye(grid.n)
-        bad = CumulantSet(mean=ctl.mean, K_F=ctl.K_F,
-                          K_rev=TwoPointKernel(grid, ctl.K_rev.values + shift),
-                          K_W=TwoPointKernel(grid, ctl.K_W.values + shift), hbar_c=ctl.hbar_c)
+        obj = json.loads(ser.cumulants_to_json(ctl))
+        for key in ("K_W", "K_rev"):
+            for i in range(grid.n):
+                obj[key]["re"][i][i] += 1e-3
         bundle = outdir / "bad.json"
-        bundle.write_text(ser.cumulants_to_json(bad))
+        bundle.write_text(json.dumps(obj))
         args = ["rotate", "--in", bundle, "--s", 0.5, "--out", outdir / "rot"]
+        # the check always runs: --check-consistency is accepted and changes nothing
         for flag in ([], ["--check-consistency"]):
             assert run(args + flag) == 1
             err = json.loads(capsys.readouterr().err)
             assert "consistency identity" in err["detail"]
-        assert run(args + ["--no-check-consistency"]) == 0
-        manifest = json.loads((outdir / "rot.manifest.json").read_text())
-        assert manifest["config"]["check_consistency"] is False
+        assert list(outdir.iterdir()) == [bundle]
+        for flag in (["--no-check-consistency"], ["--consistency-tol", 1.0]):
+            with pytest.raises(SystemExit) as exc:
+                run(args + flag)
+            assert exc.value.code == 2
+
+    def test_manifests_report_the_measured_residual(self, outdir):
+        grid = TimeGrid(24, 0.2)
+        ctl = synthetic_cumulants(grid, np.random.default_rng(3))
+        bundle = outdir / "ctl.json"
+        bundle.write_text(ser.cumulants_to_json(ctl))
+        assert run(["rotate", "--in", bundle, "--s", 0.3, "--out", outdir / "rot"]) == 0
+        assert run(["unrotate", "--in", outdir / "rot.json", "--out", outdir / "back"]) == 0
+        read = ser.cumulants_from_json(bundle.read_text())
+        back = unrotate(ser.rotated_from_json((outdir / "rot.json").read_text()))
+        for name, ctl_made in (("rot", read), ("back", back)):
+            manifest = json.loads((outdir / f"{name}.manifest.json").read_text())
+            assert manifest["summary"]["consistency_residual"] == ctl_made.residual < 1e-15
+
+    @pytest.mark.parametrize("verb,member,value,message", [
+        (["rotate", "--s", 0.5], None, [1, 2], "cumulant bundle must be a JSON object, got an array"),
+        (["rotate", "--s", 0.5], "mean", [1], "mean must be a JSON object, got an array"),
+        (["unrotate"], "N_s", "n=4", "N_s must be a JSON object, got a string"),
+        (["reorder", "--s", 0.1], "D_R.grid", "n=4", "D_R.grid must be a JSON object, got a string"),
+    ])
+    def test_non_object_named(self, verb, member, value, message, outdir, capsys):
+        grid = TimeGrid(16, 0.2)
+        ctl = synthetic_cumulants(grid, np.random.default_rng(4))
+        obj = json.loads(ser.cumulants_to_json(ctl) if verb[0] == "rotate"
+                         else ser.rotated_to_json(rotate(ctl, OrderingParam(0.5))))
+        if member is None:
+            obj = value
+        else:
+            *parents, key = member.split(".")
+            target = obj
+            for parent in parents:
+                target = target[parent]
+            target[key] = value
+        inp = outdir / "in.json"
+        inp.write_text(json.dumps(obj))
+        assert run(verb + ["--in", inp, "--out", outdir / "out"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "computation", "detail": message}
+        assert list(outdir.iterdir()) == [inp]
 
     def test_non_finite_bundle_entry_fails(self, outdir, capsys):
         grid = TimeGrid(16, 0.2)
@@ -240,6 +282,21 @@ class TestDressRoutes:
         assert run(["dress", "--omega0", 1.0, "--coupling", 0.3, "--n", 64, "--dt", 0.0625,
                     "--out", outdir / "toy"]) == 0
         assert (outdir / "file.json").read_bytes() == (outdir / "toy.json").read_bytes()
+
+    @pytest.mark.parametrize("spoil,message", [
+        (lambda obj: [1, 2], "kernel must be a JSON object, got an array"),
+        (lambda obj: {**obj, "grid": "n=64"}, "grid must be a JSON object, got a string"),
+    ])
+    def test_non_object_kernel_named(self, spoil, message, outdir, capsys):
+        from keldrot.medium import one_mode_toy
+
+        d_bare, pi_r, _, _ = one_mode_toy(TimeGrid(64, 0.0625), 1.0, 0.3)
+        bare, pi = outdir / "bare.json", outdir / "pi_r.json"
+        bare.write_text(json.dumps(spoil(json.loads(ser.kernel_to_json(d_bare)))))
+        pi.write_text(ser.kernel_to_json(pi_r))
+        assert run(["dress", "--bare", bare, "--pi-r", pi, "--out", outdir / "file"]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "computation", "detail": message}
+        assert sorted(outdir.iterdir()) == [bare, pi]
 
 
 class TestSpectrumVerbs:

@@ -25,9 +25,8 @@ from keldrot.grids import (
     sign_weights,
     theta_ordering_matrix,
 )
-from keldrot.rotation import _acausal_part
 
-from common import F_PM, circular_lags, lag_index_theta, project_pm
+from common import F_PM, acausal_part, circular_lags, lag_index_theta, project_pm
 
 
 def random_signal(grid, rng, band_interior=False):
@@ -274,11 +273,11 @@ class TestOrderingMatrix:
 
     @pytest.mark.parametrize("n", [*range(2, 12), 64, 65, 1024])
     def test_circle_mask_and_profile_match_dense_theta(self, n):
-        # rotate's acausal band, the dense regions and the lag profile
+        # the acausal band, the dense regions and the lag profile
         # against theta of the wrapped lags
         g = TimeGrid(n, 0.5)
         dense = lag_index_theta(g, True)
-        mask, _ = _acausal_part(np.zeros((n, n)), g, periodic=(True,))
+        mask, _ = acausal_part(np.zeros((n, n)), g, periodic=(True,))
         assert np.array_equal(mask, dense == 0.0)
         assert np.array_equal(circle_theta_matrix(n), dense)
         assert np.array_equal(_circle_theta(g), dense[:, 0])

@@ -121,6 +121,20 @@ class TestRotatedImage:
         assert image.D_R.profile is not None
         assert image.N_s.values.dtype == np.float64
 
+    @pytest.mark.parametrize("state", [GaussianState(), GaussianState(nbar=1.3),
+                                       GaussianState(nbar=0.8, m=0.5 + 0.3j)])
+    def test_stationary_noise_is_a_circulant_profile(self, state):
+        # N_s of a stationary state (m = 0) is the lag profile of
+        # s_ordered_kernel; its dense samples at t - t' are the oracle
+        p = OrderingParam(0.3)
+        image = rotated_cumulants(SPEC, state, p, GRID)
+        assert (image.N_s.profile is not None) == (state.m == 0)
+        t = GRID.times
+        dense = s_ordered_kernel(SPEC, state, p, t[:, None], t[None, :])
+        got = image.N_s.values
+        assert got.dtype == np.float64
+        assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
+
 
 class TestSOrderedKernel:
     def test_vacuum_normal_order_vanishes(self):

@@ -21,7 +21,7 @@ from keldrot.oscillator import (
 )
 import keldrot.grids as grids
 import keldrot.rotation as rotation
-from keldrot.serialization import cumulants_to_json
+from keldrot.serialization import cumulants_from_json, cumulants_to_json
 from keldrot.rotation import (
     ConsistencyError,
     CumulantSet,
@@ -34,7 +34,16 @@ from keldrot.rotation import (
     unrotate,
 )
 
-from common import F_PM, circular_lags, lag_index_theta, zero_kernel
+from common import (
+    F_PM,
+    acausal_part,
+    circular_lags,
+    lag_index_theta,
+    retarded_from_cumulants,
+    triple_residuals,
+    triple_route,
+    zero_kernel,
+)
 
 GRID = TimeGrid(96, 0.12)
 W0 = GRID.resonant_frequency(7)
@@ -43,6 +52,12 @@ SPEC = OscillatorSpec(omega0=W0)
 
 def vacuum_ctl(periodic=True):
     return ctl_cumulants(SPEC, GaussianState(), GRID, periodic=periodic)
+
+
+def read_triple(k_f, k_rev, k_w, hbar_c=1.0):
+    """The set that a file holding this triple of n x n arrays reads as."""
+    return CumulantSet._from_triple(Signal.zero(GRID), *(TwoPointKernel(GRID, k)
+                                                         for k in (k_f, k_rev, k_w)), hbar_c)
 
 
 class TestRotate:
@@ -58,9 +73,8 @@ class TestRotate:
 
     def test_commuting_classical_limit_has_no_response(self):
         t = GRID.times
-        k = TwoPointKernel(GRID, np.cos(W0 * (t[:, None] - t[None, :])).astype(complex))
-        ctl = CumulantSet(mean=Signal.zero(GRID), K_F=k, K_rev=k, K_W=k, hbar_c=1.0)
-        rot = rotate(ctl, OrderingParam(0.3))
+        k = np.cos(W0 * (t[:, None] - t[None, :])).astype(complex)
+        rot = rotate(read_triple(k, k, k), OrderingParam(0.3))
         assert np.abs(rot.D_R.values).max() == 0.0
 
     def test_response_is_order_independent(self):
@@ -74,7 +88,7 @@ class TestRotate:
         rng = np.random.default_rng(1)
         ctl = synthetic_cumulants(GRID, rng)
         rot = rotate(ctl, OrderingParam(0.2))
-        assert rotation._acausal_part(rot.D_R.values, GRID)[1] == 0.0
+        assert acausal_part(rot.D_R.values, GRID)[1] == 0.0
 
     def test_retardation_circulant(self):
         # the periodic thermal response is retarded on wrapped-positive lags,
@@ -82,17 +96,18 @@ class TestRotate:
         rot = rotate(ctl_cumulants(SPEC, GaussianState(nbar=0.6), GRID, periodic=True),
                      OrderingParam(0.2))
         assert np.abs(np.triu(rot.D_R.values, 1)).max() > 0.5
-        assert rotation._acausal_part(rot.D_R.values, GRID)[1] == 0.0
+        assert acausal_part(rot.D_R.values, GRID)[1] == 0.0
 
     def test_retardation_residual_of_kernel_acausal_in_both(self):
-        mask, size = rotation._acausal_part(np.ones((GRID.n, GRID.n)), GRID)
+        mask, size = acausal_part(np.ones((GRID.n, GRID.n)), GRID)
         assert mask is None and size > 0.0
-        k = zero_kernel(GRID)
-        acausal = CumulantSet(mean=Signal.zero(GRID), K_F=k, K_W=k,
-                              K_rev=TwoPointKernel(GRID, 1j * np.ones((GRID.n, GRID.n))),
-                              hbar_c=1.0)
-        with pytest.raises(ConsistencyError, match="not retarded"):
-            rotate(acausal, OrderingParam(0.0), check=False)
+        # K_F = K_W passes the CTL, reversal and Hermitian checks, but its
+        # response K_rev - K_W = -2i Im K_W is acausal in both representations
+        k_w = vacuum_ctl(periodic=False).K_W.values
+        assert acausal_part(k_w.conj() - k_w, GRID)[0] is None
+        with pytest.raises(ConsistencyError, match=r"K_F is not the theta split of K_W in "
+                                                   r"either time representation: residual 2.000e\+00"):
+            read_triple(k_w, k_w.conj(), k_w)
 
     def test_noise_hermitian_for_real_fields(self):
         rng = np.random.default_rng(2)
@@ -101,27 +116,13 @@ class TestRotate:
 
     def test_inconsistent_input_rejected(self):
         ctl = vacuum_ctl()
-        bad = CumulantSet(
-            mean=ctl.mean,
-            K_F=TwoPointKernel(GRID, ctl.K_F.values + 0.1),
-            K_rev=ctl.K_rev,
-            K_W=ctl.K_W,
-            hbar_c=1.0,
-        )
         with pytest.raises(ConsistencyError, match="consistency"):
-            rotate(bad, OrderingParam(0.0))
+            read_triple(ctl.K_F.values + 0.1, ctl.K_rev.values, ctl.K_W.values)
 
     def test_non_hermitian_field_flagged(self):
-        ctl = vacuum_ctl()
-        bad = CumulantSet(
-            mean=ctl.mean,
-            K_F=ctl.K_F,
-            K_rev=TwoPointKernel(GRID, ctl.K_F.values),  # should be conjugated
-            K_W=TwoPointKernel(GRID, 0.5 * (ctl.K_F.values + ctl.K_F.values.T)),
-            hbar_c=1.0,
-        )
+        k_f = vacuum_ctl().K_F.values
         with pytest.raises(ConsistencyError, match="non-Hermitian"):
-            rotate(bad, OrderingParam(0.0))
+            read_triple(k_f, k_f, 0.5 * (k_f + k_f.T))  # K_rev should be conjugated
 
 
 class TestUnrotate:
@@ -277,7 +278,7 @@ class TestLambda2:
             p = OrderingParam(rng.uniform(-1, 1))
             eta = Signal(GRID, rng.normal(size=GRID.n))
             j_s = Signal(GRID, rng.normal(size=GRID.n))
-            chk = lambda2_identity_check(ctl, rotate(ctl, p, check=False), eta, j_s)
+            chk = lambda2_identity_check(ctl, rotate(ctl, p), eta, j_s)
             assert chk["relative_residual"] < 1e-8
             assert abs(chk["j_quadratic_term"]) < 1e-8 * max(abs(chk["lhs"]), 1.0)
 
@@ -286,7 +287,7 @@ class TestLambda2:
             rng = np.random.default_rng(seed)
             ctl = dataclasses.replace(synthetic_cumulants(GRID, rng), mean=Signal.zero(GRID))
             j = Signal(GRID, rng.normal(size=GRID.n))
-            rot = rotate(ctl, OrderingParam(0.5), check=False)
+            rot = rotate(ctl, OrderingParam(0.5))
             chk = lambda2_identity_check(ctl, rot, Signal.zero(GRID), j)
             assert chk["rhs"] == 0
             # lhs = j K_W j - j K_F j / 2 - j K_rev j / 2 cancels only up to rounding
@@ -299,7 +300,7 @@ class TestLambda2:
         ctl = dataclasses.replace(synthetic_cumulants(GRID, rng), mean=Signal.zero(GRID))
         p = OrderingParam(0.0)
         eta = Signal(GRID, rng.normal(size=GRID.n))
-        chk = lambda2_identity_check(ctl, rotate(ctl, p, check=False), eta, Signal.zero(GRID))
+        chk = lambda2_identity_check(ctl, rotate(ctl, p), eta, Signal.zero(GRID))
         n0 = rotate(ctl, p).N_s
         expect = -0.5 * GRID.dt ** 2 * (eta.values @ n0.values @ eta.values)
         assert abs(chk["rhs"] - expect) < 1e-10 * max(abs(expect), 1.0)
@@ -366,12 +367,6 @@ class TestTwoRoute:
             assert np.abs(gap - z).max() < 1e-12 * np.abs(z).max()
 
 
-def explicit_triple(ctl):
-    """The same data passed as a triple, which takes the triple route."""
-    return CumulantSet(mean=ctl.mean, K_F=ctl.K_F, K_rev=ctl.K_rev, K_W=ctl.K_W,
-                       hbar_c=ctl.hbar_c)
-
-
 def parent_theta_split(k_w, periodic):
     """K_F selected by the dense theta matrix, as from_wightman stored it."""
     th = lag_index_theta(GRID, periodic)
@@ -383,7 +378,7 @@ def parent_theta_split(k_w, periodic):
 
 STORED_SETS = {
     **ORACLE_SETS,
-    # a real K_W: the triple route's D_R is -0.0 throughout
+    # a real K_W: D_R is zero throughout
     "classical real": lambda: CumulantSet.from_wightman(
         Signal.zero(GRID), np.cos(W0 * (GRID.times[:, None] - GRID.times[None, :]))),
 }
@@ -401,16 +396,18 @@ UNROTATE_REFUSALS = {
 
 
 class TestStoredWightman:
-    """A set stored by K_W against the same data passed as a triple."""
+    """A set stored by K_W against the triple route on its K_F, K_rev and K_W."""
 
     @pytest.mark.parametrize("name", STORED_SETS)
     @pytest.mark.parametrize("s", [-0.35, 0.0, 1.0])
     def test_rotate_matches_explicit_triple_bit_for_bit(self, name, s):
+        # bit for bit, but for the sign of D_R's zeros where theta = 0 (the
+        # triple route divides a zero by -hbar c) and on the diagonal
         ctl = STORED_SETS[name]()
-        stored, triple = rotate(ctl, OrderingParam(s)), rotate(explicit_triple(ctl), OrderingParam(s))
-        for a, b in ((stored.D_R, triple.D_R), (stored.N_s, triple.N_s)):
-            assert np.array_equal(a.values, b.values)
-            assert a.values.dtype == b.values.dtype and a.values.tobytes() == b.values.tobytes()
+        stored, triple = rotate(ctl, OrderingParam(s)), triple_route(ctl, OrderingParam(s))
+        assert np.array_equal(stored.D_R.values, triple.D_R.values)
+        assert stored.D_R.values.dtype == triple.D_R.values.dtype == np.float64
+        assert stored.N_s.values.tobytes() == triple.N_s.values.tobytes()
 
     @pytest.mark.parametrize("name", ORACLE_SETS)
     def test_derived_kernels_are_the_dense_theta_split(self, name):
@@ -418,7 +415,11 @@ class TestStoredWightman:
         k_f = parent_theta_split(ctl.K_W.values, ctl.periodic)
         assert np.array_equal(ctl.K_F.values, k_f)
         assert np.array_equal(ctl.K_rev.values, k_f.conj())
-        assert cumulants_to_json(ctl) == cumulants_to_json(explicit_triple(ctl))
+        # the file of the triple reads as the set stored by its K_W, in the
+        # same time representation
+        text = cumulants_to_json(ctl)
+        back = cumulants_from_json(text)
+        assert back.periodic == ctl.periodic and cumulants_to_json(back) == text
 
     @pytest.mark.parametrize("n", [7, 8, 96, 97])
     @pytest.mark.parametrize("periodic", [False, True])
@@ -456,24 +457,28 @@ class TestStoredWightman:
         ctl = synthetic_cumulants(GRID, np.random.default_rng(3))
         kernels = {k: getattr(ctl, k).values.copy() for k in ("K_F", "K_rev", "K_W")}
         kernels[name][7, 2] = np.nan
-        triple = CumulantSet(ctl.mean, *(TwoPointKernel(GRID, kernels[k])
-                                         for k in ("K_F", "K_rev", "K_W")), hbar_c=1.0)
         with pytest.raises(ConsistencyError, match="residual nan"):
-            rotate(triple, OrderingParam(0.3))
+            read_triple(kernels["K_F"], kernels["K_rev"], kernels["K_W"])
 
     def test_tighter_tolerance_checks_the_stored_residual(self):
+        # the Hermitian residual is measured once, kept as `residual` (which
+        # the rotate and unrotate manifests report), and held to 1e-8
         k_w = vacuum_ctl().K_W.values.copy()
         k_w[3, 5] += 1e-10
         ctl = CumulantSet.from_wightman(Signal.zero(GRID), k_w, periodic=True)
+        worst, size = rotation._mirror_residual(k_w)
+        assert ctl.residual == worst / size and 1e-10 < ctl.residual < 1e-8
         rotate(ctl, OrderingParam(0.2))
-        with pytest.raises(ConsistencyError, match="consistency identity: residual 2.0"):
-            rotate(ctl, OrderingParam(0.2), consistency_tol=1e-12)
+        k_w[3, 5] += 1e-8
+        with pytest.raises(ConsistencyError, match="not Hermitian: residual 2.0"):
+            CumulantSet.from_wightman(Signal.zero(GRID), k_w, periodic=True)
 
     @pytest.mark.parametrize("name", ORACLE_SETS)
     def test_unrotate_stores_the_wightman_kernel(self, name):
         ctl = ORACLE_SETS[name]()
         back = unrotate(rotate(ctl, OrderingParam(0.7)))
-        assert back._K_F is None and back.periodic == ctl.periodic
+        fields = [f.name for f in dataclasses.fields(back)]
+        assert fields == ["mean", "K_W", "hbar_c", "periodic"] and back.periodic == ctl.periodic
 
     @pytest.mark.parametrize("name", ORACLE_SETS)
     def test_unrotate_measures_the_asymmetry_once(self, name, monkeypatch):
@@ -489,9 +494,9 @@ class TestStoredWightman:
         mirror = rotation._mirror_residual
         monkeypatch.setattr(rotation, "_mirror_residual", counted)
         back = unrotate(rot)
-        assert len(calls) == 1 and back._K_F is None
+        assert len(calls) == 1
         worst, size = mirror(back.K_W.values)
-        assert back._hermitian == worst / max(size, 1e-300)
+        assert back.residual == worst / max(size, 1e-300)
 
     @pytest.mark.parametrize("case", UNROTATE_REFUSALS)
     def test_unrotate_names_what_fails(self, case):
@@ -516,10 +521,10 @@ class TestStoredWightman:
             RotatedCumulants(Signal.zero(TimeGrid(8, 0.1)), k, zero_kernel(TimeGrid(8, 0.1)),
                              OrderingParam(0.0), hbar_c=1.0)
         with pytest.raises(ValueError, match="K_W is on TimeGrid"):
-            CumulantSet(mean=Signal.zero(TimeGrid(8, 0.1)), K_F=None, K_rev=None, K_W=k,
-                        hbar_c=1.0)
-        with pytest.raises(ValueError, match="K_F and K_rev"):
-            CumulantSet(mean=Signal.zero(TimeGrid(8, 0.2)), K_F=k, K_rev=None, K_W=k, hbar_c=1.0)
+            CumulantSet(mean=Signal.zero(TimeGrid(8, 0.1)), K_W=k, hbar_c=1.0, periodic=False)
+        with pytest.raises(ValueError, match="K_F is on TimeGrid"):
+            CumulantSet._from_triple(Signal.zero(TimeGrid(8, 0.1)), k,
+                                     *[zero_kernel(TimeGrid(8, 0.1))] * 2, hbar_c=1.0)
 
 
 def test_induced_sign_fault_breaks_round_trip(monkeypatch):
@@ -604,24 +609,21 @@ class TestRealRotation:
         d_r = rotate(ctl, OrderingParam(0.4)).D_R.values
         assert d_r.dtype == np.float64
         direct = (ctl.K_rev.values - ctl.K_W.values) / (-1j * ctl.hbar_c)
-        mask, _ = rotation._acausal_part(direct, GRID)
+        mask, _ = acausal_part(direct, GRID)
         direct[mask] = 0.0
         assert np.array_equal(d_r, direct.real)
 
     def test_non_hermitian_part_kept_out_of_response(self):
-        # a real shift of K_rev is refused by validate; with check=False it
-        # does not enter D_R, which stays real
+        # a real shift of K_rev would not enter the triple route's D_R, which
+        # reads Im(K_rev - K_W) alone; a file holding one is refused, and the
+        # set stored by K_W gives the triple route's real D_R
         ctl = synthetic_cumulants(GRID, np.random.default_rng(31))
         shift = 1e-3 * np.tril(np.ones((GRID.n, GRID.n)))
-        bad = dataclasses.replace(ctl, K_rev=TwoPointKernel(GRID, ctl.K_rev.values + shift))
-        d_r = rotation.retarded_from_cumulants(bad).values
-        assert d_r.dtype == np.float64
-        assert np.array_equal(d_r, rotation.retarded_from_cumulants(ctl).values)
         with pytest.raises(ConsistencyError, match="consistency identity"):
-            rotate(bad, OrderingParam(0.2))
-        unchecked = rotate(bad, OrderingParam(0.2), check=False)
-        assert unchecked.D_R.values.dtype == unchecked.N_s.values.dtype == np.float64
-        assert np.array_equal(unchecked.D_R.values, rotate(ctl, OrderingParam(0.2)).D_R.values)
+            read_triple(ctl.K_F.values, ctl.K_rev.values + shift, ctl.K_W.values)
+        d_r = rotate(ctl, OrderingParam(0.2)).D_R.values
+        assert d_r.dtype == retarded_from_cumulants(ctl).values.dtype == np.float64
+        assert np.array_equal(d_r, retarded_from_cumulants(ctl).values)
 
     @pytest.mark.parametrize("name", ORACLE_SETS)
     def test_unrotate_matches_complex_route(self, name):
@@ -673,22 +675,24 @@ class TestRealRotation:
         # it; without that check it would enter Im D_R
         ctl = synthetic_cumulants(GRID, np.random.default_rng(37))
         a = np.random.default_rng(38).normal(size=(GRID.n, GRID.n))
-        bad = dataclasses.replace(ctl, K_W=TwoPointKernel(GRID, ctl.K_W.values + 1e-3 * (a - a.T)))
-        assert bad.consistency_residual() < 1e-15 and bad.reversal_residual() == 0.0
+        k_f, k_rev, k_w = ctl.K_F.values, ctl.K_rev.values, ctl.K_W.values + 1e-3 * (a - a.T)
+        ctl_res, rev_res, hermitian = triple_residuals(k_f, k_rev, k_w)
+        assert ctl_res < 1e-15 and rev_res == 0.0 and hermitian > 1e-8
         with pytest.raises(ConsistencyError, match=r"^K_W is not Hermitian: residual \d"):
-            rotate(bad, OrderingParam(0.3))
-        worst, _ = rotation._mirror_residual(bad.K_W.values)
-        bad.validate(2.0 * worst / bad._scale())
+            read_triple(k_f, k_rev, k_w)
 
     def test_residuals_match_out_of_place_sums(self):
+        # a K_F off by 1e-11 passes; the set's residual is the largest of the
+        # reader's residuals, each as the out-of-place sums give it
         ctl = synthetic_cumulants(GRID, np.random.default_rng(33))
         rng = np.random.default_rng(34)
-        bad = dataclasses.replace(ctl, K_F=TwoPointKernel(
-            GRID, ctl.K_F.values + 1e-3 * rng.normal(size=(GRID.n, GRID.n))))
-        f, rev, w = bad.K_F.values, bad.K_rev.values, bad.K_W.values
-        scale = bad._scale()
-        assert bad.consistency_residual() == float(np.abs(w + w.T - f - rev).max() / scale)
-        assert bad.reversal_residual() == float(np.abs(rev - f.conj()).max() / scale)
+        f = ctl.K_F.values + 1e-11 * rng.normal(size=(GRID.n, GRID.n))
+        rev, w = ctl.K_rev.values, ctl.K_W.values
+        read = read_triple(f, rev, w)
+        scale = max(np.abs(f).max(), np.abs(w).max(), np.abs(rev).max())
+        split = float(np.abs(f - ctl.K_F.values).max() / scale)
+        assert read.residual == max(*triple_residuals(f, rev, w), split)
+        assert not read.periodic and 1e-12 < read.residual < 1e-10
 
     @pytest.mark.parametrize("n", [3, 64, 65, 130])
     def test_add_transpose_tiles(self, n):

@@ -7,7 +7,7 @@ import pytest
 
 from keldrot.grids import OrderingParam, Signal, TimeGrid, TwoPointKernel
 from keldrot.oscillator import GaussianState, OscillatorSpec, ctl_cumulants
-from keldrot.rotation import rotate, synthetic_cumulants
+from keldrot.rotation import ConsistencyError, rotate, synthetic_cumulants
 from keldrot import serialization as ser
 
 
@@ -148,6 +148,78 @@ class TestBundles:
         with pytest.raises(ValueError, match="signal.*'kernel'"):
             ser.signal_from_json(ser.kernel_to_json(kernel))
 
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_cumulants_read_as_the_set_stored_by_k_w(self, grid, periodic):
+        ctl = ctl_cumulants(OscillatorSpec(omega0=grid.resonant_frequency(3)),
+                            GaussianState(nbar=0.5, m=0.2j), grid, periodic=periodic)
+        back = ser.cumulants_from_json(ser.cumulants_to_json(ctl))
+        assert [f.name for f in dataclasses.fields(back)] == ["mean", "K_W", "hbar_c", "periodic"]
+        assert back.periodic == periodic and back.residual < 1e-15
+
+
+def _shift_entry(obj: dict, key: str, part: str, shift: float, at=(3, 5)) -> dict:
+    obj[key][part][at[0]][at[1]] += shift
+    return obj
+
+
+# a file triple that fails one identity and passes the ones checked before
+# it, and the error that names it; K_F + K_rev and K_W + K_W^T stay the same
+BAD_TRIPLES = {
+    "CTL identity": (lambda o: _shift_entry(o, "K_F", "re", 1e-3),
+                     r"^cumulant set violates the CTL consistency identity: residual \d"),
+    "K_rev = K_F*": (lambda o: _shift_entry(_shift_entry(o, "K_F", "re", 1e-3), "K_rev", "re", -1e-3),
+                     r"^K_rev != K_F\* \(non-Hermitian field data not supported\): residual \d"),
+    "K_W Hermitian": (lambda o: _shift_entry(_shift_entry(o, "K_W", "re", 1e-3), "K_W", "re", -1e-3,
+                                             at=(5, 3)),
+                      r"^K_W is not Hermitian: residual \d"),
+    "theta split": (lambda o: _shift_entry(_shift_entry(o, "K_F", "im", 1e-3), "K_rev", "im", -1e-3),
+                    r"^K_F is not the theta split of K_W in either time representation: residual \d"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_TRIPLES)
+def test_cumulant_reader_names_the_failed_identity(grid, case):
+    ctl = synthetic_cumulants(grid, np.random.default_rng(10))
+    spoil, message = BAD_TRIPLES[case]
+    text = json.dumps(spoil(json.loads(ser.cumulants_to_json(ctl))))
+    with pytest.raises(ConsistencyError, match=message):
+        ser.cumulants_from_json(text)
+
+
+# (reader, document, the error that names the path of what is not an object)
+NOT_OBJECTS = [
+    ("kernel", "[1, 2]", "kernel must be a JSON object, got an array"),
+    ("kernel", '"n=4"', "kernel must be a JSON object, got a string"),
+    ("kernel", {"grid": "n=4"}, "grid must be a JSON object, got a string"),
+    ("signal", "3", "signal must be a JSON object, got a number"),
+    ("signal", {"grid": [16, 0.25, -1.0]}, "grid must be a JSON object, got an array"),
+    ("cumulants", "[]", "cumulant bundle must be a JSON object, got an array"),
+    ("cumulants", {"mean": [1]}, "mean must be a JSON object, got an array"),
+    ("cumulants", {"K_W.grid": "n=4"}, r"K_W\.grid must be a JSON object, got a string"),
+    ("rotated", "null", "rotated bundle must be a JSON object, got null"),
+    ("rotated", {"N_s": "N_s"}, "N_s must be a JSON object, got a string"),
+]
+
+
+@pytest.mark.parametrize("reader,document,message", NOT_OBJECTS)
+def test_reader_names_a_non_object(grid, signal, kernel, reader, document, message):
+    if isinstance(document, dict):  # a member of a document the writer wrote
+        ctl = synthetic_cumulants(grid, np.random.default_rng(11))
+        obj = json.loads({"kernel": lambda: ser.kernel_to_json(kernel),
+                          "signal": lambda: signal_json(signal),
+                          "cumulants": lambda: ser.cumulants_to_json(ctl),
+                          "rotated": lambda: ser.rotated_to_json(rotate(ctl, OrderingParam(0.5)))
+                          }[reader]())
+        (path, value), = document.items()
+        *parents, key = path.split(".")
+        target = obj
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+        document = json.dumps(obj)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        getattr(ser, f"{reader}_from_json")(document)
+
 
 class TestRealData:
     """Real data is written with zero imaginary columns and read back real."""
@@ -287,15 +359,15 @@ class TestSameBytesAsFormattingEachFloat:
     def test_stored_wightman_set(self, grid, periodic):
         spec = OscillatorSpec(omega0=grid.resonant_frequency(3))
         ctl = ctl_cumulants(spec, GaussianState(nbar=0.5), grid, periodic=periodic)
-        assert ctl._K_F is None
         assert ser.cumulants_to_json(ctl) == old_cumulants_json(ctl)
 
     def test_synthetic_and_explicit_triple(self, grid):
+        # a set read from a file's triple writes that file's bytes again
         ctl = synthetic_cumulants(grid, np.random.default_rng(5))
-        triple = dataclasses.replace(ctl)
-        assert triple._K_F is not None
-        assert ser.cumulants_to_json(ctl) == old_cumulants_json(ctl)
-        assert ser.cumulants_to_json(triple) == old_cumulants_json(triple)
+        text = ser.cumulants_to_json(ctl)
+        read = ser.cumulants_from_json(text)
+        assert text == old_cumulants_json(ctl)
+        assert ser.cumulants_to_json(read) == old_cumulants_json(read) == text
 
     def test_rotated_bundle(self, grid):
         ctl = synthetic_cumulants(grid, np.random.default_rng(6))
