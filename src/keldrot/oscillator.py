@@ -213,9 +213,9 @@ def _quasidistribution_cov(state: GaussianState, p: OrderingParam) -> np.ndarray
     ])
 
 
-def _quasidistribution_xy(state: GaussianState, p: OrderingParam, n_samples: int,
-                          rng: np.random.Generator) -> np.ndarray:
-    """(Re alpha, Im alpha) drawn from the s-quasidistribution, shape (n, 2)."""
+def _quasidistribution_root(state: GaussianState, p: OrderingParam) -> np.ndarray:
+    """A square root R of the s-quasidistribution's covariance, R R^T = cov:
+    (Re alpha, Im alpha) = R z for standard normal z."""
     cov = _quasidistribution_cov(state, p)
     evals, evecs = np.linalg.eigh(cov)
     tol = 1e-12 * max(1.0, float(np.abs(cov).max()))
@@ -224,9 +224,7 @@ def _quasidistribution_xy(state: GaussianState, p: OrderingParam, n_samples: int
             "quasidistribution not sampleable: covariance of the s-ordered "
             f"Gaussian has negative eigenvalue {evals.min():.3e}"
         )
-    evals = np.clip(evals, 0.0, None)
-    root = evecs @ np.diag(np.sqrt(evals))
-    return rng.standard_normal((n_samples, 2)) @ root.T
+    return evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None)))
 
 
 # samples drawn per step; an estimate depends on it only through rounding
@@ -242,25 +240,39 @@ def mc_quasiaverage(spec: OscillatorSpec, state: GaussianState, p: OrderingParam
     (nt, nt) arrays.
 
     Every sample path q(t) = 2 sqrt(hbar/2)(x cos wt + y sin wt), with
-    alpha = x + iy, has rank 2, so only the Grams G2 of (x, y) and G4 of
-    (x^2, xy, y^2) are summed over samples: sum q q^T = B^T G2 B and
-    sum q^2 (q^2)^T = C^T G4 C, with B the rows (cos, sin) scaled to the
-    path and C the rows of B_0^2, 2 B_0 B_1 and B_1^2.
+    alpha = x + iy = R z for standard normal z (`_quasidistribution_root`),
+    has rank 2, so only Grams are summed over samples, and those of z: the
+    sums of u = (z0^2, z0 z1, z1^2) give G2_z and u u^T gives G4_z.  Then
+    G2 = R G2_z R^T is the Gram of (x, y) and G4 = T G4_z T^T that of
+    (x^2, xy, y^2), with T the linear map u -> (x^2, xy, y^2), and
+    sum q q^T = B^T G2 B and sum q^2 (q^2)^T = C^T G4 C, with B the rows
+    (cos, sin) scaled to the path and C the rows of B_0^2, 2 B_0 B_1 and
+    B_1^2.
     """
     n_samples = _require_count("n_samples", n_samples)
     times = np.asarray(times, dtype=float)
+    root = _quasidistribution_root(state, p)
     rng = np.random.Generator(np.random.Philox(seed))
-    g2 = np.zeros((2, 2))
-    g4 = np.zeros((3, 3))
+    g2_z = np.zeros((2, 2))
+    g4_z = np.zeros((3, 3))
     done = 0
     while done < n_samples:
         m = min(_MC_CHUNK, n_samples - done)
-        xy = _quasidistribution_xy(state, p, m, rng)
-        g2 += xy.T @ xy
-        x, y = xy[:, 0], xy[:, 1]
-        z = np.column_stack((x * x, x * y, y * y))
-        g4 += z.T @ z
+        z0, z1 = rng.standard_normal((m, 2)).T
+        u = np.empty((3, m))
+        np.multiply(z0, z0, out=u[0])
+        np.multiply(z0, z1, out=u[1])
+        np.multiply(z1, z1, out=u[2])
+        s0, s01, s1 = u.sum(axis=1)
+        g2_z += [[s0, s01], [s01, s1]]
+        g4_z += u @ u.T
         done += m
+    (r00, r01), (r10, r11) = root
+    t = np.array([[r00 * r00, 2.0 * r00 * r01, r01 * r01],
+                  [r00 * r10, r00 * r11 + r01 * r10, r01 * r11],
+                  [r10 * r10, 2.0 * r10 * r11, r11 * r11]])
+    g2 = root @ g2_z @ root.T
+    g4 = t @ g4_z @ t.T
     b = _infield_basis(spec, times)
     c = np.array([b[0] * b[0], 2.0 * b[0] * b[1], b[1] * b[1]])
     mean = (b.T @ g2 @ b) / n_samples

@@ -262,7 +262,12 @@ class CumulantSet:
 
     @property
     def K_rev(self) -> TwoPointKernel:
-        return _kernel(self.grid, _theta_split(_wightman_data(self), self.periodic).conj())
+        return _reversed(self.K_F)
+
+
+def _reversed(k_f: TwoPointKernel) -> TwoPointKernel:
+    """K_rev = K_F* of a Hermitian field, from its derived K_F."""
+    return _kernel(k_f.grid, _data(k_f)[0].conj())
 
 
 def _wightman_data(ctl: CumulantSet) -> np.ndarray:
@@ -439,13 +444,16 @@ def lambda2_form(ctl: CumulantSet, eta_p: Signal, eta_m: Signal) -> complex:
 
     Lambda_2 = -i (eta_+ - eta_-) <A> + eta_- <A,A> eta_+
                - (1/2) eta_+ <T+ A,A> eta_+ - (1/2) eta_- <T- A,A> eta_-
+
+    K_F is derived once (one theta split) and K_rev is its conjugate.
     """
+    k_f = ctl.K_F
     mean_term = -1j * overlap(eta_p - eta_m, ctl.mean)
     return (
         mean_term
         + pair_form(eta_m, ctl.K_W, eta_p)
-        - 0.5 * pair_form(eta_p, ctl.K_F, eta_p)
-        - 0.5 * pair_form(eta_m, ctl.K_rev, eta_m)
+        - 0.5 * pair_form(eta_p, k_f, eta_p)
+        - 0.5 * pair_form(eta_m, _reversed(k_f), eta_m)
     )
 
 
@@ -490,24 +498,34 @@ def synthetic_cumulants(grid: TimeGrid, rng: np.random.Generator) -> CumulantSet
     construction.  The exp(-i w (t+t')) squeezing parts make the kernels
     genuinely non-stationary, and the mean is a random field of the same
     modes.
+
+    K_W is built from its mode factors, with c = cos wt and s = sin wt:
+    Re K_W = [c s] A [c s]^T with A = [[nbar + 1/2 + Re m, Im m],
+    [Im m, nbar + 1/2 - Re m]], positive definite as
+    |m| <= sqrt(nbar (nbar + 1)) < nbar + 1/2, and Im K_W = P - P^T with
+    P = (1/2) c s^T.  So Re K_W = W W^T, W the modes' [c s] chol(A) side by
+    side (rank 6), and P = (1/2) C S^T (rank 3).  Re K_W is formed as
+    (1/2)(W W^T + (W W^T)^T) and Im K_W as P - P^T, so K_W is exactly
+    Hermitian whatever the matrix products round.
     """
     n = grid.n
     t = grid.times
     modes = rng.choice(np.arange(1, n // 2 - 1), size=3, replace=False)
-    k_w = np.zeros((n, n), dtype=complex)
-    for k in modes:
+    cs = np.empty((2, len(modes), n))  # cos, sin of each mode
+    w = np.empty((n, 2 * len(modes)))
+    for i, k in enumerate(modes):
         om = grid.resonant_frequency(int(k))
+        np.cos(om * t, out=cs[0, i])
+        np.sin(om * t, out=cs[1, i])
         nbar = rng.uniform(0.0, 2.0)
-        a = np.exp(-1j * om * t)
-        # (nbar + 1) e^{-i w (t-t')} + nbar e^{i w (t-t')}, from e^{-i w t}
-        e_diff = np.outer(a, a.conj())
-        k_w += 0.5 * ((2.0 * nbar + 1.0) * e_diff.real + 1j * e_diff.imag)
         mmax = np.sqrt(nbar * (nbar + 1.0))
         m = mmax * rng.uniform(0.0, 1.0) * np.exp(2j * np.pi * rng.uniform())
-        # m e^{-i w (t+t')} + m* e^{i w (t+t')}
-        k_w += (m * np.outer(a, a)).real
+        a = [[nbar + 0.5 + m.real, m.imag], [m.imag, nbar + 0.5 - m.real]]
+        w[:, 2 * i:2 * i + 2] = cs[:, i].T @ np.linalg.cholesky(a)
+    k_w = np.empty((n, n), dtype=complex)
+    _add_transpose(0.5 * w @ w.T, out=k_w.real)
+    _add_transpose(0.5 * cs[0].T @ cs[1], -1.0, out=k_w.imag)
     mean_vals = np.zeros(n)
-    for k in modes:
-        om = grid.resonant_frequency(int(k))
-        mean_vals += rng.normal() * np.cos(om * t) + rng.normal() * np.sin(om * t)
+    for i in range(len(modes)):
+        mean_vals += rng.normal() * cs[0, i] + rng.normal() * cs[1, i]
     return CumulantSet.from_wightman(Signal(grid, mean_vals), k_w)

@@ -97,3 +97,29 @@ def triple_residuals(k_f, k_rev, k_w) -> tuple[float, float, float]:
     return (float(np.abs(k_w + k_w.T - k_f - k_rev).max() / scale),
             float(np.abs(k_rev - k_f.conj()).max() / scale),
             float(np.abs(k_w - k_w.conj().T).max() / scale))
+
+
+def synthetic_outer_route(grid, rng) -> "rotation.CumulantSet":
+    """`rotation.synthetic_cumulants` by n x n outer products summed one
+    mode at a time, from the same draws in the same order: the oracle of
+    the rank-6 factor route.  Its K_W is Hermitian only to rounding."""
+    n = grid.n
+    t = grid.times
+    modes = rng.choice(np.arange(1, n // 2 - 1), size=3, replace=False)
+    k_w = np.zeros((n, n), dtype=complex)
+    for k in modes:
+        om = grid.resonant_frequency(int(k))
+        nbar = rng.uniform(0.0, 2.0)
+        a = np.exp(-1j * om * t)
+        # (nbar + 1) e^{-i w (t-t')} + nbar e^{i w (t-t')}, from e^{-i w t}
+        e_diff = np.outer(a, a.conj())
+        k_w += 0.5 * ((2.0 * nbar + 1.0) * e_diff.real + 1j * e_diff.imag)
+        mmax = np.sqrt(nbar * (nbar + 1.0))
+        m = mmax * rng.uniform(0.0, 1.0) * np.exp(2j * np.pi * rng.uniform())
+        # (1/2)(m e^{-i w (t+t')} + m* e^{i w (t+t')})
+        k_w += (m * np.outer(a, a)).real
+    mean_vals = np.zeros(n)
+    for k in modes:
+        om = grid.resonant_frequency(int(k))
+        mean_vals += rng.normal() * np.cos(om * t) + rng.normal() * np.sin(om * t)
+    return rotation.CumulantSet.from_wightman(Signal(grid, mean_vals), k_w)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from keldrot.grids import OrderingParam, Signal, TimeGrid
+from keldrot.grids import OrderingParam, Signal, TimeGrid, overlap, pair_form
 from keldrot.oscillator import (
     GaussianState,
     OscillatorSpec,
     UnsampleableStateError,
     _infield_basis,
-    _quasidistribution_xy,
+    _quasidistribution_root,
     ctl_cumulants,
     mc_quasiaverage,
     recover_retarded_from_gap,
@@ -40,8 +40,10 @@ def keldysh_contractions(spec, tau):
 
 
 def sample_quasidistribution(state, p, n_samples, rng):
-    """Complex amplitudes alpha drawn from the s-quasidistribution."""
-    xy = _quasidistribution_xy(state, p, n_samples, rng)
+    """Complex amplitudes alpha drawn from the s-quasidistribution: the
+    path sampler, which maps every standard normal pair z to
+    (Re alpha, Im alpha) = R z."""
+    xy = rng.standard_normal((n_samples, 2)) @ _quasidistribution_root(state, p).T
     return xy[:, 0] + 1j * xy[:, 1]
 
 
@@ -291,6 +293,18 @@ class TestLambdaForm:
         val = lambda2_form(ctl, eta_p, zero)
         expect = -0.5 * GRID.dt ** 2 * (eta_p.values @ ctl.K_F.values @ eta_p.values)
         assert val == pytest.approx(expect)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_one_split_gives_the_four_kernel_form(self, periodic):
+        # K_rev as the conjugate of the one derived K_F, bit for bit the
+        # form read from the set's K_F and K_rev properties
+        ctl = ctl_cumulants(SPEC, GaussianState(nbar=0.4, m=0.2 - 0.1j), GRID, periodic)
+        rng = np.random.default_rng(8)
+        eta_p, eta_m = (Signal(GRID, rng.normal(size=GRID.n)) for _ in range(2))
+        expect = (-1j * overlap(eta_p - eta_m, ctl.mean) + pair_form(eta_m, ctl.K_W, eta_p)
+                  - 0.5 * pair_form(eta_p, ctl.K_F, eta_p)
+                  - 0.5 * pair_form(eta_m, ctl.K_rev, eta_m))
+        assert lambda2_form(ctl, eta_p, eta_m) == expect
 
     @pytest.mark.parametrize("s", [-1.0, -0.3, 0.0, 0.6, 1.0])
     def test_rotated_form_identity(self, s):

@@ -40,6 +40,7 @@ from common import (
     circular_lags,
     lag_index_theta,
     retarded_from_cumulants,
+    synthetic_outer_route,
     triple_residuals,
     triple_route,
     zero_kernel,
@@ -268,6 +269,37 @@ def test_synthetic_cumulants_match_direct_exponentials():
     assert np.abs(ctl.K_W.values - k_w).max() < 1e-12 * scale
     assert np.abs(ctl.K_F.values - k_f).max() < 1e-12 * scale
     assert np.array_equal(ctl.mean.values, mean)
+
+
+# n = 11 is the smallest odd grid with three modes to draw from 1 .. n/2 - 2
+SYNTHETIC_NS = [11, 96, 97, 256]
+
+
+class TestSyntheticFactors:
+    """The rank-6 factor route of `synthetic_cumulants` against the
+    outer-product route it replaced (`common.synthetic_outer_route`)."""
+
+    @pytest.mark.parametrize("n", SYNTHETIC_NS)
+    def test_matches_outer_product_route_from_the_same_draws(self, n):
+        grid = TimeGrid(n, 0.05)
+        fast_rng, slow_rng = np.random.default_rng(n), np.random.default_rng(n)
+        fast = synthetic_cumulants(grid, fast_rng)
+        slow = synthetic_outer_route(grid, slow_rng)
+        scale = np.abs(slow.K_W.values).max()
+        assert np.abs(fast.K_W.values - slow.K_W.values).max() < 1e-13 * scale
+        assert np.array_equal(fast.mean.values, slow.mean.values)
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", SYNTHETIC_NS)
+    def test_wightman_kernel_is_exactly_hermitian(self, n):
+        k_w = synthetic_cumulants(TimeGrid(n, 0.05), np.random.default_rng(n + 2)).K_W.values
+        assert np.array_equal(k_w, k_w.conj().T)
+
+    @pytest.mark.parametrize("s", [-1.0, 0.0, 0.35, 1.0])
+    def test_rotated_noise_is_exactly_symmetric(self, s):
+        ctl = synthetic_cumulants(TimeGrid(97, 0.05), np.random.default_rng(5))
+        n_s = rotate(ctl, OrderingParam(s)).N_s.values
+        assert np.array_equal(n_s, n_s.T)
 
 
 class TestLambda2:
