@@ -93,6 +93,7 @@ class TimeGrid:
     t0: float = 0.0
 
     def __post_init__(self):
+        _require_count("n", self.n)
         if self.n < 2:
             raise ValueError("grid needs at least two samples")
         _require_positive("grid step", self.dt)

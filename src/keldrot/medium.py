@@ -19,7 +19,7 @@ import numpy as np
 from .diracsea import DiracSeaSpec, F_threshold, R_obs, R_obs_finite_eps
 from .grids import (OrderingParam, Signal, TimeGrid, TwoPointKernel, _check_same_grid,
                     _require_count, _require_finite, _require_positive, _theta_masks,
-                    _toeplitz, sign_weights)
+                    _toeplitz)
 from .oscillator import OscillatorSpec, _infield_basis, retarded_response_grid
 from .rotation import _mirror_residual
 
@@ -32,7 +32,6 @@ __all__ = [
     "zero_point_spectrum",
     "zero_point_smooth",
     "zero_point_smooth_finite_eps",
-    "time_normal_vacuum_noise",
     "wyld_mc",
     "wave_operator_residual",
     "gauge_projector_diagnosis",
@@ -255,24 +254,6 @@ def zero_point_spectrum(k_sq_samples, spec: DiracSeaSpec, mu_vac: float = 1.0,
         smooth=np.atleast_1d(smooth),
         delta_terms=[(0.0, np.pi * hbar_c * mu_vac)],
     )
-
-
-def time_normal_vacuum_noise(pi_F: Signal, pi_W: Signal) -> Signal:
-    """Time-normal noise of a stationary medium from its current kernels.
-
-    Pi_N(tau) = -2 hbar c Im[F+ F- pi_F + F- F- pi_W], with hbar c = 1 and
-    all projections acting on the lag variable (the stationary reduction of
-    the two-time formula).  For translation-invariant vacuum inputs, whose
-    Wightman kernel is frequency-positive, the result is the zero signal.
-    """
-    _check_same_grid(pi_F.grid, pi_W.grid)
-    g = pi_F.grid
-    wp = sign_weights(g, "+")
-    wm = sign_weights(g, "-")
-    c_f = np.fft.ifft(pi_F.values)
-    c_w = np.fft.ifft(pi_W.values)
-    combined = np.fft.fft(wp * wm * c_f + wm * wm * c_w)
-    return Signal(g, -2.0 * np.imag(combined))
 
 
 def wave_operator_residual(dressed: TwoPointKernel, pi_R: TwoPointKernel,

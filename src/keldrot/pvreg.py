@@ -30,6 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .grids import _require_count
+
 __all__ = [
     "PVScheme",
     "series_coeffs",
@@ -243,6 +245,8 @@ def solve_pv(M: int, masses, impose_B0: bool,
     is then unreliable and the mass spacing is of the pathological kind
     whose coefficients grow without bound.
     """
+    precision_bits = _require_count("precision_bits", precision_bits)
+    max_precision_bits = _require_count("max_precision_bits", max_precision_bits)
     masses = _checked_masses(masses)
     n_aux = len(masses) - 1
     n_needed = 2 * M + 5 if impose_B0 else 2 * M + 4

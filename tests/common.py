@@ -43,6 +43,27 @@ def lag_index_theta(grid, periodic):
     return th
 
 
+def time_normal_vacuum_noise(pi_F, pi_W):
+    """Time-normal noise of a stationary medium from its current kernels,
+    Pi_N(tau) = -2 hbar c Im[F+ F- pi_F + F- F- pi_W] with hbar c = 1 and
+    every projection acting on the lag variable: the stationary reduction
+    of the four-projection formula, and the oracle of `rotate` at s = 1 on
+    a circulant set, with pi = i K (N_1 = -Pi_N(i K_F, i K_W))."""
+    g = pi_F.grid
+    wp = sign_weights(g, "+")
+    wm = sign_weights(g, "-")
+    c_f = np.fft.ifft(pi_F.values)
+    c_w = np.fft.ifft(pi_W.values)
+    combined = np.fft.fft(wp * wm * c_f + wm * wm * c_w)
+    return Signal(g, -2.0 * np.imag(combined))
+
+
+def lag_profile(kernel):
+    """A circulant kernel's lag profile in either layout: its profile, or
+    column 0 of its n x n values (entry (i, 0) is the profile at lag i)."""
+    return kernel.profile if kernel.profile is not None else kernel.values[:, 0]
+
+
 # The triple route: the rotation computed from all three kernels of a set,
 # {K_F, K_rev, K_W}, apart from the library's route from K_W alone, and
 # the residuals of a triple's identities.  They are that route's oracles.

@@ -51,6 +51,20 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(8, -0.1)
 
+    @pytest.mark.parametrize("n", [2.5, np.nan, 8.0, "8"])
+    def test_rejects_non_integral_n(self, n):
+        # 2.5 used to make a grid of 3 times, nan one that failed in np.arange
+        with pytest.raises(ValueError, match="n must be an integer"):
+            TimeGrid(n, 0.1)
+
+    def test_too_few_samples_message(self):
+        with pytest.raises(ValueError, match="n must be positive, got 0"):
+            TimeGrid(0, 0.1)
+        for n in (1, np.int64(1)):
+            with pytest.raises(ValueError, match="grid needs at least two samples"):
+                TimeGrid(n, 0.1)
+        assert TimeGrid(np.int64(8), 0.1).times.shape == (8,)
+
     @pytest.mark.parametrize("dt, t0", [(np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0),
                                         (0.1, np.nan), (0.1, np.inf), (0.1, -np.inf)])
     def test_rejects_non_finite_grids(self, dt, t0):

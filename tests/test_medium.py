@@ -3,7 +3,8 @@ import threading
 import numpy as np
 import pytest
 
-from keldrot.diracsea import DiracSeaSpec, F_threshold, Pi_R_reg, R_obs, pi_plus_closed_form
+from keldrot.acceptance import _dirac_sea_current_set
+from keldrot.diracsea import DiracSeaSpec, F_threshold, R_obs
 from keldrot.grids import OrderingParam, Signal, TimeGrid, TwoPointKernel
 import keldrot.medium as medium
 from keldrot.medium import (
@@ -13,7 +14,6 @@ from keldrot.medium import (
     mean_field,
     noise_map,
     one_mode_toy,
-    time_normal_vacuum_noise,
     wave_operator_residual,
     wyld_mc,
     zero_point_smooth,
@@ -28,9 +28,10 @@ from keldrot.oscillator import (
     retarded_response,
     retarded_response_grid,
 )
-from keldrot.rotation import RotatedCumulants, reorder, rotate
+from keldrot.rotation import CumulantSet, RotatedCumulants, reorder, rotate
 
-from common import acausal_part, circular_lags, triple_residuals, zero_kernel
+from common import (acausal_part, circular_lags, lag_profile, time_normal_vacuum_noise,
+                    triple_residuals, zero_kernel)
 
 SEA = DiracSeaSpec(mu0=1.0)
 
@@ -327,35 +328,39 @@ class TestZeroPointSpectrum:
                 zero_point_spectrum([8.0], SEA, **{name: bad})
 
 
+def circulant_set(grid, profile):
+    """The Hermitian set on the circle with zero mean, hbar c = 1 and the
+    circulant Wightman kernel of lag profile `profile`."""
+    return CumulantSet(Signal.zero(grid), TwoPointKernel.circulant(grid, profile), 1.0, True)
+
+
 class TestTimeNormalVacuumNoise:
-    @staticmethod
-    def sea_inputs(grid, kvec_sq=1.0):
-        pi_f_bins = np.zeros(grid.n, dtype=complex)
-        pi_w_bins = np.zeros(grid.n, dtype=complex)
-        for i, w in enumerate(grid.omega):
-            if grid.n % 2 == 0 and i == grid.n // 2:
-                continue
-            theta = 1.0 if w > 0 else (0.5 if w == 0 else 0.0)
-            pr = Pi_R_reg(abs(w), kvec_sq, SEA).scalar_part
-            pi_f_bins[i] = theta * pr + (1.0 - theta) * np.conjugate(pr)
-            pi_w_bins[i] = pi_plus_closed_form(w, kvec_sq, SEA)
-        return (Signal(grid, np.fft.fft(pi_f_bins)),
-                Signal(grid, np.fft.fft(pi_w_bins)))
+    """The time-normal (s = 1) noise of a stationary set through `rotate`,
+    with the stationary lag-variable formula as its oracle, and of the
+    Dirac-sea vacuum current, which has no zero-point part."""
+
+    @pytest.mark.parametrize("n", [127, 128, 1024])
+    def test_rotate_matches_stationary_formula(self, n):
+        grid = TimeGrid(n, 0.05)
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            ctl = circulant_set(grid, np.fft.fft(rng.uniform(0.0, 1.0, n)))
+            k_f, k_w = lag_profile(ctl.K_F), lag_profile(ctl.K_W)
+            n_1 = lag_profile(rotate(ctl, OrderingParam(1.0)).N_s)
+            oracle = time_normal_vacuum_noise(Signal(grid, 1j * k_f), Signal(grid, 1j * k_w))
+            assert np.abs(n_1 + oracle.values).max() <= 1e-13 * np.abs(k_w).max()
 
     def test_dirac_sea_vacuum_gives_zero(self):
-        grid = TimeGrid(128, 0.08)
-        pi_f, pi_w = self.sea_inputs(grid)
-        out = time_normal_vacuum_noise(pi_f, pi_w)
-        scale = np.abs(pi_w.values).max()
-        assert np.abs(out.values).max() < 1e-8 * scale
+        sea = _dirac_sea_current_set(TimeGrid(128, 0.08), 1.0, SEA)
+        n_1 = lag_profile(rotate(sea, OrderingParam(1.0)).N_s)
+        assert np.abs(n_1).max() < 1e-8 * np.abs(lag_profile(sea.K_W)).max()
 
     def test_thermal_like_input_is_nonzero(self):
         grid = TimeGrid(128, 0.08)
-        pi_f, pi_w = self.sea_inputs(grid)
-        bins = np.fft.ifft(pi_w.values)
-        bins[-7] += 0.05j  # negative-frequency (occupied-mode) content
-        out = time_normal_vacuum_noise(pi_f, Signal(grid, np.fft.fft(bins)))
-        assert np.abs(out.values).max() > 0.01
+        bins = np.fft.ifft(lag_profile(_dirac_sea_current_set(grid, 1.0, SEA).K_W))
+        bins[-7] += 0.05  # negative-frequency (occupied-mode) Wightman content
+        n_1 = lag_profile(rotate(circulant_set(grid, np.fft.fft(bins)), OrderingParam(1.0)).N_s)
+        assert np.abs(n_1).max() > 0.01
 
     def test_reordered_vacuum_noise_scales_with_s_minus(self):
         grid = TimeGrid(128, 0.08)
@@ -369,6 +374,47 @@ class TestTimeNormalVacuumNoise:
             n_s = reorder(rot1, s).N_s.values
             expect = 2 * p.s_minus * 0.5 * np.cos(w0 * (t[:, None] - t[None, :]))
             assert np.abs(n_s - expect).max() < 1e-10
+
+    @pytest.mark.parametrize("n, dt", [(128, 0.08), (1024, 0.02)])
+    def test_zero_point_spectrum_two_route(self, n, dt):
+        """The smooth zero-point spectrum from the rotated vacuum current
+        against its momentum-space closed form, at every ordering.
+
+        Route 1 rotates the current set once, to s = 1, and `reorder`s it to
+        s; N_s = 2 s_minus N_0, and on the circle the bins of a lag profile
+        are its `np.fft.ifft`.  Pi^{mu nu} = Pi (k^mu k^nu - k^2 g^{mu nu})
+        / (-mu_vac) stores only its transverse scalar coefficient Pi
+        (`diracsea.PolarizationTensorValue`).  For a spatial polarization e
+        with e . kvec = 0, e_mu e_nu k^mu k^nu = 0 and e_mu e_nu g^{mu nu}
+        = -1, so the transverse current carries k^2 / mu_vac times the
+        scalar spectrum: its s-ordered noise on bin j is (k^2 / mu_vac)
+        N_s(w_j).  The transverse field's retarded propagator is
+        D_R = mu_vac / (k^2 (1 + R_obs)), and on the circle the noise map
+        D_R N D_R* is a product per bin, so the field's noise is
+        |D_R|^2 (k^2 / mu_vac) N_s = mu_vac N_s / (k^2 |1 + R_obs|^2); at
+        mu_vac = 1 the bin's N_s over k^2 |1 + R_obs(k^2)|^2.
+
+        Route 2 is `zero_point_spectrum(k^2).at_ordering(p).smooth` at
+        k^2 = w_j^2 - |k|^2.  Both are compared on every bin above the pair
+        threshold k^2 > 4 mu0^2 but the Nyquist bin, whose partner -w is
+        itself.  At |k|^2 = 1 no bin sits on the light cone, where the delta
+        ledger holds the spectrum: the nearest bins are 0.51 (n = 128) and
+        0.15 (n = 1024) away from it in w^2 - |k|^2.
+        """
+        grid = TimeGrid(n, dt)
+        kvec_sq = 1.0
+        rot1 = rotate(_dirac_sea_current_set(grid, kvec_sq, SEA), OrderingParam(1.0))
+        k_sq = grid.omega ** 2 - kvec_sq
+        above = k_sq > 4.0 * SEA.mu0 ** 2
+        above[n // 2] &= n % 2 == 1
+        k_sq = k_sq[above]
+        dressing = k_sq * np.array([abs(1.0 + R_obs(x, SEA)) ** 2 for x in k_sq])
+        weyl = zero_point_spectrum(k_sq, SEA)
+        scale = np.abs(weyl.smooth).max()
+        for s in (-1.0, 0.0, 0.5, 1.0):
+            n_s = np.fft.ifft(lag_profile(reorder(rot1, s).N_s)).real[above]
+            closed = weyl.at_ordering(OrderingParam(s)).smooth
+            assert np.abs(n_s / dressing - closed).max() <= 1e-13 * scale
 
 
 def serial_wyld_mc(spec, grid, n_samples, seed, J_e=None, white_noise_std=0.0,

@@ -391,6 +391,14 @@ class TestSolve:
             solve_pv(0, geometric_masses(1.0, 1e3, 6), impose_B0=True,
                      precision_bits=53, max_precision_bits=53)
 
+    @pytest.mark.parametrize("name, bad", [("precision_bits", 0), ("precision_bits", -64),
+                                           ("precision_bits", 64.0),
+                                           ("max_precision_bits", 0)])
+    def test_precision_must_be_a_positive_count(self, name, bad):
+        # 0 bits never doubled past the cap, so the solve looped forever
+        with pytest.raises(ValueError, match=name):
+            solve_pv(0, geometric_masses(1.0, 10.0, 5), impose_B0=False, **{name: bad})
+
     def test_extended_coefficients_recorded(self):
         scheme = solve_pv(0, geometric_masses(1.0, 10.0, 5), impose_B0=False)
         assert len(scheme.d_mp) == len(scheme.d)

@@ -1,5 +1,5 @@
 """Every public name has a caller outside the tests, and the library has
-few settable values.
+few public names and few settable values.
 
 A name in a keldrot module's `__all__` is live when code outside `tests/`
 reads it: a script, the benchmark harness, module-level code of the
@@ -37,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "keldrot"
 MAX_SETTABLE_VALUES = 27
+MAX_PUBLIC_NAMES = 100  # the entries of every module's `__all__`, the package's own included
 # the read half of a CLI output format: `kernel_from_csv` reads the kernel
 # CSV that `kernel_to_csv` writes for the oscillator, mc and kernels verbs
 READERS_OF_CLI_OUTPUT = {"kernel_from_csv"}
@@ -128,6 +129,16 @@ def test_every_public_name_has_a_non_test_caller():
         unused += [f"{path.stem}.{name}" for name in getattr(mod, "__all__", [])
                    if name not in live and name not in READERS_OF_CLI_OUTPUT]
     assert not unused, f"public names with no caller outside tests/: {unused}"
+
+
+def test_few_public_names():
+    names = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = "keldrot" if path.stem == "__init__" else f"keldrot.{path.stem}"
+        names += [f"{module}.{name}"
+                  for name in getattr(importlib.import_module(module), "__all__", [])]
+    assert len(names) <= MAX_PUBLIC_NAMES, (
+        f"{len(names)} public names, at most {MAX_PUBLIC_NAMES}: {names}")
 
 
 def _defaulted_parameters(fn: ast.FunctionDef) -> int:
