@@ -231,6 +231,30 @@ def _quasidistribution_root(state: GaussianState, p: OrderingParam) -> np.ndarra
 _MC_CHUNK = 200_000
 
 
+def _normal_grams(rng: np.random.Generator, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """(G2_z, G4_z): the sums over n_samples standard normal pairs z of
+    z z^T and of u u^T, u = (z0^2, z0 z1, z1^2), drawn _MC_CHUNK pairs at a
+    time into buffers allocated once."""
+    g2_z = np.zeros((2, 2))
+    g4_z = np.zeros((3, 3))
+    chunk = min(_MC_CHUNK, n_samples)
+    z_buf = np.empty((chunk, 2))
+    u_buf = np.empty(3 * chunk)
+    done = 0
+    while done < n_samples:
+        m = min(_MC_CHUNK, n_samples - done)
+        z0, z1 = rng.standard_normal(out=z_buf[:m]).T
+        u = u_buf[:3 * m].reshape(3, m)
+        np.multiply(z0, z0, out=u[0])
+        np.multiply(z0, z1, out=u[1])
+        np.multiply(z1, z1, out=u[2])
+        s0, s01, s1 = u.sum(axis=1)
+        g2_z += [[s0, s01], [s01, s1]]
+        g4_z += u @ u.T
+        done += m
+    return g2_z, g4_z
+
+
 def mc_quasiaverage(spec: OscillatorSpec, state: GaussianState, p: OrderingParam,
                     times: np.ndarray, n_samples: int, seed: int):
     """Monte Carlo estimate of <O_s q(t) q(t')> over the s-quasidistribution.
@@ -242,31 +266,17 @@ def mc_quasiaverage(spec: OscillatorSpec, state: GaussianState, p: OrderingParam
     Every sample path q(t) = 2 sqrt(hbar/2)(x cos wt + y sin wt), with
     alpha = x + iy = R z for standard normal z (`_quasidistribution_root`),
     has rank 2, so only Grams are summed over samples, and those of z: the
-    sums of u = (z0^2, z0 z1, z1^2) give G2_z and u u^T gives G4_z.  Then
-    G2 = R G2_z R^T is the Gram of (x, y) and G4 = T G4_z T^T that of
-    (x^2, xy, y^2), with T the linear map u -> (x^2, xy, y^2), and
-    sum q q^T = B^T G2 B and sum q^2 (q^2)^T = C^T G4 C, with B the rows
-    (cos, sin) scaled to the path and C the rows of B_0^2, 2 B_0 B_1 and
-    B_1^2.
+    sums of u = (z0^2, z0 z1, z1^2) give G2_z and u u^T gives G4_z
+    (`_normal_grams`).  Then G2 = R G2_z R^T is the Gram of (x, y) and
+    G4 = T G4_z T^T that of (x^2, xy, y^2), with T the linear map
+    u -> (x^2, xy, y^2), and sum q q^T = B^T G2 B and
+    sum q^2 (q^2)^T = C^T G4 C, with B the rows (cos, sin) scaled to the
+    path and C the rows of B_0^2, 2 B_0 B_1 and B_1^2.
     """
     n_samples = _require_count("n_samples", n_samples)
     times = np.asarray(times, dtype=float)
     root = _quasidistribution_root(state, p)
-    rng = np.random.Generator(np.random.Philox(seed))
-    g2_z = np.zeros((2, 2))
-    g4_z = np.zeros((3, 3))
-    done = 0
-    while done < n_samples:
-        m = min(_MC_CHUNK, n_samples - done)
-        z0, z1 = rng.standard_normal((m, 2)).T
-        u = np.empty((3, m))
-        np.multiply(z0, z0, out=u[0])
-        np.multiply(z0, z1, out=u[1])
-        np.multiply(z1, z1, out=u[2])
-        s0, s01, s1 = u.sum(axis=1)
-        g2_z += [[s0, s01], [s01, s1]]
-        g4_z += u @ u.T
-        done += m
+    g2_z, g4_z = _normal_grams(np.random.Generator(np.random.Philox(seed)), n_samples)
     (r00, r01), (r10, r11) = root
     t = np.array([[r00 * r00, 2.0 * r00 * r01, r01 * r01],
                   [r00 * r10, r00 * r11 + r01 * r10, r01 * r11],

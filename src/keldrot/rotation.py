@@ -283,13 +283,23 @@ class RotatedCumulants:
 
     D_R and N_s are real, as a Hermitian field's are: a complex kernel whose
     imaginary part is all zero is stored real, and one with a non-zero
-    imaginary entry is a ConsistencyError naming it."""
+    imaginary entry is a ConsistencyError naming it.
+
+    The gap Z[D_R] (`reorder_gap_kernel`) is computed once per D_R, by the
+    first `reorder` or `unrotate` that needs it, and handed on to the sets
+    `reorder` makes, which share D_R.  It is kept with the data array of
+    D_R it was computed on, and that array is made read-only then, so an
+    in-place write into D_R raises instead of leaving a stale gap; a new
+    D_R, or a circulant one laid out, has new data and gets its gap afresh.
+    Nothing is kept of N_s: a write into it is seen by the next `reorder`."""
 
     mean: Signal
     D_R: TwoPointKernel
     N_s: TwoPointKernel
     p: OrderingParam
     hbar_c: float
+
+    _gap = None  # (D_R's data array, Z[D_R] on it), kept by `_gap_of`
 
     def __post_init__(self):
         _require_positive("hbar_c", self.hbar_c)
@@ -397,9 +407,10 @@ def reorder_gap_kernel(D_R: TwoPointKernel, hbar_c: float) -> TwoPointKernel:
     noise is real at every s, so only Re Z = -hbar c (Y + Y^T) with
     Y = Im C is kept.  With D_R = B + iA, F^+ + F^- = 1 gives
     Re F^- A = A/2 for real A, so Y = Im F^-_t' B: Im D_R drops out.  For
-    real B, (F^- - 1/2) B = -(1/2) sign(w) B is imaginary, so Y is B under
-    the real weight i (theta(w) - 1/2): one ihfft/hfft pair along t', with
-    weight i/2 on the half spectrum and 0 at w = 0 and at the Nyquist bin.
+    real B, (F^- - 1/2) B = -(1/2) sign(w) B is imaginary, so
+    -hbar c Y is B under the real weight i hbar c (theta(w) - 1/2): one
+    rfft/irfft pair along t', with weight i hbar c / 2 on the half spectrum
+    and 0 at w = 0 and at the Nyquist bin.
 
     A circulant D_R has a circulant Y, so the filter runs on row 0 of D_R
     alone, which is D_R's reflected profile.  Z is symmetric, so its profile
@@ -408,22 +419,36 @@ def reorder_gap_kernel(D_R: TwoPointKernel, hbar_c: float) -> TwoPointKernel:
     _require_positive("hbar_c", hbar_c)
     n = D_R.grid.n
     re = np.real(_data(D_R)[0])
-    half = np.fft.ihfft(re if re.ndim == 2 else _transposed(re), axis=-1)
-    half *= 1j * (sign_weights(D_R.grid, "+")[:n // 2 + 1] - 0.5)
-    y = np.fft.hfft(half, n, axis=-1)
-    y *= -hbar_c
+    spectrum = np.fft.rfft(re if re.ndim == 2 else _transposed(re), axis=-1)
+    spectrum *= 1j * hbar_c * (sign_weights(D_R.grid, "+")[:n // 2 + 1] - 0.5)
+    y = np.fft.irfft(spectrum, n, axis=-1)
     return _kernel(D_R.grid, _add_transpose(y))
 
 
+def _gap_of(rot: RotatedCumulants) -> np.ndarray:
+    """The data of Z[D_R] (`reorder_gap_kernel`), kept on the set while
+    D_R's data is the array it was computed on and stays read-only; that
+    array is made read-only here."""
+    d = _data(rot.D_R)[0]
+    if rot._gap is None or rot._gap[0] is not d or d.flags.writeable:
+        d.flags.writeable = False
+        rot._gap = (d, _data(reorder_gap_kernel(rot.D_R, rot.hbar_c))[0])
+    return rot._gap[1]
+
+
 def reorder(rot: RotatedCumulants, s_new: float) -> RotatedCumulants:
-    """Map the noise kernel to a new ordering: N_s' = N_s + (s - s') Z."""
+    """Map the noise kernel to a new ordering: N_s' = N_s + (s - s') Z, with
+    the set's kept Z (`_gap_of`), which the returned set shares with it."""
     p_new = OrderingParam(s_new)  # validates |s_new| <= 1
     n_new = rot.N_s
     if s_new != rot.p.s:
-        n_s, z = _data(rot.N_s, reorder_gap_kernel(rot.D_R, rot.hbar_c))
-        z *= rot.p.s - s_new
-        n_new = _kernel(rot.grid, n_s + z)
-    return RotatedCumulants(rot.mean, rot.D_R, n_new, p_new, rot.hbar_c)
+        n_s, z = _data(rot.N_s, _kernel(rot.grid, _gap_of(rot)))
+        out = (rot.p.s - s_new) * z
+        out += n_s
+        n_new = _kernel(rot.grid, out)
+    reordered = RotatedCumulants(rot.mean, rot.D_R, n_new, p_new, rot.hbar_c)
+    reordered._gap = rot._gap
+    return reordered
 
 
 def rotation_substitution(eta: Signal, j_s: Signal, p: OrderingParam,
@@ -507,8 +532,14 @@ def synthetic_cumulants(grid: TimeGrid, rng: np.random.Generator) -> CumulantSet
     side (rank 6), and P = (1/2) C S^T (rank 3).  Re K_W is formed as
     (1/2)(W W^T + (W W^T)^T) and Im K_W as P - P^T, so K_W is exactly
     Hermitian whatever the matrix products round.
+
+    The three modes are distinct cycle counts in 1..n/2 - 2, so a grid
+    with n < 10 is a ValueError.
     """
     n = grid.n
+    if n < 10:
+        raise ValueError(f"synthetic_cumulants needs three distinct modes in 1..n/2 - 2, "
+                         f"so grid.n >= 10; got grid.n = {n}")
     t = grid.times
     modes = rng.choice(np.arange(1, n // 2 - 1), size=3, replace=False)
     cs = np.empty((2, len(modes), n))  # cos, sin of each mode

@@ -1,6 +1,7 @@
 """Helpers shared by several test modules."""
 import numpy as np
 
+import keldrot.oscillator as oscillator
 import keldrot.rotation as rotation
 from keldrot.grids import (OrderingParam, Signal, TwoPointKernel, _theta_masks, heaviside,
                            sign_weights)
@@ -118,6 +119,42 @@ def triple_residuals(k_f, k_rev, k_w) -> tuple[float, float, float]:
     return (float(np.abs(k_w + k_w.T - k_f - k_rev).max() / scale),
             float(np.abs(k_rev - k_f.conj()).max() / scale),
             float(np.abs(k_w - k_w.conj().T).max() / scale))
+
+
+def hfft_gap(D_R, hbar_c) -> TwoPointKernel:
+    """`rotation.reorder_gap_kernel` by an ihfft/hfft pair along t', the
+    route the rfft/irfft pair replaced and its oracle: the half spectrum of
+    Re D_R's rows (of its reflected profile for a circulant D_R) weighted by
+    i (theta(w) - 1/2), transformed back and scaled by -hbar c, plus its
+    transpose."""
+    n = D_R.grid.n
+    re = np.real(rotation._data(D_R)[0])
+    half = np.fft.ihfft(re if re.ndim == 2 else rotation._transposed(re), axis=-1)
+    half *= 1j * (sign_weights(D_R.grid, "+")[:n // 2 + 1] - 0.5)
+    y = np.fft.hfft(half, n, axis=-1)
+    y *= -hbar_c
+    return rotation._kernel(D_R.grid, rotation._add_transpose(y))
+
+
+def chunk_allocating_grams(rng, n_samples):
+    """`oscillator._normal_grams` with new normal and u arrays drawn and
+    allocated for every chunk, the route the reused buffers replaced and
+    their oracle."""
+    g2_z = np.zeros((2, 2))
+    g4_z = np.zeros((3, 3))
+    done = 0
+    while done < n_samples:
+        m = min(oscillator._MC_CHUNK, n_samples - done)
+        z0, z1 = rng.standard_normal((m, 2)).T
+        u = np.empty((3, m))
+        np.multiply(z0, z0, out=u[0])
+        np.multiply(z0, z1, out=u[1])
+        np.multiply(z1, z1, out=u[2])
+        s0, s01, s1 = u.sum(axis=1)
+        g2_z += [[s0, s01], [s01, s1]]
+        g4_z += u @ u.T
+        done += m
+    return g2_z, g4_z
 
 
 def synthetic_outer_route(grid, rng) -> "rotation.CumulantSet":

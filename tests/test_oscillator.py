@@ -18,6 +18,7 @@ from keldrot.oscillator import (
     s_ordered_kernel,
     wightman_kernel,
 )
+import keldrot.oscillator as oscillator
 from keldrot.rotation import (
     lambda2_form,
     lambda2_identity_check,
@@ -26,6 +27,7 @@ from keldrot.rotation import (
     rotation_substitution,
 )
 
+from common import chunk_allocating_grams
 
 GRID = TimeGrid(256, 0.05)
 W0 = GRID.resonant_frequency(9)
@@ -444,6 +446,15 @@ class TestMonteCarlo:
         stderr = np.sqrt(np.maximum(q2.T @ q2 / n - mean ** 2, 0.0) / n)
         assert np.abs(est - mean).max() < 1e-12 * np.abs(mean).max()
         assert np.abs(err - stderr).max() < 1e-12 * np.abs(stderr).max()
+
+    @pytest.mark.parametrize("n_samples", [1, 200_001, 10 ** 6])
+    def test_reused_buffers_match_per_chunk_allocation(self, n_samples, monkeypatch):
+        # one sample, a short last chunk, and several full chunks
+        state, p, times = GaussianState(nbar=0.5, m=0.4j), OrderingParam(0.3), GRID.times[:6]
+        fast = mc_quasiaverage(SPEC, state, p, times, n_samples, seed=8)
+        monkeypatch.setattr(oscillator, "_normal_grams", chunk_allocating_grams)
+        slow = mc_quasiaverage(SPEC, state, p, times, n_samples, seed=8)
+        assert all(np.array_equal(a, b) for a, b in zip(fast, slow))
 
     def test_infield_moments_reproduce_kernel(self):
         # MC over the quasidistribution is an oracle for the closed form

@@ -38,6 +38,7 @@ from common import (
     F_PM,
     acausal_part,
     circular_lags,
+    hfft_gap,
     lag_index_theta,
     retarded_from_cumulants,
     synthetic_outer_route,
@@ -301,6 +302,15 @@ class TestSyntheticFactors:
         n_s = rotate(ctl, OrderingParam(s)).N_s.values
         assert np.array_equal(n_s, n_s.T)
 
+    @pytest.mark.parametrize("n", [2, 8, 9])
+    def test_grid_too_small_for_three_modes_refused(self, n):
+        with pytest.raises(ValueError, match=f"grid.n >= 10; got grid.n = {n}$"):
+            synthetic_cumulants(TimeGrid(n, 0.05), np.random.default_rng(1))
+
+    def test_smallest_grid_accepted(self):
+        ctl = synthetic_cumulants(TimeGrid(10, 0.05), np.random.default_rng(1))
+        assert ctl.K_W.values.shape == (10, 10)
+
 
 class TestLambda2:
     def test_identity_on_random_draws(self):
@@ -557,6 +567,111 @@ class TestStoredWightman:
         with pytest.raises(ValueError, match="K_F is on TimeGrid"):
             CumulantSet._from_triple(Signal.zero(TimeGrid(8, 0.1)), k,
                                      *[zero_kernel(TimeGrid(8, 0.1))] * 2, hbar_c=1.0)
+
+
+def random_response(n, layout):
+    """A random real response on a grid of n: dense and lower triangular,
+    or a circulant lag profile."""
+    grid = TimeGrid(n, 0.05)
+    rng = np.random.default_rng(n)
+    if layout == "profile":
+        return TwoPointKernel.circulant(grid, rng.normal(size=n))
+    return TwoPointKernel(grid, np.tril(rng.normal(size=(n, n))))
+
+
+def kept_gap_sets():
+    """A dense set and a circulant set on the circle."""
+    return {"synthetic": synthetic_cumulants(GRID, np.random.default_rng(41)),
+            "thermal": ctl_cumulants(SPEC, GaussianState(nbar=0.4), GRID, periodic=True)}
+
+
+def fresh_copy(rot):
+    """A set built from the same arrays as `rot`, with no gap kept."""
+    return RotatedCumulants(rot.mean, rotation._kernel(GRID, rotation._data(rot.D_R)[0]),
+                            rotation._kernel(GRID, rotation._data(rot.N_s)[0]), rot.p, rot.hbar_c)
+
+
+def counted_gaps(monkeypatch):
+    """A list that grows by one on every `reorder_gap_kernel` call."""
+    calls, gap = [], rotation.reorder_gap_kernel
+
+    def counted(D_R, hbar_c):
+        calls.append(D_R)
+        return gap(D_R, hbar_c)
+
+    monkeypatch.setattr(rotation, "reorder_gap_kernel", counted)
+    return calls
+
+
+class TestKeptGap:
+    """The rfft/irfft gap against the ihfft/hfft route it replaced
+    (`common.hfft_gap`), and the gap a rotated set keeps against the gap
+    computed afresh on the same arrays."""
+
+    @pytest.mark.parametrize("layout", ["dense", "profile"])
+    @pytest.mark.parametrize("n", [128, 1024])
+    def test_gap_bit_equal_to_hfft_route_at_power_of_two(self, n, layout):
+        d_r = random_response(n, layout)
+        got, want = reorder_gap_kernel(d_r, 1.0), hfft_gap(d_r, 1.0)
+        assert np.array_equal(rotation._data(got)[0], rotation._data(want)[0])
+
+    @pytest.mark.parametrize("layout", ["dense", "profile"])
+    @pytest.mark.parametrize("n", [127, 383, 384])
+    def test_gap_matches_hfft_route(self, n, layout):
+        d_r = random_response(n, layout)
+        got, want = rotation._data(reorder_gap_kernel(d_r, 0.8), hfft_gap(d_r, 0.8))
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", ["synthetic", "thermal"])
+    def test_kept_gap_bit_equal_to_a_fresh_set(self, name):
+        rot = rotate(kept_gap_sets()[name], OrderingParam(0.3))
+        assert rot._gap is not None
+        fresh = fresh_copy(rot)
+        for s_new in (-0.6, 1.0):
+            got, want = (rotation._data(reorder(r, s_new).N_s)[0] for r in (rot, fresh))
+            assert got.ndim == want.ndim and np.array_equal(got, want)
+        got, want = (rotation._data(unrotate(r).K_W)[0] for r in (rot, fresh))
+        assert got.ndim == want.ndim and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["synthetic", "thermal"])
+    def test_one_gap_per_chain(self, name, monkeypatch):
+        calls = counted_gaps(monkeypatch)
+        rot = rotate(kept_gap_sets()[name], OrderingParam(0.3))
+        reordered = reorder(rot, -0.4)
+        unrotate(rot)
+        reorder(reordered, 0.9)
+        unrotate(reordered)
+        assert len(calls) == 1
+
+    def test_response_read_only_and_noise_written_through(self):
+        rot = rotate(kept_gap_sets()["synthetic"], OrderingParam(0.3))
+        before = reorder(rot, -0.2).N_s.values.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            rot.D_R.values[1, 0] += 1.0
+        rot.N_s.values[2, 5] += 1.0
+        moved = reorder(rot, -0.2).N_s.values - before
+        assert abs(moved[2, 5] - 1.0) < 1e-12
+        moved[2, 5] = 0.0
+        assert not moved.any()
+
+    def test_new_response_data_gets_its_own_gap(self, monkeypatch):
+        calls = counted_gaps(monkeypatch)
+        rot = rotate(kept_gap_sets()["thermal"], OrderingParam(0.3))
+        reorder(rot, -0.2)
+        rot.D_R.values  # lays the circulant D_R out: new data, writable
+        assert rot.D_R.values.flags.writeable
+        laid_out = reorder(rot, -0.2)
+        assert len(calls) == 2 and laid_out.N_s.profile is None
+        assert np.array_equal(laid_out.N_s.values, reorder(fresh_copy(rot), -0.2).N_s.values)
+        rot.D_R = TwoPointKernel(GRID, 2.0 * rot.D_R.values)
+        assert np.array_equal(reorder(rot, -0.2).N_s.values,
+                              reorder(fresh_copy(rot), -0.2).N_s.values)
+        rot.D_R.values.flags.writeable = True  # writes allowed again: the kept gap is dropped
+        rot.D_R.values[4, 1] += 1.0
+        assert np.array_equal(reorder(rot, -0.2).N_s.values,
+                              reorder(fresh_copy(rot), -0.2).N_s.values)
+        assert len(calls) == 7
 
 
 def test_induced_sign_fault_breaks_round_trip(monkeypatch):
