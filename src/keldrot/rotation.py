@@ -28,6 +28,12 @@ Kubo commutator).  `unrotate` refuses a rotated set whose K_F would not be
 the theta split of its K_W: an acausal D_R, D_R + D_R^T non-zero where
 theta = 1/2, or a non-symmetric N_0.
 
+Rotations of one set share one response: a `RotatedCumulants` keeps its
+gap with D_R's data array, made read-only then, and hands both to the sets
+`reorder` makes, and a later `rotate` of the same `CumulantSet` takes them
+when its fresh D_R has the same bytes, hbar c and grid.  Making that data
+writable again affects every set that shares it.
+
 A stationary set on the circle has circulant kernels, held by their lag
 profiles (`TwoPointKernel.circulant`; `ctl_cumulants` builds them at a
 resonant frequency).  Every step here takes a kernel's data in either
@@ -47,6 +53,7 @@ of an image of it, `rotate(ctl, p)` or a closed form such as
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,6 +193,7 @@ class CumulantSet:
     periodic: bool
 
     residual = None  # largest relative residual of the identities, measured where the set is made
+    _response = None  # weak refs to a rotation's (D_R data, gap), its hbar c and grid, kept by `rotate`
 
     def __post_init__(self):
         _require_positive("hbar_c", self.hbar_c)
@@ -196,6 +204,10 @@ class CumulantSet:
         if not self.residual <= _CONSISTENCY_TOL:  # NaN fails too
             raise ConsistencyError(
                 f"K_W is not Hermitian: residual {self.residual:.3e} > {_CONSISTENCY_TOL:.1e}")
+
+    def __getstate__(self) -> dict:
+        """The set's state without `rotate`'s weak refs, which do not pickle."""
+        return {k: v for k, v in vars(self).items() if k != "_response"}
 
     @classmethod
     def from_wightman(cls, mean: Signal, k_w: np.ndarray, periodic: bool = False,
@@ -285,13 +297,16 @@ class RotatedCumulants:
     imaginary part is all zero is stored real, and one with a non-zero
     imaginary entry is a ConsistencyError naming it.
 
-    The gap Z[D_R] (`reorder_gap_kernel`) is computed once per D_R, by the
-    first `reorder` or `unrotate` that needs it, and handed on to the sets
-    `reorder` makes, which share D_R.  It is kept with the data array of
-    D_R it was computed on, and that array is made read-only then, so an
-    in-place write into D_R raises instead of leaving a stale gap; a new
-    D_R, or a circulant one laid out, has new data and gets its gap afresh.
-    Nothing is kept of N_s: a write into it is seen by the next `reorder`."""
+    The gap Z[D_R] (`reorder_gap_kernel`) is computed once per D_R and
+    hbar c, by the first `reorder` or `unrotate` that needs it, and handed
+    on to the sets `reorder` makes and to later rotations of the same set
+    (`rotate`), which share D_R's data.  It is kept with that data array
+    and hbar c, and the array is made read-only then, so an in-place write
+    into D_R raises instead of leaving a stale gap; a new D_R, or a
+    circulant one laid out, has new data and gets its gap afresh, and so
+    does a new `hbar_c`.  Making the shared data writable again drops the
+    kept gap of every set that shares it.  Nothing is kept of N_s: a write
+    into it is seen by the next `reorder`."""
 
     mean: Signal
     D_R: TwoPointKernel
@@ -299,7 +314,7 @@ class RotatedCumulants:
     p: OrderingParam
     hbar_c: float
 
-    _gap = None  # (D_R's data array, Z[D_R] on it), kept by `_gap_of`
+    _gap = None  # (D_R's data array, hbar c, Z[D_R] on them), kept by `_gap_of`
 
     def __post_init__(self):
         _require_positive("hbar_c", self.hbar_c)
@@ -339,10 +354,39 @@ def _weyl_image(ctl: CumulantSet) -> RotatedCumulants:
                             ctl.hbar_c)
 
 
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """a and b hold the same raw bytes in the same dtype and shape, so
+    -0.0 and +0.0 differ (float64 data, compared through integer views)."""
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and bool(np.array_equal(a.view(np.uint64), b.view(np.uint64))))
+
+
 def rotate(ctl: CumulantSet, p: OrderingParam) -> RotatedCumulants:
     """Rotate a Hermitian field's CTL cumulant set into (mean, D_R, N_s),
-    N_s = N_0 - s Z[D_R] (`reorder` of the Weyl image)."""
-    return reorder(_weyl_image(ctl), p.s)
+    N_s = N_0 - s Z[D_R] (`reorder` of the Weyl image).
+
+    Rotations of one set share one response: the Weyl image is formed
+    afresh on every call, and when its D_R has the raw bytes, shape and
+    layout of the read-only D_R data of the set's last rotation that took
+    a gap, with the same hbar c and grid, the new set takes that data
+    array and its kept gap instead of its own copy.  So every ordering of
+    a set filters D_R once and holds one D_R and one gap; making the
+    shared data writable again affects every set that shares it.  `ctl`
+    refers to the shared arrays weakly, so it keeps neither alive."""
+    weyl = _weyl_image(ctl)
+    if ctl._response is not None:
+        d_ref, z_ref, hbar_c, grid = ctl._response
+        kept, z = d_ref(), z_ref()
+        if (kept is not None and z is not None and not kept.flags.writeable
+                and hbar_c == weyl.hbar_c and grid == weyl.grid
+                and _same_bytes(kept, _data(weyl.D_R)[0])):
+            weyl.D_R = _kernel(grid, kept)
+            weyl._gap = (kept, hbar_c, z)
+    rot = reorder(weyl, p.s)
+    if rot._gap is not None:
+        d, hbar_c, z = rot._gap
+        ctl._response = (weakref.ref(d), weakref.ref(z), hbar_c, rot.grid)
+    return rot
 
 
 def _split_representation(asym: float, n_0_size: float, d: np.ndarray,
@@ -427,13 +471,15 @@ def reorder_gap_kernel(D_R: TwoPointKernel, hbar_c: float) -> TwoPointKernel:
 
 def _gap_of(rot: RotatedCumulants) -> np.ndarray:
     """The data of Z[D_R] (`reorder_gap_kernel`), kept on the set while
-    D_R's data is the array it was computed on and stays read-only; that
-    array is made read-only here."""
+    D_R's data is the array it was computed on and stays read-only, and
+    hbar c is the one it was computed with; that array is made read-only
+    here."""
     d = _data(rot.D_R)[0]
-    if rot._gap is None or rot._gap[0] is not d or d.flags.writeable:
+    kept = rot._gap
+    if kept is None or kept[0] is not d or kept[1] != rot.hbar_c or d.flags.writeable:
         d.flags.writeable = False
-        rot._gap = (d, _data(reorder_gap_kernel(rot.D_R, rot.hbar_c))[0])
-    return rot._gap[1]
+        rot._gap = (d, rot.hbar_c, _data(reorder_gap_kernel(rot.D_R, rot.hbar_c))[0])
+    return rot._gap[2]
 
 
 def reorder(rot: RotatedCumulants, s_new: float) -> RotatedCumulants:

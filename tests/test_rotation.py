@@ -1,4 +1,7 @@
 import dataclasses
+import gc
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -672,6 +675,116 @@ class TestKeptGap:
         assert np.array_equal(reorder(rot, -0.2).N_s.values,
                               reorder(fresh_copy(rot), -0.2).N_s.values)
         assert len(calls) == 7
+
+    def test_new_hbar_c_gets_its_own_gap(self):
+        rot = rotate(synthetic_cumulants(GRID, np.random.default_rng(1)), OrderingParam(0.3))
+        before = reorder(rot, -0.2).N_s.values
+        rot.hbar_c = 2.0
+        got = reorder(rot, -0.2).N_s.values
+        assert np.array_equal(got, reorder(fresh_copy(rot), -0.2).N_s.values)
+        assert np.abs(got - before).max() > 0.1 * np.abs(before).max()
+
+    @pytest.mark.parametrize("name", ["synthetic", "thermal"])
+    def test_one_gap_for_two_rotations_of_a_set(self, name, monkeypatch):
+        calls = counted_gaps(monkeypatch)
+        ctl = kept_gap_sets()[name]
+        rot1 = rotate(ctl, OrderingParam(0.3))
+        rot2 = rotate(ctl, OrderingParam(-0.7))
+        reorder(rot2, 0.9)
+        unrotate(rot2)
+        unrotate(rot1)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["synthetic", "thermal"])
+    def test_second_rotation_shares_the_response_bit_equal(self, name):
+        ctl = kept_gap_sets()[name]
+        rot1 = rotate(ctl, OrderingParam(0.3))
+        rot2 = rotate(ctl, OrderingParam(-0.7))
+        assert np.shares_memory(rotation._data(rot1.D_R)[0], rotation._data(rot2.D_R)[0])
+        fresh = rotate(dataclasses.replace(ctl), OrderingParam(-0.7))
+        for got, want in ((rot2.N_s, fresh.N_s), (rot2.D_R, fresh.D_R),
+                          (unrotate(rot2).K_W, unrotate(fresh).K_W)):
+            got, want = rotation._data(got)[0], rotation._data(want)[0]
+            assert got.ndim == want.ndim and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["synthetic", "thermal"])
+    @pytest.mark.parametrize("change", ["K_W", "hbar_c"])
+    def test_changed_set_gets_a_fresh_response(self, name, change, monkeypatch):
+        calls = counted_gaps(monkeypatch)
+        ctl = kept_gap_sets()[name]
+        rot1 = rotate(ctl, OrderingParam(0.3))
+        if change == "hbar_c":
+            ctl.hbar_c = 2.0
+        else:  # a Hermitian write into Im K_W where theta = 1
+            k_w = rotation._data(ctl.K_W)[0]
+            if k_w.ndim == 1:
+                k_w[5] += 0.1j
+                k_w[-5] -= 0.1j
+            else:
+                k_w[7, 3] += 0.1j
+                k_w[3, 7] -= 0.1j
+        rot2 = rotate(ctl, OrderingParam(-0.7))
+        assert len(calls) == 2
+        assert not np.shares_memory(rotation._data(rot1.D_R)[0], rotation._data(rot2.D_R)[0])
+        fresh = rotate(dataclasses.replace(ctl), OrderingParam(-0.7))
+        for got, want in ((rot2.N_s, fresh.N_s), (rot2.D_R, fresh.D_R)):
+            assert np.array_equal(rotation._data(got)[0], rotation._data(want)[0])
+
+    def test_response_keyed_on_hbar_c(self, monkeypatch):
+        """A set with real K_W has D_R = 0 at every hbar c, so only the key
+        tells the two rotations apart."""
+        calls = counted_gaps(monkeypatch)
+        ctl = CumulantSet.from_wightman(Signal.zero(GRID),
+                                        kept_gap_sets()["synthetic"].K_W.values.real + 0j)
+        rot1 = rotate(ctl, OrderingParam(0.3))
+        ctl.hbar_c = 2.0
+        rot2 = rotate(ctl, OrderingParam(0.3))
+        assert len(calls) == 2 and rot2.hbar_c == 2.0
+        assert not np.shares_memory(rot1.D_R.values, rot2.D_R.values)
+
+    def test_signed_zero_not_shared(self, monkeypatch):
+        calls = counted_gaps(monkeypatch)
+        ctl = CumulantSet.from_wightman(Signal.zero(GRID),
+                                        kept_gap_sets()["synthetic"].K_W.values.real + 0j)
+        rot1 = rotate(ctl, OrderingParam(0.3))
+        ctl.K_W.values.imag[5, 2] = -0.0  # theta = 1 there: D_R[5, 2] becomes -0.0
+        rot2 = rotate(ctl, OrderingParam(0.3))
+        assert np.array_equal(rot1.D_R.values, rot2.D_R.values)
+        assert np.signbit(rot2.D_R.values[5, 2]) and not np.signbit(rot1.D_R.values[5, 2])
+        assert len(calls) == 2
+        assert not np.shares_memory(rot1.D_R.values, rot2.D_R.values)
+
+    def test_writable_or_regridded_response_not_shared(self, monkeypatch):
+        calls = counted_gaps(monkeypatch)
+        ctl = kept_gap_sets()["synthetic"]
+        rot1 = rotate(ctl, OrderingParam(0.3))
+        rot1.D_R.values.flags.writeable = True
+        rot2 = rotate(ctl, OrderingParam(0.3))
+        assert not np.shares_memory(rot1.D_R.values, rot2.D_R.values)
+        grid = TimeGrid(GRID.n, 2.0 * GRID.dt)
+        ctl.mean, ctl.K_W = Signal.zero(grid), TwoPointKernel(grid, ctl.K_W.values)
+        rot3 = rotate(ctl, OrderingParam(0.3))
+        assert rot3.D_R.grid == grid and np.array_equal(rot3.D_R.values, rot2.D_R.values)
+        assert not np.shares_memory(rot2.D_R.values, rot3.D_R.values)
+        assert len(calls) == 3
+
+    def test_rotated_set_pickles(self):
+        ctl = kept_gap_sets()["synthetic"]
+        rot = rotate(ctl, OrderingParam(0.3))
+        back = pickle.loads(pickle.dumps(ctl))
+        assert back._response is None and ctl._response is not None
+        assert np.array_equal(rotate(back, OrderingParam(0.3)).N_s.values, rot.N_s.values)
+
+    @pytest.mark.parametrize("name", ["synthetic", "thermal"])
+    def test_set_keeps_no_response_alive(self, name):
+        ctl = kept_gap_sets()[name]
+        rot1 = rotate(ctl, OrderingParam(0.3))
+        refs = [weakref.ref(rotation._data(rot1.D_R)[0]), weakref.ref(rotation._gap_of(rot1))]
+        del rot1
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+        rot2 = rotate(ctl, OrderingParam(0.3))
+        assert rot2.D_R.grid == ctl.grid
 
 
 def test_induced_sign_fault_breaks_round_trip(monkeypatch):

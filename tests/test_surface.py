@@ -1,5 +1,5 @@
 """Every public name has a caller outside the tests, and the library has
-few public names and few settable values.
+few public names, few settable values and few lines.
 
 A name in a keldrot module's `__all__` is live when code outside `tests/`
 reads it: a script, the benchmark harness, module-level code of the
@@ -38,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "keldrot"
 MAX_SETTABLE_VALUES = 27
 MAX_PUBLIC_NAMES = 100  # the entries of every module's `__all__`, the package's own included
+MAX_SOURCE_LINES = 3996  # `wc -l src/keldrot/*.py`
 # the read half of a CLI output format: `kernel_from_csv` reads the kernel
 # CSV that `kernel_to_csv` writes for the oscillator, mc and kernels verbs
 READERS_OF_CLI_OUTPUT = {"kernel_from_csv"}
@@ -180,6 +181,11 @@ def _settable_values() -> list[str]:
                       and isinstance(sub.target, ast.Name) and _has_default(sub)):
                     found.append(f"{where}.{sub.target.id}")
     return found
+
+
+def test_source_lines_within_budget():
+    lines = sum(path.read_text().count("\n") for path in PACKAGE.glob("*.py"))
+    assert lines <= MAX_SOURCE_LINES, f"{lines} lines in src/keldrot, at most {MAX_SOURCE_LINES}"
 
 
 def test_few_settable_values():
