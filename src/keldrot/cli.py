@@ -98,18 +98,6 @@ def _grid_from_config(config: dict) -> TimeGrid:
     return TimeGrid(int(g["n"]), float(g["dt"]), float(g.get("t0", 0.0)))
 
 
-def _precision_bits(config: dict) -> tuple[int, int]:
-    """(working bits, cap); requesting double means genuinely double, so the
-    ill-conditioned solves fail their residual gate instead of silently
-    upgrading."""
-    choice = config.get("precision") or "extended"
-    if choice == "double":
-        return 53, 53
-    if choice == "extended":
-        return pvreg.DEFAULT_PRECISION_BITS, 4096
-    raise ConfigError("precision must be 'double' or 'extended'")
-
-
 def _write_outputs(out_prefix: str, config: dict, verb: str,
                    outputs: dict, summary: dict) -> list[str]:
     """Write artifact files plus a manifest; returns the paths written."""
@@ -172,9 +160,7 @@ def _scheme_from_config(config: dict) -> pvreg.PVScheme:
         masses = pvreg.geometric_masses(mu0, float(config["geometric"]), count)
     else:
         raise ConfigError("scheme requires --masses or --geometric")
-    bits, cap = _precision_bits(config)
-    return pvreg.solve_pv(m_order, masses, impose_B0=impose_b0,
-                          precision_bits=bits, max_precision_bits=cap)
+    return pvreg.solve_pv(m_order, masses, impose_B0=impose_b0)
 
 
 # ----- verb handlers -------------------------------------------------------
@@ -429,7 +415,6 @@ def _pv_flags(p: argparse.ArgumentParser):
     p.add_argument("--masses", help="comma-separated mass list mu0,mu1,...")
     p.add_argument("--geometric", type=float, help="geometric mass ratio")
     p.add_argument("--impose-b0", action="store_true", default=None)
-    p.add_argument("--precision", choices=["double", "extended"])
 
 
 def build_parser() -> argparse.ArgumentParser:

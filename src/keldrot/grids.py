@@ -72,16 +72,19 @@ def _require_positive(name: str, value, zero_ok: bool = False) -> None:
         raise ValueError(f"{name} must be finite and {sign}, got {value}")
 
 
-def _require_count(name: str, value) -> int:
-    """`value` as an int, if it is an integer of at least 1, else a
-    ValueError naming `name`."""
+def _require_count(name: str, value, zero_ok: bool = False) -> int:
+    """`value` as an int, if it is an integer (not a bool) of at least 1 (0
+    when zero_ok), else a ValueError naming `name`."""
     try:
-        value = operator.index(value)
+        count = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return value
+        count = None
+    if count is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if count < (0 if zero_ok else 1):
+        sign = "non-negative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be {sign}, got {count}")
+    return count
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,13 @@ requires the moment conditions
 expansion of F vanishes).  The zero-momentum renormalization condition is
 the additional row B(0).  The system matrix is Vandermonde-like and
 catastrophically ill-conditioned for well-separated masses.  Its rows are
-assembled from integer (mantissa, exponent) pairs rounded to 53 bits and
-solved in arbitrary precision by Gaussian elimination in the standard
-`decimal` module, whose arithmetic runs in C; only the solution is rounded
-to double.  The moment routines (`moment_integral_exact`, `moment_sums`)
-sum the extended coefficients in `decimal` too, so the module needs no
-arbitrary-precision library beyond the standard one.
+assembled from integer (mantissa, exponent) pairs rounded to 53 bits, so
+every entry is a dyadic rational and the rounded system has one exact
+solution, which fraction-free elimination finds in Python integers; only
+the solution is rounded, to double and to decimal strings.  The moment
+routines (`moment_integral_exact`, `moment_sums`) sum those strings in the
+standard `decimal` module, so the module needs no arbitrary-precision
+library beyond the standard one.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grids import _require_count
+from .grids import _require_count, _require_finite
 
 __all__ = [
     "PVScheme",
@@ -43,9 +44,6 @@ __all__ = [
     "moment_sums",
 ]
 
-DEFAULT_PRECISION_BITS = 256
-# largest relative row residual at which a solve is accepted
-RESIDUAL_TOL = 1e-10
 # |d_l| above which the scheme is reported as unreliable
 COEFFICIENT_BOUND = 10.0
 # pi to 64 digits: it enters the moment integral only as the final factor
@@ -95,7 +93,7 @@ class PVScheme:
 
     masses holds mu_0..mu_N; d holds d_0..d_N with d_0 = 1, and d_mp the
     same coefficients as extended-precision decimal strings, kept for exact
-    moment evaluation (the float d are rounded from them).
+    moment evaluation (both are rounded from the exact solution).
     """
 
     M: int
@@ -176,77 +174,59 @@ def _system(M: int, masses: list[float], labels: list[str]) -> tuple[list, list]
     return a, b
 
 
-def _gauss_solve(a, b, bits):
-    """d with a d = b, and its relative row residuals, or None if singular.
+def _exact_solve(a, b) -> tuple[list[Fraction], int]:
+    """The exact solution x of a x = b, and the digits its strings keep.
 
-    mpmath's `lu_solve` at `bits`, carried out in `decimal`: elimination at
-    the digits of bits + 10 bits, the pivot of largest |a_kj| over the row
-    sum of the active block, and a row sum or pivot at or below
-    ||a||_1 2^(-bits-9) counting as singular.  The residuals
-    |sum_c a_rc d_c - b_r| over the largest term are summed from the exact
-    rows with 20 guard digits.
+    Every entry is a dyadic rational, so each row, its right-hand side
+    included, scales to integers by its lowest power of two.  Fraction-free
+    elimination (Bareiss, Math. Comp. 22 (1968) 565) keeps every entry
+    integral, each update dividing exactly by the previous pivot, whose last
+    value is the determinant up to sign; det x is integral by Cramer's rule,
+    so back-substitution on it divides exactly too.  The system is singular
+    only at an exact zero pivot.  The digits are 20 more than those of the
+    largest integer entry, and at least 81, so that on a narrow scheme too
+    a moment sum that the scheme cancels comes out below 1e-60 of its terms.
     """
-    digits = math.ceil((bits + 10) * math.log10(2))
-    with localcontext() as ctx:
-        ctx.prec = digits
-        n = len(b)
-        rows = [row + [rhs] for row, rhs in zip(a, b)]
-        tol = max(sum(abs(row[c]) for row in a) for c in range(n)) * Decimal(2) ** (-bits - 9)
-        for j in range(n):
-            best, p = 0, j
-            for k in range(j, n):
-                s = sum(map(abs, rows[k][j:n]))
-                if s <= tol:
-                    return None
-                cur = abs(rows[k][j]) / s
-                if cur > best:
-                    best, p = cur, k
-            rows[j], rows[p] = rows[p], rows[j]
-            pivot = rows[j]
-            if abs(pivot[j]) <= tol:
-                return None
-            for row in rows[j + 1:]:
-                f = row[j] / pivot[j]
-                row[j + 1:] = [v - f * w for v, w in zip(row[j + 1:], pivot[j + 1:])]
-        d = [Decimal(0)] * n
-        for i in reversed(range(n)):
-            row = rows[i]
-            t = row[n]
-            for c in range(i + 1, n):
-                t -= row[c] * d[c]
-            d[i] = t / row[i]
-    with localcontext() as ctx:
-        ctx.prec = digits + 20
-        residuals = []
-        for row, rhs in zip(a, b):
-            terms = [v * x for v, x in zip(row, d)] + [-rhs]
-            scale = max(map(abs, terms))
-            residuals.append(float(abs(sum(terms)) / scale) if scale else 0.0)
-    return d, residuals
+    rows = []
+    for row, rhs in zip(a, b):
+        pairs = [v.as_integer_ratio() for v in [*row, rhs]]
+        scale = max(q for _, q in pairs)  # every q is a power of two
+        rows.append([p * (scale // q) for p, q in pairs])
+    digits = max(81, math.ceil(math.log10(max(abs(v) for row in rows for v in row))) + 20)
+    n, det = len(rows), 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            raise ValueError("singular regularization system")
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        for row in rows[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(pivot[k] * v - f * w) // det
+                           for v, w in zip(row[k + 1:], pivot[k + 1:])]
+        det = pivot[k]
+    y = [0] * n  # det x
+    for i in reversed(range(n)):
+        row = rows[i]
+        y[i] = (det * row[n] - sum(c * v for c, v in zip(row[i + 1:n], y[i + 1:]))) // row[i]
+    return [Fraction(v, det) for v in y], digits
 
 
-def solve_pv(M: int, masses, impose_B0: bool,
-             precision_bits: int = DEFAULT_PRECISION_BITS,
-             max_precision_bits: int = 4096) -> PVScheme:
-    """Solve the moment/log-moment system for d_1..d_N.
+def solve_pv(M: int, masses, impose_B0: bool) -> PVScheme:
+    """Solve the moment/log-moment system for d_1..d_N exactly.
 
     Needs exactly N = 2M+4 auxiliary masses (2M+5 with the renormalization
     row B(0)); the d_0 = 1 terms are moved to the right-hand side.  The
     rows are assembled with every entry rounded to 53 bits (`_system`) and
-    are exact as `Decimal`s; the system is solved in `decimal`
-    (`_gauss_solve`), starting at `precision_bits`, and d is rounded to
-    float only after the relative row residuals (summed from the exact rows
-    with guard digits) pass RESIDUAL_TOL; precision is doubled and the
-    solve retried, up to `max_precision_bits`, when they do not or the
-    elimination finds the system singular.  d_mp holds the solution as the
-    `Decimal` strings of its rounding to int(0.3 bits) + 5 significant
-    digits of the final precision.
+    solved exactly in integers (`_exact_solve`), so the residuals of the
+    rounded system are 0.  d holds the solution correctly rounded to
+    float, and d_mp its `Decimal` strings correctly rounded to the digits
+    that `_exact_solve` works out from the rows.
     Warns when any |d_l| exceeds COEFFICIENT_BOUND: the asymptotic solution
     is then unreliable and the mass spacing is of the pathological kind
     whose coefficients grow without bound.
     """
-    precision_bits = _require_count("precision_bits", precision_bits)
-    max_precision_bits = _require_count("max_precision_bits", max_precision_bits)
+    M = _require_count("M", M, zero_ok=True)
     masses = _checked_masses(masses)
     n_aux = len(masses) - 1
     n_needed = 2 * M + 5 if impose_B0 else 2 * M + 4
@@ -255,32 +235,19 @@ def solve_pv(M: int, masses, impose_B0: bool,
             f"M={M}, impose_B0={impose_B0} needs {n_needed} auxiliary masses, got {n_aux}"
         )
     labels = _row_labels(M, impose_B0)
-    a, b = _system(M, masses, labels)
-    bits = precision_bits
-    while True:
-        d_aux, residuals = _gauss_solve(a, b, bits) or (None, [np.inf])
-        if d_aux is not None and max(residuals) <= RESIDUAL_TOL:
-            break
-        if bits >= max_precision_bits:
-            if d_aux is None:
-                raise ValueError("singular regularization system")
-            raise ValueError(
-                f"row residuals {max(residuals):.3e} exceed {RESIDUAL_TOL:.1e} "
-                f"at {bits}-bit precision"
-            )
-        bits *= 2
+    x, digits = _exact_solve(*_system(M, masses, labels))
     with localcontext() as ctx:
-        ctx.prec = int(bits * 0.3) + 5
-        d_strings = ["1"] + [str(ctx.plus(x)) for x in d_aux]
-    d = [1.0] + [float(x) for x in d_aux]
-    if max(abs(x) for x in d[1:]) > COEFFICIENT_BOUND:
+        ctx.prec = digits
+        d_strings = ["1"] + [str(ctx.divide(Decimal(v.numerator), v.denominator)) for v in x]
+    d = [1.0] + [float(v) for v in x]
+    if max(abs(v) for v in d[1:]) > COEFFICIENT_BOUND:
         warnings.warn(
             "unbounded coefficients: |d_l| exceeds "
             f"{COEFFICIENT_BOUND}; mass spacing gives an unreliable scheme",
             stacklevel=2,
         )
     return PVScheme(M=M, masses=masses, d=d, d_mp=d_strings, impose_B0=impose_B0,
-                    residuals=residuals, row_labels=labels)
+                    residuals=[0.0] * len(labels), row_labels=labels)
 
 
 def asymptotic_d(masses) -> tuple[float, float]:
@@ -301,6 +268,7 @@ def moment_integral_exact(scheme: PVScheme, cutoff_sq: float):
     carries no floating-point noise and the decay of the remainder with
     the cutoff is visible to arbitrary depth.
     """
+    _require_finite("cutoff_sq", cutoff_sq)
     with localcontext() as ctx:
         ctx.prec = max(len(d) for d in scheme.d_mp) + 20
         cut = Decimal(cutoff_sq)

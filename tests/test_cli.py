@@ -470,7 +470,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("argv", [
         ["kernels", "scalar", "--eps", 1e-3, "--k0-max", 2.0, "--n-k0", 5, "--seed", 3],
-        ["accept", "--precision", "double"],
+        ["accept", "--M", 0],
     ])
     def test_options_a_verb_does_not_read_are_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -484,13 +484,6 @@ class TestConfigHandling:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "computation"
-
-    def test_double_precision_backend_fails_honestly(self, outdir, capsys):
-        code = run(["pv-solve", "--M", 0, "--mu0", 1, "--geometric", 1e3,
-                    "--impose-b0", "--precision", "double", "--out", outdir / "x"])
-        assert code == 1
-        err = json.loads(capsys.readouterr().err)
-        assert "residuals" in err["detail"] or "singular" in err["detail"]
 
     @pytest.mark.parametrize("argv", [
         ["oscillator", "kernel", "--omega0", 1.0, "--s", 0.0, "--n", 8, "--dt", "inf"],

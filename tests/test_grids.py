@@ -120,6 +120,7 @@ class TestParameterChecks:
         ("4", "must be an integer, got '4'"),
         (0, "must be positive, got 0"),
         (-3, "must be positive, got -3"),
+        (True, "must be an integer, got True"),
     ])
     def test_count_refuses(self, bad, message):
         with pytest.raises(ValueError, match=f"^n_samples {re.escape(message)}$"):

@@ -12,7 +12,6 @@ from keldrot import pvreg
 from keldrot.diracsea import SERIES_TERMS, _k_reg_scalar
 from keldrot.pvreg import (
     COEFFICIENT_BOUND,
-    RESIDUAL_TOL,
     PVScheme,
     asymptotic_d,
     geometric_masses,
@@ -25,6 +24,9 @@ from keldrot.pvreg import (
 
 from common import BARE
 
+# the largest relative row residual at which the mpmath oracle's ladder
+# accepts a finite-precision solve
+RESIDUAL_TOL = 1e-10
 
 
 def band_moment(scheme, n, cutoff_sq):
@@ -96,9 +98,10 @@ def mpmath_rows(M, masses, impose_B0):
 
 
 def mpmath_solve(M, masses, impose_B0, precision_bits=256, max_precision_bits=4096):
-    """Oracle for `solve_pv`: the `mpmath_rows` in an `mp.matrix`, solved
-    by `mp.lu_solve` with `fsum` row residuals at working precision, on the
-    same precision ladder.  Returns (d, d_mp, final bits)."""
+    """Oracle for `solve_pv`'s float d: the `mpmath_rows` in an `mp.matrix`,
+    solved by `mp.lu_solve` with `fsum` row residuals at working precision,
+    on a precision ladder that doubles the bits until every residual is at
+    most RESIDUAL_TOL, and fails at the cap."""
     rows, rhs = mpmath_rows(M, masses, impose_B0)
     a, b = mp.matrix(rows), mp.matrix(rhs)
     bits = precision_bits
@@ -114,15 +117,24 @@ def mpmath_solve(M, masses, impose_B0, precision_bits=256, max_precision_bits=40
                     terms = [a[r, c] * x[c] for c in range(a.cols)] + [-b[r, 0]]
                     worst = max(worst, float(abs(mp.fsum(terms)) / max(abs(t) for t in terms)))
         if x is not None and worst <= RESIDUAL_TOL:
-            break
+            return [1.0] + [float(v) for v in x]
         if bits >= max_precision_bits:
             raise ValueError("singular regularization system" if x is None else
                              f"row residuals {worst:.3e} exceed {RESIDUAL_TOL:.1e} "
                              f"at {bits}-bit precision")
         bits *= 2
-    with mp.workprec(bits):
-        d_mp = ["1"] + [mp.nstr(v, int(bits * 0.3) + 5) for v in x]
-    return [1.0] + [float(v) for v in x], d_mp, bits
+
+
+def mpmath_digits(M, masses, impose_B0):
+    """The digits of `solve_pv`'s d_mp, from the `mpmath_rows`: 20 more than
+    those of the largest entry of a row (its right-hand side included)
+    scaled to integers by its lowest power of two, and at least 81."""
+    rows, rhs = mpmath_rows(M, masses, impose_B0)
+    top = 0
+    for row in (list(map(exact, r)) + [exact(v)] for r, v in zip(rows, rhs)):
+        scale = max(v.denominator for v in row)
+        top = max(top, *(abs(v.numerator) * (scale // v.denominator) for v in row))
+    return max(81, math.ceil(math.log10(top)) + 20)
 
 
 def mpmath_moment_integral(scheme, cutoff_sq, factor=1):
@@ -212,27 +224,45 @@ def exact(x):
 
 class TestMpmathOracle:
     @pytest.mark.filterwarnings("ignore:unbounded coefficients")
-    @pytest.mark.parametrize("M,masses,b0", SOLVED_SCHEMES,
-                             ids=[_scheme_id(k) for k in SOLVED_SCHEMES])
+    @pytest.mark.parametrize("M,masses,b0", SOLVED_SCHEMES + random_mass_lists(40),
+                             ids=[_scheme_id(k) for k in SOLVED_SCHEMES]
+                             + [f"random{i}" for i in range(40)])
     def test_decimal_solve_matches_lu_solve(self, M, masses, b0):
         scheme = solve_pv(M, masses, impose_B0=b0)
-        d, d_mp, bits = mpmath_solve(M, masses, b0)
-        digits = int(bits * 0.3) + 5
-        assert scheme.d == d
-        # summed from the exact rows with guard digits, the residuals sit
-        # below the working precision
-        assert max(scheme.residuals) <= 2.0 ** -bits
-        assert len(scheme.d_mp) == len(d_mp) and scheme.d_mp[0] == d_mp[0] == "1"
-        for got, want in zip(scheme.d_mp[1:], d_mp[1:]):
-            # an entry is `decimal`'s string of its own value rounded to the
-            # oracle's digit count (an exact quotient may carry fewer digits)
-            assert len(significant_digits(got)) <= digits
-            with decimal.localcontext() as ctx:
-                ctx.prec = digits
+        assert scheme.d == mpmath_solve(M, masses, b0)
+        # the exact solution leaves no residual on the rounded rows
+        assert scheme.residuals == [0.0] * len(scheme.row_labels)
+        digits = mpmath_digits(M, masses, b0)
+        rows, rhs = mpmath_rows(M, masses, b0)
+        with mp.workprec(4 * digits):
+            want = [exact(v) for v in mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))]
+        assert len(scheme.d_mp) == len(want) + 1 and scheme.d_mp[0] == "1"
+        with decimal.localcontext() as ctx:
+            ctx.prec = digits
+            for got, x in zip(scheme.d_mp[1:], want):
+                # `decimal`'s string of mpmath's value rounded to the digits;
+                # an exact quotient may carry fewer
+                assert len(significant_digits(got)) <= digits
                 assert str(ctx.plus(decimal.Decimal(got))) == got
-            with mp.workdps(digits + 10):
-                got, want = mp.mpf(got), mp.mpf(want)
-                assert abs(got - want) <= mp.mpf(10) ** (5 - digits) * abs(want)
+                assert decimal.Decimal(got) == ctx.divide(decimal.Decimal(x.numerator),
+                                                          x.denominator)
+
+    @pytest.mark.parametrize("ratio,count,b0", [(1e3, 6, True), (100.0, 5, False),
+                                                (10.0, 5, False)])
+    def test_double_precision_alike(self, ratio, count, b0):
+        # the oracle capped at 53 bits fails on the wide schemes, its pivots
+        # collapsed or its residuals too large; ratio 10 without B(0) solves,
+        # to the exact solve's float d
+        masses = geometric_masses(1.0, ratio, count)
+        if ratio > 10.0:
+            with pytest.raises(ValueError, match="residuals|singular"):
+                mpmath_solve(0, masses, b0, 53, 53)
+        else:
+            assert mpmath_solve(0, masses, b0, 53, 53) == solve_pv(0, masses, b0).d
+
+    def test_exact_solve_refuses_a_singular_system(self):
+        with pytest.raises(ValueError, match="singular regularization system"):
+            pvreg._exact_solve([[1, 0, 3], [2, 0, 5], [7, 0, 1]], [1, 1, 1])
 
     @pytest.mark.parametrize("M,masses,b0", SOLVED_SCHEMES + random_mass_lists(40),
                              ids=[_scheme_id(k) for k in SOLVED_SCHEMES]
@@ -257,21 +287,6 @@ class TestMpmathOracle:
         want = [s for s, _ in mpmath_moment_sums(scheme, SERIES_TERMS)]
         got = moment_sums(scheme, SERIES_TERMS)
         assert np.abs(np.subtract(got, want)).max() <= 1e-40 * np.abs(want).max()
-
-    @pytest.mark.parametrize("ratio,count,b0", [(1e3, 6, True), (100.0, 5, False),
-                                                (10.0, 5, False)])
-    def test_double_precision_alike(self, ratio, count, b0):
-        # at 53 bits the wide schemes fail, with the same message; ratio 10
-        # without B(0) solves, to the same float d
-        args = (0, geometric_masses(1.0, ratio, count), b0, 53, 53)
-        try:
-            d = mpmath_solve(*args)[0]
-        except ValueError as exc:
-            with pytest.raises(ValueError) as ours:
-                solve_pv(*args)
-            assert str(ours.value) == str(exc)
-        else:
-            assert solve_pv(*args).d == d
 
     def test_solve_does_not_use_lu_solve(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -384,20 +399,15 @@ class TestSolve:
         assert scheme.d[2] == pytest.approx(x / np.log(x), rel=0.05)
         assert max(abs(d) for d in scheme.d[1:]) > COEFFICIENT_BOUND
 
-    def test_double_precision_gate_raises(self):
-        # double precision cannot meet the residual gate for well-separated
-        # masses: it either fails the gate or the factorization collapses
-        with pytest.raises(ValueError, match="residuals|singular"):
-            solve_pv(0, geometric_masses(1.0, 1e3, 6), impose_B0=True,
-                     precision_bits=53, max_precision_bits=53)
-
-    @pytest.mark.parametrize("name, bad", [("precision_bits", 0), ("precision_bits", -64),
-                                           ("precision_bits", 64.0),
-                                           ("max_precision_bits", 0)])
-    def test_precision_must_be_a_positive_count(self, name, bad):
-        # 0 bits never doubled past the cap, so the solve looped forever
-        with pytest.raises(ValueError, match=name):
-            solve_pv(0, geometric_masses(1.0, 10.0, 5), impose_B0=False, **{name: bad})
+    @pytest.mark.parametrize("bad, count, message", [
+        (1.5, 8, "M must be an integer, got 1.5"),
+        (True, 7, "M must be an integer, got True"),
+        (-1, 3, "M must be non-negative, got -1"),
+    ])
+    def test_order_must_be_a_non_negative_integer(self, bad, count, message):
+        # as many masses as 2M + 4 asks for, so only the check of M can fire
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_pv(bad, geometric_masses(1.0, 10.0, count), impose_B0=False)
 
     def test_extended_coefficients_recorded(self):
         scheme = solve_pv(0, geometric_masses(1.0, 10.0, 5), impose_B0=False)
@@ -487,6 +497,11 @@ class TestMoments:
             assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
             if k <= 2:
                 assert abs(got) < 1e-60 * largest
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_exact_route_refuses_non_finite_cutoff(self, scheme, bad):
+        with pytest.raises(ValueError, match="cutoff_sq must be finite"):
+            moment_integral_exact(scheme, bad)
 
     def test_exact_route_on_unregularized_scheme(self):
         # the bare scheme carries d_mp = ["1"]; its exact n = 0 integral is

@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("script,args", [
-    ("pv_scheme_study.py", ["--ratios", "1e1,1e2"]),
+    ("pv_scheme_study.py", ["--ratios", "1e1,1e3,1e4"]),
     ("vacuum_polarization_scan.py", ["--n", "5"]),
     ("zero_point_study.py", ["--n", "3", "--diagnose-gauge"]),
 ])
