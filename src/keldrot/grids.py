@@ -51,14 +51,15 @@ def _sign_value(sign) -> int:
 # parameter, so that bad input fails where it enters.
 
 def _require_finite(name: str, values) -> None:
-    """Raise a ValueError naming `name` and its first non-finite entry.  A
-    float (np.float64 too) takes a scalar path with the same message and
-    without the array cost, for per-point callers."""
+    """Raise a ValueError naming `name` and its first non-finite entry, of
+    real or complex values.  A float (np.float64 too) takes a scalar path
+    with the same message and without the array cost, for per-point
+    callers."""
     if isinstance(values, float):
         if not math.isfinite(values):
             raise ValueError(f"{name} must be finite, got {values}")
         return
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
     bad = values[~np.isfinite(values)]
     if bad.size:
         raise ValueError(f"{name} must be finite, got {bad[0]}")
@@ -254,6 +255,8 @@ class TwoPointKernel:
     kernel (`profile` is None), so a write through `values` is seen by
     every later read and every route.
     """
+
+    _gap = None  # (data, Z[D_R] at hbar c = 1) of a response kernel, kept by `rotation._gap_of`
 
     def __init__(self, grid: TimeGrid, values):
         self.grid = grid

@@ -119,25 +119,32 @@ def dress_retarded_grid(D_bare: TwoPointKernel, pi_R: TwoPointKernel) -> TwoPoin
     makes the solve a forward triangular substitution.  The result is
     retarded by construction.  For a time-invariant medium (D0 exactly
     lower-triangular Toeplitz, Pi_R exactly gamma I) the dressed kernel is
-    Toeplitz too, and only its first column is solved for.
+    Toeplitz too, and only its first column is solved for.  Both kernels
+    must be finite, and a dressed kernel that overflows (a Pi_R too strong
+    for the grid) is a ValueError naming Pi_R.
     """
     _check_same_grid(D_bare.grid, pi_R.grid)
     grid = D_bare.grid
+    overflow = "dressed kernel (the Dyson solve at this Pi_R)"
     a = _toeplitz_column(D_bare.values)
     gamma = _scalar_diagonal(pi_R.values) if a is not None else None
     if gamma is not None:
-        c = _dyson_column(a, grid.dt ** 2 * gamma)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            c = _dyson_column(a, grid.dt ** 2 * gamma)
+        _require_finite(overflow, c)
         return TwoPointKernel(grid, _toeplitz(c, np.zeros_like(c)))
     from scipy.linalg import solve_triangular
 
     earlier = _theta_masks(grid.n, False)[1]  # where theta = 0
     for name, K in (("bare propagator", D_bare), ("susceptibility", pi_R)):
         v = K.values  # its acausal part must be noise, <= 1e-10 of its largest entry
+        _require_finite(f"{name} kernel", v)
         if not np.abs(v[earlier]).max(initial=0.0) <= 1e-10 * max(np.abs(v).max(), 1e-300):
             raise ValueError(f"{name} kernel is not retarded in linear time")
     d0 = D_bare.values
     g = grid.dt ** 2 * (d0 @ pi_R.values)  # lower triangular
-    dressed = solve_triangular(np.eye(grid.n) - g, d0, lower=True)
+    dressed = solve_triangular(np.eye(grid.n) - g, d0, lower=True, check_finite=False)
+    _require_finite(overflow, dressed)
     return TwoPointKernel(grid, np.tril(dressed))
 
 

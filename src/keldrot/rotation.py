@@ -28,11 +28,10 @@ Kubo commutator).  `unrotate` refuses a rotated set whose K_F would not be
 the theta split of its K_W: an acausal D_R, D_R + D_R^T non-zero where
 theta = 1/2, or a non-symmetric N_0.
 
-Rotations of one set share one response: a `RotatedCumulants` keeps its
-gap with D_R's data array, made read-only then, and hands both to the sets
-`reorder` makes, and a later `rotate` of the same `CumulantSet` takes them
-when its fresh D_R has the same bytes, hbar c and grid.  Making that data
-writable again affects every set that shares it.
+Z is linear in hbar c, Z = hbar c Z_1, and Z_1 is kept on the D_R kernel
+(`_gap_of`), so every set holding that kernel shares it: the sets `reorder`
+makes, and a later `rotate` of the same `CumulantSet`, which takes its last
+rotation's D_R kernel when the fresh D_R has the same bytes and grid.
 
 A stationary set on the circle has circulant kernels, held by their lag
 profiles (`TwoPointKernel.circulant`; `ctl_cumulants` builds them at a
@@ -193,7 +192,7 @@ class CumulantSet:
     periodic: bool
 
     residual = None  # largest relative residual of the identities, measured where the set is made
-    _response = None  # weak refs to a rotation's (D_R data, gap), its hbar c and grid, kept by `rotate`
+    _response = None  # weak ref to the D_R kernel of the set's last rotation, kept by `rotate`
 
     def __post_init__(self):
         _require_positive("hbar_c", self.hbar_c)
@@ -206,7 +205,7 @@ class CumulantSet:
                 f"K_W is not Hermitian: residual {self.residual:.3e} > {_CONSISTENCY_TOL:.1e}")
 
     def __getstate__(self) -> dict:
-        """The set's state without `rotate`'s weak refs, which do not pickle."""
+        """The set's state without `rotate`'s weak ref, which does not pickle."""
         return {k: v for k, v in vars(self).items() if k != "_response"}
 
     @classmethod
@@ -297,24 +296,15 @@ class RotatedCumulants:
     imaginary part is all zero is stored real, and one with a non-zero
     imaginary entry is a ConsistencyError naming it.
 
-    The gap Z[D_R] (`reorder_gap_kernel`) is computed once per D_R and
-    hbar c, by the first `reorder` or `unrotate` that needs it, and handed
-    on to the sets `reorder` makes and to later rotations of the same set
-    (`rotate`), which share D_R's data.  It is kept with that data array
-    and hbar c, and the array is made read-only then, so an in-place write
-    into D_R raises instead of leaving a stale gap; a new D_R, or a
-    circulant one laid out, has new data and gets its gap afresh, and so
-    does a new `hbar_c`.  Making the shared data writable again drops the
-    kept gap of every set that shares it.  Nothing is kept of N_s: a write
-    into it is seen by the next `reorder`."""
+    The gap is kept on the D_R kernel (`_gap_of`), whose data is made
+    read-only then; nothing is kept of N_s, so a write into it is seen by
+    the next `reorder`."""
 
     mean: Signal
     D_R: TwoPointKernel
     N_s: TwoPointKernel
     p: OrderingParam
     hbar_c: float
-
-    _gap = None  # (D_R's data array, hbar c, Z[D_R] on them), kept by `_gap_of`
 
     def __post_init__(self):
         _require_positive("hbar_c", self.hbar_c)
@@ -365,27 +355,18 @@ def rotate(ctl: CumulantSet, p: OrderingParam) -> RotatedCumulants:
     """Rotate a Hermitian field's CTL cumulant set into (mean, D_R, N_s),
     N_s = N_0 - s Z[D_R] (`reorder` of the Weyl image).
 
-    Rotations of one set share one response: the Weyl image is formed
-    afresh on every call, and when its D_R has the raw bytes, shape and
-    layout of the read-only D_R data of the set's last rotation that took
-    a gap, with the same hbar c and grid, the new set takes that data
-    array and its kept gap instead of its own copy.  So every ordering of
-    a set filters D_R once and holds one D_R and one gap; making the
-    shared data writable again affects every set that shares it.  `ctl`
-    refers to the shared arrays weakly, so it keeps neither alive."""
+    The Weyl image is formed afresh on every call, and when the D_R kernel
+    of the set's last rotation still has read-only data with the raw bytes
+    of the fresh D_R, on the same grid, the new set takes that kernel and
+    so its kept gap: every ordering of a set filters D_R once.  `ctl`
+    refers to the kernel weakly, so it does not keep it alive."""
     weyl = _weyl_image(ctl)
-    if ctl._response is not None:
-        d_ref, z_ref, hbar_c, grid = ctl._response
-        kept, z = d_ref(), z_ref()
-        if (kept is not None and z is not None and not kept.flags.writeable
-                and hbar_c == weyl.hbar_c and grid == weyl.grid
-                and _same_bytes(kept, _data(weyl.D_R)[0])):
-            weyl.D_R = _kernel(grid, kept)
-            weyl._gap = (kept, hbar_c, z)
+    kept = ctl._response() if ctl._response is not None else None
+    if (kept is not None and kept.grid == weyl.grid and not _data(kept)[0].flags.writeable
+            and _same_bytes(_data(kept)[0], _data(weyl.D_R)[0])):
+        weyl.D_R = kept
     rot = reorder(weyl, p.s)
-    if rot._gap is not None:
-        d, hbar_c, z = rot._gap
-        ctl._response = (weakref.ref(d), weakref.ref(z), hbar_c, rot.grid)
+    ctl._response = weakref.ref(rot.D_R)
     return rot
 
 
@@ -469,32 +450,29 @@ def reorder_gap_kernel(D_R: TwoPointKernel, hbar_c: float) -> TwoPointKernel:
     return _kernel(D_R.grid, _add_transpose(y))
 
 
-def _gap_of(rot: RotatedCumulants) -> np.ndarray:
-    """The data of Z[D_R] (`reorder_gap_kernel`), kept on the set while
-    D_R's data is the array it was computed on and stays read-only, and
-    hbar c is the one it was computed with; that array is made read-only
-    here."""
-    d = _data(rot.D_R)[0]
-    kept = rot._gap
-    if kept is None or kept[0] is not d or kept[1] != rot.hbar_c or d.flags.writeable:
+def _gap_of(d_r: TwoPointKernel) -> np.ndarray:
+    """The data of Z_1 = Z[D_R] at hbar c = 1 (`reorder_gap_kernel`), kept
+    on the kernel while its data is the array it was computed on and stays
+    read-only; that array is made read-only here, so an in-place write
+    into it raises instead of leaving a stale gap."""
+    d = _data(d_r)[0]
+    if d_r._gap is None or d_r._gap[0] is not d or d.flags.writeable:
         d.flags.writeable = False
-        rot._gap = (d, rot.hbar_c, _data(reorder_gap_kernel(rot.D_R, rot.hbar_c))[0])
-    return rot._gap[2]
+        d_r._gap = (d, _data(reorder_gap_kernel(d_r, 1.0))[0])
+    return d_r._gap[1]
 
 
 def reorder(rot: RotatedCumulants, s_new: float) -> RotatedCumulants:
-    """Map the noise kernel to a new ordering: N_s' = N_s + (s - s') Z, with
-    the set's kept Z (`_gap_of`), which the returned set shares with it."""
+    """Map the noise kernel to a new ordering: N_s' = N_s + (s - s') hbar c Z_1,
+    with the Z_1 kept on D_R (`_gap_of`), which the returned set shares."""
     p_new = OrderingParam(s_new)  # validates |s_new| <= 1
     n_new = rot.N_s
     if s_new != rot.p.s:
-        n_s, z = _data(rot.N_s, _kernel(rot.grid, _gap_of(rot)))
-        out = (rot.p.s - s_new) * z
+        n_s, z = _data(rot.N_s, _kernel(rot.grid, _gap_of(rot.D_R)))
+        out = ((rot.p.s - s_new) * rot.hbar_c) * z
         out += n_s
         n_new = _kernel(rot.grid, out)
-    reordered = RotatedCumulants(rot.mean, rot.D_R, n_new, p_new, rot.hbar_c)
-    reordered._gap = rot._gap
-    return reordered
+    return RotatedCumulants(rot.mean, rot.D_R, n_new, p_new, rot.hbar_c)
 
 
 def rotation_substitution(eta: Signal, j_s: Signal, p: OrderingParam,

@@ -159,12 +159,16 @@ def signal_to_csv(f: Signal) -> str:
 def _numbers(values, name: str) -> np.ndarray:
     """`values` as a float array, refusing null, string and boolean entries
     (which numpy would read as NaN, as numbers and as 0/1) and the NaN and
-    infinite entries that `json.loads` reads from NaN and Infinity.
+    infinite entries that `json.loads` reads from NaN and Infinity, and a
+    ragged nesting, which numpy cannot shape.
 
     A boolean among numbers leaves a numeric dtype, so the entries' types
     are scanned as well, through the nesting that `np.asarray` found.
     """
-    a = np.asarray(values)
+    try:
+        a = np.asarray(values)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise ValueError(f"{name} is ragged: its rows differ in length or nesting") from None
     if a.dtype.kind not in "fiu":
         raise ValueError(f"{name} must hold numbers only; its entries read as {a.dtype} "
                          "(a null, string or boolean entry?)")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +283,17 @@ class TestDressRoutes:
         assert run(["dress", "--omega0", 1.0, "--coupling", 0.3, "--n", 64, "--dt", 0.0625,
                     "--out", outdir / "toy"]) == 0
         assert (outdir / "file.json").read_bytes() == (outdir / "toy.json").read_bytes()
+
+    @pytest.mark.parametrize("dt", [0.1, 0.0625])
+    def test_overflowing_toy_fails(self, dt, outdir, capsys):
+        """Exit 1 with the error alone on stderr: no NaN file, and no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["dress", "--omega0", 1, "--coupling", 1e200, "--n", 64, "--dt", dt,
+                        "--out", outdir / "d"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "computation" and "Pi_R" in err["detail"]
+        assert list(outdir.iterdir()) == []
 
     @pytest.mark.parametrize("spoil,message", [
         (lambda obj: [1, 2], "kernel must be a JSON object, got an array"),

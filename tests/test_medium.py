@@ -837,6 +837,25 @@ class TestToeplitzRoutes:
             with pytest.raises(np.linalg.LinAlgError, match="singular"):
                 dress_retarded_grid(TwoPointKernel(grid, d), TwoPointKernel(grid, pi_r))
 
+    def test_overflow_refused_on_both_routes(self, dense_solves):
+        """A Pi_R too strong for the grid overflows the dressed kernel: each
+        route raises, naming Pi_R, where it returned NaN entries."""
+        d_bare, pi_r, _, _ = one_mode_toy(TimeGrid(64, 0.0625), 1.0, 1e200)
+        for d0, routes in ((d_bare.values, 0), (one_ulp_off_toeplitz(d_bare.values), 1)):
+            with pytest.raises(ValueError, match=r"Dyson solve at this Pi_R\) must be finite"):
+                dress_retarded_grid(TwoPointKernel(d_bare.grid, d0), pi_r)
+            assert len(dense_solves) == routes
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("name", ["bare propagator", "susceptibility"])
+    def test_non_finite_kernel_named_on_dense_route(self, name, dtype):
+        """A NaN entry was read as an acausal kernel ("not retarded")."""
+        d_bare, pi_r, _, _ = one_mode_toy(TimeGrid(64, 0.0625), 1.0, 0.3)
+        kernels = {"bare propagator": d_bare.values.astype(dtype), "susceptibility": pi_r.values.copy()}
+        kernels[name][9, 2] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} kernel must be finite, got"):
+            dress_retarded_grid(*(TwoPointKernel(d_bare.grid, k) for k in kernels.values()))
+
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_noise_map_matches_dense_product(self, dtype):
         grid, _, d_bare, pi_r, _ = toy_kernels(n=512, total_time=12.0)

@@ -629,7 +629,7 @@ class TestKeptGap:
     @pytest.mark.parametrize("name", ["synthetic", "thermal"])
     def test_kept_gap_bit_equal_to_a_fresh_set(self, name):
         rot = rotate(kept_gap_sets()[name], OrderingParam(0.3))
-        assert rot._gap is not None
+        assert rot.D_R._gap is not None
         fresh = fresh_copy(rot)
         for s_new in (-0.6, 1.0):
             got, want = (rotation._data(reorder(r, s_new).N_s)[0] for r in (rot, fresh))
@@ -730,17 +730,51 @@ class TestKeptGap:
         for got, want in ((rot2.N_s, fresh.N_s), (rot2.D_R, fresh.D_R)):
             assert np.array_equal(rotation._data(got)[0], rotation._data(want)[0])
 
-    def test_response_keyed_on_hbar_c(self, monkeypatch):
-        """A set with real K_W has D_R = 0 at every hbar c, so only the key
-        tells the two rotations apart."""
+    def test_response_shared_across_hbar_c(self, monkeypatch):
+        """The kept gap is Z at hbar c = 1, so a set whose D_R keeps its bytes
+        when hbar c changes shares one D_R and one gap across both: a real
+        K_W (D_R = 0), and a synthetic K_W whose Im K_W doubles with hbar c."""
         calls = counted_gaps(monkeypatch)
-        ctl = CumulantSet.from_wightman(Signal.zero(GRID),
-                                        kept_gap_sets()["synthetic"].K_W.values.real + 0j)
-        rot1 = rotate(ctl, OrderingParam(0.3))
-        ctl.hbar_c = 2.0
-        rot2 = rotate(ctl, OrderingParam(0.3))
-        assert len(calls) == 2 and rot2.hbar_c == 2.0
-        assert not np.shares_memory(rot1.D_R.values, rot2.D_R.values)
+        real = CumulantSet.from_wightman(Signal.zero(GRID),
+                                         kept_gap_sets()["synthetic"].K_W.values.real + 0j)
+        for ctl in (real, kept_gap_sets()["synthetic"]):
+            rot1 = rotate(ctl, OrderingParam(0.3))
+            ctl.hbar_c = 2.0
+            ctl.K_W.values.imag *= 2.0
+            rot2 = rotate(ctl, OrderingParam(0.3))
+            assert rot2.hbar_c == 2.0 and rot2.D_R is rot1.D_R
+            fresh = rotate(dataclasses.replace(ctl), OrderingParam(0.3))
+            assert not np.shares_memory(rot2.D_R.values, fresh.D_R.values)
+            assert np.array_equal(rot2.N_s.values, fresh.N_s.values)
+        assert len(calls) == 4  # one per set, and one per fresh set
+        assert not np.array_equal(rot1.N_s.values, rot2.N_s.values)
+
+    @pytest.mark.parametrize("name", ["synthetic", "thermal"])
+    def test_hand_built_set_shares_the_kept_gap(self, name, monkeypatch):
+        calls = counted_gaps(monkeypatch)
+        rot = rotate(kept_gap_sets()[name], OrderingParam(0.3))
+        other = RotatedCumulants(rot.mean, rot.D_R, reorder(rot, -0.5).N_s, OrderingParam(0.1),
+                                 rot.hbar_c)
+        got = reorder(other, 0.9).N_s
+        unrotate(other)
+        assert len(calls) == 1
+        got, want = (rotation._data(k)[0] for k in (got, reorder(fresh_copy(other), 0.9).N_s))
+        assert got.ndim == want.ndim and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("hbar_c", [0.8, 1.0, 2.0])
+    @pytest.mark.parametrize("name", ["synthetic", "thermal"])
+    def test_reorder_scales_the_kept_gap_by_hbar_c(self, name, hbar_c):
+        """N_s' = N_s + (s - s') Z against Z = `reorder_gap_kernel(D_R, hbar c)`:
+        bit-equal at hbar c = 1, where the kept gap is Z itself."""
+        rot = rotate(dataclasses.replace(kept_gap_sets()[name], hbar_c=hbar_c), OrderingParam(0.3))
+        got = rotation._data(reorder(rot, -0.6).N_s)[0]
+        n_s, z = rotation._data(rot.N_s, reorder_gap_kernel(rot.D_R, hbar_c))
+        want = n_s + (rot.p.s - -0.6) * z
+        assert got.ndim == want.ndim
+        if hbar_c == 1.0:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_signed_zero_not_shared(self, monkeypatch):
         calls = counted_gaps(monkeypatch)
@@ -779,7 +813,7 @@ class TestKeptGap:
     def test_set_keeps_no_response_alive(self, name):
         ctl = kept_gap_sets()[name]
         rot1 = rotate(ctl, OrderingParam(0.3))
-        refs = [weakref.ref(rotation._data(rot1.D_R)[0]), weakref.ref(rotation._gap_of(rot1))]
+        refs = [weakref.ref(rotation._data(rot1.D_R)[0]), weakref.ref(rotation._gap_of(rot1.D_R))]
         del rot1
         gc.collect()
         assert [r() for r in refs] == [None, None]

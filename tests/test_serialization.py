@@ -536,6 +536,16 @@ class TestBadEntriesRejected:
         with pytest.raises(ValueError, match="re must hold numbers only; it has a boolean"):
             ser.signal_from_json(json.dumps(obj))
 
+    def test_ragged_array_named_by_path(self, grid, kernel):
+        obj = old_obj(kernel)
+        obj["re"] = [[1, 2], [3]]
+        with pytest.raises(ValueError, match=r"^re is ragged"):
+            ser.kernel_from_json(json.dumps(obj))
+        obj = json.loads(ser.cumulants_to_json(synthetic_cumulants(grid, np.random.default_rng(9))))
+        obj["K_W"]["re"][3].pop()
+        with pytest.raises(ValueError, match=r"^K_W\.re is ragged"):
+            ser.cumulants_from_json(json.dumps(obj))
+
     def test_non_finite_entry_in_bundles(self, grid):
         ctl = synthetic_cumulants(grid, np.random.default_rng(9))
         obj = json.loads(ser.cumulants_to_json(ctl))
