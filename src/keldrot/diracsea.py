@@ -405,6 +405,7 @@ def K_reg_coordinate(x_sq: float, sign_t: int, scheme: PVScheme,
     (l = 0..6) it is 4.3e-5 at x^2 = 2e-5, 1.6e-4 at 1e-5, 5.7e-4 at 5e-6
     and 2.1e-3 at 2.5e-6.
     """
+    _require_finite("x_sq", x_sq)
     cutoff_sq = CUTOFF_RATIO * (4.0 * scheme.masses[-1] ** 2)
     if sign_t not in (-1, 1):
         raise ValueError("sign_t must be +1 or -1")

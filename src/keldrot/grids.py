@@ -253,10 +253,10 @@ class TwoPointKernel:
     profile indexed like `TimeGrid.lags`.  Reading `values` of a circulant
     kernel lays it out as n x n once; from then on the layout is the
     kernel (`profile` is None), so a write through `values` is seen by
-    every later read and every route.
+    every later read and every route.  What is kept for the data (by
+    `rotation`) is in `_kept`, emptied whenever the data is assigned or laid
+    out, and never pickled or copied, so it goes with its data.
     """
-
-    _gap = None  # (data, Z[D_R] at hbar c = 1) of a response kernel, kept by `rotation._gap_of`
 
     def __init__(self, grid: TimeGrid, values):
         self.grid = grid
@@ -269,8 +269,17 @@ class TwoPointKernel:
         if profile.shape != (grid.n,):
             raise ValueError(f"lag profile shape {profile.shape} does not match grid n={grid.n}")
         kernel = cls.__new__(cls)
-        kernel.grid, kernel._values, kernel._profile = grid, None, profile
+        kernel.grid = grid
+        kernel._hold(None, profile)
         return kernel
+
+    def _hold(self, values: np.ndarray | None, profile: np.ndarray | None):
+        """Make (values, profile) the kernel's data, dropping what was kept."""
+        self._kept, self._values, self._profile = {}, values, profile
+
+    def __getstate__(self) -> dict:
+        """The state with nothing kept (a weak ref does not pickle)."""
+        return {**vars(self), "_kept": {}}
 
     @property
     def profile(self) -> np.ndarray | None:
@@ -280,8 +289,7 @@ class TwoPointKernel:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            p = self._profile
-            self._values, self._profile = _toeplitz(p, _reflected(p)), None
+            self._hold(_toeplitz(self._profile, _reflected(self._profile)), None)
         return self._values
 
     @values.setter
@@ -290,7 +298,7 @@ class TwoPointKernel:
         n = self.grid.n
         if values.shape != (n, n):
             raise ValueError(f"kernel shape {values.shape} does not match grid n={n}")
-        self._values, self._profile = values, None
+        self._hold(values, None)
 
     def __repr__(self) -> str:
         form = "values" if self._profile is None else "profile"

@@ -331,6 +331,7 @@ def wyld_mc(spec: OscillatorSpec, grid: TimeGrid, n_samples: int, seed: int,
     base = np.zeros(grid.n)
     if J_e is not None:
         _check_same_grid(grid, J_e.grid)
+        _require_finite("J_e", J_e.values)
         if np.any(J_e.values.imag):
             raise ValueError("J_e must be real: a classical current has no imaginary part")
         base = grid.dt * (dr @ J_e.values.real)

@@ -139,14 +139,13 @@ def ctl_cumulants(spec: OscillatorSpec, state: GaussianState, grid: TimeGrid,
     its lag profile and never lays it out as n x n.  Every other set is a
     dense K_W sampled at the linear lag t - t'.
     """
-    zero = Signal.zero(grid)
     cycles = round(spec.omega0 / grid.domega)
     if periodic and state.m == 0 and spec.omega0 == grid.resonant_frequency(cycles):
         k_w = TwoPointKernel.circulant(grid, wightman_kernel(spec, state, grid.lags, 0.0))
-        return CumulantSet(zero, k_w, spec.hbar, periodic)
-    t = grid.times
-    k_w = wightman_kernel(spec, state, t[:, None], t[None, :])
-    return CumulantSet.from_wightman(zero, k_w, periodic, spec.hbar)
+    else:
+        t = grid.times
+        k_w = TwoPointKernel(grid, wightman_kernel(spec, state, t[:, None], t[None, :]))
+    return CumulantSet(Signal.zero(grid), k_w, spec.hbar, periodic)
 
 
 def reorder_gap(spec: OscillatorSpec, tau):

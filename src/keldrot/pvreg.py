@@ -265,8 +265,9 @@ def moment_integral_exact(scheme: PVScheme, cutoff_sq: float):
     with G_l = (y-1)sqrt(1-1/y) at y = cutoff/(4mu_l^2).  Evaluated in
     `decimal` with the extended-precision coefficients, at the digits they
     carry plus a guard, so the cancellation between the signed terms
-    carries no floating-point noise and the decay of the remainder with
-    the cutoff is visible to arbitrary depth.
+    carries no floating-point noise.  d_mp is rounded to its D digits, so
+    S_0 = sum_l (-1)^l d_l is about 10^-D, not 0, and adds S_0 cutoff / 6pi:
+    the remainder decays with the cutoff only down to that term.
     """
     _require_finite("cutoff_sq", cutoff_sq)
     with localcontext() as ctx:

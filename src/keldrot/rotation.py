@@ -18,9 +18,9 @@ entrywise "Re" in that formula is ambiguous for them.
 For a Hermitian field the triple carries no more than K_W: K_F is the theta
 split of K_W and K_rev = K_F*.  So a `CumulantSet` is stored as (mean, K_W,
 hbar c, time representation), K_W checked Hermitian once where the set is
-made, and K_F and K_rev derived where they are read.  `from_wightman` (the
-oscillator's `ctl_cumulants`, `synthetic_cumulants`) and `unrotate` make
-one from K_W; `cumulants_from_json` makes one from a file's triple, after
+made, and K_F and K_rev derived where they are read.  The oscillator's
+`ctl_cumulants`, `synthetic_cumulants` and `unrotate` make one from K_W;
+`cumulants_from_json` makes one from a file's triple, after
 checking the CTL identity, K_rev = K_F*, K_W Hermitian and K_F the theta
 split.  The Weyl image takes element-wise real passes over K_W:
 N_0 = Re K_W (its symmetric part) and D_R = 2 theta Im K_W / hbar c (the
@@ -28,10 +28,10 @@ Kubo commutator).  `unrotate` refuses a rotated set whose K_F would not be
 the theta split of its K_W: an acausal D_R, D_R + D_R^T non-zero where
 theta = 1/2, or a non-symmetric N_0.
 
-Z is linear in hbar c, Z = hbar c Z_1, and Z_1 is kept on the D_R kernel
-(`_gap_of`), so every set holding that kernel shares it: the sets `reorder`
-makes, and a later `rotate` of the same `CumulantSet`, which takes its last
-rotation's D_R kernel when the fresh D_R has the same bytes and grid.
+Z is linear in hbar c, Z = hbar c Z_1.  Z_1 is kept on the D_R kernel
+(`_gap_of`), shared by every set holding it, and a weak ref to that kernel
+on the K_W kernel, which a later `rotate` on that K_W takes when the fresh
+D_R has the same bytes and grid; each goes with its kernel's data.
 
 A stationary set on the circle has circulant kernels, held by their lag
 profiles (`TwoPointKernel.circulant`; `ctl_cumulants` builds them at a
@@ -192,7 +192,6 @@ class CumulantSet:
     periodic: bool
 
     residual = None  # largest relative residual of the identities, measured where the set is made
-    _response = None  # weak ref to the D_R kernel of the set's last rotation, kept by `rotate`
 
     def __post_init__(self):
         _require_positive("hbar_c", self.hbar_c)
@@ -203,16 +202,6 @@ class CumulantSet:
         if not self.residual <= _CONSISTENCY_TOL:  # NaN fails too
             raise ConsistencyError(
                 f"K_W is not Hermitian: residual {self.residual:.3e} > {_CONSISTENCY_TOL:.1e}")
-
-    def __getstate__(self) -> dict:
-        """The set's state without `rotate`'s weak ref, which does not pickle."""
-        return {k: v for k, v in vars(self).items() if k != "_response"}
-
-    @classmethod
-    def from_wightman(cls, mean: Signal, k_w: np.ndarray, periodic: bool = False,
-                      hbar_c: float = 1.0) -> "CumulantSet":
-        """The set of a Hermitian field with Wightman kernel k_w."""
-        return cls(mean, TwoPointKernel(mean.grid, k_w), hbar_c, periodic)
 
     @classmethod
     def _measured(cls, residual: float, mean: Signal, k_w: TwoPointKernel,
@@ -356,17 +345,17 @@ def rotate(ctl: CumulantSet, p: OrderingParam) -> RotatedCumulants:
     N_s = N_0 - s Z[D_R] (`reorder` of the Weyl image).
 
     The Weyl image is formed afresh on every call, and when the D_R kernel
-    of the set's last rotation still has read-only data with the raw bytes
-    of the fresh D_R, on the same grid, the new set takes that kernel and
-    so its kept gap: every ordering of a set filters D_R once.  `ctl`
-    refers to the kernel weakly, so it does not keep it alive."""
+    of the last rotation of a set on this K_W kernel still has read-only
+    data with the raw bytes of the fresh D_R, on the same grid, the new set
+    takes that kernel and so its kept gap: every ordering filters D_R once.
+    K_W keeps the kernel by a weak ref, so it does not keep it alive."""
     weyl = _weyl_image(ctl)
-    kept = ctl._response() if ctl._response is not None else None
+    kept = ctl.K_W._kept.get("response", lambda: None)()
     if (kept is not None and kept.grid == weyl.grid and not _data(kept)[0].flags.writeable
             and _same_bytes(_data(kept)[0], _data(weyl.D_R)[0])):
         weyl.D_R = kept
     rot = reorder(weyl, p.s)
-    ctl._response = weakref.ref(rot.D_R)
+    ctl.K_W._kept["response"] = weakref.ref(rot.D_R)
     return rot
 
 
@@ -452,14 +441,14 @@ def reorder_gap_kernel(D_R: TwoPointKernel, hbar_c: float) -> TwoPointKernel:
 
 def _gap_of(d_r: TwoPointKernel) -> np.ndarray:
     """The data of Z_1 = Z[D_R] at hbar c = 1 (`reorder_gap_kernel`), kept
-    on the kernel while its data is the array it was computed on and stays
-    read-only; that array is made read-only here, so an in-place write
-    into it raises instead of leaving a stale gap."""
+    on the kernel with its data while that stays read-only; the data is made
+    read-only here, so an in-place write into it raises instead of leaving
+    a stale gap."""
     d = _data(d_r)[0]
-    if d_r._gap is None or d_r._gap[0] is not d or d.flags.writeable:
+    if "gap" not in d_r._kept or d.flags.writeable:
         d.flags.writeable = False
-        d_r._gap = (d, _data(reorder_gap_kernel(d_r, 1.0))[0])
-    return d_r._gap[1]
+        d_r._kept["gap"] = _data(reorder_gap_kernel(d_r, 1.0))[0]
+    return d_r._kept["gap"]
 
 
 def reorder(rot: RotatedCumulants, s_new: float) -> RotatedCumulants:
@@ -583,4 +572,4 @@ def synthetic_cumulants(grid: TimeGrid, rng: np.random.Generator) -> CumulantSet
     mean_vals = np.zeros(n)
     for i in range(len(modes)):
         mean_vals += rng.normal() * cs[0, i] + rng.normal() * cs[1, i]
-    return CumulantSet.from_wightman(Signal(grid, mean_vals), k_w)
+    return CumulantSet(Signal(grid, mean_vals), TwoPointKernel(grid, k_w), 1.0, False)

@@ -180,4 +180,4 @@ def synthetic_outer_route(grid, rng) -> "rotation.CumulantSet":
     for k in modes:
         om = grid.resonant_frequency(int(k))
         mean_vals += rng.normal() * np.cos(om * t) + rng.normal() * np.sin(om * t)
-    return rotation.CumulantSet.from_wightman(Signal(grid, mean_vals), k_w)
+    return rotation.CumulantSet(Signal(grid, mean_vals), TwoPointKernel(grid, k_w), 1.0, False)

@@ -49,7 +49,7 @@ def layout(k):
 
 
 def dense_set(ctl):
-    return CumulantSet.from_wightman(ctl.mean, layout(ctl.K_W), True, ctl.hbar_c)
+    return CumulantSet(ctl.mean, TwoPointKernel(ctl.grid, layout(ctl.K_W)), ctl.hbar_c, True)
 
 
 def dense_rotated(rot):

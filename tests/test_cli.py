@@ -382,6 +382,15 @@ class TestStochasticVerbs:
         assert err["error"] == "computation" and flag[0][2:].replace("-", "_") in err["detail"]
         assert not (outdir / "m.json").exists()
 
+    @pytest.mark.parametrize("word", ["nan", "inf"])
+    def test_mc_non_finite_source_fails(self, word, outdir, capsys):
+        code = run(["mc", "--samples", 100, "--seed", 1, "--n", 8, "--dt", 0.5,
+                    "--je-amplitude", word, "--out", outdir / "m"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "computation" and "J_e must be finite" in err["detail"]
+        assert list(outdir.iterdir()) == []
+
     def test_oscillator_lambda_check_verb(self, outdir):
         out = outdir / "lc"
         # omega0 resonant on the grid: 2 cycles over n*dt = 4 pi

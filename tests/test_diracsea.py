@@ -329,6 +329,11 @@ class TestCoordinateSpace:
         out = K_reg_coordinate(-1.0, 1, scheme)
         assert out["smooth"] == 0.0
 
+    @pytest.mark.parametrize("x_sq", [np.nan, np.inf, -np.inf])
+    def test_non_finite_interval_refused(self, scheme, x_sq):
+        with pytest.raises(ValueError, match=f"x_sq must be finite, got {x_sq}"):
+            K_reg_coordinate(x_sq, 1, scheme)
+
     def test_cone_delta_coefficient_cancels(self, scheme):
         out = K_reg_coordinate(-1.0, 1, scheme)
         # the unregularized cone coefficient at a cutoff of 4e4

@@ -689,6 +689,14 @@ class TestWyldMC:
         with pytest.raises(ValueError, match=name):
             wyld_mc(OscillatorSpec(omega0=1.0), grid, 10, seed=0, **{name: value})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_source_rejected(self, bad):
+        grid = TimeGrid(8, 0.5)
+        j_e = np.cos(grid.times)
+        j_e[3] = bad
+        with pytest.raises(ValueError, match=f"J_e must be finite, got {bad}"):
+            wyld_mc(OscillatorSpec(omega0=1.0), grid, 10, seed=0, J_e=Signal(grid, j_e))
+
     def test_complex_source_rejected(self):
         grid = TimeGrid(8, 0.5)
         spec = OscillatorSpec(omega0=1.0)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import pickle
@@ -413,7 +414,7 @@ class TestTwoRoute:
 
 
 def parent_theta_split(k_w, periodic):
-    """K_F selected by the dense theta matrix, as from_wightman stored it."""
+    """K_F selected by the dense theta matrix, as a set made from K_W stored it."""
     th = lag_index_theta(GRID, periodic)
     k_f = np.where(th == 1.0, k_w, k_w.T)
     tie = th == 0.5
@@ -424,8 +425,10 @@ def parent_theta_split(k_w, periodic):
 STORED_SETS = {
     **ORACLE_SETS,
     # a real K_W: D_R is zero throughout
-    "classical real": lambda: CumulantSet.from_wightman(
-        Signal.zero(GRID), np.cos(W0 * (GRID.times[:, None] - GRID.times[None, :]))),
+    "classical real": lambda: CumulantSet(
+        Signal.zero(GRID),
+        TwoPointKernel(GRID, np.cos(W0 * (GRID.times[:, None] - GRID.times[None, :]))),
+        1.0, False),
 }
 
 
@@ -485,7 +488,7 @@ class TestStoredWightman:
         k_w = vacuum_ctl().K_W.values.copy()
         k_w[3, 5] += 1e-6
         with pytest.raises(ConsistencyError, match="not Hermitian: residual 2.0"):
-            CumulantSet.from_wightman(Signal.zero(GRID), k_w, periodic=True)
+            CumulantSet(Signal.zero(GRID), TwoPointKernel(GRID, k_w), 1.0, True)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -495,7 +498,7 @@ class TestStoredWightman:
         k_w = vacuum_ctl().K_W.values.copy()
         k_w[where] = bad
         with pytest.raises(ConsistencyError, match="not Hermitian: residual nan"):
-            CumulantSet.from_wightman(Signal.zero(GRID), k_w, periodic=True)
+            CumulantSet(Signal.zero(GRID), TwoPointKernel(GRID, k_w), 1.0, True)
 
     @pytest.mark.parametrize("name", ["K_F", "K_rev", "K_W"])
     def test_non_finite_triple_entry_fails_validation(self, name):
@@ -510,13 +513,13 @@ class TestStoredWightman:
         # the rotate and unrotate manifests report), and held to 1e-8
         k_w = vacuum_ctl().K_W.values.copy()
         k_w[3, 5] += 1e-10
-        ctl = CumulantSet.from_wightman(Signal.zero(GRID), k_w, periodic=True)
+        ctl = CumulantSet(Signal.zero(GRID), TwoPointKernel(GRID, k_w), 1.0, True)
         worst, size = rotation._mirror_residual(k_w)
         assert ctl.residual == worst / size and 1e-10 < ctl.residual < 1e-8
         rotate(ctl, OrderingParam(0.2))
         k_w[3, 5] += 1e-8
         with pytest.raises(ConsistencyError, match="not Hermitian: residual 2.0"):
-            CumulantSet.from_wightman(Signal.zero(GRID), k_w, periodic=True)
+            CumulantSet(Signal.zero(GRID), TwoPointKernel(GRID, k_w), 1.0, True)
 
     @pytest.mark.parametrize("name", ORACLE_SETS)
     def test_unrotate_stores_the_wightman_kernel(self, name):
@@ -594,6 +597,12 @@ def fresh_copy(rot):
                             rotation._kernel(GRID, rotation._data(rot.N_s)[0]), rot.p, rot.hbar_c)
 
 
+def unshared(ctl):
+    """`ctl` on a copy of its K_W data, so it shares no kept response."""
+    k_w = rotation._kernel(ctl.grid, rotation._data(ctl.K_W)[0].copy())
+    return dataclasses.replace(ctl, K_W=k_w)
+
+
 def counted_gaps(monkeypatch):
     """A list that grows by one on every `reorder_gap_kernel` call."""
     calls, gap = [], rotation.reorder_gap_kernel
@@ -629,7 +638,7 @@ class TestKeptGap:
     @pytest.mark.parametrize("name", ["synthetic", "thermal"])
     def test_kept_gap_bit_equal_to_a_fresh_set(self, name):
         rot = rotate(kept_gap_sets()[name], OrderingParam(0.3))
-        assert rot.D_R._gap is not None
+        assert "gap" in rot.D_R._kept
         fresh = fresh_copy(rot)
         for s_new in (-0.6, 1.0):
             got, want = (rotation._data(reorder(r, s_new).N_s)[0] for r in (rot, fresh))
@@ -701,7 +710,7 @@ class TestKeptGap:
         rot1 = rotate(ctl, OrderingParam(0.3))
         rot2 = rotate(ctl, OrderingParam(-0.7))
         assert np.shares_memory(rotation._data(rot1.D_R)[0], rotation._data(rot2.D_R)[0])
-        fresh = rotate(dataclasses.replace(ctl), OrderingParam(-0.7))
+        fresh = rotate(unshared(ctl), OrderingParam(-0.7))
         for got, want in ((rot2.N_s, fresh.N_s), (rot2.D_R, fresh.D_R),
                           (unrotate(rot2).K_W, unrotate(fresh).K_W)):
             got, want = rotation._data(got)[0], rotation._data(want)[0]
@@ -726,7 +735,7 @@ class TestKeptGap:
         rot2 = rotate(ctl, OrderingParam(-0.7))
         assert len(calls) == 2
         assert not np.shares_memory(rotation._data(rot1.D_R)[0], rotation._data(rot2.D_R)[0])
-        fresh = rotate(dataclasses.replace(ctl), OrderingParam(-0.7))
+        fresh = rotate(unshared(ctl), OrderingParam(-0.7))
         for got, want in ((rot2.N_s, fresh.N_s), (rot2.D_R, fresh.D_R)):
             assert np.array_equal(rotation._data(got)[0], rotation._data(want)[0])
 
@@ -735,15 +744,15 @@ class TestKeptGap:
         when hbar c changes shares one D_R and one gap across both: a real
         K_W (D_R = 0), and a synthetic K_W whose Im K_W doubles with hbar c."""
         calls = counted_gaps(monkeypatch)
-        real = CumulantSet.from_wightman(Signal.zero(GRID),
-                                         kept_gap_sets()["synthetic"].K_W.values.real + 0j)
+        k_w = TwoPointKernel(GRID, kept_gap_sets()["synthetic"].K_W.values.real + 0j)
+        real = CumulantSet(Signal.zero(GRID), k_w, 1.0, False)
         for ctl in (real, kept_gap_sets()["synthetic"]):
             rot1 = rotate(ctl, OrderingParam(0.3))
             ctl.hbar_c = 2.0
             ctl.K_W.values.imag *= 2.0
             rot2 = rotate(ctl, OrderingParam(0.3))
             assert rot2.hbar_c == 2.0 and rot2.D_R is rot1.D_R
-            fresh = rotate(dataclasses.replace(ctl), OrderingParam(0.3))
+            fresh = rotate(unshared(ctl), OrderingParam(0.3))
             assert not np.shares_memory(rot2.D_R.values, fresh.D_R.values)
             assert np.array_equal(rot2.N_s.values, fresh.N_s.values)
         assert len(calls) == 4  # one per set, and one per fresh set
@@ -778,8 +787,8 @@ class TestKeptGap:
 
     def test_signed_zero_not_shared(self, monkeypatch):
         calls = counted_gaps(monkeypatch)
-        ctl = CumulantSet.from_wightman(Signal.zero(GRID),
-                                        kept_gap_sets()["synthetic"].K_W.values.real + 0j)
+        k_w = TwoPointKernel(GRID, kept_gap_sets()["synthetic"].K_W.values.real + 0j)
+        ctl = CumulantSet(Signal.zero(GRID), k_w, 1.0, False)
         rot1 = rotate(ctl, OrderingParam(0.3))
         ctl.K_W.values.imag[5, 2] = -0.0  # theta = 1 there: D_R[5, 2] becomes -0.0
         rot2 = rotate(ctl, OrderingParam(0.3))
@@ -806,7 +815,7 @@ class TestKeptGap:
         ctl = kept_gap_sets()["synthetic"]
         rot = rotate(ctl, OrderingParam(0.3))
         back = pickle.loads(pickle.dumps(ctl))
-        assert back._response is None and ctl._response is not None
+        assert back.K_W._kept == {} and "response" in ctl.K_W._kept
         assert np.array_equal(rotate(back, OrderingParam(0.3)).N_s.values, rot.N_s.values)
 
     @pytest.mark.parametrize("name", ["synthetic", "thermal"])
@@ -819,6 +828,77 @@ class TestKeptGap:
         assert [r() for r in refs] == [None, None]
         rot2 = rotate(ctl, OrderingParam(0.3))
         assert rot2.D_R.grid == ctl.grid
+
+
+class TestKeptData:
+    """What rotation keeps for a kernel's data (`TwoPointKernel._kept`)
+    goes with that data: a new or laid-out array drops it, and a pickled or
+    copied kernel carries none of it."""
+
+    @pytest.mark.parametrize("name", ["synthetic", "thermal"])
+    def test_pickled_or_copied_kernel_keeps_nothing(self, name):
+        ctl = kept_gap_sets()[name]
+        rot = rotate(ctl, OrderingParam(0.3))
+        assert "gap" in rot.D_R._kept and "response" in ctl.K_W._kept
+        for kernel in (rot.D_R, ctl.K_W):
+            for back in (pickle.loads(pickle.dumps(kernel)), copy.copy(kernel),
+                         copy.deepcopy(kernel)):
+                assert back._kept == {} and back.grid == kernel.grid
+                assert np.array_equal(rotation._data(back)[0], rotation._data(kernel)[0])
+        assert copy.deepcopy(rot).D_R._kept == {} and copy.copy(ctl).K_W is ctl.K_W
+
+    def test_rotated_set_pickles_without_its_gap(self):
+        rot = rotate(synthetic_cumulants(TimeGrid(1024, 0.05), np.random.default_rng(7)),
+                     OrderingParam(0.3))
+        data = pickle.dumps(rot)
+        assert len(data) <= 17e6  # mean, D_R and N_s; the n x n gap would add 8.4 MB
+        back = pickle.loads(data)
+        assert back.D_R._kept == {}
+        for s_new in (-0.6, 1.0):
+            got, want = (reorder(r, s_new).N_s.values for r in (back, rot))
+            assert np.array_equal(got, want)
+        assert np.array_equal(unrotate(back).K_W.values, unrotate(rot).K_W.values)
+
+    @pytest.mark.parametrize("name", ["synthetic", "thermal"])
+    def test_old_data_and_gap_freed_on_new_data(self, name):
+        """A `values` assignment, or the layout of a circulant D_R, frees
+        the old data and the gap kept for it."""
+        rot = rotate(kept_gap_sets()[name], OrderingParam(0.3))
+        for _ in range(2):
+            old = rotation._data(rot.D_R)[0]
+            refs = [weakref.ref(old), weakref.ref(rotation._gap_of(rot.D_R))]
+            if old.ndim == 1:
+                rot.D_R.values  # lays the profile out
+            else:
+                rot.D_R.values = old.copy()
+            del old
+            gc.collect()
+            assert all(r() is None for r in refs) and rot.D_R._kept == {}
+            assert np.array_equal(reorder(rot, -0.2).N_s.values,
+                                  reorder(fresh_copy(rot), -0.2).N_s.values)
+
+    @pytest.mark.parametrize("name", ["synthetic", "thermal"])
+    def test_wightman_assignment_drops_the_response(self, name, monkeypatch):
+        calls = counted_gaps(monkeypatch)
+        ctl = kept_gap_sets()[name]
+        rot1 = rotate(ctl, OrderingParam(0.3))
+        ctl.K_W.values = ctl.K_W.values.copy()  # the same bytes in a new array
+        assert "response" not in ctl.K_W._kept
+        rot2 = rotate(ctl, OrderingParam(0.3))
+        assert len(calls) == 2 and rot2.D_R is not rot1.D_R
+        fresh = rotate(unshared(ctl), OrderingParam(0.3))
+        assert np.array_equal(rot2.N_s.values, fresh.N_s.values)
+
+    @pytest.mark.parametrize("name", ["synthetic", "thermal"])
+    def test_sets_on_one_wightman_kernel_share_one_gap(self, name, monkeypatch):
+        calls = counted_gaps(monkeypatch)
+        ctl = kept_gap_sets()[name]
+        other = dataclasses.replace(ctl)
+        assert other.K_W is ctl.K_W
+        rot1 = rotate(ctl, OrderingParam(0.3))
+        rot2 = rotate(other, OrderingParam(-0.7))
+        unrotate(rot2)
+        assert len(calls) == 1 and rot2.D_R is rot1.D_R
 
 
 def test_induced_sign_fault_breaks_round_trip(monkeypatch):

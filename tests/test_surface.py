@@ -36,9 +36,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "keldrot"
-MAX_SETTABLE_VALUES = 25
+MAX_SETTABLE_VALUES = 23
 MAX_PUBLIC_NAMES = 100  # the entries of every module's `__all__`, the package's own included
-MAX_SOURCE_LINES = 3944  # `wc -l src/keldrot/*.py`
+MAX_SOURCE_LINES = 3943  # `wc -l src/keldrot/*.py`
 # the read half of a CLI output format: `kernel_from_csv` reads the kernel
 # CSV that `kernel_to_csv` writes for the oscillator, mc and kernels verbs
 READERS_OF_CLI_OUTPUT = {"kernel_from_csv"}
