@@ -407,8 +407,8 @@ def K_reg_coordinate(x_sq: float, sign_t: int, scheme: PVScheme,
     """
     _require_finite("x_sq", x_sq)
     cutoff_sq = CUTOFF_RATIO * (4.0 * scheme.masses[-1] ** 2)
-    if sign_t not in (-1, 1):
-        raise ValueError("sign_t must be +1 or -1")
+    if isinstance(sign_t, bool) or sign_t not in (-1, 1):
+        raise ValueError(f"sign_t must be +1 or -1, got {sign_t!r}")
     smooth, panels, abserr = 0.0, 0, 0.0
     if x_sq > 0:
         value, panels, abserr = _smooth_amplitude(x_sq, scheme, cutoff_sq)
@@ -444,28 +444,32 @@ def _smooth_amplitude(x_sq: float, scheme: PVScheme, cutoff_sq: float):
         u = (mu_top / mu) ** 2
         total = np.zeros_like(mu)
         for c in reversed(series):
-            total = total * u + c
+            total *= u
+            total += c
         return mu ** 2 * total / (3.0 * np.pi) * j1(mu * r)
 
     rules = [_gauss_legendre(GAUSS_ORDER), _gauss_legendre(GAUSS_ORDER_CHECK)]
-    sums = [0.0, 0.0]
-    panels = 0
     breaks = thresholds + [mu_s, mu_hi]
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        n = math.ceil((b - a) / step)
-        h = (b - a) / n
-        # a band that starts at a threshold takes mu = a + h s^2 on its
-        # first panel, which removes the square-root kink there
+    bands = [(a, n, (b - a) / n) for a, b in zip(breaks[:-1], breaks[1:])
+             for n in [math.ceil((b - a) / step)]]
+    # a band that starts at a threshold takes mu = a + h s^2 on its first
+    # panel, which removes the square-root kink there; those panels of
+    # every band, under both rules, go through one integrand call
+    firsts = below(np.concatenate([a + h * t * t for a, _, h in bands if a < mu_s
+                                   for t, _ in rules]))
+    sums = [0.0, 0.0]
+    for a, n, h in bands:
         kink = a < mu_s
         integrand = below if kink else above
         if kink:
             for j, (t, w) in enumerate(rules):
-                sums[j] += float(integrand(a + h * t * t) @ (2.0 * h * t * w))
+                vals, firsts = firsts[:t.size], firsts[t.size:]
+                sums[j] += float(vals @ (2.0 * h * t * w))
         for first in range(int(kink), n, PANEL_CHUNK):
             left = a + h * np.arange(first, min(n, first + PANEL_CHUNK))
             for j, (t, w) in enumerate(rules):
                 sums[j] += float(np.sum(integrand(left[:, None] + h * t) @ (h * w)))
-        panels += n
+    panels = sum(n for _, n, _ in bands)
     norm = 8.0 * np.pi ** 2 * r
     return sums[0] / norm, panels, abs(sums[0] - sums[1]) / norm
 

@@ -12,21 +12,19 @@ requires the moment conditions
 (B(2) is absent because the 1/y coefficient of the large-argument
 expansion of F vanishes).  The zero-momentum renormalization condition is
 the additional row B(0).  The system matrix is Vandermonde-like and
-catastrophically ill-conditioned for well-separated masses.  Its rows are
-assembled from integer (mantissa, exponent) pairs rounded to 53 bits, so
-every entry is a dyadic rational and the rounded system has one exact
-solution, which fraction-free elimination finds in Python integers; only
-the solution is rounded, to double and to decimal strings.  The moment
-routines (`moment_integral_exact`, `moment_sums`) sum those strings in the
-standard `decimal` module, so the module needs no arbitrary-precision
-library beyond the standard one.
+catastrophically ill-conditioned for well-separated masses.  Its entries
+are rounded to 53 bits as integer (mantissa, exponent) pairs, so each row
+is a power of two times a row of Python integers, and fraction-free
+elimination finds the rounded system's one exact solution in integers;
+only the solution is rounded, to double and to decimal strings.  The
+moment routines sum those strings in the standard `decimal` module.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -56,8 +54,7 @@ def series_coeffs_fractions(n_max: int) -> list[Fraction]:
     c_0 = 1, c_1 = 0, c_2 = -3/8, then
     c_{m+1}/c_m = m(2m-3) / (2(m^2-1)) for m >= 2.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    n_max = _require_count("n_max", n_max, zero_ok=True)
     cs = [Fraction(1), Fraction(0), Fraction(-3, 8)]
     m = 2
     while len(cs) <= n_max:
@@ -74,7 +71,7 @@ def geometric_masses(mu0: float, ratio: float, count: int) -> list[float]:
     """Masses mu_l = mu0 * ratio^l for l = 0..count-1 (count includes mu0)."""
     if not (math.isfinite(ratio) and ratio > 1):
         raise ValueError(f"mass ratio must be finite and exceed 1, got {ratio}")
-    return [mu0 * ratio ** l for l in range(count)]
+    return [mu0 * ratio ** l for l in range(_require_count("count", count))]
 
 
 def _checked_masses(masses) -> list[float]:
@@ -105,8 +102,7 @@ class PVScheme:
     row_labels: list[str]
 
     def __post_init__(self):
-        if self.M < 0:
-            raise ValueError("smoothness order M must be >= 0")
+        _require_count("M", self.M, zero_ok=True)
         ms = _checked_masses(self.masses)
         if len(self.d) != len(ms) or len(self.d_mp) != len(ms):
             raise ValueError("coefficient count must match mass count")
@@ -143,13 +139,14 @@ def _exact_decimal(man: int, exp: int) -> Decimal:
     return Decimal(man << exp) if exp >= 0 else Decimal(f"{man * 5 ** -exp}E{exp}")
 
 
-def _system(M: int, masses: list[float], labels: list[str]) -> tuple[list, list]:
-    """The rows a and right-hand side b of the moment system, as Decimals.
+def _system(M: int, masses: list[float], labels: list[str]) -> list[list[int]]:
+    """The rows of the moment system, right-hand side last, as integers.
 
     Every step is rounded to 53 bits, half to even: the power mu_l^(2n)
     from its exact value, the ratio mu_l/mu_0, its logarithm (from
     `Decimal.ln` at 40 digits) and the product of a power with
-    2 ln(mu_l/mu_0).  The rounded entries are exact in `decimal`.
+    2 ln(mu_l/mu_0).  Each row of (man, exp) pairs is then scaled to
+    integers by its lowest power of two (by none if it holds integers).
     """
     # each mass as (man, exp): a float's denominator is a power of two
     mu = [(num, 1 - den.bit_length()) for num, den in (m.as_integer_ratio() for m in masses)]
@@ -157,41 +154,38 @@ def _system(M: int, masses: list[float], labels: list[str]) -> tuple[list, list]
     # (-1)^l mu_l^(2n): A(2n) holds them for l >= 1, b the negated l = 0 term
     powers = [[_rounded((-1) ** l * man ** (2 * n), exp=2 * n * exp)
                for l, (man, exp) in enumerate(mu)] for n in range(M + 3)]
-    with localcontext() as ctx:
-        ctx.prec = 40
-        # 2 ln(mu_l/mu_0); a B(2n) entry is the A one times it
-        logs = [_rounded(*_exact_decimal(*_rounded(man, man0, exp - exp0)).ln().as_integer_ratio(),
-                         exp=1) for man, exp in mu[1:]]
-    a, b = [], []
+    # 2 ln(mu_l/mu_0); a B(2n) entry is the A one times it
+    ln = Context(prec=40).ln
+    logs = [_rounded(*ln(_exact_decimal(*_rounded(man, man0, exp - exp0))).as_integer_ratio(),
+                     exp=1) for man, exp in mu[1:]]
+    rows = []
     for lab in labels:
         n = int(lab[2:-1]) // 2
         row = powers[n][1:]
         if lab[0] == "B":
             row = [_rounded(p * g, exp=e_p + e_g) for (p, e_p), (g, e_g) in zip(row, logs)]
-        a.append([_exact_decimal(*v) for v in row])
         p, e = powers[n][0]
-        b.append(_exact_decimal(-p, e) if lab[0] == "A" else Decimal(0))
-    return a, b
+        row = [*row, (-p, e) if lab[0] == "A" else (0, 0)]
+        # the lowest power of two among the entries, their trailing zero
+        # bits counted, and 2^0, so that an integer row stays as it is
+        low = min([e + (m & -m).bit_length() - 1 for m, e in row if m] + [0])
+        rows.append([m << e - low if e >= low else m >> low - e for m, e in row])
+    return rows
 
 
-def _exact_solve(a, b) -> tuple[list[Fraction], int]:
-    """The exact solution x of a x = b, and the digits its strings keep.
+def _exact_solve(rows: list[list[int]]) -> tuple[list[int], int, int]:
+    """The exact solution of the integer system, as (det x, det, digits).
 
-    Every entry is a dyadic rational, so each row, its right-hand side
-    included, scales to integers by its lowest power of two.  Fraction-free
-    elimination (Bareiss, Math. Comp. 22 (1968) 565) keeps every entry
-    integral, each update dividing exactly by the previous pivot, whose last
-    value is the determinant up to sign; det x is integral by Cramer's rule,
-    so back-substitution on it divides exactly too.  The system is singular
+    Each row holds its right-hand side last; the rows are eliminated in
+    place.  Fraction-free elimination (Bareiss, Math. Comp. 22 (1968) 565)
+    keeps every entry integral, each update dividing exactly by the
+    previous pivot, whose last value is the determinant up to sign
+    (returned positive); det x is integral by Cramer's rule, so
+    back-substitution on it divides exactly too.  The system is singular
     only at an exact zero pivot.  The digits are 20 more than those of the
-    largest integer entry, and at least 81, so that on a narrow scheme too
-    a moment sum that the scheme cancels comes out below 1e-60 of its terms.
+    largest entry, and at least 81, so that on a narrow scheme too a moment
+    sum that the scheme cancels comes out below 1e-60 of its terms.
     """
-    rows = []
-    for row, rhs in zip(a, b):
-        pairs = [v.as_integer_ratio() for v in [*row, rhs]]
-        scale = max(q for _, q in pairs)  # every q is a power of two
-        rows.append([p * (scale // q) for p, q in pairs])
     digits = max(81, math.ceil(math.log10(max(abs(v) for row in rows for v in row))) + 20)
     n, det = len(rows), 1
     for k in range(n):
@@ -209,7 +203,7 @@ def _exact_solve(a, b) -> tuple[list[Fraction], int]:
     for i in reversed(range(n)):
         row = rows[i]
         y[i] = (det * row[n] - sum(c * v for c, v in zip(row[i + 1:n], y[i + 1:]))) // row[i]
-    return [Fraction(v, det) for v in y], digits
+    return ([-v for v in y], -det, digits) if det < 0 else (y, det, digits)
 
 
 def solve_pv(M: int, masses, impose_B0: bool) -> PVScheme:
@@ -227,6 +221,8 @@ def solve_pv(M: int, masses, impose_B0: bool) -> PVScheme:
     whose coefficients grow without bound.
     """
     M = _require_count("M", M, zero_ok=True)
+    if not isinstance(impose_B0, bool):
+        raise ValueError(f"impose_B0 must be a bool, got {impose_B0!r}")
     masses = _checked_masses(masses)
     n_aux = len(masses) - 1
     n_needed = 2 * M + 5 if impose_B0 else 2 * M + 4
@@ -235,11 +231,10 @@ def solve_pv(M: int, masses, impose_B0: bool) -> PVScheme:
             f"M={M}, impose_B0={impose_B0} needs {n_needed} auxiliary masses, got {n_aux}"
         )
     labels = _row_labels(M, impose_B0)
-    x, digits = _exact_solve(*_system(M, masses, labels))
-    with localcontext() as ctx:
-        ctx.prec = digits
-        d_strings = ["1"] + [str(ctx.divide(Decimal(v.numerator), v.denominator)) for v in x]
-    d = [1.0] + [float(v) for v in x]
+    y, det, digits = _exact_solve(_system(M, masses, labels))
+    divide = Context(prec=digits).divide
+    d_strings = ["1"] + [str(divide(Decimal(v), det)) for v in y]
+    d = [1.0] + [v / det for v in y]
     if max(abs(v) for v in d[1:]) > COEFFICIENT_BOUND:
         warnings.warn(
             "unbounded coefficients: |d_l| exceeds "
@@ -292,6 +287,7 @@ def moment_sums(scheme: PVScheme, k_max: int) -> list[float]:
     comes out at its true size, not at float rounding; scaling by the top
     threshold keeps every float finite however far apart the masses are.
     """
+    k_max = _require_count("k_max", k_max, zero_ok=True)
     with localcontext() as ctx:
         ctx.prec = max(len(d) for d in scheme.d_mp) + 20
         top = 4 * Decimal(scheme.masses[-1]) ** 2

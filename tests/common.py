@@ -1,4 +1,6 @@
 """Helpers shared by several test modules."""
+import math
+
 import numpy as np
 
 import keldrot.oscillator as oscillator
@@ -181,3 +183,56 @@ def synthetic_outer_route(grid, rng) -> "rotation.CumulantSet":
         om = grid.resonant_frequency(int(k))
         mean_vals += rng.normal() * np.cos(om * t) + rng.normal() * np.sin(om * t)
     return rotation.CumulantSet(Signal(grid, mean_vals), TwoPointKernel(grid, k_w), 1.0, False)
+
+
+def per_band_smooth_amplitude(x_sq: float, scheme: PVScheme):
+    """`diracsea._smooth_amplitude` with the integrand called per band and
+    per rule on the first (threshold) panel, and its Horner sum building a
+    new array per coefficient: the loop that the one call on every band's
+    threshold panels replaced, and its oracle.  Returns (A at sign_t = 1,
+    panels, abserr) at the cutoff of `K_reg_coordinate`."""
+    from scipy.special import j1
+
+    from keldrot import diracsea
+    from keldrot.pvreg import moment_sums, series_coeffs_fractions
+
+    r = math.sqrt(x_sq)
+    mu_hi = math.sqrt(diracsea.CUTOFF_RATIO * (4.0 * scheme.masses[-1] ** 2))
+    step = np.pi / r
+    thresholds = [2.0 * m for m in scheme.masses]
+    mu_top = thresholds[-1]
+    mu_s = diracsea.SERIES_START * mu_top
+    terms = diracsea.SERIES_TERMS
+    series = [float(c) * s for c, s in zip(series_coeffs_fractions(terms),
+                                           moment_sums(scheme, terms))]
+
+    def below(mu):
+        return 2.0 * mu ** 2 * diracsea.K_reg(mu ** 2, scheme) * j1(mu * r)
+
+    def above(mu):
+        u = (mu_top / mu) ** 2
+        total = np.zeros_like(mu)
+        for c in reversed(series):
+            total = total * u + c
+        return mu ** 2 * total / (3.0 * np.pi) * j1(mu * r)
+
+    rules = [diracsea._gauss_legendre(diracsea.GAUSS_ORDER),
+             diracsea._gauss_legendre(diracsea.GAUSS_ORDER_CHECK)]
+    sums = [0.0, 0.0]
+    panels = 0
+    breaks = thresholds + [mu_s, mu_hi]
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        n = math.ceil((b - a) / step)
+        h = (b - a) / n
+        kink = a < mu_s
+        integrand = below if kink else above
+        if kink:
+            for j, (t, w) in enumerate(rules):
+                sums[j] += float(integrand(a + h * t * t) @ (2.0 * h * t * w))
+        for first in range(int(kink), n, diracsea.PANEL_CHUNK):
+            left = a + h * np.arange(first, min(n, first + diracsea.PANEL_CHUNK))
+            for j, (t, w) in enumerate(rules):
+                sums[j] += float(np.sum(integrand(left[:, None] + h * t) @ (h * w)))
+        panels += n
+    norm = 8.0 * np.pi ** 2 * r
+    return sums[0] / norm, panels, abs(sums[0] - sums[1]) / norm

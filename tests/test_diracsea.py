@@ -32,7 +32,7 @@ from keldrot.diracsea import (
 )
 from keldrot.pvreg import PVScheme, geometric_masses, moment_integral_exact, solve_pv
 
-from common import BARE
+from common import BARE, per_band_smooth_amplitude
 
 MINKOWSKI_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -357,6 +357,30 @@ class TestCoordinateSpace:
         slopes = np.abs(vals / deltas)
         assert abs(vals[-1]) < abs(vals[0])
         assert slopes[-1] < slopes[0]  # bounded (in fact shrinking) slope
+
+    @pytest.mark.parametrize("bad", [True, False, 0, 2, -2])
+    def test_sign_t_must_be_plus_or_minus_one(self, scheme, bad):
+        # a bool is refused by name, not read as +1 or 0
+        with pytest.raises(ValueError, match=f"^sign_t must be \\+1 or -1, got {bad!r}$"):
+            K_reg_coordinate(0.5, bad, scheme)
+
+    @pytest.mark.parametrize("x_sq,sign_t,which", [
+        # the benchmark's near-cone points
+        (1e-5, 1, "scheme"), (2.5e-6, 1, "scheme"), (4e-5, 1, "scheme"),
+        (1e-5, 1, "scheme_m1"), (2e-5, 1, "scheme_m1"),
+        (1e-5, -1, "scheme"),
+        # the fault point (4030 panels), 146 panels on M = 0 and 50 on M = 1
+        (1e-3, 1, "fault"), (0.5, 1, "scheme"), (3e-3, 1, "scheme_m1"),
+    ])
+    def test_batched_threshold_panels_bit_equal_per_band_loop(self, request, x_sq, sign_t,
+                                                              which):
+        sch = (solve_pv(0, [1.0, 10.0, 100.0, 1e3, 1e4], impose_B0=False) if which == "fault"
+               else request.getfixturevalue(which))
+        out = K_reg_coordinate(x_sq, sign_t, sch, with_cone_coefficient=False)
+        value, panels, abserr = per_band_smooth_amplitude(x_sq, sch)
+        assert out["smooth"].hex() == (sign_t * value).hex()
+        assert out["abserr"].hex() == abserr.hex()
+        assert out["segments"] == panels
 
     def test_time_reversal_flips_sign(self, scheme):
         a = K_reg_coordinate(0.5, 1, scheme)["smooth"]

@@ -125,15 +125,21 @@ def mpmath_solve(M, masses, impose_B0, precision_bits=256, max_precision_bits=40
         bits *= 2
 
 
-def mpmath_digits(M, masses, impose_B0):
-    """The digits of `solve_pv`'s d_mp, from the `mpmath_rows`: 20 more than
-    those of the largest entry of a row (its right-hand side included)
-    scaled to integers by its lowest power of two, and at least 81."""
+def mpmath_integer_rows(M, masses, impose_B0):
+    """The `mpmath_rows`, each with its right-hand side last and scaled to
+    integers by its lowest power of two (by none if it holds integers)."""
     rows, rhs = mpmath_rows(M, masses, impose_B0)
-    top = 0
+    out = []
     for row in (list(map(exact, r)) + [exact(v)] for r, v in zip(rows, rhs)):
         scale = max(v.denominator for v in row)
-        top = max(top, *(abs(v.numerator) * (scale // v.denominator) for v in row))
+        out.append([v.numerator * (scale // v.denominator) for v in row])
+    return out
+
+
+def mpmath_digits(M, masses, impose_B0):
+    """The digits of `solve_pv`'s d_mp, from the `mpmath_integer_rows`: 20
+    more than those of their largest entry, and at least 81."""
+    top = max(abs(v) for row in mpmath_integer_rows(M, masses, impose_B0) for v in row)
     return max(81, math.ceil(math.log10(top)) + 20)
 
 
@@ -262,17 +268,17 @@ class TestMpmathOracle:
 
     def test_exact_solve_refuses_a_singular_system(self):
         with pytest.raises(ValueError, match="singular regularization system"):
-            pvreg._exact_solve([[1, 0, 3], [2, 0, 5], [7, 0, 1]], [1, 1, 1])
+            pvreg._exact_solve([[1, 0, 3, 1], [2, 0, 5, 1], [7, 0, 1, 1]])
 
     @pytest.mark.parametrize("M,masses,b0", SOLVED_SCHEMES + random_mass_lists(40),
                              ids=[_scheme_id(k) for k in SOLVED_SCHEMES]
                              + [f"random{i}" for i in range(40)])
     def test_rows_match_mpmath(self, M, masses, b0):
-        # the 53-bit rounding of every power, ratio, logarithm and product
-        a, b = pvreg._system(M, list(masses), pvreg._row_labels(M, b0))
-        a_mp, b_mp = mpmath_rows(M, masses, b0)
-        assert [[exact(v) for v in row] for row in a] == [[exact(v) for v in row] for row in a_mp]
-        assert [exact(v) for v in b] == [exact(v) for v in b_mp]
+        # the 53-bit rounding of every power, ratio, logarithm and product,
+        # and the power of two that scales each row to integers
+        rows = pvreg._system(M, list(masses), pvreg._row_labels(M, b0))
+        assert all(type(v) is int for row in rows for v in row)
+        assert rows == mpmath_integer_rows(M, masses, b0)
 
     @pytest.mark.filterwarnings("ignore:unbounded coefficients")
     @pytest.mark.parametrize("M,masses,b0", SOLVED_SCHEMES,
@@ -304,8 +310,11 @@ class TestMpmathOracle:
 
         monkeypatch.setattr(pvreg, "localcontext", localcontext_310)
         ref = solve_pv(1, geometric_masses(1.0, 1e3, 8), impose_B0=True)
+        # the moment routines are the module's callers of localcontext
+        ref_moments = moment_sums(ref, 4), moment_integral_exact(ref, 1e8)
         monkeypatch.undo()
         assert solve_pv(1, geometric_masses(1.0, 1e3, 8), impose_B0=True).d == ref.d
+        assert (moment_sums(ref, 4), moment_integral_exact(ref, 1e8)) == ref_moments
 
 
 @pytest.fixture(scope="module")
@@ -409,6 +418,13 @@ class TestSolve:
         with pytest.raises(ValueError, match=f"^{message}$"):
             solve_pv(bad, geometric_masses(1.0, 10.0, count), impose_B0=False)
 
+    @pytest.mark.parametrize("bad", ["no", 1, None, np.bool_(False)])
+    def test_impose_b0_must_be_a_bool(self, bad):
+        # a string or a number is refused, not read as true, before any row is built
+        masses = geometric_masses(1.0, 10.0, 6)
+        with pytest.raises(ValueError, match=f"^impose_B0 must be a bool, got {bad!r}$"):
+            solve_pv(0, masses, impose_B0=bad)
+
     def test_extended_coefficients_recorded(self):
         scheme = solve_pv(0, geometric_masses(1.0, 10.0, 5), impose_B0=False)
         assert len(scheme.d_mp) == len(scheme.d)
@@ -437,6 +453,26 @@ class TestSchemeInvariants:
         assert geometric_masses(2.0, 10.0, 3) == [2.0, 20.0, 200.0]
         with pytest.raises(ValueError):
             geometric_masses(1.0, 0.5, 3)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: geometric_masses(1.0, 10.0, 2.5), "count must be an integer, got 2.5"),
+        (lambda: geometric_masses(1.0, 10.0, 0), "count must be positive, got 0"),
+        (lambda: series_coeffs_fractions(2.5), "n_max must be an integer, got 2.5"),
+        (lambda: series_coeffs(-1), "n_max must be non-negative, got -1"),
+        (lambda: PVScheme(M=-1, masses=[1.0], d=[1.0], d_mp=["1"], **UNSOLVED),
+         "M must be non-negative, got -1"),
+        (lambda: PVScheme(M=True, masses=[1.0], d=[1.0], d_mp=["1"], **UNSOLVED),
+         "M must be an integer, got True"),
+    ])
+    def test_counts_are_named_integers(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+    @pytest.mark.parametrize("bad, message", [(-1, "k_max must be non-negative, got -1"),
+                                              (2.0, "k_max must be an integer, got 2.0")])
+    def test_moment_sums_refuse_a_bad_order(self, scheme, bad, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            moment_sums(scheme, bad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_masses_and_ratio_rejected(self, bad):
