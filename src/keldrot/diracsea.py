@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,11 +225,16 @@ def R_obs_finite_eps(k_sq: float, spec: DiracSeaSpec, eps: float,
 
 def R0_from_scheme(scheme: PVScheme, spec: DiracSeaSpec) -> float:
     """Divergent constant -(alpha/3pi) sum_{l>=1} (-1)^l d_l ln(mu_l^2/mu_0^2)."""
-    mu0 = scheme.masses[0]
+    return -(spec.alpha / (3.0 * np.pi)) * _log_moments(tuple(scheme.masses), tuple(scheme.d))
+
+
+@functools.lru_cache(maxsize=64)
+def _log_moments(masses: tuple, d: tuple) -> float:
+    """R0_from_scheme's sum, kept per scheme values: an edited scheme gets its own."""
     total = 0.0
-    for l in range(1, len(scheme.masses)):
-        total += ((-1) ** l) * scheme.d[l] * np.log(scheme.masses[l] ** 2 / mu0 ** 2)
-    return -(spec.alpha / (3.0 * np.pi)) * total
+    for l in range(1, len(masses)):
+        total += ((-1) ** l) * d[l] * np.log(masses[l] ** 2 / masses[0] ** 2)
+    return total
 
 
 def R0_quadrature(scheme: PVScheme, spec: DiracSeaSpec) -> float:
@@ -434,8 +440,7 @@ def _smooth_amplitude(x_sq: float, scheme: PVScheme, cutoff_sq: float):
     thresholds = [2.0 * m for m in scheme.masses]
     mu_top = thresholds[-1]
     mu_s = SERIES_START * mu_top
-    series = [float(c) * s for c, s in zip(series_coeffs_fractions(SERIES_TERMS),
-                                           moment_sums(scheme, SERIES_TERMS))]
+    series = _series_terms(tuple(scheme.masses), tuple(scheme.d_mp))
 
     def below(mu):
         return 2.0 * mu ** 2 * K_reg(mu ** 2, scheme) * j1(mu * r)
@@ -472,6 +477,14 @@ def _smooth_amplitude(x_sq: float, scheme: PVScheme, cutoff_sq: float):
     panels = sum(n for _, n, _ in bands)
     norm = 8.0 * np.pi ** 2 * r
     return sums[0] / norm, panels, abs(sums[0] - sums[1]) / norm
+
+
+@functools.lru_cache(maxsize=64)
+def _series_terms(masses: tuple, d_mp: tuple) -> tuple:
+    """`_smooth_amplitude`'s series coefficients c_k S_k / (4 mu_N^2)^k,
+    kept like `_log_moments` (`moment_sums` reads only these two lists)."""
+    sums = moment_sums(types.SimpleNamespace(masses=masses, d_mp=d_mp), SERIES_TERMS)
+    return tuple(float(c) * s for c, s in zip(series_coeffs_fractions(SERIES_TERMS), sums))
 
 
 @functools.lru_cache(maxsize=None)

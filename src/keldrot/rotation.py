@@ -18,36 +18,23 @@ entrywise "Re" in that formula is ambiguous for them.
 For a Hermitian field the triple carries no more than K_W: K_F is the theta
 split of K_W and K_rev = K_F*.  So a `CumulantSet` is stored as (mean, K_W,
 hbar c, time representation), K_W checked Hermitian once where the set is
-made, and K_F and K_rev derived where they are read.  The oscillator's
-`ctl_cumulants`, `synthetic_cumulants` and `unrotate` make one from K_W;
-`cumulants_from_json` makes one from a file's triple, after
-checking the CTL identity, K_rev = K_F*, K_W Hermitian and K_F the theta
-split.  The Weyl image takes element-wise real passes over K_W:
-N_0 = Re K_W (its symmetric part) and D_R = 2 theta Im K_W / hbar c (the
-Kubo commutator).  `unrotate` refuses a rotated set whose K_F would not be
-the theta split of its K_W: an acausal D_R, D_R + D_R^T non-zero where
-theta = 1/2, or a non-symmetric N_0.
+made, and K_F and K_rev derived where they are read.  Z = hbar c Z_1, and
+Z_1 is kept on the D_R kernel (`_gap_of`), which `rotate` reuses for K_W.
 
-Z is linear in hbar c, Z = hbar c Z_1.  Z_1 is kept on the D_R kernel
-(`_gap_of`), shared by every set holding it, and a weak ref to that kernel
-on the K_W kernel, which a later `rotate` on that K_W takes when the fresh
-D_R has the same bytes and grid; each goes with its kernel's data.
+Every step takes a kernel's data in either layout, n x n values or the 1-D
+lag profile of a circulant kernel on the circle (`ctl_cumulants` builds one
+at a resonant frequency): a^T of a profile is the reflected profile, the
+theta regions are masks over the lag index (`grids._circle_theta`), and the
+gap is one FFT pair of length n.  So a set of profiles stays profiles, in
+O(n log n); a mix of profiles and dense kernels is laid out.  In linear time
+theta is two triangles, so on n x n data the steps that pair an entry with
+its mirror (a^T +- a, the Hermitian residual, the theta split, the Weyl
+image and `unrotate`) take one walk over mirrored tile pairs (`_pairs`),
+which reads each pair once and builds no n x n mask.
 
-A stationary set on the circle has circulant kernels, held by their lag
-profiles (`TwoPointKernel.circulant`; `ctl_cumulants` builds them at a
-resonant frequency).  Every step here takes a kernel's data in either
-layout, an n x n array or a 1-D profile: the element-wise passes are the
-same, a^T of a profile is the reflected profile, the theta regions are
-masks over the lag index from `grids._circle_theta`, and the gap is one
-FFT pair of length n.  So the Hermitian check, the derived K_F and K_rev,
-the Weyl image, `reorder`, `reorder_gap_kernel` and `unrotate`
-keep a set of profiles as profiles, in O(n log n), and never lay it out;
-a step given a mix of profiles and dense kernels lays the profiles out.
-
-`lambda2_identity_check(ctl, rot, ...)` evaluates the defining identity:
-Lambda_2[eta_+, eta_-] of a set (`lambda2_form`) under the substitution
-(`rotation_substitution`) against the rotated form (`rotated_lambda2_form`)
-of an image of it, `rotate(ctl, p)` or a closed form such as
+`lambda2_identity_check` evaluates the defining identity: Lambda_2 of a set
+(`lambda2_form`) under `rotation_substitution` against the rotated form of
+an image of it, `rotate(ctl, p)` or a closed form such as
 `oscillator.rotated_cumulants`.
 """
 from __future__ import annotations
@@ -57,19 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (
-    OrderingParam,
-    Signal,
-    TimeGrid,
-    TwoPointKernel,
-    _reflected,
-    _require_positive,
-    _theta_masks,
-    pair_form,
-    overlap,
-    project_s,
-    sign_weights,
-)
+from .grids import (OrderingParam, Signal, TimeGrid, TwoPointKernel, _reflected, _require_positive,
+                    _theta_masks, pair_form, overlap, project_s, sign_weights)
 
 __all__ = [
     "CumulantSet",
@@ -121,52 +97,61 @@ def _transposed(a: np.ndarray) -> np.ndarray:
     return a.T if a.ndim == 2 else _reflected(a)
 
 
-def _regions(a: np.ndarray, periodic: bool) -> tuple:
-    """(later, earlier, tie) of theta (`grids._theta_masks`) on a kernel's data."""
-    return _theta_masks(a.shape[0], periodic, profile=a.ndim == 1)
+_TILE = 128  # edge of the tiles of `_pairs`
 
 
-_TILE = 64  # edge of the tiles in which _add_transpose reads a and a^T
+def _pairs(n: int):
+    """The walk over the mirrored tiles (I, J) and (J, I), I <= J, of an
+    n x n array, each pair once, so that a step reads a tile's mirror from
+    cache: (upper, lower, above), the tiles' index tuples (equal on the
+    diagonal) and where the upper tile lies above the diagonal (theta = 0
+    in linear time), all of it (True) or a diagonal tile's strict upper part."""
+    above = ~np.tri(min(n, _TILE), dtype=bool)  # per walk: at import it costs every process RSS
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            upper = slice(i, i + _TILE), slice(j, j + _TILE)
+            yield upper, upper[::-1], True if j > i else above[:n - i, :n - i]
 
 
 def _add_transpose(a: np.ndarray, sign: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
-    """a + a^T (a - a^T for negative `sign`), summed tile by tile so that
-    the transposed tile is read from cache; `out` must not overlap `a`."""
+    """a + a^T (a - a^T for negative `sign`) by the walk `_pairs`; `out`
+    must not overlap `a`.  A sum's mirrored tile is its transpose; a
+    difference's is a second difference, as x - x is +0.0 on both sides."""
     out = np.empty_like(a) if out is None else out
     op = np.add if sign > 0 else np.subtract
     if a.ndim == 1:
         return op(a, _transposed(a), out=out)
-    n = a.shape[0]
-    for i in range(0, n, _TILE):
-        for j in range(0, n, _TILE):
-            op(a[i:i + _TILE, j:j + _TILE], a[j:j + _TILE, i:i + _TILE].T,
-               out=out[i:i + _TILE, j:j + _TILE])
+    for u, l, _ in _pairs(len(a)):
+        op(a[u], a[l].T, out=out[u])
+        if l != u:
+            out[l] = out[u].T if sign > 0 else op(a[l], a[u].T)
     return out
 
 
 def _mirror_residual(a: np.ndarray) -> tuple[float, float]:
-    """(max |a - a^H|, max |a|), read tile by tile as in `_add_transpose`,
-    each pair of mirrored tiles once; a^H = a^T for real a.  A NaN entry
-    makes both NaN (np.max, unlike max, propagates it)."""
+    """(max |a - a^H|, max |a|) by the walk `_pairs`; a^H = a^T for real a.
+    A NaN entry makes both NaN (np.max, unlike max, propagates it)."""
     if a.ndim == 1:
         return float(np.abs(a - _transposed(a).conj()).max()), float(np.abs(a).max())
     worst, size = [], []
-    n = a.shape[0]
-    for i in range(0, n, _TILE):
-        for j in range(i, n, _TILE):
-            upper, lower = a[i:i + _TILE, j:j + _TILE], a[j:j + _TILE, i:i + _TILE]
-            worst.append(np.abs(upper - lower.T.conj()).max())
-            size += (np.abs(upper).max(), np.abs(lower).max())
+    for u, l, _ in _pairs(len(a)):
+        worst.append(np.abs(a[u] - a[l].T.conj()).max())
+        size += (np.abs(a[u]).max(), np.abs(a[l]).max())
     return float(np.max(worst)), float(np.max(size))
 
 
 def _theta_split(k_w: np.ndarray, periodic: bool) -> np.ndarray:
     """K_F of a Hermitian field: K_W where theta = 1, K_W^T where 0, their
-    mean where 1/2 (theta on the circle when periodic)."""
-    later, _, tie = _regions(k_w, periodic)
-    k_t = _transposed(k_w)
-    k_f = np.where(later, k_w, k_t)
-    k_f[tie] = 0.5 * (k_w[tie] + k_t[tie])
+    mean where 1/2 (theta on the circle when periodic); in linear time each
+    lower tile's transpose is written above the diagonal by `_pairs`."""
+    if k_w.ndim == 2 and not periodic:
+        k_f, tie = k_w.copy(), (np.arange(len(k_w)),) * 2
+        for u, l, above in _pairs(len(k_w)):
+            np.copyto(k_f[u], k_w[l].T, where=above)
+    else:
+        later, _, tie = _theta_masks(len(k_w), periodic, profile=k_w.ndim == 1)
+        k_f = np.where(later, k_w, _transposed(k_w))
+    k_f[tie] = 0.5 * (k_w[tie] + _transposed(k_w)[tie])
     return k_f
 
 
@@ -178,12 +163,9 @@ class CumulantSet:
     K_W = <A,A> (Wightman) must be Hermitian, to 1e-8 relative, else
     ConsistencyError; its residual is measured once, where the set is made,
     and kept as `residual`.  K_F = <T+ A,A> is the theta split of K_W in the
-    time representation `periodic` (the circle when True): K_W where
-    theta = 1, K_W^T where 0, their mean where 1/2; K_rev = <T- A,A> = K_F*.
-    Both are derived on each read, so they follow a write into
-    `K_W.values`, and the CTL identity K_W + K_W^T - K_F - K_rev = 0 holds
-    by construction.  A circulant K_W on the circle gives circulant K_F and
-    K_rev, split on its lag profile.
+    time representation `periodic` (the circle when True), K_rev = K_F*; both
+    are derived on each read, so they follow a write into `K_W.values`, and
+    the CTL identity K_W + K_W^T - K_F - K_rev = 0 holds by construction.
     """
 
     mean: Signal
@@ -217,15 +199,12 @@ class CumulantSet:
     def _from_triple(cls, mean: Signal, k_f: TwoPointKernel, k_rev: TwoPointKernel,
                      k_w: TwoPointKernel, hbar_c: float) -> "CumulantSet":
         """The set stored by k_w of an explicit triple, as a file holds one.
-
-        The triple must be a Hermitian field's, each identity to 1e-8 of its
-        largest |entry|, else a ConsistencyError names the first that fails:
-        the CTL identity K_W + K_W^T - K_F - K_rev = 0, K_rev = K_F*, K_W
-        Hermitian, and K_F the theta split of K_W in linear time or else on
-        the circle, which gives the set's `periodic` (a lag profile is split
-        on the circle alone).  The set's `residual` is the largest of the
-        four.
-        """
+        Each identity of a Hermitian field must hold to 1e-8 of the largest
+        |entry|, else a ConsistencyError names the first that fails: the CTL
+        identity K_W + K_W^T - K_F - K_rev = 0, K_rev = K_F*, K_W Hermitian,
+        and K_F the theta split of K_W in linear time or else on the circle,
+        which gives `periodic` (a profile is split on the circle alone).  The
+        set's `residual` is the largest of the four."""
         _check_grids(mean.grid, {"K_F": k_f, "K_rev": k_rev, "K_W": k_w})
         f, rev, w = _data(k_f, k_rev, k_w)
         scale = max(np.abs(f).max(), np.abs(w).max(), np.abs(rev).max(), 1e-300)
@@ -283,11 +262,9 @@ class RotatedCumulants:
 
     D_R and N_s are real, as a Hermitian field's are: a complex kernel whose
     imaginary part is all zero is stored real, and one with a non-zero
-    imaginary entry is a ConsistencyError naming it.
-
-    The gap is kept on the D_R kernel (`_gap_of`), whose data is made
-    read-only then; nothing is kept of N_s, so a write into it is seen by
-    the next `reorder`."""
+    imaginary entry is a ConsistencyError naming it.  The gap is kept on the
+    D_R kernel (`_gap_of`), whose data is made read-only then; a write into
+    N_s is seen by the next `reorder`."""
 
     mean: Signal
     D_R: TwoPointKernel
@@ -316,21 +293,27 @@ def _weyl_image(ctl: CumulantSet) -> RotatedCumulants:
     K_W: N_0 = (1/2) Re(K_F + K_W) and D_R = (K_rev - K_W) / (-i hbar c)
     = Im(K_F + K_W) / hbar c, the Kubo commutator 2 theta Im K_W / hbar c.
     D_R is set to 0 where theta = 0, where Im(K_W^T + K_W) is K_W's
-    anti-Hermitian residual."""
+    anti-Hermitian residual.  In linear time, from 2 K_W, the walk
+    `_pairs` writes Re K_W + Re K_W^T and 0 above the diagonal."""
     k_w = _wightman_data(ctl)
-    later, _, tie = _regions(k_w, ctl.periodic)
     re, im = np.real(k_w), np.imag(k_w)
-    total = _add_transpose(re)  # Re(K_F + K_W) where theta = 0
-    np.multiply(re, 2.0, out=total, where=later)
-    d = np.where(later, 2.0 * im, 0.0)
+    if k_w.ndim == 2 and not ctl.periodic:
+        total, d, tie = np.multiply(re, 2.0), np.multiply(im, 2.0), (np.arange(len(k_w)),) * 2
+        for u, l, above in _pairs(len(k_w)):
+            np.add(re[u], re[l].T, out=total[u], where=above)
+            np.copyto(d[u], 0.0, where=above)
+    else:
+        later, _, tie = _theta_masks(len(k_w), ctl.periodic, profile=k_w.ndim == 1)
+        total = _add_transpose(re)  # Re(K_F + K_W) where theta = 0
+        np.multiply(re, 2.0, out=total, where=later)
+        d = np.where(later, 2.0 * im, 0.0)
     k_f = 0.5 * (k_w[tie] + _transposed(k_w)[tie])
     total[tie] = np.real(k_f) + re[tie]
     d[tie] = np.imag(k_f) + im[tie]
     total *= 0.5
     d /= ctl.hbar_c
-    g = ctl.grid
-    return RotatedCumulants(ctl.mean, _kernel(g, d), _kernel(g, total), OrderingParam(0.0),
-                            ctl.hbar_c)
+    return RotatedCumulants(ctl.mean, _kernel(ctl.grid, d), _kernel(ctl.grid, total),
+                            OrderingParam(0.0), ctl.hbar_c)
 
 
 def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
@@ -344,11 +327,10 @@ def rotate(ctl: CumulantSet, p: OrderingParam) -> RotatedCumulants:
     """Rotate a Hermitian field's CTL cumulant set into (mean, D_R, N_s),
     N_s = N_0 - s Z[D_R] (`reorder` of the Weyl image).
 
-    The Weyl image is formed afresh on every call, and when the D_R kernel
-    of the last rotation of a set on this K_W kernel still has read-only
-    data with the raw bytes of the fresh D_R, on the same grid, the new set
-    takes that kernel and so its kept gap: every ordering filters D_R once.
-    K_W keeps the kernel by a weak ref, so it does not keep it alive."""
+    The Weyl image is formed afresh on every call; when the D_R kernel of
+    the last rotation on this K_W kernel (a weak ref) still has read-only
+    data with the fresh D_R's raw bytes and grid, the new set takes it and
+    its kept gap, so every ordering filters D_R once."""
     weyl = _weyl_image(ctl)
     kept = ctl.K_W._kept.get("response", lambda: None)()
     if (kept is not None and kept.grid == weyl.grid and not _data(kept)[0].flags.writeable
@@ -359,26 +341,28 @@ def rotate(ctl: CumulantSet, p: OrderingParam) -> RotatedCumulants:
     return rot
 
 
-def _split_representation(asym: float, n_0_size: float, d: np.ndarray,
-                          hbar_c: float) -> bool:
+def _split_representation(asym: float, n_0_size: float, d: np.ndarray, hbar_c: float,
+                          acausal: float | None) -> bool:
     """The time representation (periodic or not) in which
     K_F = N_0 + (i hbar c / 2)(D_R + D_R^T) is the theta split of
     K_W = N_0 + (i hbar c / 2)(D_R - D_R^T) to _SPLIT_TOL relative to
-    max |N_0| + hbar c max |D_R|, for real N_0 and D_R with
-    (asym, n_0_size) = `_mirror_residual(N_0)`.  They differ by
+    max |N_0| + hbar c max |D_R|, for real N_0 and D_R, with (asym,
+    n_0_size) = (max |N_0 - N_0^T|, max |N_0|) and, for n x n D_R, `acausal`
+    its max |D_R| where theta = 0 in linear time.  They differ by
     N_0 - N_0^T, by i hbar c D_R where theta = 0 and by
     (i hbar c / 2)(D_R + D_R^T) where theta = 1/2.  In neither
     representation, a ConsistencyError names the largest of these three
     terms in the one where their sum is least.  A lag profile is split on
-    the circle alone: a circulant D_R retarded in linear time is diagonal,
-    so it is retarded on the circle too."""
-    size = np.abs(d)
-    bound = _SPLIT_TOL * (n_0_size + hbar_c * size.max())
+    the circle alone: a circulant D_R retarded in linear time is diagonal."""
+    bound = _SPLIT_TOL * (n_0_size + hbar_c * np.abs(d).max())
     closest = None
     for periodic in (False, True) if d.ndim == 2 else (True,):
-        _, earlier, tie = _regions(d, periodic)
-        terms = (asym, hbar_c * size.max(where=earlier, initial=0.0),
-                 0.5 * hbar_c * np.abs(d[tie] + _transposed(d)[tie]).max())
+        if periodic:
+            _, earlier, tie = _theta_masks(len(d), True, profile=d.ndim == 1)
+            acausal = np.abs(d).max(where=earlier, initial=0.0)
+        else:
+            tie = (np.arange(len(d)),) * 2
+        terms = (asym, hbar_c * acausal, 0.5 * hbar_c * np.abs(d[tie] + _transposed(d)[tie]).max())
         if terms[0] + (terms[1] + terms[2]) <= bound:
             return periodic
         closest = min(closest or terms, terms, key=sum)
@@ -400,13 +384,24 @@ def unrotate(rot: RotatedCumulants) -> CumulantSet:
     D_R and N_0 are real, so K_W - K_W^H = N_0 - N_0^T exactly (the
     imaginary parts of mirrored entries are exact negatives), and one pass
     over N_0 gives both the split rule's asymmetry and K_W's Hermitian
-    residual.
+    residual; on n x n data it is one walk `_pairs`, which also forms
+    D_R - D_A and reads D_R where theta = 0 in linear time.
     """
     n_0, d = _data(reorder(rot, 0.0).N_s, rot.D_R)
-    asym, n_0_size = _mirror_residual(n_0)
-    periodic = _split_representation(asym, n_0_size, d, rot.hbar_c)
-    k_w = np.empty(d.shape, dtype=complex)
-    _add_transpose(d, -1.0, out=k_w.imag)
+    k_w, acausal = np.empty(d.shape, dtype=complex), None
+    if d.ndim == 1:
+        asym, n_0_size = _mirror_residual(n_0)
+        np.subtract(d, _transposed(d), out=k_w.imag)
+    else:
+        worst, upper = [], []
+        for u, l, above in _pairs(len(d)):
+            worst.append(np.abs(n_0[u] - n_0[l].T).max())
+            upper.append(np.abs(d[u]).max(where=above, initial=0.0))
+            np.subtract(d[u], d[l].T, out=k_w.imag[u])
+            if l != u:  # not -(D_R - D_A)^T of the tile above: x - x is +0.0
+                np.subtract(d[l], d[u].T, out=k_w.imag[l])
+        asym, n_0_size, acausal = float(np.max(worst)), float(np.abs(n_0).max()), np.max(upper)
+    periodic = _split_representation(asym, n_0_size, d, rot.hbar_c, acausal)
     k_w.imag *= 0.5 * rot.hbar_c
     k_w.real = n_0
     hermitian = asym / max(np.abs(k_w).max(), 1e-300)
@@ -426,9 +421,8 @@ def reorder_gap_kernel(D_R: TwoPointKernel, hbar_c: float) -> TwoPointKernel:
     rfft/irfft pair along t', with weight i hbar c / 2 on the half spectrum
     and 0 at w = 0 and at the Nyquist bin.
 
-    A circulant D_R has a circulant Y, so the filter runs on row 0 of D_R
-    alone, which is D_R's reflected profile.  Z is symmetric, so its profile
-    is Y's row 0 plus the reflection of that row: one FFT pair of length n.
+    A circulant D_R has a circulant Y, so the filter runs on row 0 of D_R,
+    its reflected profile, and Z's profile is that row plus its reflection.
     """
     _require_positive("hbar_c", hbar_c)
     n = D_R.grid.n
@@ -441,9 +435,8 @@ def reorder_gap_kernel(D_R: TwoPointKernel, hbar_c: float) -> TwoPointKernel:
 
 def _gap_of(d_r: TwoPointKernel) -> np.ndarray:
     """The data of Z_1 = Z[D_R] at hbar c = 1 (`reorder_gap_kernel`), kept
-    on the kernel with its data while that stays read-only; the data is made
-    read-only here, so an in-place write into it raises instead of leaving
-    a stale gap."""
+    on the kernel while its data, made read-only here, stays read-only: a
+    write into it raises instead of leaving a stale gap."""
     d = _data(d_r)[0]
     if "gap" not in d_r._kept or d.flags.writeable:
         d.flags.writeable = False
@@ -508,11 +501,9 @@ def lambda2_identity_check(ctl: CumulantSet, rot: RotatedCumulants, eta: Signal,
                            j_s: Signal) -> dict:
     """Both sides of the rotated-form identity and their residual: Lambda_2
     of `ctl` under the substitution at rot.p against the rotated form of its
-    image `rot` (`rotate(ctl, rot.p)` or a closed form).
-
-    Also reports Lambda_2[j, j] with j = j_s / hbar c, the term quadratic in
-    j_s, which must cancel by the CTL consistency identity.
-    """
+    image `rot` (`rotate(ctl, rot.p)` or a closed form), and Lambda_2[j, j]
+    with j = j_s / hbar c, the term quadratic in j_s, which must cancel by
+    the CTL consistency identity."""
     eta_p, eta_m = rotation_substitution(eta, j_s, rot.p, ctl.hbar_c)
     lhs = lambda2_form(ctl, eta_p, eta_m)
     rhs = rotated_lambda2_form(rot, eta, j_s)
@@ -531,21 +522,15 @@ def synthetic_cumulants(grid: TimeGrid, rng: np.random.Generator) -> CumulantSet
     """Random consistent Gaussian cumulant set from a three-mode free field.
 
     Each mode contributes a thermal (nbar < 2) squeezed Wightman kernel at a
-    resonant grid frequency, with hbar c = 1; the time-ordered kernels
-    follow by the theta split, so the consistency identity holds exactly by
-    construction.  The exp(-i w (t+t')) squeezing parts make the kernels
-    genuinely non-stationary, and the mean is a random field of the same
-    modes.
-
-    K_W is built from its mode factors, with c = cos wt and s = sin wt:
-    Re K_W = [c s] A [c s]^T with A = [[nbar + 1/2 + Re m, Im m],
-    [Im m, nbar + 1/2 - Re m]], positive definite as
-    |m| <= sqrt(nbar (nbar + 1)) < nbar + 1/2, and Im K_W = P - P^T with
-    P = (1/2) c s^T.  So Re K_W = W W^T, W the modes' [c s] chol(A) side by
-    side (rank 6), and P = (1/2) C S^T (rank 3).  Re K_W is formed as
+    resonant grid frequency, with hbar c = 1; the exp(-i w (t+t')) squeezing
+    parts make K_W genuinely non-stationary, and the mean is a random field
+    of the same modes.  With c = cos wt, s = sin wt and A = [[nbar + 1/2 +
+    Re m, Im m], [Im m, nbar + 1/2 - Re m]], positive definite as
+    |m| <= sqrt(nbar (nbar + 1)) < nbar + 1/2, Re K_W = [c s] A [c s]^T is
+    W W^T, W the modes' [c s] chol(A) side by side (rank 6), and
+    Im K_W = P - P^T with P = (1/2) C S^T (rank 3).  Re K_W is formed as
     (1/2)(W W^T + (W W^T)^T) and Im K_W as P - P^T, so K_W is exactly
-    Hermitian whatever the matrix products round.
-
+    Hermitian whatever the products round: its residual is 0.0, unmeasured.
     The three modes are distinct cycle counts in 1..n/2 - 2, so a grid
     with n < 10 is a ValueError.
     """
@@ -572,4 +557,5 @@ def synthetic_cumulants(grid: TimeGrid, rng: np.random.Generator) -> CumulantSet
     mean_vals = np.zeros(n)
     for i in range(len(modes)):
         mean_vals += rng.normal() * cs[0, i] + rng.normal() * cs[1, i]
-    return CumulantSet(Signal(grid, mean_vals), TwoPointKernel(grid, k_w), 1.0, False)
+    return CumulantSet._measured(0.0, Signal(grid, mean_vals), TwoPointKernel(grid, k_w), 1.0,
+                                 False)

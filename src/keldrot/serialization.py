@@ -23,7 +23,7 @@ import json
 import numpy as np
 
 from .grids import OrderingParam, Signal, TimeGrid, TwoPointKernel, _require_finite
-from .rotation import CumulantSet, RotatedCumulants
+from .rotation import CumulantSet, RotatedCumulants, _reversed
 
 __all__ = [
     "fmt",
@@ -331,12 +331,13 @@ def kernel_from_json(text: str) -> TwoPointKernel:
 
 
 def cumulants_to_json(ctl: CumulantSet) -> str:
+    k_f = ctl.K_F  # derived once; K_rev is its conjugate
     return dump_json({
         "kind": "cumulants",
         "hbar_c": ctl.hbar_c,
         "mean": _to_obj(ctl.mean),
-        "K_F": _to_obj(ctl.K_F),
-        "K_rev": _to_obj(ctl.K_rev),
+        "K_F": _to_obj(k_f),
+        "K_rev": _to_obj(_reversed(k_f)),
         "K_W": _to_obj(ctl.K_W),
     })
 

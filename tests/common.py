@@ -135,7 +135,139 @@ def hfft_gap(D_R, hbar_c) -> TwoPointKernel:
     half *= 1j * (sign_weights(D_R.grid, "+")[:n // 2 + 1] - 0.5)
     y = np.fft.hfft(half, n, axis=-1)
     y *= -hbar_c
-    return rotation._kernel(D_R.grid, rotation._add_transpose(y))
+    return rotation._kernel(D_R.grid, mask_add_transpose(y))
+
+
+# The mask route of the dense rotation steps, as it was before one walk over
+# mirrored tile pairs (`rotation._pairs`) replaced it: n x n theta masks from
+# `grids._theta_masks` and a^T + a summed tile by tile over every tile.  It
+# is the walk's oracle, to the byte.
+
+MASK_TILE = 64  # edge of the tiles in which mask_add_transpose reads a and a^T
+
+
+def mask_regions(a, periodic):
+    """(later, earlier, tie) of theta (`grids._theta_masks`) on a kernel's data."""
+    return _theta_masks(a.shape[0], periodic, profile=a.ndim == 1)
+
+
+def mask_add_transpose(a, sign=1.0, out=None):
+    """a + a^T (a - a^T for negative `sign`), summed tile by tile so that
+    the transposed tile is read from cache; `out` must not overlap `a`."""
+    out = np.empty_like(a) if out is None else out
+    op = np.add if sign > 0 else np.subtract
+    if a.ndim == 1:
+        return op(a, rotation._transposed(a), out=out)
+    n = a.shape[0]
+    for i in range(0, n, MASK_TILE):
+        for j in range(0, n, MASK_TILE):
+            op(a[i:i + MASK_TILE, j:j + MASK_TILE], a[j:j + MASK_TILE, i:i + MASK_TILE].T,
+               out=out[i:i + MASK_TILE, j:j + MASK_TILE])
+    return out
+
+
+def mask_mirror_residual(a):
+    """(max |a - a^H|, max |a|), read tile by tile as in `mask_add_transpose`,
+    each pair of mirrored tiles once; a^H = a^T for real a.  A NaN entry
+    makes both NaN (np.max, unlike max, propagates it)."""
+    if a.ndim == 1:
+        return (float(np.abs(a - rotation._transposed(a).conj()).max()),
+                float(np.abs(a).max()))
+    worst, size = [], []
+    n = a.shape[0]
+    for i in range(0, n, MASK_TILE):
+        for j in range(i, n, MASK_TILE):
+            upper, lower = a[i:i + MASK_TILE, j:j + MASK_TILE], a[j:j + MASK_TILE, i:i + MASK_TILE]
+            worst.append(np.abs(upper - lower.T.conj()).max())
+            size += (np.abs(upper).max(), np.abs(lower).max())
+    return float(np.max(worst)), float(np.max(size))
+
+
+def mask_theta_split(k_w, periodic):
+    """K_F of a Hermitian field: K_W where theta = 1, K_W^T where 0, their
+    mean where 1/2 (theta on the circle when periodic)."""
+    later, _, tie = mask_regions(k_w, periodic)
+    k_t = rotation._transposed(k_w)
+    k_f = np.where(later, k_w, k_t)
+    k_f[tie] = 0.5 * (k_w[tie] + k_t[tie])
+    return k_f
+
+
+def mask_weyl_image(ctl):
+    """Keldysh (s = 0) rotation: N_0 = (1/2) Re(K_F + K_W) and
+    D_R = 2 theta Im K_W / hbar c, 0 where theta = 0, over theta masks."""
+    k_w = rotation._wightman_data(ctl)
+    later, _, tie = mask_regions(k_w, ctl.periodic)
+    re, im = np.real(k_w), np.imag(k_w)
+    total = mask_add_transpose(re)  # Re(K_F + K_W) where theta = 0
+    np.multiply(re, 2.0, out=total, where=later)
+    d = np.where(later, 2.0 * im, 0.0)
+    k_f = 0.5 * (k_w[tie] + rotation._transposed(k_w)[tie])
+    total[tie] = np.real(k_f) + re[tie]
+    d[tie] = np.imag(k_f) + im[tie]
+    total *= 0.5
+    d /= ctl.hbar_c
+    g = ctl.grid
+    return rotation.RotatedCumulants(ctl.mean, rotation._kernel(g, d), rotation._kernel(g, total),
+                                     OrderingParam(0.0), ctl.hbar_c)
+
+
+def mask_gap(D_R, hbar_c):
+    """`rotation.reorder_gap_kernel` with Z = Y + Y^T by `mask_add_transpose`."""
+    n = D_R.grid.n
+    re = np.real(rotation._data(D_R)[0])
+    spectrum = np.fft.rfft(re if re.ndim == 2 else rotation._transposed(re), axis=-1)
+    spectrum *= 1j * hbar_c * (sign_weights(D_R.grid, "+")[:n // 2 + 1] - 0.5)
+    y = np.fft.irfft(spectrum, n, axis=-1)
+    return rotation._kernel(D_R.grid, mask_add_transpose(y))
+
+
+def mask_split_representation(asym, n_0_size, d, hbar_c):
+    """`rotation._split_representation` over theta masks in both
+    representations, with max |D_R| from one n x n |D_R|."""
+    size = np.abs(d)
+    bound = rotation._SPLIT_TOL * (n_0_size + hbar_c * size.max())
+    closest = None
+    for periodic in (False, True) if d.ndim == 2 else (True,):
+        _, earlier, tie = mask_regions(d, periodic)
+        terms = (asym, hbar_c * size.max(where=earlier, initial=0.0),
+                 0.5 * hbar_c * np.abs(d[tie] + rotation._transposed(d)[tie]).max())
+        if terms[0] + (terms[1] + terms[2]) <= bound:
+            return periodic
+        closest = min(closest or terms, terms, key=sum)
+    worst = int(np.argmax(closest))
+    raise rotation.ConsistencyError(
+        "rotated set is not a Hermitian field's: K_F would not be the theta split of K_W; "
+        f"largest term {rotation._SPLIT_TERMS[worst]} = {closest[worst]:.3e} "
+        f"(tolerance {bound:.3e})")
+
+
+def mask_unrotate(rot):
+    """`rotation.unrotate` with N_0's asymmetry from `mask_mirror_residual`,
+    the split rule over masks and K_W built from `mask_add_transpose`."""
+    n_0, d = rotation._data(rotation.reorder(rot, 0.0).N_s, rot.D_R)
+    asym, n_0_size = mask_mirror_residual(n_0)
+    periodic = mask_split_representation(asym, n_0_size, d, rot.hbar_c)
+    k_w = np.empty(d.shape, dtype=complex)
+    mask_add_transpose(d, -1.0, out=k_w.imag)
+    k_w.imag *= 0.5 * rot.hbar_c
+    k_w.real = n_0
+    hermitian = asym / max(np.abs(k_w).max(), 1e-300)
+    return rotation.CumulantSet._measured(hermitian, rot.mean, rotation._kernel(rot.grid, k_w),
+                                          rot.hbar_c, periodic)
+
+
+def mask_rotate(ctl, s):
+    """`rotation.rotate` to s on the mask route: the mask Weyl image, then
+    N_s = N_0 - s hbar c Z_1 with Z_1 from `mask_gap`."""
+    weyl = mask_weyl_image(ctl)
+    if s == 0.0:
+        return weyl
+    n_0, z = rotation._data(weyl.N_s, mask_gap(weyl.D_R, 1.0))
+    out = ((0.0 - s) * ctl.hbar_c) * z
+    out += n_0
+    return rotation.RotatedCumulants(ctl.mean, weyl.D_R, rotation._kernel(ctl.grid, out),
+                                     OrderingParam(s), ctl.hbar_c)
 
 
 def chunk_allocating_grams(rng, n_samples):

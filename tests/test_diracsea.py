@@ -261,6 +261,23 @@ class TestR0:
     def test_empty_auxiliary_sum(self):
         assert R0_from_scheme(BARE, SPEC) == 0.0
 
+    def test_kept_sum_follows_an_edited_scheme(self):
+        # the log-moment sum is kept per scheme values, so a scheme whose
+        # lists are edited in place gets the sum of its new values, the
+        # same bits as the loop over them
+        scheme = solve_pv(0, geometric_masses(1.0, 10.0, 5), impose_B0=False)
+        other = solve_pv(0, geometric_masses(1.0, 30.0, 5), impose_B0=False)
+        before = R0_from_scheme(scheme, SPEC)
+        for name in ("masses", "d", "d_mp"):
+            getattr(scheme, name)[:] = getattr(other, name)
+        after = R0_from_scheme(scheme, SPEC)
+        total = 0.0
+        for l in range(1, len(other.masses)):
+            total += (-1) ** l * other.d[l] * np.log(other.masses[l] ** 2 / other.masses[0] ** 2)
+        assert after != before
+        assert after.hex() == (-(SPEC.alpha / (3.0 * np.pi)) * total).hex()
+        assert after.hex() == R0_from_scheme(other, SPEC).hex()
+
 
 class TestPolarizationTensors:
     def test_renormalized_low_k(self):
@@ -381,6 +398,19 @@ class TestCoordinateSpace:
         assert out["smooth"].hex() == (sign_t * value).hex()
         assert out["abserr"].hex() == abserr.hex()
         assert out["segments"] == panels
+
+    def test_kept_series_follows_an_edited_scheme(self):
+        # the series above the top threshold is kept per scheme values: an
+        # edited scheme's amplitude is its new values' (the per-band loop
+        # builds its series afresh from the scheme)
+        sch = solve_pv(0, [1.0, 2.0, 4.0, 8.0, 16.0], impose_B0=False)
+        other = solve_pv(1, geometric_masses(1.0, 2.0, 7), impose_B0=False)
+        before = K_reg_coordinate(3e-3, 1, sch, with_cone_coefficient=False)["smooth"]
+        for name in ("masses", "d", "d_mp"):
+            getattr(sch, name)[:] = getattr(other, name)
+        after = K_reg_coordinate(3e-3, 1, sch, with_cone_coefficient=False)["smooth"]
+        assert after != before
+        assert after.hex() == per_band_smooth_amplitude(3e-3, other)[0].hex()
 
     def test_time_reversal_flips_sign(self, scheme):
         a = K_reg_coordinate(0.5, 1, scheme)["smooth"]

@@ -44,6 +44,13 @@ from common import (
     circular_lags,
     hfft_gap,
     lag_index_theta,
+    mask_add_transpose,
+    mask_gap,
+    mask_mirror_residual,
+    mask_rotate,
+    mask_theta_split,
+    mask_unrotate,
+    mask_weyl_image,
     retarded_from_cumulants,
     synthetic_outer_route,
     triple_residuals,
@@ -531,18 +538,18 @@ class TestStoredWightman:
     @pytest.mark.parametrize("name", ORACLE_SETS)
     def test_unrotate_measures_the_asymmetry_once(self, name, monkeypatch):
         # one pass over N_0 gives the split rule's asymmetry and the stored
-        # set's Hermitian residual, equal to the one K_W itself gives
+        # set's Hermitian residual, equal to the one K_W itself gives: on
+        # n x n data one walk over mirrored tile pairs, on a lag profile one
+        # `_mirror_residual`
         rot = rotate(ORACLE_SETS[name](), OrderingParam(0.7))
         calls = []
-
-        def counted(a):
-            calls.append(a.shape)
-            return mirror(a)
-
-        mirror = rotation._mirror_residual
-        monkeypatch.setattr(rotation, "_mirror_residual", counted)
+        walk, mirror = rotation._pairs, rotation._mirror_residual
+        monkeypatch.setattr(rotation, "_pairs", lambda n: calls.append(("walk", n)) or walk(n))
+        monkeypatch.setattr(rotation, "_mirror_residual",
+                            lambda a: calls.append(("mirror", a.shape)) or mirror(a))
         back = unrotate(rot)
-        assert len(calls) == 1
+        profile = rot.D_R.profile is not None
+        assert calls == ([("mirror", (GRID.n,))] if profile else [("walk", GRID.n)])
         worst, size = mirror(back.K_W.values)
         assert back.residual == worst / max(size, 1e-300)
 
@@ -1087,3 +1094,146 @@ def test_bad_hbar_c_rejected(hbar_c):
         reorder(dataclasses.replace(rot, hbar_c=hbar_c), -0.2)
     with pytest.raises(ValueError, match="hbar_c"):
         reorder_gap_kernel(rot.D_R, hbar_c)
+
+
+WALK_SIZES = [2, 63, 64, 65, 129, 1024]
+
+
+def walk_sets(n):
+    """Linear-time n x n sets for the mirrored-tile walk against the mask
+    route: a squeezed oscillator, the synthetic set (n >= 10), one read
+    back from its file (n <= 129: at n = 1024 the file holds 3 n^2 complex
+    entries), K_W Hermitian only to about 1e-10 and 1e-12, and K_W holding
+    -0.0."""
+    grid = TimeGrid(n, 0.05)
+    rng = np.random.default_rng(n)
+    osc = ctl_cumulants(OscillatorSpec(omega0=0.9), GaussianState(nbar=0.8, m=0.6 * np.exp(0.9j)),
+                        grid, periodic=False)
+    k_w = osc.K_W.values
+    sets = {"oscillator": osc}
+    if n >= 10:
+        sets["synthetic"] = synthetic_cumulants(grid, rng)
+    if n <= 129:
+        sets["from JSON"] = cumulants_from_json(cumulants_to_json(sets.get("synthetic", osc)))
+    for size in (1e-10, 1e-12):  # unrotate may refuse the first: its N_0 is as asymmetric
+        noise = size * np.abs(k_w).max() * rng.normal(size=(n, n))
+        sets[f"Hermitian to {size}"] = CumulantSet(osc.mean, TwoPointKernel(grid, k_w + noise),
+                                                   1.0, False)
+    zeros = np.triu(rng.random((n, n)) < 0.3)
+    signed = k_w.copy()
+    signed.real[zeros | zeros.T] = -0.0
+    signed.imag[np.triu(zeros, 1)], signed.imag[np.tril(zeros.T, -1)] = -0.0, 0.0
+    signed.imag[np.diag_indices(n)] = -0.0
+    sets["negative zeros"] = CumulantSet(osc.mean, TwoPointKernel(grid, signed), 0.7, False)
+    return sets
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def unrotated(route, rot):
+    """What `route` (unrotate or its mask oracle) makes of `rot`: the bytes
+    of K_W and residual and the time representation, or the refusal."""
+    try:
+        back = route(rot)
+    except ConsistencyError as e:
+        return str(e)
+    return back.K_W.values.tobytes(), np.float64(back.residual).tobytes(), back.periodic
+
+
+class TestMirroredTileWalk:
+    """The walk over mirrored tile pairs (`rotation._pairs`) against the
+    mask route it replaced (`common.mask_*`), byte for byte."""
+
+    @pytest.mark.parametrize("n", WALK_SIZES)
+    def test_steps_match_mask_route(self, n):
+        for name, ctl in walk_sets(n).items():
+            k_w = ctl.K_W.values
+            assert same_bytes(rotation._theta_split(k_w, False), mask_theta_split(k_w, False)), name
+            assert same_bytes(rotation._mirror_residual(k_w), mask_mirror_residual(k_w)), name
+            for a in (k_w, k_w.real.copy(), k_w.imag.copy()):
+                for sign in (1.0, -1.0):
+                    assert same_bytes(rotation._add_transpose(a, sign),
+                                      mask_add_transpose(a, sign)), name
+            weyl, oracle = rotation._weyl_image(ctl), mask_weyl_image(ctl)
+            assert same_bytes(weyl.D_R.values, oracle.D_R.values), name
+            assert same_bytes(weyl.N_s.values, oracle.N_s.values), name
+            assert same_bytes(reorder_gap_kernel(weyl.D_R, 0.7).values,
+                              mask_gap(weyl.D_R, 0.7).values), name
+            for s in (0.0, 0.45, -1.0):
+                rot, oracle = rotate(ctl, OrderingParam(s)), mask_rotate(ctl, s)
+                assert same_bytes(rot.D_R.values, oracle.D_R.values), name
+                assert same_bytes(rot.N_s.values, oracle.N_s.values), name
+                assert unrotated(unrotate, rot) == unrotated(mask_unrotate, rot), name
+
+    def test_one_by_one_arrays_match_mask_route(self):
+        for a in (np.array([[-0.0 - 0.0j]]), np.array([[1.5 - 0.25j]]), np.array([[-0.0]])):
+            assert same_bytes(rotation._theta_split(a, False), mask_theta_split(a, False))
+            assert same_bytes(rotation._mirror_residual(a), mask_mirror_residual(a))
+            for sign in (1.0, -1.0):
+                assert same_bytes(rotation._add_transpose(a, sign), mask_add_transpose(a, sign))
+
+    @pytest.mark.parametrize("case", UNROTATE_REFUSALS)
+    @pytest.mark.parametrize("n", [65, 129])
+    def test_refusals_match_mask_route(self, case, n):
+        grid = TimeGrid(n, 0.05)
+        rot = rotate(synthetic_cumulants(grid, np.random.default_rng(n)), OrderingParam(0.3))
+        if case == "acausal D_R":
+            rot.D_R = TwoPointKernel(grid, np.random.default_rng(36).normal(size=(n, n)))
+        elif case == "equal-time D_R":
+            rot.D_R = TwoPointKernel(grid, rot.D_R.values + 0.2 * np.eye(n))
+        elif case == "asymmetric N_0":
+            rot.N_s = TwoPointKernel(grid, rot.N_s.values + 1e-3 * np.eye(n, k=3))
+        else:
+            rot.D_R = TwoPointKernel(grid, rot.D_R.values + 1e-3j * np.eye(n, k=-1))
+        refusal = unrotated(unrotate, rot)
+        assert isinstance(refusal, str) and refusal == unrotated(mask_unrotate, rot)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("where", [(3, 5), (70, 70), (0, 128), (128, 1)])
+    def test_non_finite_entries_match_mask_route(self, where):
+        # a NaN in K_W or in N_0 is refused with the residual the mask route gives
+        grid = TimeGrid(129, 0.05)
+        ctl = synthetic_cumulants(grid, np.random.default_rng(5))
+        k_w = ctl.K_W.values.copy()
+        k_w[where] = np.nan
+        assert same_bytes(rotation._mirror_residual(k_w), mask_mirror_residual(k_w))
+        with pytest.raises(ConsistencyError, match="not Hermitian: residual nan"):
+            CumulantSet(ctl.mean, TwoPointKernel(grid, k_w), 1.0, False)
+        rot = rotate(ctl, OrderingParam(0.0))
+        n_0 = rot.N_s.values.copy()
+        n_0[where] = np.nan
+        rot.N_s = TwoPointKernel(grid, n_0)
+        refusal = unrotated(unrotate, rot)
+        assert "nan" in refusal and refusal == unrotated(mask_unrotate, rot)
+
+    def test_dense_linear_time_builds_no_theta_mask(self, monkeypatch):
+        def masks(n, periodic, profile=False):
+            if not (periodic or profile):
+                raise AssertionError(f"an n x n theta mask in linear time (n = {n})")
+            return theta_masks(n, periodic, profile)
+
+        theta_masks = grids._theta_masks
+        monkeypatch.setattr(grids, "_theta_masks", masks)
+        monkeypatch.setattr(rotation, "_theta_masks", masks)
+        with pytest.raises(AssertionError, match="theta mask"):
+            rotation._theta_masks(8, False)
+        grid = TimeGrid(130, 0.05)
+        for ctl in (synthetic_cumulants(grid, np.random.default_rng(8)),
+                    ctl_cumulants(SPEC, GaussianState(nbar=0.5), grid, periodic=False)):
+            rot = rotate(ctl, OrderingParam(0.4))
+            back = unrotate(reorder(rot, -0.6))
+            assert back.periodic is False and ctl.K_F.values.shape == (130, 130)
+
+
+@pytest.mark.parametrize("n", [10, 63, 64, 65, 130, 1024])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_synthetic_residual_is_exactly_zero(n, seed):
+    # the construction makes K_W exactly Hermitian, which is what lets
+    # synthetic_cumulants hand over a residual of 0.0 instead of measuring it
+    ctl = synthetic_cumulants(TimeGrid(n, 0.05), np.random.default_rng(seed))
+    worst, size = rotation._mirror_residual(ctl.K_W.values)
+    assert worst == 0.0 and size > 0.0 and mask_mirror_residual(ctl.K_W.values)[0] == 0.0
+    assert ctl.residual == 0.0

@@ -8,6 +8,7 @@ import pytest
 from keldrot.grids import OrderingParam, Signal, TimeGrid, TwoPointKernel
 from keldrot.oscillator import GaussianState, OscillatorSpec, ctl_cumulants
 from keldrot.rotation import ConsistencyError, rotate, synthetic_cumulants
+from keldrot import rotation
 from keldrot import serialization as ser
 
 
@@ -368,6 +369,14 @@ class TestSameBytesAsFormattingEachFloat:
         read = ser.cumulants_from_json(text)
         assert text == old_cumulants_json(ctl)
         assert ser.cumulants_to_json(read) == old_cumulants_json(read) == text
+
+    def test_cumulant_bundle_splits_k_w_once(self, grid, monkeypatch):
+        # K_rev is written as the conjugate of the one derived K_F
+        ctl = synthetic_cumulants(grid, np.random.default_rng(7))
+        calls, split = [], rotation._theta_split
+        monkeypatch.setattr(rotation, "_theta_split", lambda *a: calls.append(1) or split(*a))
+        text = ser.cumulants_to_json(ctl)
+        assert len(calls) == 1 and text == old_cumulants_json(ctl)
 
     def test_rotated_bundle(self, grid):
         ctl = synthetic_cumulants(grid, np.random.default_rng(6))
