@@ -319,7 +319,7 @@ def run_dress(config: dict) -> tuple[dict, dict]:
     d_bare, pi_r, closed, w_shift = medium.one_mode_toy(
         _grid_from_config(config), float(config["omega0"]), float(config["coupling"]))
     dressed = medium.dress_retarded_grid(d_bare, pi_r)
-    two_route = float(np.abs(dressed.values - closed).max())
+    two_route = medium._max_abs_diff(dressed.values, closed)
     summary = {"two_route_residual": two_route,
                "shifted_frequency": float(w_shift)}
     return {".json": ser.kernel_to_json(dressed),

@@ -350,9 +350,10 @@ def pair_form(f: Signal, K: TwoPointKernel, g: Signal) -> complex:
 def theta_ordering_matrix(grid: TimeGrid) -> np.ndarray:
     """theta(t_i - t_j) with the value 1/2 at t_i = t_j, in linear time.
 
-    This is the package's one time order: the theta split of K_F, the causal
-    support of a response kernel (its acausal entries are theta == 0) and the
-    sampled oscillator response all derive from it, through `_theta_masks`.
+    This is the package's one time order: the theta split of K_F and the
+    causal support of a response kernel (its acausal entries are theta == 0)
+    derive from it, through `_theta_masks`.  The sampled oscillator response
+    does not: it is laid out from its lags, with `heaviside`'s 1/2 at lag 0.
     On the circle the order is the lag profile `_circle_theta`, whose wrap
     lag -T/2 gets weight 1/2 as well; circulant ordering is what makes the
     stationary spectral identities exact on the grid.

@@ -68,7 +68,14 @@ class SpectralDensity:
                                [(loc, factor * w) for loc, w in self.delta_terms])
 
 
-_ROWS = 64  # rows per block in the structure checks and the wave residual
+_ROWS = 64  # rows per block in the structure checks, the wave residual and _max_abs_diff
+
+
+def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| in row blocks, with no n x n temporary.  np.max of the
+    block maxima keeps a NaN of any block; the built-in max drops a late one."""
+    return float(np.max([np.abs(a[lo:lo + _ROWS] - b[lo:lo + _ROWS]).max()
+                         for lo in range(0, len(a), _ROWS)]))
 
 
 def _toeplitz_column(values: np.ndarray) -> np.ndarray | None:
@@ -156,12 +163,14 @@ def one_mode_toy(grid: TimeGrid, omega0: float, gamma: float):
     Pi_R = (gamma/dt) I, and the dressed kernel's pole-shift closed form
     closed = (omega0/w') D_R at w', with w'^2 = omega0^2 + gamma omega0.
     """
-    d_bare = TwoPointKernel(grid, retarded_response_grid(OscillatorSpec(omega0=omega0), grid))
+    spec = OscillatorSpec(omega0=omega0)
     if not (math.isfinite(gamma) and omega0 ** 2 + gamma * omega0 > 0):
         raise ValueError(f"coupling gamma must be finite and exceed -omega0, got {gamma}")
+    d_bare = TwoPointKernel(grid, retarded_response_grid(spec, grid))
     pi_r = TwoPointKernel(grid, (gamma / grid.dt) * np.eye(grid.n))
     w_shift = np.sqrt(omega0 ** 2 + gamma * omega0)
-    closed = (omega0 / w_shift) * retarded_response_grid(OscillatorSpec(omega0=w_shift), grid)
+    closed = retarded_response_grid(OscillatorSpec(omega0=w_shift), grid)
+    closed *= omega0 / w_shift
     return d_bare, pi_r, closed, w_shift
 
 

@@ -12,18 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (
-    OrderingParam,
-    Signal,
-    TimeGrid,
-    TwoPointKernel,
-    _circle_theta,
-    _require_count,
-    _require_positive,
-    heaviside,
-    project_s,
-    theta_ordering_matrix,
-)
+from .grids import (OrderingParam, Signal, TimeGrid, TwoPointKernel, _circle_theta,
+                    _require_count, _require_positive, _toeplitz, heaviside, project_s)
 from .rotation import CumulantSet, RotatedCumulants
 
 __all__ = [
@@ -83,11 +73,12 @@ def retarded_response(spec: OscillatorSpec, tau):
 
 
 def retarded_response_grid(spec: OscillatorSpec, grid: TimeGrid) -> np.ndarray:
-    """D_R sampled on the grid in linear time: -theta(t - t') sin(omega0 (t - t'))
-    with the grid's time order `theta_ordering_matrix`.  The response on the
+    """D_R sampled on the grid in linear time, laid out from its 2n - 1 lags:
+    entry (i, j) is `retarded_response` at the lag (i - j) dt, so the kernel
+    is exactly lower-triangular Toeplitz at any dt.  The response on the
     circle is the D_R of `rotated_cumulants`."""
-    t = grid.times
-    return -theta_ordering_matrix(grid) * np.sin(spec.omega0 * (t[:, None] - t[None, :]))
+    lags = grid.dt * np.arange(grid.n)
+    return _toeplitz(retarded_response(spec, lags), retarded_response(spec, -lags))
 
 
 def _mode_phases(w: float, t, tp):

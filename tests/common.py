@@ -6,7 +6,7 @@ import numpy as np
 import keldrot.oscillator as oscillator
 import keldrot.rotation as rotation
 from keldrot.grids import (OrderingParam, Signal, TwoPointKernel, _theta_masks, heaviside,
-                           sign_weights)
+                           sign_weights, theta_ordering_matrix)
 from keldrot.pvreg import PVScheme
 
 BARE = PVScheme(M=0, masses=[1.0], d=[1.0], d_mp=["1"], impose_B0=False, residuals=[],
@@ -29,6 +29,15 @@ def circular_lags(grid):
     circulant (stationary) kernel."""
     i = np.arange(grid.n)
     return grid.lags[(i[:, None] - i[None, :]) % grid.n]
+
+
+def pointwise_response(spec, grid):
+    """The linear-time oscillator response sampled at t_i - t_j under the
+    grid's time order, the oracle of `retarded_response_grid`'s lag layout:
+    the same bits where t_i - t_j is exactly (i - j) dt (a dyadic dt), else
+    not exactly Toeplitz."""
+    t = grid.times
+    return -theta_ordering_matrix(grid) * np.sin(spec.omega0 * (t[:, None] - t[None, :]))
 
 
 def lag_index_theta(grid, periodic):

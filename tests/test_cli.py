@@ -284,6 +284,19 @@ class TestDressRoutes:
                     "--out", outdir / "toy"]) == 0
         assert (outdir / "file.json").read_bytes() == (outdir / "toy.json").read_bytes()
 
+    def test_non_dyadic_toy_takes_recursion(self, outdir, monkeypatch):
+        # the toy's kernels are laid out from their lags, so exactly Toeplitz
+        import scipy.linalg
+
+        def refused(*args, **kwargs):
+            raise AssertionError("dense solve_triangular called")
+
+        monkeypatch.setattr(scipy.linalg, "solve_triangular", refused)
+        assert run(["dress", "--omega0", 1, "--coupling", 0.3, "--n", 512, "--dt", 0.1,
+                    "--out", outdir / "toy"]) == 0
+        residual = json.loads((outdir / "toy.check.json").read_text())["two_route_residual"]
+        assert residual < 1e-2  # the grid's O(dt^2) quadrature error, 1.5e-3 here
+
     @pytest.mark.parametrize("dt", [0.1, 0.0625])
     def test_overflowing_toy_fails(self, dt, outdir, capsys):
         """Exit 1 with the error alone on stderr: no NaN file, and no warning."""
@@ -625,8 +638,8 @@ class TestAcceptVerb:
 class TestStartupImports:
     def test_verbs_without_quadrature_load_no_heavy_scipy(self, outdir):
         """`kernels`, `project`, `dress` on a time-invariant medium (the
-        one-mode toy at a dyadic step, and bare/susceptibility files holding
-        an exactly Toeplitz kernel and gamma I), `pv-solve` and an
+        one-mode toy, and bare/susceptibility files holding an exactly
+        Toeplitz kernel and gamma I), `pv-solve` and an
         unrenormalized `vacuum-pol` run in a fresh interpreter without
         importing scipy's quadrature, special functions or linear algebra,
         or mpmath."""

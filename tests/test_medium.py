@@ -30,8 +30,8 @@ from keldrot.oscillator import (
 )
 from keldrot.rotation import CumulantSet, RotatedCumulants, reorder, rotate
 
-from common import (acausal_part, circular_lags, lag_profile, time_normal_vacuum_noise,
-                    triple_residuals, zero_kernel)
+from common import (acausal_part, circular_lags, lag_profile, pointwise_response,
+                    time_normal_vacuum_noise, triple_residuals, zero_kernel)
 
 SEA = DiracSeaSpec(mu0=1.0)
 
@@ -828,14 +828,25 @@ class TestToeplitzRoutes:
         off_diagonal[3, 1] = 1e-300
         assert medium._scalar_diagonal(off_diagonal) is None
 
-    def test_non_dyadic_step_takes_dense_route(self, dense_solves):
-        # t_i - t_j rounds differently along a diagonal at this step, so the
-        # sampled D0 is not exactly Toeplitz
+    def test_non_dyadic_step_takes_recursion(self, dense_solves):
+        # laid out from its lags, the toy's D0 is exactly Toeplitz at any dt
         grid = TimeGrid(128, 0.1)
-        d_bare, pi_r, closed, _ = one_mode_toy(grid, 1.0, 0.25)
-        assert medium._toeplitz_column(d_bare.values) is None
+        d_bare, pi_r, _, _ = one_mode_toy(grid, 1.0, 0.25)
+        assert np.array_equal(medium._toeplitz_column(d_bare.values), d_bare.values[:, 0])
         dress_retarded_grid(d_bare, pi_r)
+        assert dense_solves == []
+
+    def test_non_dyadic_step_takes_dense_route(self, dense_solves):
+        # sampled at t_i - t_j, which rounds differently along a diagonal at
+        # this step, D0 is not exactly Toeplitz
+        grid = TimeGrid(128, 0.1)
+        d_bare, pi_r, _, _ = one_mode_toy(grid, 1.0, 0.25)
+        d0 = pointwise_response(OscillatorSpec(omega0=1.0), grid)
+        assert medium._toeplitz_column(d0) is None
+        got = dress_retarded_grid(TwoPointKernel(grid, d0), pi_r).values
         assert len(dense_solves) == 1
+        toeplitz = dress_retarded_grid(d_bare, pi_r).values
+        assert np.abs(got - toeplitz).max() < 1e-12 * np.abs(toeplitz).max()
 
     def test_singular_kernel_refused_on_both_routes(self):
         grid = TimeGrid(16, 0.5)
@@ -933,3 +944,49 @@ class TestToeplitzRoutes:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * dressed.values.nbytes  # row blocks only
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        """Bytes allocated at the peak of fn(*args), above its start."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_two_route_peaks(self):
+        # the responses are laid out from their lags and compared in row
+        # blocks: criterion 11 holds D0, Pi_R, the closed form and the
+        # dressed kernel at once, the toy the first three
+        from keldrot.acceptance import criterion_dyson_two_route
+
+        square = 8 * 2048 ** 2  # one n x n float64 at criterion 11's n
+        assert self.traced_peak(criterion_dyson_two_route) <= 4.25 * square
+        toy = self.traced_peak(one_mode_toy, TimeGrid(2048, 30.0 / 2048), 1.0, 0.3)
+        assert toy <= 3.25 * square
+
+    def test_bad_coupling_refused_before_any_kernel(self):
+        def refused():
+            with pytest.raises(ValueError, match="coupling gamma"):
+                one_mode_toy(TimeGrid(2048, 30.0 / 2048), 1.0, -2.0)
+
+        assert self.traced_peak(refused) < 0.01 * 8 * 2048 ** 2
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_max_abs_diff_is_the_whole_array_max(self, dtype):
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(2, 130, 130))
+        if dtype is complex:
+            a, b = a + 1j * rng.normal(size=a.shape), b + 1j * rng.normal(size=b.shape)
+        got = medium._max_abs_diff(a, b)
+        assert type(got) is float
+        assert got == np.abs(a - b).max()
+
+    @pytest.mark.parametrize("row", [3, 70, 129])  # the first, a middle and the last block
+    def test_max_abs_diff_carries_nan(self, row):
+        a = np.zeros((130, 130))
+        a[row, 5] = np.nan
+        assert np.isnan(medium._max_abs_diff(a, np.ones((130, 130))))

@@ -27,7 +27,7 @@ from keldrot.rotation import (
     rotation_substitution,
 )
 
-from common import chunk_allocating_grams
+from common import chunk_allocating_grams, pointwise_response
 
 GRID = TimeGrid(256, 0.05)
 W0 = GRID.resonant_frequency(9)
@@ -71,9 +71,16 @@ class TestRetardedResponse:
         assert val == pytest.approx(-1.0 / 1.7, rel=1e-3)
 
     def test_linear_grid_sampling_is_pointwise(self):
-        t = GRID.times
-        assert np.array_equal(retarded_response_grid(SPEC, GRID),
-                              retarded_response(SPEC, t[:, None] - t[None, :]))
+        # pointwise in the lag (i - j) dt at any dt, and the bits of the
+        # oracle sampled at t_i - t_j on dyadic grids, where the two agree
+        i = np.arange(GRID.n)
+        assert (retarded_response_grid(SPEC, GRID).tobytes()
+                == retarded_response(SPEC, GRID.dt * (i[:, None] - i[None, :])).tobytes())
+        for n in (256, 2048):
+            for w in (1.0, np.sqrt(1.3), 13.1):  # criterion 11's omega0 and w'
+                spec, grid = OscillatorSpec(omega0=w), TimeGrid(n, 30.0 / 2048)
+                assert (retarded_response_grid(spec, grid).tobytes()
+                        == pointwise_response(spec, grid).tobytes())
 
     def test_circular_grid_sampling_is_the_rotated_response(self):
         # on the circle the wrap lag -T/2 is half causal, like K_F's theta split
