@@ -15,7 +15,7 @@ from keldrot.grids import OrderingParam, Signal, TimeGrid, TwoPointKernel
 from keldrot.oscillator import GaussianState, OscillatorSpec, ctl_cumulants
 from keldrot.rotation import rotate, synthetic_cumulants, unrotate
 
-from common import project_pm
+from common import pointwise_response, project_pm
 
 
 @pytest.fixture
@@ -297,7 +297,7 @@ class TestDressRoutes:
         residual = json.loads((outdir / "toy.check.json").read_text())["two_route_residual"]
         assert residual < 1e-2  # the grid's O(dt^2) quadrature error, 1.5e-3 here
 
-    @pytest.mark.parametrize("dt", [0.1, 0.0625])
+    @pytest.mark.parametrize("dt", [0.1, 0.0625])  # both take the Toeplitz recursion
     def test_overflowing_toy_fails(self, dt, outdir, capsys):
         """Exit 1 with the error alone on stderr: no NaN file, and no warning."""
         with warnings.catch_warnings():
@@ -307,6 +307,34 @@ class TestDressRoutes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "computation" and "Pi_R" in err["detail"]
         assert list(outdir.iterdir()) == []
+
+    def test_overflowing_dense_dress_fails(self, outdir, capsys, monkeypatch):
+        """The same refusal on the dense route: a D0 sampled at t_i - t_j,
+        not exactly Toeplitz at dt = 0.1, dressed from files."""
+        import scipy.linalg
+
+        from keldrot.medium import _toeplitz_column
+
+        solves, solve = [], scipy.linalg.solve_triangular
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "solve_triangular", counted)
+        grid = TimeGrid(64, 0.1)
+        d0 = pointwise_response(OscillatorSpec(omega0=1.0), grid)
+        assert _toeplitz_column(d0) is None
+        bare, pi = outdir / "bare.json", outdir / "pi_r.json"
+        bare.write_text(ser.kernel_to_json(TwoPointKernel(grid, d0)))
+        pi.write_text(ser.kernel_to_json(TwoPointKernel(grid, (1e200 / grid.dt) * np.eye(64))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["dress", "--bare", bare, "--pi-r", pi, "--out", outdir / "d"]) == 1
+        assert solves == [1]
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "computation" and "Pi_R" in err["detail"]
+        assert sorted(outdir.iterdir()) == [bare, pi]
 
     @pytest.mark.parametrize("spoil,message", [
         (lambda obj: [1, 2], "kernel must be a JSON object, got an array"),
