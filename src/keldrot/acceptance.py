@@ -66,8 +66,7 @@ def criterion_projection_algebra() -> CriterionResult:
         lhs = overlap(project_s(f, p, "+"), g)
         rhs = overlap(f, project_s(g, p, "-"))
         worst = max(worst, abs(lhs - rhs))
-        conj = np.abs(project_s(f, p, "+").conj().values
-                      - project_s(f.conj(), p, "-").values).max()
+        conj = np.abs(project_s(f, p, "+").conj().values - project_s(f.conj(), p, "-").values).max()
         worst = max(worst, conj)
     elapsed = time.perf_counter() - start
     return CriterionResult(
@@ -225,8 +224,7 @@ def criterion_pi_plus_consistency() -> CriterionResult:
         via_transform = diracsea.Pi_plus(k0, kv, spec).scalar_part
         closed = diracsea.pi_plus_closed_form(k0, kv, spec)
         worst = max(worst, abs(via_transform - closed))
-        with_r0 = diracsea.Pi_plus(k0, kv, spec, scheme=scheme,
-                                   renormalized=False).scalar_part
+        with_r0 = diracsea.Pi_plus(k0, kv, spec, scheme=scheme, renormalized=False).scalar_part
         worst_r0 = max(worst_r0, abs(with_r0 - via_transform))
         # negative k0 must vanish
         worst = max(worst, abs(diracsea.Pi_plus(-k0, kv, spec).scalar_part))
@@ -322,16 +320,14 @@ def criterion_empty_vacuum() -> CriterionResult:
     # reordered vacuum noise = 2 s_minus Z, free-field mode check
     w0 = grid.resonant_frequency(9)
     osc_spec = oscillator.OscillatorSpec(omega0=w0)
-    ctl = oscillator.ctl_cumulants(osc_spec, oscillator.GaussianState(), grid,
-                                   periodic=True)
+    ctl = oscillator.ctl_cumulants(osc_spec, oscillator.GaussianState(), grid, periodic=True)
     rot1 = rotation.rotate(ctl, OrderingParam(1.0))
     worst_reorder = 0.0
     t = grid.times
     for s_val in (0.0, -1.0, 0.5):
         p = OrderingParam(s_val)
         n_s = rotation.reorder(rot1, s_val).N_s.values
-        expect = 2.0 * p.s_minus * oscillator.reorder_gap(
-            osc_spec, t[:, None] - t[None, :])
+        expect = 2.0 * p.s_minus * oscillator.reorder_gap(osc_spec, t[:, None] - t[None, :])
         worst_reorder = max(worst_reorder, np.abs(n_s - expect).max())
     passed = worst_zero < 1e-8 and worst_reorder < 1e-10
     return CriterionResult(
@@ -365,7 +361,7 @@ def criterion_mc_correspondence() -> CriterionResult:
     quasi_pull = float(max(pulls[ij] for ij in picks))
 
     res = medium.wyld_mc(spec, grid, 10 ** 6, 20241, white_noise_std=0.4)
-    dr = TwoPointKernel(grid, oscillator.retarded_response_grid(spec, grid))
+    dr = oscillator.retarded_response_grid(spec, grid)
     pi_n = TwoPointKernel(grid, (0.4 ** 2 / grid.dt) * np.eye(grid.n))
     target_cov = medium.noise_map(dr, pi_n).values.real
     pulls2 = np.abs(res["cov"] - target_cov) / np.maximum(res["cov_stderr"], 1e-300)
@@ -386,7 +382,7 @@ def criterion_dyson_two_route() -> CriterionResult:
     omega0 = 1.0
     d_bare, pi_r, closed, _ = medium.one_mode_toy(TimeGrid(2048, 30.0 / 2048), omega0, 0.3)
     dressed = medium.dress_retarded_grid(d_bare, pi_r)
-    worst = medium._max_abs_diff(dressed.values, closed)
+    worst = medium._lag_max_abs_diff(dressed, closed)
     residual = medium.wave_operator_residual(dressed, pi_r, omega0)
     passed = worst < 1e-4 and residual < 1e-4
     return CriterionResult(

@@ -226,8 +226,7 @@ def run_oscillator_mc(config: dict) -> tuple[dict, dict]:
     err_csv = ser.kernel_to_csv(TwoPointKernel(grid, err))
     summary = {"samples": int(config["samples"]), "max_stderr": float(err.max()),
                "worst_pull_vs_closed_form": worst_pull}
-    return {".csv": kernel_csv, ".stderr.csv": err_csv,
-            ".json": ser.dump_json(summary)}, summary
+    return {".csv": kernel_csv, ".stderr.csv": err_csv, ".json": ser.dump_json(summary)}, summary
 
 
 def run_rotation_verb(verb: str, config: dict) -> tuple[dict, dict]:
@@ -278,8 +277,7 @@ def run_vacuum_pol(config: dict) -> tuple[dict, dict]:
         # pick a representative (k0, |k|^2) pair on the requested mass shell
         kv = 0.0 if s > 0 else 1.0 - s
         k0 = k0_sign * np.sqrt(s + kv)
-        vals[i] = fns[kind](k0, kv, spec, scheme=scheme,
-                            renormalized=renorm).scalar_part
+        vals[i] = fns[kind](k0, kv, spec, scheme=scheme, renormalized=renorm).scalar_part
     csv = ser.momentum_table_to_csv({"k2": k2, "Pi": vals},
                                     header_comment=f"vacuum polarization kind={kind}")
     summary = {"kind": kind, "renormalized": renorm, "points": len(k2)}
@@ -319,11 +317,9 @@ def run_dress(config: dict) -> tuple[dict, dict]:
     d_bare, pi_r, closed, w_shift = medium.one_mode_toy(
         _grid_from_config(config), float(config["omega0"]), float(config["coupling"]))
     dressed = medium.dress_retarded_grid(d_bare, pi_r)
-    two_route = medium._max_abs_diff(dressed.values, closed)
-    summary = {"two_route_residual": two_route,
-               "shifted_frequency": float(w_shift)}
-    return {".json": ser.kernel_to_json(dressed),
-            ".check.json": ser.dump_json(summary)}, summary
+    two_route = medium._lag_max_abs_diff(dressed, closed)
+    summary = {"two_route_residual": two_route, "shifted_frequency": float(w_shift)}
+    return {".json": ser.kernel_to_json(dressed), ".check.json": ser.dump_json(summary)}, summary
 
 
 def run_zero_point(config: dict) -> tuple[dict, dict]:
@@ -365,8 +361,7 @@ def run_mc(config: dict) -> tuple[dict, dict]:
     summary = {"samples": res["n_samples"],
                "max_mean_stderr": float(res["mean_stderr"].max()),
                "max_cov_stderr": float(res["cov_stderr"].max())}
-    return {".mean.csv": mean_csv, ".cov.csv": cov_csv,
-            ".json": ser.dump_json(summary)}, summary
+    return {".mean.csv": mean_csv, ".cov.csv": cov_csv, ".json": ser.dump_json(summary)}, summary
 
 
 def run_accept(config: dict) -> tuple[dict, dict]:
@@ -471,8 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu0", type=float)
     p.add_argument("--alpha", type=float)
     p.add_argument("--kind", choices=["R", "F", "plus"])
-    p.add_argument("--renormalized", dest="renormalized", action="store_true",
-                   default=None)
+    p.add_argument("--renormalized", dest="renormalized", action="store_true", default=None)
     p.add_argument("--unrenormalized", dest="renormalized", action="store_false")
     _k2_flags(p)
     p.add_argument("--k0-sign", type=int, choices=[-1, 1])
@@ -519,8 +513,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     verb = "-".join(args.parser.prog.split()[1:])  # "keldrot oscillator mc" -> "oscillator-mc"
     # --config and --out are read only from the command line
-    flags = {a.dest: a for a in args.parser._actions
-             if a.dest not in ("help", "config", "out")}
+    flags = {a.dest: a for a in args.parser._actions if a.dest not in ("help", "config", "out")}
     cli_params = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
     out_prefix, config_path = args.out, args.config
     try:

@@ -167,9 +167,8 @@ class Signal:
     def __post_init__(self):
         self.values = _field_values(self.values)
         if self.values.shape != (self.grid.n,):
-            raise ValueError(
-                f"signal length {self.values.shape} does not match grid n={self.grid.n}"
-            )
+            raise ValueError(f"signal length {self.values.shape} does not match grid "
+                             f"n={self.grid.n}")
 
     @classmethod
     def zero(cls, grid: TimeGrid) -> "Signal":
@@ -233,9 +232,7 @@ def _reflected(profile: np.ndarray) -> np.ndarray:
 
 def _toeplitz(column: np.ndarray, row: np.ndarray) -> np.ndarray:
     """The n x n layout with entry (i, j) = column[i - j] for i >= j and
-    row[j - i] for i < j (row[0] is not read), from one sliding window.
-    A circulant kernel's is _toeplitz(profile, _reflected(profile)); a
-    lower-triangular Toeplitz kernel's is _toeplitz(column, zeros)."""
+    row[j - i] for i < j (row[0] is not read), from one sliding window."""
     n = len(column)
     # padded[n - 1 + m] = column[m], padded[n - 1 - m] = row[m]
     padded = np.concatenate((row[:0:-1], column))
@@ -247,15 +244,15 @@ class TwoPointKernel:
     """Real or complex kernel K(t, t') sampled on a common square grid
     (float64 or complex128, as the data is).
 
-    A kernel is held either as its n x n `values` or, for a circulant
-    (stationary on the circle) kernel made by `TwoPointKernel.circulant`,
-    as its lag profile alone: entry (i, j) is `profile[(i - j) % n]`, the
-    profile indexed like `TimeGrid.lags`.  Reading `values` of a circulant
-    kernel lays it out as n x n once; from then on the layout is the
-    kernel (`profile` is None), so a write through `values` is seen by
-    every later read and every route.  What is kept for the data (by
-    `rotation`) is in `_kept`, emptied whenever the data is assigned or laid
-    out, and never pickled or copied, so it goes with its data.
+    A kernel is held as its n x n `values` or by its lags: a circulant
+    (stationary on the circle) kernel as its `profile`, entry (i, j) being
+    `profile[(i - j) % n]` (indexed like `TimeGrid.lags`), and a Toeplitz
+    (time-invariant in linear time) kernel as its column and row, `lags`.
+    Reading `values` lays either out by `_toeplitz` once; from then on the
+    layout is the kernel (`profile` and `lags` are None), so a write through
+    `values` is seen by every later read and every route.  What is kept for
+    the data (by `rotation`) is in `_kept`, emptied whenever the data is
+    assigned or laid out, and never pickled or copied.
     """
 
     def __init__(self, grid: TimeGrid, values):
@@ -273,9 +270,20 @@ class TwoPointKernel:
         kernel._hold(None, profile)
         return kernel
 
-    def _hold(self, values: np.ndarray | None, profile: np.ndarray | None):
-        """Make (values, profile) the kernel's data, dropping what was kept."""
-        self._kept, self._values, self._profile = {}, values, profile
+    @classmethod
+    def toeplitz(cls, grid: TimeGrid, column, row) -> "TwoPointKernel":
+        """The Toeplitz kernel of `_toeplitz(column, row)`, held as its lags."""
+        lags = (_field_values(column), _field_values(row))
+        if any(x.shape != (grid.n,) for x in lags):
+            raise ValueError(f"lag shapes {[x.shape for x in lags]} do not match grid n={grid.n}")
+        kernel = cls.__new__(cls)
+        kernel.grid = grid
+        kernel._hold(None, None, lags)
+        return kernel
+
+    def _hold(self, values: np.ndarray | None, profile: np.ndarray | None, lags=None):
+        """Make (values, profile, lags) the kernel's data, dropping what was kept."""
+        self._kept, self._values, self._profile, self._lags = {}, values, profile, lags
 
     def __getstate__(self) -> dict:
         """The state with nothing kept (a weak ref does not pickle)."""
@@ -287,9 +295,14 @@ class TwoPointKernel:
         return self._profile
 
     @property
+    def lags(self) -> tuple | None:
+        """(column, row) of a Toeplitz kernel not yet laid out, else None."""
+        return self._lags
+
+    @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._hold(_toeplitz(self._profile, _reflected(self._profile)), None)
+            self._hold(_toeplitz(*(self._lags or (self._profile, _reflected(self._profile)))), None)
         return self._values
 
     @values.setter
@@ -301,7 +314,7 @@ class TwoPointKernel:
         self._hold(values, None)
 
     def __repr__(self) -> str:
-        form = "values" if self._profile is None else "profile"
+        form = next(f for f in ("profile", "lags", "values") if getattr(self, "_" + f) is not None)
         return f"TwoPointKernel({self.grid!r}, {form}={getattr(self, form)!r})"
 
 

@@ -18,8 +18,7 @@ import numpy as np
 
 from .diracsea import DiracSeaSpec, F_threshold, R_obs, R_obs_finite_eps
 from .grids import (OrderingParam, Signal, TimeGrid, TwoPointKernel, _check_same_grid,
-                    _require_count, _require_finite, _require_positive, _theta_masks,
-                    _toeplitz)
+                    _require_count, _require_finite, _require_positive, _theta_masks)
 from .oscillator import OscillatorSpec, _infield_basis, retarded_response_grid
 from .rotation import _mirror_residual
 
@@ -68,21 +67,23 @@ class SpectralDensity:
                                [(loc, factor * w) for loc, w in self.delta_terms])
 
 
-_ROWS = 64  # rows per block in the structure checks, the wave residual and _max_abs_diff
+_ROWS = 64  # rows per block in the Toeplitz scan and the dense wave residual
 
 
-def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b| in row blocks, with no n x n temporary.  np.max of the
-    block maxima keeps a NaN of any block; the built-in max drops a late one."""
-    return float(np.max([np.abs(a[lo:lo + _ROWS] - b[lo:lo + _ROWS]).max()
-                         for lo in range(0, len(a), _ROWS)]))
+def _lag_max_abs_diff(a: TwoPointKernel, b: TwoPointKernel) -> float:
+    """max |a - b| over the layouts of two kernels held as lags, per lag (NaN kept)."""
+    (col_a, row_a), (col_b, row_b) = a.lags, b.lags
+    return float(np.maximum(np.abs(col_a - col_b).max(), np.abs(row_a[1:] - row_b[1:]).max()))
 
 
-def _toeplitz_column(values: np.ndarray) -> np.ndarray | None:
-    """First column c of an exactly lower-triangular Toeplitz kernel
-    (values[i, j] = c[i - j], zero above the diagonal), else None.  A
-    Toeplitz kernel is zero above the diagonal exactly when its first row is
-    zero past the diagonal; the shift is compared in row blocks."""
+def _toeplitz_column(K: TwoPointKernel) -> np.ndarray | None:
+    """First column c of K when K is exactly lower-triangular Toeplitz, else
+    None: read off lags whose row is zero past lag 0, or scanned from n x n
+    values, which are that when their first row is zero past the diagonal
+    and each row is the one above shifted by one (compared in row blocks)."""
+    if K.lags is not None:
+        return None if K.lags[1][1:].any() else K.lags[0]
+    values = K.values
     n = values.shape[0]
     if values[0, 1:].any():
         return None
@@ -93,12 +94,10 @@ def _toeplitz_column(values: np.ndarray) -> np.ndarray | None:
     return values[:, 0].copy()
 
 
-def _scalar_diagonal(values: np.ndarray):
-    """gamma when values is exactly gamma I, else None."""
-    d = np.diagonal(values)
-    if (d == d[0]).all() and np.count_nonzero(values) == np.count_nonzero(d):
-        return d[0]
-    return None
+def _scalar_diagonal(K: TwoPointKernel):
+    """gamma when K is exactly gamma I, Toeplitz with column (gamma, 0, ...), else None."""
+    c = _toeplitz_column(K)
+    return c[0] if c is not None and not c[1:].any() else None
 
 
 def _dyson_column(a: np.ndarray, lam) -> np.ndarray:
@@ -126,20 +125,21 @@ def dress_retarded_grid(D_bare: TwoPointKernel, pi_R: TwoPointKernel) -> TwoPoin
     makes the solve a forward triangular substitution.  The result is
     retarded by construction.  For a time-invariant medium (D0 exactly
     lower-triangular Toeplitz, Pi_R exactly gamma I) the dressed kernel is
-    Toeplitz too, and only its first column is solved for.  Both kernels
-    must be finite, and a dressed kernel that overflows (a Pi_R too strong
-    for the grid) is a ValueError naming Pi_R.
+    Toeplitz too: only its first column is solved for, and it is held as
+    lags.  Both kernels must be finite, and a dressed kernel that overflows
+    (a Pi_R too strong for the grid) is a ValueError naming Pi_R.
     """
     _check_same_grid(D_bare.grid, pi_R.grid)
     grid = D_bare.grid
     overflow = "dressed kernel (the Dyson solve at this Pi_R)"
-    a = _toeplitz_column(D_bare.values)
-    gamma = _scalar_diagonal(pi_R.values) if a is not None else None
+    a = _toeplitz_column(D_bare)
+    gamma = _scalar_diagonal(pi_R) if a is not None else None
     if gamma is not None:
+        _require_finite("bare propagator kernel", a)  # as the dense route names it
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
             c = _dyson_column(a, grid.dt ** 2 * gamma)
         _require_finite(overflow, c)
-        return TwoPointKernel(grid, _toeplitz(c, np.zeros_like(c)))
+        return TwoPointKernel.toeplitz(grid, c, np.zeros_like(c))
     from scipy.linalg import solve_triangular
 
     earlier = _theta_masks(grid.n, False)[1]  # where theta = 0
@@ -158,26 +158,27 @@ def dress_retarded_grid(D_bare: TwoPointKernel, pi_R: TwoPointKernel) -> TwoPoin
 def one_mode_toy(grid: TimeGrid, omega0: float, gamma: float):
     """The one-mode Dyson toy and its closed form.
 
-    Returns (D0, Pi_R, closed, w'): the bare retarded oscillator kernel
-    D0 = D_R at omega0 in linear time, the delta susceptibility
-    Pi_R = (gamma/dt) I, and the dressed kernel's pole-shift closed form
-    closed = (omega0/w') D_R at w', with w'^2 = omega0^2 + gamma omega0.
+    Returns (D0, Pi_R, closed, w'), kernels held as lags: the bare retarded
+    oscillator kernel D0 = D_R at omega0 in linear time, the delta
+    susceptibility Pi_R = (gamma/dt) I, and the dressed kernel's pole-shift
+    closed form closed = (omega0/w') D_R at w', w'^2 = omega0^2 + gamma omega0.
     """
     spec = OscillatorSpec(omega0=omega0)
     if not (math.isfinite(gamma) and omega0 ** 2 + gamma * omega0 > 0):
         raise ValueError(f"coupling gamma must be finite and exceed -omega0, got {gamma}")
-    d_bare = TwoPointKernel(grid, retarded_response_grid(spec, grid))
-    pi_r = TwoPointKernel(grid, (gamma / grid.dt) * np.eye(grid.n))
+    first = (gamma / grid.dt) * np.eye(1, grid.n)[0]  # the first row, and column, of Pi_R
     w_shift = np.sqrt(omega0 ** 2 + gamma * omega0)
-    closed = retarded_response_grid(OscillatorSpec(omega0=w_shift), grid)
-    closed *= omega0 / w_shift
-    return d_bare, pi_r, closed, w_shift
+    shifted = retarded_response_grid(OscillatorSpec(omega0=w_shift), grid).lags
+    closed = TwoPointKernel.toeplitz(grid, *(omega0 / w_shift * lag for lag in shifted))
+    return (retarded_response_grid(spec, grid), TwoPointKernel.toeplitz(grid, first, first),
+            closed, w_shift)
 
 
 def mean_field(dressed: TwoPointKernel, J_e: Signal) -> Signal:
     """Radiated mean field <A> = D_R * J_e by grid quadrature; a medium with
-    a mean current <J_r> enters as the source J_e + <J_r>."""
+    a mean current <J_r> enters as the source J_e + <J_r>, which must be finite."""
     _check_same_grid(dressed.grid, J_e.grid)
+    _require_finite("J_e", J_e.values)
     return Signal(dressed.grid, dressed.grid.dt * (dressed.values @ J_e.values))
 
 
@@ -193,9 +194,9 @@ def noise_map(dressed: TwoPointKernel, pi_N: TwoPointKernel) -> TwoPointKernel:
     """
     _check_same_grid(dressed.grid, pi_N.grid)
     dt = dressed.grid.dt
-    g = _scalar_diagonal(pi_N.values)
+    g = _scalar_diagonal(pi_N)
     white = g is not None and g.imag == 0 and np.isfinite(g)
-    c = _toeplitz_column(dressed.values) if white else None
+    c = _toeplitz_column(dressed) if white else None
     if c is not None:
         n = np.outer(dt ** 2 * g * c, c.conj())
         for i in range(1, len(c)):
@@ -282,19 +283,22 @@ def wave_operator_residual(dressed: TwoPointKernel, pi_R: TwoPointKernel,
     from the diagonal, where the difference stencil is valid: rows
     2 <= i <= n - 3 at lags 2 <= i - j <= n - 3.  Returns the maximum
     interior residual relative to the delta amplitude (NaN when an entry it
-    reads is NaN).  The rows are taken in blocks, and a Pi_R = gamma I acts
-    as the scalar gamma.
+    reads is NaN); omega0 must be finite and positive.  The rows are taken
+    in blocks, and a Pi_R = gamma I acts as the scalar gamma; then an exactly
+    lower-triangular Toeplitz dressed kernel is read through its first
+    column alone, which holds every interior entry's value and stencil.
     """
-    g = dressed.grid
-    dt, n = g.dt, g.n
+    dt, n = dressed.grid.dt, dressed.grid.n
     if n < 5:
         raise ValueError("the wave operator residual needs a grid of at least 5 samples")
-    vals = dressed.values
-    gamma = _scalar_diagonal(pi_R.values)
+    _require_positive("omega0", omega0)
+    gamma = _scalar_diagonal(pi_R)
+    c = _toeplitz_column(dressed) if gamma is not None else None
+    vals = dressed.values if c is None else c[:, None]
     worst = 0.0
     for lo in range(2, n - 2, _ROWS):
         hi = min(lo + _ROWS, n - 2)
-        cols = hi - 2  # interior entries of rows lo:hi have j <= i - 2 < hi - 2
+        cols = min(hi - 2, vals.shape[1])  # interior entries of rows lo:hi have j <= i - 2
         rows = vals[lo:hi, :cols]
         d2 = (vals[lo + 1:hi + 1, :cols] - 2.0 * rows + vals[lo - 1:hi - 1, :cols]) / dt ** 2
         pi_d = gamma * rows if gamma is not None else pi_R.values[lo:hi] @ vals[:, :cols]
@@ -336,7 +340,7 @@ def wyld_mc(spec: OscillatorSpec, grid: TimeGrid, n_samples: int, seed: int,
     _require_positive("white_noise_std", white_noise_std, zero_ok=True)
     _require_positive("alpha_nbar", alpha_nbar, zero_ok=True)
     rng = np.random.Generator(np.random.Philox(seed))
-    dr = retarded_response_grid(spec, grid)
+    dr = retarded_response_grid(spec, grid).values
     base = np.zeros(grid.n)
     if J_e is not None:
         _check_same_grid(grid, J_e.grid)

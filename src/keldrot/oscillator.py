@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (OrderingParam, Signal, TimeGrid, TwoPointKernel, _circle_theta,
-                    _require_count, _require_positive, _toeplitz, heaviside, project_s)
+                    _require_count, _require_positive, heaviside, project_s)
 from .rotation import CumulantSet, RotatedCumulants
 
 __all__ = [
@@ -72,13 +72,13 @@ def retarded_response(spec: OscillatorSpec, tau):
     return out if out.ndim else float(out)
 
 
-def retarded_response_grid(spec: OscillatorSpec, grid: TimeGrid) -> np.ndarray:
-    """D_R sampled on the grid in linear time, laid out from its 2n - 1 lags:
+def retarded_response_grid(spec: OscillatorSpec, grid: TimeGrid) -> TwoPointKernel:
+    """D_R sampled on the grid in linear time, held as its 2n - 1 lags:
     entry (i, j) is `retarded_response` at the lag (i - j) dt, so the kernel
     is exactly lower-triangular Toeplitz at any dt.  The response on the
     circle is the D_R of `rotated_cumulants`."""
     lags = grid.dt * np.arange(grid.n)
-    return _toeplitz(retarded_response(spec, lags), retarded_response(spec, -lags))
+    return TwoPointKernel.toeplitz(grid, *(retarded_response(spec, x) for x in (lags, -lags)))
 
 
 def _mode_phases(w: float, t, tp):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 
+import keldrot.medium as medium
 import keldrot.oscillator as oscillator
 import keldrot.rotation as rotation
 from keldrot.grids import (OrderingParam, Signal, TwoPointKernel, _theta_masks, heaviside,
@@ -38,6 +39,35 @@ def pointwise_response(spec, grid):
     not exactly Toeplitz."""
     t = grid.times
     return -theta_ordering_matrix(grid) * np.sin(spec.omega0 * (t[:, None] - t[None, :]))
+
+
+def block_max_abs_diff(a, b, rows=64):
+    """max |a - b| of two n x n arrays in row blocks, the oracle of the
+    per-lag difference (`medium._lag_max_abs_diff`); np.max of the block
+    maxima keeps a NaN of any block."""
+    return float(np.max([np.abs(a[lo:lo + rows] - b[lo:lo + rows]).max()
+                         for lo in range(0, len(a), rows)]))
+
+
+def dense_dyson_two_route(grid, omega0, gamma, rows=64):
+    """Criterion 11 on n x n arrays, the oracle of its per-lag route: the
+    toy's kernels and the dressed kernel laid out, max |dressed - closed| in
+    row blocks, and the wave residual in row blocks over every interior
+    entry (rows 2 <= i <= n - 3, lags 2 <= i - j <= n - 3), Pi_R = gamma I
+    applied as its diagonal entry.  Returns (max difference, residual)."""
+    d_bare, pi_r, closed, _ = medium.one_mode_toy(grid, omega0, gamma)
+    d0, pi, closed = d_bare.values, pi_r.values, closed.values
+    d = medium.dress_retarded_grid(TwoPointKernel(grid, d0), TwoPointKernel(grid, pi)).values
+    dt, n, g = grid.dt, grid.n, pi[0, 0]
+    worst = 0.0
+    for lo in range(2, n - 2, rows):
+        hi = min(lo + rows, n - 2)
+        cols = hi - 2
+        block = d[lo:hi, :cols]
+        d2 = (d[lo + 1:hi + 1, :cols] - 2.0 * block + d[lo - 1:hi - 1, :cols]) / dt ** 2
+        lhs = -(d2 + omega0 ** 2 * block) / omega0 - dt * (g * block)
+        worst = np.maximum(worst, np.abs(np.tril(lhs, lo - 2)).max())
+    return block_max_abs_diff(d, closed, rows), float(worst / (1.0 / dt))
 
 
 def lag_index_theta(grid, periodic):

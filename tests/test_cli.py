@@ -324,7 +324,7 @@ class TestDressRoutes:
         monkeypatch.setattr(scipy.linalg, "solve_triangular", counted)
         grid = TimeGrid(64, 0.1)
         d0 = pointwise_response(OscillatorSpec(omega0=1.0), grid)
-        assert _toeplitz_column(d0) is None
+        assert _toeplitz_column(TwoPointKernel(grid, d0)) is None
         bare, pi = outdir / "bare.json", outdir / "pi_r.json"
         bare.write_text(ser.kernel_to_json(TwoPointKernel(grid, d0)))
         pi.write_text(ser.kernel_to_json(TwoPointKernel(grid, (1e200 / grid.dt) * np.eye(64))))

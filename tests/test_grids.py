@@ -355,6 +355,85 @@ def test_toeplitz_layouts_match_index_oracles(n, dtype):
     assert circulant.tobytes() == column[(i - j) % n].tobytes()
 
 
+class TestToeplitzLags:
+    """A Toeplitz kernel held as its lags (`TwoPointKernel.toeplitz`) lays
+    out once by `_toeplitz`, under the rule of the circulant profile."""
+
+    @staticmethod
+    def lags(n, dtype, seed=0):
+        # a column of both signs and a row of +0.0 and -0.0 alone: the
+        # layout must keep the sign of every zero above the diagonal
+        rng = np.random.default_rng(seed + n)
+        column = rng.normal(size=n).astype(dtype)
+        if dtype is complex:
+            column += 1j * rng.normal(size=n)
+        row = np.where(rng.normal(size=n) > 0, 0.0, -0.0).astype(dtype)
+        return column, row
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 2048])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_layout_is_the_toeplitz_layout(self, n, dtype):
+        column, row = self.lags(n, dtype)
+        kernel = TwoPointKernel.toeplitz(TimeGrid(n, 0.1), column, row)
+        assert kernel.profile is None and kernel.lags[0] is column and kernel.lags[1] is row
+        got = kernel.values
+        want = _toeplitz(column, row)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        i, j = np.triu_indices(n, 1)
+        for part in (np.real, np.imag):  # the sign of each zero above the diagonal
+            assert np.array_equal(np.signbit(part(got)[i, j]), np.signbit(part(row)[j - i]))
+        assert kernel.lags is None and kernel.profile is None and kernel.values is got
+
+    @pytest.mark.parametrize("lengths", [(7, 8), (8, 7), (9, 8), (8, 9), (8, 0)])
+    def test_wrong_length_refused(self, lengths):
+        column, row = (np.ones(m) for m in lengths)
+        with pytest.raises(ValueError, match=r"lag shapes .* do not match grid n=8"):
+            TwoPointKernel.toeplitz(TimeGrid(8, 0.1), column, row)
+        with pytest.raises(ValueError, match="do not match grid n=8"):
+            TwoPointKernel.toeplitz(TimeGrid(8, 0.1), np.ones((8, 1)), np.ones(8))
+
+    def test_assignment_replaces_the_lags(self):
+        kernel = TwoPointKernel.toeplitz(TimeGrid(8, 0.1), *self.lags(8, float))
+        kernel._kept["gap"] = np.ones(8)
+        new = np.arange(64.0).reshape(8, 8)
+        kernel.values = new
+        assert kernel.lags is None and kernel._kept == {} and kernel.values is new
+        kernel = TwoPointKernel.toeplitz(TimeGrid(8, 0.1), *self.lags(8, float))
+        kernel._kept["gap"] = np.ones(8)
+        kernel.values  # the layout is new data too
+        assert kernel._kept == {}
+
+    def test_pickled_or_copied_kernel_keeps_nothing(self):
+        import copy
+        import pickle
+
+        kernel = TwoPointKernel.toeplitz(TimeGrid(8, 0.1), *self.lags(8, complex))
+        kernel._kept["gap"] = np.ones(8)
+        for back in (pickle.loads(pickle.dumps(kernel)), copy.copy(kernel),
+                     copy.deepcopy(kernel)):
+            assert back._kept == {} and back.grid == kernel.grid and back.profile is None
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(back.lags, kernel.lags))
+        assert "gap" in kernel._kept
+        assert "lags=" in repr(kernel) and kernel.lags is not None
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_lag_wightman_kernel_rotates_to_the_dense_bits(self, periodic):
+        from keldrot.rotation import CumulantSet, reorder, rotate, unrotate
+
+        grid = TimeGrid(97, 0.15)
+        column, _ = self.lags(97, complex, seed=4)
+        column[0] = column[0].real  # K_W Hermitian: row = conj(column)
+        lags = (column, column.conj())
+        lag = CumulantSet(Signal.zero(grid), TwoPointKernel.toeplitz(grid, *lags), 0.7, periodic)
+        dense = CumulantSet(Signal.zero(grid), TwoPointKernel(grid, _toeplitz(*lags)), 0.7, periodic)
+        for s in (-0.4, 0.0, 1.0):
+            got, want = (rotate(ctl, OrderingParam(s)) for ctl in (lag, dense))
+            for a, b in ((got.D_R, want.D_R), (got.N_s, want.N_s),
+                         (reorder(got, 0.3).N_s, reorder(want, 0.3).N_s),
+                         (unrotate(got).K_W, unrotate(want).K_W)):
+                assert a.values.tobytes() == b.values.tobytes()
+
+
 def test_dtype_follows_the_data():
     g = TimeGrid(6, 0.5)
     real = [Signal(g, np.arange(6)), Signal(g, np.cos(g.times)), Signal.zero(g),

@@ -1,4 +1,5 @@
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -30,8 +31,8 @@ from keldrot.oscillator import (
 )
 from keldrot.rotation import CumulantSet, RotatedCumulants, reorder, rotate
 
-from common import (acausal_part, circular_lags, lag_profile, pointwise_response,
-                    time_normal_vacuum_noise, triple_residuals, zero_kernel)
+from common import (acausal_part, circular_lags, dense_dyson_two_route, lag_profile,
+                    pointwise_response, time_normal_vacuum_noise, triple_residuals, zero_kernel)
 
 SEA = DiracSeaSpec(mu0=1.0)
 
@@ -141,6 +142,14 @@ class TestMeanField:
         grid, _, d_bare, _, _ = toy_kernels(n=64, total_time=6.0)
         out = mean_field(d_bare, Signal.zero(grid))
         assert np.abs(out.values).max() == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_source_refused(self, bad):
+        # an all-NaN source returned an all-NaN field
+        grid, _, d_bare, _, _ = toy_kernels(n=64, total_time=6.0)
+        for values in (np.full(grid.n, bad), np.where(np.arange(grid.n) == 40, bad, 1.0)):
+            with pytest.raises(ValueError, match="J_e must be finite"):
+                mean_field(d_bare, Signal(grid, values))
 
     def test_superposition(self):
         grid, _, d_bare, _, _ = toy_kernels(n=64, total_time=6.0)
@@ -422,7 +431,7 @@ def serial_wyld_mc(spec, grid, n_samples, seed, J_e=None, white_noise_std=0.0,
     """The path sampler: every sample path drawn and summed, with the
     fourth-moment estimate of cov_stderr from the centred products."""
     rng = np.random.Generator(np.random.Philox(seed))
-    dr = retarded_response_grid(spec, grid)
+    dr = retarded_response_grid(spec, grid).values
     q = np.zeros((n_samples, grid.n))
     if alpha_nbar > 0:
         q += np.sqrt(alpha_nbar / 2.0) * rng.standard_normal((n_samples, 2)) @ _infield_basis(
@@ -461,7 +470,7 @@ def documented_draw(spec, grid, n_samples, seed, J_e=None, white_noise_std=0.0,
     W = R^T R (A^T from the Bartlett draw when n_samples - 1 >= d, else the
     n_samples - 1 standard normal rows Z)."""
     rng = np.random.Generator(np.random.Philox(seed))
-    dr = retarded_response_grid(spec, grid)
+    dr = retarded_response_grid(spec, grid).values
     base = np.zeros(grid.n) if J_e is None else grid.dt * (dr @ J_e.values.real)
     rows = [np.zeros((0, grid.n))]
     if alpha_nbar > 0:
@@ -671,7 +680,7 @@ class TestWyldMC:
         assert [g.drawn for g in made] == [d + d + d * (d - 1) // 2] * 2
         assert np.all(np.isfinite(huge["cov"]))
         # at 1e12 samples the estimate is the exact covariance to about 1e-6
-        dr = retarded_response_grid(spec, grid)
+        dr = retarded_response_grid(spec, grid).values
         exact = (0.4 ** 2 * grid.dt) * dr @ dr.T + 0.5 * np.cos(
             spec.omega0 * (grid.times[:, None] - grid.times[None, :]))
         assert np.abs(huge["cov"] - exact).max() < 1e-4 * np.abs(exact).max()
@@ -747,6 +756,10 @@ def test_gauge_diagnosis_reports_obstruction():
     assert empty["consistent"] is True and empty["divergent_coefficient"] == 0.0
 
 
+def refused_layout(column, row):
+    raise AssertionError("a kernel held as lags was laid out as n x n")
+
+
 def one_ulp_off_toeplitz(values):
     """A copy whose entry (n - 1, 1) moved by one ulp, so that the kernel is
     lower triangular but no longer exactly Toeplitz."""
@@ -799,8 +812,8 @@ class TestToeplitzRoutes:
         d_off = one_ulp_off_toeplitz(d_bare.values)
         pi_off = pi_r.values.copy()
         pi_off[5, 5] = np.nextafter(pi_off[5, 5], np.inf)
-        assert medium._toeplitz_column(d_off) is None
-        assert medium._scalar_diagonal(pi_off) is None
+        assert medium._toeplitz_column(TwoPointKernel(grid, d_off)) is None
+        assert medium._scalar_diagonal(TwoPointKernel(grid, pi_off)) is None
         for d0, pi in ((d_off, pi_r.values), (d_bare.values, pi_off)):
             del dense_solves[:]
             got = dress_retarded_grid(TwoPointKernel(grid, d0), TwoPointKernel(grid, pi)).values
@@ -811,29 +824,58 @@ class TestToeplitzRoutes:
     def test_toeplitz_check_needs_exact_structure(self):
         grid, _, d_bare, _, _ = toy_kernels(n=130, total_time=130 / 16)
         d = d_bare.values
-        assert np.array_equal(medium._toeplitz_column(d), d[:, 0])
+
+        def column(values):
+            return medium._toeplitz_column(TwoPointKernel(grid, values))
+
+        assert np.array_equal(column(d), d[:, 0])
         upper = d.copy()
         upper[0, 3] = 1e-300
-        assert medium._toeplitz_column(upper) is None
+        assert column(upper) is None
         for i, j in ((64, 0), (65, 1), (129, 128), (100, 36)):  # block edges and interior
             bad = d.copy()
             bad[i, j] = np.nextafter(bad[i, j], np.inf)
-            assert medium._toeplitz_column(bad) is None
+            assert column(bad) is None
         nan = d.copy()
         nan[70, 3] = np.nan
-        assert medium._toeplitz_column(nan) is None
-        assert medium._scalar_diagonal(2.5 * np.eye(8)) == 2.5
-        assert medium._scalar_diagonal(np.zeros((8, 8))) == 0.0
+        assert column(nan) is None
+        eight = TimeGrid(8, 0.5)
+        assert medium._scalar_diagonal(TwoPointKernel(eight, 2.5 * np.eye(8))) == 2.5
+        assert medium._scalar_diagonal(TwoPointKernel(eight, np.zeros((8, 8)))) == 0.0
         off_diagonal = 2.5 * np.eye(8)
         off_diagonal[3, 1] = 1e-300
-        assert medium._scalar_diagonal(off_diagonal) is None
+        assert medium._scalar_diagonal(TwoPointKernel(eight, off_diagonal)) is None
+
+    def test_lag_kernels_read_without_a_layout(self, monkeypatch):
+        """Held as lags, a kernel's first column and scalar diagonal are read
+        off its lag vectors: a row that is not zero past lag 0, or a column
+        that is not zero past lag 0, is refused as on the dense scan."""
+        import keldrot.grids as grids
+
+        grid = TimeGrid(130, 0.05)
+        column = np.random.default_rng(3).normal(size=130)
+        zeros, unit = np.zeros(130), np.eye(1, 130)[0]
+        monkeypatch.setattr(grids, "_toeplitz", refused_layout)
+        assert medium._toeplitz_column(TwoPointKernel.toeplitz(grid, column, zeros)) is column
+        assert medium._toeplitz_column(TwoPointKernel.toeplitz(grid, column, -zeros)) is column
+        assert medium._scalar_diagonal(TwoPointKernel.toeplitz(grid, 2.5 * unit, column)) is None
+        for lag in (1, 64, 129):  # the first, a middle and the last lag
+            bad = zeros.copy()
+            bad[lag] = 1e-300
+            assert medium._toeplitz_column(TwoPointKernel.toeplitz(grid, column, bad)) is None
+            assert medium._scalar_diagonal(TwoPointKernel.toeplitz(grid, 2.5 * unit + bad,
+                                                                   zeros)) is None
+        assert medium._scalar_diagonal(TwoPointKernel.toeplitz(grid, 2.5 * unit, zeros)) == 2.5
 
     def test_non_dyadic_step_takes_recursion(self, dense_solves):
         # laid out from its lags, the toy's D0 is exactly Toeplitz at any dt
         grid = TimeGrid(128, 0.1)
         d_bare, pi_r, _, _ = one_mode_toy(grid, 1.0, 0.25)
-        assert np.array_equal(medium._toeplitz_column(d_bare.values), d_bare.values[:, 0])
+        column = d_bare.lags[0]
         dress_retarded_grid(d_bare, pi_r)
+        d0 = TwoPointKernel(grid, d_bare.values)  # the same kernel laid out, and scanned
+        assert np.array_equal(medium._toeplitz_column(d0), column)
+        dress_retarded_grid(d0, TwoPointKernel(grid, pi_r.values))
         assert dense_solves == []
 
     def test_non_dyadic_step_takes_dense_route(self, dense_solves):
@@ -842,7 +884,7 @@ class TestToeplitzRoutes:
         grid = TimeGrid(128, 0.1)
         d_bare, pi_r, _, _ = one_mode_toy(grid, 1.0, 0.25)
         d0 = pointwise_response(OscillatorSpec(omega0=1.0), grid)
-        assert medium._toeplitz_column(d0) is None
+        assert medium._toeplitz_column(TwoPointKernel(grid, d0)) is None
         got = dress_retarded_grid(TwoPointKernel(grid, d0), pi_r).values
         assert len(dense_solves) == 1
         toeplitz = dress_retarded_grid(d_bare, pi_r).values
@@ -874,6 +916,18 @@ class TestToeplitzRoutes:
         kernels[name][9, 2] = np.nan
         with pytest.raises(ValueError, match=f"^{name} kernel must be finite, got"):
             dress_retarded_grid(*(TwoPointKernel(d_bare.grid, k) for k in kernels.values()))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_lag_kernel_named(self, bad, dense_solves):
+        """A bare propagator held as lags takes the recursion, and is named
+        there as the dense route names it."""
+        d_bare, pi_r, _, _ = one_mode_toy(TimeGrid(64, 0.0625), 1.0, 0.3)
+        column = d_bare.lags[0].copy()
+        column[9] = bad
+        d0 = TwoPointKernel.toeplitz(d_bare.grid, column, d_bare.lags[1])
+        with pytest.raises(ValueError, match="^bare propagator kernel must be finite, got"):
+            dress_retarded_grid(d0, pi_r)
+        assert dense_solves == []
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_noise_map_matches_dense_product(self, dtype):
@@ -932,6 +986,41 @@ class TestToeplitzRoutes:
         with pytest.raises(ValueError, match="at least 5"):
             wave_operator_residual(zero_kernel(grid), zero_kernel(grid), 1.0)
 
+    @pytest.mark.parametrize("omega0", [np.nan, 0.0, np.inf, -1.0])
+    def test_wave_residual_refuses_bad_frequency(self, omega0, monkeypatch):
+        """NaN returned NaN, 0 divided by zero, inf warned, and -1 gave the
+        residual of another operator; each is refused before the kernel is
+        read."""
+        grid, _, d_bare, pi_r, _ = toy_kernels(n=64, total_time=6.0)
+        dressed = dress_retarded_grid(d_bare, pi_r)
+        monkeypatch.setattr(medium, "_scalar_diagonal", None)  # not reached
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="omega0 must be finite and positive"):
+                wave_operator_residual(dressed, pi_r, omega0)
+
+    def test_wave_residual_per_lag_matches_layout(self):
+        """A dressed kernel held as lags, its layout and its layout with an
+        ulp off the Toeplitz structure (the block route) give one residual;
+        a NaN lag is carried."""
+        grid, spec, d_bare, pi_r, _ = toy_kernels(n=200, total_time=10.0)
+        dressed = dress_retarded_grid(d_bare, pi_r)
+        column = dressed.lags[0]
+        got = wave_operator_residual(dressed, pi_r, spec.omega0)
+        laid_out = TwoPointKernel(grid, dressed.values)
+        assert wave_operator_residual(laid_out, pi_r, spec.omega0) == got
+        dense_pi = TwoPointKernel(grid, pi_r.values)
+        assert wave_operator_residual(laid_out, dense_pi, spec.omega0) == got
+        general = pi_r.values.copy()
+        general[5, 5] = np.nextafter(general[5, 5], np.inf)  # not gamma I: the block route
+        block = wave_operator_residual(laid_out, TwoPointKernel(grid, general), spec.omega0)
+        assert block == pytest.approx(got, rel=1e-12)
+        for lag in (1, 2, 100, 197, 198):  # the stencil reads lags 1 .. n - 2
+            nan = column.copy()
+            nan[lag] = np.nan
+            lagged = TwoPointKernel.toeplitz(grid, nan, np.zeros(grid.n))
+            assert np.isnan(wave_operator_residual(lagged, pi_r, spec.omega0))
+
     def test_wave_residual_allocates_no_square_array(self):
         import tracemalloc
 
@@ -958,15 +1047,30 @@ class TestToeplitzRoutes:
             tracemalloc.stop()
 
     def test_two_route_peaks(self):
-        # the responses are laid out from their lags and compared in row
-        # blocks: criterion 11 holds D0, Pi_R, the closed form and the
-        # dressed kernel at once, the toy the first three
+        # the toy's kernels, the dressed kernel and both residuals are held
+        # and taken per lag: O(n) floats, no n x n array
         from keldrot.acceptance import criterion_dyson_two_route
 
-        square = 8 * 2048 ** 2  # one n x n float64 at criterion 11's n
-        assert self.traced_peak(criterion_dyson_two_route) <= 4.25 * square
-        toy = self.traced_peak(one_mode_toy, TimeGrid(2048, 30.0 / 2048), 1.0, 0.3)
-        assert toy <= 3.25 * square
+        bound = 64 * 8 * 2048  # 64 float64 lag vectors at criterion 11's n
+        assert self.traced_peak(criterion_dyson_two_route) <= bound
+        assert self.traced_peak(one_mode_toy, TimeGrid(2048, 30.0 / 2048), 1.0, 0.3) <= bound
+
+    def test_criterion_11_lays_nothing_out(self, monkeypatch):
+        import keldrot.grids as grids
+        from keldrot.acceptance import criterion_dyson_two_route
+
+        monkeypatch.setattr(grids, "_toeplitz", refused_layout)
+        assert criterion_dyson_two_route().passed
+
+    def test_criterion_11_bit_equal_to_dense_route(self):
+        """measured and the wave residual have the bits of the n x n route:
+        the toy's layouts, the row-block difference and the block residual."""
+        from keldrot.acceptance import criterion_dyson_two_route
+
+        got = criterion_dyson_two_route()
+        worst, residual = dense_dyson_two_route(TimeGrid(2048, 30.0 / 2048), 1.0, 0.3)
+        assert got.measured.hex() == worst.hex()
+        assert got.details["wave_operator_residual"].hex() == residual.hex()
 
     def test_bad_coupling_refused_before_any_kernel(self):
         def refused():
@@ -977,16 +1081,31 @@ class TestToeplitzRoutes:
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_max_abs_diff_is_the_whole_array_max(self, dtype):
+        # per lag, of two kernels held as lags: the max over their layouts,
+        # with the largest difference in the column, then in the row, and
+        # row[0], which no layout reads, far off
+        grid = TimeGrid(130, 0.05)
         rng = np.random.default_rng(5)
-        a, b = rng.normal(size=(2, 130, 130))
+        column, row, d_col, d_row = rng.normal(size=(4, 130)).astype(dtype)
         if dtype is complex:
-            a, b = a + 1j * rng.normal(size=a.shape), b + 1j * rng.normal(size=b.shape)
-        got = medium._max_abs_diff(a, b)
-        assert type(got) is float
-        assert got == np.abs(a - b).max()
+            d_col = d_col + 1j * rng.normal(size=130)
+        for where in (d_col, d_row):
+            where[77] = 5.0
+            far_row0 = row + 0.1 * d_row + 1e3 * np.eye(1, 130)[0]
+            pairs = ((column, row), (column + 0.1 * d_col, far_row0))
+            got = medium._lag_max_abs_diff(*(TwoPointKernel.toeplitz(grid, *p) for p in pairs))
+            a, b = (TwoPointKernel.toeplitz(grid, *p).values for p in pairs)
+            assert type(got) is float
+            assert got == np.abs(a - b).max()
+            where[77] = 0.0
 
-    @pytest.mark.parametrize("row", [3, 70, 129])  # the first, a middle and the last block
-    def test_max_abs_diff_carries_nan(self, row):
-        a = np.zeros((130, 130))
-        a[row, 5] = np.nan
-        assert np.isnan(medium._max_abs_diff(a, np.ones((130, 130))))
+    @pytest.mark.parametrize("lag", [3, 70, 129])  # early, middle and last lags
+    def test_max_abs_diff_carries_nan(self, lag):
+        grid = TimeGrid(130, 0.05)
+        for vector in (0, 1):  # the column, then the row
+            lags = [np.zeros(130), np.zeros(130)]
+            lags[vector][lag] = np.nan
+            a = TwoPointKernel.toeplitz(grid, *lags)
+            b = TwoPointKernel.toeplitz(grid, np.ones(130), np.ones(130))
+            assert np.isnan(medium._lag_max_abs_diff(a, b))
+            assert np.isnan(medium._lag_max_abs_diff(b, a))

@@ -74,12 +74,12 @@ class TestRetardedResponse:
         # pointwise in the lag (i - j) dt at any dt, and the bits of the
         # oracle sampled at t_i - t_j on dyadic grids, where the two agree
         i = np.arange(GRID.n)
-        assert (retarded_response_grid(SPEC, GRID).tobytes()
+        assert (retarded_response_grid(SPEC, GRID).values.tobytes()
                 == retarded_response(SPEC, GRID.dt * (i[:, None] - i[None, :])).tobytes())
         for n in (256, 2048):
             for w in (1.0, np.sqrt(1.3), 13.1):  # criterion 11's omega0 and w'
                 spec, grid = OscillatorSpec(omega0=w), TimeGrid(n, 30.0 / 2048)
-                assert (retarded_response_grid(spec, grid).tobytes()
+                assert (retarded_response_grid(spec, grid).values.tobytes()
                         == pointwise_response(spec, grid).tobytes())
 
     def test_circular_grid_sampling_is_the_rotated_response(self):
